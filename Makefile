@@ -1,4 +1,4 @@
-.PHONY: all build test check crash contention scrub bench-engine bench-shard bench-migrate bench-compare fmt clean
+.PHONY: all build test check crash contention scrub bench-engine bench-migrate bench-compare fmt clean
 
 all: build
 
@@ -43,14 +43,6 @@ scrub:
 bench-engine:
 	dune exec bench/main.exe -- engine --out BENCH_engine.json \
 		--gate ci/bench_engine_baseline.json
-
-# Full-scale sharded-execution bench: the split transformation driven
-# serial and across a 1/2/4/8-domain pool; writes BENCH_shard.json and
-# enforces equality with the serial baseline (byte-identical at one
-# domain). The regression gate against ci/bench_shard_baseline.json
-# runs at quick scale in ci/check.sh, where the scales match.
-bench-shard:
-	dune exec bench/main.exe -- shard --out BENCH_shard.json
 
 # Migration-strategy bench: eager vs lazy vs hybrid initial-image
 # migration for the same FOJ change under a live workload; writes

@@ -5,7 +5,7 @@
 
    Usage: main.exe [target ...] [--trace FILE] [--out FILE] [--gate FILE]
      targets: fig1 fig2 fig3 fig4a fig4b fig4c fig4d foj sync methods
-              ablate deadlock wal engine shard migrate compare micro
+              ablate deadlock wal engine migrate compare micro
               trace all quick
    The wal target measures the segmented log (append throughput under
    truncation, bounded-memory soak) and writes its JSON to [--out]
@@ -753,261 +753,6 @@ let engine_bench ~quick ~out ~gate ~trace =
          exit 1
        end
        else say "gate: ok")
-
-(* {1 Sharded-execution benchmark}
-
-   The same split transformation driven serial and sharded across a
-   domain pool at 1/2/4/8 domains: initial population (the fuzzy scan)
-   and log-propagation drain are timed per configuration, and every
-   sharded run must produce the same final relations as the serial
-   baseline — the 1-domain run byte-identically (records, LSNs,
-   counters), the wider ones as sets. Writes BENCH_shard.json via
-   [--out]; [--gate FILE] compares the 1-domain population rate
-   against a committed baseline and fails on a >20% regression. *)
-
-let shard_bench ~quick ~out ~gate =
-  header "Sharded execution: population and propagation across domains";
-  let module Db = Nbsc_engine.Db in
-  let module Manager = Nbsc_txn.Manager in
-  let scale = if quick then 2_000 else 20_000 in
-  let backlog = if quick then 1_000 else 5_000 in
-  let t_schema =
-    Schema.make ~key:[ "a" ]
-      [ Schema.column ~nullable:false "a" Value.TInt;
-        Schema.column "b" Value.TText; Schema.column "c" Value.TInt;
-        Schema.column "d" Value.TText ]
-  in
-  let spec =
-    { Spec.t_table' = "T"; r_table' = "R"; s_table' = "S";
-      r_cols = [ "a"; "b"; "c" ]; s_cols = [ "c"; "d" ];
-      split_key = [ "c" ]; assume_consistent = true }
-  in
-  (* One run: populate (timed), park the job while a deterministic
-     backlog of user transactions hits T, drain the log (timed), then
-     sync. The backlog is applied with the job parked, so every
-     configuration sees the identical operation history. *)
-  let run_one ~exec =
-    let db = Db.create () in
-    ignore (Db.create_table db ~name:"T" t_schema);
-    let rec chunked lo hi step f =
-      if lo <= hi then begin
-        f lo (min hi (lo + step - 1));
-        chunked (lo + step) hi step f
-      end
-    in
-    chunked 1 scale 2048 (fun lo hi ->
-        match
-          Db.load db ~table:"T"
-            (List.init (hi - lo + 1) (fun i ->
-                 let k = lo + i in
-                 let c = k mod 97 in
-                 Row.make
-                   [ Value.Int k; Value.Text ("n" ^ string_of_int k);
-                     Value.Int c; Value.Text ("city" ^ string_of_int c) ]))
-        with
-        | Ok () -> ()
-        | Error e -> failwith (Format.asprintf "load T: %a" Manager.pp_error e));
-    let gate_open = ref false in
-    let config =
-      { Transform.default_config with
-        Transform.scan_batch = 256;
-        propagate_batch = 256;
-        analysis = Analysis.Remaining_records 64;
-        drop_sources = false;
-        sync_gate = (fun () -> !gate_open) }
-    in
-    let tf = Transform.split db ~config ~exec spec in
-    let step_tf () =
-      match Transform.step tf with
-      | `Running | `Done -> ()
-      | `Failed m -> failwith ("shard bench: transformation failed: " ^ m)
-    in
-    let t0 = Unix.gettimeofday () in
-    while Transform.phase tf = Transform.Populating do
-      step_tf ()
-    done;
-    let populate_s = Unix.gettimeofday () -. t0 in
-    let populated = (Transform.progress tf).Transform.produced in
-    let mgr = Db.manager db in
-    for i = 1 to backlog do
-      let txn = Manager.begin_txn mgr in
-      let outcome =
-        if i mod 5 = 0 then
-          let k = scale + i in
-          let c = k mod 97 in
-          Manager.insert mgr ~txn ~table:"T"
-            (Row.make
-               [ Value.Int k; Value.Text ("i" ^ string_of_int k);
-                 Value.Int c; Value.Text ("city" ^ string_of_int c) ])
-        else
-          Manager.update mgr ~txn ~table:"T"
-            ~key:(Row.make [ Value.Int ((i * 7 mod scale) + 1) ])
-            [ (1, Value.Text ("u" ^ string_of_int i)) ]
-      in
-      (match outcome with
-       | Ok () -> ()
-       | Error e ->
-         failwith (Format.asprintf "shard bench op %d: %a" i Manager.pp_error e));
-      match Manager.commit mgr txn with
-      | Ok () -> ()
-      | Error e ->
-        failwith (Format.asprintf "shard bench commit %d: %a" i Manager.pp_error e)
-    done;
-    let before = (Transform.progress tf).Transform.propagated in
-    let t0 = Unix.gettimeofday () in
-    while (Transform.progress tf).Transform.lag > 0 do
-      step_tf ()
-    done;
-    let propagate_s = Unix.gettimeofday () -. t0 in
-    let propagated = (Transform.progress tf).Transform.propagated - before in
-    gate_open := true;
-    let rec finish n =
-      if n > 100_000 then failwith "shard bench: no convergence";
-      match Transform.step tf with
-      | `Done -> ()
-      | `Running -> finish (n + 1)
-      | `Failed m -> failwith ("shard bench: sync failed: " ^ m)
-    in
-    finish 0;
-    (db, populated, populate_s, propagated, propagate_s)
-  in
-  (* Record-level state: rows plus LSNs, reference counters and
-     consistency flags — what the 1-domain byte-identity covers. *)
-  let record_state db name =
-    Nbsc_storage.Table.fold (Db.table db name) ~init:[] ~f:(fun acc _ r ->
-        Format.asprintf "%a" Nbsc_storage.Record.pp r :: acc)
-    |> List.sort compare
-  in
-  let set_state db name =
-    List.sort compare
-      (List.map Row.to_string (Db.snapshot db name).Nbsc_relalg.Relalg.rows)
-  in
-  let rate n s = if s > 0. then float_of_int n /. s else 0. in
-  let serial_db, s_rows, s_pop, s_recs, s_prop = run_one ~exec:Domain_pool.Serial in
-  say "serial:    populate %d rows in %.3fs (%.0f rows/s); drain %d records in %.3fs (%.0f records/s)"
-    s_rows s_pop (rate s_rows s_pop) s_recs s_prop (rate s_recs s_prop);
-  let failures = ref 0 in
-  let runs =
-    List.map
-      (fun domains ->
-         let pool = Domain_pool.create ~size:domains () in
-         let db, rows, pop, recs, prop =
-           run_one ~exec:(Domain_pool.Sharded { pool; shards = domains })
-         in
-         Domain_pool.shutdown pool;
-         let equal =
-           if domains = 1 then
-             List.for_all
-               (fun t -> record_state serial_db t = record_state db t)
-               [ "T"; "R"; "S" ]
-           else
-             List.for_all
-               (fun t -> set_state serial_db t = set_state db t)
-               [ "R"; "S" ]
-         in
-         if not equal then begin
-           incr failures;
-           say "%d domains: EQUALITY FAIL - diverges from the serial baseline"
-             domains
-         end;
-         say "%d domains: populate %.3fs (%.0f rows/s, speedup %.2fx); drain %.3fs (%.0f records/s, speedup %.2fx)%s"
-           domains pop (rate rows pop)
-           (if pop > 0. then s_pop /. pop else 0.)
-           prop (rate recs prop)
-           (if prop > 0. then s_prop /. prop else 0.)
-           (if equal then "" else "  [MISMATCH]");
-         (domains, rows, pop, recs, prop, equal))
-      [ 1; 2; 4; 8 ]
-  in
-  let json =
-    Json.Obj
-      [ ("bench", Json.String "shard");
-        ("quick", Json.Bool quick);
-        ("scale", Json.Int scale);
-        ("backlog", Json.Int backlog);
-        ( "serial",
-          Json.Obj
-            [ ("populate_seconds", Json.Float s_pop);
-              ("populate_rows_per_s", Json.Float (rate s_rows s_pop));
-              ("propagate_seconds", Json.Float s_prop);
-              ("propagate_records_per_s", Json.Float (rate s_recs s_prop)) ] );
-        ( "runs",
-          Json.List
-            (List.map
-               (fun (d, rows, pop, recs, prop, equal) ->
-                  Json.Obj
-                    [ ("domains", Json.Int d);
-                      ("populate_seconds", Json.Float pop);
-                      ("populate_rows_per_s", Json.Float (rate rows pop));
-                      ( "populate_speedup",
-                        Json.Float (if pop > 0. then s_pop /. pop else 0.) );
-                      ("propagate_seconds", Json.Float prop);
-                      ("propagate_records_per_s", Json.Float (rate recs prop));
-                      ( "propagate_speedup",
-                        Json.Float (if prop > 0. then s_prop /. prop else 0.) );
-                      ("equal_to_serial", Json.Bool equal) ])
-               runs) ) ]
-  in
-  (match out with
-   | Some path ->
-     let oc = open_out path in
-     output_string oc (Json.to_string json);
-     output_char oc '\n';
-     close_out oc;
-     say "results written to %s" path
-   | None -> say "%s" (Json.to_string json));
-  if !failures > 0 then begin
-    say "shard: FAIL - %d configuration(s) diverged from the serial baseline"
-      !failures;
-    exit 1
-  end;
-  (* Regression gate: the 1-domain sharded population rate vs the
-     committed baseline — the sharding machinery itself must not tax
-     the single-domain path. *)
-  (match gate with
-   | None -> ()
-   | Some path ->
-     let contents =
-       let ic = open_in path in
-       let n = in_channel_length ic in
-       let s = really_input_string ic n in
-       close_in ic;
-       s
-     in
-     (match Json.of_string (String.trim contents) with
-      | Error m -> failwith (Printf.sprintf "gate %s: bad JSON: %s" path m)
-      | Ok j ->
-        let committed =
-          let one_domain =
-            match Json.member "runs" j with
-            | Some (Json.List rs) ->
-              List.find_opt
-                (fun r -> Json.member "domains" r = Some (Json.Int 1))
-                rs
-            | _ -> None
-          in
-          match
-            Option.bind one_domain (Json.member "populate_rows_per_s")
-            |> Option.map Json.to_float
-          with
-          | Some (Some f) -> f
-          | _ ->
-            failwith
-              (Printf.sprintf "gate %s: no 1-domain populate_rows_per_s" path)
-        in
-        let fresh =
-          match List.find_opt (fun (d, _, _, _, _, _) -> d = 1) runs with
-          | Some (_, rows, pop, _, _, _) -> rate rows pop
-          | None -> 0.
-        in
-        let floor = 0.8 *. committed in
-        say "gate: fresh %.0f rows/s vs committed %.0f rows/s (floor %.0f)"
-          fresh committed floor;
-        if fresh < floor then begin
-          say "gate: FAIL - >20%% population regression";
-          exit 1
-        end
-        else say "gate: ok"))
 
 (* {1 Micro-benchmarks (Bechamel)} *)
 
@@ -1845,7 +1590,6 @@ let () =
   if wants "engine" then
     engine_bench ~quick ~out:json_out ~gate:gate_file
       ~trace:(if List.mem "engine" targets then trace_out else None);
-  if wants "shard" then shard_bench ~quick ~out:json_out ~gate:gate_file;
   if wants "migrate" then migrate_bench ~quick ~out:json_out ~gate:gate_file;
   if wants "compare" then compare_bench ~quick ~out:json_out ~gate:gate_file;
   if List.mem "trace" targets then trace_bench ~quick ~out:trace_out;

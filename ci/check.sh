@@ -84,45 +84,6 @@ for key in '"bench":"engine"' '"populate"' '"propagate"' '"txn_per_s"' \
   }
 done
 
-# Smoke the shard bench (quick scale): serial vs 1/2/4/8-domain runs
-# of the same split transformation. The bench itself exits non-zero if
-# any sharded configuration diverges from the serial baseline (the
-# 1-domain run must be byte-identical, record level included), and the
-# gate holds the 1-domain population rate within 20% of the committed
-# baseline.
-echo "== bench shard smoke + equality + regression gate =="
-shard_out=$(mktemp /tmp/nbsc_bench_shard.XXXXXX.json)
-trap 'rm -f "$trace_out" "$wal_out" "$engine_out" "$shard_out"' EXIT
-# The gated 1-domain populate window is a few milliseconds at quick
-# scale, so the rate is noisy on a loaded 1-core host: take best of
-# three. A real regression (or an equality divergence, which is
-# deterministic) still fails all three attempts.
-shard_ok=0
-for attempt in 1 2 3; do
-  if dune exec bench/main.exe -- shard quick --out "$shard_out" \
-    --gate ci/bench_shard_baseline.json >/dev/null; then
-    shard_ok=1
-    break
-  fi
-  echo "bench shard gate: attempt $attempt failed, retrying"
-done
-if [ "$shard_ok" != 1 ]; then
-  echo "bench shard gate failed on all attempts" >&2
-  exit 1
-fi
-test -s "$shard_out"
-for key in '"bench":"shard"' '"serial"' '"runs"' '"populate_rows_per_s"' \
-  '"propagate_records_per_s"' '"equal_to_serial"'; do
-  grep -q "$key" "$shard_out" || {
-    echo "bench shard JSON missing $key" >&2
-    exit 1
-  }
-done
-if grep -q '"equal_to_serial":false' "$shard_out"; then
-  echo "bench shard: a sharded run diverged from the serial baseline" >&2
-  exit 1
-fi
-
 # Migration-strategy bench (full scale — it is cheap): the same FOJ
 # change under eager, lazy and hybrid initial-image migration with a
 # live workload. The bench itself exits non-zero if any strategy's
@@ -131,7 +92,7 @@ fi
 # (full scale so the baseline's scale matches the run's).
 echo "== bench migrate smoke + oracle equality + regression gate =="
 migrate_out=$(mktemp /tmp/nbsc_bench_migrate.XXXXXX.json)
-trap 'rm -f "$trace_out" "$wal_out" "$engine_out" "$shard_out" "$migrate_out"' EXIT
+trap 'rm -f "$trace_out" "$wal_out" "$engine_out" "$migrate_out"' EXIT
 dune exec bench/main.exe -- migrate --out "$migrate_out" \
   --gate ci/bench_migrate_baseline.json >/dev/null
 test -s "$migrate_out"
@@ -153,7 +114,7 @@ done
 # milliseconds, so the rate is noisy on a loaded host: best of three.
 echo "== bench compare smoke + oracle equality + regression gate =="
 compare_out=$(mktemp /tmp/nbsc_bench_compare.XXXXXX.json)
-trap 'rm -f "$trace_out" "$wal_out" "$engine_out" "$shard_out" "$migrate_out" "$compare_out"' EXIT
+trap 'rm -f "$trace_out" "$wal_out" "$engine_out" "$migrate_out" "$compare_out"' EXIT
 compare_ok=0
 for attempt in 1 2 3; do
   if dune exec bench/main.exe -- compare --out "$compare_out" \

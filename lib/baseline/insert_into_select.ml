@@ -65,13 +65,13 @@ let step t ~limit =
   | Not_started | Running ->
     if t.state = Not_started then begin
       (* The whole point of the paper: this latch stays until the end. *)
-      List.iter
-        (fun table ->
-           if
-             not
-               (Latch.try_latch (Manager.latches t.mgr) ~holder:t.holder ~table)
-           then failwith ("Insert_into_select: cannot latch " ^ table))
-        t.sources;
+      if
+        not
+          (Latch.try_latch_all (Manager.latches t.mgr) ~holder:t.holder
+             t.sources)
+      then
+        failwith
+          ("Insert_into_select: cannot latch " ^ String.concat ", " t.sources);
       t.state <- Running
     end;
     let before = Population.scanned t.pop in

@@ -24,8 +24,9 @@ val split : Db.t -> Spec.split -> t
 
 val step : t -> limit:int -> [ `Running | `Done ]
 (** Process up to [limit] source rows. The first call latches the
-    source tables; the call that finishes unlatches (and drops the
-    sources). *)
+    source tables, all or none: if another holder has one of them it
+    raises [Failure] with nothing latched, and a later call retries.
+    The call that finishes unlatches (and drops the sources). *)
 
 val rows_processed : t -> int
 val finished : t -> bool

@@ -77,22 +77,10 @@ let latched_windows t = t.latched_windows
 let job_name t = t.job
 let finished t = t.phase = Done
 
+(* All or nothing: when some other reorganizer holds a latch we need,
+   retry next quantum. *)
 let latch_sources t =
-  let latches = Manager.latches t.mgr in
-  let rec go acc = function
-    | [] -> true
-    | table :: rest ->
-      if Latch.try_latch latches ~holder:t.holder ~table then
-        go (table :: acc) rest
-      else begin
-        (* Back out and retry next quantum: some other reorganizer
-           holds a latch we need. *)
-        List.iter (fun table -> Latch.unlatch latches ~holder:t.holder ~table)
-          acc;
-        false
-      end
-  in
-  go [] t.sources
+  Latch.try_latch_all (Manager.latches t.mgr) ~holder:t.holder t.sources
 
 let unlatch_sources t =
   let latches = Manager.latches t.mgr in

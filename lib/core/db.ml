@@ -15,15 +15,15 @@ module Schema_change = struct
 
   let transform h = h
 
-  let start db ?config ?options ?exec spec =
+  let start db ?config ?options spec =
     (* The builders validate specs with Invalid_argument (a contract
        several tests pin down); the façade folds that into a result. *)
     match
       (match spec with
-       | Spec.Foj s -> Transform.foj db ?config ?options ?exec s
-       | Spec.Split s -> Transform.split db ?config ?options ?exec s
-       | Spec.Hsplit s -> Transform.hsplit db ?config ?options ?exec s
-       | Spec.Merge s -> Transform.merge db ?config ?options ?exec s)
+       | Spec.Foj s -> Transform.foj db ?config ?options s
+       | Spec.Split s -> Transform.split db ?config ?options s
+       | Spec.Hsplit s -> Transform.hsplit db ?config ?options s
+       | Spec.Merge s -> Transform.merge db ?config ?options s)
     with
     | t -> Ok t
     | exception Invalid_argument m -> Error (`Invalid m)

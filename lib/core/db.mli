@@ -37,20 +37,16 @@ module Schema_change : sig
   }
 
   val start :
-    t -> ?config:Transform.config -> ?options:Options.t ->
-    ?exec:Domain_pool.exec -> Spec.any ->
+    t -> ?config:Transform.config -> ?options:Options.t -> Spec.any ->
     (handle, Nbsc_error.t) result
   (** Validate the spec, build the operator (target tables, indexes)
       and register the executor. A rejected specification returns
       [`Invalid] — nothing raises. [options] is the preferred
       configuration ({!Options.t}); it supersedes the deprecated
-      [config] and [exec] arguments when given. [exec] (default
-      {!Domain_pool.Serial}) shards the change's population and
-      propagation across a domain pool. *)
+      [config] argument when given. *)
 
   val resume :
     ?config:Transform.config -> ?options:Options.t ->
-    ?exec:Domain_pool.exec ->
     Nbsc_engine.Persist.t -> (handle list, Nbsc_error.t) result
   (** Rebuild every schema change that was in flight when the reopened
       database crashed (see [Transform.resume]). Pass the same

@@ -14,8 +14,6 @@ type t = {
   drop_sources : bool;
   sync_gate : unit -> bool;
   pace : Governor.t option;
-  plan_mode : Plan.mode option;
-  exec : Domain_pool.exec option;
 }
 
 let default =
@@ -27,9 +25,7 @@ let default =
     population = Fuzzy;
     drop_sources = true;
     sync_gate = (fun () -> true);
-    pace = None;
-    plan_mode = None;
-    exec = None }
+    pace = None }
 
 (* Field validation. String parsers reject bad values at the parse
    boundary, but options records are also built programmatically

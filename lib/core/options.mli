@@ -1,10 +1,10 @@
 (** Schema-change options — the one knob record.
 
-    Earlier revisions spread configuration over [Transform.config],
-    [?plan_mode], [?exec] and per-builder optional arguments; this
-    record collapses all of it into a single value threaded through
-    {!Transformation} builders, {!Transform.create}/[resume] and
-    [Db.Schema_change.start]. Two orthogonal strategy axes:
+    Earlier revisions spread configuration over [Transform.config] and
+    per-builder optional arguments; this record collapses all of it
+    into a single value threaded through {!Transformation} builders,
+    {!Transform.create}/[resume] and [Db.Schema_change.start]. Two
+    orthogonal strategy axes:
 
     - {!sync} — how the final switch-over synchronizes with in-flight
       transactions (the paper's three strategies, Sec. 3.4);
@@ -64,21 +64,14 @@ type t = {
           keep propagating *)
   pace : Governor.t option;
       (** anti-starvation governor; one per transformation run *)
-  plan_mode : Plan.mode option;
-      (** force compiled/interpreted rule plans ([None] = operator
-          default) *)
-  exec : Domain_pool.exec option;
-      (** sharded execution for population and propagation ([None] =
-          serial) *)
 }
 
 val default : t
 (** [{ scan_batch = 256; propagate_batch = 256;
       analysis = Analysis.default; sync = Nonblocking_abort;
       strategy = Eager; population = Fuzzy; drop_sources = true;
-      sync_gate = (fun () -> true); pace = None; plan_mode = None;
-      exec = None }] — byte-identical behaviour to the legacy
-    [Transform.default_config]. *)
+      sync_gate = (fun () -> true); pace = None }] — byte-identical
+    behaviour to the legacy [Transform.default_config]. *)
 
 val validate : t -> (t, Nbsc_error.t) result
 (** Reject records whose numeric knobs cannot drive the quantum loop:

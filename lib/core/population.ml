@@ -33,24 +33,6 @@ let scanned t = t.c.scanned
 let produced t = t.c.produced
 let close t = t.close_fn ()
 
-(* {2 Sharded execution}
-
-   The sharded steppers split every quantum across per-shard fuzzy
-   cursors: workers read their own shard bucket and compute pure values
-   (join keys, projected target rows) in parallel, and all shared-state
-   mutation — the join hash, [C.put], operator ingest — happens on the
-   calling domain after the barrier, in shard order. With one shard the
-   bucket replays the arrival array verbatim and the merge loop applies
-   the identical operation sequence, so [Sharded {shards = 1}] is
-   byte-identical to [Serial] (enforced by differential tests). *)
-
-let per_shard_limit ~shards limit =
-  if limit >= max_int / 2 then limit else max 1 (limit / shards)
-
-let sharded_cursors tbl ~shards =
-  Array.init shards (fun shard ->
-      Table.Fuzzy_cursor.make_sharded tbl ~shards ~shard)
-
 (* {2 FOJ: hash S, stream R, emit unmatched S leftovers} *)
 
 type foj_phase =
@@ -59,7 +41,7 @@ type foj_phase =
   | Leftovers of (Row.t * bool ref) list
   | F_done
 
-let foj_serial f ~r_tbl ~s_tbl =
+let foj f ~r_tbl ~s_tbl =
   let cctx = Foj.ctx f in
   let s_cursor = Table.Fuzzy_cursor.make s_tbl in
   let r_cursor = Table.Fuzzy_cursor.make r_tbl in
@@ -161,138 +143,9 @@ let foj_serial f ~r_tbl ~s_tbl =
         Table.Fuzzy_cursor.close r_cursor)
     ()
 
-let foj_sharded exec ~shards f ~r_tbl ~s_tbl =
-  let cctx = Foj.ctx f in
-  let s_cursors = sharded_cursors s_tbl ~shards in
-  let r_cursors = sharded_cursors r_tbl ~shards in
-  let s_hash : (Row.t * bool ref) list Row.Key.Tbl.t =
-    Row.Key.Tbl.create 1024
-  in
-  let fphase = ref Scan_s in
-  let put_initial c ~presence row =
-    ignore (C.put cctx ~lsn:Lsn.zero ~presence row);
-    c.produced <- c.produced + 1
-  in
-  let step c ~limit =
-    let limit = per_shard_limit ~shards limit in
-    match !fphase with
-    | Scan_s ->
-      (* Workers scan and compute join keys; the hash inserts run
-         serially at the barrier, in shard order. *)
-      let batches =
-        Domain_pool.run_shards exec ~shards (fun i ->
-            List.map
-              (fun (record : Record.t) ->
-                 let srow = record.Record.row in
-                 (C.join_of_s_row cctx srow, srow))
-              (Table.Fuzzy_cursor.next_batch s_cursors.(i) ~limit))
-      in
-      Array.iter
-        (fun pairs ->
-           c.scanned <- c.scanned + List.length pairs;
-           List.iter
-             (fun (j, srow) ->
-                let entry = (srow, ref false) in
-                let existing =
-                  match Row.Key.Tbl.find_opt s_hash j with
-                  | Some e -> e
-                  | None -> []
-                in
-                Row.Key.Tbl.replace s_hash j (entry :: existing))
-             pairs)
-        batches;
-      if Array.for_all Table.Fuzzy_cursor.finished s_cursors then begin
-        Array.iter Table.Fuzzy_cursor.close s_cursors;
-        fphase := Scan_r
-      end;
-      false
-    | Scan_r ->
-      (* Workers probe the — now read-only — join hash and project the
-         target rows; match flags and [put_initial] mutate at the
-         barrier only. *)
-      let batches =
-        Domain_pool.run_shards exec ~shards (fun i ->
-            List.map
-              (fun (record : Record.t) ->
-                 let rrow = record.Record.row in
-                 let j = C.join_of_r_row cctx rrow in
-                 let matches =
-                   if Row.Key.has_null j then []
-                   else
-                     match Row.Key.Tbl.find_opt s_hash j with
-                     | Some entries -> entries
-                     | None -> []
-                 in
-                 match matches with
-                 | [] ->
-                   let row, bits =
-                     C.t_row_of_sources cctx ~r:(Some rrow) ~s:None
-                   in
-                   [ (None, row, bits) ]
-                 | entries ->
-                   List.map
-                     (fun (srow, matched) ->
-                        let row, bits =
-                          C.t_row_of_sources cctx ~r:(Some rrow) ~s:(Some srow)
-                        in
-                        (Some matched, row, bits))
-                     entries)
-              (Table.Fuzzy_cursor.next_batch r_cursors.(i) ~limit))
-      in
-      Array.iter
-        (fun batch ->
-           c.scanned <- c.scanned + List.length batch;
-           List.iter
-             (List.iter (fun (matched, row, bits) ->
-                  (match matched with Some m -> m := true | None -> ());
-                  put_initial c ~presence:bits row))
-             batch)
-        batches;
-      if Array.for_all Table.Fuzzy_cursor.finished r_cursors then begin
-        Array.iter Table.Fuzzy_cursor.close r_cursors;
-        let leftovers =
-          Row.Key.Tbl.fold (fun _ entries acc -> entries @ acc) s_hash []
-          |> List.filter (fun (_, matched) -> not !matched)
-        in
-        fphase := Leftovers leftovers
-      end;
-      false
-    | Leftovers remaining ->
-      let rec emit n rest =
-        if n >= limit then rest
-        else
-          match rest with
-          | [] -> []
-          | (srow, _) :: rest ->
-            let row, bits = C.t_row_of_sources cctx ~r:None ~s:(Some srow) in
-            put_initial c ~presence:bits row;
-            emit (n + 1) rest
-      in
-      (match emit 0 remaining with
-       | [] ->
-         fphase := F_done;
-         true
-       | rest ->
-         fphase := Leftovers rest;
-         false)
-    | F_done -> true
-  in
-  make ~step
-    ~finished:(fun () -> !fphase = F_done)
-    ~close:(fun () ->
-        Array.iter Table.Fuzzy_cursor.close s_cursors;
-        Array.iter Table.Fuzzy_cursor.close r_cursors)
-    ()
-
-let foj ?(exec = Domain_pool.Serial) f ~r_tbl ~s_tbl =
-  match exec with
-  | Domain_pool.Serial -> foj_serial f ~r_tbl ~s_tbl
-  | Domain_pool.Sharded { shards; _ } ->
-    foj_sharded exec ~shards:(max 1 shards) f ~r_tbl ~s_tbl
-
 (* {2 Split: stream T into R parts and reference-counted S parts} *)
 
-let split_serial sp ~t_tbl =
+let split sp ~t_tbl =
   let t_cursor = Table.Fuzzy_cursor.make t_tbl in
   let s_done = ref false in
   let step c ~limit =
@@ -318,118 +171,7 @@ let split_serial sp ~t_tbl =
     ~close:(fun () -> Table.Fuzzy_cursor.close t_cursor)
     ()
 
-let split_sharded exec ~shards sp ~t_tbl =
-  let cursors = sharded_cursors t_tbl ~shards in
-  let s_done = ref false in
-  let step c ~limit =
-    if !s_done then true
-    else begin
-      let batches =
-        Domain_pool.run_shards exec ~shards (fun i ->
-            Table.Fuzzy_cursor.next_batch cursors.(i)
-              ~limit:(per_shard_limit ~shards limit))
-      in
-      Array.iter
-        (fun batch ->
-           c.scanned <- c.scanned + List.length batch;
-           List.iter
-             (fun record ->
-                Split.ingest_initial sp record;
-                c.produced <- c.produced + 1)
-             batch)
-        batches;
-      if Array.for_all Table.Fuzzy_cursor.finished cursors then begin
-        Array.iter Table.Fuzzy_cursor.close cursors;
-        s_done := true;
-        true
-      end
-      else false
-    end
-  in
-  make ~step
-    ~finished:(fun () -> !s_done)
-    ~close:(fun () -> Array.iter Table.Fuzzy_cursor.close cursors)
-    ()
-
-let split ?(exec = Domain_pool.Serial) sp ~t_tbl =
-  match exec with
-  | Domain_pool.Serial -> split_serial sp ~t_tbl
-  | Domain_pool.Sharded { shards; _ } ->
-    split_sharded exec ~shards:(max 1 shards) sp ~t_tbl
-
 (* {2 Generic sequential scans (hsplit, merge, materialized views)} *)
-
-let scan_many_serial tables ~ingest =
-  let cursors = ref (List.map Table.Fuzzy_cursor.make tables) in
-  let step c ~limit =
-    match !cursors with
-    | [] -> true
-    | cursor :: rest ->
-      let batch = Table.Fuzzy_cursor.next_batch cursor ~limit in
-      c.scanned <- c.scanned + List.length batch;
-      List.iter
-        (fun record ->
-           ingest record;
-           c.produced <- c.produced + 1)
-        batch;
-      if Table.Fuzzy_cursor.finished cursor then begin
-        Table.Fuzzy_cursor.close cursor;
-        cursors := rest
-      end;
-      !cursors = []
-  in
-  make ~step
-    ~finished:(fun () -> !cursors = [])
-    ~close:(fun () -> List.iter Table.Fuzzy_cursor.close !cursors)
-    ()
-
-let scan_many_sharded exec ~shards tables ~ingest =
-  let remaining = ref tables in
-  let current = ref None in  (* the head table's per-shard cursors *)
-  let open_current () =
-    match !current with
-    | Some cs -> cs
-    | None ->
-      (match !remaining with
-       | [] -> [||]
-       | tbl :: _ ->
-         let cs = sharded_cursors tbl ~shards in
-         current := Some cs;
-         cs)
-  in
-  let step c ~limit =
-    match !remaining with
-    | [] -> true
-    | _ :: rest ->
-      let cs = open_current () in
-      let batches =
-        Domain_pool.run_shards exec ~shards (fun i ->
-            Table.Fuzzy_cursor.next_batch cs.(i)
-              ~limit:(per_shard_limit ~shards limit))
-      in
-      Array.iter
-        (fun batch ->
-           c.scanned <- c.scanned + List.length batch;
-           List.iter
-             (fun record ->
-                ingest record;
-                c.produced <- c.produced + 1)
-             batch)
-        batches;
-      if Array.for_all Table.Fuzzy_cursor.finished cs then begin
-        Array.iter Table.Fuzzy_cursor.close cs;
-        current := None;
-        remaining := rest
-      end;
-      !remaining = []
-  in
-  make ~step
-    ~finished:(fun () -> !remaining = [])
-    ~close:(fun () ->
-        match !current with
-        | Some cs -> Array.iter Table.Fuzzy_cursor.close cs
-        | None -> ())
-    ()
 
 let scan_tagged tables ~ingest =
   let cursors =
@@ -457,10 +199,9 @@ let scan_tagged tables ~ingest =
     ~close:(fun () -> List.iter (fun (_, c) -> Table.Fuzzy_cursor.close c) !cursors)
     ()
 
-let scan_many ?(exec = Domain_pool.Serial) tables ~ingest =
-  match exec with
-  | Domain_pool.Serial -> scan_many_serial tables ~ingest
-  | Domain_pool.Sharded { shards; _ } ->
-    scan_many_sharded exec ~shards:(max 1 shards) tables ~ingest
+let scan_many tables ~ingest =
+  scan_tagged
+    (List.map (fun tbl -> (Table.name tbl, tbl)) tables)
+    ~ingest:(fun ~table:_ record -> ingest record)
 
-let scan_one ?exec table ~ingest = scan_many ?exec [ table ] ~ingest
+let scan_one table ~ingest = scan_many [ table ] ~ingest

@@ -33,30 +33,21 @@ val make :
     {!Transformation.S} implementation uses; the constructors below are
     the paper's operators expressed through it. *)
 
-val foj : ?exec:Domain_pool.exec -> Foj.t -> r_tbl:Table.t -> s_tbl:Table.t -> t
-val split : ?exec:Domain_pool.exec -> Split.t -> t_tbl:Table.t -> t
+val foj : Foj.t -> r_tbl:Table.t -> s_tbl:Table.t -> t
+val split : Split.t -> t_tbl:Table.t -> t
 
-val scan_one : ?exec:Domain_pool.exec -> Table.t -> ingest:(Record.t -> unit) -> t
+val scan_one : Table.t -> ingest:(Record.t -> unit) -> t
 (** Generic single-source population: fuzzy-scan the table and feed
     each record to [ingest] (horizontal split, materialized views). *)
 
-val scan_many :
-  ?exec:Domain_pool.exec -> Table.t list -> ingest:(Record.t -> unit) -> t
-(** Several sources scanned in sequence (merge).
-
-    With [?exec] sharded (default {!Domain_pool.Serial}), each
-    constructor partitions the fuzzy scan by key hash: workers read
-    per-shard cursors and compute pure values in parallel; all table
-    and operator mutation stays on the calling domain, after the
-    barrier, in shard order. One shard is byte-identical to serial. *)
+val scan_many : Table.t list -> ingest:(Record.t -> unit) -> t
+(** Several sources scanned in sequence (merge). *)
 
 val scan_tagged :
   (string * Table.t) list -> ingest:(table:string -> Record.t -> unit) -> t
 (** Like {!scan_many}, but each record is delivered with the name of
     the table it came from — the uniform sweep the lazy migration
-    strategies feed through the propagation rules. Serial only: lazy
-    sweeps run in (often single-record) quanta where sharding has
-    nothing to win. *)
+    strategies feed through the propagation rules. *)
 
 val step : t -> limit:int -> bool
 (** Do up to [limit] records of work; true when population is done. *)

@@ -1,7 +1,6 @@
 open Nbsc_value
 open Nbsc_wal
 open Nbsc_lock
-open Nbsc_storage
 open Nbsc_txn
 
 type rules = {
@@ -16,21 +15,12 @@ type rules = {
 let rules ?cc ?cc_s_table ?(transfer_locks = true) ~sources ~targets ~apply () =
   { sources; targets; apply; cc; cc_s_table; transfer_locks }
 
-(* One per-shard log cursor plus its WAL-retention pin. Shards advance
-   at their own pace within a quantum, so each pins its own position —
-   the log must keep every record the laggiest shard has yet to read. *)
-type shard_state = {
-  cursor : Log.Cursor.t;
-  pin : Manager.pin;
-}
-
 type t = {
   mgr : Manager.t;
   rules : rules;
-  shards : shard_state array;  (* length 1 when serial *)
-  nshards : int;
-  exec : Domain_pool.exec;
-  mutable closed : bool;
+  cursor : Log.Cursor.t;
+  (* WAL-retention pin on [cursor]'s position. *)
+  pin : Manager.pin;
   (* Source-table name -> position in [rules.sources], and the target
      set — precomputed because [handle_op] consults them for every log
      record on the redo path. *)
@@ -54,7 +44,7 @@ type t = {
   mutable swept : int;
 }
 
-let create ?(skip = []) ?(exec = Domain_pool.Serial) mgr rules ~from =
+let create ?(skip = []) mgr rules ~from =
   let source_index = Hashtbl.create 8 in
   List.iteri
     (fun i s ->
@@ -64,29 +54,12 @@ let create ?(skip = []) ?(exec = Domain_pool.Serial) mgr rules ~from =
   List.iter (fun tgt -> Hashtbl.replace target_set tgt ()) rules.targets;
   let skip_set = Hashtbl.create 8 in
   List.iter (fun txn -> Hashtbl.replace skip_set txn ()) skip;
-  let nshards =
-    match exec with
-    | Domain_pool.Serial -> 1
-    | Domain_pool.Sharded { shards; _ } ->
-      (* The consistency checker's ordering contract (CC-begin /
-         CC-ok interleaved with the S-table touches rule application
-         derives) is not expressible as a per-source-key partition, so
-         a CC-carrying split degrades to one shard rather than risk
-         reordering checks against touches. *)
-      if rules.cc <> None then 1 else max 1 shards
-  in
-  let shards =
-    Array.init nshards (fun _ ->
-        let cursor = Log.Cursor.make (Manager.log mgr) ~from in
-        let pin = Manager.pin_wal mgr (fun () -> Log.Cursor.position cursor) in
-        { cursor; pin })
-  in
+  let cursor = Log.Cursor.make (Manager.log mgr) ~from in
+  let pin = Manager.pin_wal mgr (fun () -> Log.Cursor.position cursor) in
   { mgr;
     rules;
-    shards;
-    nshards;
-    exec;
-    closed = false;
+    cursor;
+    pin;
     source_index;
     target_set;
     skip_set;
@@ -96,11 +69,7 @@ let create ?(skip = []) ?(exec = Domain_pool.Serial) mgr rules ~from =
     sweeper = None;
     swept = 0 }
 
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    Array.iter (fun sh -> Manager.unpin_wal t.mgr sh.pin) t.shards
-  end
+let close t = Manager.unpin_wal t.mgr t.pin
 
 let provenance_of t table = Hashtbl.find_opt t.source_index table
 
@@ -178,80 +147,20 @@ let handle_record t (r : Log_record.t) =
   | Log_record.Watermark _ ->
     ()
 
-(* Which shard a record belongs to: operations route by the source
-   key's hash — the same partitioning the sharded fuzzy cursors use, so
-   one record's scan and propagation agree — and everything else
-   (commit/abort bookkeeping, marks) rides shard 0. Same-key operations
-   land in the same shard regardless of source table, so per-key log
-   order is preserved; cross-key reordering inside one quantum is
-   absorbed by the LSN-gated rules, and a commit applied before a
-   same-quantum operation of another shard is safe because transfers
-   are guarded by [Manager.is_active]. *)
-let shard_of_record t (r : Log_record.t) =
-  match r.Log_record.body with
-  | Log_record.Op op | Log_record.Clr { op; _ } ->
-    let source = Log_record.op_table op in
-    if Hashtbl.mem t.source_index source then
-      (match Catalog.find_opt (Manager.catalog t.mgr) source with
-       | Some tbl ->
-         Table.shard_of_key ~shards:t.nshards
-           (Log_record.op_key (Table.schema tbl) op)
-       | None -> 0)
-    else 0
-  | _ -> 0
-
 let step t ~limit =
-  if t.nshards = 1 then begin
-    let sh = t.shards.(0) in
-    let consumed = ref 0 in
-    let continue = ref true in
-    while !continue && !consumed < limit do
-      match Log.Cursor.next sh.cursor with
-      | None -> continue := false
-      | Some r ->
-        handle_record t r;
-        incr consumed;
-        t.processed <- t.processed + 1
-    done;
-    !consumed
-  end
-  else begin
-    (* Parallel filter, serial apply: every worker advances its own
-       cursor up to [limit] records, keeping the ones routed to its
-       shard; the records are applied on the calling domain after the
-       barrier, in shard order. The log does not grow during a quantum
-       (rule application never appends), so the cursors read a frozen
-       suffix. *)
-    let collected =
-      Domain_pool.run_shards t.exec ~shards:t.nshards (fun i ->
-          let sh = t.shards.(i) in
-          let recs = ref [] in
-          let consumed = ref 0 in
-          let continue = ref true in
-          while !continue && !consumed < limit do
-            match Log.Cursor.next sh.cursor with
-            | None -> continue := false
-            | Some r ->
-              incr consumed;
-              if shard_of_record t r = i then recs := r :: !recs
-          done;
-          (List.rev !recs, !consumed))
-    in
-    Array.iter
-      (fun (recs, _) ->
-         List.iter
-           (fun r ->
-              handle_record t r;
-              t.processed <- t.processed + 1)
-           recs)
-      collected;
-    (* Forward progress this quantum: the most any shard advanced (each
-       record is consumed by every cursor but handled exactly once). *)
-    Array.fold_left (fun acc (_, consumed) -> max acc consumed) 0 collected
-  end
+  let consumed = ref 0 in
+  let continue = ref true in
+  while !continue && !consumed < limit do
+    match Log.Cursor.next t.cursor with
+    | None -> continue := false
+    | Some r ->
+      handle_record t r;
+      incr consumed;
+      t.processed <- t.processed + 1
+  done;
+  !consumed
 
-let lag t =
-  Array.fold_left (fun acc sh -> max acc (Log.Cursor.lag sh.cursor)) 0 t.shards
+let lag t = Log.Cursor.lag t.cursor
 
 let rec run_to_head t =
   let n = step t ~limit:max_int in
@@ -260,16 +169,7 @@ let rec run_to_head t =
      defensive anyway. *)
   if lag t > 0 then n + run_to_head t else n
 
-(* The persistence low-water mark: resuming must replay from wherever
-   the laggiest shard stood. Faster shards then re-read an overlap,
-   which the LSN-gated rules absorb (replay is idempotent). *)
-let position t =
-  Array.fold_left
-    (fun acc sh ->
-       let p = Log.Cursor.position sh.cursor in
-       if Lsn.(p < acc) then p else acc)
-    (Log.Cursor.position t.shards.(0).cursor)
-    t.shards
+let position t = Log.Cursor.position t.cursor
 let records_processed t = t.processed
 let locks_transferred t = t.transferred
 

@@ -45,17 +45,8 @@ val rules :
 type t
 
 val create :
-  ?skip:Log_record.txn_id list -> ?exec:Domain_pool.exec ->
-  Manager.t -> rules -> from:Lsn.t -> t
-(** With [?exec] sharded (default {!Domain_pool.Serial}), the
-    propagator keeps one log cursor and one WAL pin per shard; a step
-    fans the cursor reads out over the pool — each worker keeps the
-    records whose source key hashes to its shard — and applies the kept
-    records serially after the barrier, in shard order. One shard is
-    byte-identical to serial. A rules value carrying a consistency
-    checker degrades to one shard (check ordering is not key-local).
-
-    [skip] lists transactions whose log records the propagator ignores
+  ?skip:Log_record.txn_id list -> Manager.t -> rules -> from:Lsn.t -> t
+(** [skip] lists transactions whose log records the propagator ignores
     entirely. Crash recovery rolls losers back {e without logging} the
     compensation, so a propagator resumed over a retained log suffix
     must not apply their operations (no Abort record will ever undo the

@@ -323,23 +323,11 @@ let active_txns_on_sources t =
     (Lock_table.locked_resources_in locks ~tables:t.src)
   |> List.sort_uniq Int.compare
 
+(* All or nothing: when another transformation holds one of our
+   latches right now, back out and retry at a later step rather than
+   deadlocking. *)
 let latch_sources t =
-  let latches = Manager.latches t.mgr in
-  let rec go acquired = function
-    | [] -> true
-    | table :: rest ->
-      if Latch.try_latch latches ~holder:t.holder ~table then
-        go (table :: acquired) rest
-      else begin
-        (* Another transformation holds one of our latches right now —
-           back out and retry at a later step rather than deadlocking. *)
-        List.iter
-          (fun table -> Latch.unlatch latches ~holder:t.holder ~table)
-          acquired;
-        false
-      end
-  in
-  go [] t.src
+  Latch.try_latch_all (Manager.latches t.mgr) ~holder:t.holder t.src
 
 let unlatch_sources t =
   List.iter
@@ -586,7 +574,7 @@ type resume_info = {
   r_skip : Manager.txn_id list;
 }
 
-let create db ?config ?options ?resume ?job_name ?exec packed =
+let create db ?config ?options ?resume ?job_name packed =
   (* The funnel for every construction path (builders, resume, bench,
      Db.Schema_change) — validate here and no programmatically-built
      record with a zero batch or sweep quantum can wedge the quantum
@@ -609,24 +597,19 @@ let create db ?config ?options ?resume ?job_name ?exec packed =
   let migration =
     match options with Some o -> o.Options.strategy | None -> Options.Eager
   in
-  let exec =
-    match options with
-    | Some { Options.exec = Some _ as e; _ } -> e
-    | _ -> exec
-  in
   let (module T : Transformation.S) = packed in
   let mgr = Db.manager db in
   let prop, tphase, route =
     match resume with
     | None ->
-      (Transformation.start_propagator ?exec mgr T.rules, Populating, `Sources)
+      (Transformation.start_propagator mgr T.rules, Populating, `Sources)
     | Some r ->
       (* The initial image is already in the targets (restored from the
          snapshot); re-read the retained log suffix from where the
          crashed propagator stood. Loser transactions were rolled back
          by recovery without logging, so their records are skipped. *)
       let prop =
-        Propagator.create ~skip:r.r_skip ?exec mgr T.rules ~from:r.r_position
+        Propagator.create ~skip:r.r_skip mgr T.rules ~from:r.r_position
       in
       (match r.r_phase with
        | `Propagating -> (prop, Propagating, `Sources)
@@ -722,17 +705,17 @@ let create db ?config ?options ?resume ?job_name ?exec packed =
    | None -> ());
   t
 
-let foj db ?config ?options ?exec spec =
-  create db ?config ?options ?exec (Transformation.foj ?options ?exec db spec)
+let foj db ?config ?options spec =
+  create db ?config ?options (Transformation.foj ?options db spec)
 
-let split db ?config ?options ?exec spec =
-  create db ?config ?options ?exec (Transformation.split ?options ?exec db spec)
+let split db ?config ?options spec =
+  create db ?config ?options (Transformation.split ?options db spec)
 
-let hsplit db ?config ?options ?exec spec =
-  create db ?config ?options ?exec (Transformation.hsplit ?options ?exec db spec)
+let hsplit db ?config ?options spec =
+  create db ?config ?options (Transformation.hsplit ?options db spec)
 
-let merge db ?config ?options ?exec spec =
-  create db ?config ?options ?exec (Transformation.merge ?options ?exec db spec)
+let merge db ?config ?options spec =
+  create db ?config ?options (Transformation.merge ?options db spec)
 
 (* {2 Crash resume} *)
 
@@ -742,7 +725,7 @@ let targets_of_spec = function
   | Spec.Hsplit s -> [ s.Spec.h_true_table; s.Spec.h_false_table ]
   | Spec.Merge s -> [ s.Spec.m_target ]
 
-let resume_one db ?config ?options ?exec ~losers (name, state) =
+let resume_one db ?config ?options ~losers (name, state) =
   match decode_job_state state with
   | exception Failure m -> Error (Nbsc_error.corrupt m)
   | tag, position, spec_payload ->
@@ -779,12 +762,12 @@ let resume_one db ?config ?options ?exec ~losers (name, state) =
                r_position = position;
                r_skip = losers }
        in
-       (match Transformation.of_payload ?options ?exec db spec_payload with
+       (match Transformation.of_payload ?options db spec_payload with
         | Error m -> Error (Nbsc_error.corrupt m)
         | Ok packed ->
-          Ok (create db ?config ?options ?resume ~job_name:name ?exec packed)))
+          Ok (create db ?config ?options ?resume ~job_name:name packed)))
 
-let resume ?config ?options ?exec persist =
+let resume ?config ?options persist =
   let db = Persist.db persist in
   let losers =
     match Persist.last_recovery persist with
@@ -794,7 +777,7 @@ let resume ?config ?options ?exec persist =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | ((name, _) as job) :: rest ->
-      (match resume_one db ?config ?options ?exec ~losers job with
+      (match resume_one db ?config ?options ~losers job with
        | Error e -> Error (`Job_failed (name, Nbsc_error.to_string e))
        | exception Failure m -> Error (`Job_failed (name, m))
        | Ok t -> go (t :: acc) rest)

@@ -80,17 +80,16 @@ val default_config : config
 
     @deprecated [config] predates {!Options.t}; new code should pass
     [?options] instead. [config] remains as a thin subset — it cannot
-    express migration strategy, plan mode or sharded execution. *)
+    express the migration strategy or the population scan. *)
 
 val config_of_options : Options.t -> config
 (** Project the one-record options onto the legacy [config] subset
-    (drops [strategy]/[plan_mode]/[exec]). *)
+    (drops [strategy]/[population]). *)
 
 val options_of_config : config -> Options.t
 (** Embed a legacy [config] into {!Options.t} with the remaining
-    fields at their defaults ([Eager], no plan-mode override, serial
-    execution) — the upgrade path for callers still building
-    [config] values. *)
+    fields at their defaults ([Eager], [Fuzzy]) — the upgrade path for
+    callers still building [config] values. *)
 
 type phase =
   | Populating
@@ -134,8 +133,7 @@ type resume_info = {
 
 val create :
   Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t ->
-  ?resume:resume_info -> ?job_name:string ->
-  ?exec:Domain_pool.exec -> Transformation.packed -> t
+  ?resume:resume_info -> ?job_name:string -> Transformation.packed -> t
 (** Wrap any {!Transformation.S} operator in an executor and register
     it as a background job on the database. When the operator is
     persistable ({!Transformation.S.spec_payload}), the executor also
@@ -143,16 +141,11 @@ val create :
     checkpoints keep the durable state current. [resume] starts the
     executor mid-lifecycle instead of at population; [job_name] pins
     the registry name (resume keeps the crashed job's name so the
-    durable [Job_state]/[Job_done] chain stays coherent). [exec]
-    (default {!Domain_pool.Serial}) shards the executor's {e propagator}
-    — a packed operator's population carries its own execution mode,
-    chosen when the operator was built; the convenience constructors
-    below pass one [?exec] to both.
+    durable [Job_state]/[Job_done] chain stays coherent).
 
-    [options] ({!Options.t}) supersedes [config] (and, through its
-    [plan_mode]/[exec] fields, the deprecated per-call arguments) when
-    given. Under [options.strategy = Lazy | Hybrid _] the executor
-    runs demand-driven migration: an access hook in the transaction
+    [options] ({!Options.t}) supersedes [config] when given. Under
+    [options.strategy = Lazy | Hybrid _] the executor runs
+    demand-driven migration: an access hook in the transaction
     manager transforms each source record on first touch, and the
     propagator doubles as a background sweeper over the cold records
     ([Lazy]: one per quantum; [Hybrid { sweep_quantum }]: that many).
@@ -174,20 +167,16 @@ val create :
     the bare executor. *)
 
 val foj :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t ->
-  ?exec:Domain_pool.exec -> Spec.foj -> t
+  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t -> Spec.foj -> t
 
 val split :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t ->
-  ?exec:Domain_pool.exec -> Spec.split -> t
+  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t -> Spec.split -> t
 
 val hsplit :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t ->
-  ?exec:Domain_pool.exec -> Spec.hsplit -> t
+  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t -> Spec.hsplit -> t
 
 val merge :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t ->
-  ?exec:Domain_pool.exec -> Spec.merge -> t
+  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t -> Spec.merge -> t
 
 val step : t -> [ `Running | `Done | `Failed of string ]
 (** One bounded quantum of background work. *)
@@ -224,7 +213,7 @@ val demand_migrations : t -> int
     — 0 under [Eager]. *)
 
 val resume :
-  ?config:config -> ?options:Options.t -> ?exec:Domain_pool.exec -> Persist.t ->
+  ?config:config -> ?options:Options.t -> Persist.t ->
   (t list, Nbsc_error.t) result
 (** Rebuild and re-register every schema-change job that was in flight
     when the (re)opened database crashed ({!Persist.pending_jobs}).

@@ -59,7 +59,7 @@ let ensure_table db ?indexes ~name schema =
       (fun (ix, columns) -> Table.add_index tbl ~name:ix ~columns)
       (match indexes with Some ixs -> ixs | None -> [])
 
-let start_propagator ?exec mgr rules =
+let start_propagator mgr rules =
   let active = Manager.active_snapshot mgr in
   let mark =
     Log.append (Manager.log mgr) ~txn:Log_record.system_txn ~prev_lsn:Lsn.zero
@@ -70,7 +70,7 @@ let start_propagator ?exec mgr rules =
       (fun acc (_, first) -> if Lsn.(first < acc) then first else acc)
       mark active
   in
-  Propagator.create ?exec mgr rules ~from
+  Propagator.create mgr rules ~from
 
 (* {1 Lazy migration: the uniform demand scan}
 
@@ -89,16 +89,6 @@ let demand_population catalog ~sources ~(rules : Propagator.rules) =
       ignore
         (rules.Propagator.apply ~lsn:record.Record.lsn
            (Log_record.Insert { table; row = record.Record.row })))
-
-let opt_plan_mode options plan_mode =
-  match options with
-  | Some { Options.plan_mode = Some _ as m; _ } -> m
-  | _ -> plan_mode
-
-let opt_exec options exec =
-  match options with
-  | Some { Options.exec = Some _ as e; _ } -> e
-  | _ -> exec
 
 let lazy_migration options =
   match options with
@@ -166,9 +156,7 @@ let foj_target_to_sources fj ~key =
   (if Row.Key.has_null r_part then [] else [ (spec.Spec.r_table, r_part) ])
   @ if Row.Key.has_null s_part then [] else [ (spec.Spec.s_table, s_part) ]
 
-let foj ?(transfer_locks = true) ?plan_mode ?options ?exec db spec =
-  let plan_mode = opt_plan_mode options plan_mode in
-  let exec = opt_exec options exec in
+let foj ?(transfer_locks = true) ?plan_mode ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.foj_layout catalog spec in
   ensure_table db
@@ -199,7 +187,7 @@ let foj ?(transfer_locks = true) ?plan_mode ?options ?exec db spec =
       virtual_cut_population db ~job:"foj"
         ~sources:[ spec.Spec.r_table; spec.Spec.s_table ]
         ~rules ~options
-        ~fallback:(fun () -> Population.foj ?exec fj ~r_tbl ~s_tbl)
+        ~fallback:(fun () -> Population.foj fj ~r_tbl ~s_tbl)
   in
   (module struct
     let name = "foj"
@@ -253,9 +241,7 @@ let split_target_to_sources sp db ~table ~key =
         (Table.index_lookup t_tbl ~index:Spec.ix_t_split key)
   else []
 
-let split ?plan_mode ?options ?exec db spec =
-  let plan_mode = opt_plan_mode options plan_mode in
-  let exec = opt_exec options exec in
+let split ?plan_mode ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.split_layout catalog spec in
   ensure_table db ~name:spec.Spec.r_table' (Spec.split_r_schema layout);
@@ -281,7 +267,7 @@ let split ?plan_mode ?options ?exec db spec =
     else
       virtual_cut_population db ~job:"split"
         ~sources:[ spec.Spec.t_table' ] ~rules ~options
-        ~fallback:(fun () -> Population.split ?exec sp ~t_tbl)
+        ~fallback:(fun () -> Population.split sp ~t_tbl)
   in
   (module struct
     let name = "split"
@@ -308,8 +294,7 @@ let split ?plan_mode ?options ?exec db spec =
 
 (* {1 Horizontal (selection) split} *)
 
-let hsplit ?options ?exec db spec =
-  let exec = opt_exec options exec in
+let hsplit ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.hsplit_layout catalog spec in
   ensure_table db ~name:spec.Spec.h_true_table layout.Spec.h_schema;
@@ -329,7 +314,7 @@ let hsplit ?options ?exec db spec =
       virtual_cut_population db ~job:"hsplit"
         ~sources:[ spec.Spec.h_source ] ~rules ~options
         ~fallback:(fun () ->
-          Population.scan_one ?exec source ~ingest:(Hsplit.ingest_initial hs))
+          Population.scan_one source ~ingest:(Hsplit.ingest_initial hs))
   in
   (module struct
     let name = "hsplit"
@@ -359,8 +344,7 @@ let hsplit ?options ?exec db spec =
 
 (* {1 Merge (union)} *)
 
-let merge ?options ?exec db spec =
-  let exec = opt_exec options exec in
+let merge ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.merge_layout catalog spec in
   ensure_table db ~name:spec.Spec.m_target layout.Spec.m_schema;
@@ -379,7 +363,7 @@ let merge ?options ?exec db spec =
       virtual_cut_population db ~job:"merge" ~sources:spec.Spec.m_sources
         ~rules ~options
         ~fallback:(fun () ->
-          Population.scan_many ?exec sources ~ingest:(Merge.ingest_initial mg))
+          Population.scan_many sources ~ingest:(Merge.ingest_initial mg))
   in
   (module struct
     let name = "merge"
@@ -407,15 +391,15 @@ let merge ?options ?exec db spec =
 
 (* {1 Rebuilding from a durable payload} *)
 
-let of_payload ?options ?exec db payload =
+let of_payload ?options db payload =
   match Spec.decode payload with
   | exception Failure m -> Error m
   | spec ->
     (try
        Ok
          (match spec with
-          | Spec.Foj s -> foj ?options ?exec db s
-          | Spec.Split s -> split ?options ?exec db s
-          | Spec.Hsplit s -> hsplit ?options ?exec db s
-          | Spec.Merge s -> merge ?options ?exec db s)
+          | Spec.Foj s -> foj ?options db s
+          | Spec.Split s -> split ?options db s
+          | Spec.Hsplit s -> hsplit ?options db s
+          | Spec.Merge s -> merge ?options db s)
      with Invalid_argument m | Failure m -> Error m)

@@ -97,13 +97,11 @@ end
 
 type packed = (module S)
 
-val start_propagator :
-  ?exec:Domain_pool.exec -> Manager.t -> Propagator.rules -> Propagator.t
+val start_propagator : Manager.t -> Propagator.rules -> Propagator.t
 (** Write a fuzzy mark and open a log cursor at the first record of any
     transaction active at the mark (paper, Sec. 3.2) — the shared
     preparation tail of every transformation and of materialized-view
-    maintenance. [?exec] shards the propagator's cursors
-    ({!Propagator.create}). *)
+    maintenance. *)
 
 val counter : packed -> string -> int
 (** [counter p name] reads one labelled counter, 0 when absent. *)
@@ -117,36 +115,31 @@ val counter : packed -> string -> int
     sources).
 
     [options] is the one-record configuration ({!Options.t}): its
-    [plan_mode]/[exec] fields supersede the same-named deprecated
-    optional arguments when set, and [strategy = Lazy | Hybrid _]
-    replaces the operator's eager population with the uniform demand
-    scan — each source record's current state replayed through the
-    propagation rules (LSN-gated, so double migration is a no-op). *)
+    [strategy = Lazy | Hybrid _] replaces the operator's eager
+    population with the uniform demand scan — each source record's
+    current state replayed through the propagation rules (LSN-gated, so
+    double migration is a no-op). [plan_mode] selects compiled or
+    interpreted rule plans (default {!Plan.default_mode}); the
+    differential tests run both. *)
 
 val foj :
   ?transfer_locks:bool ->
   ?plan_mode:Plan.mode ->
   ?options:Options.t ->
-  ?exec:Domain_pool.exec ->
   Nbsc_engine.Db.t ->
   Spec.foj ->
   packed
 
 val split :
-  ?plan_mode:Plan.mode -> ?options:Options.t -> ?exec:Domain_pool.exec ->
-  Nbsc_engine.Db.t -> Spec.split -> packed
+  ?plan_mode:Plan.mode -> ?options:Options.t -> Nbsc_engine.Db.t ->
+  Spec.split -> packed
 
-val hsplit :
-  ?options:Options.t -> ?exec:Domain_pool.exec -> Nbsc_engine.Db.t ->
-  Spec.hsplit -> packed
+val hsplit : ?options:Options.t -> Nbsc_engine.Db.t -> Spec.hsplit -> packed
 
-val merge :
-  ?options:Options.t -> ?exec:Domain_pool.exec -> Nbsc_engine.Db.t ->
-  Spec.merge -> packed
+val merge : ?options:Options.t -> Nbsc_engine.Db.t -> Spec.merge -> packed
 
 val of_payload :
-  ?options:Options.t -> ?exec:Domain_pool.exec -> Nbsc_engine.Db.t -> string ->
-  (packed, string) result
+  ?options:Options.t -> Nbsc_engine.Db.t -> string -> (packed, string) result
 (** Rebuild an operator from an encoded specification ({!S.spec_payload})
     — the crash-resume path. Unlike first-time preparation, the target
     tables may already exist (restored from the snapshot); they are

@@ -1,107 +1,42 @@
 type holder = int
 
-(* A table is latched either wholesale (the transformation's final
-   synchronization iteration) or one hash shard at a time (sharded
-   executors quiescing a partition while the rest of the table keeps
-   serving user operations). An entry with no held slot is removed, so
-   [Hashtbl.mem] remains "some latch is held". *)
-type entry =
-  | Whole of holder
-  | Shards of { shards : int; held : holder option array }
-
-type t = (string, entry) Hashtbl.t
+(* table -> holder of its latch; an absent table is unlatched. *)
+type t = (string, holder) Hashtbl.t
 
 let create () : t = Hashtbl.create 16
-
-let shards_all_free_or_held_by held ~holder =
-  Array.for_all (function None -> true | Some h -> h = holder) held
 
 let try_latch t ~holder ~table =
   match Hashtbl.find_opt t table with
   | None ->
-    Hashtbl.replace t table (Whole holder);
+    Hashtbl.replace t table holder;
     true
-  | Some (Whole h) -> h = holder
-  | Some (Shards { held; _ }) ->
-    (* Promote to a whole-table latch when nobody else holds a shard. *)
-    if shards_all_free_or_held_by held ~holder then begin
-      Hashtbl.replace t table (Whole holder);
-      true
-    end
-    else false
+  | Some h -> h = holder
+
+let try_latch_all t ~holder tables =
+  let rec go acquired = function
+    | [] -> true
+    | table :: rest ->
+      (match Hashtbl.find_opt t table with
+       | Some h when h = holder -> go acquired rest
+       | Some _ ->
+         List.iter (Hashtbl.remove t) acquired;
+         false
+       | None ->
+         Hashtbl.replace t table holder;
+         go (table :: acquired) rest)
+  in
+  go [] tables
 
 let unlatch t ~holder ~table =
   match Hashtbl.find_opt t table with
-  | Some (Whole h) when h = holder -> Hashtbl.remove t table
+  | Some h when h = holder -> Hashtbl.remove t table
   | Some _ | None ->
     invalid_arg (Printf.sprintf "Latch.unlatch: %d does not hold %s" holder table)
 
-let try_latch_shard t ~holder ~table ~shards ~shard =
-  if shards <= 0 || shard < 0 || shard >= shards then
-    invalid_arg
-      (Printf.sprintf "Latch.try_latch_shard: shard %d of %d" shard shards);
-  match Hashtbl.find_opt t table with
-  | None ->
-    let held = Array.make shards None in
-    held.(shard) <- Some holder;
-    Hashtbl.replace t table (Shards { shards; held });
-    true
-  | Some (Whole h) -> h = holder
-  | Some (Shards s) ->
-    (* Two partitionings of the same table cannot co-exist: the shard
-       index means nothing across different counts. *)
-    if s.shards <> shards then false
-    else begin
-      match s.held.(shard) with
-      | None ->
-        s.held.(shard) <- Some holder;
-        true
-      | Some h -> h = holder
-    end
-
-let unlatch_shard t ~holder ~table ~shard =
-  match Hashtbl.find_opt t table with
-  | Some (Shards s)
-    when shard >= 0 && shard < s.shards && s.held.(shard) = Some holder ->
-    s.held.(shard) <- None;
-    if Array.for_all (( = ) None) s.held then Hashtbl.remove t table
-  | Some _ | None ->
-    invalid_arg
-      (Printf.sprintf "Latch.unlatch_shard: %d does not hold %s/%d" holder
-         table shard)
-
 let is_latched t ~table = Hashtbl.mem t table
-
-let first_held held =
-  Array.fold_left
-    (fun acc slot -> match acc with Some _ -> acc | None -> slot)
-    None held
-
-let latched_by t ~table =
-  match Hashtbl.find_opt t table with
-  | None -> None
-  | Some (Whole h) -> Some h
-  | Some (Shards { held; _ }) -> first_held held
-
-let blocking_holder t ~table ~key_hash =
-  match Hashtbl.find_opt t table with
-  | None -> None
-  | Some (Whole h) -> Some h
-  | Some (Shards { shards; held }) ->
-    (match key_hash with
-     | None ->
-       (* Key unknown: any held shard blocks, conservatively. *)
-       first_held held
-     | Some h ->
-       (* Same partition function as [Table.shard_of_key]. *)
-       held.((h land max_int) mod shards))
+let latched_by t ~table = Hashtbl.find_opt t table
 
 let latched_tables t ~holder =
   Hashtbl.fold
-    (fun table entry acc ->
-       match entry with
-       | Whole h when h = holder -> table :: acc
-       | Whole _ -> acc
-       | Shards { held; _ } ->
-         if Array.exists (( = ) (Some holder)) held then table :: acc else acc)
+    (fun table h acc -> if h = holder then table :: acc else acc)
     t []

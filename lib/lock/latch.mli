@@ -3,15 +3,9 @@
     The synchronization step latches the source tables for one final
     log propagation iteration (paper, Sec. 3.4): while a table is
     latched, ongoing transactions attempting to operate on it pause.
-    Latches are short-lived and exclusive; they are held by a process
-    id (the transformation), not by a transaction.
-
-    A latch covers either the whole table or one {e hash shard} of it:
-    a sharded executor quiescing a partition latches only that shard,
-    and user operations whose key hashes elsewhere proceed
-    unblocked. Whole-table and shard latches conflict with each other;
-    two different partitionings of the same table conflict too (the
-    shard index means nothing across counts). *)
+    Latches are short-lived, exclusive and cover the whole table; they
+    are held by a process id (the transformation), not by a
+    transaction. *)
 
 type t
 
@@ -20,41 +14,20 @@ type holder = int
 val create : unit -> t
 
 val try_latch : t -> holder:holder -> table:string -> bool
-(** [true] if acquired (or already held by [holder]). Succeeds over an
-    existing shard latch only when every held shard belongs to
-    [holder] (the latch is promoted to whole-table). *)
+(** [true] if acquired (or already held by [holder]). *)
+
+val try_latch_all : t -> holder:holder -> string list -> bool
+(** Latch every table in the list, or none: on the first table held by
+    another holder, the latches this call acquired are released again
+    and the result is [false]. Tables [holder] already held before the
+    call stay latched either way. *)
 
 val unlatch : t -> holder:holder -> table:string -> unit
-(** @raise Invalid_argument if [holder] does not hold the whole-table
-    latch. *)
-
-val try_latch_shard :
-  t -> holder:holder -> table:string -> shards:int -> shard:int -> bool
-(** Latch shard [shard] of [table] under a [shards]-way partitioning.
-    [true] if acquired (or already held by [holder], including via a
-    whole-table latch). Fails when another holder has the whole table,
-    the same shard, or any shard under a different partition count.
-    @raise Invalid_argument if [shard] is out of range. *)
-
-val unlatch_shard : t -> holder:holder -> table:string -> shard:int -> unit
-(** @raise Invalid_argument if [holder] does not hold that shard. *)
+(** @raise Invalid_argument if [holder] does not hold the latch. *)
 
 val is_latched : t -> table:string -> bool
-(** Some latch — whole-table or any shard — is held on [table]. *)
 
 val latched_by : t -> table:string -> holder option
-(** The whole-table holder, or the holder of the lowest held shard. *)
-
-val blocking_holder :
-  t -> table:string -> key_hash:int option -> holder option
-(** The holder blocking an operation on [table], if any.
-    [key_hash = Some h] is the operation's key hash ([Row.Key.hash]):
-    a whole-table latch always blocks; a shard latch blocks only when
-    [h] falls in a held shard under the latch's own partition count
-    (the same [hash mod shards] function the storage layer uses).
-    [key_hash = None] means the key is unknown; any held latch
-    blocks. *)
 
 val latched_tables : t -> holder:holder -> string list
-(** Tables on which [holder] holds the whole-table latch or at least
-    one shard. *)
+(** Tables on which [holder] holds the latch. *)

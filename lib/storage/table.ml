@@ -1,21 +1,6 @@
 open Nbsc_value
 open Nbsc_wal
 
-(* Per-shard projection of the arrival array, built lazily when the
-   first sharded cursor opens. Bucket [s] holds, in arrival order, every
-   arrival entry whose key hashes to shard [s] — duplicates and stale
-   entries included, so a 1-shard view replays the arrival array
-   verbatim and the sharded scan at [shards = 1] is byte-identical to
-   the legacy cursor. While any sharded cursor is live, [push_arrival]
-   appends to the matching bucket too (fuzzy scans must be able to see
-   later arrivals, exactly like the flat array). *)
-type shard_view = {
-  sv_shards : int;
-  sv_arr : Row.Key.t array array;
-  sv_len : int array;
-  mutable sv_cursors : int;
-}
-
 (* One superseded row state, kept for snapshot readers. [v_row = None]
    is a delete tombstone: a reader whose snapshot covers the deleting
    transaction resolves to "no row" instead of falling through to an
@@ -51,7 +36,6 @@ type t = {
   mutable arrival : Row.Key.t array;
   mutable arrival_len : int;
   mutable live_cursors : int;
-  mutable shard_view : shard_view option;
   (* Consulted before materializing a version entry for an overwritten
      committed (system, txn = 0) state. The transaction manager wires
      this to "is any snapshot transaction active?", so the bulk system
@@ -83,15 +67,7 @@ let create ?(indexes = []) ~name schema =
     arrival = Array.make 1024 [||];
     arrival_len = 0;
     live_cursors = 0;
-    retain_versions = (fun () -> true);
-    shard_view = None }
-
-(* Key-hash partitioning shared by every shard-aware component (cursor
-   buckets, propagator routing, shard latches): the assignment must be
-   one function or a record would scan in one shard and propagate in
-   another. *)
-let shard_of_key ~shards key =
-  if shards <= 1 then 0 else (Row.Key.hash key land max_int) mod shards
+    retain_versions = (fun () -> true) }
 
 let name t = t.name
 let schema t = t.schema
@@ -137,30 +113,6 @@ let maybe_compact t =
     && t.arrival_len > 2 * Row.Key.Tbl.length t.heap
   then compact_arrival t
 
-let sv_push sv shard key =
-  let len = sv.sv_len.(shard) in
-  if len >= Array.length sv.sv_arr.(shard) then begin
-    let bigger = Array.make (max 64 (Array.length sv.sv_arr.(shard) * 2)) [||] in
-    Array.blit sv.sv_arr.(shard) 0 bigger 0 len;
-    sv.sv_arr.(shard) <- bigger
-  end;
-  sv.sv_arr.(shard).(len) <- key;
-  sv.sv_len.(shard) <- len + 1
-
-let build_shard_view t ~shards =
-  let sv =
-    { sv_shards = shards;
-      sv_arr = Array.init shards (fun _ -> Array.make 64 [||]);
-      sv_len = Array.make shards 0;
-      sv_cursors = 0 }
-  in
-  for i = 0 to t.arrival_len - 1 do
-    let key = t.arrival.(i) in
-    sv_push sv (shard_of_key ~shards key) key
-  done;
-  t.shard_view <- Some sv;
-  sv
-
 let push_arrival t key =
   maybe_compact t;
   if t.arrival_len >= Array.length t.arrival then begin
@@ -169,14 +121,7 @@ let push_arrival t key =
     t.arrival <- bigger
   end;
   t.arrival.(t.arrival_len) <- key;
-  t.arrival_len <- t.arrival_len + 1;
-  (* Mirror the append into the live shard view, if any — sharded
-     cursors must observe later arrivals exactly as flat cursors do.
-     The view only exists while its cursors are live, and live cursors
-     suppress [maybe_compact], so bucket positions never dangle. *)
-  match t.shard_view with
-  | Some sv -> sv_push sv (shard_of_key ~shards:sv.sv_shards key) key
-  | None -> ()
+  t.arrival_len <- t.arrival_len + 1
 
 (* {2 Version chains} *)
 
@@ -446,12 +391,6 @@ module Fuzzy_cursor = struct
 
   type t = {
     table : table;
-    (* [Some (view, shard)]: walk that shard's bucket instead of the
-       flat arrival array. Sharded cursors over distinct shards of one
-       table can run on different domains concurrently: each touches
-       only its own bucket, its own [seen]/[pos], and reads the heap,
-       which is frozen for the duration of a parallel quantum. *)
-    view : (shard_view * int) option;
     mutable pos : int;
     seen : unit Row.Key.Tbl.t;
     mutable scanned : int;
@@ -460,58 +399,20 @@ module Fuzzy_cursor = struct
 
   let make table =
     table.live_cursors <- table.live_cursors + 1;
-    { table; view = None; pos = 0; seen = Row.Key.Tbl.create 1024;
-      scanned = 0; live = true }
-
-  let make_sharded table ~shards ~shard =
-    if shards <= 0 || shard < 0 || shard >= shards then
-      invalid_arg "Fuzzy_cursor.make_sharded: shard out of range";
-    let sv =
-      match table.shard_view with
-      | Some sv when sv.sv_shards = shards -> sv
-      | Some sv when sv.sv_cursors > 0 ->
-        invalid_arg
-          "Fuzzy_cursor.make_sharded: live view with a different shard count"
-      | Some _ | None -> build_shard_view table ~shards
-    in
-    sv.sv_cursors <- sv.sv_cursors + 1;
-    table.live_cursors <- table.live_cursors + 1;
-    { table; view = Some (sv, shard); pos = 0;
-      seen = Row.Key.Tbl.create 1024; scanned = 0; live = true }
+    { table; pos = 0; seen = Row.Key.Tbl.create 1024; scanned = 0;
+      live = true }
 
   let close c =
     if c.live then begin
       c.live <- false;
-      c.table.live_cursors <- c.table.live_cursors - 1;
-      match c.view with
-      | None -> ()
-      | Some (sv, _) ->
-        sv.sv_cursors <- sv.sv_cursors - 1;
-        if sv.sv_cursors = 0 then begin
-          (* Last sharded cursor gone: drop the view so plain scans and
-             compaction stop paying for the mirror (guard against a
-             newer view having replaced it meanwhile). *)
-          match c.table.shard_view with
-          | Some cur when cur == sv -> c.table.shard_view <- None
-          | Some _ | None -> ()
-        end
+      c.table.live_cursors <- c.table.live_cursors - 1
     end
-
-  let cursor_len c =
-    match c.view with
-    | Some (sv, shard) -> sv.sv_len.(shard)
-    | None -> c.table.arrival_len
-
-  let cursor_key c i =
-    match c.view with
-    | Some (sv, shard) -> sv.sv_arr.(shard).(i)
-    | None -> c.table.arrival.(i)
 
   let next_batch c ~limit =
     let batch = ref [] in
     let n = ref 0 in
-    while !n < limit && c.pos < cursor_len c do
-      let key = cursor_key c c.pos in
+    while !n < limit && c.pos < c.table.arrival_len do
+      let key = c.table.arrival.(c.pos) in
       c.pos <- c.pos + 1;
       if not (Row.Key.Tbl.mem c.seen key) then begin
         Row.Key.Tbl.replace c.seen key ();
@@ -525,6 +426,6 @@ module Fuzzy_cursor = struct
     done;
     List.rev !batch
 
-  let finished c = c.pos >= cursor_len c
+  let finished c = c.pos >= c.table.arrival_len
   let scanned c = c.scanned
 end

@@ -152,11 +152,6 @@ val arrival_length : t -> int
     opportunistic compaction, which runs only while no fuzzy cursor is
     live — an unclosed cursor blocks reclamation. *)
 
-val shard_of_key : shards:int -> Row.Key.t -> int
-(** The canonical key-hash partitioning ([0 .. shards-1]) used by
-    sharded cursors, propagator routing and shard latches. [shards <= 1]
-    always maps to 0. *)
-
 (** Lock-free incremental scan. *)
 module Fuzzy_cursor : sig
   type table = t
@@ -165,17 +160,6 @@ module Fuzzy_cursor : sig
   val make : table -> t
   (** Also marks the table as having a live cursor, which suspends
       arrival-array compaction until {!close}. *)
-
-  val make_sharded : table -> shards:int -> shard:int -> t
-  (** A cursor over only the arrival entries whose key hashes (via
-      {!shard_of_key}) to [shard]. The per-shard buckets are built
-      lazily on first use and mirror later arrivals while any sharded
-      cursor is live; with [shards = 1] the bucket replays the arrival
-      array verbatim, so the scan is byte-identical to {!make}.
-      Cursors over distinct shards may run on different domains as
-      long as the heap is not mutated concurrently.
-      @raise Invalid_argument if [shard] is out of range, or if a live
-      sharded scan with a different [shards] count exists. *)
 
   val next_batch : t -> limit:int -> Record.t list
   (** Up to [limit] more records. Records inserted after the cursor's

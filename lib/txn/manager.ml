@@ -419,15 +419,6 @@ let add_post_op_hook t ~id hook =
 let remove_post_op_hook t ~id =
   t.post_op_hooks <- List.remove_assoc id t.post_op_hooks
 
-(* Legacy single-slot interface, kept as a reserved id in the registry
-   so existing callers keep their install/replace/remove semantics. *)
-let legacy_post_op_id = 0
-
-let set_post_op_hook t hook =
-  match hook with
-  | Some hook -> add_post_op_hook t ~id:legacy_post_op_id hook
-  | None -> remove_post_op_hook t ~id:legacy_post_op_id
-
 (* Access hooks observe every successful keyed operation (reads
    included) - the lazy-migration machinery uses them to migrate a
    record on first touch under the new schema. *)
@@ -463,19 +454,15 @@ let unfreeze_tables t tables =
   t.frozen <-
     List.filter (fun (table, _) -> not (List.mem table tables)) t.frozen
 
-(* Pre-flight checks shared by all operations. [key], when known,
-   narrows the latch check to the key's hash shard: a shard latch on
-   another partition of the table does not block the operation (a
-   whole-table latch always does). *)
-let check_access t ?key txn_id ~table =
+(* Pre-flight checks shared by all operations. *)
+let check_access t txn_id ~table =
   match find_txn t txn_id with
   | None -> Error `Txn_not_active
   | Some txn ->
     if txn.txn_status <> Active then Error `Txn_not_active
     else if txn.abort_only then Error `Abort_only
     else begin
-      let key_hash = Option.map Row.Key.hash key in
-      match Latch.blocking_holder t.latches ~table ~key_hash with
+      match Latch.latched_by t.latches ~table with
       | Some holder when holder <> txn_id -> Error (`Latched table)
       | Some _ | None ->
         (match List.assoc_opt table t.frozen with
@@ -654,7 +641,7 @@ let insert t ~txn:txn_id ~table:table_name row =
   let* () = check_space t in
   let* table = resolve_table t table_name in
   let key = Table.key_of_row table row in
-  let* txn = check_access t txn_id ~key ~table:table_name in
+  let* txn = check_access t txn_id ~table:table_name in
   let* () = take_lock t txn_id ~table:table_name ~key Compat.X in
   if Table.mem table key then Error `Duplicate_key
   else begin
@@ -671,7 +658,7 @@ let insert t ~txn:txn_id ~table:table_name row =
 
 let update t ~txn:txn_id ~table:table_name ~key changes =
   let* () = check_space t in
-  let* txn = check_access t txn_id ~key ~table:table_name in
+  let* txn = check_access t txn_id ~table:table_name in
   let* table = resolve_table t table_name in
   let key_positions = Schema.key_positions (Table.schema table) in
   if List.exists (fun (i, _) -> List.mem i key_positions) changes then
@@ -696,7 +683,7 @@ let update t ~txn:txn_id ~table:table_name ~key changes =
 
 let delete t ~txn:txn_id ~table:table_name ~key =
   let* () = check_space t in
-  let* txn = check_access t txn_id ~key ~table:table_name in
+  let* txn = check_access t txn_id ~table:table_name in
   let* table = resolve_table t table_name in
   let* () = take_lock t txn_id ~table:table_name ~key Compat.X in
   match Table.find table key with
@@ -727,7 +714,7 @@ let read t ~txn:txn_id ~table:table_name ~key =
       fire_access t ~table:table_name ~key;
       Ok row
   | Some _ | None ->
-    let* _txn = check_access t txn_id ~key ~table:table_name in
+    let* _txn = check_access t txn_id ~table:table_name in
     let* table = resolve_table t table_name in
     let* () = take_lock t txn_id ~table:table_name ~key Compat.S in
     fire_access t ~table:table_name ~key;

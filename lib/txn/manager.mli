@@ -292,12 +292,6 @@ val add_post_op_hook :
 
 val remove_post_op_hook : t -> id:int -> unit
 
-val set_post_op_hook :
-  t -> (txn:txn_id -> lsn:Lsn.t -> Log_record.op -> unit) option -> unit
-(** Legacy single-slot interface: [Some h] registers [h] under a
-    reserved id, [None] removes it. Prefer {!add_post_op_hook} /
-    {!remove_post_op_hook}. *)
-
 val add_access_hook :
   t -> id:int -> (table:string -> key:Row.Key.t -> unit) -> unit
 (** Register an access hook under [id] (replacing any hook with the

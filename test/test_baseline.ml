@@ -2,6 +2,7 @@
    trigger-based (Ronstrom-style) maintenance. *)
 
 open Nbsc_value
+open Nbsc_lock
 open Nbsc_storage
 open Nbsc_txn
 open Nbsc_core
@@ -57,6 +58,32 @@ let test_dump_blocks_writers () =
   ignore (Manager.abort mgr txn);
   while Insert_into_select.step dump ~limit:50 = `Running do () done;
   Alcotest.(check bool) "finished" true (Insert_into_select.finished dump)
+
+(* The first step latches both sources or neither: with S latched by
+   another holder it fails, and must not leave R latched behind (user
+   operations on R would pause forever). A later step retries. *)
+let test_dump_latch_all_or_none () =
+  let r_rows, s_rows = H.seed_rows ~r:30 ~s:10 in
+  let db = H.fresh_foj_db ~r_rows ~s_rows in
+  let mgr = Db.manager db in
+  let latches = Manager.latches mgr in
+  let oracle = H.foj_oracle db in
+  let dump = Insert_into_select.foj db H.foj_spec in
+  Alcotest.(check bool) "S latched elsewhere" true
+    (Latch.try_latch latches ~holder:7 ~table:"S");
+  (match Insert_into_select.step dump ~limit:5 with
+   | exception Failure _ -> ()
+   | _ -> Alcotest.fail "step should fail while S is latched elsewhere");
+  Alcotest.(check bool) "R not latched" false
+    (Latch.is_latched latches ~table:"R");
+  let txn = Manager.begin_txn mgr in
+  (match Manager.read mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 1 ]) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "read R: %a" Manager.pp_error e);
+  ok "commit" (Manager.commit mgr txn);
+  Latch.unlatch latches ~holder:7 ~table:"S";
+  while Insert_into_select.step dump ~limit:7 = `Running do () done;
+  H.check_relations_equal "T = oracle" oracle (Db.snapshot db "T")
 
 (* {1 Trigger-based maintenance} *)
 
@@ -265,7 +292,9 @@ let () =
     [ ( "insert-into-select",
         [ Alcotest.test_case "FOJ correct" `Quick test_dump_foj_correct;
           Alcotest.test_case "split correct" `Quick test_dump_split_correct;
-          Alcotest.test_case "blocks writers" `Quick test_dump_blocks_writers ] );
+          Alcotest.test_case "blocks writers" `Quick test_dump_blocks_writers;
+          Alcotest.test_case "latches all sources or none" `Quick
+            test_dump_latch_all_or_none ] );
       ( "triggers",
         [ Alcotest.test_case "keeps T fresh" `Quick test_trigger_keeps_t_fresh;
           Alcotest.test_case "split variant" `Quick test_trigger_split;

@@ -205,6 +205,58 @@ let test_latches () =
        try Latch.unlatch t ~holder:1 ~table:"x"
        with Invalid_argument _ -> raise (Invalid_argument ""))
 
+let test_latch_all_or_none () =
+  let t = Latch.create () in
+  Alcotest.(check bool) "y held by 2" true
+    (Latch.try_latch t ~holder:2 ~table:"y");
+  Alcotest.(check bool) "w already held by 1" true
+    (Latch.try_latch t ~holder:1 ~table:"w");
+  Alcotest.(check bool) "blocked set fails" false
+    (Latch.try_latch_all t ~holder:1 [ "x"; "w"; "y"; "z" ]);
+  Alcotest.(check bool) "x backed out" false (Latch.is_latched t ~table:"x");
+  Alcotest.(check bool) "z never taken" false (Latch.is_latched t ~table:"z");
+  Alcotest.(check bool) "prior latch survives the backout" true
+    (Latch.latched_by t ~table:"w" = Some 1);
+  Latch.unlatch t ~holder:2 ~table:"y";
+  Alcotest.(check bool) "free set succeeds" true
+    (Latch.try_latch_all t ~holder:1 [ "x"; "w"; "y"; "x" ]);
+  Alcotest.(check (list string)) "all held" [ "w"; "x"; "y" ]
+    (List.sort String.compare (Latch.latched_tables t ~holder:1))
+
+let test_acquire_all_backout () =
+  let t = Lock_table.create () in
+  let req table i lock = { Lock_table_many.table; key = k i; lock } in
+  (match
+     Lock_table_many.acquire_all t ~owner:1
+       [ req "T" 1 (native Compat.X); req "U" 2 (native Compat.S) ]
+   with
+   | Lock_table.Granted -> ()
+   | Lock_table.Blocked _ -> Alcotest.fail "free resources should grant");
+  Alcotest.(check bool) "holds T/1" true
+    (Lock_table.holds_any t ~owner:1 ~table:"T" ~key:(k 1));
+  (* conflicting set: blocked with the owner named, nothing granted *)
+  (match
+     Lock_table_many.acquire_all t ~owner:2
+       [ req "U" 9 (native Compat.X); req "T" 1 (native Compat.X) ]
+   with
+   | Lock_table.Blocked [ 1 ] -> ()
+   | Lock_table.Blocked _ -> Alcotest.fail "expected owner 1 as blocker"
+   | Lock_table.Granted -> Alcotest.fail "conflicting set must block");
+  Alcotest.(check bool) "nothing granted on a blocked set" false
+    (Lock_table.holds_any t ~owner:2 ~table:"U" ~key:(k 9));
+  (* locks held before a blocked call survive it *)
+  (match Lock_table_many.acquire_all t ~owner:2 [ req "V" 5 (native Compat.X) ] with
+   | Lock_table.Granted -> ()
+   | Lock_table.Blocked _ -> Alcotest.fail "V/5 is free");
+  (match
+     Lock_table_many.acquire_all t ~owner:2
+       [ req "V" 5 (native Compat.X); req "T" 1 (native Compat.S) ]
+   with
+   | Lock_table.Blocked _ -> ()
+   | Lock_table.Granted -> Alcotest.fail "T/1 is exclusively held by 1");
+  Alcotest.(check bool) "previously-held V/5 survives the backout" true
+    (Lock_table.holds_any t ~owner:2 ~table:"V" ~key:(k 5))
+
 (* {1 Properties} *)
 
 let arb_lock =
@@ -267,7 +319,12 @@ let () =
           Alcotest.test_case "atomic multi-acquire" `Quick
             test_acquire_all_atomic;
           Alcotest.test_case "locked resources" `Quick test_locked_resources ] );
-      ("latch", [ Alcotest.test_case "latches" `Quick test_latches ]);
+      ( "latch",
+        [ Alcotest.test_case "latches" `Quick test_latches;
+          Alcotest.test_case "all or none" `Quick test_latch_all_or_none ] );
+      ( "locks",
+        [ Alcotest.test_case "acquire_all backout" `Quick
+            test_acquire_all_backout ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_compat_symmetric; prop_acquire_release_invariant ] ) ]

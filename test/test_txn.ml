@@ -203,15 +203,15 @@ let test_active_snapshot () =
 let test_post_op_hook () =
   let _, mgr = fresh () in
   let fired = ref [] in
-  Manager.set_post_op_hook mgr
-    (Some (fun ~txn:_ ~lsn:_ op -> fired := Log_record.op_table op :: !fired));
+  Manager.add_post_op_hook mgr ~id:1 (fun ~txn:_ ~lsn:_ op ->
+      fired := Log_record.op_table op :: !fired);
   let txn = Manager.begin_txn mgr in
   ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
   ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
   ok "d" (Manager.delete mgr ~txn ~table:"t" ~key:(key 1));
   ok "c" (Manager.commit mgr txn);
   Alcotest.(check int) "three ops" 3 (List.length !fired);
-  Manager.set_post_op_hook mgr None;
+  Manager.remove_post_op_hook mgr ~id:1;
   let txn = Manager.begin_txn mgr in
   ok "i2" (Manager.insert mgr ~txn ~table:"t" (row 9 "z" 1));
   ok "c2" (Manager.commit mgr txn);
