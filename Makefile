@@ -1,4 +1,4 @@
-.PHONY: all build test check crash contention scrub bench-engine bench-migrate bench-compare fmt clean
+.PHONY: all build test check crash contention scrub perfbench-selftest bench-engine bench-migrate bench-compare fmt clean
 
 all: build
 
@@ -36,6 +36,13 @@ scrub:
 	if dune exec bin/nbsc_cli.exe -- scrub "$$dir"; then \
 	  echo "scrub missed injected corruption" >&2; exit 1; \
 	else echo "scrub drill OK"; fi
+
+# The schema-change benchmark's determinism self-test: every perfbench
+# workload at tiny scale, rerun with the same seed and with another; the
+# counts must repeat exactly and every oracle check must hold. Builds
+# perfbench/ in its own profile under .perfbench_work/. Part of ci/check.sh.
+perfbench-selftest:
+	python3 perfbench/run.py --selftest
 
 # Full-scale engine bench: mixed transactional workload under a
 # concurrent FOJ schema change; writes BENCH_engine.json and gates

@@ -61,6 +61,16 @@ test -s "$trace_out"
 echo "== wal soak (bounded log memory, fixed seed) =="
 dune exec test/test_sim.exe -- test soak
 
+# The schema-change benchmark's determinism self-test (perfbench/):
+# every workload at tiny scale, twice with one seed and once with
+# another. It fails if a same-seed rerun changes any count, if the
+# streams do not change with the seed, or if an oracle, durability or
+# stream-identity check inside the benchmark fails. So an engine change
+# that breaks the benchmark's exact replay fails here, not only when
+# the benchmark itself runs.
+echo "== perfbench determinism self-test =="
+python3 perfbench/run.py --selftest
+
 # Smoke the wal bench end to end and check it produces valid JSON.
 echo "== bench wal smoke =="
 dune exec bench/main.exe -- wal quick --out "$wal_out" >/dev/null

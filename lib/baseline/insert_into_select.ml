@@ -25,7 +25,7 @@ let foj db spec =
   let catalog = Db.catalog db in
   let layout = Spec.foj_layout catalog spec in
   ignore
-    (Catalog.create_table catalog
+    (Db.create_table db
        ~indexes:(Spec.foj_t_indexes layout)
        ~name:spec.Spec.t_table (Spec.foj_t_schema layout));
   let fj = Foj.create catalog layout in
@@ -43,10 +43,10 @@ let split db spec =
   let catalog = Db.catalog db in
   let layout = Spec.split_layout catalog spec in
   ignore
-    (Catalog.create_table catalog ~name:spec.Spec.r_table'
+    (Db.create_table db ~name:spec.Spec.r_table'
        (Spec.split_r_schema layout));
   ignore
-    (Catalog.create_table catalog ~name:spec.Spec.s_table'
+    (Db.create_table db ~name:spec.Spec.s_table'
        (Spec.split_s_schema layout));
   let t_tbl = Catalog.find catalog spec.Spec.t_table' in
   Table.add_index t_tbl ~name:Spec.ix_t_split ~columns:spec.Spec.split_key;

@@ -308,22 +308,18 @@ let wal_low_water t =
    | None -> ());
   !low
 
-(* Version-chain GC horizon: nothing at or below it is needed by any
-   active snapshot, and the WAL below the low-water mark can no longer
-   replay into it. Pinning to [wal_low_water] keeps chains recoverable
-   exactly as long as the log records that produced them. *)
+(* Version-chain GC horizon: the oldest active snapshot, or past the
+   log head when none is active. Only snapshot reads
+   ([resolve_visible]) walk a chain; rollback and recovery rebuild
+   state from the WAL and checkpoint images. So the WAL low-water
+   mark (undo chains, a propagator's pin, the durable floor) never
+   holds versions back. *)
 let gc_versions t =
-  let low = wal_low_water t in
-  let oldest = oldest_snapshot t in
   let horizon =
-    match oldest with
-    | Some s -> if Lsn.(s < low) then s else low
-    | None -> low
+    match oldest_snapshot t with
+    | Some s -> s
+    | None -> Lsn.next (Log.head t.log)
   in
-  (* Invariant: never reclaim state an active snapshot still resolves. *)
-  (match oldest with
-   | Some s -> assert (Lsn.(horizon <= s))
-   | None -> ());
   let classify ~txn ~lsn = classify_version t ~txn ~lsn in
   let reclaimed =
     List.fold_left

@@ -184,13 +184,15 @@ val classify_version : t -> txn:int -> lsn:Lsn.t ->
 
 val gc_versions : t -> int
 (** Reclaim version-chain entries no active snapshot can reach, from
-    every table in the catalog. The horizon is
-    [min (oldest_snapshot, wal_low_water)] — chains stay resolvable at
-    least as far back as the retained WAL. Returns the number of
-    entries reclaimed (also accumulated in the
-    [storage.versions_reclaimed] counter; live entries are visible via
-    the [storage.versions_live] probe). Runs automatically with every
-    {!truncate_wal}. *)
+    every table in the catalog. The horizon is {!oldest_snapshot}, or
+    the LSN past the log head when no snapshot is active.
+    {!wal_low_water} does not enter it: only snapshot reads walk a
+    chain, while rollback and recovery rebuild state from the WAL and
+    checkpoint images. A propagator's pin therefore keeps log records,
+    not versions. Returns the number of entries reclaimed (also
+    accumulated in the [storage.versions_reclaimed] counter; live
+    entries are visible via the [storage.versions_live] probe). Runs
+    automatically with every {!truncate_wal}. *)
 
 val insert : t -> txn:txn_id -> table:string -> Row.t -> (unit, error) result
 val update : t -> txn:txn_id -> table:string -> key:Row.Key.t ->

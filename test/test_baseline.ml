@@ -185,6 +185,30 @@ let test_trigger_two_installs () =
   Alcotest.(check bool) "T stale after tr1 uninstall" false
     (Nbsc_relalg.Relalg.equal_as_sets (H.foj_oracle db) (Db.snapshot db "T"))
 
+(* Baseline targets are created through the engine facade, so the
+   manager's retention hint covers them: with no snapshot active, the
+   system writes that fill and maintain a target keep no versions.
+   Split population bumps S's counters in place; the FOJ trigger
+   rewrites T rows under a user's update of R. *)
+let test_targets_keep_no_versions () =
+  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:40) in
+  let dump = Insert_into_select.split db (H.split_spec ~assume_consistent:true) in
+  while Insert_into_select.step dump ~limit:16 = `Running do () done;
+  Alcotest.(check int) "S after a split dump" 0
+    (Table.versions_count (Db.table db "S"));
+  let r_rows, s_rows = H.seed_rows ~r:20 ~s:8 in
+  let db = H.fresh_foj_db ~r_rows ~s_rows in
+  let mgr = Db.manager db in
+  let tr = Trigger_method.install_foj db H.foj_spec in
+  let txn = Manager.begin_txn mgr in
+  ok "u" (Manager.update mgr ~txn ~table:"R"
+            ~key:(Row.make [ Value.Int 3 ]) [ (1, Value.Text "fresh") ]);
+  ok "c" (Manager.commit mgr txn);
+  H.check_relations_equal "T fresh" (H.foj_oracle db) (Db.snapshot db "T");
+  Alcotest.(check int) "T after a triggered update" 0
+    (Table.versions_count (Db.table db "T"));
+  Trigger_method.uninstall tr
+
 (* {1 Shadow-table method} *)
 
 let converge_shadow ?(between = fun () -> ()) sh =
@@ -301,7 +325,9 @@ let () =
           Alcotest.test_case "work attribution" `Quick
             test_trigger_work_attribution;
           Alcotest.test_case "two installs coexist" `Quick
-            test_trigger_two_installs ] );
+            test_trigger_two_installs;
+          Alcotest.test_case "targets keep no versions" `Quick
+            test_targets_keep_no_versions ] );
       ( "shadow-table",
         [ Alcotest.test_case "FOJ converges under traffic" `Quick
             test_shadow_foj;

@@ -239,6 +239,52 @@ let test_gc_respects_snapshots () =
      Alcotest.(check bool) "versions_reclaimed counter" true (n >= reclaimed)
    | _ -> Alcotest.fail "storage.versions_reclaimed counter missing")
 
+(* Row 1 of a fresh table holds "v0", with the WAL pinned at the log
+   head the way a propagator pins it at the start of a change. [set]
+   commits one update of row 1's b. *)
+let pinned_row () =
+  let db = fresh_table () in
+  let mgr = Db.manager db in
+  commit_op db (fun m txn -> Manager.insert m ~txn ~table:"t" (H.ri 1 "v0" 7));
+  let head = Nbsc_wal.Log.head (Manager.log mgr) in
+  let pin = Manager.pin_wal mgr (fun () -> head) in
+  let set b =
+    commit_op db (fun m txn ->
+        Manager.update m ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text b) ])
+  in
+  (db, Catalog.find (Db.catalog db) "t", pin, set)
+
+(* A WAL pin keeps log records, not versions: with no snapshot active,
+   GC empties the chain under the pin. *)
+let test_gc_ignores_wal_pin () =
+  let db, tbl, pin, set = pinned_row () in
+  let mgr = Db.manager db in
+  List.iter set [ "v1"; "v2"; "v3"; "v4"; "v5" ];
+  Alcotest.(check int) "chain grew" 5 (Table.versions_count tbl);
+  ignore (Manager.gc_versions mgr);
+  Alcotest.(check int) "chain emptied under the pin" 0
+    (Table.versions_count tbl);
+  Manager.unpin_wal mgr pin
+
+(* The horizon is the oldest snapshot, whatever the WAL pin: GC keeps
+   the snapshot's own version and everything newer, and drops the
+   rest. *)
+let test_gc_horizon_is_oldest_snapshot () =
+  let db, tbl, pin, set = pinned_row () in
+  let mgr = Db.manager db in
+  set "v1";
+  set "v2";
+  let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
+  set "v3";
+  set "v4";
+  ignore (Manager.gc_versions mgr);
+  Alcotest.(check int) "snapshot's version and newer" 2
+    (Table.versions_count tbl);
+  check_b "snapshot survives GC" "v2"
+    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  ok "snap commit" (Manager.commit mgr snap);
+  Manager.unpin_wal mgr pin
+
 (* System (txn = 0) overwrites materialize version entries only while
    a snapshot transaction is live — the retention hint the manager
    wires into every table, which keeps bulk population/propagation
@@ -382,7 +428,8 @@ let ops_gen =
 
 (* A snapshot transaction begun between two batches of committed
    operations — with a lazy migration sweeping and demand-migrating
-   underneath — reads exactly the state at its begin point. *)
+   underneath, and version GC running after every quantum while the
+   change pins the WAL — reads exactly the state at its begin point. *)
 let prop_snapshot_visibility =
   QCheck.Test.make ~name:"snapshot reads are exactly the begin state"
     ~count:30
@@ -402,7 +449,8 @@ let prop_snapshot_visibility =
        List.iter
          (fun op ->
             apply_op db op;
-            ignore (Transform.step tf))
+            ignore (Transform.step tf);
+            ignore (Manager.gc_versions mgr))
          after;
        let exact = ref true in
        List.iteri
@@ -442,7 +490,11 @@ let () =
         [ Alcotest.test_case "respects snapshots" `Quick
             test_gc_respects_snapshots;
           Alcotest.test_case "retention hint gates system writes" `Quick
-            test_retention_hint_gates_system_writes ] );
+            test_retention_hint_gates_system_writes;
+          Alcotest.test_case "wal pin does not hold versions" `Quick
+            test_gc_ignores_wal_pin;
+          Alcotest.test_case "horizon is oldest snapshot" `Quick
+            test_gc_horizon_is_oldest_snapshot ] );
       ( "lazy migration",
         [ Alcotest.test_case "demand migration" `Quick
             test_lazy_demand_migration;
