@@ -1,4 +1,4 @@
-.PHONY: all build test check crash contention scrub perfbench-selftest bench-engine bench-migrate bench-compare fmt clean
+.PHONY: all build test check crash contention scrub examples perfbench-selftest bench-engine bench-migrate bench-compare fmt clean
 
 all: build
 
@@ -36,6 +36,18 @@ scrub:
 	if dune exec bin/nbsc_cli.exe -- scrub "$$dir"; then \
 	  echo "scrub missed injected corruption" >&2; exit 1; \
 	else echo "scrub drill OK"; fi
+
+# The five examples, each checking itself: an example exits 1 when one
+# of its printed checks (oracle equality, dropped sources, a clean
+# partition) is false, and its output is shown then. Part of
+# ci/check.sh.
+EXAMPLES = quickstart telecom_foj customer_split many_to_many orders_archive
+examples:
+	@for ex in $(EXAMPLES); do \
+	  out=$$(dune exec examples/$$ex.exe 2>&1) || \
+	    { echo "$$out"; echo "examples/$$ex failed" >&2; exit 1; }; \
+	  echo "examples/$$ex OK"; \
+	done
 
 # The schema-change benchmark's determinism self-test: every perfbench
 # workload at tiny scale, rerun with the same seed and with another; the

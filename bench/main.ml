@@ -44,6 +44,15 @@ let pp_points ~x_label points =
             if p.Experiment.tf_completed then "done" else "still running"))
     points
 
+(* The benches start every change through the front door and then drive
+   its bare executor. *)
+let start db ~options spec =
+  match Db.Schema_change.start db ~options spec with
+  | Ok sc -> Db.Schema_change.transform sc
+  | Error e -> failwith ("start: " ^ Nbsc_error.to_string e)
+
+let keep_sources = { Options.default with Options.drop_sources = false }
+
 (* {1 Worked examples} *)
 
 let fig1 () =
@@ -88,11 +97,7 @@ let fig1 () =
       join_r = [ "c" ]; join_s = [ "c" ]; t_join = [ "c" ];
       r_carry = [ "a"; "b" ]; s_carry = [ "d" ]; many_to_many = false }
   in
-  let tf =
-    Transform.foj db
-      ~config:{ Transform.default_config with Transform.drop_sources = false }
-      spec
-  in
+  let tf = start db ~options:keep_sources (Spec.Foj spec) in
   (match Transform.run tf with Ok () -> () | Error m -> failwith m);
   say "T = R FOJ S (produced by the non-blocking transformation):";
   say "%s"
@@ -147,11 +152,7 @@ let fig3 () =
       s_cols = [ "postal_code"; "city" ]; split_key = [ "postal_code" ];
       assume_consistent = false }
   in
-  let tf =
-    Transform.split db
-      ~config:{ Transform.default_config with Transform.drop_sources = false }
-      spec
-  in
+  let tf = start db ~options:keep_sources (Spec.Split spec) in
   (match Transform.run tf with Ok () -> () | Error m -> failwith m);
   say "CustomerAddr (R):";
   say "%s"
@@ -238,8 +239,8 @@ let sync_bench setup =
             | Some ns -> Printf.sprintf "%.4f ms" (float_of_int ns /. 1e6)
             | None -> "n/a")
            r.Experiment.forced_aborts)
-    [ Transform.Nonblocking_abort; Transform.Nonblocking_commit;
-      Transform.Blocking_commit ]
+    [ Options.Nonblocking_abort; Options.Nonblocking_commit;
+      Options.Blocking_commit ]
 
 let ablate setup =
   header "Ablations: iteration-analysis threshold and batch size";
@@ -284,18 +285,18 @@ let deadlock_bench quick =
      (after the switch they would route to the targets and the
      hot spot would evaporate). Hook-threaded cycles are exercised by
      the directed deadlock tests and the contention soak. *)
-  let config =
-    { Transform.default_config with
-      Transform.scan_batch = 8;
+  let options =
+    { Options.default with
+      Options.scan_batch = 8;
       propagate_batch = 16;
       analysis = Analysis.Remaining_records 8;
-      strategy = Transform.Nonblocking_commit;
+      sync = Options.Nonblocking_commit;
       drop_sources = false;
       sync_gate = (fun () -> false) }
   in
   let r =
     Sim.run ~kind ~workload
-      ~background:(Sim.Transformation { Sim.priority = 0.1; config })
+      ~background:(Sim.Transformation { Sim.priority = 0.1; options })
       ~duration ~warmup:(duration / 20) ()
   in
   let s = r.Sim.mgr_stats in
@@ -370,14 +371,13 @@ let wal_bench ~quick ~out =
      plus sustained traffic, at 1x and 2x duration. Bounded memory
      means the high-water mark does not follow the duration. *)
   let soak duration =
-    let config =
-      { Transform.scan_batch = 16;
+    let options =
+      { Options.default with
+        Options.scan_batch = 16;
         propagate_batch = 32;
         analysis = Analysis.Remaining_records 8;
-        strategy = Transform.Nonblocking_abort;
         drop_sources = false;
-        sync_gate = (fun () -> false);
-        pace = None }
+        sync_gate = (fun () -> false) }
     in
     let workload =
       { Sim.n_clients = 8;
@@ -389,7 +389,7 @@ let wal_bench ~quick ~out =
     Sim.run
       ~kind:(Sim.Split_scenario { t_rows = 500; assume_consistent = true })
       ~workload
-      ~background:(Sim.Transformation { Sim.priority = 0.05; config })
+      ~background:(Sim.Transformation { Sim.priority = 0.05; options })
       ~duration ~warmup:10_000 ()
   in
   let base_duration = if quick then 150_000 else 600_000 in
@@ -542,15 +542,15 @@ let engine_bench ~quick ~out ~gate ~trace =
       r_carry = [ "a"; "b" ]; s_carry = [ "d" ]; many_to_many = false }
   in
   let gate_open = ref false in
-  let config =
-    { Transform.default_config with
-      Transform.scan_batch = 512;
+  let options =
+    { Options.default with
+      Options.scan_batch = 512;
       propagate_batch = 512;
       analysis = Analysis.Remaining_records 64;
       drop_sources = false;
       sync_gate = (fun () -> !gate_open) }
   in
-  let tf = Transform.foj db ~config spec in
+  let tf = start db ~options (Spec.Foj spec) in
   let step_tf () =
     match Transform.step tf with
     | `Running | `Done -> ()
@@ -937,7 +937,7 @@ let migrate_bench ~quick ~out ~gate =
       Options.{ default with scan_batch = 256; propagate_batch = 256;
                 strategy = migration; drop_sources = false }
     in
-    let tf = Transform.foj db ~options spec in
+    let tf = start db ~options (Spec.Foj spec) in
     let rng = Random.State.make [| 7 |] in
     let txns = ref 0 in
     let errors = ref 0 in
@@ -1310,7 +1310,7 @@ let compare_bench ~quick ~out ~gate =
     seed_sources ~n:mini db;
     ok_p "checkpoint" (Persist.checkpoint p);
     let opts = mini_options population in
-    let tf = Transform.foj db ~options:opts spec in
+    let tf = start db ~options:opts (Spec.Foj spec) in
     let rng = Random.State.make [| 23 |] in
     (* Past the population, so the checkpoint can cover a resume. *)
     while Transform.phase tf = Transform.Populating do
@@ -1389,7 +1389,7 @@ let compare_bench ~quick ~out ~gate =
   let run_paper label options =
     let db = Db.create () in
     seed_sources db;
-    let tf = Transform.foj db ~options spec in
+    let tf = start db ~options (Spec.Foj spec) in
     let step () =
       match Transform.step tf with
       | `Running -> false

@@ -21,10 +21,18 @@ module Sc = Db.Schema_change
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
-let start_sc db ?options ~config spec =
-  match Sc.start db ~config ?options spec with
+let start_sc db ~options spec =
+  match Sc.start db ~options spec with
   | Ok sc -> sc
   | Error e -> failwith (Nbsc_error.to_string e)
+
+(* The demos keep their sources, to inspect or to check against, and
+   use small batches so a change takes many quanta. *)
+let demo_options ~batch =
+  { Sc.Options.default with
+    Sc.Options.drop_sources = false;
+    scan_batch = batch;
+    propagate_batch = batch }
 
 (* {1 demo} *)
 
@@ -89,26 +97,18 @@ let split_spec =
     split_key = [ "c" ]; assume_consistent = true }
 
 let run_demo which rows migration =
-  let config =
-    { Transform.default_config with
-      Transform.drop_sources = false;
-      scan_batch = 64;
-      propagate_batch = 64 }
-  in
-  let options =
-    { (Transform.options_of_config config) with Sc.Options.strategy = migration }
-  in
+  let options = { (demo_options ~batch:64) with Sc.Options.strategy = migration } in
   let db, sc =
     match which with
     | `Foj ->
       let db = build_foj_db ~rows in
-      (db, start_sc db ~options ~config (Spec.Foj (foj_spec ~m2m:false)))
+      (db, start_sc db ~options (Spec.Foj (foj_spec ~m2m:false)))
     | `M2m ->
       let db = build_foj_db ~rows in
-      (db, start_sc db ~options ~config (Spec.Foj (foj_spec ~m2m:true)))
+      (db, start_sc db ~options (Spec.Foj (foj_spec ~m2m:true)))
     | `Split ->
       let db = build_split_db ~rows in
-      (db, start_sc db ~options ~config (Spec.Split split_spec))
+      (db, start_sc db ~options (Spec.Split split_spec))
   in
   let mgr = Db.manager db in
   let rng = Random.State.make [| 99 |] in
@@ -212,15 +212,10 @@ let build_concurrent_db ~rows =
 
 let run_concurrent rows =
   let db = build_concurrent_db ~rows in
-  let config =
-    { Transform.default_config with
-      Transform.drop_sources = false;
-      scan_batch = 64;
-      propagate_batch = 64 }
-  in
-  let foj_sc = start_sc db ~config (Spec.Foj (foj_spec ~m2m:false)) in
+  let options = demo_options ~batch:64 in
+  let foj_sc = start_sc db ~options (Spec.Foj (foj_spec ~m2m:false)) in
   let hs_sc =
-    start_sc db ~config
+    start_sc db ~options
       (Spec.Hsplit
          { Spec.h_source = "U"; h_true_table = "U_old";
            h_false_table = "U_live";
@@ -325,8 +320,8 @@ let run_sync () =
             | Some ns -> Printf.sprintf "%.4f ms" (float_of_int ns /. 1e6)
             | None -> "n/a")
            r.E.forced_aborts)
-    [ Transform.Nonblocking_abort; Transform.Nonblocking_commit;
-      Transform.Blocking_commit ];
+    [ Sc.Options.Nonblocking_abort; Sc.Options.Nonblocking_commit;
+      Sc.Options.Blocking_commit ];
   `Ok ()
 
 let sync_cmd =
@@ -350,15 +345,15 @@ let matrix_cmd =
 
 let run_log rows =
   let db = build_foj_db ~rows in
-  let tf =
-    Transform.foj db
-      ~config:{ Transform.default_config with Transform.drop_sources = false }
-      (foj_spec ~m2m:false)
+  let sc =
+    start_sc db
+      ~options:{ Sc.Options.default with Sc.Options.drop_sources = false }
+      (Spec.Foj (foj_spec ~m2m:false))
   in
   let mgr = Db.manager db in
   let n = ref 0 in
   (match
-     Transform.run tf ~between:(fun () ->
+     Sc.run sc ~between:(fun () ->
          incr n;
          if !n <= 3 then begin
            let txn = Manager.begin_txn mgr in
@@ -372,7 +367,7 @@ let run_log rows =
          end)
    with
    | Ok () -> ()
-   | Error m -> failwith m);
+   | Error e -> failwith (Nbsc_error.to_string e));
   Nbsc_wal.Log.iter (Db.log db) (fun r ->
       say "%a" Nbsc_wal.Log_record.pp r);
   let log = Db.log db in
@@ -407,11 +402,12 @@ let run_contention governed duration =
       source_share = 0.9; seed = 42 }
   in
   let pace = if governed then Some (Governor.create ()) else None in
-  let config =
-    { Transform.scan_batch = 8;
+  let options =
+    { Sc.Options.default with
+      Sc.Options.scan_batch = 8;
       propagate_batch = 16;
       analysis = Analysis.Remaining_records 8;
-      strategy = Transform.Nonblocking_commit;
+      sync = Sc.Options.Nonblocking_commit;
       drop_sources = false;
       (* Governed runs let the change finish, so the governor's
          escalate-then-relax cycle is visible end to end; ungoverned
@@ -422,7 +418,7 @@ let run_contention governed duration =
   let priority = if governed then 0.002 else 0.1 in
   let r =
     Sim.run ~kind ~workload
-      ~background:(Sim.Transformation { Sim.priority; config })
+      ~background:(Sim.Transformation { Sim.priority; options })
       ~duration ~warmup:(duration / 20) ()
   in
   let s = r.Sim.mgr_stats in
@@ -520,13 +516,8 @@ let run_crash_demo site after rows keep =
        | Error _ -> failwith "load failed");
       surface "checkpoint" (Persist.checkpoint p);
       say "created %s: table T, %d rows (checkpointed)" dir rows;
-      let config =
-        { Transform.default_config with
-          Transform.drop_sources = false;
-          scan_batch = 32;
-          propagate_batch = 32 }
-      in
-      let tf = Sc.transform (start_sc db ~config (Spec.Split split_spec)) in
+      let options = demo_options ~batch:32 in
+      let tf = Sc.transform (start_sc db ~options (Spec.Split split_spec)) in
       say "started %s as job %s; arming fault site %S (trigger on hit %d)"
         (Transform.name tf) (Transform.job_name tf) site (after + 1);
       Fault.arm ~after site;
@@ -576,7 +567,7 @@ let run_crash_demo site after rows keep =
        | None -> say "recovery: clean snapshot, empty WAL");
       let db2 = Persist.db p2 in
       let resumed =
-        match Sc.resume ~config p2 with
+        match Sc.resume ~options p2 with
         | Ok scs -> List.map Sc.transform scs
         | Error e -> failwith ("resume: " ^ Nbsc_error.to_string e)
       in
@@ -623,13 +614,9 @@ let run_crash_demo site after rows keep =
 
 let run_stats rows =
   let db = build_foj_db ~rows in
-  let config =
-    { Transform.default_config with
-      Transform.drop_sources = false;
-      scan_batch = 64;
-      propagate_batch = 64 }
+  let sc =
+    start_sc db ~options:(demo_options ~batch:64) (Spec.Foj (foj_spec ~m2m:false))
   in
-  let sc = start_sc db ~config (Spec.Foj (foj_spec ~m2m:false)) in
   let mgr = Db.manager db in
   let rng = Random.State.make [| 99 |] in
   let writes = ref 0 in

@@ -61,6 +61,12 @@ test -s "$trace_out"
 echo "== wal soak (bounded log memory, fixed seed) =="
 dune exec test/test_sim.exe -- test soak
 
+# The examples are compiled by dune build but run only here. Each one
+# exits 1 when a check it prints is false: oracle equality, dropped
+# sources or a clean partition.
+echo "== examples =="
+make examples
+
 # The schema-change benchmark's determinism self-test (perfbench/):
 # every workload at tiny scale, twice with one seed and once with
 # another. It fails if a same-seed rerun changes any count, if the

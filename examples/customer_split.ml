@@ -16,10 +16,15 @@ open Nbsc_core
 module Manager = Nbsc_txn.Manager
 module Table = Nbsc_storage.Table
 module Record = Nbsc_storage.Record
+module Sc = Db.Schema_change
 
 let ok = function
   | Ok v -> v
   | Error e -> failwith (Format.asprintf "%a" Manager.pp_error e)
+
+let sc_ok = function
+  | Ok v -> v
+  | Error e -> failwith (Nbsc_error.to_string e)
 
 (* Ordered so that customer 134 (postal code 5004) lives in Trondheim,
    matching the paper's Example 1. *)
@@ -57,22 +62,22 @@ let () =
       split_key = [ "postal_code" ];
       assume_consistent = false }
   in
-  let config =
-    { Transform.default_config with
-      Transform.drop_sources = false;
+  let options =
+    { Options.default with
+      Options.drop_sources = false;
       scan_batch = 128;
       propagate_batch = 128 }
   in
-  let tf = Transform.split db ~config spec in
+  let sc = sc_ok (Sc.start db ~options (Spec.Split spec)) in
 
   let repaired = ref false in
   let checking_steps = ref 0 in
   let total = ref 0 in
-  (match
-     Transform.run tf ~between:(fun () ->
+  sc_ok
+    (Sc.run sc ~between:(fun () ->
          incr total;
          if !total > 100_000 then failwith "no convergence";
-         if Transform.phase tf = Transform.Checking then begin
+         if (Sc.status sc).Sc.sc_phase = Transform.Checking then begin
            incr checking_steps;
            (* Give the checker a few rounds to demonstrate that it keeps
               refusing the inconsistent group, then repair the typo. *)
@@ -88,14 +93,11 @@ let () =
              Format.printf
                "DBA transaction repaired customer 134: Trnodheim -> Trondheim@."
            end
-         end)
-   with
-   | Ok () -> ()
-   | Error m -> failwith m);
+         end));
 
-  let cc = Option.get (Transform.checker tf) in
+  let cc = Option.get (Transform.checker (Sc.transform sc)) in
   let st = Consistency.stats cc in
-  Format.printf "%a@." Transform.pp_progress (Transform.progress tf);
+  Format.printf "%a@." Transform.pp_progress (Sc.status sc).Sc.sc_progress;
   Format.printf
     "consistency checker: %d checks started, %d confirmed, %d refused \
      (inconsistent data), %d invalidated by concurrent updates@."
@@ -115,6 +117,9 @@ let () =
         s_key = [ "postal_code" ] }
       t
   in
+  let r_ok =
+    Nbsc_relalg.Relalg.equal_as_sets expected_r (Db.snapshot db "customer_norm")
+  and s_ok = Nbsc_relalg.Relalg.equal_as_sets expected_s (Db.snapshot db "place") in
   Format.printf "customer_norm matches oracle: %b; place matches oracle: %b@."
-    (Nbsc_relalg.Relalg.equal_as_sets expected_r (Db.snapshot db "customer_norm"))
-    (Nbsc_relalg.Relalg.equal_as_sets expected_s (Db.snapshot db "place"))
+    r_ok s_ok;
+  if not (r_ok && s_ok) then exit 1

@@ -12,6 +12,7 @@
 open Nbsc_value
 open Nbsc_core
 module Manager = Nbsc_txn.Manager
+module Sc = Db.Schema_change
 
 let people = 600
 let stores = 90
@@ -20,6 +21,10 @@ let cities = 12
 let ok = function
   | Ok v -> v
   | Error e -> failwith (Format.asprintf "%a" Manager.pp_error e)
+
+let sc_ok = function
+  | Ok v -> v
+  | Error e -> failwith (Nbsc_error.to_string e)
 
 let () =
   let db = Db.create () in
@@ -58,13 +63,13 @@ let () =
       s_carry = [ "sid"; "chain" ];
       many_to_many = true }
   in
-  let config =
-    { Transform.default_config with
-      Transform.drop_sources = false;
+  let options =
+    { Options.default with
+      Options.drop_sources = false;
       scan_batch = 8;
       propagate_batch = 8 }
   in
-  let tf = Transform.foj db ~config spec in
+  let sc = sc_ok (Sc.start db ~options (Spec.Foj spec)) in
 
   let mgr = Db.manager db in
   let rng = Random.State.make [| 7 |] in
@@ -83,9 +88,7 @@ let () =
        | Error _ -> ignore (Manager.abort mgr txn))
     end
   in
-  (match Transform.run ~between:move_someone tf with
-   | Ok () -> ()
-   | Error m -> failwith m);
+  sc_ok (Sc.run ~between:move_someone sc);
 
   let oracle =
     Nbsc_relalg.Relalg.full_outer_join
@@ -94,11 +97,15 @@ let () =
         s_cols = [ "sid"; "chain" ]; out_key = [ "pid"; "sid" ] }
       (Db.snapshot db "person") (Db.snapshot db "store")
   in
-  Format.printf "%a@." Transform.pp_progress (Transform.progress tf);
+  let equal =
+    Nbsc_relalg.Relalg.equal_as_sets oracle (Db.snapshot db "person_store")
+  in
+  Format.printf "%a@." Transform.pp_progress (Sc.status sc).Sc.sc_progress;
   Format.printf "moves while transforming: %d@." !moves;
   Format.printf
     "person_store: %d rows (each person x each matching store); oracle: %d; \
      equal: %b@."
     (Db.row_count db "person_store")
     (List.length oracle.Nbsc_relalg.Relalg.rows)
-    (Nbsc_relalg.Relalg.equal_as_sets oracle (Db.snapshot db "person_store"))
+    equal;
+  if not equal then exit 1

@@ -12,6 +12,7 @@
 open Nbsc_value
 open Nbsc_core
 module Manager = Nbsc_txn.Manager
+module Sc = Db.Schema_change
 
 let orders = 5_000
 let customers = 200
@@ -19,6 +20,10 @@ let customers = 200
 let ok = function
   | Ok v -> v
   | Error e -> failwith (Format.asprintf "%a" Manager.pp_error e)
+
+let sc_ok = function
+  | Ok v -> v
+  | Error e -> failwith (Nbsc_error.to_string e)
 
 let () =
   let db = Db.create () in
@@ -68,17 +73,19 @@ let () =
   in
 
   (* The online archive split. *)
-  let tf =
-    Transform.hsplit db
-      ~config:
-        { Transform.default_config with
-          Transform.drop_sources = true;
-          scan_batch = 256;
-          propagate_batch = 128 }
-      { Spec.h_source = "orders";
-        h_true_table = "orders_archive";
-        h_false_table = "orders_live";
-        h_pred = Pred.Cmp ("status", Pred.Eq, Value.Text "closed") }
+  let sc =
+    sc_ok
+      (Sc.start db
+         ~options:
+           { Options.default with
+             Options.drop_sources = true;
+             scan_batch = 256;
+             propagate_batch = 128 }
+         (Spec.Hsplit
+            { Spec.h_source = "orders";
+              h_true_table = "orders_archive";
+              h_false_table = "orders_live";
+              h_pred = Pred.Cmp ("status", Pred.Eq, Value.Text "closed") }))
   in
 
   let mgr = Db.manager db in
@@ -86,7 +93,7 @@ let () =
   let closed_during = ref 0 and traffic = ref 0 in
   let business () =
     incr traffic;
-    if Transform.routing tf = `Sources then begin
+    if (Sc.status sc).Sc.sc_routing = `Sources then begin
       let oid = Random.State.int rng orders in
       let txn = Manager.begin_txn mgr in
       let outcome =
@@ -108,16 +115,14 @@ let () =
       ignore (Matview.step view)
     end
   in
-  (match Transform.run ~between:business tf with
-   | Ok () -> ()
-   | Error m -> failwith m);
+  sc_ok (Sc.run ~between:business sc);
 
-  Format.printf "%a@." Transform.pp_progress (Transform.progress tf);
+  Format.printf "%a@." Transform.pp_progress (Sc.status sc).Sc.sc_progress;
   Format.printf
     "orders processed while archiving: %d (%d closed mid-flight; %d rows \
      migrated between live and archive)@."
     !traffic !closed_during
-    (List.assoc "migrations" (Transform.counters tf));
+    (List.assoc "migrations" (Transform.counters (Sc.transform sc)));
   Format.printf "orders_live: %d rows; orders_archive: %d rows (sum = %d)@."
     (Db.row_count db "orders_live")
     (Db.row_count db "orders_archive")
@@ -144,4 +149,5 @@ let () =
       live.Nbsc_relalg.Relalg.rows
   in
   Format.printf "partition clean: archive all closed=%b, live none closed=%b@."
-    (not bad_archive) (not bad_live)
+    (not bad_archive) (not bad_live);
+  if bad_archive || bad_live then exit 1

@@ -10,10 +10,15 @@
 open Nbsc_value
 open Nbsc_core
 module Manager = Nbsc_txn.Manager
+module Sc = Db.Schema_change
 
 let ok = function
   | Ok v -> v
   | Error e -> failwith (Format.asprintf "%a" Manager.pp_error e)
+
+let sc_ok = function
+  | Ok v -> v
+  | Error e -> failwith (Nbsc_error.to_string e)
 
 let () =
   (* 1. A little database. *)
@@ -51,13 +56,13 @@ let () =
       s_carry = [ "d" ];
       many_to_many = false }
   in
-  let config =
-    { Transform.default_config with
-      Transform.drop_sources = false;  (* keep R and S for the final check *)
+  let options =
+    { Options.default with
+      Options.drop_sources = false;  (* keep R and S for the final check *)
       scan_batch = 8;
       propagate_batch = 8 }
   in
-  let tf = Transform.foj db ~config spec in
+  let sc = sc_ok (Sc.start db ~options (Spec.Foj spec)) in
 
   (* 3. Drive it to completion while writers keep writing. *)
   let mgr = Db.manager db in
@@ -65,7 +70,7 @@ let () =
   let write_something () =
     (* Write only while the old schema is live — after the switch-over
        the sources are frozen and new work belongs on T. *)
-    if !writes < 500 && Transform.routing tf = `Sources then begin
+    if !writes < 500 && (Sc.status sc).Sc.sc_routing = `Sources then begin
       incr writes;
       let txn = Manager.begin_txn mgr in
       ok
@@ -75,9 +80,7 @@ let () =
       ok (Manager.commit mgr txn)
     end
   in
-  (match Transform.run ~between:write_something tf with
-   | Ok () -> ()
-   | Error m -> failwith m);
+  sc_ok (Sc.run ~between:write_something sc);
 
   (* 4. Verify against the relational-algebra oracle. *)
   let oracle =
@@ -87,10 +90,12 @@ let () =
         out_key = [ "a" ] }
       (Db.snapshot db "R") (Db.snapshot db "S")
   in
-  let p = Transform.progress tf in
-  Format.printf "transformation finished: %a@." Transform.pp_progress p;
+  let equal = Nbsc_relalg.Relalg.equal_as_sets oracle (Db.snapshot db "T") in
+  Format.printf "transformation finished: %a@." Transform.pp_progress
+    (Sc.status sc).Sc.sc_progress;
   Format.printf "concurrent writes while it ran: %d@." !writes;
   Format.printf "T has %d rows; oracle says %d; equal: %b@."
     (Db.row_count db "T")
     (List.length oracle.Nbsc_relalg.Relalg.rows)
-    (Nbsc_relalg.Relalg.equal_as_sets oracle (Db.snapshot db "T"))
+    equal;
+  if not equal then exit 1

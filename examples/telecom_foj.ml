@@ -13,6 +13,7 @@
 open Nbsc_value
 open Nbsc_core
 module Manager = Nbsc_txn.Manager
+module Sc = Db.Schema_change
 
 let subscribers = 20_000
 let plans = 40
@@ -20,6 +21,10 @@ let plans = 40
 let ok = function
   | Ok v -> v
   | Error e -> failwith (Format.asprintf "%a" Manager.pp_error e)
+
+let sc_ok = function
+  | Ok v -> v
+  | Error e -> failwith (Nbsc_error.to_string e)
 
 let () =
   let db = Db.create () in
@@ -62,14 +67,14 @@ let () =
       s_carry = [ "rate_cents" ];
       many_to_many = false }
   in
-  let config =
-    { Transform.default_config with
-      Transform.strategy = Transform.Nonblocking_abort;
+  let options =
+    { Options.default with
+      Options.sync = Options.Nonblocking_abort;
       drop_sources = true;
       scan_batch = 512;
       propagate_batch = 256 }
   in
-  let tf = Transform.foj db ~config spec in
+  let sc = sc_ok (Sc.start db ~options (Spec.Foj spec)) in
 
   (* Call traffic: short transactions touching subscribers; after the
      switch-over they move to the new account table. *)
@@ -81,7 +86,7 @@ let () =
     let imsi = Random.State.int rng subscribers in
     let txn = Manager.begin_txn mgr in
     let outcome =
-      if Transform.routing tf = `Sources then
+      if (Sc.status sc).Sc.sc_routing = `Sources then
         Manager.update mgr ~txn ~table:"subscriber"
           ~key:(Row.make [ Value.Int imsi ])
           [ (1, Value.Text (Printf.sprintf "sub-%d'" imsi)) ]
@@ -108,32 +113,30 @@ let () =
   in
 
   let phase_log = ref [] in
-  let last_phase = ref (Transform.phase tf) in
-  (match
-     Transform.run tf ~between:(fun () ->
+  let last_phase = ref (Sc.status sc).Sc.sc_phase in
+  sc_ok
+    (Sc.run sc ~between:(fun () ->
          one_call ();
-         let phase = Transform.phase tf in
+         let phase = (Sc.status sc).Sc.sc_phase in
          if phase <> !last_phase then begin
            phase_log := (!traffic, phase) :: !phase_log;
            last_phase := phase
-         end)
-   with
-   | Ok () -> ()
-   | Error m -> failwith m);
+         end));
 
   Format.printf "phases (after N calls):@.";
   List.iter
     (fun (n, phase) ->
        Format.printf "  after %6d calls -> %a@." n Transform.pp_phase phase)
     (List.rev !phase_log);
-  let p = Transform.progress tf in
+  let p = (Sc.status sc).Sc.sc_progress in
   Format.printf "%a@." Transform.pp_progress p;
   Format.printf
     "calls made: %d (rerouted to new schema: %d, rejected during change: %d)@."
     !traffic !rerouted !rejected;
+  let dropped table = not (Nbsc_storage.Catalog.mem (Db.catalog db) table) in
   Format.printf "old tables dropped: subscriber=%b plan=%b; account rows: %d@."
-    (not (Nbsc_storage.Catalog.mem (Db.catalog db) "subscriber"))
-    (not (Nbsc_storage.Catalog.mem (Db.catalog db) "plan"))
+    (dropped "subscriber") (dropped "plan")
     (Db.row_count db "account");
   Format.printf "forced aborts at switch-over: %d (their work was rolled back)@."
-    p.Transform.forced_aborts
+    p.Transform.forced_aborts;
+  if not (dropped "subscriber" && dropped "plan") then exit 1

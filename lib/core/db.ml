@@ -15,20 +15,29 @@ module Schema_change = struct
 
   let transform h = h
 
-  let start db ?config ?options spec =
-    (* The builders validate specs with Invalid_argument (a contract
-       several tests pin down); the façade folds that into a result. *)
-    match
-      (match spec with
-       | Spec.Foj s -> Transform.foj db ?config ?options s
-       | Spec.Split s -> Transform.split db ?config ?options s
-       | Spec.Hsplit s -> Transform.hsplit db ?config ?options s
-       | Spec.Merge s -> Transform.merge db ?config ?options s)
-    with
-    | t -> Ok t
-    | exception Invalid_argument m -> Error (`Invalid m)
-    | exception Failure m -> Error (`Msg m)
-    | exception Nbsc_error.Error e -> Error e
+  let start db ?(options = Options.default) spec =
+    (* Refuse before the preparation step: [Transformation.of_spec]
+       creates the targets and their indexes, and adopts a target that
+       already exists, as crash resume needs. *)
+    let catalog = catalog db in
+    let taken =
+      List.find_opt (Nbsc_storage.Catalog.mem catalog) (Spec.targets spec)
+    in
+    match (Options.validate options, taken) with
+    | Error e, _ -> Error e
+    | Ok _, Some name ->
+      Error (Nbsc_error.invalidf "target table %S already exists" name)
+    | Ok options, None ->
+      (* The preparation step validates specs with Invalid_argument (a
+         contract several tests pin down); the façade folds that into a
+         result. *)
+      (match
+         Transform.create db ~options (Transformation.of_spec ~options db spec)
+       with
+       | t -> Ok t
+       | exception Invalid_argument m -> Error (`Invalid m)
+       | exception Failure m -> Error (`Msg m)
+       | exception Nbsc_error.Error e -> Error e)
 
   let resume = Transform.resume
 

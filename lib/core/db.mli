@@ -3,12 +3,11 @@
     schema-change API.
 
     [Nbsc_core.Db.Schema_change] is the one front door for online
-    schema changes: it validates a {!Spec.any} into a [result] (the
-    raw [Transform.foj]/[split]/[hsplit]/[merge] constructors raise
-    [Invalid_argument] instead and are deprecated for new code),
-    reports every failure as an {!Nbsc_error.t}, and hands back an
-    opaque handle with status / step / cancel. The CLI, the REPL and
-    the examples go through it. *)
+    schema changes: it validates an {!Options.t} record and a
+    {!Spec.any} into a [result], reports every failure as an
+    {!Nbsc_error.t}, and hands back an opaque handle with status /
+    step / cancel. The CLI, the REPL, the simulator and the examples go
+    through it; [Transform.create] remains for custom operators. *)
 
 include module type of struct
   include Nbsc_engine.Db
@@ -37,21 +36,22 @@ module Schema_change : sig
   }
 
   val start :
-    t -> ?config:Transform.config -> ?options:Options.t -> Spec.any ->
-    (handle, Nbsc_error.t) result
-  (** Validate the spec, build the operator (target tables, indexes)
-      and register the executor. A rejected specification returns
-      [`Invalid] — nothing raises. [options] is the preferred
-      configuration ({!Options.t}); it supersedes the deprecated
-      [config] argument when given. *)
+    t -> ?options:Options.t -> Spec.any -> (handle, Nbsc_error.t) result
+  (** Validate [options] (default {!Options.default}) and the spec,
+      refuse a spec whose target table already exists, then build the
+      operator (target tables, indexes) and register the executor, both
+      with [options]. Invalid options, an invalid spec and an existing
+      target all return [`Invalid] before any table is created or
+      indexed — nothing raises. *)
 
   val resume :
-    ?config:Transform.config -> ?options:Options.t ->
-    Nbsc_engine.Persist.t -> (handle list, Nbsc_error.t) result
+    ?options:Options.t -> Nbsc_engine.Persist.t ->
+    (handle list, Nbsc_error.t) result
   (** Rebuild every schema change that was in flight when the reopened
       database crashed (see [Transform.resume]). Pass the same
       [options] the crashed jobs ran under — the migration strategy is
-      an execution policy, not durable state. *)
+      an execution policy, not durable state. An invalid [options]
+      returns [`Invalid] before any job is touched. *)
 
   val status : handle -> info
 

@@ -16,7 +16,7 @@
     The governor holds no clock and drives nothing. Schedulers feed
     {!observe_lag} / {!observe_response} and read {!gain}; one instance
     must not be shared between concurrent runs (it is mutable). Wire it
-    into a transformation via [Transform.config.pace]. *)
+    into a transformation via [Options.pace]. *)
 
 type config = {
   window : int;         (** lag observations per escalation decision *)

@@ -29,8 +29,8 @@ let default =
 
 (* Field validation. String parsers reject bad values at the parse
    boundary, but options records are also built programmatically
-   (record update syntax bypasses every parser), so the engine
-   re-validates at [Transform.create] via [check]. *)
+   (record update syntax bypasses every parser), so every way into the
+   executor re-validates. *)
 let validate t =
   if t.scan_batch < 1 then
     Error

@@ -1,10 +1,11 @@
 (** Schema-change options — the one knob record.
 
-    Earlier revisions spread configuration over [Transform.config] and
-    per-builder optional arguments; this record collapses all of it
-    into a single value threaded through {!Transformation} builders,
-    {!Transform.create}/[resume] and [Db.Schema_change.start]. Two
-    orthogonal strategy axes:
+    Every knob of a change lives here: batch sizes, the iteration
+    analysis, the synchronization strategy, pacing, and how the initial
+    image is built. [Db.Schema_change.start] validates one value and
+    hands it to both {!Transformation.of_spec} and
+    {!Transform.create}; {!Transform.resume} takes the same record.
+    Two orthogonal strategy axes:
 
     - {!sync} — how the final switch-over synchronizes with in-flight
       transactions (the paper's three strategies, Sec. 3.4);
@@ -27,9 +28,17 @@
     the change is populating is transformed immediately (idempotently —
     the log propagation re-applies at the same LSN and is ignored). *)
 
-type sync = Blocking_commit | Nonblocking_abort | Nonblocking_commit
-(** Constructors re-exported by {!Transform.strategy} — existing code
-    referring to [Transform.Nonblocking_abort] keeps compiling. *)
+(** The paper's three synchronization strategies (Sec. 3.4). *)
+type sync =
+  | Blocking_commit
+      (** block newcomers, let current transactions finish, then switch
+          — violates the non-blocking requirement; the paper's foil *)
+  | Nonblocking_abort
+      (** latch briefly, switch, force transactions that were active on
+          the sources to abort *)
+  | Nonblocking_commit
+      (** latch briefly, switch, let source transactions continue under
+          two-schema locking (Fig. 2) until they finish *)
 
 type migration = Eager | Lazy | Hybrid of { sweep_quantum : int }
 
@@ -61,25 +70,31 @@ type t = {
   drop_sources : bool;    (** drop source tables when done *)
   sync_gate : unit -> bool;
       (** consulted before entering synchronization; return [false] to
-          keep propagating *)
+          keep propagating (e.g. to hold the switch-over for off-hours,
+          or to keep an experiment in steady propagation) *)
   pace : Governor.t option;
-      (** anti-starvation governor; one per transformation run *)
+      (** anti-starvation governor ({!Governor}): the executor feeds it
+          the propagation lag each quantum and scales its batch limits
+          with the gain; the simulator also multiplies the change's CPU
+          share by it. One per run — instances are mutable. [None]:
+          static pacing, Fig. 4(d)'s behaviour. *)
 }
 
 val default : t
 (** [{ scan_batch = 256; propagate_batch = 256;
       analysis = Analysis.default; sync = Nonblocking_abort;
       strategy = Eager; population = Fuzzy; drop_sources = true;
-      sync_gate = (fun () -> true); pace = None }] — byte-identical
-    behaviour to the legacy [Transform.default_config]. *)
+      sync_gate = (fun () -> true); pace = None }] — the paper's eager
+    fuzzy population, synchronized by non-blocking abort. *)
 
 val validate : t -> (t, Nbsc_error.t) result
 (** Reject records whose numeric knobs cannot drive the quantum loop:
     [scan_batch] and [propagate_batch] must be at least 1, and a
     [Hybrid] sweep quantum must be at least 1. String parsers catch
     these at the parse boundary, but options records built with record
-    update syntax bypass the parsers, so {!Transform.create} calls
-    this on every construction path. *)
+    update syntax bypass the parsers, so [Db.Schema_change.start],
+    {!Transform.create} and {!Transform.resume} call this before they
+    build anything. *)
 
 val check : t -> t
 (** [validate], raising {!Nbsc_error.Error} on rejection. *)

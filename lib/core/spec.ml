@@ -376,6 +376,12 @@ let decode s =
     Merge { m_sources = dec m_sources; m_target }
   | _ -> failwith "Spec.decode: malformed specification"
 
+let targets = function
+  | Foj s -> [ s.t_table ]
+  | Split s -> [ s.r_table'; s.s_table' ]
+  | Hsplit s -> [ s.h_true_table; s.h_false_table ]
+  | Merge s -> [ s.m_target ]
+
 let merge_layout catalog mspec =
   (match mspec.m_sources with
    | [] | [ _ ] -> fail "Spec: merge needs at least two sources"

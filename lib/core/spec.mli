@@ -184,3 +184,8 @@ val encode : any -> string
 
 val decode : string -> any
 (** @raise Failure on malformed input. *)
+
+val targets : any -> string list
+(** The tables a change creates: [Schema_change.start] refuses a spec
+    whose target already exists, and a crash resume drops or keeps
+    exactly these. *)

@@ -10,57 +10,12 @@ module Db = Nbsc_engine.Db
 module Obs = Nbsc_obs.Obs
 module Json = Nbsc_obs.Json
 
-(* The sync-strategy constructors now live in {!Options}; the equation
-   keeps every existing [Transform.Nonblocking_abort] reference valid. *)
-type strategy = Options.sync =
-  | Blocking_commit
-  | Nonblocking_abort
-  | Nonblocking_commit
-
-type config = {
-  scan_batch : int;
-  propagate_batch : int;
-  analysis : Analysis.policy;
-  strategy : strategy;
-  drop_sources : bool;
-  sync_gate : unit -> bool;
-  pace : Governor.t option;
-}
-
-let default_config =
-  { scan_batch = 256;
-    propagate_batch = 256;
-    analysis = Analysis.default;
-    strategy = Nonblocking_abort;
-    drop_sources = true;
-    sync_gate = (fun () -> true);
-    pace = None }
-
-let config_of_options (o : Options.t) =
-  { scan_batch = o.Options.scan_batch;
-    propagate_batch = o.Options.propagate_batch;
-    analysis = o.Options.analysis;
-    strategy = o.Options.sync;
-    drop_sources = o.Options.drop_sources;
-    sync_gate = o.Options.sync_gate;
-    pace = o.Options.pace }
-
-let options_of_config (c : config) =
-  { Options.default with
-    Options.scan_batch = c.scan_batch;
-    propagate_batch = c.propagate_batch;
-    analysis = c.analysis;
-    sync = c.strategy;
-    drop_sources = c.drop_sources;
-    sync_gate = c.sync_gate;
-    pace = c.pace }
-
 (* With a governor attached, a starving transformation also works
    harder per quantum: the batch limit scales with the gain (capped —
    a quantum must stay a quantum). Schedulers that hand out CPU by
    priority additionally multiply their share by [Governor.gain]. *)
-let paced_batch config base =
-  match config.pace with
+let paced_batch options base =
+  match options.Options.pace with
   | None -> base
   | Some g -> base * (1 + min 15 (int_of_float (Governor.gain g) - 1))
 
@@ -76,7 +31,7 @@ type phase =
 type t = {
   db : Db.t;
   mgr : Manager.t;
-  config : config;
+  options : Options.t;
   tf : Transformation.packed;
   pop : Population.t;
   prop : Propagator.t;
@@ -97,7 +52,6 @@ type t = {
   mutable old_txns : Manager.txn_id list;
   mutable forced_aborts : int;
   mutable hook_installed : bool;
-  migration : Options.migration;
   mutable demand_migrations : int;
   mutable demand_hook : bool;  (* access hook registered in the manager *)
   obs : Obs.Registry.t;
@@ -173,7 +127,7 @@ let name t =
   let (module T : Transformation.S) = t.tf in
   T.name
 
-let migration t = t.migration
+let migration t = t.options.Options.strategy
 let demand_migrations t = t.demand_migrations
 
 let counters t =
@@ -364,7 +318,7 @@ let finalize t =
   end;
   remove_demand_hook t;
   Manager.unfreeze_tables t.mgr t.src;
-  if t.config.drop_sources then
+  if t.options.Options.drop_sources then
     List.iter
       (fun src ->
          if Catalog.mem (Db.catalog t.db) src then
@@ -389,13 +343,13 @@ let finalize t =
    transformation is synchronizing on an overlapping table); the caller
    stays in Propagating and retries on a later step. *)
 let begin_sync t =
-  match t.config.strategy with
-  | Blocking_commit ->
+  match t.options.Options.sync with
+  | Options.Blocking_commit ->
     (* Block newcomers; current transactions run to completion. *)
     Manager.freeze_tables t.mgr t.src;
     t.tphase <- Quiescing;
     true
-  | Nonblocking_abort ->
+  | Options.Nonblocking_abort ->
     if not (latch_sources t) then false
     else begin
       t.final_records <- Propagator.run_to_head t.prop;
@@ -418,7 +372,7 @@ let begin_sync t =
       t.tphase <- Draining;
       true
     end
-  | Nonblocking_commit ->
+  | Options.Nonblocking_commit ->
     if not (latch_sources t) then false
     else begin
       t.final_records <- Propagator.run_to_head t.prop;
@@ -438,7 +392,7 @@ let cc_ready t = match t.consistency with None -> true | Some _ -> t.unknown () 
 
 let try_sync t =
   if
-    t.config.sync_gate ()
+    t.options.Options.sync_gate ()
     && Analysis.ready t.analysis ~lag:(Propagator.lag t.prop)
   then
     if cc_ready t then begin_sync t
@@ -454,10 +408,10 @@ let step_quantum t =
   (match t.tphase with
    | Populating ->
      let finished =
-       match t.migration with
+       match t.options.Options.strategy with
        | Options.Eager ->
          Population.step t.pop
-           ~limit:(paced_batch t.config t.config.scan_batch)
+           ~limit:(paced_batch t.options t.options.Options.scan_batch)
        | Options.Lazy ->
          (* Minimal background sweep: demand migration carries the hot
             set; one cold record per quantum guarantees completion on
@@ -474,7 +428,7 @@ let step_quantum t =
    | Propagating ->
      let consumed =
        Propagator.step t.prop
-         ~limit:(paced_batch t.config t.config.propagate_batch)
+         ~limit:(paced_batch t.options t.options.Options.propagate_batch)
      in
      Analysis.observe t.analysis ~lag:(Propagator.lag t.prop) ~consumed;
      if Propagator.lag t.prop = 0 && not t.caught_up_once then begin
@@ -488,27 +442,29 @@ let step_quantum t =
      (match t.consistency with
       | Some cc -> ignore (Consistency.step cc)
       | None -> ());
-     let consumed = Propagator.step t.prop ~limit:t.config.propagate_batch in
+     let consumed =
+       Propagator.step t.prop ~limit:t.options.Options.propagate_batch
+     in
      Analysis.observe t.analysis ~lag:(Propagator.lag t.prop) ~consumed;
      if cc_ready t then begin
        t.tphase <- Propagating;
        ignore (try_sync t)
      end
    | Quiescing ->
-     ignore (Propagator.step t.prop ~limit:t.config.propagate_batch);
+     ignore (Propagator.step t.prop ~limit:t.options.Options.propagate_batch);
      if active_txns_on_sources t = [] then begin
        t.final_records <- Propagator.run_to_head t.prop;
        switch_routing t;
        finalize t
      end
    | Draining ->
-     ignore (Propagator.step t.prop ~limit:t.config.propagate_batch);
+     ignore (Propagator.step t.prop ~limit:t.options.Options.propagate_batch);
      let all_done =
        List.for_all (fun txn -> not (Manager.is_active t.mgr txn)) t.old_txns
      in
      if all_done && Propagator.lag t.prop = 0 then finalize t
    | Done | Failed _ -> ());
-  (match t.config.pace with
+  (match t.options.Options.pace with
    | Some g when t.tphase <> Populating ->
      Governor.observe_lag g ~lag:(Propagator.lag t.prop)
    | Some _ | None -> ());
@@ -527,7 +483,7 @@ let step_quantum t =
         ("locks_transferred", Json.Int (Propagator.locks_transferred t.prop));
         ("gain",
          Json.Float
-           (match t.config.pace with
+           (match t.options.Options.pace with
             | Some g -> Governor.gain g
             | None -> 1.0)) ]
     in
@@ -574,29 +530,11 @@ type resume_info = {
   r_skip : Manager.txn_id list;
 }
 
-let create db ?config ?options ?resume ?job_name packed =
-  (* The funnel for every construction path (builders, resume, bench,
-     Db.Schema_change) — validate here and no programmatically-built
-     record with a zero batch or sweep quantum can wedge the quantum
-     loop. [check] raises a clear [Nbsc_error] on rejection. *)
-  (match options with Some o -> ignore (Options.check o) | None -> ());
-  let config =
-    match (options, config) with
-    | Some o, _ -> config_of_options o
-    | None, Some c -> c
-    | None, None -> default_config
-  in
-  let config =
-    if config.scan_batch < 1 || config.propagate_batch < 1 then
-      Nbsc_error.fail
-        (Nbsc_error.invalidf
-           "config batches must be >= 1 (scan %d, propagate %d)"
-           config.scan_batch config.propagate_batch)
-    else config
-  in
-  let migration =
-    match options with Some o -> o.Options.strategy | None -> Options.Eager
-  in
+(* Every construction path ends here: [create] after validating the
+   options, [resume_one] after [resume] validated them once for all
+   jobs. [resume] starts mid-lifecycle; [job_name] keeps a crashed
+   job's registry name so its durable [Job_state] chain stays coherent. *)
+let register db ~options ?resume ?job_name packed =
   let (module T : Transformation.S) = packed in
   let mgr = Db.manager db in
   let prop, tphase, route =
@@ -638,7 +576,7 @@ let create db ?config ?options ?resume ?job_name packed =
   let t =
     { db;
       mgr;
-      config;
+      options;
       tf = packed;
       pop = T.population;
       prop;
@@ -650,7 +588,7 @@ let create db ?config ?options ?resume ?job_name packed =
       hooks = T.sync_hooks;
       holder;
       job_name;
-      analysis = Analysis.create config.analysis;
+      analysis = Analysis.create options.Options.analysis;
       tphase;
       route;
       iterations = 0;
@@ -659,7 +597,6 @@ let create db ?config ?options ?resume ?job_name packed =
       old_txns = [];
       forced_aborts = 0;
       hook_installed = false;
-      migration;
       demand_migrations = 0;
       demand_hook = false;
       obs;
@@ -667,7 +604,7 @@ let create db ?config ?options ?resume ?job_name packed =
       phase_span = None }
   in
   sync_spans t;
-  (match t.migration with
+  (match options.Options.strategy with
    | Options.Eager -> ()
    | Options.Lazy | Options.Hybrid _ ->
      (* The propagator doubles as the cold-record sweeper; the demand
@@ -705,27 +642,15 @@ let create db ?config ?options ?resume ?job_name packed =
    | None -> ());
   t
 
-let foj db ?config ?options spec =
-  create db ?config ?options (Transformation.foj ?options db spec)
-
-let split db ?config ?options spec =
-  create db ?config ?options (Transformation.split ?options db spec)
-
-let hsplit db ?config ?options spec =
-  create db ?config ?options (Transformation.hsplit ?options db spec)
-
-let merge db ?config ?options spec =
-  create db ?config ?options (Transformation.merge ?options db spec)
+(* [check] raises a clear [Nbsc_error] on rejection: no
+   programmatically-built record with a zero batch or sweep quantum can
+   wedge the quantum loop. *)
+let create db ?(options = Options.default) packed =
+  register db ~options:(Options.check options) packed
 
 (* {2 Crash resume} *)
 
-let targets_of_spec = function
-  | Spec.Foj s -> [ s.Spec.t_table ]
-  | Spec.Split s -> [ s.Spec.r_table'; s.Spec.s_table' ]
-  | Spec.Hsplit s -> [ s.Spec.h_true_table; s.Spec.h_false_table ]
-  | Spec.Merge s -> [ s.Spec.m_target ]
-
-let resume_one db ?config ?options ~losers (name, state) =
+let resume_one db ~options ~losers (name, state) =
   match decode_job_state state with
   | exception Failure m -> Error (Nbsc_error.corrupt m)
   | tag, position, spec_payload ->
@@ -733,7 +658,7 @@ let resume_one db ?config ?options ~losers (name, state) =
      | exception Failure m -> Error (Nbsc_error.corrupt m)
      | spec ->
        let catalog = Db.catalog db in
-       let targets = targets_of_spec spec in
+       let targets = Spec.targets spec in
        (match tag with
         | "pop" | "prop" | "drain" -> ()
         | other -> failwith ("Transform.resume: unknown phase " ^ other));
@@ -762,27 +687,31 @@ let resume_one db ?config ?options ~losers (name, state) =
                r_position = position;
                r_skip = losers }
        in
-       (match Transformation.of_payload ?options db spec_payload with
+       (match Transformation.of_payload ~options db spec_payload with
         | Error m -> Error (Nbsc_error.corrupt m)
-        | Ok packed ->
-          Ok (create db ?config ?options ?resume ~job_name:name packed)))
+        | Ok packed -> Ok (register db ~options ?resume ~job_name:name packed)))
 
-let resume ?config ?options persist =
-  let db = Persist.db persist in
-  let losers =
-    match Persist.last_recovery persist with
-    | Some r -> r.Recovery.losers
-    | None -> []
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | ((name, _) as job) :: rest ->
-      (match resume_one db ?config ?options ~losers job with
-       | Error e -> Error (`Job_failed (name, Nbsc_error.to_string e))
-       | exception Failure m -> Error (`Job_failed (name, m))
-       | Ok t -> go (t :: acc) rest)
-  in
-  go [] (Persist.pending_jobs persist)
+let resume ?(options = Options.default) persist =
+  (* Validate before touching any job: a rejection after [resume_one]
+     has dropped and rebuilt a job's targets would leave it half-done. *)
+  match Options.validate options with
+  | Error e -> Error e
+  | Ok options ->
+    let db = Persist.db persist in
+    let losers =
+      match Persist.last_recovery persist with
+      | Some r -> r.Recovery.losers
+      | None -> []
+    in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | ((name, _) as job) :: rest ->
+        (match resume_one db ~options ~losers job with
+         | Error e -> Error (`Job_failed (name, Nbsc_error.to_string e))
+         | exception Failure m -> Error (`Job_failed (name, m))
+         | Ok t -> go (t :: acc) rest)
+    in
+    go [] (Persist.pending_jobs persist)
 
 let abort t =
   match t.tphase with

@@ -1,12 +1,14 @@
 (** The generic schema-change executor (paper, Sec. 3).
 
-    A transformation is an incremental background process: build an
-    operator with the {!Transformation} builders (the {e preparation
-    step} — target tables, indexes, validation), hand it to {!create},
-    then call {!step} repeatedly, interleaved with user transactions at
-    whatever granularity the caller (application, test, or the
-    simulator's priority scheduler) chooses. Each step performs one
-    bounded {e quantum} of work:
+    A transformation is an incremental background process, configured
+    by one {!Options.t} record. [Db.Schema_change.start] begins one: it
+    validates the options and the spec, runs the operator's
+    {e preparation step} ({!Transformation.of_spec}: target tables,
+    indexes) and hands the operator to {!create}. The caller
+    then calls {!step} repeatedly, interleaved with user transactions
+    at whatever granularity it (application, test, or the simulator's
+    priority scheduler) chooses. Each step performs one bounded
+    {e quantum} of work:
 
     + {e initial population} — fuzzy (lock-free) scan of the sources,
       transformation operator applied, initial image inserted;
@@ -36,61 +38,6 @@ open Nbsc_engine
 (** In signatures below, [Db.t] is the engine's {!Nbsc_engine.Db.t} —
     the same type [Nbsc_core.Db.t] re-exports. *)
 
-(** Synchronization strategy, re-exported from {!Options.sync} so the
-    constructors remain addressable as [Transform.Nonblocking_abort]
-    etc. (the historical spelling). *)
-type strategy = Options.sync =
-  | Blocking_commit
-      (** block newcomers, let current transactions finish, then switch
-          — violates the non-blocking requirement; the paper's foil *)
-  | Nonblocking_abort
-      (** latch briefly, switch, force transactions that were active on
-          the sources to abort *)
-  | Nonblocking_commit
-      (** latch briefly, switch, let source transactions continue under
-          two-schema locking (Fig. 2) until they finish *)
-
-type config = {
-  scan_batch : int;       (** source records per population quantum *)
-  propagate_batch : int;  (** log records per propagation quantum *)
-  analysis : Analysis.policy;
-      (** the iteration analysis deciding when to attempt
-          synchronization (paper, Sec. 3.3; see {!Analysis.policy}) *)
-  strategy : strategy;
-  drop_sources : bool;    (** drop source tables when done *)
-  sync_gate : unit -> bool;
-      (** consulted before entering synchronization; return [false] to
-          keep propagating (e.g. the DBA wants the switch-over during
-          off-hours, or an experiment wants a steady propagation
-          phase). Default: always true. *)
-  pace : Governor.t option;
-      (** anti-starvation governor (see {!Governor}). The executor
-          feeds it the propagation lag each quantum and scales its
-          batch limits with the gain; priority schedulers (the
-          simulator) additionally multiply the transformation's CPU
-          share by [Governor.gain]. One governor per transformation
-          run — instances are mutable and must not be shared.
-          Default: [None] (static pacing, Fig. 4(d) behaviour). *)
-}
-
-val default_config : config
-(** [{ scan_batch = 256; propagate_batch = 256;
-      analysis = Analysis.default; strategy = Nonblocking_abort;
-      drop_sources = true; sync_gate = fun () -> true; pace = None }]
-
-    @deprecated [config] predates {!Options.t}; new code should pass
-    [?options] instead. [config] remains as a thin subset — it cannot
-    express the migration strategy or the population scan. *)
-
-val config_of_options : Options.t -> config
-(** Project the one-record options onto the legacy [config] subset
-    (drops [strategy]/[population]). *)
-
-val options_of_config : config -> Options.t
-(** Embed a legacy [config] into {!Options.t} with the remaining
-    fields at their defaults ([Eager], [Fuzzy]) — the upgrade path for
-    callers still building [config] values. *)
-
 type phase =
   | Populating
   | Propagating
@@ -116,67 +63,30 @@ type progress = {
 
 type t
 
-(** Where a crashed executor left off, per the durable job state the
-    recovery report surfaced. Used by {!resume}; exposed for tests. *)
-type resume_info = {
-  r_phase : [ `Propagating | `Draining ];
-      (** [`Propagating]: initial image complete, keep applying the log.
-          [`Draining]: already switched to the targets; finish the log
-          tail and finalize. (An executor that crashed during population
-          restarts from scratch instead — see {!resume}.) *)
-  r_position : Nbsc_wal.Lsn.t;
-      (** log position the rebuilt propagator reads from *)
-  r_skip : Manager.txn_id list;
-      (** loser transactions recovery rolled back without logging —
-          their records must not be applied to the targets *)
-}
-
-val create :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t ->
-  ?resume:resume_info -> ?job_name:string -> Transformation.packed -> t
+val create : Nbsc_engine.Db.t -> ?options:Options.t -> Transformation.packed -> t
 (** Wrap any {!Transformation.S} operator in an executor and register
     it as a background job on the database. When the operator is
     persistable ({!Transformation.S.spec_payload}), the executor also
     journals a [Job_state] record and registers a persist thunk so
-    checkpoints keep the durable state current. [resume] starts the
-    executor mid-lifecycle instead of at population; [job_name] pins
-    the registry name (resume keeps the crashed job's name so the
-    durable [Job_state]/[Job_done] chain stays coherent).
+    checkpoints keep the durable state current.
 
-    [options] ({!Options.t}) supersedes [config] when given. Under
-    [options.strategy = Lazy | Hybrid _] the executor runs
-    demand-driven migration: an access hook in the transaction
-    manager transforms each source record on first touch, and the
-    propagator doubles as a background sweeper over the cold records
-    ([Lazy]: one per quantum; [Hybrid { sweep_quantum }]: that many).
-    The populating phase ends when the sweep has visited every record;
-    everything after (propagation, synchronization, crash resume) is
-    strategy-independent. A lazy job that crashes while populating
-    restarts from scratch on resume, exactly like an eager one — the
-    sweep is a fuzzy scan and both are idempotent. *)
+    For the paper's operators, [Db.Schema_change.start] is the front
+    door: it validates first, refuses an existing target, and builds
+    the operator with the same [options] it passes here. Call [create]
+    directly for a custom operator, or for an operator a test built
+    itself; pass the [options] it was prepared with.
 
-(** {2 Convenience constructors for the paper's operators}
-
-    [foj db spec] = [create db (Transformation.foj db spec)], etc.
-
-    @deprecated These raw constructors predate the managed façade.
-    New code should go through [Nbsc_core.Db.Schema_change.start],
-    which validates the spec into a [result] instead of raising,
-    returns a handle with status/cancel, and keeps error reporting in
-    {!Nbsc_error.t}. They remain for tests and for callers that need
-    the bare executor. *)
-
-val foj :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t -> Spec.foj -> t
-
-val split :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t -> Spec.split -> t
-
-val hsplit :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t -> Spec.hsplit -> t
-
-val merge :
-  Nbsc_engine.Db.t -> ?config:config -> ?options:Options.t -> Spec.merge -> t
+    [options] defaults to {!Options.default}; an invalid record raises
+    {!Nbsc_error.Error}. Under [options.strategy = Lazy | Hybrid _] the
+    executor runs demand-driven migration: an access hook in the
+    transaction manager transforms each source record on first touch,
+    and the propagator doubles as a background sweeper over the cold
+    records ([Lazy]: one per quantum; [Hybrid { sweep_quantum }]: that
+    many). The populating phase ends when the sweep has visited every
+    record; everything after (propagation, synchronization, crash
+    resume) is strategy-independent. A lazy job that crashes while
+    populating restarts from scratch on resume, exactly like an eager
+    one — the sweep is a fuzzy scan and both are idempotent. *)
 
 val step : t -> [ `Running | `Done | `Failed of string ]
 (** One bounded quantum of background work. *)
@@ -213,8 +123,7 @@ val demand_migrations : t -> int
     — 0 under [Eager]. *)
 
 val resume :
-  ?config:config -> ?options:Options.t -> Persist.t ->
-  (t list, Nbsc_error.t) result
+  ?options:Options.t -> Persist.t -> (t list, Nbsc_error.t) result
 (** Rebuild and re-register every schema-change job that was in flight
     when the (re)opened database crashed ({!Persist.pending_jobs}).
 
@@ -225,7 +134,8 @@ val resume :
     durable state cannot cover a resume (targets missing from the
     snapshot, position behind the retained log), drops its half-built
     targets and restarts from scratch. Errors on a payload that cannot
-    be decoded.
+    be decoded, and with [`Invalid] on an invalid [options] record,
+    before any job is touched.
 
     Pass the same [options] the crashed job ran under: the migration
     strategy is an execution policy, not part of the durable state, so

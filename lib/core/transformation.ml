@@ -389,17 +389,19 @@ let merge ?options db spec =
     let sync_hooks = no_hooks
   end : S)
 
+(* {1 Building from a specification} *)
+
+let of_spec ?options db = function
+  | Spec.Foj s -> foj ?options db s
+  | Spec.Split s -> split ?options db s
+  | Spec.Hsplit s -> hsplit ?options db s
+  | Spec.Merge s -> merge ?options db s
+
 (* {1 Rebuilding from a durable payload} *)
 
 let of_payload ?options db payload =
   match Spec.decode payload with
   | exception Failure m -> Error m
   | spec ->
-    (try
-       Ok
-         (match spec with
-          | Spec.Foj s -> foj ?options db s
-          | Spec.Split s -> split ?options db s
-          | Spec.Hsplit s -> hsplit ?options db s
-          | Spec.Merge s -> merge ?options db s)
+    (try Ok (of_spec ?options db spec)
      with Invalid_argument m | Failure m -> Error m)

@@ -138,6 +138,10 @@ val hsplit : ?options:Options.t -> Nbsc_engine.Db.t -> Spec.hsplit -> packed
 
 val merge : ?options:Options.t -> Nbsc_engine.Db.t -> Spec.merge -> packed
 
+val of_spec : ?options:Options.t -> Nbsc_engine.Db.t -> Spec.any -> packed
+(** Prepare the spec's operator: {!foj}, {!split}, {!hsplit} or
+    {!merge}. *)
+
 val of_payload :
   ?options:Options.t -> Nbsc_engine.Db.t -> string -> (packed, string) result
 (** Rebuild an operator from an encoded specification ({!S.spec_payload})

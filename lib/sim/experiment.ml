@@ -34,11 +34,11 @@ let quick_setup =
   { scale = 2_000; duration = 300_000; warmup = 50_000; seed = 42;
     seeds = 1; priority = 0.02 }
 
-let tf_config ?pace ~sync_gate () =
-  { Transform.scan_batch = 16;
+let tf_options ?pace ~sync_gate () =
+  { Options.default with
+    Options.scan_batch = 16;
     propagate_batch = 32;
     analysis = Analysis.Remaining_records 8;
-    strategy = Transform.Nonblocking_abort;
     drop_sources = false;
     sync_gate;
     pace }
@@ -110,7 +110,7 @@ let population_sweep ~kind ~setup ~workloads =
           background process, not the switch-over. *)
        let tf =
          { Sim.priority = setup.priority;
-           config = tf_config ~sync_gate:(fun () -> false) () }
+           options = tf_options ~sync_gate:(fun () -> false) () }
        in
        paired_point ~kind ~workload ~tf ~duration:setup.duration
          ~warmup:setup.warmup ~seeds:setup.seeds ~x:pct)
@@ -145,7 +145,7 @@ let propagation_sweep ~kind ~setup ~source_share ~workloads =
     (fun pct ->
        let workload = workload_of setup ~pct ~source_share in
        let tf =
-         { Sim.priority; config = tf_config ~sync_gate:(fun () -> false) () }
+         { Sim.priority; options = tf_options ~sync_gate:(fun () -> false) () }
        in
        paired_point ~kind ~workload ~tf ~duration:setup.duration
          ~warmup:setup.warmup ~seeds:setup.seeds ~x:pct)
@@ -182,7 +182,9 @@ let fig4d_priority ?(setup = default_setup) ~workload_pct ~priorities () =
   let horizon = setup.duration * 4 in
   List.map
     (fun priority ->
-       let tf = { Sim.priority; config = tf_config ~sync_gate:(fun () -> true) () } in
+       let tf =
+         { Sim.priority; options = tf_options ~sync_gate:(fun () -> true) () }
+       in
        paired_point ~kind ~workload ~tf ~duration:horizon ~warmup:setup.warmup
          ~seeds:1 ~x:priority)
     priorities
@@ -207,7 +209,7 @@ let fig4d_priority_governed ?(setup = default_setup) ~workload_pct ~priorities
        let pace = Governor.create () in
        let tf =
          { Sim.priority;
-           config = tf_config ~pace ~sync_gate:(fun () -> true) () }
+           options = tf_options ~pace ~sync_gate:(fun () -> true) () }
        in
        paired_point ~kind ~workload ~tf ~duration:horizon ~warmup:setup.warmup
          ~seeds:1 ~x:priority)
@@ -223,17 +225,19 @@ type sync_report = {
 }
 
 let strategy_name = function
-  | Transform.Blocking_commit -> "blocking-commit"
-  | Transform.Nonblocking_abort -> "non-blocking-abort"
-  | Transform.Nonblocking_commit -> "non-blocking-commit"
+  | Options.Blocking_commit -> "blocking-commit"
+  | Options.Nonblocking_abort -> "non-blocking-abort"
+  | Options.Nonblocking_commit -> "non-blocking-commit"
 
 let sync_window ?(setup = quick_setup) ~strategy () =
   let kind =
     Sim.Split_scenario { t_rows = setup.scale; assume_consistent = true }
   in
   let workload = workload_of setup ~pct:75. ~source_share:0.2 in
-  let config = { (tf_config ~sync_gate:(fun () -> true) ()) with Transform.strategy } in
-  let tf = { Sim.priority = 0.05; config } in
+  let options =
+    { (tf_options ~sync_gate:(fun () -> true) ()) with Options.sync = strategy }
+  in
+  let tf = { Sim.priority = 0.05; options } in
   let r =
     Sim.run ~kind ~workload ~background:(Sim.Transformation tf)
       ~duration:(setup.duration * 10) ~warmup:setup.warmup ()
@@ -294,7 +298,7 @@ let method_comparison ?(setup = quick_setup) ~workload_pct () =
   [ row "log-based (this paper)"
       (Sim.Transformation
          { Sim.priority = setup.priority;
-           config = tf_config ~sync_gate:(fun () -> true) () });
+           options = tf_options ~sync_gate:(fun () -> true) () });
     row "blocking INSERT-SELECT" (Sim.Blocking_dump { dump_priority = 0.9 });
     row "trigger-based" Sim.Trigger_maintenance ]
 
@@ -323,13 +327,13 @@ let threshold_sweep ?(setup = quick_setup) ~thresholds () =
   let base = baseline ~kind ~workload ~duration ~warmup in
   List.map
     (fun threshold ->
-       let config =
-         { (tf_config ~sync_gate:(fun () -> true) ()) with
-           Transform.analysis = Analysis.Remaining_records threshold }
+       let options =
+         { (tf_options ~sync_gate:(fun () -> true) ()) with
+           Options.analysis = Analysis.Remaining_records threshold }
        in
        let r =
          Sim.run ~kind ~workload
-           ~background:(Sim.Transformation { Sim.priority = 0.05; config })
+           ~background:(Sim.Transformation { Sim.priority = 0.05; options })
            ~duration ~warmup ()
        in
        let rel = Metrics.relative ~baseline:base ~loaded:r.Sim.summary in
@@ -367,14 +371,14 @@ let batch_sweep ?(setup = quick_setup) ~batches () =
   let base = baseline ~kind ~workload ~duration ~warmup in
   List.map
     (fun batch ->
-       let config =
-         { (tf_config ~sync_gate:(fun () -> true) ()) with
-           Transform.scan_batch = batch;
+       let options =
+         { (tf_options ~sync_gate:(fun () -> true) ()) with
+           Options.scan_batch = batch;
            propagate_batch = batch }
        in
        let r =
          Sim.run ~kind ~workload
-           ~background:(Sim.Transformation { Sim.priority = 0.05; config })
+           ~background:(Sim.Transformation { Sim.priority = 0.05; options })
            ~duration ~warmup ()
        in
        let rel = Metrics.relative ~baseline:base ~loaded:r.Sim.summary in
@@ -407,13 +411,13 @@ let policy_comparison ?(setup = quick_setup) () =
   let workload = workload_of setup ~pct:75. ~source_share:0.2 in
   let duration = setup.duration * 4 and warmup = setup.warmup in
   let row (name, policy) =
-    let config =
-      { (tf_config ~sync_gate:(fun () -> true) ()) with
-        Transform.analysis = policy }
+    let options =
+      { (tf_options ~sync_gate:(fun () -> true) ()) with
+        Options.analysis = policy }
     in
     let r =
       Sim.run ~kind ~workload
-        ~background:(Sim.Transformation { Sim.priority = 0.05; config })
+        ~background:(Sim.Transformation { Sim.priority = 0.05; options })
         ~duration ~warmup ()
     in
     match r.Sim.tf_progress with
@@ -509,7 +513,7 @@ let traced_run ?(setup = quick_setup) ?sink () =
   in
   let workload = workload_of setup ~pct:75. ~source_share:0.2 in
   let tf =
-    { Sim.priority = 0.05; config = tf_config ~sync_gate:(fun () -> true) () }
+    { Sim.priority = 0.05; options = tf_options ~sync_gate:(fun () -> true) () }
   in
   let mem = Obs.memory_sink () in
   let on_db db =

@@ -87,7 +87,7 @@ type sync_report = {
   strategy_name : string;
 }
 
-val sync_window : ?setup:setup -> strategy:Nbsc_core.Transform.strategy ->
+val sync_window : ?setup:setup -> strategy:Nbsc_core.Options.sync ->
   unit -> (sync_report, Nbsc_error.t) result
 (** Errors with [`Invalid] when the configured run never surfaced
     transformation progress (misconfigured horizon or gate) instead of

@@ -29,7 +29,7 @@ let default_costs =
 
 type tf_setup = {
   priority : float;
-  config : Transform.config;
+  options : Options.t;
 }
 
 type background =
@@ -222,14 +222,15 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
   let transform =
     match background with
     | Transformation setup ->
-      let t =
+      let spec =
         match kind with
-        | Foj_scenario _ -> Transform.foj db ~config:setup.config foj_spec
+        | Foj_scenario _ -> Spec.Foj foj_spec
         | Split_scenario { assume_consistent; _ } ->
-          Transform.split db ~config:setup.config
-            (split_spec ~assume_consistent)
+          Spec.Split (split_spec ~assume_consistent)
       in
-      Some (setup, t)
+      (match Db.Schema_change.start db ~options:setup.options spec with
+       | Ok h -> Some (setup, Db.Schema_change.transform h)
+       | Error e -> failwith ("Sim.run: " ^ Nbsc_error.to_string e))
     | No_background | Blocking_dump _ | Trigger_maintenance -> None
   in
   let dump =
@@ -328,7 +329,7 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
 
   let governor =
     match background with
-    | Transformation s -> s.config.Transform.pace
+    | Transformation s -> s.options.Options.pace
     | No_background | Blocking_dump _ | Trigger_maintenance -> None
   in
 

@@ -28,7 +28,7 @@
     budget, {!Backoff}; [`Deadlock] → clean restart as the sentenced
     victim; a wounded transaction restarts when it discovers its own
     death) instead of improvising wait-die. When the transformation's
-    config carries a {!Nbsc_core.Governor}, its gain multiplies the
+    options carry a {!Nbsc_core.Governor}, its gain multiplies the
     configured priority each time credit accrues, and the simulator
     feeds the governor lag samples on a steady cadence plus a response
     time per commit — the anti-starvation loop that turns Fig. 4(d)'s
@@ -68,7 +68,7 @@ val default_costs : costs
 
 type tf_setup = {
   priority : float;           (** capacity share, e.g. 0.02 = 2% *)
-  config : Transform.config;
+  options : Options.t;
 }
 
 (** What runs alongside the user workload. *)

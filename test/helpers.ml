@@ -69,6 +69,13 @@ let fresh_split_db ~t_rows =
    | Error e -> Alcotest.failf "load T: %a" Manager.pp_error e);
   db
 
+(* Start a change through [Db.Schema_change.start] and return its bare
+   executor; a rejected start fails the test. *)
+let start db ?options spec =
+  match Db.Schema_change.start db ?options spec with
+  | Ok sc -> Db.Schema_change.transform sc
+  | Error e -> Alcotest.failf "Schema_change.start: %s" (Nbsc_error.to_string e)
+
 (* Oracle: T must converge to the full outer join of the final R and S. *)
 let foj_oracle db =
   let r = Db.snapshot db "R" and s = Db.snapshot db "S" in

@@ -62,15 +62,16 @@ let test_estimated_time () =
 let converges policy () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:60) in
   let d = H.driver ~seed:8 db in
-  let config =
-    { Nbsc_core.Transform.default_config with
-      Nbsc_core.Transform.scan_batch = 7;
+  let options =
+    { Nbsc_core.Options.default with
+      Nbsc_core.Options.scan_batch = 7;
       propagate_batch = 5;
       analysis = policy;
       drop_sources = false }
   in
   let tf =
-    Nbsc_core.Transform.split db ~config (H.split_spec ~assume_consistent:true)
+    H.start db ~options
+      (Nbsc_core.Spec.Split (H.split_spec ~assume_consistent:true))
   in
   let budget = ref 150 in
   (match

@@ -44,9 +44,9 @@ type client = {
 }
 
 let strategy_ix = function
-  | Transform.Nonblocking_abort -> 0
-  | Transform.Nonblocking_commit -> 1
-  | Transform.Blocking_commit -> 2
+  | Options.Nonblocking_abort -> 0
+  | Options.Nonblocking_commit -> 1
+  | Options.Blocking_commit -> 2
 
 let ops_per_txn = 4
 
@@ -57,16 +57,17 @@ let soak ~strategy ~fault () =
     Random.State.make
       [| seed_env; strategy_ix strategy; (if fault then 1 else 0) |]
   in
-  let config =
-    { Transform.scan_batch = 8;
+  let options =
+    { Options.default with
+      Options.scan_batch = 8;
       propagate_batch = 8;
       analysis = Analysis.Remaining_records 4;
-      strategy;
+      sync = strategy;
       drop_sources = false;
       sync_gate = (fun () -> true);
       pace = None }
   in
-  let tf = Transform.split db ~config (H.split_spec ~assume_consistent:true) in
+  let tf = H.start db ~options (Spec.Split (H.split_spec ~assume_consistent:true)) in
   let clients =
     Array.init 6 (fun _ ->
         { txn = None; ops_in_txn = 0; commits = 0; restarts = 0; retries = 0 })
@@ -169,9 +170,9 @@ let soak ~strategy ~fault () =
   check_split_converged db
 
 let strategies =
-  [ ("nonblocking-abort", Transform.Nonblocking_abort);
-    ("nonblocking-commit", Transform.Nonblocking_commit);
-    ("blocking-commit", Transform.Blocking_commit) ]
+  [ ("nonblocking-abort", Options.Nonblocking_abort);
+    ("nonblocking-commit", Options.Nonblocking_commit);
+    ("blocking-commit", Options.Blocking_commit) ]
 
 let () =
   Alcotest.run "contention"

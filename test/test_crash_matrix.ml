@@ -41,15 +41,20 @@ let wipe dir =
   end
 
 let cfg =
-  { Transform.default_config with
-    Transform.scan_batch = 7;
+  { Options.default with
+    Options.scan_batch = 7;
     propagate_batch = 5;
     drop_sources = false }
 
 (* The same knobs as an [Options.t] with a non-eager migration
    strategy, for the lazy/hybrid arms of the matrix. *)
 let opts_of migration =
-  Options.{ (Transform.options_of_config cfg) with strategy = migration }
+  Options.{ cfg with strategy = migration }
+
+(* Start an operator's change with [cfg], unless the arm passes its
+   own options. *)
+let start_op ?options db spec =
+  ignore (H.start db ~options:(Option.value options ~default:cfg) spec)
 
 (* One operator scenario of the matrix. *)
 type op_case = {
@@ -86,7 +91,7 @@ let foj_case =
           | Error e -> Alcotest.failf "load S: %a" Manager.pp_error e);
          checkpoint_ddl p);
     start =
-      (fun ?options db -> ignore (Transform.foj db ~config:cfg ?options H.foj_spec));
+      (fun ?options db -> start_op ?options db (Spec.Foj H.foj_spec));
     traffic =
       (fun d ->
          H.random_r_op d;
@@ -108,9 +113,8 @@ let split_case =
     setup = setup_flat_t;
     start =
       (fun ?options db ->
-         ignore
-           (Transform.split db ~config:cfg ?options
-              (H.split_spec ~assume_consistent:true)));
+         start_op ?options db
+           (Spec.Split (H.split_spec ~assume_consistent:true)));
     traffic = (fun d -> H.random_t_op ~consistent:true d);
     oracle =
       (fun db ->
@@ -138,7 +142,7 @@ let hsplit_case =
     op_targets = [ "archive"; "live" ];
     setup = setup_flat_t;
     start =
-      (fun ?options db -> ignore (Transform.hsplit db ~config:cfg ?options hspec));
+      (fun ?options db -> start_op ?options db (Spec.Hsplit hspec));
     traffic = (fun d -> H.random_t_op ~consistent:true d);
     oracle =
       (fun db ->
@@ -194,9 +198,8 @@ let merge_case =
          checkpoint_ddl p);
     start =
       (fun ?options db ->
-         ignore
-           (Transform.merge db ~config:cfg ?options
-              { Spec.m_sources = [ "A"; "B" ]; m_target = "AB" }));
+         start_op ?options db
+           (Spec.Merge { Spec.m_sources = [ "A"; "B" ]; m_target = "AB" }));
     traffic = merge_traffic;
     oracle =
       (fun db ->
@@ -232,7 +235,7 @@ let run_attempt ?options op dir ~window ~attempt ~current_p =
   Manager.set_group_commit (Db.manager db) window;
   let catalog = Db.catalog db in
   if not (List.for_all (Catalog.mem catalog) op.op_sources) then op.setup p;
-  (match Transform.resume ~config:cfg ?options p with
+  (match Transform.resume ~options:(Option.value options ~default:cfg) p with
    | Error e -> Alcotest.failf "%s: resume: %s" op.op_name (Nbsc_error.to_string e)
    | Ok [] ->
      (* Nothing pending: either the transformation never made it into
@@ -572,7 +575,7 @@ let test_resume_skips_population () =
   setup_flat_t p;
   let db = Persist.db p in
   let tf =
-    Transform.split db ~config:cfg (H.split_spec ~assume_consistent:true)
+    H.start db ~options:cfg (Spec.Split (H.split_spec ~assume_consistent:true))
   in
   let d = H.driver ~seed:base_seed db in
   (* Step past population (60 rows / scan_batch 7 = 9 quanta), with
@@ -592,7 +595,7 @@ let test_resume_skips_population () =
   Persist.crash p;
   let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
   let db2 = Persist.db p2 in
-  (match Transform.resume ~config:cfg p2 with
+  (match Transform.resume ~options:cfg p2 with
    | Error e -> Alcotest.fail (Nbsc_error.to_string e)
    | Ok [ tf2 ] ->
      Alcotest.(check bool) "resumed in propagation or later" true
@@ -643,7 +646,7 @@ let test_populating_crash_restarts () =
   setup_flat_t p;
   let db = Persist.db p in
   let tf =
-    Transform.split db ~config:cfg (H.split_spec ~assume_consistent:true)
+    H.start db ~options:cfg (Spec.Split (H.split_spec ~assume_consistent:true))
   in
   let d = H.driver ~seed:13 db in
   for _ = 1 to 4 do
@@ -661,7 +664,13 @@ let test_populating_crash_restarts () =
   let db2 = Persist.db p2 in
   (* User data survived the crash exactly. *)
   H.check_relations_equal "T recovered" committed_t (Db.snapshot db2 "T");
-  (match Transform.resume ~config:cfg p2 with
+  (* Invalid options are refused before any job is touched. *)
+  (match Transform.resume ~options:{ cfg with Options.propagate_batch = 0 } p2 with
+   | Error (`Invalid _) -> ()
+   | Error e -> Alcotest.failf "wrong error: %s" (Nbsc_error.to_string e)
+   | Ok _ -> Alcotest.fail "propagate_batch = 0 must be rejected");
+  Alcotest.(check (list string)) "no job resumed" [] (Db.jobs db2);
+  (match Transform.resume ~options:cfg p2 with
    | Error e -> Alcotest.fail (Nbsc_error.to_string e)
    | Ok [ tf2 ] ->
      (* Restarted, not resumed: population runs again from scratch. *)
@@ -709,7 +718,7 @@ let test_lazy_crash_mid_sweep migration () =
   let db = Persist.db p in
   let options = opts_of migration in
   let tf =
-    Transform.split db ~options (H.split_spec ~assume_consistent:true)
+    H.start db ~options (Spec.Split (H.split_spec ~assume_consistent:true))
   in
   let d = H.driver ~seed:base_seed db in
   (* A few sweep quanta with traffic: every committed operation demand-
@@ -952,7 +961,7 @@ let () =
         fuzzy scan replaced by the DBLog-style watermark populator. *)
      @ (let vc_opts =
           Options.
-            { (Transform.options_of_config cfg) with
+            { cfg with
               population = Options.Virtual_cut }
         in
         List.map

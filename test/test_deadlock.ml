@@ -338,11 +338,12 @@ let test_governor_rescues_starvation () =
     { Sim.n_clients = 4; think_time = 5_000; ops_per_txn = 10;
       source_share = 0.2; seed = 5 }
   in
-  let config pace =
-    { Transform.scan_batch = 16;
+  let options pace =
+    { Options.default with
+      Options.scan_batch = 16;
       propagate_batch = 32;
       analysis = Analysis.Remaining_records 8;
-      strategy = Transform.Nonblocking_abort;
+      sync = Options.Nonblocking_abort;
       drop_sources = false;
       sync_gate = (fun () -> true);
       pace }
@@ -350,7 +351,7 @@ let test_governor_rescues_starvation () =
   let run pace =
     Sim.run ~kind ~workload
       ~background:
-        (Sim.Transformation { Sim.priority = 0.0005; config = config pace })
+        (Sim.Transformation { Sim.priority = 0.0005; options = options pace })
       ~duration:400_000 ~warmup:10_000 ()
   in
   let starved = run None in

@@ -18,8 +18,8 @@ let ok name = function
 (* propagate_batch must outpace the per-round log growth of the user
    traffic below, or neither transformation ever catches up. *)
 let cfg =
-  { Transform.default_config with
-    Transform.scan_batch = 7;
+  { Options.default with
+    Options.scan_batch = 7;
     propagate_batch = 32;
     drop_sources = false }
 
@@ -69,8 +69,8 @@ let random_u_op db rng ~budget =
 
 let test_concurrent_foj_and_hsplit () =
   let db = fresh_two_tf_db () in
-  let foj_tf = Transform.foj db ~config:cfg H.foj_spec in
-  let hs_tf = Transform.hsplit db ~config:cfg u_hspec in
+  let foj_tf = H.start db ~options:cfg (Spec.Foj H.foj_spec) in
+  let hs_tf = H.start db ~options:cfg (Spec.Hsplit u_hspec) in
   Alcotest.(check (list string))
     "both registered"
     [ Transform.job_name foj_tf; Transform.job_name hs_tf ]
@@ -193,7 +193,7 @@ let copy_operator db ~source ~target =
 let test_custom_operator () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:50) in
   let packed, hook_log = copy_operator db ~source:"T" ~target:"T2" in
-  let tf = Transform.create db ~config:cfg packed in
+  let tf = Transform.create db ~options:cfg packed in
   Alcotest.(check string) "operator name" "copy" (Transform.name tf);
   let d = H.driver db in
   (match

@@ -8,6 +8,7 @@ open Nbsc_storage
 open Nbsc_txn
 open Nbsc_core
 module LR = Log_record
+module H = Helpers
 
 (* person(pid, city) x store(sid, city, chain): join on city, where
    both sides repeat join values. *)
@@ -180,13 +181,13 @@ let test_end_to_end_concurrent () =
      Db.load db ~table:"Q"
        (List.init 25 (fun i -> q i (i mod 7) ("c" ^ string_of_int i)))
    with Ok () -> () | Error _ -> Alcotest.fail "load Q");
-  let config =
-    { Transform.default_config with
-      Transform.drop_sources = false;
+  let options =
+    { Options.default with
+      Options.drop_sources = false;
       scan_batch = 5;
       propagate_batch = 5 }
   in
-  let tf = Transform.foj db ~config spec in
+  let tf = H.start db ~options (Spec.Foj spec) in
   let mgr = Db.manager db in
   let rng = Random.State.make [| 31 |] in
   let budget = ref 200 in

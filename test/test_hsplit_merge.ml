@@ -13,8 +13,8 @@ let ok name = function
   | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
 
 let cfg =
-  { Transform.default_config with
-    Transform.scan_batch = 7;
+  { Options.default with
+    Options.scan_batch = 7;
     propagate_batch = 5;
     drop_sources = false }
 
@@ -33,7 +33,7 @@ let oracle_split db =
 
 let test_hsplit_quiet () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:60) in
-  let tf = Transform.hsplit db ~config:cfg hspec in
+  let tf = H.start db ~options:cfg (Spec.Hsplit hspec) in
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
   let want_arch, want_live = oracle_split db in
   H.check_relations_equal "archive" want_arch (Db.snapshot db "archive");
@@ -46,7 +46,7 @@ let test_hsplit_concurrent_with_migration () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:80) in
   let mgr = Db.manager db in
   let rng = Random.State.make [| 5 |] in
-  let tf = Transform.hsplit db ~config:cfg hspec in
+  let tf = H.start db ~options:cfg (Spec.Hsplit hspec) in
   let budget = ref 250 in
   (match
      Transform.run tf ~between:(fun () ->
@@ -85,7 +85,7 @@ let test_hsplit_null_predicate_routing () =
      Is_null can route them explicitly. *)
   let rows = [ H.ti 1 "a" 50 "x"; Row.make [ Value.Int 2; Value.Text "b"; Value.Null; Value.Text "y" ] ] in
   let db = H.fresh_split_db ~t_rows:rows in
-  let tf = Transform.hsplit db ~config:cfg hspec in
+  let tf = H.start db ~options:cfg (Spec.Hsplit hspec) in
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
   Alcotest.(check int) "archive has the old row" 1 (Db.row_count db "archive");
   Alcotest.(check int) "live holds the NULL row" 1 (Db.row_count db "live")
@@ -107,7 +107,7 @@ let mspec = { Spec.m_sources = [ "A"; "B" ]; m_target = "AB" }
 
 let test_merge_quiet () =
   let db = fresh_merge_db () in
-  let tf = Transform.merge db ~config:cfg mspec in
+  let tf = H.start db ~options:cfg (Spec.Merge mspec) in
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
   Alcotest.(check int) "union size" 50 (Db.row_count db "AB");
   let a = Db.snapshot db "A" and b = Db.snapshot db "B" in
@@ -121,7 +121,7 @@ let test_merge_concurrent () =
   let db = fresh_merge_db () in
   let mgr = Db.manager db in
   let rng = Random.State.make [| 9 |] in
-  let tf = Transform.merge db ~config:cfg mspec in
+  let tf = H.start db ~options:cfg (Spec.Merge mspec) in
   let budget = ref 200 in
   (match
      Transform.run tf ~between:(fun () ->
@@ -164,7 +164,7 @@ let test_merge_collision_lww () =
   ignore (Db.create_table db ~name:"B" H.t_flat_schema);
   ok "a" (Db.load db ~table:"A" [ H.ti 1 "old" 1 "x" ]);
   ok "b" (Db.load db ~table:"B" [ H.ti 1 "newer" 2 "y" ]);
-  let tf = Transform.merge db ~config:cfg mspec in
+  let tf = H.start db ~options:cfg (Spec.Merge mspec) in
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
   Alcotest.(check int) "one row" 1 (Db.row_count db "AB");
   let ab = Db.table db "AB" in
@@ -223,9 +223,9 @@ let prop_hsplit_merge_roundtrip =
        let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n) in
        let before = Db.snapshot db "T" in
        let tf1 =
-         Transform.hsplit db
-           ~config:{ cfg with Transform.drop_sources = true }
-           hspec
+         H.start db
+           ~options:{ cfg with Options.drop_sources = true }
+           (Spec.Hsplit hspec)
        in
        let d = H.driver ~seed db in
        let budget = ref 30 in
@@ -245,9 +245,9 @@ let prop_hsplit_merge_roundtrip =
             @ (Db.snapshot db "live").Nbsc_relalg.Relalg.rows)
        in
        let tf2 =
-         Transform.merge db
-           ~config:{ cfg with Transform.drop_sources = true }
-           { Spec.m_sources = [ "archive"; "live" ]; m_target = "T2" }
+         H.start db
+           ~options:{ cfg with Options.drop_sources = true }
+           (Spec.Merge { Spec.m_sources = [ "archive"; "live" ]; m_target = "T2" })
        in
        (match Transform.run tf2 with
         | Ok () -> ()

@@ -224,8 +224,8 @@ let hspec =
     h_pred = hpred }
 
 let cfg =
-  { Transform.default_config with
-    Transform.scan_batch = 4;
+  { Options.default with
+    Options.scan_batch = 4;
     propagate_batch = 3;
     drop_sources = false }
 
@@ -240,7 +240,7 @@ let test_enospc_degrades_and_recovers () =
    | Ok () -> ()
    | Error e -> Alcotest.failf "load T: %a" Manager.pp_error e);
   ok_p "setup checkpoint" (Persist.checkpoint p);
-  let tf = Transform.hsplit db ~config:cfg hspec in
+  let tf = H.start db ~options:cfg (Spec.Hsplit hspec) in
   (* A few quanta in, the disk fills. *)
   for _ = 1 to 3 do
     ignore (Db.step_jobs db)

@@ -177,7 +177,7 @@ let test_sync_phase_nonblocking_for_snapshots () =
     Options.{ default with sync = Blocking_commit; scan_batch = 7;
               propagate_batch = 5; drop_sources = false }
   in
-  let tf = Transform.foj db ~options H.foj_spec in
+  let tf = H.start db ~options (Spec.Foj H.foj_spec) in
   let steps = ref 0 in
   while Transform.phase tf <> Transform.Quiescing && !steps < 10_000 do
     (match Transform.step tf with
@@ -358,7 +358,7 @@ let test_lazy_demand_migration () =
   let r_rows, s_rows = H.seed_rows ~r:40 ~s:15 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let mgr = Db.manager db in
-  let tf = Transform.foj db ~options:(migrate_opts Options.Lazy) H.foj_spec in
+  let tf = H.start db ~options:(migrate_opts Options.Lazy) (Spec.Foj H.foj_spec) in
   Alcotest.(check bool) "populating" true
     (Transform.phase tf = Transform.Populating);
   (* Touch one source record before any background work: it must be in
@@ -388,9 +388,9 @@ let test_hybrid_sweep_completes () =
   let r_rows, s_rows = H.seed_rows ~r:40 ~s:15 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let tf =
-    Transform.foj db
+    H.start db
       ~options:(migrate_opts (Options.Hybrid { sweep_quantum = 9 }))
-      H.foj_spec
+      (Spec.Foj H.foj_spec)
   in
   (* No user ever touches a record: the background sweep alone must
      complete the change on an idle system. *)
@@ -439,7 +439,7 @@ let prop_snapshot_visibility =
        let db = H.fresh_foj_db ~r_rows:[] ~s_rows in
        let mgr = Db.manager db in
        List.iter (apply_op db) before;
-       let tf = Transform.foj db ~options:(migrate_opts Options.Lazy) H.foj_spec in
+       let tf = H.start db ~options:(migrate_opts Options.Lazy) (Spec.Foj H.foj_spec) in
        let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
        (* Everything so far is committed, so the dirty read is the
           committed state the snapshot must keep seeing. *)

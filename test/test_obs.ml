@@ -5,6 +5,7 @@ open Nbsc_core
 module Obs = Nbsc_obs.Obs
 module Json = Nbsc_obs.Json
 module E = Nbsc_sim.Experiment
+module H = Helpers
 
 (* {1 Registry instruments} *)
 
@@ -302,23 +303,47 @@ let test_schema_change_lifecycle () =
   Alcotest.(check int) "S populated" 7 (Db.row_count db "S")
 
 let test_schema_change_invalid () =
-  let db = fresh_split_db 5 in
-  (* A split keyed on a column T does not have is a spec error — the
-     facade reports it as a result, never an exception. *)
-  match
-    Db.Schema_change.start db
-      (Spec.Split { split_spec with Spec.split_key = [ "nope" ] })
-  with
-  | Ok _ -> Alcotest.fail "invalid spec must be rejected"
-  | Error (`Invalid _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Nbsc_error.to_string e)
+  (* The facade reports every rejection as a result, never an
+     exception, and rejects before the preparation step creates a table
+     or adds an index to the source. An existing target is refused, not
+     adopted: adopting it would merge its rows into the result. *)
+  let existing_r db =
+    let layout = Spec.split_layout (Db.catalog db) split_spec in
+    ignore (Db.create_table db ~name:"R" (Spec.split_r_schema layout))
+  in
+  List.iter
+    (fun (name, prepare, options, spec) ->
+       let db = fresh_split_db 5 in
+       prepare db;
+       let tables () =
+         List.sort String.compare (Nbsc_storage.Catalog.names (Db.catalog db))
+       in
+       let indexes () = Nbsc_storage.Table.index_definitions (Db.table db "T") in
+       let tables0 = tables () and indexes0 = indexes () in
+       (match Db.Schema_change.start db ~options spec with
+        | Ok _ -> Alcotest.failf "%s: must be rejected" name
+        | Error (`Invalid _) -> ()
+        | Error e ->
+          Alcotest.failf "%s: wrong error: %s" name (Nbsc_error.to_string e));
+       Alcotest.(check (list string)) (name ^ ": tables") tables0 (tables ());
+       Alcotest.(check (list (pair string (list string))))
+         (name ^ ": source indexes") indexes0 (indexes ()))
+    [ ( "split key T does not have",
+        ignore,
+        Options.default,
+        Spec.Split { split_spec with Spec.split_key = [ "nope" ] } );
+      ( "scan_batch = 0",
+        ignore,
+        { Options.default with Options.scan_batch = 0 },
+        Spec.Split split_spec );
+      ("existing target", existing_r, Options.default, Spec.Split split_spec) ]
 
 let test_schema_change_cancel () =
   let db = fresh_split_db 50 in
   let sc =
     match
       Db.Schema_change.start db
-        ~config:{ Transform.default_config with Transform.scan_batch = 8 }
+        ~options:{ Options.default with Options.scan_batch = 8 }
         (Spec.Split split_spec)
     with
     | Ok sc -> sc
@@ -333,6 +358,79 @@ let test_schema_change_cancel () =
   Alcotest.(check bool) "targets dropped" true
     (not (Nbsc_storage.Catalog.mem (Db.catalog db) "R"));
   Alcotest.(check int) "source intact" 50 (Db.row_count db "T")
+
+(* [start] is the one place that hands [options] to both the
+   operator's preparation (virtual-cut population, the lazy demand
+   scan) and the executor (the lazy access hook). Oracle equality
+   cannot tell a dropped [options] apart: the fuzzy populator
+   converges too. *)
+let test_options_reach_every_operator () =
+  let r_rows, s_rows = H.seed_rows ~r:40 ~s:15 in
+  let foj_db () = H.fresh_foj_db ~r_rows ~s_rows in
+  let split_db () = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:40) in
+  let merge_db () =
+    let db = Db.create () in
+    List.iter
+      (fun (table, first) ->
+         ignore (Db.create_table db ~name:table H.t_flat_schema);
+         match
+           Db.load db ~table
+             (List.init 20 (fun i -> H.ti (first + i) "m" (i mod 5) "x"))
+         with
+         | Ok () -> ()
+         | Error _ -> Alcotest.failf "load %s" table)
+      [ ("A", 1); ("B", 101) ];
+    db
+  in
+  let options =
+    { Options.default with Options.scan_batch = 4; drop_sources = false }
+  in
+  List.iter
+    (fun (name, fresh, spec, source) ->
+       let tf =
+         H.start (fresh ())
+           ~options:{ options with Options.population = Options.Virtual_cut }
+           spec
+       in
+       (match Transform.run tf with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "%s: %s" name m);
+       Alcotest.(check bool) (name ^ ": virtual-cut chunks") true
+         (Option.value ~default:0
+            (List.assoc_opt "vc_chunks" (Transform.counters tf))
+          > 0);
+       let db = fresh () in
+       let tf =
+         H.start db ~options:{ options with Options.strategy = Options.Lazy } spec
+       in
+       Alcotest.(check bool) (name ^ ": lazy") true
+         (Transform.migration tf = Options.Lazy
+          && Transform.phase tf = Transform.Populating);
+       let mgr = Db.manager db in
+       let txn = Nbsc_txn.Manager.begin_txn mgr in
+       (match
+          Nbsc_txn.Manager.read mgr ~txn ~table:source
+            ~key:(Nbsc_value.Row.make [ Nbsc_value.Value.Int 5 ])
+        with
+        | Ok (Some _) -> ()
+        | Ok None | Error _ -> Alcotest.failf "%s: read %s" name source);
+       ignore (Nbsc_txn.Manager.commit mgr txn);
+       Alcotest.(check bool) (name ^ ": demand migration") true
+         (Transform.demand_migrations tf > 0))
+    [ ("foj", foj_db, Spec.Foj H.foj_spec, "R");
+      ("split", split_db, Spec.Split (H.split_spec ~assume_consistent:true), "T");
+      ( "hsplit",
+        split_db,
+        Spec.Hsplit
+          { Spec.h_source = "T";
+            h_true_table = "T_hi";
+            h_false_table = "T_lo";
+            h_pred = Nbsc_value.(Pred.Cmp ("c", Pred.Gt, Value.Int 5)) },
+        "T" );
+      ( "merge",
+        merge_db,
+        Spec.Merge { Spec.m_sources = [ "A"; "B" ]; m_target = "AB" },
+        "A" ) ]
 
 (* {1 Registry contents after engine work} *)
 
@@ -385,5 +483,7 @@ let () =
         [ Alcotest.test_case "lifecycle" `Quick test_schema_change_lifecycle;
           Alcotest.test_case "invalid spec" `Quick test_schema_change_invalid;
           Alcotest.test_case "cancel" `Quick test_schema_change_cancel;
+          Alcotest.test_case "options reach every operator" `Quick
+            test_options_reach_every_operator;
           Alcotest.test_case "one way to read" `Quick test_one_way_to_read ] )
     ]

@@ -14,8 +14,8 @@ let ok name = function
   | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
 
 let cfg =
-  { Transform.default_config with
-    Transform.scan_batch = 7;
+  { Options.default with
+    Options.scan_batch = 7;
     propagate_batch = 5;
     drop_sources = false }
 
@@ -79,14 +79,15 @@ let test_repeated_splits_normalize_m2m () =
   in
   (* Step 1: extract the student dimension. *)
   let tf1 =
-    Transform.split db ~config:cfg
-      { Spec.t_table' = "enrollment";
-        r_table' = "enrollment1";
-        s_table' = "student";
-        r_cols = [ "student"; "course"; "course_title" ];
-        s_cols = [ "student"; "student_name" ];
-        split_key = [ "student" ];
-        assume_consistent = true }
+    H.start db ~options:cfg
+      (Spec.Split
+         { Spec.t_table' = "enrollment";
+           r_table' = "enrollment1";
+           s_table' = "student";
+           r_cols = [ "student"; "course"; "course_title" ];
+           s_cols = [ "student"; "student_name" ];
+           split_key = [ "student" ];
+           assume_consistent = true })
   in
   let budget = ref 40 in
   (match
@@ -100,14 +101,15 @@ let test_repeated_splits_normalize_m2m () =
    | Error m -> Alcotest.fail m);
   (* Step 2: extract the course dimension from the intermediate. *)
   let tf2 =
-    Transform.split db ~config:cfg
-      { Spec.t_table' = "enrollment1";
-        r_table' = "enrollment2";
-        s_table' = "course";
-        r_cols = [ "student"; "course" ];
-        s_cols = [ "course"; "course_title" ];
-        split_key = [ "course" ];
-        assume_consistent = true }
+    H.start db ~options:cfg
+      (Spec.Split
+         { Spec.t_table' = "enrollment1";
+           r_table' = "enrollment2";
+           s_table' = "course";
+           r_cols = [ "student"; "course" ];
+           s_cols = [ "course"; "course_title" ];
+           split_key = [ "course" ];
+           assume_consistent = true })
   in
   (match Transform.run tf2 with Ok () -> () | Error m -> Alcotest.fail m);
   (* The end state is the classic normalized trio. *)
@@ -131,29 +133,31 @@ let test_repeated_splits_normalize_m2m () =
   (* And re-joining the three reproduces the original (round trip via
      two FOJ transformations). *)
   let tf3 =
-    Transform.foj db ~config:cfg
-      { Spec.r_table = "enrollment2";
-        s_table = "student";
-        t_table = "with_names";
-        join_r = [ "student" ];
-        join_s = [ "student" ];
-        t_join = [ "student" ];
-        r_carry = [ "course" ];
-        s_carry = [ "student_name" ];
-        many_to_many = true }
+    H.start db ~options:cfg
+      (Spec.Foj
+         { Spec.r_table = "enrollment2";
+           s_table = "student";
+           t_table = "with_names";
+           join_r = [ "student" ];
+           join_s = [ "student" ];
+           t_join = [ "student" ];
+           r_carry = [ "course" ];
+           s_carry = [ "student_name" ];
+           many_to_many = true })
   in
   (match Transform.run tf3 with Ok () -> () | Error m -> Alcotest.fail m);
   let tf4 =
-    Transform.foj db ~config:cfg
-      { Spec.r_table = "with_names";
-        s_table = "course";
-        t_table = "denormalized";
-        join_r = [ "course" ];
-        join_s = [ "course" ];
-        t_join = [ "course" ];
-        r_carry = [ "student"; "student_name" ];
-        s_carry = [ "course_title" ];
-        many_to_many = true }
+    H.start db ~options:cfg
+      (Spec.Foj
+         { Spec.r_table = "with_names";
+           s_table = "course";
+           t_table = "denormalized";
+           join_r = [ "course" ];
+           join_s = [ "course" ];
+           t_join = [ "course" ];
+           r_carry = [ "student"; "student_name" ];
+           s_carry = [ "course_title" ];
+           many_to_many = true })
   in
   (match Transform.run tf4 with Ok () -> () | Error m -> Alcotest.fail m);
   (* Compare as sets of (student, course, name, title). *)

@@ -13,11 +13,12 @@ let workload ?(n = 4) ?(seed = 5) ?(share = 0.2) () =
 
 let split_kind = Sim.Split_scenario { t_rows = 500; assume_consistent = true }
 
-let tf_config ~gate =
-  { Transform.scan_batch = 16;
+let tf_options ~gate =
+  { Options.default with
+    Options.scan_batch = 16;
     propagate_batch = 32;
     analysis = Analysis.Remaining_records 8;
-    strategy = Transform.Nonblocking_abort;
+    sync = Options.Nonblocking_abort;
     drop_sources = false;
     sync_gate = (fun () -> gate);
     pace = None }
@@ -48,7 +49,7 @@ let test_more_clients_more_throughput () =
 
 let test_transformation_completes () =
   let background =
-    Sim.Transformation { Sim.priority = 0.2; config = tf_config ~gate:true }
+    Sim.Transformation { Sim.priority = 0.2; options = tf_options ~gate:true }
   in
   let r = run ~background ~duration:400_000 () in
   Alcotest.(check bool) "completed" true (r.Sim.tf_done_at <> None);
@@ -63,7 +64,7 @@ let test_transformation_completes () =
 
 let test_zero_priority_never_completes () =
   let background =
-    Sim.Transformation { Sim.priority = 0.0; config = tf_config ~gate:true }
+    Sim.Transformation { Sim.priority = 0.0; options = tf_options ~gate:true }
   in
   let r = run ~background () in
   Alcotest.(check bool) "not completed" true (r.Sim.tf_done_at = None)
@@ -71,7 +72,7 @@ let test_zero_priority_never_completes () =
 let test_higher_priority_faster () =
   let time p =
     let background =
-      Sim.Transformation { Sim.priority = p; config = tf_config ~gate:true }
+      Sim.Transformation { Sim.priority = p; options = tf_options ~gate:true }
     in
     match (run ~background ~duration:1_000_000 ()).Sim.tf_done_at with
     | Some t -> t
@@ -114,7 +115,7 @@ let test_sync_window_report () =
   in
   let r =
     match
-      Experiment.sync_window ~setup ~strategy:Transform.Nonblocking_abort ()
+      Experiment.sync_window ~setup ~strategy:Options.Nonblocking_abort ()
     with
     | Ok r -> r
     | Error e -> Alcotest.fail (Nbsc_error.to_string e)
@@ -156,7 +157,7 @@ let soak_workload =
 
 let soak ~duration =
   let background =
-    Sim.Transformation { Sim.priority = 0.05; config = tf_config ~gate:false }
+    Sim.Transformation { Sim.priority = 0.05; options = tf_options ~gate:false }
   in
   Sim.run ~kind:split_kind ~workload:soak_workload ~background ~duration
     ~warmup:10_000 ()

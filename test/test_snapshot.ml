@@ -30,9 +30,9 @@ let test_roundtrip_fidelity () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:40) in
   (* Give T an index and some metadata variety via a real split. *)
   let tf =
-    Transform.split db
-      ~config:{ Transform.default_config with Transform.drop_sources = false }
-      (H.split_spec ~assume_consistent:true)
+    H.start db
+      ~options:{ Options.default with Options.drop_sources = false }
+      (Spec.Split (H.split_spec ~assume_consistent:true))
   in
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
   let lines = ok_snap "save" (Snapshot.save db) in
@@ -77,10 +77,10 @@ let test_transformation_after_restart () =
   let db' = ok_snap "load" (Snapshot.load (ok_snap "save" (Snapshot.save db))) in
   let d = H.driver ~seed:3 db' in
   let tf =
-    Transform.split db'
-      ~config:{ Transform.default_config with
-                Transform.drop_sources = false; scan_batch = 7; propagate_batch = 5 }
-      (H.split_spec ~assume_consistent:true)
+    H.start db'
+      ~options:{ Options.default with
+                Options.drop_sources = false; scan_batch = 7; propagate_batch = 5 }
+      (Spec.Split (H.split_spec ~assume_consistent:true))
   in
   let budget = ref 100 in
   (match

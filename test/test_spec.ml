@@ -117,7 +117,7 @@ let test_transform_rejects_taken_target () =
   ignore (Nbsc_engine.Db.create_table db ~name:"R" H.r_schema);
   ignore (Nbsc_engine.Db.create_table db ~name:"S" H.s_schema);
   ignore (Nbsc_engine.Db.create_table db ~name:"T" H.t_flat_schema);
-  rejects "target name taken" (fun () -> Transform.foj db H.foj_spec)
+  rejects "target name taken" (fun () -> Transformation.foj db H.foj_spec)
 
 let () =
   Alcotest.run "spec"

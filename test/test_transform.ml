@@ -9,11 +9,11 @@ open Nbsc_txn
 open Nbsc_core
 module H = Helpers
 
-let cfg strategy =
-  { Transform.default_config with
-    Transform.scan_batch = 7;    (* small batches force many steps *)
+let cfg sync =
+  { Options.default with
+    Options.scan_batch = 7;    (* small batches force many steps *)
     propagate_batch = 5;
-    strategy;
+    sync;
     drop_sources = false }
 
 let run_with_interleave tf ~between =
@@ -31,7 +31,7 @@ let check_foj_converged db =
 let test_foj_quiet () =
   let r_rows, s_rows = H.seed_rows ~r:50 ~s:20 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
-  let tf = Transform.foj db ~config:(cfg Transform.Nonblocking_abort) H.foj_spec in
+  let tf = H.start db ~options:(cfg Options.Nonblocking_abort) (Spec.Foj H.foj_spec) in
   run_with_interleave tf ~between:(fun () -> ());
   check_foj_converged db;
   Alcotest.(check int) "row count"
@@ -48,7 +48,7 @@ let test_foj_scanned_exact () =
   (* seed_rows gives R c-values 0..16 and S keys 0..19, so S keys
      17..19 are unmatched leftovers — the case that double-counted. *)
   let db = H.fresh_foj_db ~r_rows ~s_rows in
-  let tf = Transform.foj db ~config:(cfg Transform.Nonblocking_abort) H.foj_spec in
+  let tf = H.start db ~options:(cfg Options.Nonblocking_abort) (Spec.Foj H.foj_spec) in
   run_with_interleave tf ~between:(fun () -> ());
   let p = Transform.progress tf in
   Alcotest.(check int) "scanned = |R| + |S|" (r + s) p.Transform.scanned;
@@ -58,7 +58,7 @@ let test_foj_concurrent strategy () =
   let r_rows, s_rows = H.seed_rows ~r:80 ~s:25 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let d = H.driver ~seed:7 db in
-  let tf = Transform.foj db ~config:(cfg strategy) H.foj_spec in
+  let tf = H.start db ~options:(cfg strategy) (Spec.Foj H.foj_spec) in
   let budget = ref 400 in
   run_with_interleave tf ~between:(fun () ->
       if !budget > 0 then begin
@@ -74,7 +74,7 @@ let test_foj_fig1 () =
   let r_rows = [ H.ri 1 "John" 10; H.ri 2 "Karen" 30; H.ri 3 "Mary" 10 ] in
   let s_rows = [ H.si 10 "x"; H.si 20 "y" ] in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
-  let tf = Transform.foj db ~config:(cfg Transform.Nonblocking_abort) H.foj_spec in
+  let tf = H.start db ~options:(cfg Options.Nonblocking_abort) (Spec.Foj H.foj_spec) in
   run_with_interleave tf ~between:(fun () -> ());
   let t = Db.snapshot db "T" in
   let expected =
@@ -90,8 +90,8 @@ let test_foj_fig1 () =
 let test_foj_drop_sources () =
   let r_rows, s_rows = H.seed_rows ~r:10 ~s:5 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
-  let config = { (cfg Transform.Nonblocking_abort) with Transform.drop_sources = true } in
-  let tf = Transform.foj db ~config H.foj_spec in
+  let options = { (cfg Options.Nonblocking_abort) with Options.drop_sources = true } in
+  let tf = H.start db ~options (Spec.Foj H.foj_spec) in
   run_with_interleave tf ~between:(fun () -> ());
   Alcotest.(check bool) "R dropped" false (Catalog.mem (Db.catalog db) "R");
   Alcotest.(check bool) "S dropped" false (Catalog.mem (Db.catalog db) "S");
@@ -100,7 +100,7 @@ let test_foj_drop_sources () =
 let test_foj_routing_flips () =
   let r_rows, s_rows = H.seed_rows ~r:30 ~s:10 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
-  let tf = Transform.foj db ~config:(cfg Transform.Nonblocking_abort) H.foj_spec in
+  let tf = H.start db ~options:(cfg Options.Nonblocking_abort) (Spec.Foj H.foj_spec) in
   Alcotest.(check bool) "starts on sources" true (Transform.routing tf = `Sources);
   run_with_interleave tf ~between:(fun () -> ());
   Alcotest.(check bool) "ends on targets" true (Transform.routing tf = `Targets)
@@ -109,7 +109,7 @@ let test_foj_abort_mid_flight () =
   let r_rows, s_rows = H.seed_rows ~r:40 ~s:15 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let before_r = Db.snapshot db "R" in
-  let tf = Transform.foj db ~config:(cfg Transform.Nonblocking_abort) H.foj_spec in
+  let tf = H.start db ~options:(cfg Options.Nonblocking_abort) (Spec.Foj H.foj_spec) in
   (* A few steps in, change course. *)
   ignore (Transform.step tf);
   ignore (Transform.step tf);
@@ -136,7 +136,7 @@ let test_foj_forced_aborts () =
    with
    | Ok () -> ()
    | Error e -> Alcotest.failf "victim update: %a" Manager.pp_error e);
-  let tf = Transform.foj db ~config:(cfg Transform.Nonblocking_abort) H.foj_spec in
+  let tf = H.start db ~options:(cfg Options.Nonblocking_abort) (Spec.Foj H.foj_spec) in
   run_with_interleave tf ~between:(fun () -> ());
   Alcotest.(check bool) "victim aborted" true
     (Manager.status mgr victim = Manager.Aborted);
@@ -166,7 +166,7 @@ let test_foj_nonblocking_commit_survivor () =
    with
    | Ok () -> ()
    | Error e -> Alcotest.failf "survivor update: %a" Manager.pp_error e);
-  let tf = Transform.foj db ~config:(cfg Transform.Nonblocking_commit) H.foj_spec in
+  let tf = H.start db ~options:(cfg Options.Nonblocking_commit) (Spec.Foj H.foj_spec) in
   let committed = ref false in
   run_with_interleave tf ~between:(fun () ->
       if (not !committed) && Transform.routing tf = `Targets then begin
@@ -197,7 +197,7 @@ let test_foj_blocking_commit () =
   let r_rows, s_rows = H.seed_rows ~r:30 ~s:10 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let d = H.driver ~seed:3 db in
-  let tf = Transform.foj db ~config:(cfg Transform.Blocking_commit) H.foj_spec in
+  let tf = H.start db ~options:(cfg Options.Blocking_commit) (Spec.Foj H.foj_spec) in
   let budget = ref 100 in
   run_with_interleave tf ~between:(fun () ->
       if !budget > 0 then begin
@@ -248,8 +248,8 @@ let check_split_counters db =
 let test_split_quiet () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:60) in
   let tf =
-    Transform.split db ~config:(cfg Transform.Nonblocking_abort)
-      (H.split_spec ~assume_consistent:true)
+    H.start db ~options:(cfg Options.Nonblocking_abort)
+      (Spec.Split (H.split_spec ~assume_consistent:true))
   in
   run_with_interleave tf ~between:(fun () -> ());
   check_split_converged db;
@@ -259,8 +259,8 @@ let test_split_concurrent consistent strategy () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:80) in
   let d = H.driver ~seed:11 db in
   let tf =
-    Transform.split db ~config:(cfg strategy)
-      (H.split_spec ~assume_consistent:consistent)
+    H.start db ~options:(cfg strategy)
+      (Spec.Split (H.split_spec ~assume_consistent:consistent))
   in
   let budget = ref 300 in
   run_with_interleave tf ~between:(fun () ->
@@ -288,8 +288,8 @@ let test_split_fig3 () =
   in
   let db = H.fresh_split_db ~t_rows:rows in
   let tf =
-    Transform.split db ~config:(cfg Transform.Nonblocking_abort)
-      (H.split_spec ~assume_consistent:true)
+    H.start db ~options:(cfg Options.Nonblocking_abort)
+      (Spec.Split (H.split_spec ~assume_consistent:true))
   in
   run_with_interleave tf ~between:(fun () -> ());
   check_split_converged db;
@@ -310,8 +310,8 @@ let test_split_inconsistency_repaired () =
   let db = H.fresh_split_db ~t_rows:rows in
   let mgr = Db.manager db in
   let tf =
-    Transform.split db ~config:(cfg Transform.Nonblocking_abort)
-      (H.split_spec ~assume_consistent:false)
+    H.start db ~options:(cfg Options.Nonblocking_abort)
+      (Spec.Split (H.split_spec ~assume_consistent:false))
   in
   let repaired = ref false in
   let steps = ref 0 in
@@ -380,7 +380,7 @@ let test_foj_surrogate_s_key_rule6 () =
        (List.init 8 (fun k ->
             Row.make [ Value.Int k; Value.Int (k * 100); Value.Text ("d" ^ string_of_int k) ]))
    with Ok () -> () | Error _ -> Alcotest.fail "load S");
-  let tf = Transform.foj db ~config:(cfg Transform.Nonblocking_abort) foj2_spec in
+  let tf = H.start db ~options:(cfg Options.Nonblocking_abort) (Spec.Foj foj2_spec) in
   let mgr = Db.manager db in
   let rng = Random.State.make [| 17 |] in
   let budget = ref 150 in
@@ -423,9 +423,9 @@ let test_foj_surrogate_s_key_rule6 () =
    Theorem 1 and the rules exist to provide. *)
 
 let strategy_of_int = function
-  | 0 -> Transform.Blocking_commit
-  | 1 -> Transform.Nonblocking_abort
-  | _ -> Transform.Nonblocking_commit
+  | 0 -> Options.Blocking_commit
+  | 1 -> Options.Nonblocking_abort
+  | _ -> Options.Nonblocking_commit
 
 let prop_foj_converges =
   QCheck.Test.make ~name:"FOJ converges under random histories" ~count:60
@@ -435,12 +435,12 @@ let prop_foj_converges =
        let r_rows, s_rows = H.seed_rows ~r ~s in
        let db = H.fresh_foj_db ~r_rows ~s_rows in
        let d = H.driver ~seed db in
-       let config =
+       let options =
          { (cfg (strategy_of_int strat)) with
-           Transform.scan_batch = 3 + (seed mod 9);
+           Options.scan_batch = 3 + (seed mod 9);
            propagate_batch = 2 + (seed mod 7) }
        in
-       let tf = Transform.foj db ~config H.foj_spec in
+       let tf = H.start db ~options (Spec.Foj H.foj_spec) in
        let budget = ref (50 + (seed mod 100)) in
        (match
           Transform.run tf ~between:(fun () ->
@@ -461,14 +461,14 @@ let prop_split_converges =
        let n = 20 + (size_seed * 11 mod 80) in
        let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n) in
        let d = H.driver ~seed db in
-       let config =
+       let options =
          { (cfg (strategy_of_int strat)) with
-           Transform.scan_batch = 3 + (seed mod 9);
+           Options.scan_batch = 3 + (seed mod 9);
            propagate_batch = 2 + (seed mod 7) }
        in
        let tf =
-         Transform.split db ~config
-           (H.split_spec ~assume_consistent:(seed mod 2 = 0))
+         H.start db ~options
+           (Spec.Split (H.split_spec ~assume_consistent:(seed mod 2 = 0)))
        in
        let budget = ref (50 + (seed mod 100)) in
        (match
@@ -543,11 +543,11 @@ let () =
             `Quick test_foj_scanned_exact;
           Alcotest.test_case "figure 1 example" `Quick test_foj_fig1;
           Alcotest.test_case "concurrent, non-blocking abort" `Quick
-            (test_foj_concurrent Transform.Nonblocking_abort);
+            (test_foj_concurrent Options.Nonblocking_abort);
           Alcotest.test_case "concurrent, non-blocking commit" `Quick
-            (test_foj_concurrent Transform.Nonblocking_commit);
+            (test_foj_concurrent Options.Nonblocking_commit);
           Alcotest.test_case "concurrent, blocking commit" `Quick
-            (test_foj_concurrent Transform.Blocking_commit);
+            (test_foj_concurrent Options.Blocking_commit);
           Alcotest.test_case "drops sources" `Quick test_foj_drop_sources;
           Alcotest.test_case "routing flips at sync" `Quick
             test_foj_routing_flips;
@@ -564,11 +564,11 @@ let () =
         [ Alcotest.test_case "quiet convergence" `Quick test_split_quiet;
           Alcotest.test_case "figure 3 example" `Quick test_split_fig3;
           Alcotest.test_case "concurrent, consistent mode" `Quick
-            (test_split_concurrent true Transform.Nonblocking_abort);
+            (test_split_concurrent true Options.Nonblocking_abort);
           Alcotest.test_case "concurrent, checked mode" `Quick
-            (test_split_concurrent false Transform.Nonblocking_abort);
+            (test_split_concurrent false Options.Nonblocking_abort);
           Alcotest.test_case "concurrent, non-blocking commit" `Quick
-            (test_split_concurrent true Transform.Nonblocking_commit);
+            (test_split_concurrent true Options.Nonblocking_commit);
           Alcotest.test_case "Example 1 inconsistency repaired" `Quick
             test_split_inconsistency_repaired ] );
       ( "locks",

@@ -12,10 +12,10 @@ module H = Helpers
 let lsn = Alcotest.testable Lsn.pp Lsn.equal
 
 let cfg =
-  { Transform.default_config with
-    Transform.scan_batch = 7;
+  { Options.default with
+    Options.scan_batch = 7;
     propagate_batch = 5;
-    strategy = Transform.Nonblocking_abort;
+    sync = Options.Nonblocking_abort;
     drop_sources = false }
 
 let trivial_rules =
@@ -30,7 +30,7 @@ let drain_low_water mgr log =
 let split_db () = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:60)
 
 let start_split db =
-  Transform.split db ~config:cfg (H.split_spec ~assume_consistent:true)
+  H.start db ~options:cfg (Spec.Split (H.split_spec ~assume_consistent:true))
 
 (* {1 Teardown} *)
 
