@@ -24,18 +24,24 @@ contention:
 	NBSC_CONTENTION_SEED=42 dune exec test/test_contention.exe
 
 # Storage-integrity drill (bench-free): the integrity suite at a fixed
-# seed, then an end-to-end scrub pass — generate a store, verify it
-# clean, damage one byte, verify the scrub refuses it.
+# seed, then an end-to-end scrub pass per file of the store — generate a
+# store, verify it clean, damage one byte of wal.nbsc (then, on a fresh
+# store, of snapshot.nbsc), verify the scrub refuses it.
 scrub:
 	NBSC_CRASH_SEED=42 dune exec test/test_integrity.exe
-	@dir=$$(mktemp -u /tmp/nbsc_scrub.XXXXXX); \
-	trap 'rm -rf "$$dir"' EXIT; \
-	dune exec bin/nbsc_cli.exe -- mkstore "$$dir" --rows 200 && \
-	dune exec bin/nbsc_cli.exe -- scrub "$$dir" && \
-	dune exec bin/nbsc_cli.exe -- flip "$$dir/wal.nbsc" && \
-	if dune exec bin/nbsc_cli.exe -- scrub "$$dir"; then \
-	  echo "scrub missed injected corruption" >&2; exit 1; \
-	else echo "scrub drill OK"; fi
+	@for damaged in wal.nbsc snapshot.nbsc; do \
+	  dir=$$(mktemp -u /tmp/nbsc_scrub.XXXXXX); \
+	  dune exec bin/nbsc_cli.exe -- mkstore "$$dir" --rows 200 && \
+	  dune exec bin/nbsc_cli.exe -- scrub "$$dir" && \
+	  dune exec bin/nbsc_cli.exe -- flip "$$dir/$$damaged" || \
+	    { rm -rf "$$dir"; exit 1; }; \
+	  if dune exec bin/nbsc_cli.exe -- scrub "$$dir"; then \
+	    rm -rf "$$dir"; \
+	    echo "scrub missed injected corruption in $$damaged" >&2; exit 1; \
+	  fi; \
+	  rm -rf "$$dir"; \
+	  echo "scrub drill OK ($$damaged)"; \
+	done
 
 # The five examples, each checking itself: an example exits 1 when one
 # of its printed checks (oracle equality, dropped sources, a clean

@@ -29,19 +29,22 @@ NBSC_CONTENTION_SEED=42 dune exec test/test_contention.exe
 echo "== integrity matrix (fixed seed) =="
 NBSC_CRASH_SEED=42 dune exec test/test_integrity.exe
 
-# End-to-end scrub drill: a freshly generated store must scrub clean
-# (exit 0); after one flipped byte the scrub must refuse it (non-zero).
+# End-to-end scrub drill, once per file of the store: a freshly
+# generated store must scrub clean (exit 0); after one flipped byte in
+# wal.nbsc, or in snapshot.nbsc, the scrub must refuse it (non-zero).
 echo "== nbsc scrub drill =="
-scrub_dir=$(mktemp -u /tmp/nbsc_scrub.XXXXXX)
-dune exec bin/nbsc_cli.exe -- mkstore "$scrub_dir" --rows 200 >/dev/null
-dune exec bin/nbsc_cli.exe -- scrub "$scrub_dir" >/dev/null
-dune exec bin/nbsc_cli.exe -- flip "$scrub_dir/wal.nbsc" >/dev/null
-if dune exec bin/nbsc_cli.exe -- scrub "$scrub_dir" >/dev/null 2>&1; then
-  echo "nbsc scrub missed injected corruption" >&2
+for damaged in wal.nbsc snapshot.nbsc; do
+  scrub_dir=$(mktemp -u /tmp/nbsc_scrub.XXXXXX)
+  dune exec bin/nbsc_cli.exe -- mkstore "$scrub_dir" --rows 200 >/dev/null
+  dune exec bin/nbsc_cli.exe -- scrub "$scrub_dir" >/dev/null
+  dune exec bin/nbsc_cli.exe -- flip "$scrub_dir/$damaged" >/dev/null
+  if dune exec bin/nbsc_cli.exe -- scrub "$scrub_dir" >/dev/null 2>&1; then
+    echo "nbsc scrub missed injected corruption in $damaged" >&2
+    rm -rf "$scrub_dir"
+    exit 1
+  fi
   rm -rf "$scrub_dir"
-  exit 1
-fi
-rm -rf "$scrub_dir"
+done
 
 # Trace-enabled fixed-seed simulation: write the event stream as JSON
 # lines, then have the CLI re-read it and check one well-formed object

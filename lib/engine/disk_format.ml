@@ -30,7 +30,7 @@ let disk_full_stalls () = Obs.Registry.counter registry "storage.disk_full_stall
    need the format to know the framing). *)
 
 let frame_into out payload =
-  Buffer.add_string out (Crc32.to_hex (Crc32.of_buffer payload));
+  Crc32.add_hex out (Crc32.of_buffer payload);
   Buffer.add_char out ':';
   Buffer.add_buffer out payload
 

@@ -45,8 +45,9 @@ val frame : string -> string
 
 val frame_into : Buffer.t -> Buffer.t -> unit
 (** [frame_into out payload] appends the framed form of [payload]'s
-    contents to [out] without materialising intermediate strings — the
-    WAL sink's hot path (PR 6 discipline). *)
+    contents to [out] without materialising intermediate strings. Every
+    writer frames this way: the WAL sink per appended record, and a
+    checkpoint per snapshot line and per retained WAL record. *)
 
 val unframe :
   path:string -> line:int -> ?lsn:int -> string ->

@@ -34,53 +34,69 @@ let on_io_retry ~attempt:_ ~delay:_ =
    effect. Applied {e after} the CRC was computed, exactly like media
    bit rot: the damage is silent at write time and only checksum
    verification (reopen, scrub) can catch it. *)
-let flip_byte_of_string s =
-  let b = Bytes.of_string s in
+let flip_byte_of_buffer buf =
+  let b = Buffer.to_bytes buf in
   let i = Bytes.length b / 2 in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-  Bytes.unsafe_to_string b
-
-let flip_byte_of_buffer buf =
-  let s = flip_byte_of_string (Buffer.contents buf) in
   Buffer.clear buf;
-  Buffer.add_string buf s
+  Buffer.add_bytes buf b
 
 (* Atomic file replacement: write a temp file in the same directory,
    then rename over the destination. A crash at any point leaves either
    the complete old file or the complete new file — never a torn mix.
+
+   The payload lines are streamed: [produce emit] hands each one to
+   [emit] in a buffer, and it is framed ([Disk_format.frame_into]) and
+   written to the temp file at once, so no line is ever built as a
+   string and the file never exists as a list. The lines are counted
+   on the way for the trailer. [produce] runs again for every retry and
+   once more, only counting, when a bit flip is armed — the flip damages
+   the middle line's framed bytes after its CRC, so it needs the count
+   first. It must therefore emit the same lines on every run.
+
    [Fault.Injected] deliberately escapes [io]'s Sys_error net: a
    simulated crash propagates to the harness, which then reopens the
    directory. [Fault.Io_injected] is handled here: transient EIO
    retries the whole write (fresh temp file), ENOSPC becomes a typed
-   [`Disk_full], persistent EIO a [`Io]. *)
-let write_lines_atomic ?fault_write ?fault_rename ~magic ~with_trailer path
-    lines =
+   [`Disk_full], persistent EIO a [`Io]. The temp channel is closed on
+   every way out. *)
+let write_atomic ?fault_write ?fault_rename ~magic ~with_trailer path produce =
   let run () =
     io (fun () ->
         let tmp = path ^ ".tmp" in
         let corrupt_at = ref (-1) in
         (match fault_write with
          | Some site ->
-           Fault.file_write site
-             ~flip:(fun () -> corrupt_at := List.length lines / 2)
+           Fault.file_write site ~flip:(fun () ->
+               let n = ref 0 in
+               produce (fun _ -> incr n);
+               corrupt_at := !n / 2)
          | None -> ());
         let oc = open_out tmp in
-        output_string oc magic;
-        output_char oc '\n';
-        List.iteri
-          (fun i l ->
-             let framed = Disk_format.frame l in
-             let framed =
-               if i = !corrupt_at then flip_byte_of_string framed else framed
-             in
-             output_string oc framed;
-             output_char oc '\n')
-          lines;
-        if with_trailer then begin
-          output_string oc (Disk_format.frame (Disk_format.trailer (List.length lines)));
-          output_char oc '\n'
-        end;
-        close_out oc;
+        let framed = Buffer.create 256 and count = ref 0 in
+        let put ?(flip = false) payload =
+          Buffer.clear framed;
+          Disk_format.frame_into framed payload;
+          if flip then flip_byte_of_buffer framed;
+          Buffer.add_char framed '\n';
+          Buffer.output_buffer oc framed
+        in
+        (match
+           output_string oc magic;
+           output_char oc '\n';
+           produce (fun payload ->
+               put ~flip:(!count = !corrupt_at) payload;
+               incr count);
+           if with_trailer then begin
+             let trailer = Buffer.create 16 in
+             Buffer.add_string trailer (Disk_format.trailer !count);
+             put trailer
+           end
+         with
+         | () -> close_out oc
+         | exception e ->
+           close_out_noerr oc;
+           raise e);
         (match fault_rename with Some site -> Fault.hit site | None -> ());
         Sys.rename tmp path)
   in
@@ -235,6 +251,11 @@ let open_wal_channel path =
       end;
       out)
 
+let write_snapshot ~dir produce =
+  write_atomic ~fault_write:"snapshot_write" ~fault_rename:"snapshot_rename"
+    ~magic:Disk_format.snapshot_magic ~with_trailer:true (snapshot_path dir)
+    produce
+
 let make_t ~dir ~pdb ~out ~report =
   { dir; pdb; out; buf = Buffer.create 4096; rbuf = Buffer.create 256;
     fbuf = Buffer.create 256; scratch = Buffer.create 256; report;
@@ -248,14 +269,8 @@ let create_dir ~dir =
     Error (`Io (dir ^ " already holds a database"))
   else
     let pdb = Db.create () in
-    let* () =
-      match Snapshot.save pdb with
-      | Ok lines ->
-        write_lines_atomic ~fault_write:"snapshot_write"
-          ~fault_rename:"snapshot_rename" ~magic:Disk_format.snapshot_magic
-          ~with_trailer:true (snapshot_path dir) lines
-      | Error e -> Error e
-    in
+    let* produce = Snapshot.write pdb in
+    let* () = write_snapshot ~dir produce in
     let* out = open_wal_channel (wal_path dir) in
     let t = make_t ~dir ~pdb ~out ~report:None in
     attach_sink t;
@@ -458,18 +473,14 @@ let checkpoint t =
     let persists =
       List.map (fun (name, thunk) -> (name, thunk ())) (Db.job_persists t.pdb)
     in
-    match Snapshot.save t.pdb with
+    match Snapshot.write t.pdb with
     | Error e -> Error e
-    | Ok lines ->
+    | Ok produce ->
       (* Snapshot first, WAL second: a crash between the two leaves the
          new snapshot with the old (longer) WAL, which replays
          idempotently. The reverse order could pair a truncated WAL with
          the old snapshot and lose records. *)
-      let* () =
-        write_lines_atomic ~fault_write:"snapshot_write"
-          ~fault_rename:"snapshot_rename" ~magic:Disk_format.snapshot_magic
-          ~with_trailer:true (snapshot_path t.dir) lines
-      in
+      let* () = write_snapshot ~dir:t.dir produce in
       (* Only now re-emit every persistable job's resume state. The
          ordering is load-bearing: a [Job_state] on disk must imply the
          published snapshot already reflects the job's work up to that
@@ -496,26 +507,38 @@ let checkpoint t =
              if Lsn.(p.Db.low_water < acc) then p.Db.low_water else acc)
           (Lsn.next (Log.head log)) persists
       in
-      let retained = ref [] in
-      Log.iter log (fun r ->
-          if Lsn.(r.Log_record.lsn >= low) then
-            retained := Log_record.encode r :: !retained);
-      let retained = List.rev !retained in
+      (* The retained suffix is encoded as the sink encodes, one record
+         at a time into a reused buffer. *)
+      let retained emit =
+        let record = Buffer.create 256 and scratch = Buffer.create 256 in
+        Log.iter log (fun r ->
+            if Lsn.(r.Log_record.lsn >= low) then begin
+              Buffer.clear record;
+              Log_record.encode_into ~scratch record r;
+              emit record
+            end)
+      in
       (* Buffered lines need no flush: every record they hold is either
          reflected in the snapshot just published or rewritten below from
          the in-memory retained suffix. *)
       Buffer.clear t.buf;
       let* () = io (fun () -> close_out t.out) in
-      let* () =
-        write_lines_atomic ~fault_write:"wal_rewrite" ~magic:Disk_format.wal_magic
+      let rewritten =
+        write_atomic ~fault_write:"wal_rewrite" ~magic:Disk_format.wal_magic
           ~with_trailer:false (wal_path t.dir) retained
       in
+      (* Reopen the append channel whether or not the rewrite published.
+         A rewrite that failed ([`Disk_full], [`Io]) never renamed, so the
+         old wal.nbsc is intact, and the snapshot just published with the
+         old WAL is a pair recovery accepts (replay is LSN-idempotent): the
+         store stays writable and the error goes back to the caller. *)
       let* out = open_wal_channel (wal_path t.dir) in
       t.out <- out;
       attach_sink t;
+      let* () = rewritten in
       (* Mirror the on-disk trim in memory: with the snapshot durable,
          records at or below its head are only needed by whoever pinned
-         them (active transactions cannot exist here — [Snapshot.save]
+         them (active transactions cannot exist here — [Snapshot.write]
          refuses them — but propagators can). *)
       let mgr = Db.manager t.pdb in
       Nbsc_txn.Manager.set_durable_floor mgr snap_head;

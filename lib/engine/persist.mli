@@ -64,7 +64,7 @@ val db : t -> Db.t
 
 val checkpoint : t -> (unit, error) result
 (** Rewrite the snapshot at the current state and truncate the WAL.
-    Requires no active transactions (sharp, like {!Snapshot.save}).
+    Requires no active transactions (sharp, like {!Snapshot.write}).
 
     Every persistable background job ({!Db.register_job}'s [persist])
     first gets a fresh [Job_state] record appended, then the WAL is

@@ -64,46 +64,62 @@ let flag_of_string = function
   | "U" -> Record.Unknown
   | _ -> failwith "Snapshot: bad flag"
 
-let save db =
-  let mgr = Db.manager db in
-  match Manager.active_snapshot mgr with
-  | (_ :: _) as active ->
-    Error (`Active_transactions (List.map fst active))
+(* The lines are streamed, never built as strings: each one is encoded
+   into one reused buffer with the WAL sink's buffer-direct encoders,
+   whose bytes equal the string encoders' ([Codec.encode_string_list]
+   of the same fields), and handed to [emit]. Only the row composite
+   needs a second buffer. Both belong to one run of the producer, so a
+   writer that retries can simply run it again. *)
+let write db =
+  match Manager.active_snapshot (Db.manager db) with
+  | (_ :: _) as active -> Error (`Active_transactions (List.map fst active))
   | [] ->
-    let buf = ref [] in
-    let emit line = buf := line :: !buf in
-    emit ("H:" ^ Lsn.to_string (Log.head (Db.log db)));
-    List.iter
-      (fun table ->
-         let name = Table.name table in
-         emit
-           ("T:"
-            ^ Codec.encode_string_list
-                [ name; encode_schema (Table.schema table) ]);
+    Ok
+      (fun emit ->
+         let line = Buffer.create 256 and row = Buffer.create 256 in
+         let start tag =
+           Buffer.clear line;
+           Buffer.add_string line tag
+         in
+         start "H:";
+         Buffer.add_string line (Lsn.to_string (Log.head (Db.log db)));
+         emit line;
          List.iter
-           (fun (ix_name, columns) ->
-              emit
-                ("I:" ^ Codec.encode_string_list (name :: ix_name :: columns)))
-           (Table.index_definitions table);
-         List.iter
-           (fun (ix_name, columns) ->
-              emit
-                ("O:" ^ Codec.encode_string_list (name :: ix_name :: columns)))
-           (Table.ordered_index_definitions table);
-         Table.iter table (fun _ record ->
-             emit
-               ("R:"
-                ^ Codec.encode_string_list
-                    [ name;
-                      Lsn.to_string record.Record.lsn;
-                      string_of_int record.Record.counter;
-                      flag_to_string record.Record.flag;
-                      string_of_int record.Record.aux;
-                      Codec.encode_row record.Record.row ])))
-      (List.sort
-         (fun a b -> String.compare (Table.name a) (Table.name b))
-         (Catalog.tables (Db.catalog db)));
-    Ok (List.rev !buf)
+           (fun table ->
+              let name = Table.name table in
+              start "T:";
+              Codec.add_chunk line name;
+              Codec.add_chunk line (encode_schema (Table.schema table));
+              emit line;
+              let index tag (ix_name, columns) =
+                start tag;
+                List.iter (Codec.add_chunk line) (name :: ix_name :: columns);
+                emit line
+              in
+              List.iter (index "I:") (Table.index_definitions table);
+              List.iter (index "O:") (Table.ordered_index_definitions table);
+              Table.iter table (fun _ record ->
+                  start "R:";
+                  Codec.add_chunk line name;
+                  Codec.add_chunk line (Lsn.to_string record.Record.lsn);
+                  Codec.add_chunk line (string_of_int record.Record.counter);
+                  Codec.add_chunk line (flag_to_string record.Record.flag);
+                  Codec.add_chunk line (string_of_int record.Record.aux);
+                  Buffer.clear row;
+                  Codec.encode_row_into row record.Record.row;
+                  Codec.add_chunk_of_buffer line row;
+                  emit line))
+           (List.sort
+              (fun a b -> String.compare (Table.name a) (Table.name b))
+              (Catalog.tables (Db.catalog db))))
+
+let save db =
+  Result.map
+    (fun produce ->
+       let lines = ref [] in
+       produce (fun line -> lines := Buffer.contents line :: !lines);
+       List.rev !lines)
+    (write db)
 
 let load lines =
   try

@@ -16,10 +16,25 @@
     fuzzy machinery but is out of scope. *)
 
 type error = Nbsc_error.t
-(** [save] produces [`Active_transactions]; [load] produces
+(** [write] and [save] produce [`Active_transactions]; [load] produces
     [`Corrupt]. One rendering for all of it: {!Nbsc_error.to_string}. *)
 
+val write : Db.t -> ((Buffer.t -> unit) -> unit, error) result
+(** [write db] refuses [`Active_transactions] up front; otherwise it
+    returns the snapshot's producer. [produce emit] calls [emit] once
+    per payload line, in file order, with a buffer holding that line
+    and nothing else. The buffer is reused for the next line, so
+    [emit] must consume it before returning. No line is ever built as
+    a string: {!Persist} frames each one straight onto its file.
+
+    Each run of the producer emits the same lines while [db] is not
+    modified, so a writer may run it again (to retry, or to count the
+    lines first). *)
+
 val save : Db.t -> (string list, error) result
+(** The lines {!write} emits, collected as strings — the input
+    {!load} takes. For round trips and tests; the durable path streams
+    with {!write}. *)
 
 val load : string list -> (Db.t, error) result
 (** The returned database has an empty log based at the snapshot LSN. *)

@@ -2,31 +2,33 @@
    durable line carries. Table-driven: 256-entry table computed once at
    module initialisation, one lookup + xor per byte. Implemented here
    rather than pulled in as a dependency — the container toolchain is
-   frozen, and the algorithm is 20 lines. *)
+   frozen, and the algorithm is 20 lines.
+
+   The running value is a native [int] (63 bits hold the 32 easily), so
+   the per-byte loop allocates nothing; only the finished checksum is
+   boxed as the [int32] of the interface. *)
 
 type t = int32
 
-let poly = 0xEDB88320l
+let poly = 0xEDB88320
 
 let table =
   Array.init 256 (fun n ->
-      let c = ref (Int32.of_int n) in
+      let c = ref n in
       for _ = 0 to 7 do
-        c :=
-          if Int32.logand !c 1l <> 0l then
-            Int32.logxor (Int32.shift_right_logical !c 1) poly
-          else Int32.shift_right_logical !c 1
+        c := if !c land 1 <> 0 then (!c lsr 1) lxor poly else !c lsr 1
       done;
       !c)
 
 let update crc byte =
-  let idx = Int32.to_int (Int32.logand (Int32.logxor crc (Int32.of_int byte)) 0xffl) in
-  Int32.logxor (Int32.shift_right_logical crc 8) (Array.unsafe_get table idx)
+  (crc lsr 8) lxor Array.unsafe_get table ((crc lxor byte) land 0xff)
 
-let finish crc = Int32.logxor crc 0xffffffffl
+let start = 0xffffffff
+
+let finish crc = Int32.of_int (crc lxor 0xffffffff)
 
 let of_substring s ~pos ~len =
-  let crc = ref 0xffffffffl in
+  let crc = ref start in
   for i = pos to pos + len - 1 do
     crc := update !crc (Char.code (String.unsafe_get s i))
   done;
@@ -35,19 +37,29 @@ let of_substring s ~pos ~len =
 let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 
 (* Over a [Buffer.t] without materialising its contents — the WAL sink
-   checksums the encoded record straight out of its reusable buffer
-   (PR 6's no-intermediate-strings discipline). [Buffer.nth] is O(1). *)
+   and the checkpoint writers checksum each encoded line straight out
+   of a reused buffer. [Buffer.nth] is O(1). *)
 let of_buffer b =
-  let n = Buffer.length b in
-  let crc = ref 0xffffffffl in
-  for i = 0 to n - 1 do
+  let crc = ref start in
+  for i = 0 to Buffer.length b - 1 do
     crc := update !crc (Char.code (Buffer.nth b i))
   done;
   finish !crc
 
 let equal = Int32.equal
 
-let to_hex c = Printf.sprintf "%08lx" c
+let hex_digits = "0123456789abcdef"
+
+(* Bits 0-31 of [Int32.to_int c] are the checksum's bits whatever its
+   sign, so each nibble can be read off the native int. *)
+let hex_digit c i = hex_digits.[(Int32.to_int c lsr (4 * (7 - i))) land 0xf]
+
+let add_hex buf c =
+  for i = 0 to 7 do
+    Buffer.add_char buf (hex_digit c i)
+  done
+
+let to_hex c = String.init 8 (hex_digit c)
 
 let of_hex s =
   if String.length s <> 8 then None

@@ -13,10 +13,15 @@ val of_string : string -> t
 val of_substring : string -> pos:int -> len:int -> t
 
 val of_buffer : Buffer.t -> t
-(** Checksum a buffer's current contents without copying them out —
-    the WAL sink's hot path. *)
+(** Checksum a buffer's current contents without copying them out.
+    The WAL sink and the checkpoint writers frame every line this way,
+    straight out of a reused buffer; equal to {!of_string} of
+    [Buffer.contents]. *)
 
 val equal : t -> t -> bool
+
+val add_hex : Buffer.t -> t -> unit
+(** Append {!to_hex}'s 8 characters without building the string. *)
 
 val to_hex : t -> string
 (** Always exactly 8 lowercase hex characters (zero-padded). *)

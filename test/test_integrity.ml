@@ -305,6 +305,33 @@ let test_enospc_degrades_and_recovers () =
   Persist.close p2;
   wipe dir
 
+(* A checkpoint closes the WAL's append channel before it rewrites
+   wal.nbsc. When the rewrite fails with a typed error, the old file is
+   intact (the rename never happened) and the channel must be back open:
+   the store keeps committing, checkpointing and reopening. *)
+let test_enospc_wal_rewrite_keeps_store_writable () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  let p = build_store ~n:2 dir in
+  Fault.arm
+    ~mode:(Fault.Io_error { errno = Fault.ENOSPC; transient = false })
+    "wal_rewrite";
+  (match Persist.checkpoint p with
+   | Error (`Disk_full _) -> ()
+   | Ok () -> Alcotest.fail "checkpoint should fail while the disk is full"
+   | Error e -> Alcotest.failf "checkpoint: %a" Persist.pp_error e);
+  Fault.disarm "wal_rewrite";
+  insert p 3 "after" 3;
+  ok_p "checkpoint once space returns" (Persist.checkpoint p);
+  Persist.close p;
+  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  Alcotest.(check (list int)) "every row durable" [ 1; 2; 3 ]
+    (List.map
+       (fun r -> match r.(0) with Value.Int a -> a | _ -> -1)
+       (rows p2));
+  Persist.close p2;
+  wipe dir
+
 (* {1 Scrub} *)
 
 let test_scrub_clean_then_corrupt () =
@@ -452,7 +479,9 @@ let () =
         [ Alcotest.test_case "transient EIO retried" `Quick
             test_transient_eio_retried;
           Alcotest.test_case "ENOSPC degrades and recovers" `Quick
-            test_enospc_degrades_and_recovers ] );
+            test_enospc_degrades_and_recovers;
+          Alcotest.test_case "ENOSPC during WAL rewrite keeps the store writable"
+            `Quick test_enospc_wal_rewrite_keeps_store_writable ] );
       ( "scrub",
         [ Alcotest.test_case "clean then corrupt" `Quick
             test_scrub_clean_then_corrupt;

@@ -269,6 +269,173 @@ let test_orphan_tmp_removed () =
   Persist.close p2;
   wipe dir
 
+(* Both files of the store [fixed_store] below builds, once its last
+   checkpoint is taken and it is closed, as format v2 has always written
+   them. *)
+let snapshot_v2 = {fmt|nbsc:snapshot:v2
+9adc6f4c:H:24
+3caa2cb4:T:1:R40:1:31:a3:int1:01:b4:text1:11:c3:int1:11:a
+6686ba39:R:1:R1:41:11:C1:016:2:I35:T2:r33:I40
+5f15933f:R:1:R2:191:11:C1:018:2:I17:T4:r1:|3:I10
+03315c78:T:1:S29:1:21:c3:int1:01:d4:text1:11:c
+086a2de6:R:1:S1:91:11:C1:013:3:I306:T3:s30
+19aed10e:R:1:S1:81:11:C1:013:3:I206:T3:s20
+545e6f54:R:1:S1:71:11:C1:013:3:I106:T3:s10
+ab949be7:R:1:S2:221:11:C1:013:3:I406:T3:s40
+c9577e60:T:1:T55:1:41:c3:int1:11:a3:int1:11:b4:text1:11:d4:text1:11:a1:c
+ccd49717:I:1:T8:by_r_key1:a
+ee70f6a5:I:1:T8:by_s_key1:c
+d75e8004:I:1:T7:by_join1:c
+7668811a:R:1:T1:01:11:C1:324:3:I102:I15:T2:r16:T3:s10
+b4a47a88:R:1:T1:01:11:C1:119:3:I402:I35:T2:r31:N
+361ed80d:R:1:T1:01:11:C1:324:3:I202:I25:T2:r26:T3:s20
+ad4c0025:R:1:T1:01:11:C1:219:3:I301:N1:N6:T3:s30
+329e5a43:T:1:v65:1:51:k3:int1:01:n3:int1:11:f5:float1:11:b4:bool1:11:s4:text1:11:k
+feee8a07:I:1:v6:v_by_s1:s
+6c0a0078:O:1:v6:v_by_n1:n
+54f33091:R:1:v2:181:11:C1:043:2:I21:N21:F-46297004169368698882:Bf6:T3:|:|
+da56460e:R:1:v2:121:11:C1:047:2:I14:I-4220:F46128119183342305282:Bt8:T5:a:b|c
+1f43f821:@end:22
+|fmt}
+
+let wal_v2 = {fmt|nbsc:wal:v2
+71b103f8:2:141:01:05:fuzzy0:
+7abba262:2:151:01:03:job14:foj#100000000161:2:v13:pop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
+f611269b:2:161:01:05:fuzzy0:
+7c714f2f:2:171:41:05:begin
+0bd29e14:2:181:42:172:op3:ins1:v43:2:I21:N21:F-46297004169368698882:Bf6:T3:|:|
+d6a83a2e:2:191:42:182:op3:upd1:R4:2:I112:1:17:T4:r1:|10:1:15:T2:r1
+aa62b54f:2:201:42:196:commit
+5440b120:2:211:51:05:begin
+730b9b93:2:221:52:212:op3:ins1:S13:3:I406:T3:s40
+add1de75:2:231:52:222:op3:del1:R4:2:I216:2:I25:T2:r23:I20
+dddc11d0:2:241:52:236:commit
+40d2f357:2:251:01:03:job14:foj#100000000162:2:v14:prop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
+|fmt}
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* {1 The on-disk bytes}
+
+   A small fixed store exercising every line kind of format v2: a table
+   with a hash and an ordered index; rows holding Null, a negative Int,
+   a Float, a Bool and a Text containing ':' and '|'; two transactions
+   committed after a checkpoint; and a FOJ caught propagating by the
+   last checkpoint, so the rewritten WAL holds a retained suffix and a
+   [Job_state]. Both files must stay byte for byte what the format
+   always wrote. *)
+
+let v_schema =
+  Schema.make ~key:[ "k" ]
+    [ Schema.column ~nullable:false "k" Value.TInt;
+      Schema.column "n" Value.TInt; Schema.column "f" Value.TFloat;
+      Schema.column "b" Value.TBool; Schema.column "s" Value.TText ]
+
+(* The fixed store up to its last checkpoint, which the caller takes. *)
+let fixed_store dir =
+  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let db = Persist.db p in
+  let mgr = Db.manager db in
+  let v = Db.create_table db ~name:"v" v_schema in
+  Table.add_index v ~name:"v_by_s" ~columns:[ "s" ];
+  Table.add_ordered_index v ~name:"v_by_n" ~columns:[ "n" ];
+  ignore (Db.create_table db ~name:"R" H.r_schema);
+  ignore (Db.create_table db ~name:"S" H.s_schema);
+  ok "load R" (Db.load db ~table:"R" [ H.ri 1 "r1" 10; H.ri 2 "r2" 20; H.ri 3 "r3" 40 ]);
+  ok "load S" (Db.load db ~table:"S" [ H.si 10 "s10"; H.si 20 "s20"; H.si 30 "s30" ]);
+  ok "load v"
+    (Db.load db ~table:"v"
+       [ Row.make
+           [ Value.Int 1; Value.Int (-42); Value.Float 2.5; Value.Bool true;
+             Value.Text "a:b|c" ] ]);
+  ok_p "ddl checkpoint" (Persist.checkpoint p);
+  let tf =
+    H.start db
+      ~options:{ Nbsc_core.Options.default with
+                 Nbsc_core.Options.scan_batch = 2; propagate_batch = 2;
+                 drop_sources = false }
+      (Nbsc_core.Spec.Foj H.foj_spec)
+  in
+  let guard = ref 0 in
+  while Nbsc_core.Transform.phase tf = Nbsc_core.Transform.Populating do
+    incr guard;
+    if !guard > 50 then Alcotest.fail "population never finished";
+    ignore (Nbsc_core.Transform.step tf)
+  done;
+  Alcotest.(check bool) "propagating" true
+    (Nbsc_core.Transform.phase tf = Nbsc_core.Transform.Propagating);
+  (* Two transactions the propagator has not read yet. *)
+  let txn = Manager.begin_txn mgr in
+  ok "insert v"
+    (Manager.insert mgr ~txn ~table:"v"
+       (Row.make
+          [ Value.Int 2; Value.Null; Value.Float (-0.125); Value.Bool false;
+            Value.Text "|:|" ]));
+  ok "update R"
+    (Manager.update mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 1 ])
+       [ (1, Value.Text "r1:|") ]);
+  ok "commit 1" (Manager.commit mgr txn);
+  let txn = Manager.begin_txn mgr in
+  ok "insert S" (Manager.insert mgr ~txn ~table:"S" (H.si 40 "s40"));
+  ok "delete R" (Manager.delete mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 2 ]));
+  ok "commit 2" (Manager.commit mgr txn);
+  p
+
+let check_v2_bytes name dir =
+  Alcotest.(check string) (name ^ "snapshot.nbsc") snapshot_v2
+    (read_file (Disk_format.snapshot_path dir));
+  Alcotest.(check string) (name ^ "wal.nbsc") wal_v2
+    (read_file (Disk_format.wal_path dir))
+
+let test_v2_bytes_stable () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  let p = fixed_store dir in
+  ok_p "checkpoint while propagating" (Persist.checkpoint p);
+  Persist.close p;
+  check_v2_bytes "" dir;
+  wipe dir
+
+(* A transient EIO at either checkpoint write reruns that whole write on
+   a fresh temp file, streaming its lines again: the checkpoint still
+   succeeds, publishes the very same bytes, and the store reopens with
+   every row and scrubs clean. *)
+let test_checkpoint_eio_retried () =
+  List.iter
+    (fun site ->
+       Fault.reset ();
+       let dir = fresh_dir () in
+       let p = fixed_store dir in
+       let retries () = Nbsc_obs.Obs.Counter.value (Disk_format.io_retries ()) in
+       let before = retries () in
+       Fault.arm
+         ~mode:(Fault.Io_error { errno = Fault.EIO; transient = true })
+         site;
+       ok_p (site ^ ": checkpoint") (Persist.checkpoint p);
+       Fault.reset ();
+       Alcotest.(check bool) (site ^ ": retry counted") true
+         (retries () > before);
+       let tables = [ "R"; "S"; "T"; "v" ] in
+       let images = List.map (Db.snapshot (Persist.db p)) tables in
+       Persist.close p;
+       check_v2_bytes (site ^ ": ") dir;
+       (match Scrub.verify_dir ~dir with
+        | Ok r -> Alcotest.(check bool) (site ^ ": scrubs clean") true (Scrub.ok r)
+        | Error e -> Alcotest.failf "%s: scrub: %a" site Persist.pp_error e);
+       let p2 = ok_p (site ^ ": reopen") (Persist.open_dir ~dir) in
+       List.iter2
+         (fun table want ->
+            H.check_relations_equal (site ^ ": " ^ table) want
+              (Db.snapshot (Persist.db p2) table))
+         tables images;
+       Persist.close p2;
+       wipe dir)
+    [ "snapshot_write"; "wal_rewrite" ]
+
 (* Property: for a random history of committed transactions plus a
    random in-flight tail at the "crash", reopening yields exactly the
    committed state. *)
@@ -341,6 +508,10 @@ let () =
           Alcotest.test_case "bad prev_lsn is corrupt" `Quick
             test_bad_prev_lsn_is_corrupt;
           Alcotest.test_case "orphan tmp files removed" `Quick
-            test_orphan_tmp_removed ] );
+            test_orphan_tmp_removed;
+          Alcotest.test_case "v2 bytes are stable" `Quick test_v2_bytes_stable;
+          Alcotest.test_case
+            "transient EIO while writing a checkpoint is retried" `Quick
+            test_checkpoint_eio_retried ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_reopen_equals_committed ] ) ]

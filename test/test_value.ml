@@ -156,6 +156,43 @@ let prop_row_codec =
        in
        Row.equal row (Codec.decode_row (Codec.encode_row row)))
 
+(* CRC-32 known answers: "123456789" -> cbf43926 is the standard check
+   value of the IEEE 802.3 CRC; zlib's crc32 gives the same three. *)
+let test_crc32_known_answers () =
+  let hex s = Crc32.to_hex (Crc32.of_string s) in
+  Alcotest.(check string) "empty" "00000000" (hex "");
+  Alcotest.(check string) "a" "e8b7be43" (hex "a");
+  Alcotest.(check string) "check value" "cbf43926" (hex "123456789")
+
+let test_crc32_windows () =
+  let crc =
+    Alcotest.testable
+      (fun ppf c -> Format.pp_print_string ppf (Crc32.to_hex c))
+      Crc32.equal
+  in
+  let s = "xx123456789yyy" in
+  Alcotest.check crc "substring" (Crc32.of_string "123456789")
+    (Crc32.of_substring s ~pos:2 ~len:9);
+  let b = Buffer.create 4 in
+  Buffer.add_string b "123456789";
+  Alcotest.check crc "buffer" (Crc32.of_string "123456789") (Crc32.of_buffer b);
+  Alcotest.check crc "empty buffer" (Crc32.of_string "")
+    (Crc32.of_buffer (Buffer.create 1))
+
+let test_crc32_hex () =
+  Alcotest.(check string) "zero-padded" "0000abcd" (Crc32.to_hex 0x0000abcdl);
+  Alcotest.(check (option int32)) "inverse" (Some 0x0000abcdl)
+    (Crc32.of_hex (Crc32.to_hex 0x0000abcdl));
+  Alcotest.(check (option int32)) "high bit" (Some 0xcbf43926l)
+    (Crc32.of_hex "CBF43926");
+  let b = Buffer.create 8 in
+  Crc32.add_hex b 0xcbf43926l;
+  Alcotest.(check string) "add_hex" "cbf43926" (Buffer.contents b);
+  List.iter
+    (fun bad ->
+       Alcotest.(check (option int32)) bad None (Crc32.of_hex bad))
+    [ ""; "abcd"; "0000abcdz"; "0000abcg"; "-000abcd" ]
+
 let () =
   Alcotest.run "value"
     [ ( "value",
@@ -170,6 +207,10 @@ let () =
       ( "schema",
         [ Alcotest.test_case "validation" `Quick test_schema_validation;
           Alcotest.test_case "lookup" `Quick test_schema_lookup ] );
+      ( "crc32",
+        [ Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
+          Alcotest.test_case "substring and buffer" `Quick test_crc32_windows;
+          Alcotest.test_case "hex round trip" `Quick test_crc32_hex ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_codec_roundtrip; prop_compare_total; prop_hash_consistent;
