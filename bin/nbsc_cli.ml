@@ -189,7 +189,8 @@ let demo_cmd =
    Two independent transformations — an FOJ of R and S into T, and a
    horizontal split archiving U — registered on the same database and
    driven round-robin through its job registry, with user transactions
-   interleaved between rounds. *)
+   interleaved between rounds. Both targets are then checked against
+   the relational oracle; a mismatch exits 1. *)
 
 let build_concurrent_db ~rows =
   let db = build_foj_db ~rows in
@@ -210,6 +211,26 @@ let build_concurrent_db ~rows =
    | Error _ -> failwith "load");
   db
 
+let u_pred = Pred.Cmp ("age", Pred.Ge, Value.Int 50)
+
+(* T against the full outer join of the final R and S, and U_old /
+   U_live against the predicate's partition of the final U. *)
+let concurrent_oracles db =
+  let module Relalg = Nbsc_relalg.Relalg in
+  let foj =
+    Relalg.full_outer_join
+      { Relalg.r_join = [ "c" ]; s_join = [ "c" ]; out_join = [ "c" ];
+        r_cols = [ "a"; "b" ]; s_cols = [ "d" ]; out_key = [ "a" ] }
+      (Db.snapshot db "R") (Db.snapshot db "S")
+  in
+  let u = Db.snapshot db "U" in
+  let old = Pred.compile u.Relalg.schema u_pred in
+  ( Relalg.equal_as_sets foj (Db.snapshot db "T"),
+    Relalg.equal_as_sets (Relalg.select u old) (Db.snapshot db "U_old")
+    && Relalg.equal_as_sets
+         (Relalg.select u (fun row -> not (old row)))
+         (Db.snapshot db "U_live") )
+
 let run_concurrent rows =
   let db = build_concurrent_db ~rows in
   let options = demo_options ~batch:64 in
@@ -218,8 +239,7 @@ let run_concurrent rows =
     start_sc db ~options
       (Spec.Hsplit
          { Spec.h_source = "U"; h_true_table = "U_old";
-           h_false_table = "U_live";
-           h_pred = Pred.Cmp ("age", Pred.Ge, Value.Int 50) })
+           h_false_table = "U_live"; h_pred = u_pred })
   in
   let foj_tf = Sc.transform foj_sc and hs_tf = Sc.transform hs_sc in
   say "registered jobs: %s" (String.concat ", " (Db.jobs db));
@@ -256,6 +276,9 @@ let run_concurrent rows =
   List.iter
     (fun t -> say "table %-6s %6d rows" t (Db.row_count db t))
     (Transform.targets foj_tf @ Transform.targets hs_tf);
+  let t_ok, u_ok = concurrent_oracles db in
+  say "oracle: T = foj(R, S) %b; U_old/U_live = partition of U %b" t_ok u_ok;
+  if not (t_ok && u_ok) then exit 1;
   `Ok ()
 
 let concurrent_cmd =

@@ -70,6 +70,12 @@ dune exec test/test_sim.exe -- test soak
 echo "== examples =="
 make examples
 
+# Two changes at once through the job registry, with user writes
+# between rounds. The command compares both changes' targets with the
+# relational oracle and exits 1 on a mismatch.
+echo "== nbsc concurrent (oracle check) =="
+dune exec bin/nbsc_cli.exe -- concurrent
+
 # The schema-change benchmark's determinism self-test (perfbench/):
 # every workload at tiny scale, twice with one seed and once with
 # another. It fails if a same-seed rerun changes any count, if the

@@ -19,7 +19,7 @@ type phase =
 type t = {
   db : Db.t;
   mgr : Manager.t;
-  holder : int;  (* latch holder and post-op hook registry id *)
+  holder : int;  (* latch holder and interceptor id *)
   job : string;
   sources : string list;
   targets : string list;
@@ -62,11 +62,14 @@ let create db ?(drop_sources = true) ?(chunk = 256) packed =
      captured for later replay. This is the shadow-table method's
      analogue of reading the WAL, paid synchronously inside the user
      operation like any trigger. *)
-  Manager.add_post_op_hook mgr ~id:holder (fun ~txn:_ ~lsn op ->
-      if List.exists (String.equal (Log_record.op_table op)) t.sources then begin
-        Queue.add (lsn, op) t.audit;
-        t.captured <- t.captured + 1
-      end);
+  let capture ~txn:_ ~lsn op =
+    if List.exists (String.equal (Log_record.op_table op)) t.sources then begin
+      Queue.add (lsn, op) t.audit;
+      t.captured <- t.captured + 1
+    end
+  in
+  Manager.intercept mgr ~id:holder
+    { Manager.empty_interceptor with on_write = Some capture };
   t
 
 let audit_pending t = Queue.length t.audit
@@ -110,7 +113,7 @@ let drop_sources_now t =
 let cutover t =
   drain_audit t ~limit:max_int;
   Fault.hit "sync_commit";
-  Manager.remove_post_op_hook t.mgr ~id:t.holder;
+  Manager.release t.mgr ~id:t.holder;
   unlatch_sources t;
   if t.drop_sources then drop_sources_now t;
   t.phase <- Done
@@ -150,7 +153,7 @@ let step t ~limit =
    the caller drops them before rebuilding. *)
 let abandon t =
   if t.phase <> Done then begin
-    Manager.remove_post_op_hook t.mgr ~id:t.holder;
+    Manager.release t.mgr ~id:t.holder;
     (match t.phase with Backfill `Latched -> unlatch_sources t | _ -> ());
     Population.close t.pop;
     Queue.clear t.audit;

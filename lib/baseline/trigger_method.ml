@@ -7,7 +7,7 @@ type engine = E_foj of Foj.t | E_split of Split.t
 
 type t = {
   mgr : Manager.t;
-  id : int;  (* post-op hook registry id — removal must be ours only *)
+  id : int;  (* interceptor id — removal must be ours only *)
   engine : engine;
   mutable triggered : int;
   mutable last : int;
@@ -18,13 +18,16 @@ let applied = function
   | E_split sp -> (Split.stats sp).Split.applied + (Split.stats sp).Split.ignored
 
 let install t =
-  Manager.add_post_op_hook t.mgr ~id:t.id (fun ~txn:_ ~lsn op ->
-      let before = applied t.engine in
-      (match t.engine with
-       | E_foj fj -> ignore (Foj.apply fj ~lsn op)
-       | E_split sp -> ignore (Split.apply sp ~lsn op));
-      t.last <- applied t.engine - before;
-      t.triggered <- t.triggered + t.last)
+  let trigger ~txn:_ ~lsn op =
+    let before = applied t.engine in
+    (match t.engine with
+     | E_foj fj -> ignore (Foj.apply fj ~lsn op)
+     | E_split sp -> ignore (Split.apply sp ~lsn op));
+    t.last <- applied t.engine - before;
+    t.triggered <- t.triggered + t.last
+  in
+  Manager.intercept t.mgr ~id:t.id
+    { Manager.empty_interceptor with on_write = Some trigger }
 
 (* Populate the target in bounded chunks, consulting the standard
    quantum fault-injection site between chunks — Ronström's scan is
@@ -82,6 +85,6 @@ let install_split db spec =
   install t;
   t
 
-let uninstall t = Manager.remove_post_op_hook t.mgr ~id:t.id
+let uninstall t = Manager.release t.mgr ~id:t.id
 let triggered_ops t = t.triggered
 let last_op_work t = t.last

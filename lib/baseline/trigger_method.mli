@@ -7,9 +7,10 @@
     significant — whereas the log-based method defers it to a
     background process.
 
-    This implementation installs a post-operation hook that applies the
-    same propagation rules the framework uses, but immediately and
-    inside the user operation. The simulator charges the triggered rule
+    This implementation installs a write-only interceptor
+    ({!Nbsc_txn.Manager.intercept}) that applies the same propagation
+    rules the framework uses, but immediately and inside the user
+    operation. The simulator charges the triggered rule
     applications to the user operation's cost, which is exactly the
     comparison the ablation bench makes. *)
 
@@ -24,10 +25,10 @@ val install_foj : Db.t -> Spec.foj -> t
 val install_split : Db.t -> Spec.split -> t
 
 val uninstall : t -> unit
-(** Remove this installation's hook — and only this one: hooks live in
-    an id-keyed registry, so two concurrently installed trigger methods
-    (or a trigger method next to a shadow-table audit log) do not
-    clobber each other. The transformed tables stay. *)
+(** Release this installation's interceptor — and only this one:
+    interceptors are keyed by holder id, so two concurrently installed
+    trigger methods (or a trigger method next to a shadow-table audit
+    log) do not clobber each other. The transformed tables stay. *)
 
 val triggered_ops : t -> int
 (** Rule applications performed inside user transactions so far. *)

@@ -23,10 +23,10 @@
 
     Migration strategy choice never changes the final relational
     contents — only {e when} each record pays its transformation cost.
-    Under [Lazy]/[Hybrid] the executor registers an access hook with
-    the transaction manager; a record touched by any transaction while
-    the change is populating is transformed immediately (idempotently —
-    the log propagation re-applies at the same LSN and is ignored). *)
+    Under [Lazy]/[Hybrid] the executor's interceptor carries an access
+    callback while the change is populating; a record touched by any
+    transaction then is transformed immediately (idempotently — the
+    log propagation re-applies at the same LSN and is ignored). *)
 
 (** The paper's three synchronization strategies (Sec. 3.4). *)
 type sync =

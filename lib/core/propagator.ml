@@ -33,15 +33,6 @@ type t = {
   skip_set : (Log_record.txn_id, unit) Hashtbl.t;
   mutable processed : int;
   mutable transferred : int;
-  mutable lock_mapper :
-    (table:string -> key:Row.Key.t -> (string * Row.Key.t) list) option;
-  (* Background sweep for the lazy migration strategies: migrates a
-     bounded number of still-cold source records per call. The thunk is
-     the transformation's demand scan; owning it here makes the
-     propagator the single background catch-up engine (log tail {e and}
-     cold records). *)
-  mutable sweeper : (limit:int -> bool) option;
-  mutable swept : int;
 }
 
 let create ?(skip = []) mgr rules ~from =
@@ -64,10 +55,7 @@ let create ?(skip = []) mgr rules ~from =
     target_set;
     skip_set;
     processed = 0;
-    transferred = 0;
-    lock_mapper = None;
-    sweeper = None;
-    swept = 0 }
+    transferred = 0 }
 
 let close t = Manager.unpin_wal t.mgr t.pin
 
@@ -173,43 +161,24 @@ let position t = Log.Cursor.position t.cursor
 let records_processed t = t.processed
 let locks_transferred t = t.transferred
 
-let set_lock_mapper t mapper = t.lock_mapper <- Some mapper
-
-let set_sweeper t sweeper = t.sweeper <- Some sweeper
-
-let sweep t ~limit =
-  match t.sweeper with
-  | None -> true
-  | Some f ->
-    let finished = f ~limit in
-    if not finished then t.swept <- t.swept + limit;
-    finished
-
-let swept t = t.swept
-
-let transfer_current_source_locks t =
-  match t.lock_mapper with
-  | None -> invalid_arg "Propagator: no lock mapper installed"
-  | Some mapper ->
-    let locks = Manager.locks t.mgr in
-    (* One pass over the grants table for all sources at once;
-       per-source [locked_resources] would rescan every granted lock
-       once per source table. *)
-    List.iter
-      (fun (source, key, owner, (lock : Compat.lock)) ->
-         match Hashtbl.find_opt t.source_index source with
-         | None -> ()
-         | Some i ->
-           if Manager.is_active t.mgr owner then
-             List.iter
-               (fun (table, tkey) ->
-                  let target_lock =
-                    { Compat.mode = lock.Compat.mode;
-                      provenance = Compat.Source i }
-                  in
-                  if
-                    Lock_table.transfer locks ~owner ~table ~key:tkey
-                      target_lock
-                  then t.transferred <- t.transferred + 1)
-               (mapper ~table:source ~key))
-      (Lock_table.locked_resources_in locks ~tables:t.rules.sources)
+let transfer_current_source_locks t to_targets =
+  let locks = Manager.locks t.mgr in
+  (* One pass over the grants table for all sources at once;
+     per-source [locked_resources] would rescan every granted lock once
+     per source table. *)
+  List.iter
+    (fun (source, key, owner, (lock : Compat.lock)) ->
+       match Hashtbl.find_opt t.source_index source with
+       | None -> ()
+       | Some i ->
+         if Manager.is_active t.mgr owner then
+           List.iter
+             (fun (table, tkey) ->
+                let target_lock =
+                  { Compat.mode = lock.Compat.mode;
+                    provenance = Compat.Source i }
+                in
+                if Lock_table.transfer locks ~owner ~table ~key:tkey target_lock
+                then t.transferred <- t.transferred + 1)
+             (to_targets ~table:source ~key))
+    (Lock_table.locked_resources_in locks ~tables:t.rules.sources)

@@ -79,33 +79,9 @@ val position : t -> Lsn.t
 val records_processed : t -> int
 val locks_transferred : t -> int
 
-val transfer_current_source_locks : t -> unit
-(** Non-blocking-commit synchronization: transfer every lock currently
-    held on a source table to the corresponding target records
-    (paper, Sec. 3.4 / 4.3). Requires lag = 0. *)
-
-val release_transferred : t -> owner:Log_record.txn_id -> unit
-(** Drop one transaction's transferred locks on the targets (used when
-    force-aborting source transactions whose end records will never be
-    propagated because the transformation is being torn down). *)
-
-val set_sweeper : t -> (limit:int -> bool) -> unit
-(** Attach the background sweep the lazy migration strategies use: a
-    bounded thunk that migrates up to [limit] still-cold source
-    records (typically a {!Population.scan_tagged} step feeding the
-    rules). Owning the sweep makes the propagator the single
-    background catch-up engine — log tail and cold records alike. *)
-
-val sweep : t -> limit:int -> bool
-(** Run one sweep quantum; true when every cold record has been
-    visited (vacuously true when no sweeper is attached). *)
-
-val swept : t -> int
-(** Total sweep work performed (in requested records), a coarse
-    progress indicator; exact migrated-record counts live on the
-    population's [scanned]/[produced] counters. *)
-
-val set_lock_mapper :
+val transfer_current_source_locks :
   t -> (table:string -> key:Row.Key.t -> (string * Row.Key.t) list) -> unit
-(** How a lock on a source record maps to target records; needed by
-    {!transfer_current_source_locks}. *)
+(** Non-blocking-commit synchronization: transfer every lock currently
+    held on a source table to the target records the given map
+    implicates (the operator's [source_to_targets]; paper, Sec. 3.4 /
+    4.3). Requires lag = 0. *)

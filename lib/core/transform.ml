@@ -40,8 +40,7 @@ type t = {
   lock_map : Transformation.lock_map;
   consistency : Consistency.t option;
   unknown : unit -> int;
-  hooks : Transformation.sync_hooks;
-  holder : int;  (* latch holder id, also the lock-hook id *)
+  holder : int;  (* latch holder id, also the interceptor id *)
   job_name : string;
   analysis : Analysis.t;
   mutable tphase : phase;
@@ -51,9 +50,9 @@ type t = {
   mutable final_records : int;
   mutable old_txns : Manager.txn_id list;
   mutable forced_aborts : int;
-  mutable hook_installed : bool;
   mutable demand_migrations : int;
-  mutable demand_hook : bool;  (* access hook registered in the manager *)
+  (* What this change has installed in the manager under [holder]. *)
+  mutable icpt : Manager.interceptor;
   obs : Obs.Registry.t;
   root_span : Obs.span;
   mutable phase_span : (string * Obs.span) option;
@@ -196,17 +195,33 @@ let remove_probes t =
   Obs.Registry.remove t.obs ("transform." ^ t.job_name ^ ".lag");
   Obs.Registry.remove t.obs ("transform." ^ t.job_name ^ ".propagated")
 
+(* {2 The change's interceptor}
+
+   Everything this change makes user operations do goes through one
+   interceptor record under [holder]: the access callback while
+   populating under [Lazy]/[Hybrid], the freeze from synchronization
+   on, and the two-schema lock extension under [Nonblocking_commit].
+   [finalize] and [abort] release it in one call. *)
+
+let intercept t icpt =
+  t.icpt <- icpt;
+  Manager.intercept t.mgr ~id:t.holder icpt
+
+let release t =
+  t.icpt <- Manager.empty_interceptor;
+  Manager.release t.mgr ~id:t.holder
+
 (* {2 Lazy demand migration (Options.Lazy / Hybrid)}
 
-   While populating, an access hook in the transaction manager migrates
-   any source record the instant a transaction touches it: the record's
-   current state is replayed through the propagation rules as if its
-   insert had just been logged. Idempotent by the rules' LSN gating —
-   when the log propagation later reaches the record's real operations
-   it finds the state already reflected. The hook removes itself from
-   the hot path once population (the background sweep) completes:
-   records written after that point ride the ordinary log propagation,
-   so demand migration has nothing left to do. *)
+   While populating, the access callback migrates any source record
+   the instant a transaction touches it: the record's current state is
+   replayed through the propagation rules as if its insert had just
+   been logged. Idempotent by the rules' LSN gating — when the log
+   propagation later reaches the record's real operations it finds the
+   state already reflected. The callback leaves the hot path once
+   population (the background sweep) completes: records written after
+   that point ride the ordinary log propagation, so demand migration
+   has nothing left to do. *)
 
 let demand_migrate t ~table ~key =
   if List.exists (String.equal table) t.src then
@@ -221,17 +236,6 @@ let demand_migrate t ~table ~key =
            (T.rules.Propagator.apply ~lsn:record.Record.lsn
               (Log_record.Insert { table; row = record.Record.row }));
          t.demand_migrations <- t.demand_migrations + 1)
-
-let install_demand_hook t =
-  Manager.add_access_hook t.mgr ~id:t.holder (fun ~table ~key ->
-      if t.tphase = Populating then demand_migrate t ~table ~key);
-  t.demand_hook <- true
-
-let remove_demand_hook t =
-  if t.demand_hook then begin
-    Manager.remove_access_hook t.mgr ~id:t.holder;
-    t.demand_hook <- false
-  end
 
 (* {2 Two-schema locking (paper, Sec. 4.3)}
 
@@ -248,7 +252,7 @@ let source_index t table =
   in
   go 0 t.src
 
-let dual_lock_hook t ~txn:_ ~table ~key ~mode =
+let dual_locks t ~txn:_ ~table ~key ~mode =
   if List.exists (String.equal table) t.src then
     List.map
       (fun (tbl, k) ->
@@ -290,11 +294,6 @@ let unlatch_sources t =
          Latch.unlatch (Manager.latches t.mgr) ~holder:t.holder ~table)
     t.src
 
-let switch_routing t =
-  t.hooks.Transformation.before_switch ();
-  t.route <- `Targets;
-  t.hooks.Transformation.after_switch ()
-
 let persistable t =
   let (module T : Transformation.S) = t.tf in
   Option.is_some T.spec_payload
@@ -312,19 +311,13 @@ let finalize t =
      fault site below can crash us). *)
   Manager.flush_commits t.mgr;
   Fault.hit "sync_commit";
-  if t.hook_installed then begin
-    Manager.remove_extra_lock_hook t.mgr ~id:t.holder;
-    t.hook_installed <- false
-  end;
-  remove_demand_hook t;
-  Manager.unfreeze_tables t.mgr t.src;
+  release t;
   if t.options.Options.drop_sources then
     List.iter
       (fun src ->
          if Catalog.mem (Db.catalog t.db) src then
            Catalog.drop (Db.catalog t.db) src)
       t.src;
-  t.hooks.Transformation.on_done ();
   (* Population finished long ago, but with [drop_sources = false] its
      fuzzy cursors were never closed — the source tables would refuse
      arrival compaction forever. Close is idempotent. *)
@@ -346,7 +339,7 @@ let begin_sync t =
   match t.options.Options.sync with
   | Options.Blocking_commit ->
     (* Block newcomers; current transactions run to completion. *)
-    Manager.freeze_tables t.mgr t.src;
+    intercept t { t.icpt with Manager.frozen = t.src };
     t.tphase <- Quiescing;
     true
   | Options.Nonblocking_abort ->
@@ -355,8 +348,8 @@ let begin_sync t =
       t.final_records <- Propagator.run_to_head t.prop;
       let old = active_txns_on_sources t in
       t.old_txns <- old;
-      switch_routing t;
-      Manager.freeze_tables t.mgr t.src;
+      t.route <- `Targets;
+      intercept t { t.icpt with Manager.frozen = t.src };
       unlatch_sources t;
       (* Force the transactions that were active on the sources to roll
          back; their CLRs keep flowing through the propagator, which
@@ -376,13 +369,14 @@ let begin_sync t =
     if not (latch_sources t) then false
     else begin
       t.final_records <- Propagator.run_to_head t.prop;
-      Propagator.transfer_current_source_locks t.prop;
+      Propagator.transfer_current_source_locks t.prop
+        t.lock_map.Transformation.source_to_targets;
       t.old_txns <- active_txns_on_sources t;
-      Manager.add_extra_lock_hook t.mgr ~id:t.holder
-        (fun ~txn ~table ~key ~mode -> dual_lock_hook t ~txn ~table ~key ~mode);
-      t.hook_installed <- true;
-      switch_routing t;
-      Manager.freeze_tables t.mgr t.src;
+      t.route <- `Targets;
+      intercept t
+        { t.icpt with
+          Manager.frozen = t.src;
+          extra_locks = Some (dual_locks t) };
       unlatch_sources t;
       t.tphase <- Draining;
       true
@@ -416,12 +410,12 @@ let step_quantum t =
          (* Minimal background sweep: demand migration carries the hot
             set; one cold record per quantum guarantees completion on
             an idle system. *)
-         Propagator.sweep t.prop ~limit:1
+         Population.step t.pop ~limit:1
        | Options.Hybrid { sweep_quantum } ->
-         Propagator.sweep t.prop ~limit:(max 1 sweep_quantum)
+         Population.step t.pop ~limit:(max 1 sweep_quantum)
      in
      if finished then begin
-       remove_demand_hook t;
+       intercept t { t.icpt with Manager.on_access = None };
        write_fuzzy_mark t.mgr;
        t.tphase <- Propagating
      end
@@ -454,7 +448,7 @@ let step_quantum t =
      ignore (Propagator.step t.prop ~limit:t.options.Options.propagate_batch);
      if active_txns_on_sources t = [] then begin
        t.final_records <- Propagator.run_to_head t.prop;
-       switch_routing t;
+       t.route <- `Targets;
        finalize t
      end
    | Draining ->
@@ -553,9 +547,8 @@ let register db ~options ?resume ?job_name packed =
        | `Propagating -> (prop, Propagating, `Sources)
        | `Draining ->
          (* Already switched before the crash: the sources are dead
-            (frozen, no surviving transactions) and only the log tail
-            still needs to reach the targets. *)
-         Manager.freeze_tables mgr T.sources;
+            (frozen below, no surviving transactions) and only the log
+            tail still needs to reach the targets. *)
          (prop, Draining, `Targets))
   in
   let holder = Db.fresh_holder db in
@@ -585,7 +578,6 @@ let register db ~options ?resume ?job_name packed =
       lock_map = T.lock_map;
       consistency = T.consistency;
       unknown = T.unknown_flags;
-      hooks = T.sync_hooks;
       holder;
       job_name;
       analysis = Analysis.create options.Options.analysis;
@@ -596,28 +588,29 @@ let register db ~options ?resume ?job_name packed =
       final_records = 0;
       old_txns = [];
       forced_aborts = 0;
-      hook_installed = false;
       demand_migrations = 0;
-      demand_hook = false;
+      icpt = Manager.empty_interceptor;
       obs;
       root_span;
       phase_span = None }
   in
   sync_spans t;
-  (match options.Options.strategy with
-   | Options.Eager -> ()
-   | Options.Lazy | Options.Hybrid _ ->
-     (* The propagator doubles as the cold-record sweeper; the demand
-        hook covers the hot set. Only meaningful while populating — a
-        resumed Propagating/Draining job has its initial image already. *)
-     Propagator.set_sweeper prop (fun ~limit -> Population.step t.pop ~limit);
-     if t.tphase = Populating then install_demand_hook t);
+  (match (t.tphase, options.Options.strategy) with
+   | Populating, (Options.Lazy | Options.Hybrid _) ->
+     (* Demand migration covers the hot set while the population's
+        sweep reaches the cold records. A resumed Propagating/Draining
+        job has its initial image already. *)
+     intercept t
+       { Manager.empty_interceptor with
+         on_access = Some (demand_migrate t) }
+   | Draining, _ ->
+     intercept t { Manager.empty_interceptor with frozen = t.src }
+   | (Populating | Propagating | Checking | Quiescing | Done | Failed _), _ ->
+     ());
   Obs.Registry.probe obs ("transform." ^ t.job_name ^ ".lag") (fun () ->
       float_of_int (Propagator.lag t.prop));
   Obs.Registry.probe obs ("transform." ^ t.job_name ^ ".propagated") (fun () ->
       float_of_int (Propagator.records_processed t.prop));
-  Propagator.set_lock_mapper prop (fun ~table ~key ->
-      t.lock_map.Transformation.source_to_targets ~table ~key);
   let persist =
     match T.spec_payload with
     | None -> None
@@ -717,13 +710,8 @@ let abort t =
   match t.tphase with
   | Done -> ()
   | _ ->
-    if t.hook_installed then begin
-      Manager.remove_extra_lock_hook t.mgr ~id:t.holder;
-      t.hook_installed <- false
-    end;
-    remove_demand_hook t;
+    release t;
     unlatch_sources t;
-    Manager.unfreeze_tables t.mgr t.src;
     (* Drop transferred locks on the targets, then the targets. *)
     let locks = Manager.locks t.mgr in
     List.iter

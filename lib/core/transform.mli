@@ -78,13 +78,14 @@ val create : Nbsc_engine.Db.t -> ?options:Options.t -> Transformation.packed -> 
 
     [options] defaults to {!Options.default}; an invalid record raises
     {!Nbsc_error.Error}. Under [options.strategy = Lazy | Hybrid _] the
-    executor runs demand-driven migration: an access hook in the
-    transaction manager transforms each source record on first touch,
-    and the propagator doubles as a background sweeper over the cold
-    records ([Lazy]: one per quantum; [Hybrid { sweep_quantum }]: that
-    many). The populating phase ends when the sweep has visited every
-    record; everything after (propagation, synchronization, crash
-    resume) is strategy-independent. A lazy job that crashes while
+    executor runs demand-driven migration: the access callback of its
+    interceptor ({!Nbsc_txn.Manager.intercept}) transforms each source
+    record on first touch, and each quantum steps the population as a
+    background sweep over the cold records ([Lazy]: one per quantum;
+    [Hybrid { sweep_quantum }]: that many). The populating phase ends
+    when the sweep has visited every record; everything after
+    (propagation, synchronization, crash resume) is
+    strategy-independent. A lazy job that crashes while
     populating restarts from scratch on resume, exactly like an eager
     one — the sweep is a fuzzy scan and both are idempotent. *)
 
@@ -119,8 +120,8 @@ val migration : t -> Options.migration
 (** The migration strategy this executor runs under. *)
 
 val demand_migrations : t -> int
-(** Records migrated by the access hook (first-touch demand migration)
-    — 0 under [Eager]. *)
+(** Records migrated by the access callback (first-touch demand
+    migration) — 0 under [Eager]. *)
 
 val resume :
   ?options:Options.t -> Persist.t -> (t list, Nbsc_error.t) result

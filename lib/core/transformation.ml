@@ -11,17 +11,6 @@ type lock_map = {
     table:string -> key:Row.Key.t -> (string * Row.Key.t) list;
 }
 
-type sync_hooks = {
-  before_switch : unit -> unit;
-  after_switch : unit -> unit;
-  on_done : unit -> unit;
-}
-
-let no_hooks =
-  { before_switch = (fun () -> ());
-    after_switch = (fun () -> ());
-    on_done = (fun () -> ()) }
-
 module type S = sig
   val name : string
   val sources : string list
@@ -33,7 +22,6 @@ module type S = sig
   val consistency : Consistency.t option
   val unknown_flags : unit -> int
   val counters : unit -> (string * int) list
-  val sync_hooks : sync_hooks
 end
 
 type packed = (module S)
@@ -78,7 +66,7 @@ let start_propagator mgr rules =
    population is replaced by a uniform sweep that replays each source
    record's {e current} state through the propagation rules, exactly as
    if its insert had just been logged. The rules are LSN-gated
-   idempotent upserts, so a record already migrated — by an access-hook
+   idempotent upserts, so a record already migrated — by first-touch
    demand migration or by actual log propagation — is simply ignored.
    This gives every operator lazy migration for free: no second
    population path per operator. *)
@@ -208,7 +196,6 @@ let foj ?(transfer_locks = true) ?plan_mode ?options db spec =
       [ ("applied", st.Foj.applied); ("ignored", st.Foj.ignored);
         ("foreign", st.Foj.foreign) ]
       @ vc_counters vc
-    let sync_hooks = no_hooks
   end : S)
 
 (* {1 Vertical split} *)
@@ -289,7 +276,6 @@ let split ?plan_mode ?options db spec =
       [ ("applied", st.Split.applied); ("ignored", st.Split.ignored);
         ("foreign", st.Split.foreign); ("unknown", Split.unknown_count sp) ]
       @ vc_counters vc
-    let sync_hooks = no_hooks
   end : S)
 
 (* {1 Horizontal (selection) split} *)
@@ -339,7 +325,6 @@ let hsplit ?options db spec =
       [ ("applied", st.Hsplit.applied); ("ignored", st.Hsplit.ignored);
         ("foreign", st.Hsplit.foreign); ("migrations", st.Hsplit.migrations) ]
       @ vc_counters vc
-    let sync_hooks = no_hooks
   end : S)
 
 (* {1 Merge (union)} *)
@@ -386,7 +371,6 @@ let merge ?options db spec =
       [ ("applied", st.Merge.applied); ("ignored", st.Merge.ignored);
         ("foreign", st.Merge.foreign); ("collisions", st.Merge.collisions) ]
       @ vc_counters vc
-    let sync_hooks = no_hooks
   end : S)
 
 (* {1 Building from a specification} *)

@@ -34,23 +34,9 @@ type lock_map = {
     table:string -> key:Row.Key.t -> (string * Row.Key.t) list;
 }
 
-(** Callbacks the executor fires at the synchronization transitions, in
-    whichever of the three strategies is running. All of the paper's
-    operators are pure table rewrites and use {!no_hooks}; an operator
-    that maintains auxiliary state (external indexes, caches) hooks in
-    here. *)
-type sync_hooks = {
-  before_switch : unit -> unit;
-      (** under the latch, immediately before routing flips *)
-  after_switch : unit -> unit;
-      (** routing now points at the targets; draining may continue *)
-  on_done : unit -> unit;
-      (** the transformation completed (after source tables dropped) *)
-}
-
-val no_hooks : sync_hooks
-
-(** The contract a schema-change operator implements. *)
+(** The contract a schema-change operator implements. An operator is a
+    table rewrite: all of its work happens in its population and its
+    rules, and the executor calls it at no synchronization transition. *)
 module type S = sig
   val name : string
   (** Short operator name, e.g. ["foj"] — used for job registry ids and
@@ -91,8 +77,6 @@ module type S = sig
   (** Labelled operator counters ("applied", "ignored", "foreign", plus
       operator-specific ones like "migrations" or "collisions") — the
       uniform replacement for reaching into operator internals. *)
-
-  val sync_hooks : sync_hooks
 end
 
 type packed = (module S)

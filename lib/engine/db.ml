@@ -36,8 +36,8 @@ let of_parts ?obs cat ~log =
     jobs = [];
     holders = 1_000_000_000 }
 
-(* Identities for background jobs (latch-holder and lock-hook ids, and
-   the default job-name suffix). Per-database and counting from a fixed
+(* Identities for background jobs (latch-holder and interceptor ids,
+   and the default job-name suffix). Per-database and counting from a fixed
    base: far above any transaction id, and deterministic — the same
    sequence of schema changes on a fresh database always produces the
    same job names, which fixed-seed trace tests rely on. *)

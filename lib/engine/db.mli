@@ -34,7 +34,7 @@ val log : t -> Nbsc_wal.Log.t
 
 val fresh_holder : t -> int
 (** Allocate an identity for a background job (used as latch-holder and
-    lock-hook id, and as the default job-name suffix). Per-database and
+    interceptor id, and as the default job-name suffix). Per-database and
     deterministic: a fresh database always hands out the same sequence,
     starting well above any transaction id. *)
 

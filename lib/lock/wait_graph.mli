@@ -74,7 +74,8 @@ val block :
   t -> waiter:owner -> requests:Lock_table_many.request list ->
   blockers:owner list -> verdict
 (** Register that [waiter] is blocked on [requests] (the full atomic
-    multi-resource set — base lock plus every extra-lock-hook request)
+    multi-resource set — base lock plus every interceptor's extra
+    requests)
     by [blockers], replacing any previous registration, and judge the
     wait under the current policy. The waiter keeps its FIFO position
     in queues it was already in; queues for resources it no longer

@@ -35,6 +35,22 @@ type txn = {
 
 type pin = int
 
+type interceptor = {
+  frozen : string list;
+  extra_locks :
+    (txn:txn_id -> table:string -> key:Row.Key.t -> mode:Compat.mode ->
+     Lock_table_many.request list)
+      option;
+  on_write : (txn:txn_id -> lsn:Lsn.t -> Log_record.op -> unit) option;
+  on_access : (table:string -> key:Row.Key.t -> unit) option;
+}
+
+type installed = {
+  owner : int;  (* the holder id it was installed under *)
+  icpt : interceptor;
+  cutoff : txn_id;  (* last id begun before [icpt.frozen] froze *)
+}
+
 (* Check the low-water mark only every this many live records: a
    truncation pass walks actives and pins, so doing it per commit
    would put an O(active) scan on the hot path for nothing. *)
@@ -58,16 +74,7 @@ type t = {
   victims : (txn_id, unit) Hashtbl.t;  (* sentenced by deadlock handling *)
   mutable fairness : bool;
   mutable next_id : txn_id;
-  mutable frozen : (string * txn_id) list;  (* table, cutoff id *)
-  mutable extra_lock_hooks :
-    (int
-    * (txn:txn_id -> table:string -> key:Row.Key.t -> mode:Compat.mode ->
-       Lock_table_many.request list))
-      list;
-  mutable post_op_hooks :
-    (int * (txn:txn_id -> lsn:Lsn.t -> Log_record.op -> unit)) list;
-  mutable access_hooks :
-    (int * (table:string -> key:Row.Key.t -> unit)) list;
+  mutable interceptors : installed list;  (* newest first, none empty *)
   (* Active `Snapshot transactions. Feeds the tables' version-retention
      hint: while zero, system overwrites skip version pushes entirely
      (nobody can ever resolve the superseded state). *)
@@ -104,10 +111,7 @@ let create ?log ?obs catalog =
       victims = Hashtbl.create 16;
       fairness = true;
       next_id = 1;
-      frozen = [];
-      extra_lock_hooks = [];
-      post_op_hooks = [];
-      access_hooks = [];
+      interceptors = [];
       snapshot_txns = 0;
       obs;
       n_ops = Obs.Registry.counter obs "txn.ops";
@@ -398,57 +402,71 @@ let mark_abort_only t id =
 let is_abort_only t id =
   match find_txn t id with Some txn -> txn.abort_only | None -> false
 
-let add_extra_lock_hook t ~id hook =
-  t.extra_lock_hooks <-
-    (id, hook) :: List.remove_assoc id t.extra_lock_hooks
+(* {2 Interceptors}
 
-let remove_extra_lock_hook t ~id =
-  t.extra_lock_hooks <- List.remove_assoc id t.extra_lock_hooks
+   One registry, walked once per call site: [check_access] for the
+   freeze, [take_lock] for the extra requests, [fire_write] and
+   [fire_access] after the operation. Empty records are never stored,
+   so with no change in flight every walk is one empty-list match. The
+   walks are plain recursive loops: a closure per operation (as
+   [List.exists] would take) allocates on the hot path. *)
 
-(* Post-op hooks are an id-keyed registry like [access_hooks]: several
-   consumers (two trigger-method baselines, a shadow-table audit log)
-   coexist, and each uninstalls only its own id. A single mutable slot
-   here once let a second install silently clobber the first. *)
-let add_post_op_hook t ~id hook =
-  t.post_op_hooks <- (id, hook) :: List.remove_assoc id t.post_op_hooks
+let empty_interceptor =
+  { frozen = []; extra_locks = None; on_write = None; on_access = None }
 
-let remove_post_op_hook t ~id =
-  t.post_op_hooks <- List.remove_assoc id t.post_op_hooks
+let is_empty icpt =
+  icpt.frozen = [] && Option.is_none icpt.extra_locks
+  && Option.is_none icpt.on_write && Option.is_none icpt.on_access
 
-(* Access hooks observe every successful keyed operation (reads
-   included) - the lazy-migration machinery uses them to migrate a
-   record on first touch under the new schema. *)
-let add_access_hook t ~id hook =
-  t.access_hooks <- (id, hook) :: List.remove_assoc id t.access_hooks
+let release t ~id =
+  t.interceptors <- List.filter (fun e -> e.owner <> id) t.interceptors
 
-let remove_access_hook t ~id =
-  t.access_hooks <- List.remove_assoc id t.access_hooks
+let intercept t ~id icpt =
+  (* A freeze dates from when it began, not from a later replacement
+     that keeps it (the record also gaining lock extensions, say). *)
+  let cutoff =
+    match List.find_opt (fun e -> e.owner = id) t.interceptors with
+    | Some e when e.icpt.frozen <> [] -> e.cutoff
+    | Some _ | None -> t.next_id - 1
+  in
+  release t ~id;
+  if not (is_empty icpt) then
+    t.interceptors <- { owner = id; icpt; cutoff } :: t.interceptors
 
-let fire_access t ~table ~key =
-  match t.access_hooks with
+let rec mem_table table = function
+  | [] -> false
+  | name :: rest -> String.equal name table || mem_table table rest
+
+let rec frozen_for txn_id table = function
+  | [] -> false
+  | e :: rest ->
+    (txn_id > e.cutoff && mem_table table e.icpt.frozen)
+    || frozen_for txn_id table rest
+
+let rec extra_requests entries ~txn ~table ~key ~mode =
+  match entries with
+  | [] -> []
+  | { icpt = { extra_locks = Some f; _ }; _ } :: rest ->
+    (match extra_requests rest ~txn ~table ~key ~mode with
+     | [] -> f ~txn ~table ~key ~mode
+     | more -> f ~txn ~table ~key ~mode @ more)
+  | _ :: rest -> extra_requests rest ~txn ~table ~key ~mode
+
+let rec fire_write entries ~txn ~lsn op =
+  match entries with
   | [] -> ()
-  | hooks -> List.iter (fun (_, hook) -> hook ~table ~key) hooks
+  | { icpt = { on_write = Some f; _ }; _ } :: rest ->
+    f ~txn ~lsn op;
+    fire_write rest ~txn ~lsn op
+  | _ :: rest -> fire_write rest ~txn ~lsn op
 
-let fire_post_op t ~txn ~lsn op =
-  match t.post_op_hooks with
+let rec fire_access entries ~table ~key =
+  match entries with
   | [] -> ()
-  | hooks -> List.iter (fun (_, hook) -> hook ~txn ~lsn op) hooks
-
-(* Freezes are additive so concurrent transformations can each freeze
-   their own source tables; [unfreeze_tables] lifts only the named
-   ones. A table frozen twice keeps its earliest cutoff. *)
-let freeze_tables t tables =
-  let cutoff = t.next_id - 1 in
-  t.frozen <-
-    List.fold_left
-      (fun frozen table ->
-         if List.mem_assoc table frozen then frozen
-         else (table, cutoff) :: frozen)
-      t.frozen tables
-
-let unfreeze_tables t tables =
-  t.frozen <-
-    List.filter (fun (table, _) -> not (List.mem table tables)) t.frozen
+  | { icpt = { on_access = Some f; _ }; _ } :: rest ->
+    f ~table ~key;
+    fire_access rest ~table ~key
+  | _ :: rest -> fire_access rest ~table ~key
 
 (* Pre-flight checks shared by all operations. *)
 let check_access t txn_id ~table =
@@ -461,9 +479,8 @@ let check_access t txn_id ~table =
       match Latch.latched_by t.latches ~table with
       | Some holder when holder <> txn_id -> Error (`Latched table)
       | Some _ | None ->
-        (match List.assoc_opt table t.frozen with
-         | Some cutoff when txn_id > cutoff -> Error (`Frozen table)
-         | Some _ | None -> Ok txn)
+        if frozen_for txn_id table t.interceptors then Error (`Frozen table)
+        else Ok txn
     end
 
 let finish t txn final_status =
@@ -508,9 +525,9 @@ let rollback t txn =
                  failure here is a bug. *)
               assert false);
            (* Compensations are writes too: trigger-style maintenance
-              (post-op consumers) must see the inverse or an aborted
+              (write callbacks) must see the inverse or an aborted
               transaction leaves their derived state stale. *)
-           fire_post_op t ~txn:txn.id ~lsn:clr_lsn inverse;
+           fire_write t.interceptors ~txn:txn.id ~lsn:clr_lsn inverse;
            undo record.Log_record.prev_lsn)
       | Log_record.Clr { undo_next; _ } -> undo undo_next
       | Log_record.Begin -> ()
@@ -549,15 +566,9 @@ let rec take_lock t txn_id ~table ~key mode =
     { Lock_table_many.table; key;
       lock = { Compat.mode; provenance = Compat.Native } }
   in
-  let extras =
-    match t.extra_lock_hooks with
-    | [] -> []
-    | hooks ->
-      List.concat_map
-        (fun (_, hook) -> hook ~txn:txn_id ~table ~key ~mode)
-        hooks
+  let requests =
+    base :: extra_requests t.interceptors ~txn:txn_id ~table ~key ~mode
   in
-  let requests = base :: extras in
   (* Anti-barging: queued waiters whose pending request conflicts with
      ours go first (FIFO per resource). Re-acquisition of a resource we
      already hold a lock on is exempt — an upgrade must not queue
@@ -647,8 +658,8 @@ let insert t ~txn:txn_id ~table:table_name row =
      | Ok () -> ()
      | Error `Duplicate_key -> assert false);
     Obs.Counter.incr t.n_ops;
-    fire_post_op t ~txn:txn_id ~lsn op;
-    fire_access t ~table:table_name ~key;
+    fire_write t.interceptors ~txn:txn_id ~lsn op;
+    fire_access t.interceptors ~table:table_name ~key;
     Ok ()
   end
 
@@ -673,8 +684,8 @@ let update t ~txn:txn_id ~table:table_name ~key changes =
        | Ok _ -> ()
        | Error `Not_found -> assert false);
       Obs.Counter.incr t.n_ops;
-      fire_post_op t ~txn:txn_id ~lsn op;
-      fire_access t ~table:table_name ~key;
+      fire_write t.interceptors ~txn:txn_id ~lsn op;
+      fire_access t.interceptors ~table:table_name ~key;
       Ok ()
 
 let delete t ~txn:txn_id ~table:table_name ~key =
@@ -693,8 +704,8 @@ let delete t ~txn:txn_id ~table:table_name ~key =
      | Ok _ -> ()
      | Error `Not_found -> assert false);
     Obs.Counter.incr t.n_ops;
-    fire_post_op t ~txn:txn_id ~lsn op;
-    fire_access t ~table:table_name ~key;
+    fire_write t.interceptors ~txn:txn_id ~lsn op;
+    fire_access t.interceptors ~table:table_name ~key;
     Ok ()
 
 let read t ~txn:txn_id ~table:table_name ~key =
@@ -707,13 +718,13 @@ let read t ~txn:txn_id ~table:table_name ~key =
     else
       let* table = resolve_table t table_name in
       let row = resolve_visible t ~self:txn_id ~at table key in
-      fire_access t ~table:table_name ~key;
+      fire_access t.interceptors ~table:table_name ~key;
       Ok row
   | Some _ | None ->
     let* _txn = check_access t txn_id ~table:table_name in
     let* table = resolve_table t table_name in
     let* () = take_lock t txn_id ~table:table_name ~key Compat.S in
-    fire_access t ~table:table_name ~key;
+    fire_access t.interceptors ~table:table_name ~key;
     (match Table.find table key with
      | None -> Ok None
      | Some record -> Ok (Some record.Record.row))

@@ -8,10 +8,10 @@
     (tests, the simulator) decide whether to retry or abort. Deadlock
     handling is the engine's, not the caller's: every block is
     registered in a waits-for graph ({!Nbsc_lock.Wait_graph}) covering
-    the {e whole} atomic multi-resource request (base lock plus all
-    extra-lock-hook requests — so Fig. 2 two-schema cycles are seen),
-    and the configured victim policy ({!set_contention}) either lets
-    the wait stand ([`Blocked]), sentences the requester ([`Deadlock],
+    the {e whole} atomic multi-resource request (base lock plus every
+    interceptor's extra requests — so Fig. 2 two-schema cycles are
+    seen), and the configured victim policy ({!set_contention}) either
+    lets the wait stand ([`Blocked]), sentences the requester ([`Deadlock],
     the transaction turns abort-only), or wounds another transaction —
     which the manager rolls back on the spot via the CLR machinery
     before retrying the request. Per-resource FIFO wait queues
@@ -19,19 +19,21 @@
     live waiter's pending lock blocks behind it), which keeps hot-spot
     retries from starving the longest waiter.
 
-    Three hooks exist solely for the synchronization strategies:
-    - {!mark_abort_only} — non-blocking abort forces transactions that
-      were active on the source tables to roll back;
-    - {!add_extra_lock_hook} — non-blocking commit requires each lock
-      on a source record to also be taken on the implicated records of
-      the transformed table and vice versa (Sec. 4.3);
-    - {!freeze_tables} — blocking-commit synchronization refuses table
-      access to transactions begun after the freeze point.
-
-    Hooks and freezes compose: each in-flight transformation registers
-    its own lock hook under a distinct id and freezes only its own
-    source tables, so several schema changes can synchronize
-    independently. *)
+    Changes reach into user operations only through {e interceptors}
+    ({!intercept}): one record per in-flight change, registered under
+    that change's holder id. A record may freeze tables for
+    newcomers (blocking-commit synchronization, and every strategy
+    once routing has switched), extend each record lock with the
+    implicated records of the other schema (non-blocking commit's
+    two-schema locking, Sec. 4.3), observe every write (the Ronström
+    trigger and shadow-table baselines) and observe every keyed access
+    (first-touch migration under the lazy strategies). Each change
+    installs, replaces and {!release}s only its own record, so several
+    changes synchronize independently, even over a shared source
+    table: one change's finish never lifts another's freeze.
+    {!mark_abort_only} (non-blocking abort forces transactions that
+    were active on the sources to roll back) acts on a transaction,
+    not an operation, and stays a plain call. *)
 
 open Nbsc_value
 open Nbsc_wal
@@ -260,49 +262,47 @@ val synced_commits : t -> int
 val mark_abort_only : t -> txn_id -> unit
 val is_abort_only : t -> txn_id -> bool
 
-val add_extra_lock_hook :
-  t ->
-  id:int ->
-  (txn:txn_id -> table:string -> key:Row.Key.t -> mode:Compat.mode ->
-   Lock_table_many.request list) ->
-  unit
-(** Register a lock hook under [id] (replacing any hook with the same
-    id). Every record lock an operation takes is extended with the
-    extra requests of all registered hooks; the whole set is acquired
-    atomically or the operation blocks. *)
+(** {2 Interceptors} *)
 
-val remove_extra_lock_hook : t -> id:int -> unit
+type interceptor = {
+  frozen : string list;
+      (** Tables refused with [`Frozen] to transactions begun after
+          this record's freeze began; transactions already running
+          proceed, and snapshot reads ignore freezes. The cutoff is
+          fixed when [frozen] becomes non-empty under an id, and kept
+          by every replacement that still freezes something. *)
+  extra_locks :
+    (txn:txn_id -> table:string -> key:Row.Key.t -> mode:Compat.mode ->
+     Lock_table_many.request list)
+      option;
+      (** Extra requests for every record lock an operation takes.
+          The base lock and the extra requests of every interceptor
+          are acquired atomically or the operation blocks, and the
+          wait graph registers the whole set. *)
+  on_write : (txn:txn_id -> lsn:Lsn.t -> Log_record.op -> unit) option;
+      (** Called after every successful write, including the
+          compensating inverses applied during rollback, and before
+          any [on_access]. The extra work runs inside the user
+          transaction, which is the overhead the paper's log-based
+          method avoids. *)
+  on_access : (table:string -> key:Row.Key.t -> unit) option;
+      (** Called after every successful keyed operation, snapshot
+          reads included, with the table and key touched; never
+          during rollback. *)
+}
 
-val freeze_tables : t -> string list -> unit
-(** Transactions begun after this call get [`Frozen] on these tables;
-    already-running ones proceed. Additive: freezes from several
-    callers coexist; lift a freeze with {!unfreeze_tables}. *)
+val empty_interceptor : interceptor
+(** Freezes nothing, adds no locks, observes nothing. *)
 
-val unfreeze_tables : t -> string list -> unit
-(** Lift the freeze on exactly these tables. *)
+val intercept : t -> id:int -> interceptor -> unit
+(** Install the interceptor under [id], replacing any record with the
+    same id. Installing a record with no freeze and no callback
+    releases [id]: an empty record counts as none, so an operation
+    pays nothing for it. *)
 
-val add_post_op_hook :
-  t -> id:int -> (txn:txn_id -> lsn:Lsn.t -> Log_record.op -> unit) -> unit
-(** Register a post-op hook under [id] (replacing any hook with the
-    same id). Hooks are called synchronously after every successful
-    write operation — including the compensating inverses applied
-    during rollback — the trigger mechanism of the Ronström-style
-    comparator and the shadow-table audit log (the extra work runs
-    inside the user transaction, which is exactly the overhead the
-    paper's log-based method avoids). Several consumers may register
-    concurrently; each removes only its own id. *)
-
-val remove_post_op_hook : t -> id:int -> unit
-
-val add_access_hook :
-  t -> id:int -> (table:string -> key:Row.Key.t -> unit) -> unit
-(** Register an access hook under [id] (replacing any hook with the
-    same id). Called synchronously after every {e successful} keyed
-    operation — reads included — with the table and key touched. The
-    lazy-migration machinery uses this to migrate records on first
-    access under the new schema. *)
-
-val remove_access_hook : t -> id:int -> unit
+val release : t -> id:int -> unit
+(** Remove the interceptor under [id] (idempotent). Other ids'
+    records, their freezes included, stay. *)
 
 (** Operation counts, for metrics. *)
 module Stats : sig

@@ -165,11 +165,15 @@ let test_cycle_through_lock_hook () =
   let mgr = fresh () in
   seed mgr "t" [ 1 ];
   seed mgr "u" [ 1; 2 ];
-  Manager.add_extra_lock_hook mgr ~id:1 (fun ~txn:_ ~table ~key ~mode ->
-      if table = "t" then
-        [ { Lock_table_many.table = "u"; key;
-            lock = { Compat.mode; provenance = Compat.Native } } ]
-      else []);
+  Manager.intercept mgr ~id:1
+    { Manager.empty_interceptor with
+      extra_locks =
+        Some
+          (fun ~txn:_ ~table ~key ~mode ->
+             if table = "t" then
+               [ { Lock_table_many.table = "u"; key;
+                   lock = { Compat.mode; provenance = Compat.Native } } ]
+             else []) };
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
   (* t1's update of t.1 atomically also locks u.1 through the hook. *)
@@ -200,11 +204,15 @@ let test_cycle_through_transferred_lock () =
   seed mgr "t" [ 1 ];
   seed mgr "u" [ 5 ];
   seed mgr "tgt" [ 1 ];
-  Manager.add_extra_lock_hook mgr ~id:1 (fun ~txn:_ ~table ~key ~mode ->
-      if table = "t" then
-        [ { Lock_table_many.table = "tgt"; key;
-            lock = { Compat.mode; provenance = Compat.Source 0 } } ]
-      else []);
+  Manager.intercept mgr ~id:1
+    { Manager.empty_interceptor with
+      extra_locks =
+        Some
+          (fun ~txn:_ ~table ~key ~mode ->
+             if table = "t" then
+               [ { Lock_table_many.table = "tgt"; key;
+                   lock = { Compat.mode; provenance = Compat.Source 0 } } ]
+             else []) };
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
   ok "t1 t.1 (+transferred tgt.1)" (upd mgr t1 "t" 1);

@@ -110,6 +110,61 @@ let test_concurrent_foj_and_hsplit () =
     (Nbsc_relalg.Relalg.select u (fun row -> not (p row)))
     (Db.snapshot db "U_live")
 
+(* {1 Two changes over one source}
+
+   Each change's freeze is its own. When the first of two blocking-
+   commit changes over a shared table finishes, the second's freeze
+   must still refuse newcomers; otherwise a newcomer slips onto the
+   source and the second change waits for it to end. *)
+
+let step_until tf phase ~limit =
+  let rec go n =
+    if Transform.phase tf = phase then true
+    else if n = 0 then false
+    else begin
+      ignore (Transform.step tf);
+      go (n - 1)
+    end
+  in
+  go limit
+
+let test_shared_source_keeps_freezes () =
+  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:40) in
+  let mgr = Db.manager db in
+  let options = { cfg with Options.sync = Options.Blocking_commit } in
+  let hsplit suffix =
+    H.start db ~options
+      (Spec.Hsplit
+         { Spec.h_source = "T";
+           h_true_table = "T_hi" ^ suffix;
+           h_false_table = "T_lo" ^ suffix;
+           h_pred = Pred.Cmp ("c", Pred.Gt, Value.Int 6) })
+  in
+  let first = hsplit "1" in
+  let second = hsplit "2" in
+  let update txn k =
+    Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int k ])
+      [ (1, Value.Text "w") ]
+  in
+  (* An open transaction on the source keeps both changes quiescing. *)
+  let holder = Manager.begin_txn mgr in
+  ok "holder locks T.1" (update holder 1);
+  Alcotest.(check bool) "first quiescing" true
+    (step_until first Transform.Quiescing ~limit:1000);
+  Alcotest.(check bool) "second quiescing" true
+    (step_until second Transform.Quiescing ~limit:1000);
+  ok "holder commits" (Manager.commit mgr holder);
+  Alcotest.(check bool) "first done" true
+    (step_until first Transform.Done ~limit:1000);
+  let newcomer = Manager.begin_txn mgr in
+  (match update newcomer 2 with
+   | Error (`Frozen "T") -> ()
+   | Ok () -> Alcotest.fail "the first change's finish lifted the freeze"
+   | Error e -> Alcotest.failf "newcomer: %a" Manager.pp_error e);
+  Alcotest.(check bool) "second done while the newcomer is open" true
+    (step_until second Transform.Done ~limit:50);
+  ok "newcomer aborts" (Manager.abort mgr newcomer)
+
 (* {1 A custom operator through the pluggable interface}
 
    A table copy: not one of the four built-in operators, implemented
@@ -166,33 +221,26 @@ let copy_operator db ~source ~target =
            incr ignored;
            [])
   in
-  let hook_log = ref [] in
-  let note tag () = hook_log := tag :: !hook_log in
-  ( (module struct
-      let name = "copy"
-      let sources = [ source ]
-      let targets = [ target ]
-      let spec_payload = None
-      let population = Population.scan_one src_tbl ~ingest
-      let rules =
-        Propagator.rules ~sources:[ source ] ~targets:[ target ] ~apply ()
-      let lock_map =
-        { Transformation.source_to_targets =
-            (fun ~table:_ ~key -> [ (target, key) ]);
-          target_to_sources = (fun ~table:_ ~key -> [ (source, key) ]) }
-      let consistency = None
-      let unknown_flags () = 0
-      let counters () = [ ("applied", !applied); ("ignored", !ignored) ]
-      let sync_hooks =
-        { Transformation.before_switch = note `Before;
-          after_switch = note `After;
-          on_done = note `Done }
-    end : Transformation.S),
-    hook_log )
+  (module struct
+    let name = "copy"
+    let sources = [ source ]
+    let targets = [ target ]
+    let spec_payload = None
+    let population = Population.scan_one src_tbl ~ingest
+    let rules =
+      Propagator.rules ~sources:[ source ] ~targets:[ target ] ~apply ()
+    let lock_map =
+      { Transformation.source_to_targets =
+          (fun ~table:_ ~key -> [ (target, key) ]);
+        target_to_sources = (fun ~table:_ ~key -> [ (source, key) ]) }
+    let consistency = None
+    let unknown_flags () = 0
+    let counters () = [ ("applied", !applied); ("ignored", !ignored) ]
+  end : Transformation.S)
 
 let test_custom_operator () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:50) in
-  let packed, hook_log = copy_operator db ~source:"T" ~target:"T2" in
+  let packed = copy_operator db ~source:"T" ~target:"T2" in
   let tf = Transform.create db ~options:cfg packed in
   Alcotest.(check string) "operator name" "copy" (Transform.name tf);
   let d = H.driver db in
@@ -206,10 +254,7 @@ let test_custom_operator () =
   H.check_relations_equal "copy converged" (Db.snapshot db "T")
     (Db.snapshot db "T2");
   Alcotest.(check bool) "rules fired" true
-    (List.assoc "applied" (Transform.counters tf) > 0);
-  (* The executor fired the operator's hooks in lifecycle order. *)
-  Alcotest.(check bool) "hooks in order" true
-    (List.rev !hook_log = [ `Before; `After; `Done ])
+    (List.assoc "applied" (Transform.counters tf) > 0)
 
 (* {1 The job registry itself} *)
 
@@ -296,6 +341,8 @@ let () =
     [ ( "executor",
         [ Alcotest.test_case "two transformations, one registry" `Quick
             test_concurrent_foj_and_hsplit;
+          Alcotest.test_case "shared source keeps each change's freeze"
+            `Quick test_shared_source_keeps_freezes;
           Alcotest.test_case "custom operator via Transformation.S" `Quick
             test_custom_operator ] );
       ( "registry",

@@ -106,7 +106,8 @@ let test_snapshot_read_ignores_freeze () =
   let db = fresh_table () in
   let mgr = Db.manager db in
   commit_op db (fun m txn -> Manager.insert m ~txn ~table:"t" (H.ri 1 "v0" 7));
-  Manager.freeze_tables mgr [ "t" ];
+  Manager.intercept mgr ~id:1
+    { Manager.empty_interceptor with frozen = [ "t" ] };
   let eager = Manager.begin_txn mgr in
   (match Manager.read mgr ~txn:eager ~table:"t" ~key:(key 1) with
    | Error (`Frozen _) -> ()
@@ -117,7 +118,7 @@ let test_snapshot_read_ignores_freeze () =
   check_b "snapshot read under freeze" "v0"
     (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
   ok "snap commit" (Manager.commit mgr snap);
-  Manager.unfreeze_tables mgr [ "t" ]
+  Manager.release mgr ~id:1
 
 let test_snapshot_read_ignores_latch () =
   let db = fresh_table () in

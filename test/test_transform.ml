@@ -499,8 +499,7 @@ let test_transfer_idempotent () =
     ignore (Population.step T.population ~limit:max_int)
   done;
   let prop = Transformation.start_propagator mgr T.rules in
-  Propagator.set_lock_mapper prop (fun ~table ~key ->
-      T.lock_map.Transformation.source_to_targets ~table ~key);
+  let to_targets = T.lock_map.Transformation.source_to_targets in
   (* Two transactions left open, holding write locks on the sources. *)
   let t1 = Manager.begin_txn mgr in
   (match
@@ -520,10 +519,10 @@ let test_transfer_idempotent () =
   let after_propagation = Propagator.locks_transferred prop in
   Alcotest.(check bool) "propagation transferred locks" true
     (after_propagation > 0);
-  Propagator.transfer_current_source_locks prop;
+  Propagator.transfer_current_source_locks prop to_targets;
   let first = Propagator.locks_transferred prop in
-  Propagator.transfer_current_source_locks prop;
-  Propagator.transfer_current_source_locks prop;
+  Propagator.transfer_current_source_locks prop to_targets;
+  Propagator.transfer_current_source_locks prop to_targets;
   let repeated = Propagator.locks_transferred prop in
   Alcotest.(check int) "repeated transfer adds nothing" first repeated;
   Alcotest.(check int) "already-held locks not recounted"
@@ -532,6 +531,69 @@ let test_transfer_idempotent () =
   ignore (Manager.abort mgr t2);
   ignore (Propagator.run_to_head prop);
   Propagator.close prop
+
+(* {1 Cancel after synchronization}
+
+   Cancelling a change that has switched must take back everything it
+   made user operations do: the freeze on its source and the
+   two-schema lock extension of non-blocking commit. *)
+
+let test_cancel_after_sync_releases () =
+  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:20) in
+  let mgr = Db.manager db in
+  let sc =
+    match
+      Db.Schema_change.start db ~options:(cfg Options.Nonblocking_commit)
+        (Spec.Hsplit
+           { Spec.h_source = "T";
+             h_true_table = "T_hi";
+             h_false_table = "T_lo";
+             h_pred = Pred.Cmp ("c", Pred.Gt, Value.Int 6) })
+    with
+    | Ok sc -> sc
+    | Error e -> Alcotest.failf "start: %s" (Nbsc_error.to_string e)
+  in
+  let tf = Db.Schema_change.transform sc in
+  let update txn k =
+    Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int k ])
+      [ (1, Value.Text "w") ]
+  in
+  let ok name = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
+  in
+  let locks_held txn =
+    List.length
+      (Nbsc_lock.Lock_table.locks_of_owner (Manager.locks mgr) ~owner:txn)
+  in
+  (* An old transaction holds a source row across the switch, so the
+     change stays in Draining. *)
+  let old = Manager.begin_txn mgr in
+  ok "old locks T.1" (update old 1);
+  let rec to_draining n =
+    if Transform.phase tf <> Transform.Draining then
+      if n = 0 then Alcotest.fail "never reached Draining"
+      else begin
+        ignore (Transform.step tf);
+        to_draining (n - 1)
+      end
+  in
+  to_draining 1000;
+  let newcomer = Manager.begin_txn mgr in
+  (match update newcomer 3 with
+   | Error (`Frozen "T") -> ()
+   | Ok () -> Alcotest.fail "newcomer admitted to a switched source"
+   | Error e -> Alcotest.failf "newcomer: %a" Manager.pp_error e);
+  let before = locks_held old in
+  ok "old updates T.2" (update old 2);
+  Alcotest.(check int) "source row and both targets" 3
+    (locks_held old - before);
+  Db.Schema_change.cancel sc;
+  ok "newcomer admitted after cancel" (update newcomer 3);
+  Alcotest.(check int) "newcomer holds its own lock only" 1
+    (locks_held newcomer);
+  ok "old commits" (Manager.commit mgr old);
+  ok "newcomer commits" (Manager.commit mgr newcomer)
 
 (* {1 Wiring} *)
 
@@ -574,6 +636,9 @@ let () =
       ( "locks",
         [ Alcotest.test_case "bulk transfer is idempotent" `Quick
             test_transfer_idempotent ] );
+      ( "cancel",
+        [ Alcotest.test_case "after sync releases everything it installed"
+            `Quick test_cancel_after_sync_releases ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_foj_converges; prop_split_converges ] ) ]

@@ -132,13 +132,14 @@ let test_latch_pauses () =
 let test_freeze_spares_old_txns () =
   let _, mgr = fresh () in
   let old_txn = Manager.begin_txn mgr in
-  Manager.freeze_tables mgr [ "t" ];
+  Manager.intercept mgr ~id:1
+    { Manager.empty_interceptor with frozen = [ "t" ] };
   let new_txn = Manager.begin_txn mgr in
   ok "old proceeds" (Manager.insert mgr ~txn:old_txn ~table:"t" (row 1 "x" 7));
   (match Manager.insert mgr ~txn:new_txn ~table:"t" (row 2 "y" 8) with
    | Error (`Frozen "t") -> ()
    | _ -> Alcotest.fail "expected Frozen");
-  Manager.unfreeze_tables mgr [ "t" ];
+  Manager.release mgr ~id:1;
   ok "after unfreeze" (Manager.insert mgr ~txn:new_txn ~table:"t" (row 2 "y" 8));
   ok "c1" (Manager.commit mgr old_txn);
   ok "c2" (Manager.commit mgr new_txn)
@@ -203,15 +204,18 @@ let test_active_snapshot () =
 let test_post_op_hook () =
   let _, mgr = fresh () in
   let fired = ref [] in
-  Manager.add_post_op_hook mgr ~id:1 (fun ~txn:_ ~lsn:_ op ->
-      fired := Log_record.op_table op :: !fired);
+  Manager.intercept mgr ~id:1
+    { Manager.empty_interceptor with
+      on_write =
+        Some (fun ~txn:_ ~lsn:_ op -> fired := Log_record.op_table op :: !fired)
+    };
   let txn = Manager.begin_txn mgr in
   ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
   ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
   ok "d" (Manager.delete mgr ~txn ~table:"t" ~key:(key 1));
   ok "c" (Manager.commit mgr txn);
   Alcotest.(check int) "three ops" 3 (List.length !fired);
-  Manager.remove_post_op_hook mgr ~id:1;
+  Manager.release mgr ~id:1;
   let txn = Manager.begin_txn mgr in
   ok "i2" (Manager.insert mgr ~txn ~table:"t" (row 9 "z" 1));
   ok "c2" (Manager.commit mgr txn);
