@@ -484,11 +484,38 @@ let contention_cmd =
 
    Narrated crash drill: build a durable store, start a split, kill the
    "process" at a chosen fault-injection site, then reopen the directory
-   and resume the schema change from its checkpointed position. *)
+   and resume the schema change from its checkpointed position. The
+   demo keeps its source, so it ends by checking the targets against
+   the relational oracle and the source's split index against a
+   blocking rebuild; a mismatch exits 1. *)
 
 module Persist = Nbsc_engine.Persist
 module Fault = Nbsc_engine.Fault
 module Recovery = Nbsc_engine.Recovery
+
+(* R and S against the split of the final T, and T's online-built
+   split index against a blocking build over a copy of T. *)
+let crash_demo_oracles db =
+  let module Relalg = Nbsc_relalg.Relalg in
+  let module Table = Nbsc_storage.Table in
+  let module Record = Nbsc_storage.Record in
+  let r, s =
+    Relalg.split
+      { Relalg.r_cols' = split_spec.Spec.r_cols;
+        s_cols' = split_spec.Spec.s_cols;
+        r_key = [ "a" ];
+        s_key = split_spec.Spec.split_key }
+      (Db.snapshot db "T")
+  in
+  let t = Db.table db "T" in
+  let copy = Table.create ~name:"T" (Table.schema t) in
+  Table.iter t (fun _ record ->
+      ignore (Table.insert copy ~lsn:record.Record.lsn record.Record.row));
+  Table.add_index copy ~name:Spec.ix_t_split ~columns:split_spec.Spec.split_key;
+  let entries tbl = Table.index_entries tbl ~index:Spec.ix_t_split in
+  ( Relalg.equal_as_sets r (Db.snapshot db "R")
+    && Relalg.equal_as_sets s (Db.snapshot db "S"),
+    (try entries t = entries copy with Invalid_argument _ -> false) )
 
 let run_crash_demo site after rows keep =
   if not (List.mem site Fault.all_sites) then
@@ -617,8 +644,12 @@ let run_crash_demo site after rows keep =
              (fun t -> say "  table %-3s %6d rows" t (Db.row_count db2 t))
              (Transform.targets tf))
         resumed;
+      let rs_ok, ix_ok = crash_demo_oracles db2 in
+      say "oracle: R, S = split(T) %b; %s = blocking build %b" rs_ok
+        Spec.ix_t_split ix_ok;
       Persist.close p2;
       if keep then say "store kept at %s" dir else wipe ();
+      if not (rs_ok && ix_ok) then exit 1;
       `Ok ()
     in
     match run () with

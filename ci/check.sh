@@ -76,6 +76,17 @@ make examples
 echo "== nbsc concurrent (oracle check) =="
 dune exec bin/nbsc_cli.exe -- concurrent
 
+# A durable split, crashed at an injected fault and resumed. The
+# command compares R and S with the split of the kept source T, and T's
+# online-built split index with a blocking rebuild, and exits 1 on a
+# mismatch. With --after 3 the crash lands inside population and the
+# resumed job restarts it; with --after 18 it lands in the change's
+# last step, so the resumed job starts in Draining with the index as
+# the snapshot restored it.
+echo "== nbsc crash-demo (oracle check) =="
+dune exec bin/nbsc_cli.exe -- crash-demo --site quantum_end --after 3
+dune exec bin/nbsc_cli.exe -- crash-demo --site quantum_end --after 18
+
 # The schema-change benchmark's determinism self-test (perfbench/):
 # every workload at tiny scale, twice with one seed and once with
 # another. It fails if a same-seed rerun changes any count, if the

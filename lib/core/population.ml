@@ -27,6 +27,20 @@ let make ?(close = fun () -> ()) ~step ~finished () =
     finished_fn = finished;
     close_fn = close }
 
+let with_fill t ~fill ~close =
+  let filled = ref false in
+  { t with
+    step_fn =
+      (fun ~limit ->
+         let finished = t.finished_fn () || t.step_fn ~limit in
+         if not !filled then filled := fill ~limit;
+         finished && !filled);
+    finished_fn = (fun () -> !filled && t.finished_fn ());
+    close_fn =
+      (fun () ->
+         close ();
+         t.close_fn ()) }
+
 let step t ~limit = t.step_fn ~limit
 let finished t = t.finished_fn ()
 let scanned t = t.c.scanned
@@ -38,7 +52,7 @@ let close t = t.close_fn ()
 type foj_phase =
   | Scan_s
   | Scan_r
-  | Leftovers of (Row.t * bool ref) list
+  | Leftovers of (Row.t * bool ref) Seq.t  (* unmatched, walked lazily *)
   | F_done
 
 let foj f ~r_tbl ~s_tbl =
@@ -47,7 +61,7 @@ let foj f ~r_tbl ~s_tbl =
   let r_cursor = Table.Fuzzy_cursor.make r_tbl in
   (* join value -> S rows seen with it (one in a clean one-to-many) *)
   let s_hash : (Row.t * bool ref) list Row.Key.Tbl.t =
-    Row.Key.Tbl.create 1024
+    Row.Key.Tbl.create (max 1024 (Table.cardinality s_tbl))
   in
   let fphase = ref Scan_s in
   let put_initial c ~presence row =
@@ -106,20 +120,23 @@ let foj f ~r_tbl ~s_tbl =
         batch;
       if Table.Fuzzy_cursor.finished r_cursor then begin
         Table.Fuzzy_cursor.close r_cursor;
-        let leftovers =
-          Row.Key.Tbl.fold (fun _ entries acc -> entries @ acc) s_hash []
-          |> List.filter (fun (_, matched) -> not !matched)
-        in
-        fphase := Leftovers leftovers
+        (* [s_hash] is read-only from here on, so a lazy walk over it
+           stays valid across quanta: each quantum pays for the entries
+           it passes, not for listing every unmatched row at once. *)
+        fphase :=
+          Leftovers
+            (Row.Key.Tbl.to_seq_values s_hash
+             |> Seq.flat_map List.to_seq
+             |> Seq.filter (fun (_, matched) -> not !matched))
       end;
       false
     | Leftovers remaining ->
       let rec emit n rest =
         if n >= limit then rest
         else
-          match rest with
-          | [] -> []
-          | (srow, _) :: rest ->
+          match rest () with
+          | Seq.Nil -> Seq.empty
+          | Seq.Cons ((srow, _), rest) ->
             (* These S rows were already counted when [Scan_s] read
                them; emitting a leftover scans nothing new (the sim
                bills scan cost per [scanned] increment). *)
@@ -127,12 +144,12 @@ let foj f ~r_tbl ~s_tbl =
             put_initial c ~presence:bits row;
             emit (n + 1) rest
       in
-      (match emit 0 remaining with
-       | [] ->
+      (match (emit 0 remaining) () with
+       | Seq.Nil ->
          fphase := F_done;
          true
-       | rest ->
-         fphase := Leftovers rest;
+       | Seq.Cons (next, rest) ->
+         fphase := Leftovers (Seq.cons next rest);
          false)
     | F_done -> true
   in

@@ -6,11 +6,12 @@
     transformed tables. The resulting initial image is inconsistent —
     that is the point — and the log propagation absorbs it.
 
-    FOJ scans S first (building an in-memory join table), then streams
-    R against it, then emits the unmatched S rows padded with the
-    R-null record. Split streams T, inserting R parts (which inherit
-    the source record's LSN, the rules' state identifier) and
-    reference-counting S parts. *)
+    FOJ scans S first (building an in-memory join table sized from
+    |S|), then streams R against it, then walks the join table across
+    quanta to emit the unmatched S rows padded with the R-null record.
+    Split streams T, inserting R parts (which inherit the source
+    record's LSN, the rules' state identifier) and reference-counting
+    S parts. *)
 
 open Nbsc_storage
 
@@ -48,6 +49,14 @@ val scan_tagged :
 (** Like {!scan_many}, but each record is delivered with the name of
     the table it came from — the uniform sweep the lazy migration
     strategies feed through the propagation rules. *)
+
+val with_fill :
+  t -> fill:(limit:int -> bool) -> close:(unit -> unit) -> t
+(** [with_fill t ~fill ~close] steps [fill] with the same [limit] inside
+    [t]'s quanta, and finishes only when both have: the split fills its
+    source's split index online this way ({!Table.Index_build}).
+    [fill] returns true once done; [close] releases its scan. The
+    counters stay [t]'s. *)
 
 val step : t -> limit:int -> bool
 (** Do up to [limit] records of work; true when population is done. *)

@@ -96,9 +96,16 @@ type split = {
 }
 
 val ix_t_split : string
-(** Index created on the source T over the split columns, used by the
+(** Index on the source T over the split columns, used by the
     consistency checker to read all T records contributing to an
-    S-record without scanning. *)
+    S-record without scanning, and by the non-blocking-commit lock map
+    to go from an S record to its T records. A split registers it empty
+    when it starts, so every write maintains it, and fills it online
+    from a fuzzy scan of T inside its population quanta
+    ({!Nbsc_storage.Table.Index_build}). Population does not finish
+    until the fill has, so neither reader, both of which run after
+    population, sees it partial. The blocking baselines build it in one
+    call ({!Nbsc_storage.Table.add_index}). *)
 
 type split_layout = {
   sspec : split;

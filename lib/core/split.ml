@@ -237,14 +237,5 @@ let apply t ~lsn (op : LR.op) =
     | LR.Delete { key; _ } -> rule_delete t ~lsn key
     | LR.Update { key; changes; _ } -> rule_update t ~lsn key changes
 
-let unknown_count t =
-  Table.fold t.s_tbl ~init:0 ~f:(fun acc _ record ->
-      if record.Record.flag = Record.Unknown then acc + 1 else acc)
-
-let first_unknown t =
-  Table.fold t.s_tbl ~init:None ~f:(fun acc key record ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if record.Record.flag = Record.Unknown then Some (key, record)
-        else None)
+let unknown_count t = Table.unknown_count t.s_tbl
+let first_unknown t = Table.first_unknown t.s_tbl

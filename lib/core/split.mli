@@ -34,9 +34,11 @@ val ingest_initial : t -> Record.t -> unit
 
 val unknown_count : t -> int
 (** Number of U-flagged S records (must reach 0 before sync when
-    consistency is not assumed). *)
+    consistency is not assumed). O(1): S tracks its flagged keys. *)
 
 val first_unknown : t -> (Row.Key.t * Record.t) option
+(** The U-flagged S record the consistency checker clears next
+    ({!Table.first_unknown}). O(1). *)
 
 (** Counters, for ablation benches. *)
 type stats = {

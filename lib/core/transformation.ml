@@ -32,11 +32,15 @@ type packed = (module S)
    accepted with the exact schema the spec derives. *)
 (* Target tables go through the engine facade's [create_table] so the
    manager wires its version-retention hint into them — bulk population
-   writes must stay free of version churn while no snapshot is live. *)
-let ensure_table db ?indexes ~name schema =
+   writes must stay free of version churn while no snapshot is live.
+   [size] is the target's capacity hint: an upper bound of its final
+   row count, read from the sources' cardinalities, so that population
+   and propagation never rehash a target inside a quantum. A target
+   restored from a snapshot keeps the size the restore gave it. *)
+let ensure_table db ~size ?indexes ~name schema =
   let catalog = Db.catalog db in
   match Catalog.find_opt catalog name with
-  | None -> ignore (Db.create_table db ?indexes ~name schema)
+  | None -> ignore (Db.create_table db ~size ?indexes ~name schema)
   | Some tbl ->
     if not (Schema.equal (Table.schema tbl) schema) then
       invalid_arg
@@ -147,12 +151,15 @@ let foj_target_to_sources fj ~key =
 let foj ?(transfer_locks = true) ?plan_mode ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.foj_layout catalog spec in
+  let r_tbl = Catalog.find catalog spec.Spec.r_table in
+  let s_tbl = Catalog.find catalog spec.Spec.s_table in
+  (* |R| + |S| bounds a one-to-many join's T; many-to-many can exceed
+     it, so there it is only an estimate. *)
   ensure_table db
+    ~size:(Table.cardinality r_tbl + Table.cardinality s_tbl)
     ~indexes:(Spec.foj_t_indexes layout)
     ~name:spec.Spec.t_table (Spec.foj_t_schema layout);
   let fj = Foj.create ?mode:plan_mode catalog layout in
-  let r_tbl = Catalog.find catalog spec.Spec.r_table in
-  let s_tbl = Catalog.find catalog spec.Spec.s_table in
   let apply =
     if spec.Spec.many_to_many then
       fun ~lsn op ->
@@ -231,10 +238,18 @@ let split_target_to_sources sp db ~table ~key =
 let split ?plan_mode ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.split_layout catalog spec in
-  ensure_table db ~name:spec.Spec.r_table' (Spec.split_r_schema layout);
-  ensure_table db ~name:spec.Spec.s_table' (Spec.split_s_schema layout);
   let t_tbl = Catalog.find catalog spec.Spec.t_table' in
-  Table.add_index t_tbl ~name:Spec.ix_t_split ~columns:spec.Spec.split_key;
+  (* One R row per T row; S holds at most one record per T row. *)
+  let size = Table.cardinality t_tbl in
+  ensure_table db ~size ~name:spec.Spec.r_table' (Spec.split_r_schema layout);
+  ensure_table db ~size ~name:spec.Spec.s_table' (Spec.split_s_schema layout);
+  (* Registered empty and filled online inside the population quanta
+     (below): its only readers, the consistency checker and the
+     sync-time lock map, run after population. *)
+  let ix_build =
+    Table.Index_build.start t_tbl ~name:Spec.ix_t_split
+      ~columns:spec.Spec.split_key
+  in
   let sp = Split.create ?mode:plan_mode catalog layout in
   let cc =
     if spec.Spec.assume_consistent then None
@@ -255,6 +270,11 @@ let split ?plan_mode ?options db spec =
       virtual_cut_population db ~job:"split"
         ~sources:[ spec.Spec.t_table' ] ~rules ~options
         ~fallback:(fun () -> Population.split sp ~t_tbl)
+  in
+  let pop =
+    Population.with_fill pop
+      ~fill:(fun ~limit -> Table.Index_build.step ix_build ~limit)
+      ~close:(fun () -> Table.Index_build.close ix_build)
   in
   (module struct
     let name = "split"
@@ -283,10 +303,12 @@ let split ?plan_mode ?options db spec =
 let hsplit ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.hsplit_layout catalog spec in
-  ensure_table db ~name:spec.Spec.h_true_table layout.Spec.h_schema;
-  ensure_table db ~name:spec.Spec.h_false_table layout.Spec.h_schema;
-  let hs = Hsplit.create catalog layout in
   let source = Catalog.find catalog spec.Spec.h_source in
+  (* Either side may receive every source row. *)
+  let size = Table.cardinality source in
+  ensure_table db ~size ~name:spec.Spec.h_true_table layout.Spec.h_schema;
+  ensure_table db ~size ~name:spec.Spec.h_false_table layout.Spec.h_schema;
+  let hs = Hsplit.create catalog layout in
   let rules =
     Propagator.rules ~sources:[ spec.Spec.h_source ]
       ~targets:[ spec.Spec.h_true_table; spec.Spec.h_false_table ]
@@ -332,9 +354,11 @@ let hsplit ?options db spec =
 let merge ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.merge_layout catalog spec in
-  ensure_table db ~name:spec.Spec.m_target layout.Spec.m_schema;
-  let mg = Merge.create catalog layout in
   let sources = List.map (Catalog.find catalog) spec.Spec.m_sources in
+  ensure_table db
+    ~size:(List.fold_left (fun n tbl -> n + Table.cardinality tbl) 0 sources)
+    ~name:spec.Spec.m_target layout.Spec.m_schema;
+  let mg = Merge.create catalog layout in
   let rules =
     Propagator.rules ~sources:spec.Spec.m_sources
       ~targets:[ spec.Spec.m_target ]

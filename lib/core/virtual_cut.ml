@@ -162,13 +162,18 @@ let step t counters ~limit =
       match List.find_opt (fun s -> not s.src_done) t.sources with
       | None -> scanning := false
       | Some src ->
+        let cursor = cursor_of src in
         (match
-           Table.Fuzzy_cursor.next_batch (cursor_of src)
+           Table.Fuzzy_cursor.next_batch cursor
              ~limit:(min !remaining (t.chunk - t.buffered))
          with
-         | [] ->
+         | [] when Table.Fuzzy_cursor.finished cursor ->
            close_cursor src;
            src.src_done <- true
+         | [] ->
+           (* The cursor's walk bound ran out on deleted keys' slots:
+              resume at the next quantum. *)
+           scanning := false
          | recs ->
            List.iter
              (fun r ->

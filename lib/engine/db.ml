@@ -61,8 +61,8 @@ module Observe = struct
     fun () -> Obs.Registry.detach t.obs sink
 end
 
-let create_table t ?indexes ~name schema =
-  let table = Catalog.create_table t.cat ?indexes ~name schema in
+let create_table t ?size ?indexes ~name schema =
+  let table = Catalog.create_table t.cat ?size ?indexes ~name schema in
   Manager.track_table t.mgr table;
   table
 

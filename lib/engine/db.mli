@@ -56,8 +56,11 @@ module Scrub = Scrub
     [t]: scrubbing trusts nothing enough to open it. *)
 
 val create_table :
-  t -> ?indexes:(string * string list) list -> name:string -> Schema.t ->
-  Table.t
+  t -> ?size:int -> ?indexes:(string * string list) list -> name:string ->
+  Schema.t -> Table.t
+(** [size] is {!Table.create}'s capacity hint: a schema change passes
+    an upper bound of the target's final size; other callers leave it
+    out and get the default. *)
 
 val table : t -> string -> Table.t
 (** @raise Not_found *)

@@ -8,10 +8,10 @@ let add t table =
     invalid_arg (Printf.sprintf "Catalog.add: table %S exists" name);
   Hashtbl.replace t name table
 
-let create_table t ?indexes ~name schema =
+let create_table t ?size ?indexes ~name schema =
   if Hashtbl.mem t name then
     invalid_arg (Printf.sprintf "Catalog.create_table: table %S exists" name);
-  let table = Table.create ?indexes ~name schema in
+  let table = Table.create ?size ?indexes ~name schema in
   Hashtbl.replace t name table;
   table
 

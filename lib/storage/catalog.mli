@@ -13,9 +13,10 @@ type t
 val create : unit -> t
 
 val create_table :
-  t -> ?indexes:(string * string list) list -> name:string -> Schema.t ->
-  Table.t
-(** @raise Invalid_argument if the name is taken. *)
+  t -> ?size:int -> ?indexes:(string * string list) list -> name:string ->
+  Schema.t -> Table.t
+(** [size] is {!Table.create}'s capacity hint.
+    @raise Invalid_argument if the name is taken. *)
 
 val add : t -> Table.t -> unit
 (** Register an externally created table.

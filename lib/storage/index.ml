@@ -20,9 +20,9 @@ let compile positions =
   Array.iter (fun i -> touch_mask.(i) <- true) pos_arr;
   (pos_arr, touch_mask)
 
-let create ~name ~positions =
+let create ~size ~name ~positions =
   let pos_arr, touch_mask = compile positions in
-  { name; positions; pos_arr; touch_mask; map = Row.Key.Tbl.create 256 }
+  { name; positions; pos_arr; touch_mask; map = Row.Key.Tbl.create size }
 
 let name t = t.name
 let positions t = t.positions
@@ -66,4 +66,13 @@ let lookup t proj =
   | None -> []
   | Some set -> Row.Key.Tbl.fold (fun k () acc -> k :: acc) set []
 
+let entries t =
+  Row.Key.Tbl.fold
+    (fun proj set acc ->
+       Row.Key.Tbl.fold (fun key () acc -> (proj, key) :: acc) set acc)
+    t.map []
+  |> List.sort (fun (p, k) (p', k') ->
+      match Row.Key.compare p p' with 0 -> Row.Key.compare k k' | c -> c)
+
 let cardinality t = Row.Key.Tbl.length t.map
+let buckets t = (Row.Key.Tbl.stats t.map).Hashtbl.num_buckets

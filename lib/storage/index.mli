@@ -11,7 +11,11 @@ open Nbsc_value
 
 type t
 
-val create : name:string -> positions:int list -> t
+val create : size:int -> name:string -> positions:int list -> t
+(** [size] is a capacity hint, as for [Hashtbl.create]: about the
+    number of distinct projections the index holds before it first
+    rehashes. *)
+
 val name : t -> string
 val positions : t -> int list
 
@@ -29,5 +33,13 @@ val remove : t -> key:Row.Key.t -> Row.t -> unit
 val lookup : t -> Row.Key.t -> Row.Key.t list
 (** Primary keys of all rows whose projection equals the given values. *)
 
+val entries : t -> (Row.Key.t * Row.Key.t) list
+(** Every (projection, primary key) pair, sorted: two indexes over the
+    same rows are equal exactly when their entries are. *)
+
 val cardinality : t -> int
 (** Number of distinct indexed values (for stats/tests). *)
+
+val buckets : t -> int
+(** Current bucket count of the projection table (tests check that a
+    sized index never grows). *)

@@ -46,11 +46,39 @@ type t = {
      they commit. Default: retain everything (bare tables without a
      manager stay fully versioned). *)
   mutable retain_versions : unit -> bool;
+  (* Names of hash indexes an online build ([Index_build]) registered
+     and no build has finished filling yet: writes maintain them, but
+     a lookup would miss rows the build has not reached, so lookups
+     refuse them. *)
+  mutable partial : string list;
+  flagged : flagged;
 }
 
-let create ?(indexes = []) ~name schema =
+(* The keys whose record carries the [Unknown] flag (split of possibly
+   inconsistent data, paper Sec. 5.3), kept exact by every heap
+   mutation so counting them and picking one are O(1) instead of a
+   fold over the table. A dense array plus each key's slot in it;
+   removal moves the last key into the hole. *)
+and flagged = {
+  mutable keys : Row.Key.t array;
+  mutable count : int;
+  slot : int Row.Key.Tbl.t;
+}
+
+(* Initial heap buckets and arrival slots, and index buckets, when the
+   creator gives no size hint: user tables, [Db.load] and snapshot
+   restore. A schema change sizes its targets from its sources; a hint
+   only ever raises these, so a small table iterates in the same order
+   whether or not it was sized. *)
+let default_heap = 1024
+let default_index = 256
+
+let create ?(size = 0) ?(indexes = []) ~name schema =
+  let heap_size = max default_heap size in
+  let index_size = max default_index size in
   let mk (index_name, cols) =
-    Index.create ~name:index_name ~positions:(Schema.positions schema cols)
+    Index.create ~size:index_size ~name:index_name
+      ~positions:(Schema.positions schema cols)
   in
   let key_positions = Array.of_list (Schema.key_positions schema) in
   let key_member = Array.make (Schema.arity schema) false in
@@ -59,15 +87,17 @@ let create ?(indexes = []) ~name schema =
     schema;
     key_positions;
     key_member;
-    heap = Row.Key.Tbl.create 1024;
+    heap = Row.Key.Tbl.create heap_size;
     versions = Row.Key.Tbl.create 64;
     nversions = 0;
     indexes = List.map mk indexes;
     ordered = [];
-    arrival = Array.make 1024 [||];
+    arrival = Array.make heap_size [||];
     arrival_len = 0;
     live_cursors = 0;
-    retain_versions = (fun () -> true) }
+    retain_versions = (fun () -> true);
+    partial = [];
+    flagged = { keys = [||]; count = 0; slot = Row.Key.Tbl.create 16 } }
 
 let name t = t.name
 let schema t = t.schema
@@ -84,13 +114,55 @@ let mem t key = Row.Key.Tbl.mem t.heap key
 
 let arrival_length t = t.arrival_len
 
+let buckets t =
+  ("heap", (Row.Key.Tbl.stats t.heap).Hashtbl.num_buckets)
+  :: List.map (fun ix -> (Index.name ix, Index.buckets ix)) t.indexes
+
+(* {2 Unknown-flagged keys} *)
+
+let flag_key t key =
+  let f = t.flagged in
+  if not (Row.Key.Tbl.mem f.slot key) then begin
+    if f.count = Array.length f.keys then begin
+      let bigger = Array.make (max 16 (2 * f.count)) [||] in
+      Array.blit f.keys 0 bigger 0 f.count;
+      f.keys <- bigger
+    end;
+    f.keys.(f.count) <- key;
+    Row.Key.Tbl.replace f.slot key f.count;
+    f.count <- f.count + 1
+  end
+
+let unflag t key =
+  let f = t.flagged in
+  match Row.Key.Tbl.find_opt f.slot key with
+  | None -> ()
+  | Some i ->
+    Row.Key.Tbl.remove f.slot key;
+    let last = f.count - 1 in
+    if i < last then begin
+      let moved = f.keys.(last) in
+      f.keys.(i) <- moved;
+      Row.Key.Tbl.replace f.slot moved i
+    end;
+    f.keys.(last) <- [||];
+    f.count <- last
+
+let unknown_count t = t.flagged.count
+
+let first_unknown t =
+  if t.flagged.count = 0 then None
+  else
+    let key = t.flagged.keys.(0) in
+    Some (key, Row.Key.Tbl.find t.heap key)
+
 (* Rewrite [arrival] keeping the first occurrence of every key still in
    the heap, in order. Only called with no live cursor, so no position
    can dangle. The array shrinks back toward the live count (churn must
    not leave a table holding its high-water arrival forever). *)
 let compact_arrival t =
   let live = Row.Key.Tbl.length t.heap in
-  let cap = ref 1024 in
+  let cap = ref default_heap in
   while !cap < live do cap := !cap * 2 done;
   let fresh = Array.make !cap [||] in
   let kept = Row.Key.Tbl.create (max 16 live) in
@@ -235,6 +307,7 @@ let insert t ~lsn ?txn ?counter ?flag ?aux row =
   if Row.Key.Tbl.mem t.heap key then Error `Duplicate_key
   else begin
     Row.Key.Tbl.replace t.heap key (Record.make ?txn ?counter ?flag ?aux ~lsn row);
+    if flag = Some Record.Unknown then flag_key t key;
     index_insert t key row;
     push_arrival t key;
     Ok ()
@@ -291,6 +364,11 @@ let set_record t ~key record =
     index_remove t key old.Record.row;
     Row.Key.Tbl.replace t.heap key record;
     index_insert t key record.Record.row;
+    (match (old.Record.flag, record.Record.flag) with
+     | Record.Consistent, Record.Unknown -> flag_key t key
+     | Record.Unknown, Record.Consistent -> unflag t key
+     | Record.Consistent, Record.Consistent | Record.Unknown, Record.Unknown ->
+       ());
     Ok ()
 
 let delete t ~lsn ?(txn = 0) key =
@@ -309,6 +387,7 @@ let delete t ~lsn ?(txn = 0) key =
       push_version t key { v_row = None; v_lsn = lsn; v_txn = txn }
     end;
     Row.Key.Tbl.remove t.heap key;
+    if record.Record.flag = Record.Unknown then unflag t key;
     index_remove t key record.Record.row;
     maybe_compact t;
     Ok record
@@ -353,22 +432,53 @@ let find_ordered t name =
 let ordered_range t ~index ?lo ?hi () =
   Ordered_index.range (find_ordered t index) ?lo ?hi ()
 
-let add_index t ~name ~columns =
-  let exists =
-    List.exists (fun ix -> String.equal (Index.name ix) name) t.indexes
+let find_index_opt t name =
+  List.find_opt (fun ix -> String.equal (Index.name ix) name) t.indexes
+
+let is_partial t name = List.exists (String.equal name) t.partial
+
+let mark_filled t name =
+  t.partial <- List.filter (fun n -> not (String.equal n name)) t.partial
+
+(* A new index is sized from the rows it is about to hold. *)
+let register_index t ~name ~columns =
+  let ix =
+    Index.create
+      ~size:(max default_index (cardinality t))
+      ~name ~positions:(Schema.positions t.schema columns)
   in
-  if not exists then begin
-    let ix = Index.create ~name ~positions:(Schema.positions t.schema columns) in
-    Row.Key.Tbl.iter (fun key r -> Index.insert ix ~key r.Record.row) t.heap;
-    t.indexes <- ix :: t.indexes
-  end
+  t.indexes <- ix :: t.indexes;
+  ix
+
+let add_index t ~name ~columns =
+  let fill ix =
+    Row.Key.Tbl.iter (fun key r -> Index.insert ix ~key r.Record.row) t.heap
+  in
+  match find_index_opt t name with
+  | None -> fill (register_index t ~name ~columns)
+  | Some ix ->
+    (* An online build that was abandoned left it partial: set inserts
+       are idempotent, so filling over what it holds completes it. *)
+    if is_partial t name then begin
+      fill ix;
+      mark_filled t name
+    end
 
 let find_index t name =
-  match List.find_opt (fun ix -> String.equal (Index.name ix) name) t.indexes with
+  match find_index_opt t name with
   | Some ix -> ix
   | None -> raise Not_found
 
-let index_lookup t ~index proj = Index.lookup (find_index t index) proj
+(* The one gate in front of every read of a hash index. *)
+let readable_index t index =
+  let ix = find_index t index in
+  if t.partial <> [] && is_partial t index then
+    invalid_arg
+      (Printf.sprintf "Table(%s): index %S is still being filled" t.name index);
+  ix
+
+let index_lookup t ~index proj = Index.lookup (readable_index t index) proj
+let index_entries t ~index = Index.entries (readable_index t index)
 
 let index_lookup_records t ~index proj =
   List.filter_map
@@ -386,6 +496,16 @@ let to_rows t = fold t ~init:[] ~f:(fun acc _ r -> r.Record.row :: acc)
 let max_lsn t =
   fold t ~init:Lsn.zero ~f:(fun acc _ r -> Lsn.max acc r.Record.lsn)
 
+(* Arrival slots one scan call may walk, per row it may return: deleted
+   keys leave stale slots that cost a walk and yield nothing, and
+   compaction is off while a scan is live. [limit] may be [max_int], so
+   compare before multiplying. *)
+let walk_factor = 4
+
+let walk_stop t ~pos ~limit =
+  let left = t.arrival_len - pos in
+  if limit >= left then t.arrival_len else pos + min left (walk_factor * limit)
+
 module Fuzzy_cursor = struct
   type table = t
 
@@ -399,7 +519,10 @@ module Fuzzy_cursor = struct
 
   let make table =
     table.live_cursors <- table.live_cursors + 1;
-    { table; pos = 0; seen = Row.Key.Tbl.create 1024; scanned = 0;
+    { table;
+      pos = 0;
+      seen = Row.Key.Tbl.create (max default_heap table.arrival_len);
+      scanned = 0;
       live = true }
 
   let close c =
@@ -411,7 +534,8 @@ module Fuzzy_cursor = struct
   let next_batch c ~limit =
     let batch = ref [] in
     let n = ref 0 in
-    while !n < limit && c.pos < c.table.arrival_len do
+    let stop = walk_stop c.table ~pos:c.pos ~limit in
+    while !n < limit && c.pos < stop do
       let key = c.table.arrival.(c.pos) in
       c.pos <- c.pos + 1;
       if not (Row.Key.Tbl.mem c.seen key) then begin
@@ -427,5 +551,69 @@ module Fuzzy_cursor = struct
     List.rev !batch
 
   let finished c = c.pos >= c.table.arrival_len
+  let position c = c.pos
   let scanned c = c.scanned
+end
+
+(* The fill walks the arrival array like a fuzzy cursor, with the same
+   walk bound, but needs no set of keys already reported: meeting a key
+   twice (deleted and reinserted) inserts its projection twice, which a
+   set insert absorbs. *)
+module Index_build = struct
+  type table = t
+
+  type t = {
+    table : table;
+    name : string;
+    ix : Index.t;
+    mutable pos : int;  (* next arrival slot *)
+    mutable filled : bool;
+    mutable live : bool;  (* counted in [live_cursors]: no compaction *)
+  }
+
+  let start table ~name ~columns =
+    match find_index_opt table name with
+    | Some ix when not (is_partial table name) ->
+      { table; name; ix; pos = 0; filled = true; live = false }
+    | found ->
+      let ix =
+        match found with
+        | Some ix -> ix
+        | None ->
+          table.partial <- name :: table.partial;
+          register_index table ~name ~columns
+      in
+      (* Registered, and compaction stopped, in one step: every key
+         live now either gets written (and the write maintains the
+         index) or is still live when the walk reaches its slot. *)
+      table.live_cursors <- table.live_cursors + 1;
+      { table; name; ix; pos = 0; filled = false; live = true }
+
+  let close b =
+    if b.live then begin
+      b.live <- false;
+      b.table.live_cursors <- b.table.live_cursors - 1
+    end
+
+  let step b ~limit =
+    if b.live then begin
+      let t = b.table in
+      let stop = walk_stop t ~pos:b.pos ~limit in
+      let n = ref 0 in
+      while !n < limit && b.pos < stop do
+        let key = t.arrival.(b.pos) in
+        b.pos <- b.pos + 1;
+        match Row.Key.Tbl.find_opt t.heap key with
+        | Some r ->
+          Index.insert b.ix ~key r.Record.row;
+          incr n
+        | None -> ()
+      done;
+      if b.pos >= t.arrival_len then begin
+        close b;
+        b.filled <- true;
+        mark_filled t b.name
+      end
+    end;
+    b.filled
 end

@@ -16,10 +16,19 @@ open Nbsc_wal
 
 type t
 
-val create : ?indexes:(string * string list) list -> name:string ->
-  Schema.t -> t
+val create : ?size:int -> ?indexes:(string * string list) list ->
+  name:string -> Schema.t -> t
 (** [create ~name schema ~indexes] where each index is
     [(index_name, column_names)].
+
+    [size] is a capacity hint, like [Hashtbl.create]'s argument: the
+    heap, the arrival array and every index start with room for about
+    that many rows, so filling the table up to it never rehashes or
+    regrows. A schema change passes an upper bound of each target's
+    final size, read from its sources when it starts. The heap and
+    arrival array start at 1 024 and each index at 256 buckets, or at
+    [size] when it is larger; user tables, bulk loads and snapshot
+    restore pass none.
     @raise Invalid_argument on unknown index columns. *)
 
 val name : t -> string
@@ -111,7 +120,7 @@ val gc_versions :
 
 val index_definitions : t -> (string * string list) list
 (** Name and column list of every hash index (snapshots rebuild them
-    from this). *)
+    from this — in full, so a restored index is always filled). *)
 
 val ordered_index_definitions : t -> (string * string list) list
 
@@ -126,18 +135,27 @@ val ordered_range :
     @raise Not_found if the ordered index does not exist. *)
 
 val add_index : t -> name:string -> columns:string list -> unit
-(** Create a secondary index and backfill it from current contents
-    (the transformation's preparation step adds a split-column index to
-    the source table this way). No-op if an index with this name
-    already exists.
+(** Create a secondary index, sized from the table's cardinality, and
+    fill it from current contents in this one call: a blocking build,
+    as the blocking baselines use. No-op if a filled index with this
+    name already exists; an index an abandoned {!Index_build} left
+    partial is filled here. Schema changes build theirs online with
+    {!Index_build} instead.
     @raise Not_found on unknown columns. *)
 
 val index_lookup : t -> index:string -> Row.Key.t -> Row.Key.t list
 (** Primary keys matching the given indexed values.
-    @raise Not_found if the index does not exist. *)
+    @raise Not_found if the index does not exist.
+    @raise Invalid_argument if an online build has not filled it yet:
+    a partial index never answers. *)
 
 val index_lookup_records : t -> index:string -> Row.Key.t ->
   (Row.Key.t * Record.t) list
+
+val index_entries : t -> index:string -> (Row.Key.t * Row.Key.t) list
+(** Every (indexed values, primary key) pair, sorted ({!Index.entries}):
+    equal to a blocking build's exactly when the index is exact. Raises
+    like {!index_lookup}. *)
 
 val iter : t -> (Row.Key.t -> Record.t -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> Row.Key.t -> Record.t -> 'a) -> 'a
@@ -145,6 +163,24 @@ val to_rows : t -> Row.t list
 
 val max_lsn : t -> Lsn.t
 (** Highest record LSN in the table ([Lsn.zero] when empty). *)
+
+val buckets : t -> (string * int) list
+(** Current bucket counts: ["heap"] first, then every hash index by
+    name. Read-only; tests use it to check that a sized table never
+    rehashes. *)
+
+(** {2 Unknown-flagged records}
+
+    The keys whose record carries {!Record.Unknown} (the split of
+    possibly inconsistent data, paper Sec. 5.3). Every insert,
+    set_record and delete keeps the set exact, so both reads are
+    O(1). *)
+
+val unknown_count : t -> int
+
+val first_unknown : t -> (Row.Key.t * Record.t) option
+(** One flagged record, [None] when none is flagged. Deterministic for
+    a given history of writes, but not tied to arrival or hash order. *)
 
 val arrival_length : t -> int
 (** Length of the arrival-order scan array, stale entries included.
@@ -159,18 +195,56 @@ module Fuzzy_cursor : sig
 
   val make : table -> t
   (** Also marks the table as having a live cursor, which suspends
-      arrival-array compaction until {!close}. *)
+      arrival-array compaction until {!close}. The set of keys already
+      reported starts with room for the table's current arrival
+      length. *)
 
   val next_batch : t -> limit:int -> Record.t list
-  (** Up to [limit] more records. Records inserted after the cursor's
-      position may or may not be seen; each key is reported at most
-      once per scan. An empty list means the scan is complete. *)
+  (** Up to [limit] more records, walking at most [4 * limit] arrival
+      slots: slots of deleted keys yield nothing, so a batch may be
+      short, or empty, before the end. Records inserted after the
+      cursor's position may or may not be seen; each key is reported
+      at most once per scan. Only {!finished} says the scan is
+      complete. *)
 
   val finished : t -> bool
+
+  val position : t -> int
+  (** Arrival slots walked so far, stale ones included. *)
+
   val scanned : t -> int
 
   val close : t -> unit
   (** Release the cursor (idempotent). Every cursor must be closed when
       its scan ends or is abandoned, or the table can never compact its
       arrival array. The cursor must not be used afterwards. *)
+end
+
+(** Online index build (Mohan & Narang, SIGMOD 1992), the paper's fuzzy
+    read applied to an index: register the index empty, so that every
+    write from then on maintains it, and fill it from a fuzzy scan in
+    bounded steps. Each step inserts the current projection of the live
+    records it reaches; on one thread a set insert commutes with write
+    maintenance, so when the scan finishes the index equals a blocking
+    build. Until then {!index_lookup} refuses it. *)
+module Index_build : sig
+  type table = t
+  type t
+
+  val start : table -> name:string -> columns:string list -> t
+  (** Register the index, sized from the table's cardinality, and open
+      the scan. Adopts an existing index of that name: a partial one
+      is filled again by this build; a filled one leaves nothing to
+      do.
+      @raise Not_found on unknown columns. *)
+
+  val step : t -> limit:int -> bool
+  (** Insert the current projections of up to [limit] more live
+      records, walking at most [4 * limit] arrival slots, like
+      {!Fuzzy_cursor.next_batch}; [true] once the index is filled. *)
+
+  val close : t -> unit
+  (** Release the scan (idempotent). Closing before the fill finishes
+      leaves the index partial: maintained, but refused to readers
+      until another build or {!add_index} fills it. *)
 end

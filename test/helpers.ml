@@ -245,6 +245,33 @@ let seed_rows ~r ~s =
   ( List.init r (fun i -> ri (i + 1) ("name" ^ string_of_int i) (i mod 17)),
     List.init s (fun i -> si i ("d" ^ string_of_int i)) )
 
+(* What a blocking build of the split index holds over T's current
+   rows: a copy of T, indexed in one call. *)
+let blocking_split_index db =
+  let t = Db.table db "T" in
+  let copy = Table.create ~name:"T_copy" (Table.schema t) in
+  Table.iter t (fun _ r -> ignore (Table.insert copy ~lsn:r.Record.lsn r.Record.row));
+  Table.add_index copy ~name:Spec.ix_t_split ~columns:[ "c" ];
+  Table.index_entries copy ~index:Spec.ix_t_split
+
+(* Whether T's split index refuses readers, as a partial one must. *)
+let refuses_split_index db =
+  match
+    Table.index_lookup (Db.table db "T") ~index:Spec.ix_t_split
+      (Row.make [ Value.Int 1 ])
+  with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let check_split_index what db =
+  let entries = Alcotest.(list (pair (array string) (array string))) in
+  let show =
+    List.map (fun (p, k) -> (Array.map Value.to_string p, Array.map Value.to_string k))
+  in
+  Alcotest.check entries what
+    (show (blocking_split_index db))
+    (show (Table.index_entries (Db.table db "T") ~index:Spec.ix_t_split))
+
 let seed_t_rows ~n =
   List.init n (fun i ->
       let c = i mod 13 in

@@ -148,6 +148,179 @@ let test_cc_records_in_log () =
   Alcotest.(check int) "one begin" 1 !begins;
   Alcotest.(check int) "one ok" 1 !oks
 
+(* {1 Tracked Unknown flags}
+
+   S keeps the set of its U-flagged keys up to date on every write, so
+   the checker's pick and count are O(1). After any history the set
+   must equal what a full scan finds. *)
+
+let scan_unknowns s_tbl =
+  Table.fold s_tbl ~init:[] ~f:(fun acc key r ->
+      if r.Record.flag = Record.Unknown then key :: acc else acc)
+
+let check_tracking what s_tbl =
+  let scanned = scan_unknowns s_tbl in
+  Alcotest.(check int) (what ^ ": count") (List.length scanned)
+    (Table.unknown_count s_tbl);
+  match Table.first_unknown s_tbl with
+  | None -> Alcotest.(check int) (what ^ ": none flagged") 0 (List.length scanned)
+  | Some (key, record) ->
+    Alcotest.(check bool) (what ^ ": chosen key is flagged") true
+      (List.exists (Row.Key.equal key) scanned);
+    Alcotest.(check bool) (what ^ ": chosen record is current") true
+      (Table.find s_tbl key = Some record)
+
+(* Like [user_update], for a delete, or a reinsert of a deleted key:
+   emptying a group deletes its S record, flagged or not. *)
+let user_delete_or_insert h ~a ~row_if_absent =
+  h.lsn <- h.lsn + 1;
+  let lsn = Lsn.of_int h.lsn in
+  let key = Row.make [ Value.Int a ] in
+  let op =
+    match Table.find h.t_tbl key with
+    | Some r ->
+      ignore (Table.delete h.t_tbl ~lsn key);
+      Log_record.Delete { table = "T"; key; before = r.Record.row }
+    | None ->
+      ignore (Table.insert h.t_tbl ~lsn row_if_absent);
+      Log_record.Insert { table = "T"; row = row_if_absent }
+  in
+  ignore (Log.append h.log ~txn:1 ~prev_lsn:Lsn.zero (Log_record.Op op))
+
+let test_tracked_unknowns_random_history () =
+  let rng = Random.State.make [| 5 |] in
+  let d_of () = if Random.State.int rng 8 = 0 then "y" else "x" in
+  let group () = 10 * Random.State.int rng 6 in
+  let h =
+    setup ~t_rows:(List.init 18 (fun i -> H.ti (i + 1) "n" (10 * (i mod 6)) (d_of ())))
+  in
+  let s_tbl = Split.s_table h.sp in
+  check_tracking "after population" s_tbl;
+  let rose = ref 0 and fell = ref 0 and flagged_deleted = ref 0 in
+  for step = 1 to 600 do
+    let before = Table.unknown_count s_tbl in
+    let flagged_before = scan_unknowns s_tbl in
+    let a = 1 + Random.State.int rng 18 in
+    let key = Row.make [ Value.Int a ] in
+    (match (Random.State.int rng 5, Table.find h.t_tbl key) with
+     | 0, Some r ->
+       user_update h ~key ~changes:[ (3, Value.Text (d_of ())) ]
+         ~before:[ (3, Row.get r.Record.row 3) ]
+     | 1, Some r ->
+       user_update h ~key ~changes:[ (2, Value.Int (group ())) ]
+         ~before:[ (2, Row.get r.Record.row 2) ]
+     | (0 | 1 | 4), _ ->
+       user_delete_or_insert h ~a ~row_if_absent:(H.ti a "n" (group ()) (d_of ()))
+     | 2, _ ->
+       (* A whole check: begin, then ok, each seen by propagation. *)
+       for _ = 1 to 2 do
+         ignore (Consistency.step h.cc);
+         drain h
+       done
+     | _ -> drain h);
+    check_tracking (Printf.sprintf "step %d" step) s_tbl;
+    let after = Table.unknown_count s_tbl in
+    if after > before then incr rose;
+    if after < before then incr fell;
+    if List.exists (fun k -> not (Table.mem s_tbl k)) flagged_before then
+      incr flagged_deleted
+  done;
+  drain h;
+  check_tracking "drained" s_tbl;
+  Alcotest.(check bool)
+    (Printf.sprintf "flags set (%d), cleared (%d), flagged records deleted (%d)"
+       !rose !fell !flagged_deleted)
+    true
+    (!rose > 5 && !fell > 5 && !flagged_deleted > 0)
+
+let fresh_dir () =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "nbsc_cc_%d" (Random.bits ()))
+
+let wipe dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+let test_tracked_unknowns_restore_and_resume () =
+  let module Persist = Nbsc_engine.Persist in
+  let module Manager = Nbsc_txn.Manager in
+  let ok_p what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %a" what Persist.pp_error e
+  in
+  Nbsc_engine.Fault.reset ();
+  let dir = fresh_dir () in
+  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let db = Persist.db p in
+  ignore (Db.create_table db ~name:"T" H.t_flat_schema);
+  (* Every fifth row breaks its group's FD: population flags those S
+     records U. *)
+  let rows =
+    List.init 60 (fun i ->
+        let c = i mod 6 in
+        H.ti (i + 1) "n" c (if i mod 5 = 0 then "odd" else H.city_of c))
+  in
+  (match Db.load db ~table:"T" rows with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "load: %a" Manager.pp_error e);
+  ok_p "ddl checkpoint" (Persist.checkpoint p);
+  let options =
+    { Options.default with
+      Options.scan_batch = 7; propagate_batch = 5; drop_sources = false }
+  in
+  let tf = H.start db ~options (Spec.Split (H.split_spec ~assume_consistent:false)) in
+  let rng = Random.State.make [| 9 |] in
+  let set_d db ~a dv =
+    let mgr = Db.manager db in
+    let txn = Manager.begin_txn mgr in
+    match
+      Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int a ])
+        [ (3, Value.Text dv) ]
+    with
+    | Ok () -> ignore (Manager.commit mgr txn)
+    | Error _ -> ignore (Manager.abort mgr txn)
+  in
+  let noise db =
+    let a = 1 + Random.State.int rng 60 in
+    set_d db ~a
+      (if Random.State.bool rng then "noise" else H.city_of ((a - 1) mod 6))
+  in
+  for _ = 1 to 25 do
+    ignore (Transform.step tf);
+    noise db;
+    check_tracking "live" (Db.table db "S")
+  done;
+  Alcotest.(check bool) "past population" true
+    (Transform.phase tf <> Transform.Populating);
+  Alcotest.(check bool) "some flagged" true
+    (Table.unknown_count (Db.table db "S") > 0);
+  ok_p "checkpoint" (Persist.checkpoint p);
+  Persist.crash p;
+  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let db2 = Persist.db p2 in
+  check_tracking "restored" (Db.table db2 "S");
+  (match Transform.resume ~options p2 with
+   | Ok [ _ ] -> ()
+   | Ok _ -> Alcotest.fail "expected one resumed job"
+   | Error e -> Alcotest.fail (Nbsc_error.to_string e));
+  check_tracking "resumed" (Db.table db2 "S");
+  (* Repair every group, then let the checker clear the flags. *)
+  for a = 1 to 60 do
+    set_d db2 ~a (H.city_of ((a - 1) mod 6))
+  done;
+  (match
+     Db.run_jobs db2 ~max_rounds:5_000 ~between:(fun () ->
+         check_tracking "checking" (Db.table db2 "S"))
+   with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail m);
+  check_tracking "done" (Db.table db2 "S");
+  Alcotest.(check int) "all cleared" 0 (Table.unknown_count (Db.table db2 "S"));
+  Persist.close p2;
+  wipe dir
+
 let () =
   Alcotest.run "consistency"
     [ ( "checker",
@@ -158,4 +331,9 @@ let () =
           Alcotest.test_case "idle when all consistent" `Quick
             test_nothing_to_do;
           Alcotest.test_case "protocol records in log" `Quick
-            test_cc_records_in_log ] ) ]
+            test_cc_records_in_log ] );
+      ( "tracked unknowns",
+        [ Alcotest.test_case "equal a scan over a random history" `Quick
+            test_tracked_unknowns_random_history;
+          Alcotest.test_case "equal a scan after restore and resume" `Quick
+            test_tracked_unknowns_restore_and_resume ] ) ]

@@ -639,6 +639,64 @@ let test_resume_skips_population () =
    incomplete and the framework's target writes are unlogged — so the
    job restarts: targets are dropped and repopulated. User data still
    comes back from snapshot + WAL alone. *)
+(* The split fills its source's split index online. A checkpoint taken
+   mid-fill records the index definition, and restore rebuilds it in
+   full; a resumed job, restarted in population or past it, must find
+   it equal to a blocking build. *)
+let split_index_crash ~past_population () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let db = Persist.db p in
+  ignore (Db.create_table db ~name:"T" H.t_flat_schema);
+  (match Db.load db ~table:"T" (H.seed_t_rows ~n:300) with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "load T: %a" Manager.pp_error e);
+  checkpoint_ddl p;
+  let tf =
+    H.start db ~options:cfg (Spec.Split (H.split_spec ~assume_consistent:true))
+  in
+  let d = H.driver ~seed:19 db in
+  let step () =
+    ignore (Transform.step tf);
+    H.random_t_op ~consistent:true d
+  in
+  if past_population then
+    while Transform.phase tf = Transform.Populating do step () done
+  else begin
+    for _ = 1 to 10 do step () done;
+    Alcotest.(check bool) "mid-fill" true
+      (Transform.phase tf = Transform.Populating && H.refuses_split_index db)
+  end;
+  ok_p "checkpoint" (Persist.checkpoint p);
+  Persist.crash p;
+  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let db2 = Persist.db p2 in
+  H.check_split_index "restored" db2;
+  (match Transform.resume ~options:cfg p2 with
+   | Ok [ tf2 ] ->
+     Alcotest.(check bool) "resumed phase" true
+       (if past_population then Transform.phase tf2 <> Transform.Populating
+        else Transform.phase tf2 = Transform.Populating)
+   | Ok tfs -> Alcotest.failf "expected one job, got %d" (List.length tfs)
+   | Error e -> Alcotest.fail (Nbsc_error.to_string e));
+  H.check_split_index "resumed" db2;
+  let d2 = H.driver ~seed:20 db2 in
+  d2.H.next_r_key <- 2_000_000;
+  let budget = ref 60 in
+  (match
+     Db.run_jobs db2 ~max_rounds:5_000 ~between:(fun () ->
+         if !budget > 0 && Db.jobs db2 <> [] then begin
+           decr budget;
+           H.random_t_op ~consistent:true d2
+         end)
+   with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail m);
+  H.check_split_index "after the resumed change" db2;
+  Persist.close p2;
+  wipe dir
+
 let test_populating_crash_restarts () =
   Fault.reset ();
   let dir = fresh_dir () in
@@ -990,6 +1048,10 @@ let () =
                   (Options.Hybrid { sweep_quantum = 8 }));
              Alcotest.test_case "populating crash restarts" `Quick
                test_populating_crash_restarts;
+             Alcotest.test_case "crash mid-fill keeps split index exact"
+               `Quick (split_index_crash ~past_population:false);
+             Alcotest.test_case "crash past fill keeps split index exact"
+               `Quick (split_index_crash ~past_population:true);
              Alcotest.test_case "acked commits survive checkpoint crash"
                `Quick test_acked_commits_survive_checkpoint_crash;
              Alcotest.test_case "synced_commits is the durability floor"

@@ -126,11 +126,8 @@ let test_fuzzy_cursor_basics () =
   Alcotest.(check int) "batch 1" 30 (List.length b1);
   Alcotest.(check bool) "not finished" false (Table.Fuzzy_cursor.finished c);
   let rest = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Table.Fuzzy_cursor.next_batch c ~limit:40 with
-    | [] -> continue := false
-    | b -> rest := !rest + List.length b
+  while not (Table.Fuzzy_cursor.finished c) do
+    rest := !rest + List.length (Table.Fuzzy_cursor.next_batch c ~limit:40)
   done;
   Alcotest.(check int) "rest" 70 !rest;
   Alcotest.(check bool) "finished" true (Table.Fuzzy_cursor.finished c);
@@ -151,11 +148,8 @@ let test_fuzzy_cursor_concurrent_mutations () =
   ignore (Table.delete t ~lsn:(lsn 91) (key 5));
   ignore (Table.insert t ~lsn:(lsn 52) (row 5 "again" 5));
   let rest = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Table.Fuzzy_cursor.next_batch c ~limit:100 with
-    | [] -> continue := false
-    | b -> rest := !rest @ b
+  while not (Table.Fuzzy_cursor.finished c) do
+    rest := !rest @ Table.Fuzzy_cursor.next_batch c ~limit:100
   done;
   let all = b1 @ !rest in
   let keys =
@@ -169,6 +163,44 @@ let test_fuzzy_cursor_concurrent_mutations () =
   Alcotest.(check bool) "deleted unscanned not reported" true
     (not (List.mem 40 keys));
   Alcotest.(check bool) "new row may appear" true (List.mem 51 keys)
+
+(* Compaction is off while a cursor is live, so keys deleted behind it
+   leave their arrival slots in place. One call must still walk only a
+   bounded number of them, and the scan must still emit every live row
+   exactly once. *)
+let test_fuzzy_walk_bound () =
+  let t = mk ~indexes:[] () in
+  let total = 10_050 and limit = 16 in
+  for i = 1 to total do
+    ignore (Table.insert t ~lsn:(lsn i) (row i "x" i))
+  done;
+  let c = Table.Fuzzy_cursor.make t in
+  for i = 1 to 10_000 do
+    ignore (Table.delete t ~lsn:(lsn (total + i)) (key i))
+  done;
+  Alcotest.(check int) "slots kept" total (Table.arrival_length t);
+  let seen = ref [] and calls = ref 0 in
+  while not (Table.Fuzzy_cursor.finished c) do
+    let before = Table.Fuzzy_cursor.position c in
+    let batch = Table.Fuzzy_cursor.next_batch c ~limit in
+    incr calls;
+    let walked = Table.Fuzzy_cursor.position c - before in
+    if walked > 4 * limit || List.length batch > limit then
+      Alcotest.failf "call %d walked %d slots, returned %d rows" !calls walked
+        (List.length batch);
+    List.iter
+      (fun r ->
+         match Row.get r.Record.row 0 with
+         | Value.Int a -> seen := a :: !seen
+         | _ -> Alcotest.fail "bad key")
+      batch
+  done;
+  Table.Fuzzy_cursor.close c;
+  Alcotest.(check bool) "walk spread over calls" true
+    (!calls >= total / (4 * limit));
+  Alcotest.(check (list int)) "every live row exactly once"
+    (List.init 50 (fun i -> 10_001 + i))
+    (List.sort compare !seen)
 
 let test_arrival_compaction_under_churn () =
   let t = mk () in
@@ -194,11 +226,8 @@ let test_arrival_compaction_under_churn () =
   (* The compacted arrival order still drives a complete fuzzy scan. *)
   let c = Table.Fuzzy_cursor.make t in
   let seen = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Table.Fuzzy_cursor.next_batch c ~limit:64 with
-    | [] -> continue := false
-    | b -> seen := !seen + List.length b
+  while not (Table.Fuzzy_cursor.finished c) do
+    seen := !seen + List.length (Table.Fuzzy_cursor.next_batch c ~limit:64)
   done;
   Table.Fuzzy_cursor.close c;
   Alcotest.(check int) "scan still complete" n !seen
@@ -222,11 +251,8 @@ let test_live_cursor_blocks_compaction () =
   Alcotest.(check bool) "no compaction while cursor live" true
     (Table.arrival_length t > 2 * n);
   let seen = ref 10 in
-  let continue = ref true in
-  while !continue do
-    match Table.Fuzzy_cursor.next_batch c ~limit:64 with
-    | [] -> continue := false
-    | b -> seen := !seen + List.length b
+  while not (Table.Fuzzy_cursor.finished c) do
+    seen := !seen + List.length (Table.Fuzzy_cursor.next_batch c ~limit:64)
   done;
   Table.Fuzzy_cursor.close c;
   Table.Fuzzy_cursor.close c;  (* idempotent *)
@@ -258,6 +284,70 @@ let test_catalog () =
   Catalog.drop cat "y";
   Alcotest.(check bool) "dropped" false (Catalog.mem cat "y");
   Alcotest.check_raises "drop missing" Not_found (fun () -> Catalog.drop cat "y")
+
+(* An index built online from a fuzzy scan, with inserts, deletes and
+   indexed-column updates landing between its steps, ends equal to a
+   blocking build; until it is filled, lookups refuse it, and an
+   abandoned build is completed by [add_index]. *)
+let test_online_index_build () =
+  let rng = Random.State.make [| 11 |] in
+  let t = mk ~indexes:[] () in
+  for i = 1 to 500 do
+    ignore (Table.insert t ~lsn:(lsn i) (row i "x" (i mod 7)))
+  done;
+  let next = ref 500 in
+  let churn () =
+    incr next;
+    let a = 1 + Random.State.int rng !next in
+    match Random.State.int rng 3 with
+    | 0 -> ignore (Table.insert t ~lsn:(lsn !next) (row !next "n" (a mod 9)))
+    | 1 -> ignore (Table.delete t ~lsn:(lsn !next) (key a))
+    | _ ->
+      ignore
+        (Table.update t ~lsn:(lsn !next) ~key:(key a)
+           [ (2, Value.Int (Random.State.int rng 9)) ])
+  in
+  let blocking () =
+    let copy = mk ~indexes:[] () in
+    Table.iter t (fun _ r -> ignore (Table.insert copy ~lsn:r.Record.lsn r.Record.row));
+    Table.add_index copy ~name:"by_c" ~columns:[ "c" ];
+    Table.index_entries copy ~index:"by_c"
+  in
+  let refused () =
+    match Table.index_lookup t ~index:"by_c" (Row.make [ Value.Int 1 ]) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let b = Table.Index_build.start t ~name:"by_c" ~columns:[ "c" ] in
+  Alcotest.(check bool) "partial index refused" true (refused ());
+  let steps = ref 0 in
+  while not (Table.Index_build.step b ~limit:8) do
+    incr steps;
+    churn ();
+    churn ()
+  done;
+  Table.Index_build.close b;
+  Alcotest.(check bool) "took many steps" true (!steps > 20);
+  Alcotest.(check bool) "filled index answers" false (refused ());
+  Alcotest.(check bool) "online = blocking" true
+    (Table.index_entries t ~index:"by_c" = blocking ());
+  (* A second build finds it filled; an abandoned one leaves a partial
+     index that [add_index] completes. *)
+  Alcotest.(check bool) "already filled" true
+    (Table.Index_build.step
+       (Table.Index_build.start t ~name:"by_c" ~columns:[ "c" ])
+       ~limit:1);
+  let b2 = Table.Index_build.start t ~name:"by_d" ~columns:[ "c" ] in
+  ignore (Table.Index_build.step b2 ~limit:8);
+  Table.Index_build.close b2;
+  churn ();
+  Alcotest.(check bool) "abandoned build refused" true
+    (match Table.index_entries t ~index:"by_d" with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  Table.add_index t ~name:"by_d" ~columns:[ "c" ];
+  Alcotest.(check bool) "add_index completes it" true
+    (Table.index_entries t ~index:"by_d" = blocking ())
 
 (* Property: after random inserts/updates/deletes, every index bucket
    agrees with a scan of the heap. *)
@@ -308,11 +398,8 @@ let prop_fuzzy_scan_complete =
          distinct;
        let c = Table.Fuzzy_cursor.make t in
        let seen = ref 0 in
-       let continue = ref true in
-       while !continue do
-         match Table.Fuzzy_cursor.next_batch c ~limit:batch with
-         | [] -> continue := false
-         | b -> seen := !seen + List.length b
+       while not (Table.Fuzzy_cursor.finished c) do
+         seen := !seen + List.length (Table.Fuzzy_cursor.next_batch c ~limit:batch)
        done;
        !seen = List.length distinct)
 
@@ -331,11 +418,15 @@ let () =
       ( "index",
         [ Alcotest.test_case "maintenance" `Quick test_index_maintenance;
           Alcotest.test_case "add_index backfills" `Quick
-            test_add_index_backfills ] );
+            test_add_index_backfills;
+          Alcotest.test_case "online build = blocking build" `Quick
+            test_online_index_build ] );
       ( "fuzzy",
         [ Alcotest.test_case "basics" `Quick test_fuzzy_cursor_basics;
           Alcotest.test_case "concurrent mutations" `Quick
-            test_fuzzy_cursor_concurrent_mutations ] );
+            test_fuzzy_cursor_concurrent_mutations;
+          Alcotest.test_case "walk bound over deleted keys" `Quick
+            test_fuzzy_walk_bound ] );
       ("catalog", [ Alcotest.test_case "catalog" `Quick test_catalog ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

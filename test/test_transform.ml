@@ -595,6 +595,199 @@ let test_cancel_after_sync_releases () =
   ok "old commits" (Manager.commit mgr old);
   ok "newcomer commits" (Manager.commit mgr newcomer)
 
+(* {1 Sized targets and the online split index}
+
+   A change sizes every table it fills from its sources when it starts,
+   so no quantum rehashes one; the split fills its source's split index
+   from a fuzzy scan inside its population quanta. *)
+
+let ok name = function
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
+
+let update_b db ~table ~rng ~keys =
+  let mgr = Db.manager db in
+  let txn = Manager.begin_txn mgr in
+  let a = List.nth keys (Random.State.int rng (List.length keys)) in
+  match
+    Manager.update mgr ~txn ~table ~key:(Row.make [ Value.Int a ])
+      [ (1, Value.Text ("w" ^ string_of_int (Random.State.int rng 1000))) ]
+  with
+  | Ok () -> ok "commit" (Manager.commit mgr txn)
+  | Error _ -> ignore (Manager.abort mgr txn)
+
+let test_no_growth op () =
+  let n = 5_000 in
+  let t_rows = List.init n (fun i -> H.ti (i + 1) "n" (i mod 13) "d") in
+  let db, spec, sources, filled =
+    match op with
+    | `Foj ->
+      let r_rows, s_rows = H.seed_rows ~r:n ~s:2_000 in
+      ( H.fresh_foj_db ~r_rows ~s_rows, Spec.Foj H.foj_spec,
+        [ ("R", List.init n (fun i -> i + 1)) ], [ "T" ] )
+    | `Split ->
+      ( H.fresh_split_db ~t_rows, Spec.Split (H.split_spec ~assume_consistent:true),
+        [ ("T", List.init n (fun i -> i + 1)) ], [ "R"; "S"; "T" ] )
+    | `Hsplit ->
+      ( H.fresh_split_db ~t_rows,
+        Spec.Hsplit
+          { Spec.h_source = "T"; h_true_table = "T_hi"; h_false_table = "T_lo";
+            h_pred = Pred.Cmp ("c", Pred.Gt, Value.Int 6) },
+        [ ("T", List.init n (fun i -> i + 1)) ], [ "T_hi"; "T_lo" ] )
+    | `Merge ->
+      let db = H.fresh_split_db ~t_rows in
+      ignore (Db.create_table db ~name:"T2" H.t_flat_schema);
+      ok "load T2"
+        (Db.load db ~table:"T2"
+           (List.init 2_000 (fun i -> H.ti (n + i + 1) "m" (i mod 13) "d")));
+      ( db, Spec.Merge { Spec.m_sources = [ "T"; "T2" ]; m_target = "TT" },
+        [ ("T", List.init n (fun i -> i + 1));
+          ("T2", List.init 2_000 (fun i -> n + i + 1)) ],
+        [ "TT" ] )
+  in
+  let options =
+    { (cfg Options.Nonblocking_abort) with
+      Options.scan_batch = 64; propagate_batch = 64 }
+  in
+  let tf = H.start db ~options spec in
+  (* For the split, T's own entry covers the split index it fills. *)
+  let buckets () = List.map (fun t -> (t, Table.buckets (Db.table db t))) filled in
+  let at_start = buckets () in
+  let rng = Random.State.make [| 17 |] in
+  run_with_interleave tf ~between:(fun () ->
+      if Transform.routing tf = `Sources then
+        List.iter (fun (table, keys) -> update_b db ~table ~rng ~keys) sources);
+  Alcotest.(check bool) "done" true (Transform.phase tf = Transform.Done);
+  Alcotest.(check (list (pair string (list (pair string int)))))
+    "bucket counts unchanged" at_start (buckets ())
+
+let split_options sync = { (cfg sync) with Options.scan_batch = 16 }
+
+(* Run a split of 2 000 seeded rows to the end of population, with
+   inserts, deletes and split-column updates on T between quanta. *)
+let split_through_population sync =
+  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:2_000) in
+  let tf =
+    H.start db ~options:(split_options sync)
+      (Spec.Split (H.split_spec ~assume_consistent:true))
+  in
+  let d = H.driver ~seed:23 db in
+  let quanta = ref 0 in
+  while Transform.phase tf = Transform.Populating do
+    incr quanta;
+    ignore (Transform.step tf);
+    H.random_t_op ~consistent:true d;
+    H.random_t_op ~consistent:true d
+  done;
+  Alcotest.(check bool) "population spans many quanta" true (!quanta > 50);
+  (db, tf)
+
+let test_online_index_exact () =
+  let db, tf = split_through_population Options.Nonblocking_commit in
+  H.check_split_index "online = blocking after population" db;
+  (* Hold one T row across the switch, so the change waits in Draining
+     with its two-schema lock extension installed. *)
+  let mgr = Db.manager db in
+  let held = H.ti 1 "held" 1 (H.city_of 1) in
+  let old = Manager.begin_txn mgr in
+  ok "old txn"
+    (match Manager.insert mgr ~txn:old ~table:"T" held with
+     | Error `Duplicate_key ->
+       Manager.update mgr ~txn:old ~table:"T" ~key:(Row.make [ Value.Int 1 ])
+         [ (1, Value.Text "held") ]
+     | r -> r);
+  let guard = ref 0 in
+  while Transform.phase tf <> Transform.Draining do
+    incr guard;
+    if !guard > 5_000 then Alcotest.fail "never reached Draining";
+    ignore (Transform.step tf)
+  done;
+  let expected = H.blocking_split_index db in
+  let held_c =
+    Row.get (Option.get (Table.find (Db.table db "T") (Row.make [ Value.Int 1 ]))).Record.row 2
+  in
+  (* A newcomer's write to an S record also locks, through the split
+     index, every T row of its group: exactly the rows a blocking
+     build lists. *)
+  let checked = ref 0 in
+  for c = 0 to 39 do
+    let v = Value.Int c in
+    if (not (Value.equal v held_c))
+       && Table.mem (Db.table db "S") (Row.make [ v ])
+    then begin
+      let txn = Manager.begin_txn mgr in
+      ok "newcomer writes S"
+        (Manager.update mgr ~txn ~table:"S" ~key:(Row.make [ v ])
+           [ (1, Value.Text "z") ]);
+      let locked =
+        List.filter_map
+          (fun (table, key, _) -> if String.equal table "T" then Some key else None)
+          (Nbsc_lock.Lock_table.locks_of_owner (Manager.locks mgr) ~owner:txn)
+        |> List.sort Row.Key.compare
+      in
+      let want =
+        List.filter_map
+          (fun (p, k) -> if Row.Key.equal p [| v |] then Some k else None)
+          expected
+      in
+      Alcotest.(check int) (Printf.sprintf "T locks for S %d" c)
+        (List.length want) (List.length locked);
+      Alcotest.(check bool) (Printf.sprintf "same T rows for S %d" c) true
+        (List.for_all2 Row.Key.equal want locked);
+      ignore (Manager.abort mgr txn);
+      incr checked
+    end
+  done;
+  Alcotest.(check bool) "several groups checked" true (!checked > 10);
+  ok "old commits" (Manager.commit mgr old);
+  (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m)
+
+(* Cancel mid-fill: the half-filled index answers nobody; a second
+   split of the same T fills it, and a blocking baseline completes it
+   before it reads. *)
+let test_cancel_mid_fill () =
+  let start db =
+    Db.Schema_change.start db ~options:(split_options Options.Nonblocking_abort)
+      (Spec.Split (H.split_spec ~assume_consistent:true))
+    |> function
+    | Ok sc -> sc
+    | Error e -> Alcotest.failf "start: %s" (Nbsc_error.to_string e)
+  in
+  let cancel_mid_fill db d =
+    let sc = start db in
+    for _ = 1 to 20 do
+      ignore (Db.Schema_change.step sc);
+      H.random_t_op ~consistent:true d
+    done;
+    Alcotest.(check bool) "still populating" true
+      (Transform.phase (Db.Schema_change.transform sc) = Transform.Populating);
+    Db.Schema_change.cancel sc;
+    Alcotest.(check bool) "partial index refused after cancel" true
+      (H.refuses_split_index db)
+  in
+  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:1_000) in
+  let d = H.driver ~seed:29 db in
+  cancel_mid_fill db d;
+  let sc = start db in
+  (match
+     Db.Schema_change.run sc ~between:(fun () ->
+         if Transform.routing (Db.Schema_change.transform sc) = `Sources then
+           H.random_t_op ~consistent:true d)
+   with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail (Nbsc_error.to_string e));
+  H.check_split_index "second split fills it" db;
+  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:1_000) in
+  let d = H.driver ~seed:31 db in
+  cancel_mid_fill db d;
+  for _ = 1 to 10 do H.random_t_op ~consistent:true d done;
+  let trigger =
+    Nbsc_baseline.Trigger_method.install_split db
+      (H.split_spec ~assume_consistent:true)
+  in
+  H.check_split_index "blocking baseline completes it" db;
+  Nbsc_baseline.Trigger_method.uninstall trigger
+
 (* {1 Wiring} *)
 
 let () =
@@ -638,7 +831,21 @@ let () =
             test_transfer_idempotent ] );
       ( "cancel",
         [ Alcotest.test_case "after sync releases everything it installed"
-            `Quick test_cancel_after_sync_releases ] );
+            `Quick test_cancel_after_sync_releases;
+          Alcotest.test_case "mid-fill leaves no partial answer" `Quick
+            test_cancel_mid_fill ] );
+      ( "sizing",
+        [ Alcotest.test_case "foj targets never rehash" `Quick
+            (test_no_growth `Foj);
+          Alcotest.test_case "split targets never rehash" `Quick
+            (test_no_growth `Split);
+          Alcotest.test_case "hsplit targets never rehash" `Quick
+            (test_no_growth `Hsplit);
+          Alcotest.test_case "merge target never rehashes" `Quick
+            (test_no_growth `Merge) ] );
+      ( "index",
+        [ Alcotest.test_case "online fill = blocking build + locks" `Quick
+            test_online_index_exact ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_foj_converges; prop_split_converges ] ) ]
