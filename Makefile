@@ -79,12 +79,11 @@ bench-migrate:
 		--gate ci/bench_migrate_baseline.json
 
 # Competitor-strategy bench: the paper's log-redo method vs the
-# DBLog-style virtual-cut populator vs the shadow-table baseline, all
-# running the same FOJ change under the same live workload; writes
-# BENCH_compare.json (throughput impact, catch-up lag, WAL high-water,
-# crash-resume cost) and gates the paper run's workload throughput
-# against the committed baseline. Exits non-zero if any strategy
-# diverges from its relational oracle.
+# shadow-table baseline, both running the same FOJ change under the
+# same live workload; writes BENCH_compare.json (throughput impact,
+# catch-up lag, WAL high-water, crash-resume cost) and gates the paper
+# run's workload throughput against the committed baseline. Exits
+# non-zero if either strategy diverges from its relational oracle.
 bench-compare:
 	dune exec bench/main.exe -- compare --out BENCH_compare.json \
 		--gate ci/bench_compare_baseline.json

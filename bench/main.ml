@@ -1112,12 +1112,11 @@ let migrate_bench ~quick ~out ~gate =
 
 (* {1 Competitor-strategy comparison}
 
-   The same FOJ change run by three implementations head-to-head: the
-   paper's log-redo method (eager, fuzzy scan), the same executor with
-   the DBLog-style virtual-cut populator (watermark-bracketed chunks),
-   and the classical shadow-table method (audit-log trigger plus a
-   latched chunked backfill with an atomic cutover). All three face the
-   identical single-operation workload — locked updates, locked reads,
+   The same FOJ change run by two implementations head-to-head: the
+   paper's log-redo method (eager, fuzzy scan) and the classical
+   shadow-table method (audit-log trigger plus a latched chunked
+   backfill with an atomic cutover). Both face the identical
+   single-operation workload — locked updates, locked reads,
    snapshot reads, one transaction per quantum — and each final target
    must equal the relational FOJ oracle over its own final sources
    (divergence exits non-zero). Reported per strategy: workload
@@ -1143,7 +1142,7 @@ type compare_run = {
 }
 
 let compare_bench ~quick ~out ~gate =
-  header "Competitor strategies: paper vs shadow-table vs virtual-cut (FOJ)";
+  header "Competitor strategies: paper vs shadow-table (FOJ)";
   let module Db = Nbsc_engine.Db in
   let module Manager = Nbsc_txn.Manager in
   let module Log = Nbsc_wal.Log in
@@ -1198,7 +1197,6 @@ let compare_bench ~quick ~out ~gate =
     Options.{ default with scan_batch = 256; propagate_batch = 256;
               drop_sources = false }
   in
-  let vc_options = { options with Options.population = Options.Virtual_cut } in
   let oracle_check label db =
     let oracle =
       Nbsc_relalg.Relalg.full_outer_join
@@ -1264,12 +1262,12 @@ let compare_bench ~quick ~out ~gate =
   (* Crash-resume cost, measured on a small persisted instance: drive
      the change past its population, checkpoint, crash mid-flight, and
      count the quanta the reopened database needs to converge. The
-     paper-framework strategies resume from the checkpointed propagator
-     position; the shadow method has no durable job state — its
+     paper method resumes from the checkpointed propagator position;
+     the shadow method has no durable job state — its
      partial targets are dropped and the whole backfill repeats. *)
   let mini = if quick then 400 else 1_000 in
-  let mini_options population =
-    { options with Options.scan_batch = 32; propagate_batch = 32; population }
+  let mini_options =
+    { options with Options.scan_batch = 32; propagate_batch = 32 }
   in
   let fresh_dir label =
     let dir =
@@ -1303,14 +1301,13 @@ let compare_bench ~quick ~out ~gate =
            Manager.update mgr ~txn ~table:"R" ~key:k
              [ (1, Value.Text "crashy") ]))
   in
-  let resume_quanta_paper label population =
-    let dir = fresh_dir label in
+  let resume_quanta_paper () =
+    let dir = fresh_dir "paper" in
     let p = ok_p "create" (Persist.create_dir ~dir) in
     let db = Persist.db p in
     seed_sources ~n:mini db;
     ok_p "checkpoint" (Persist.checkpoint p);
-    let opts = mini_options population in
-    let tf = start db ~options:opts (Spec.Foj spec) in
+    let tf = start db ~options:mini_options (Spec.Foj spec) in
     let rng = Random.State.make [| 23 |] in
     (* Past the population, so the checkpoint can cover a resume. *)
     while Transform.phase tf = Transform.Populating do
@@ -1328,7 +1325,7 @@ let compare_bench ~quick ~out ~gate =
     let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
     let db2 = Persist.db p2 in
     let tf2 =
-      match Transform.resume ~options:opts p2 with
+      match Transform.resume ~options:mini_options p2 with
       | Ok [ tf2 ] -> tf2
       | Ok l -> failwith (Printf.sprintf "resume: %d jobs" (List.length l))
       | Error e -> failwith ("resume: " ^ Nbsc_error.to_string e)
@@ -1343,7 +1340,7 @@ let compare_bench ~quick ~out ~gate =
       incr quanta;
       if !quanta > mini * 30 then failwith "compare bench: resume stuck"
     done;
-    oracle_check (label ^ " (resumed)") db2;
+    oracle_check "paper (resumed)" db2;
     Persist.close p2;
     wipe dir;
     !quanta
@@ -1356,7 +1353,7 @@ let compare_bench ~quick ~out ~gate =
     ok_p "checkpoint" (Persist.checkpoint p);
     let sh =
       Shadow.create db ~drop_sources:false ~chunk:32
-        (Transformation.foj ~options:(mini_options Options.Fuzzy) db spec)
+        (Transformation.foj ~options:mini_options db spec)
     in
     let rng = Random.State.make [| 23 |] in
     (* Crash roughly mid-backfill. *)
@@ -1374,7 +1371,7 @@ let compare_bench ~quick ~out ~gate =
       Nbsc_storage.Catalog.drop catalog "T";
     let sh2 =
       Shadow.create db2 ~drop_sources:false ~chunk:32
-        (Transformation.foj ~options:(mini_options Options.Fuzzy) db2 spec)
+        (Transformation.foj ~options:mini_options db2 spec)
     in
     let quanta = ref 0 in
     while not (Shadow.step sh2 ~limit:32) do
@@ -1386,7 +1383,7 @@ let compare_bench ~quick ~out ~gate =
     wipe dir;
     !quanta
   in
-  let run_paper label options =
+  let run_paper () =
     let db = Db.create () in
     seed_sources db;
     let tf = start db ~options (Spec.Foj spec) in
@@ -1394,22 +1391,19 @@ let compare_bench ~quick ~out ~gate =
       match Transform.step tf with
       | `Running -> false
       | `Done -> true
-      | `Failed m -> failwith ("compare bench: " ^ label ^ ": " ^ m)
+      | `Failed m -> failwith ("compare bench: paper: " ^ m)
     in
     let lag () = (Transform.progress tf).Transform.lag in
     let quanta, total_s, txns, refused, lag_peak, wal_hw =
-      run_loop label db ~step ~lag
+      run_loop "paper" db ~step ~lag
     in
-    oracle_check label db;
-    let resume =
-      resume_quanta_paper label options.Options.population
-    in
-    { cr_label = label; cr_quanta = quanta; cr_total_s = total_s;
+    oracle_check "paper" db;
+    { cr_label = "paper"; cr_quanta = quanta; cr_total_s = total_s;
       cr_txns = txns; cr_refused = refused;
       cr_txn_per_s =
         (if total_s > 0. then float_of_int txns /. total_s else 0.);
       cr_lag_peak = lag_peak; cr_wal_high_water = wal_hw;
-      cr_resume_quanta = resume }
+      cr_resume_quanta = resume_quanta_paper () }
   in
   let run_shadow () =
     let db = Db.create () in
@@ -1434,11 +1428,9 @@ let compare_bench ~quick ~out ~gate =
       cr_lag_peak = lag_peak; cr_wal_high_water = wal_hw;
       cr_resume_quanta = resume_quanta_shadow () }
   in
-  let runs =
-    [ run_paper "paper" options;
-      run_paper "virtual-cut" vc_options;
-      run_shadow () ]
-  in
+  let shadow = run_shadow () in
+  let paper = run_paper () in
+  let runs = [ paper; shadow ] in
   List.iter
     (fun r ->
        say
@@ -1448,10 +1440,6 @@ let compare_bench ~quick ~out ~gate =
          r.cr_refused r.cr_lag_peak r.cr_wal_high_water r.cr_resume_quanta)
     runs;
   say "all strategies converged to their FOJ oracle";
-  let find l = List.find (fun r -> String.equal r.cr_label l) runs in
-  let paper = find "paper" in
-  let shadow = find "shadow" in
-  let vc = find "virtual-cut" in
   let ratio a b = if b > 0. then a /. b else 0. in
   let run_json r =
     Json.Obj
@@ -1473,7 +1461,6 @@ let compare_bench ~quick ~out ~gate =
         ("runs", Json.List (List.map run_json runs));
         ("paper_txn_per_s", Json.Float paper.cr_txn_per_s);
         ("shadow_vs_paper_txn", Json.Float (ratio shadow.cr_txn_per_s paper.cr_txn_per_s));
-        ("vc_vs_paper_txn", Json.Float (ratio vc.cr_txn_per_s paper.cr_txn_per_s));
         ( "shadow_vs_paper_resume",
           Json.Float
             (ratio

@@ -141,13 +141,13 @@ for key in '"bench":"migrate"' '"eager"' '"lazy"' '"hybrid"' \
 done
 
 # Competitor-strategy bench (full scale — it is cheap): the paper's
-# log-redo method, the DBLog-style virtual-cut populator, and the
-# shadow-table baseline run the same FOJ change under the same live
-# workload. The bench itself exits non-zero if any strategy's target
-# diverges from its relational FOJ oracle (crash-resume mini-runs
-# included), and the gate holds the paper run's workload throughput
-# within 30% of the committed baseline. The measured window is tens of
-# milliseconds, so the rate is noisy on a loaded host: best of three.
+# log-redo method and the shadow-table baseline run the same FOJ
+# change under the same live workload. The bench itself exits non-zero
+# if either strategy's target diverges from its relational FOJ oracle
+# (crash-resume mini-runs included), and the gate holds the paper run's
+# workload throughput within 30% of the committed baseline. The
+# measured window is tens of milliseconds, so the rate is noisy on a
+# loaded host: best of three.
 echo "== bench compare smoke + oracle equality + regression gate =="
 compare_out=$(mktemp /tmp/nbsc_bench_compare.XXXXXX.json)
 trap 'rm -f "$trace_out" "$wal_out" "$engine_out" "$migrate_out" "$compare_out"' EXIT
@@ -165,7 +165,7 @@ if [ "$compare_ok" != 1 ]; then
   exit 1
 fi
 test -s "$compare_out"
-for key in '"bench":"compare"' '"paper"' '"virtual-cut"' '"shadow"' \
+for key in '"bench":"compare"' '"paper"' '"shadow"' \
   '"catchup_lag_peak"' '"wal_high_water"' '"crash_resume_quanta"' \
   '"paper_txn_per_s"' '"shadow_vs_paper_resume"'; do
   grep -q "$key" "$compare_out" || {

@@ -2,15 +2,12 @@ type sync = Blocking_commit | Nonblocking_abort | Nonblocking_commit
 
 type migration = Eager | Lazy | Hybrid of { sweep_quantum : int }
 
-type population = Fuzzy | Virtual_cut
-
 type t = {
   scan_batch : int;
   propagate_batch : int;
   analysis : Analysis.policy;
   sync : sync;
   strategy : migration;
-  population : population;
   drop_sources : bool;
   sync_gate : unit -> bool;
   pace : Governor.t option;
@@ -22,7 +19,6 @@ let default =
     analysis = Analysis.default;
     sync = Nonblocking_abort;
     strategy = Eager;
-    population = Fuzzy;
     drop_sources = true;
     sync_gate = (fun () -> true);
     pace = None }
@@ -42,13 +38,27 @@ let validate t =
         (Printf.sprintf "propagate_batch must be >= 1 (got %d)"
            t.propagate_batch))
   else
-    match t.strategy with
-    | Hybrid { sweep_quantum } when sweep_quantum < 1 ->
+    (* Lag is never negative, so a negative record threshold or shrink
+       floor could never be met: synchronization would never start. *)
+    match t.analysis with
+    | Analysis.Remaining_records n when n < 0 ->
       Error
         (`Invalid
-          (Printf.sprintf "hybrid sweep_quantum must be >= 1 (got %d)"
-             sweep_quantum))
-    | Eager | Lazy | Hybrid _ -> Ok t
+          (Printf.sprintf "remaining-records threshold must be >= 0 (got %d)"
+             n))
+    | Analysis.Iteration_shrink { floor; _ } when floor < 0 ->
+      Error
+        (`Invalid
+          (Printf.sprintf "iteration-shrink floor must be >= 0 (got %d)"
+             floor))
+    | Analysis.(Remaining_records _ | Iteration_shrink _ | Estimated_time _) ->
+      (match t.strategy with
+       | Hybrid { sweep_quantum } when sweep_quantum < 1 ->
+         Error
+           (`Invalid
+             (Printf.sprintf "hybrid sweep_quantum must be >= 1 (got %d)"
+                sweep_quantum))
+       | Eager | Lazy | Hybrid _ -> Ok t)
 
 let check t =
   match validate t with Ok t -> t | Error e -> Nbsc_error.fail e
@@ -70,30 +80,3 @@ let migration_to_string = function
   | Eager -> "eager"
   | Lazy -> "lazy"
   | Hybrid { sweep_quantum } -> Printf.sprintf "hybrid:%d" sweep_quantum
-
-let pp_migration ppf m = Format.pp_print_string ppf (migration_to_string m)
-
-let sync_to_string = function
-  | Blocking_commit -> "blocking-commit"
-  | Nonblocking_abort -> "nonblocking-abort"
-  | Nonblocking_commit -> "nonblocking-commit"
-
-let sync_of_string = function
-  | "blocking-commit" | "blocking_commit" | "blocking" -> Some Blocking_commit
-  | "nonblocking-abort" | "nonblocking_abort" | "abort" -> Some Nonblocking_abort
-  | "nonblocking-commit" | "nonblocking_commit" | "commit" ->
-    Some Nonblocking_commit
-  | _ -> None
-
-let pp_sync ppf s = Format.pp_print_string ppf (sync_to_string s)
-
-let population_of_string = function
-  | "fuzzy" -> Some Fuzzy
-  | "virtual-cut" | "virtual_cut" | "vc" -> Some Virtual_cut
-  | _ -> None
-
-let population_to_string = function
-  | Fuzzy -> "fuzzy"
-  | Virtual_cut -> "virtual-cut"
-
-let pp_population ppf p = Format.pp_print_string ppf (population_to_string p)

@@ -42,22 +42,6 @@ type sync =
 
 type migration = Eager | Lazy | Hybrid of { sweep_quantum : int }
 
-(** How the eager population scan handles writes concurrent with a
-    chunk in flight:
-
-    - [Fuzzy]: the paper's fuzzy scan (Sec. 3.2) — scanned images may
-      be stale; log propagation re-applies every concurrent write and
-      the LSN gates sort it out.
-    - [Virtual_cut]: DBLog-style watermark chunks — each chunk scan is
-      bracketed by low/high {!Nbsc_wal.Log_record.Watermark} records;
-      chunk rows superseded by log records between the watermarks are
-      discarded and re-read at their current state, so the populated
-      image is consistent per chunk without ever locking the scan.
-
-    Only meaningful under [strategy = Eager]; the lazy strategies
-    migrate on demand and have no bulk scan to bracket. *)
-type population = Fuzzy | Virtual_cut
-
 type t = {
   scan_batch : int;       (** source records per eager population quantum *)
   propagate_batch : int;  (** log records per propagation quantum *)
@@ -65,8 +49,6 @@ type t = {
       (** when to attempt synchronization (paper, Sec. 3.3) *)
   sync : sync;            (** switch-over synchronization strategy *)
   strategy : migration;   (** initial-image migration strategy *)
-  population : population;
-      (** eager population scan discipline (fuzzy vs virtual cut) *)
   drop_sources : bool;    (** drop source tables when done *)
   sync_gate : unit -> bool;
       (** consulted before entering synchronization; return [false] to
@@ -83,18 +65,22 @@ type t = {
 val default : t
 (** [{ scan_batch = 256; propagate_batch = 256;
       analysis = Analysis.default; sync = Nonblocking_abort;
-      strategy = Eager; population = Fuzzy; drop_sources = true;
+      strategy = Eager; drop_sources = true;
       sync_gate = (fun () -> true); pace = None }] — the paper's eager
     fuzzy population, synchronized by non-blocking abort. *)
 
 val validate : t -> (t, Nbsc_error.t) result
 (** Reject records whose numeric knobs cannot drive the quantum loop:
     [scan_batch] and [propagate_batch] must be at least 1, and a
-    [Hybrid] sweep quantum must be at least 1. String parsers catch
-    these at the parse boundary, but options records built with record
-    update syntax bypass the parsers, so [Db.Schema_change.start],
-    {!Transform.create} and {!Transform.resume} call this before they
-    build anything. *)
+    [Hybrid] sweep quantum must be at least 1. Also reject analysis
+    policies that could never start synchronization (lag is never
+    negative): [Remaining_records n] needs [n >= 0] and
+    [Iteration_shrink] needs [floor >= 0]. [Estimated_time] always
+    synchronizes at lag 0, so any [max_steps] passes. String parsers
+    catch bad values at the parse boundary, but options records built
+    with record update syntax bypass the parsers, so
+    [Db.Schema_change.start], {!Transform.create} and
+    {!Transform.resume} call this before they build anything. *)
 
 val check : t -> t
 (** [validate], raising {!Nbsc_error.Error} on rejection. *)
@@ -103,14 +89,3 @@ val migration_of_string : string -> migration option
 (** ["eager"], ["lazy"], ["hybrid"] (sweep quantum 32) or ["hybrid:N"]. *)
 
 val migration_to_string : migration -> string
-val pp_migration : Format.formatter -> migration -> unit
-
-val sync_of_string : string -> sync option
-val sync_to_string : sync -> string
-val pp_sync : Format.formatter -> sync -> unit
-
-val population_of_string : string -> population option
-(** ["fuzzy"], ["virtual-cut"] (also ["virtual_cut"], ["vc"]). *)
-
-val population_to_string : population -> string
-val pp_population : Format.formatter -> population -> unit

@@ -87,37 +87,6 @@ let lazy_migration options =
   | Some o -> o.Options.strategy <> Options.Eager
   | None -> false
 
-(* {1 Virtual-cut population}
-
-   [Options.population = Virtual_cut] swaps the operator-specialized
-   fuzzy population for the DBLog-style watermark populator
-   ({!Virtual_cut}), which routes every chunk row through the
-   propagation rules — the same uniform path as the lazy demand scan,
-   so it too works for every operator with no per-operator code. Only
-   meaningful under [Eager]; lazy strategies have no bulk scan. *)
-
-let virtual_cut_population db ~job ~sources ~rules ~options ~fallback =
-  match options with
-  | Some o
-    when o.Options.strategy = Options.Eager
-      && o.Options.population = Options.Virtual_cut ->
-    let catalog = Db.catalog db in
-    let tables = List.map (fun n -> (n, Catalog.find catalog n)) sources in
-    (* Chunks deliberately span several quanta (3 x the per-step scan
-       budget): a chunk scanned and sealed within one step has an empty
-       watermark window, and the whole point is to give concurrent
-       writes a window to land in. *)
-    let chunk = max 1 (3 * o.Options.scan_batch) in
-    let v = Virtual_cut.create (Db.manager db) ~job ~sources:tables ~rules ~chunk in
-    (Virtual_cut.population v, Some v)
-  | _ -> (fallback (), None)
-
-let vc_counters = function
-  | None -> []
-  | Some v ->
-    [ ("vc_discarded", Virtual_cut.discarded v);
-      ("vc_chunks", Virtual_cut.chunks v) ]
-
 let counter (module T : S) name =
   match List.assoc_opt name (T.counters ()) with
   | Some n -> n
@@ -173,16 +142,11 @@ let foj ?(transfer_locks = true) ?plan_mode ?options db spec =
       ~sources:[ spec.Spec.r_table; spec.Spec.s_table ]
       ~targets:[ spec.Spec.t_table ] ~apply ()
   in
-  let pop, vc =
+  let pop =
     if lazy_migration options then
-      ( demand_population catalog
-          ~sources:[ spec.Spec.r_table; spec.Spec.s_table ] ~rules,
-        None )
-    else
-      virtual_cut_population db ~job:"foj"
-        ~sources:[ spec.Spec.r_table; spec.Spec.s_table ]
-        ~rules ~options
-        ~fallback:(fun () -> Population.foj fj ~r_tbl ~s_tbl)
+      demand_population catalog
+        ~sources:[ spec.Spec.r_table; spec.Spec.s_table ] ~rules
+    else Population.foj fj ~r_tbl ~s_tbl
   in
   (module struct
     let name = "foj"
@@ -202,7 +166,6 @@ let foj ?(transfer_locks = true) ?plan_mode ?options db spec =
       let st = Foj.stats fj in
       [ ("applied", st.Foj.applied); ("ignored", st.Foj.ignored);
         ("foreign", st.Foj.foreign) ]
-      @ vc_counters vc
   end : S)
 
 (* {1 Vertical split} *)
@@ -263,13 +226,10 @@ let split ?plan_mode ?options db spec =
       cc_s_table = Some spec.Spec.s_table';
       transfer_locks = true }
   in
-  let pop, vc =
+  let pop =
     if lazy_migration options then
-      (demand_population catalog ~sources:[ spec.Spec.t_table' ] ~rules, None)
-    else
-      virtual_cut_population db ~job:"split"
-        ~sources:[ spec.Spec.t_table' ] ~rules ~options
-        ~fallback:(fun () -> Population.split sp ~t_tbl)
+      demand_population catalog ~sources:[ spec.Spec.t_table' ] ~rules
+    else Population.split sp ~t_tbl
   in
   let pop =
     Population.with_fill pop
@@ -295,7 +255,6 @@ let split ?plan_mode ?options db spec =
       let st = Split.stats sp in
       [ ("applied", st.Split.applied); ("ignored", st.Split.ignored);
         ("foreign", st.Split.foreign); ("unknown", Split.unknown_count sp) ]
-      @ vc_counters vc
   end : S)
 
 (* {1 Horizontal (selection) split} *)
@@ -315,14 +274,10 @@ let hsplit ?options db spec =
       ~apply:(fun ~lsn op -> Hsplit.apply hs ~lsn op)
       ()
   in
-  let pop, vc =
+  let pop =
     if lazy_migration options then
-      (demand_population catalog ~sources:[ spec.Spec.h_source ] ~rules, None)
-    else
-      virtual_cut_population db ~job:"hsplit"
-        ~sources:[ spec.Spec.h_source ] ~rules ~options
-        ~fallback:(fun () ->
-          Population.scan_one source ~ingest:(Hsplit.ingest_initial hs))
+      demand_population catalog ~sources:[ spec.Spec.h_source ] ~rules
+    else Population.scan_one source ~ingest:(Hsplit.ingest_initial hs)
   in
   (module struct
     let name = "hsplit"
@@ -346,7 +301,6 @@ let hsplit ?options db spec =
       let st = Hsplit.stats hs in
       [ ("applied", st.Hsplit.applied); ("ignored", st.Hsplit.ignored);
         ("foreign", st.Hsplit.foreign); ("migrations", st.Hsplit.migrations) ]
-      @ vc_counters vc
   end : S)
 
 (* {1 Merge (union)} *)
@@ -365,14 +319,10 @@ let merge ?options db spec =
       ~apply:(fun ~lsn op -> Merge.apply mg ~lsn op)
       ()
   in
-  let pop, vc =
+  let pop =
     if lazy_migration options then
-      (demand_population catalog ~sources:spec.Spec.m_sources ~rules, None)
-    else
-      virtual_cut_population db ~job:"merge" ~sources:spec.Spec.m_sources
-        ~rules ~options
-        ~fallback:(fun () ->
-          Population.scan_many sources ~ingest:(Merge.ingest_initial mg))
+      demand_population catalog ~sources:spec.Spec.m_sources ~rules
+    else Population.scan_many sources ~ingest:(Merge.ingest_initial mg)
   in
   (module struct
     let name = "merge"
@@ -394,7 +344,6 @@ let merge ?options db spec =
       let st = Merge.stats mg in
       [ ("applied", st.Merge.applied); ("ignored", st.Merge.ignored);
         ("foreign", st.Merge.foreign); ("collisions", st.Merge.collisions) ]
-      @ vc_counters vc
   end : S)
 
 (* {1 Building from a specification} *)

@@ -71,11 +71,13 @@ type body =
           unlogged, so a completion marker could otherwise outlive
           them). *)
   | Watermark of { job : string; high : bool }
-      (** DBLog-style chunk bracket written by the virtual-cut
-          populator: a low watermark ([high = false]) opens a chunk
-          scan and a high watermark closes it. Log records between the
-          pair identify in-chunk rows superseded by concurrent writes;
-          replay and recovery ignore watermarks. *)
+      (** Inert: nothing writes it any more. An earlier DBLog-style
+          populator bracketed its chunk scans with low ([high = false])
+          and high watermarks, so a WAL of the current format may still
+          hold them. Decoding them keeps such a WAL readable: dropping
+          the lines would leave LSN gaps, which {!Log.of_records}
+          rejects. Replay, rollback and recovery skip watermarks, and
+          they round-trip unchanged, so the format needs no bump. *)
 
 type t = {
   lsn : Lsn.t;

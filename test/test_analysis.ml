@@ -1,5 +1,7 @@
 (* Tests for the iteration-analysis policies (paper Sec. 3.3): the
-   three decision bases the paper lists, unit-level and end-to-end. *)
+   three decision bases the paper lists, unit-level and end-to-end,
+   and the options validation that refuses policies which could never
+   start synchronization. *)
 
 open Nbsc_core
 module H = Helpers
@@ -93,6 +95,81 @@ let converges policy () =
   H.check_relations_equal "R" want_r (Nbsc_engine.Db.snapshot db "R");
   H.check_relations_equal "S" want_s (Nbsc_engine.Db.snapshot db "S")
 
+(* {1 Options validation} *)
+
+let is_invalid = function
+  | Error (`Invalid _) -> true
+  | _ -> false
+
+(* Lag is never negative, so these policies could never be ready:
+   accepted, they would keep [Transform.run] propagating forever. *)
+let never_ready =
+  [ ("remaining-records -1", Analysis.Remaining_records (-1));
+    ( "iteration-shrink floor -1",
+      Analysis.Iteration_shrink { factor = 0.5; floor = -1 } );
+    ( "iteration-shrink floor -1, factor 0",
+      Analysis.Iteration_shrink { factor = 0.; floor = -1 } );
+    ( "iteration-shrink floor -1, factor nan",
+      Analysis.Iteration_shrink { factor = Float.nan; floor = -1 } ) ]
+
+let test_validate_rejects () =
+  Alcotest.(check bool) "scan_batch 0" true
+    (is_invalid (Options.validate { Options.default with Options.scan_batch = 0 }));
+  Alcotest.(check bool) "propagate_batch -1" true
+    (is_invalid
+       (Options.validate
+          { Options.default with Options.propagate_batch = -1 }));
+  Alcotest.(check bool) "hybrid sweep_quantum 0" true
+    (is_invalid
+       (Options.validate
+          { Options.default with
+            Options.strategy = Options.Hybrid { sweep_quantum = 0 } }));
+  List.iter
+    (fun (name, analysis) ->
+       Alcotest.(check bool) name true
+         (is_invalid
+            (Options.validate { Options.default with Options.analysis })))
+    never_ready;
+  List.iter
+    (fun (name, analysis) ->
+       match Options.validate { Options.default with Options.analysis } with
+       | Ok _ -> ()
+       | Error _ -> Alcotest.failf "%s must validate" name)
+    [ ("default", Options.default.Options.analysis);
+      ("remaining-records 0", Analysis.Remaining_records 0);
+      ( "iteration-shrink floor 0",
+        Analysis.Iteration_shrink { factor = 0.5; floor = 0 } );
+      ( "estimated-time -1 steps",
+        Analysis.Estimated_time { max_steps = -1. } ) ]
+
+(* The record-update path bypasses every string parser; the funnel in
+   [Transform.create] must still reject it with a clear error. *)
+let test_create_rejects_programmatic () =
+  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:5) in
+  let packed =
+    Transformation.split db (H.split_spec ~assume_consistent:true)
+  in
+  let expect_invalid name options =
+    match Transform.create db ~options packed with
+    | exception Nbsc_error.Error (`Invalid _) -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid" name
+  in
+  expect_invalid "scan_batch 0"
+    { Options.default with Options.scan_batch = 0 };
+  expect_invalid "sweep_quantum 0"
+    { Options.default with
+      Options.strategy = Options.Hybrid { sweep_quantum = 0 } };
+  List.iter
+    (fun (name, analysis) ->
+       expect_invalid name { Options.default with Options.analysis })
+    never_ready
+
+let test_parse_rejects () =
+  Alcotest.(check bool) "hybrid:0" true
+    (Options.migration_of_string "hybrid:0" = None);
+  Alcotest.(check bool) "hybrid:-3" true
+    (Options.migration_of_string "hybrid:-3" = None)
+
 let () =
   Alcotest.run "analysis"
     [ ( "policies",
@@ -105,4 +182,11 @@ let () =
           Alcotest.test_case "iteration-shrink converges" `Quick
             (converges (Analysis.Iteration_shrink { factor = 0.7; floor = 4 }));
           Alcotest.test_case "estimated-time converges" `Quick
-            (converges (Analysis.Estimated_time { max_steps = 2. })) ] ) ]
+            (converges (Analysis.Estimated_time { max_steps = 2. })) ] );
+      ( "options",
+        [ Alcotest.test_case "validate rejects bad knobs" `Quick
+            test_validate_rejects;
+          Alcotest.test_case "create rejects programmatic records" `Quick
+            test_create_rejects_programmatic;
+          Alcotest.test_case "parsers reject bad strings" `Quick
+            test_parse_rejects ] ) ]

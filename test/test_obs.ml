@@ -360,10 +360,9 @@ let test_schema_change_cancel () =
   Alcotest.(check int) "source intact" 50 (Db.row_count db "T")
 
 (* [start] is the one place that hands [options] to both the
-   operator's preparation (virtual-cut population, the lazy demand
-   scan) and the executor (the lazy access hook). Oracle equality
-   cannot tell a dropped [options] apart: the fuzzy populator
-   converges too. *)
+   operator's preparation (the lazy demand scan) and the executor (the
+   lazy access hook). Oracle equality cannot tell a dropped [options]
+   apart: the eager populator converges too. *)
 let test_options_reach_every_operator () =
   let r_rows, s_rows = H.seed_rows ~r:40 ~s:15 in
   let foj_db () = H.fresh_foj_db ~r_rows ~s_rows in
@@ -387,18 +386,6 @@ let test_options_reach_every_operator () =
   in
   List.iter
     (fun (name, fresh, spec, source) ->
-       let tf =
-         H.start (fresh ())
-           ~options:{ options with Options.population = Options.Virtual_cut }
-           spec
-       in
-       (match Transform.run tf with
-        | Ok () -> ()
-        | Error m -> Alcotest.failf "%s: %s" name m);
-       Alcotest.(check bool) (name ^ ": virtual-cut chunks") true
-         (Option.value ~default:0
-            (List.assoc_opt "vc_chunks" (Transform.counters tf))
-          > 0);
        let db = fresh () in
        let tf =
          H.start db ~options:{ options with Options.strategy = Options.Lazy } spec

@@ -400,6 +400,52 @@ let test_v2_bytes_stable () =
   check_v2_bytes "" dir;
   wipe dir
 
+(* A WAL of the current format may hold the inert watermark pairs an
+   earlier populator wrote between committed transactions. Recovery
+   must skip them: the store reopens after a crash with the same rows
+   as one whose WAL never held the pair. *)
+let test_watermarks_recover () =
+  let module W = Nbsc_wal in
+  let recovered ~watermarks =
+    let dir = fresh_dir () in
+    let p = ok_p "create" (Persist.create_dir ~dir) in
+    setup_orders p;
+    insert p 1 "a" 10;
+    let log = Db.log (Persist.db p) in
+    if watermarks then
+      List.iter
+        (fun high ->
+           ignore
+             (W.Log.append log ~txn:W.Log_record.system_txn ~prev_lsn:W.Lsn.zero
+                (W.Log_record.Watermark { job = "foj"; high })))
+        [ false; true ];
+    insert p 2 "b" 20;
+    insert p 3 "c" 30;
+    W.Log.sync log;
+    let on_disk =
+      read_file (Filename.concat dir "wal.nbsc")
+      |> String.split_on_char '\n'
+      |> List.filter (fun line ->
+             String.ends_with ~suffix:":wmark3:foj2:lo" line
+             || String.ends_with ~suffix:":wmark3:foj2:hi" line)
+    in
+    Alcotest.(check int) "watermarks on disk"
+      (if watermarks then 2 else 0)
+      (List.length on_disk);
+    (* crash: abandon p without close *)
+    let p2 = ok_p "open after crash" (Persist.open_dir ~dir) in
+    Alcotest.(check bool) "recovery ran" true
+      (Option.is_some (Persist.last_recovery p2));
+    let got = rows p2 in
+    Persist.close p2;
+    wipe dir;
+    got
+  in
+  let plain = recovered ~watermarks:false in
+  Alcotest.(check int) "three rows" 3 (List.length plain);
+  Alcotest.(check bool) "same rows with watermarks" true
+    (recovered ~watermarks:true = plain)
+
 (* A transient EIO at either checkpoint write reruns that whole write on
    a fresh temp file, streaming its lines again: the checkpoint still
    succeeds, publishes the very same bytes, and the store reopens with
@@ -509,6 +555,8 @@ let () =
             test_bad_prev_lsn_is_corrupt;
           Alcotest.test_case "orphan tmp files removed" `Quick
             test_orphan_tmp_removed;
+          Alcotest.test_case "legacy watermarks recover" `Quick
+            test_watermarks_recover;
           Alcotest.test_case "v2 bytes are stable" `Quick test_v2_bytes_stable;
           Alcotest.test_case
             "transient EIO while writing a checkpoint is retried" `Quick

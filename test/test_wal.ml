@@ -74,6 +74,28 @@ let test_record_roundtrip () =
          (Log_record.encode r) (encode_via_buffer r))
     bodies
 
+(* No writer produces [Watermark] records any more, but an earlier
+   DBLog-style populator wrote them into WALs of the current format.
+   These are the exact bytes it encoded for a low and a high watermark
+   of job "foj": they must still decode, to the inert record, and
+   re-encode unchanged. *)
+let test_legacy_watermarks () =
+  List.iter
+    (fun (bytes, lsn, high) ->
+       let r = Log_record.decode bytes in
+       Alcotest.(check bool) (bytes ^ " decodes") true
+         (r
+          = { Log_record.lsn = Lsn.of_int lsn;
+              txn = Log_record.system_txn;
+              prev_lsn = Lsn.zero;
+              body = Log_record.Watermark { job = "foj"; high } });
+       Alcotest.(check string) (bytes ^ " re-encodes") bytes
+         (Log_record.encode r);
+       Alcotest.(check string) (bytes ^ " encode_into agrees") bytes
+         (encode_via_buffer r))
+    [ ("2:121:01:05:wmark3:foj2:lo", 12, false);
+      ("2:151:01:05:wmark3:foj2:hi", 15, true) ]
+
 let test_append_get () =
   let log = Log.create () in
   Alcotest.(check int) "empty" 0 (Log.length log);
@@ -356,7 +378,9 @@ let prop_log_serialization =
 let () =
   Alcotest.run "wal"
     [ ( "records",
-        [ Alcotest.test_case "codec roundtrip" `Quick test_record_roundtrip ] );
+        [ Alcotest.test_case "codec roundtrip" `Quick test_record_roundtrip;
+          Alcotest.test_case "legacy watermarks decode" `Quick
+            test_legacy_watermarks ] );
       ( "buffer",
         [ Alcotest.test_case "append/get" `Quick test_append_get;
           Alcotest.test_case "growth" `Quick test_growth;
