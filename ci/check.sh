@@ -23,6 +23,12 @@ NBSC_CRASH_SEED=42 dune exec test/test_crash_matrix.exe
 echo "== contention soak (fixed seed) =="
 NBSC_CONTENTION_SEED=42 dune exec test/test_contention.exe
 
+# The lock suite's properties (the reference-model check among them)
+# at a pinned seed; QCheck_alcotest reads QCHECK_SEED and prints the
+# seed it used, so a failure reproduces verbatim.
+echo "== lock suite (fixed seed) =="
+QCHECK_SEED=42 dune exec test/test_lock.exe
+
 # Storage-integrity matrix at a pinned seed: checksummed-format
 # verification, disk-error model (EIO retry, ENOSPC degraded mode),
 # and the flip/truncate fuzz property.

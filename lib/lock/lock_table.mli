@@ -8,7 +8,22 @@
 
     Lock {e transfer} for the non-blocking synchronization strategies is
     [acquire] with a [Source _] provenance — compatibility then follows
-    the Figure 2 matrix (see {!Compat.compatible}). *)
+    the Figure 2 matrix (see {!Compat.compatible}).
+
+    Layout (the textbook lock manager: Gray & Reuter, {e Transaction
+    Processing}, ch. 8): one {e entry} per locked resource, found by a
+    single hash and holding that resource's grant list, plus one list
+    of entries per owner. Invariant: an owner's list names exactly the
+    entries where it holds at least one grant, each once; an entry
+    joins the list with the owner's first grant on it (read off the
+    entry's own grants) and leaves it with the owner's last, and the
+    entry itself leaves the table with its last grant. Costs: [acquire],
+    [transfer], [holds], [holds_any] and [holders] hash the resource
+    once and cost O(grants on that resource); [release] adds
+    O(resources the owner holds) to keep the owner's list exact;
+    [release_owner] and [release_owner_where] cost O(resources the
+    owner holds) and rehash nothing; [locked_resources],
+    [locked_resources_in] and [count] walk the whole table. *)
 
 open Nbsc_value
 
@@ -78,3 +93,31 @@ val locked_resources_in :
 
 val count : t -> int
 (** Total granted locks (for metrics). *)
+
+(** {2 One lookup per request}
+
+    For callers that check a resource and then grant on it
+    ({!Lock_table_many.acquire_all}): look the entry up once, then test
+    and grant through it. An entry stays valid until the next release
+    touching its resource. *)
+
+type entry
+
+val entry : t -> table:string -> key:Row.Key.t -> entry
+(** The resource's entry, or a detached empty one that joins the table
+    with its first grant. Two lookups of one resource made before
+    either is granted on must not both be granted on: reuse the
+    first. *)
+
+val entry_blockers : entry -> owner:owner -> Compat.lock -> owner list
+(** The owners whose grants conflict with the lock, unsorted and
+    possibly repeated; empty iff {!acquire_entry} would grant. *)
+
+val entry_holds_any : entry -> owner:owner -> bool
+(** {!holds_any} through a looked-up entry. *)
+
+val acquire_entry : t -> entry -> owner:owner -> Compat.lock -> outcome
+(** {!acquire} through a looked-up entry. *)
+
+val release_entry : t -> entry -> owner:owner -> unit
+(** {!release} through a looked-up entry. *)

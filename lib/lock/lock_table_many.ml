@@ -13,18 +13,30 @@ type request = {
   lock : Compat.lock;
 }
 
+let same_resource (a : request) (b : request) =
+  String.equal a.table b.table && Row.Key.equal a.key b.key
+
 let acquire_all t ~owner requests =
+  (* One lookup per resource, shared by the dry run and the grants. A
+     resource named twice keeps its first lookup: a second detached
+     entry for it would join the table twice. *)
+  let looked =
+    List.fold_left
+      (fun acc r ->
+         let e =
+           match List.find_opt (fun (r', _) -> same_resource r r') acc with
+           | Some (_, e) -> e
+           | None -> Lock_table.entry t ~table:r.table ~key:r.key
+         in
+         (r, e) :: acc)
+      [] requests
+    |> List.rev
+  in
   (* Dry-run: collect every conflict before granting anything. *)
   let blockers =
     List.concat_map
-      (fun r ->
-         List.filter_map
-           (fun (o, held) ->
-              if o = owner then None
-              else if Compat.compatible held r.lock then None
-              else Some o)
-           (Lock_table.holders t ~table:r.table ~key:r.key))
-      requests
+      (fun (r, e) -> Lock_table.entry_blockers e ~owner r.lock)
+      looked
     |> List.sort_uniq Int.compare
   in
   if blockers <> [] then Lock_table.Blocked blockers
@@ -37,23 +49,20 @@ let acquire_all t ~owner requests =
        locks this call newly granted — resources the owner already
        held before the call must survive the backout — and report the
        conflict instead of tearing the process down. *)
-    let held_before =
-      List.map
-        (fun r -> Lock_table.holds_any t ~owner ~table:r.table ~key:r.key)
-        requests
-    in
     let rec grant granted = function
       | [] -> Lock_table.Granted
-      | (r, was_held) :: rest ->
-        (match Lock_table.acquire t ~owner ~table:r.table ~key:r.key r.lock with
-         | Lock_table.Granted -> grant ((r, was_held) :: granted) rest
+      | ((r, e, _) as g) :: rest ->
+        (match Lock_table.acquire_entry t e ~owner r.lock with
+         | Lock_table.Granted -> grant (g :: granted) rest
          | Lock_table.Blocked owners ->
            List.iter
-             (fun (g, was_held) ->
-                if not was_held then
-                  Lock_table.release t ~owner ~table:g.table ~key:g.key)
+             (fun (_, e, was_held) ->
+                if not was_held then Lock_table.release_entry t e ~owner)
              granted;
            Lock_table.Blocked owners)
     in
-    grant [] (List.combine requests held_before)
+    grant []
+      (List.map
+         (fun (r, e) -> (r, e, Lock_table.entry_holds_any e ~owner))
+         looked)
   end

@@ -298,6 +298,232 @@ let prop_acquire_release_invariant =
          ops;
        Lock_table.count t = Hashtbl.length held)
 
+(* {2 The lock table against a reference model}
+
+   A plain list of grants with the table's documented semantics: a
+   request is blocked by the distinct other owners whose grants
+   conflict with it; a grant replaces the owner's grant of the same
+   provenance on the resource unless that one is at least as strong;
+   releases drop grants. Every step of a random sequence is checked
+   against it through the public API only. *)
+
+type step =
+  | Acquire of int * string * int * Compat.lock
+  | Transfer of int * string * int * Compat.lock
+  | Release of int * string * int
+  | Release_owner of int
+  | Release_sources of int * string
+      (** [release_owner_where]: the owner's Source locks on one table *)
+  | Acquire_all of int * (string * int * Compat.lock) list
+
+(* What a step returns: an acquire's outcome, or whether a transfer
+   added coverage. *)
+type result = Outcome of Lock_table.outcome | Grew of bool | Nothing
+
+let model_owners = [ 1; 2; 3 ]
+let model_tables = [ "a"; "b" ]
+let model_keys = [ 0; 1; 2 ]
+
+let model_locks =
+  List.concat_map
+    (fun m -> [ native m; source 0 m; source 1 m ])
+    [ Compat.S; Compat.X ]
+
+let pp_request (t, i, l) = Format.asprintf "%s/%d %a" t i Compat.pp_lock l
+
+let pp_step = function
+  | Acquire (o, t, i, l) ->
+    Printf.sprintf "acquire %d %s" o (pp_request (t, i, l))
+  | Transfer (o, t, i, l) ->
+    Printf.sprintf "transfer %d %s" o (pp_request (t, i, l))
+  | Release (o, t, i) -> Printf.sprintf "release %d %s/%d" o t i
+  | Release_owner o -> Printf.sprintf "release_owner %d" o
+  | Release_sources (o, t) ->
+    Printf.sprintf "release_owner_where %d (sources on %s)" o t
+  | Acquire_all (o, rs) ->
+    Printf.sprintf "acquire_all %d [%s]" o
+      (String.concat "; " (List.map pp_request rs))
+
+let gen_steps =
+  let open QCheck.Gen in
+  let owner = oneofl model_owners and table = oneofl model_tables in
+  let key = oneofl model_keys and lock = oneofl model_locks in
+  let single =
+    frequency
+      [ (5, map4 (fun o t i l -> Acquire (o, t, i, l)) owner table key lock);
+        (2, map4 (fun o t i l -> Transfer (o, t, i, l)) owner table key lock);
+        (2, map3 (fun o t i -> Release (o, t, i)) owner table key);
+        (1, map (fun o -> Release_owner o) owner);
+        (1, map2 (fun o t -> Release_sources (o, t)) owner table);
+        (2, map2 (fun o rs -> Acquire_all (o, rs)) owner
+              (list_size (int_range 1 3) (triple table key lock))) ]
+  in
+  (* Scripted runs: release-then-reacquire of a held resource, and a
+     second provenance on a resource the owner already holds. *)
+  let reacquire =
+    map4
+      (fun o t i (l, l') ->
+         [ Acquire (o, t, i, l); Release (o, t, i); Acquire (o, t, i, l') ])
+      owner table key (pair lock lock)
+  in
+  let other_provenance (l : Compat.lock) =
+    oneofl
+      (List.filter
+         (fun (l' : Compat.lock) -> l'.provenance <> l.provenance)
+         model_locks)
+  in
+  let second_provenance =
+    map4
+      (fun o t i (l, l') -> [ Acquire (o, t, i, l); Acquire (o, t, i, l') ])
+      owner table key
+      (lock >>= fun l -> map (fun l' -> (l, l')) (other_provenance l))
+  in
+  map List.concat
+    (list_size (int_range 1 25)
+       (frequency
+          [ (6, map (fun s -> [ s ]) single);
+            (1, reacquire);
+            (1, second_provenance) ]))
+
+let arb_steps =
+  QCheck.make ~shrink:QCheck.Shrink.list
+    ~print:(fun steps -> String.concat "\n" (List.map pp_step steps))
+    gen_steps
+
+(* The model: grants as (owner, table, key, lock), newest first. *)
+let model_on grants table key =
+  List.filter_map
+    (fun (o, t, i, l) -> if t = table && i = key then Some (o, l) else None)
+    grants
+
+let model_blocked grants owner (table, key, lock) =
+  List.filter_map
+    (fun (o, held) ->
+       if o <> owner && not (Compat.compatible held lock) then Some o else None)
+    (model_on grants table key)
+
+let model_stronger (a : Compat.mode) (b : Compat.mode) =
+  a = Compat.X || b = Compat.S
+
+(* Grant [lock]; [Grew false] when a grant of its provenance at least
+   as strong was already held. *)
+let model_put grants owner (table, key, (lock : Compat.lock)) =
+  let same (o, t, i, (l : Compat.lock)) =
+    o = owner && t = table && i = key && l.provenance = lock.provenance
+  in
+  match List.find_opt same grants with
+  | Some (_, _, _, held) when model_stronger held.mode lock.mode ->
+    (grants, false)
+  | Some _ ->
+    ( List.map (fun g -> if same g then (owner, table, key, lock) else g) grants,
+      true )
+  | None -> ((owner, table, key, lock) :: grants, true)
+
+(* An all-or-nothing acquire of [requests]. *)
+let model_acquire grants owner requests =
+  match List.concat_map (model_blocked grants owner) requests with
+  | [] ->
+    ( List.fold_left (fun g r -> fst (model_put g owner r)) grants requests,
+      Outcome Lock_table.Granted )
+  | owners ->
+    (grants, Outcome (Lock_table.Blocked (List.sort_uniq Int.compare owners)))
+
+let model_step grants = function
+  | Acquire (o, t, i, l) -> model_acquire grants o [ (t, i, l) ]
+  | Acquire_all (o, rs) -> model_acquire grants o rs
+  | Transfer (o, t, i, l) ->
+    let grants, grew = model_put grants o (t, i, l) in
+    (grants, Grew grew)
+  | Release (o, t, i) ->
+    ( List.filter
+        (fun (o', t', i', _) -> not (o' = o && t' = t && i' = i))
+        grants,
+      Nothing )
+  | Release_owner o -> (List.filter (fun (o', _, _, _) -> o' <> o) grants, Nothing)
+  | Release_sources (o, t) ->
+    ( List.filter
+        (fun (o', t', _, (l : Compat.lock)) ->
+           not (o' = o && t' = t && l.provenance <> Compat.Native))
+        grants,
+      Nothing )
+
+let real_step lt = function
+  | Acquire (o, t, i, l) ->
+    Outcome (Lock_table.acquire lt ~owner:o ~table:t ~key:(k i) l)
+  | Acquire_all (o, rs) ->
+    Outcome
+      (Lock_table_many.acquire_all lt ~owner:o
+         (List.map
+            (fun (t, i, l) -> { Lock_table_many.table = t; key = k i; lock = l })
+            rs))
+  | Transfer (o, t, i, l) ->
+    Grew (Lock_table.transfer lt ~owner:o ~table:t ~key:(k i) l)
+  | Release (o, t, i) ->
+    Lock_table.release lt ~owner:o ~table:t ~key:(k i);
+    Nothing
+  | Release_owner o ->
+    Lock_table.release_owner lt ~owner:o;
+    Nothing
+  | Release_sources (o, t) ->
+    Lock_table.release_owner_where lt ~owner:o (fun ~table ~lock ->
+        String.equal table t && lock.Compat.provenance <> Compat.Native);
+    Nothing
+
+(* [holders], [holds_any] and [holds] of every resource, sorted
+   [locks_of_owner] of every owner, and [count]. *)
+let agrees lt grants =
+  let on_resource (t, i) =
+    let model = model_on grants t i in
+    let holds o (l : Compat.lock) =
+      List.exists
+        (fun (o', (held : Compat.lock)) ->
+           o' = o && held.provenance = l.provenance
+           && model_stronger held.mode l.mode)
+        model
+    in
+    List.sort compare (Lock_table.holders lt ~table:t ~key:(k i))
+    = List.sort compare model
+    && List.for_all
+         (fun o ->
+            Lock_table.holds_any lt ~owner:o ~table:t ~key:(k i)
+            = List.exists (fun (o', _) -> o' = o) model
+            && List.for_all
+                 (fun l ->
+                    Lock_table.holds lt ~owner:o ~table:t ~key:(k i) l
+                    = holds o l)
+                 model_locks)
+         model_owners
+  in
+  let of_owner o =
+    List.sort compare (Lock_table.locks_of_owner lt ~owner:o)
+    = List.sort compare
+        (List.filter_map
+           (fun (o', t, i, l) -> if o' = o then Some (t, k i, l) else None)
+           grants)
+  in
+  List.for_all on_resource
+    (List.concat_map (fun t -> List.map (fun i -> (t, i)) model_keys) model_tables)
+  && List.for_all of_owner model_owners
+  && Lock_table.count lt = List.length grants
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"lock table matches the reference model" ~count:300
+    arb_steps (fun steps ->
+        let lt = Lock_table.create () in
+        let rec run grants i = function
+          | [] -> true
+          | step :: rest ->
+            let grants, want = model_step grants step in
+            if real_step lt step <> want then
+              QCheck.Test.fail_reportf "step %d (%s): result differs" i
+                (pp_step step)
+            else if not (agrees lt grants) then
+              QCheck.Test.fail_reportf "step %d (%s): table differs from model"
+                i (pp_step step)
+            else run grants (i + 1) rest
+        in
+        run [] 0 steps)
+
 let () =
   Alcotest.run "lock"
     [ ( "compat",
@@ -327,4 +553,5 @@ let () =
             test_acquire_all_backout ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_compat_symmetric; prop_acquire_release_invariant ] ) ]
+          [ prop_compat_symmetric; prop_acquire_release_invariant;
+            prop_matches_model ] ) ]
