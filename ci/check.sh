@@ -88,10 +88,17 @@ dune exec bin/nbsc_cli.exe -- concurrent
 # mismatch. With --after 3 the crash lands inside population and the
 # resumed job restarts it; with --after 18 it lands in the change's
 # last step, so the resumed job starts in Draining with the index as
-# the snapshot restored it.
+# the snapshot restored it. The wal_rewrite runs crash a checkpoint
+# between its snapshot and its WAL copy: --after 2 the round-9 one,
+# during population (its snapshot holds no R or S row, and the resumed
+# job restarts population); --after 5 the round-18 one, so the job
+# resumes in Draining from that snapshot's target rows and the WAL an
+# earlier checkpoint copied.
 echo "== nbsc crash-demo (oracle check) =="
 dune exec bin/nbsc_cli.exe -- crash-demo --site quantum_end --after 3
 dune exec bin/nbsc_cli.exe -- crash-demo --site quantum_end --after 18
+dune exec bin/nbsc_cli.exe -- crash-demo --site wal_rewrite --after 2
+dune exec bin/nbsc_cli.exe -- crash-demo --site wal_rewrite --after 5
 
 # The schema-change benchmark's determinism self-test (perfbench/):
 # every workload at tiny scale, twice with one seed and once with

@@ -617,10 +617,14 @@ let register db ~options ?resume ?job_name packed =
     | Some spec_payload ->
       Some
         (fun () ->
+           let tag = phase_tag t.tphase in
            { Db.job_state =
-               encode_job_state ~tag:(phase_tag t.tphase)
-                 ~position:(Propagator.position t.prop) spec_payload;
-             low_water = Propagator.position t.prop })
+               encode_job_state ~tag ~position:(Propagator.position t.prop)
+                 spec_payload;
+             low_water = Propagator.position t.prop;
+             (* [resume_one] restarts a job saved while populating: it
+                drops these targets and fills them again. *)
+             rebuilt = (if String.equal tag "pop" then t.tgt else []) })
   in
   Db.register_job db ?persist ~name:t.job_name ~step:(fun () -> step t) ();
   (* Journal the job's existence right away: a crash from here on finds

@@ -8,6 +8,7 @@ type job_status = [ `Running | `Done | `Failed of string ]
 type job_persist = {
   job_state : string;
   low_water : Nbsc_wal.Lsn.t;
+  rebuilt : string list;
 }
 
 type job = {

@@ -101,6 +101,10 @@ type job_persist = {
       (** The oldest log position the resumed job would re-read (the
           {e next} record its propagator consumes). A checkpoint must
           retain every WAL record at or above this LSN. *)
+  rebuilt : string list;
+      (** The tables a resume at this moment would drop and rebuild (a
+          transformation's targets while it populates). A checkpoint
+          writes their definitions but not their rows. *)
 }
 
 val register_job :

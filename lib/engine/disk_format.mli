@@ -47,7 +47,8 @@ val frame_into : Buffer.t -> Buffer.t -> unit
 (** [frame_into out payload] appends the framed form of [payload]'s
     contents to [out] without materialising intermediate strings. Every
     writer frames this way: the WAL sink per appended record, and a
-    checkpoint per snapshot line and per retained WAL record. *)
+    checkpoint per snapshot line and per retained WAL record whose
+    line on disk fails its check (sound lines are copied). *)
 
 val unframe :
   path:string -> line:int -> ?lsn:int -> string ->

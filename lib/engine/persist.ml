@@ -11,6 +11,10 @@ type t = {
   rbuf : Buffer.t;  (* one record being encoded (reused per append) *)
   fbuf : Buffer.t;  (* the framed form of rbuf (reused per append) *)
   scratch : Buffer.t;  (* composite scratch for [Log_record.encode_into] *)
+  mutable wal_first : Lsn.t;
+      (* LSN of wal.nbsc's first record line (of the next append while
+         it holds none): the file and then [buf] hold one line per
+         record from here to the log head *)
   mutable report : Recovery.report option;
   mutable closed : bool;
 }
@@ -41,18 +45,25 @@ let flip_byte_of_buffer buf =
   Buffer.clear buf;
   Buffer.add_bytes buf b
 
+(* Frame [payload] ([Disk_format.frame_into], through the reused
+   [framed]) and write it to [oc] as one line; [flip] damages it after
+   its CRC. *)
+let output_framed oc framed ?(flip = false) payload =
+  Buffer.clear framed;
+  Disk_format.frame_into framed payload;
+  if flip then flip_byte_of_buffer framed;
+  Buffer.add_char framed '\n';
+  Buffer.output_buffer oc framed
+
 (* Atomic file replacement: write a temp file in the same directory,
    then rename over the destination. A crash at any point leaves either
    the complete old file or the complete new file — never a torn mix.
 
-   The payload lines are streamed: [produce emit] hands each one to
-   [emit] in a buffer, and it is framed ([Disk_format.frame_into]) and
-   written to the temp file at once, so no line is ever built as a
-   string and the file never exists as a list. The lines are counted
-   on the way for the trailer. [produce] runs again for every retry and
-   once more, only counting, when a bit flip is armed — the flip damages
-   the middle line's framed bytes after its CRC, so it needs the count
-   first. It must therefore emit the same lines on every run.
+   [body oc ~flip_at] writes the framed lines after the header, damaging
+   line [flip_at] (0-based) after its CRC; [flip_at] is [-1] unless a
+   bit flip is armed at [fault_write], and then [count () / 2], the
+   middle line. [body] runs again for every retry, so it must write the
+   same lines on every run.
 
    [Fault.Injected] deliberately escapes [io]'s Sys_error net: a
    simulated crash propagates to the harness, which then reopens the
@@ -60,38 +71,20 @@ let flip_byte_of_buffer buf =
    retries the whole write (fresh temp file), ENOSPC becomes a typed
    [`Disk_full], persistent EIO a [`Io]. The temp channel is closed on
    every way out. *)
-let write_atomic ?fault_write ?fault_rename ~magic ~with_trailer path produce =
+let write_atomic ?fault_write ?fault_rename ~magic ~count path body =
   let run () =
     io (fun () ->
         let tmp = path ^ ".tmp" in
-        let corrupt_at = ref (-1) in
+        let flip_at = ref (-1) in
         (match fault_write with
          | Some site ->
-           Fault.file_write site ~flip:(fun () ->
-               let n = ref 0 in
-               produce (fun _ -> incr n);
-               corrupt_at := !n / 2)
+           Fault.file_write site ~flip:(fun () -> flip_at := count () / 2)
          | None -> ());
         let oc = open_out tmp in
-        let framed = Buffer.create 256 and count = ref 0 in
-        let put ?(flip = false) payload =
-          Buffer.clear framed;
-          Disk_format.frame_into framed payload;
-          if flip then flip_byte_of_buffer framed;
-          Buffer.add_char framed '\n';
-          Buffer.output_buffer oc framed
-        in
         (match
            output_string oc magic;
            output_char oc '\n';
-           produce (fun payload ->
-               put ~flip:(!count = !corrupt_at) payload;
-               incr count);
-           if with_trailer then begin
-             let trailer = Buffer.create 16 in
-             Buffer.add_string trailer (Disk_format.trailer !count);
-             put trailer
-           end
+           body oc ~flip_at:!flip_at
          with
          | () -> close_out oc
          | exception e ->
@@ -251,14 +244,191 @@ let open_wal_channel path =
       end;
       out)
 
+(* The snapshot's payload lines are streamed: [produce emit] hands each
+   one to [emit] in a buffer, framed onto the temp file at once, so no
+   line is ever built as a string and the file never exists as a list.
+   They are counted on the way for the trailer. A bit flip needs the
+   count first: [produce] then runs once more, only counting. *)
 let write_snapshot ~dir produce =
+  let count () =
+    let n = ref 0 in
+    produce (fun _ -> incr n);
+    !n
+  in
   write_atomic ~fault_write:"snapshot_write" ~fault_rename:"snapshot_rename"
-    ~magic:Disk_format.snapshot_magic ~with_trailer:true (snapshot_path dir)
-    produce
+    ~magic:Disk_format.snapshot_magic ~count (snapshot_path dir)
+    (fun oc ~flip_at ->
+       let framed = Buffer.create 256 and n = ref 0 in
+       produce (fun payload ->
+           output_framed oc framed ~flip:(!n = flip_at) payload;
+           incr n);
+       let trailer = Buffer.create 16 in
+       Buffer.add_string trailer (Disk_format.trailer !n);
+       output_framed oc framed trailer)
+
+(* {2 The checkpoint's WAL copy} *)
+
+let hex_digits = "0123456789abcdef"
+
+(* Whether [b.[pos..stop)] is a sound framed line as
+   [Disk_format.frame_into] writes it: the payload's CRC-32 in eight
+   lowercase hex digits, ':', the payload. *)
+let frame_ok b ~pos ~stop =
+  stop - pos >= 9
+  && Bytes.get b (pos + 8) = ':'
+  &&
+  let crc =
+    Int32.to_int
+      (Nbsc_value.Crc32.of_substring (Bytes.unsafe_to_string b) ~pos:(pos + 9)
+         ~len:(stop - pos - 9))
+  in
+  let ok = ref true in
+  for i = 0 to 7 do
+    if Bytes.get b (pos + i) <> hex_digits.[(crc lsr (4 * (7 - i))) land 0xf]
+    then ok := false
+  done;
+  !ok
+
+(* The LSN a record's payload [b.[pos..stop)] starts with: the first
+   chunk [Log_record.encode_into] writes, ["<length>:<digits>"], read in
+   place. 0, which no record carries, when the payload does not start
+   that way. *)
+let payload_lsn b ~pos ~stop =
+  let i = ref pos and width = ref 0 and lsn = ref 0 and ok = ref true in
+  while !ok && !i < stop && Bytes.get b !i <> ':' do
+    let d = Char.code (Bytes.get b !i) - 48 in
+    if d < 0 || d > 9 then ok := false else width := (10 * !width) + d;
+    incr i
+  done;
+  let start = !i + 1 in
+  if (not !ok) || !width = 0 || start + !width > stop then 0
+  else begin
+    for j = start to start + !width - 1 do
+      let d = Char.code (Bytes.get b j) - 48 in
+      if d < 0 || d > 9 then ok := false else lsn := (10 * !lsn) + d
+    done;
+    if !ok then !lsn else 0
+  end
+
+(* The index of the first newline in [b.[i..stop)], [stop] if none. *)
+let rec newline b i stop =
+  if i < stop && Bytes.get b i <> '\n' then newline b (i + 1) stop else i
+
+(* Write the retained records [first..head] onto [oc] from the framed
+   lines already written, not by encoding them again: wal.nbsc streamed
+   through one block buffer, then the lines still in the sink's buffer —
+   together one line per record from [t.wal_first] to the head. The
+   header and the lines below [first] are skipped by counting newlines.
+
+   Each copied line must pass its CRC and carry the LSN due at its
+   place. A line that fails its CRC is replaced by the framed encoding
+   of its in-memory record ([Log.get]). A sound line carrying another
+   LSN means the stream no longer lines up with the log (damage gained
+   or lost a newline), so every record from there on is encoded from
+   memory. Either way the lines equal the framed encoding of
+   [first..head], byte for byte, and damage in the old file is not
+   carried over. *)
+let copy_retained t oc ~first ~head ~flip_at =
+  let log = Db.log t.pdb in
+  let first = Lsn.to_int first and head = Lsn.to_int head in
+  let ic = open_in_bin (wal_path t.dir) in
+  let blk = ref (Bytes.create 65536) in
+  let pos = ref 0 and len = ref 0 in (* unread bytes: [!pos, !len) *)
+  let fed = ref 0 in (* bytes of [t.buf] already in [blk] *)
+  (* Move the unread bytes to the front (doubling [blk] when they fill
+     it: one line longer than the block) and read more behind them, from
+     the file until it ends, then from [t.buf]. False at the end. *)
+  let refill () =
+    let rest = !len - !pos in
+    let b =
+      if rest = Bytes.length !blk then Bytes.create (2 * rest) else !blk
+    in
+    Bytes.blit !blk !pos b 0 rest;
+    blk := b;
+    pos := 0;
+    let room = Bytes.length b - rest in
+    let n =
+      match input ic b rest room with
+      | 0 ->
+        let m = min room (Buffer.length t.buf - !fed) in
+        Buffer.blit t.buf !fed b rest m;
+        fed := !fed + m;
+        m
+      | n -> n
+    in
+    len := rest + n;
+    n > 0
+  in
+  (* The index of the newline ending the line at [!pos]; -1 when the
+     stream ends first. *)
+  let rec line_end i =
+    let e = newline !blk i !len in
+    if e < !len then e
+    else
+      let scanned = e - !pos in
+      if refill () then line_end scanned else -1
+  in
+  let rec skip k =
+    if k > 0 then
+      match line_end !pos with
+      | -1 -> ()
+      | e ->
+        pos := e + 1;
+        skip (k - 1)
+  in
+  let framed = Buffer.create 256 and record = Buffer.create 256 in
+  let scratch = Buffer.create 256 in
+  let encode lsn =
+    Buffer.clear record;
+    Log_record.encode_into ~scratch record (Log.get log (Lsn.of_int lsn));
+    output_framed oc framed ~flip:(lsn - first = flip_at) record
+  in
+  let from_memory lsn = for l = lsn to head do encode l done in
+  let rec copy lsn =
+    if lsn <= head then
+      match line_end !pos with
+      | -1 -> from_memory lsn
+      | e ->
+        let s = !pos in
+        pos := e + 1;
+        if not (frame_ok !blk ~pos:s ~stop:e) then begin
+          encode lsn;
+          copy (lsn + 1)
+        end
+        else if payload_lsn !blk ~pos:(s + 9) ~stop:e = lsn then begin
+          if lsn - first = flip_at then begin
+            let i = s + ((e - s) / 2) in
+            Bytes.set !blk i (Char.chr (Char.code (Bytes.get !blk i) lxor 0x01))
+          end;
+          output oc !blk s (e - s + 1);
+          copy (lsn + 1)
+        end
+        else from_memory lsn
+  in
+  match
+    skip (1 + Stdlib.max 0 (first - Lsn.to_int t.wal_first));
+    copy first
+  with
+  | () -> close_in ic
+  | exception e ->
+    close_in_noerr ic;
+    raise e
+
+(* The checkpoint's WAL: the records [first..head] that recovery will
+   read. With none retained the header-only file is written without
+   reading the old one. *)
+let rewrite_wal t ~first =
+  let head = Log.head (Db.log t.pdb) in
+  let count = Lsn.to_int head - Lsn.to_int first + 1 in
+  write_atomic ~fault_write:"wal_rewrite" ~magic:Disk_format.wal_magic
+    ~count:(fun () -> count) (wal_path t.dir)
+    (fun oc ~flip_at ->
+       if count > 0 then copy_retained t oc ~first ~head ~flip_at)
 
 let make_t ~dir ~pdb ~out ~report =
+  let wal_first = Lsn.next (Log.base (Db.log pdb)) in
   { dir; pdb; out; buf = Buffer.create 4096; rbuf = Buffer.create 256;
-    fbuf = Buffer.create 256; scratch = Buffer.create 256; report;
+    fbuf = Buffer.create 256; scratch = Buffer.create 256; wal_first; report;
     closed = false }
 
 let create_dir ~dir =
@@ -473,7 +643,8 @@ let checkpoint t =
     let persists =
       List.map (fun (name, thunk) -> (name, thunk ())) (Db.job_persists t.pdb)
     in
-    match Snapshot.write t.pdb with
+    let rebuilt = List.concat_map (fun (_, p) -> p.Db.rebuilt) persists in
+    match Snapshot.write ~without_rows:rebuilt t.pdb with
     | Error e -> Error e
     | Ok produce ->
       (* Snapshot first, WAL second: a crash between the two leaves the
@@ -497,36 +668,28 @@ let checkpoint t =
                 (Log_record.Job_state { job = name; state = p.Db.job_state })))
         persists;
       (* Truncate the WAL down to the suffix in-flight jobs still need:
-         every record at or above the oldest propagator position (low
-         watermark — the {e next} record that job will read, so the record
-         at the watermark itself must survive). With no persistable jobs
-         the WAL empties, as a classical checkpoint would. *)
-      let low =
+         every live record at or above the oldest propagator position
+         (low watermark — the {e next} record that job will read, so the
+         record at the watermark itself must survive). With no
+         persistable jobs the WAL empties, as a classical checkpoint
+         would. *)
+      let first =
         List.fold_left
           (fun acc (_, (p : Db.job_persist)) ->
              if Lsn.(p.Db.low_water < acc) then p.Db.low_water else acc)
           (Lsn.next (Log.head log)) persists
+        |> Lsn.max (Lsn.next (Log.base log))
       in
-      (* The retained suffix is encoded as the sink encodes, one record
-         at a time into a reused buffer. *)
-      let retained emit =
-        let record = Buffer.create 256 and scratch = Buffer.create 256 in
-        Log.iter log (fun r ->
-            if Lsn.(r.Log_record.lsn >= low) then begin
-              Buffer.clear record;
-              Log_record.encode_into ~scratch record r;
-              emit record
-            end)
-      in
-      (* Buffered lines need no flush: every record they hold is either
-         reflected in the snapshot just published or rewritten below from
-         the in-memory retained suffix. *)
-      Buffer.clear t.buf;
       let* () = io (fun () -> close_out t.out) in
-      let rewritten =
-        write_atomic ~fault_write:"wal_rewrite" ~magic:Disk_format.wal_magic
-          ~with_trailer:false (wal_path t.dir) retained
-      in
+      let rewritten = rewrite_wal t ~first in
+      (* The lines still buffered (the [Job_state] records above, when
+         the disk refused their flush) are in the new file once it
+         publishes. Until then they stay buffered: dropping them would
+         leave a gap in the old file that later appends cannot close. *)
+      if Result.is_ok rewritten then begin
+        Buffer.clear t.buf;
+        t.wal_first <- first
+      end;
       (* Reopen the append channel whether or not the rewrite published.
          A rewrite that failed ([`Disk_full], [`Io]) never renamed, so the
          old wal.nbsc is intact, and the snapshot just published with the

@@ -71,7 +71,20 @@ val checkpoint : t -> (unit, error) result
     truncated only down to the oldest job's [low_water] position — the
     retained suffix plus the snapshot is exactly what {!open_dir} needs
     to rebuild and resume the jobs. With no persistable jobs the WAL
-    empties, as a classical checkpoint would. *)
+    empties, as a classical checkpoint would.
+
+    It writes only what recovery reads. The tables a job names in
+    [rebuilt] (a resume would drop and refill them) are written
+    without their rows. The retained suffix is copied from the framed
+    lines already in wal.nbsc and in the sink's buffer, each checked
+    against its CRC and LSN on the way; a line that fails is written
+    again from its in-memory record, so the new file equals a fresh
+    encoding of the suffix and damage in the old one is not carried
+    over. So the WAL step reads and writes the retained bytes and
+    encodes no record that is sound on disk; with nothing retained it
+    writes the header alone without reading the old file. If that
+    rewrite fails the old file stays, and the lines still buffered
+    stay buffered for it. *)
 
 val crash : t -> unit
 (** Simulate a process crash: detach the WAL sink and drop the channel

@@ -70,7 +70,7 @@ let flag_of_string = function
    of the same fields), and handed to [emit]. Only the row composite
    needs a second buffer. Both belong to one run of the producer, so a
    writer that retries can simply run it again. *)
-let write db =
+let write ?(without_rows = []) db =
   match Manager.active_snapshot (Db.manager db) with
   | (_ :: _) as active -> Error (`Active_transactions (List.map fst active))
   | [] ->
@@ -98,17 +98,18 @@ let write db =
               in
               List.iter (index "I:") (Table.index_definitions table);
               List.iter (index "O:") (Table.ordered_index_definitions table);
-              Table.iter table (fun _ record ->
-                  start "R:";
-                  Codec.add_chunk line name;
-                  Codec.add_chunk line (Lsn.to_string record.Record.lsn);
-                  Codec.add_chunk line (string_of_int record.Record.counter);
-                  Codec.add_chunk line (flag_to_string record.Record.flag);
-                  Codec.add_chunk line (string_of_int record.Record.aux);
-                  Buffer.clear row;
-                  Codec.encode_row_into row record.Record.row;
-                  Codec.add_chunk_of_buffer line row;
-                  emit line))
+              if not (List.mem name without_rows) then
+                Table.iter table (fun _ record ->
+                    start "R:";
+                    Codec.add_chunk line name;
+                    Codec.add_chunk line (Lsn.to_string record.Record.lsn);
+                    Codec.add_chunk line (string_of_int record.Record.counter);
+                    Codec.add_chunk line (flag_to_string record.Record.flag);
+                    Codec.add_chunk line (string_of_int record.Record.aux);
+                    Buffer.clear row;
+                    Codec.encode_row_into row record.Record.row;
+                    Codec.add_chunk_of_buffer line row;
+                    emit line))
            (List.sort
               (fun a b -> String.compare (Table.name a) (Table.name b))
               (Catalog.tables (Db.catalog db))))

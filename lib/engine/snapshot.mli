@@ -19,13 +19,21 @@ type error = Nbsc_error.t
 (** [write] and [save] produce [`Active_transactions]; [load] produces
     [`Corrupt]. One rendering for all of it: {!Nbsc_error.to_string}. *)
 
-val write : Db.t -> ((Buffer.t -> unit) -> unit, error) result
+val write :
+  ?without_rows:string list -> Db.t ->
+  ((Buffer.t -> unit) -> unit, error) result
 (** [write db] refuses [`Active_transactions] up front; otherwise it
     returns the snapshot's producer. [produce emit] calls [emit] once
     per payload line, in file order, with a buffer holding that line
     and nothing else. The buffer is reused for the next line, so
     [emit] must consume it before returning. No line is ever built as
     a string: {!Persist} frames each one straight onto its file.
+
+    The tables named in [without_rows] (default none) get their [T:],
+    [I:] and [O:] lines but no [R:] line: {!Persist.checkpoint} names
+    the tables a resume would drop and rebuild ({!Db.job_persist}), so
+    it writes no rows that recovery would discard. Such a snapshot
+    loads them empty.
 
     Each run of the producer emits the same lines while [db] is not
     modified, so a writer may run it again (to retry, or to count the

@@ -85,6 +85,54 @@ let build_store ?(n = 5) dir =
   done;
   p
 
+(* A store whose FOJ change is populating, so a checkpoint retains the
+   WAL from the change's start. *)
+let build_foj_store dir =
+  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let db = Persist.db p in
+  ignore (Db.create_table db ~name:"R" H.r_schema);
+  ignore (Db.create_table db ~name:"S" H.s_schema);
+  let r_rows, s_rows = H.seed_rows ~r:12 ~s:6 in
+  ok "load R" (Db.load db ~table:"R" r_rows);
+  ok "load S" (Db.load db ~table:"S" s_rows);
+  ok_p "ddl checkpoint" (Persist.checkpoint p);
+  let sc =
+    match
+      Db.Schema_change.start db
+        ~options:
+          { Options.default with
+            Options.scan_batch = 4; propagate_batch = 3; drop_sources = false }
+        (Spec.Foj H.foj_spec)
+    with
+    | Ok sc -> sc
+    | Error e -> Alcotest.fail (Nbsc_error.to_string e)
+  in
+  ignore (Db.Schema_change.step sc);
+  (p, sc)
+
+(* R's [b] column, keyed by [a]. *)
+let r_names db =
+  Table.fold (Db.table db "R") ~init:[] ~f:(fun acc _ r ->
+      match r.Record.row with
+      | [| Value.Int a; Value.Text b; _ |] -> (a, b) :: acc
+      | _ -> acc)
+  |> List.sort compare
+
+let rename db a b =
+  ok "rename"
+    (Db.with_txn db (fun txn ->
+         Manager.update (Db.manager db) ~txn ~table:"R"
+           ~key:(Row.make [ Value.Int a ]) [ (1, Value.Text b) ]))
+
+(* Close [p]; [dir] must reopen with R's names as [acked]. *)
+let reopens_with acked p dir =
+  Persist.close p;
+  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  Alcotest.(check (list (pair int string))) "every acknowledged row" acked
+    (r_names (Persist.db p2));
+  Persist.close p2;
+  wipe dir
+
 (* {1 Bit flips: silent at write time, detected at read time} *)
 
 let expect_corrupt name = function
@@ -138,6 +186,75 @@ let test_bit_flip_snapshot () =
   let s = Nbsc_error.corruption_to_string c in
   Alcotest.(check bool) "message carries the file" true
     (contains_sub s "snapshot.nbsc");
+  wipe dir
+
+(* A checkpoint copies the retained WAL from the file, checking each
+   line: a record damaged on its way to disk is written again from
+   memory, so the store reopens clean. *)
+let test_checkpoint_heals_flipped_record () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  let p, _ = build_foj_store dir in
+  let db = Persist.db p in
+  Fault.arm ~mode:Fault.Bit_flip "wal_append";
+  rename db 1 "flipped";
+  Fault.reset ();
+  let acked = r_names db in
+  ok_p "checkpoint" (Persist.checkpoint p);
+  reopens_with acked p dir
+
+(* Damage that gains or loses a newline shifts every later line of the
+   file off its record. The checkpoint's copy notices at the first sound
+   line with the wrong LSN and writes the rest from memory, so the
+   store still reopens clean. *)
+let test_checkpoint_heals_shifted_lines () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  let p, _ = build_foj_store dir in
+  let db = Persist.db p in
+  for a = 1 to 4 do
+    rename db a "renamed"
+  done;
+  let acked = r_names db in
+  let wpath = Disk_format.wal_path dir in
+  let lines = String.split_on_char '\n' (read_file wpath) in
+  let n = List.length lines in
+  (* Split the fourth line from the end in two; join the last two. *)
+  write_file wpath
+    (String.concat ""
+       (List.mapi
+          (fun i l ->
+             if i = n - 5 then
+               let h = String.length l / 2 in
+               String.sub l 0 h ^ "\n" ^ String.sub l h (String.length l - h) ^ "\n"
+             else if i = n - 3 then l ^ " "
+             else if i = n - 1 then l
+             else l ^ "\n")
+          lines));
+  ok_p "checkpoint" (Persist.checkpoint p);
+  reopens_with acked p dir
+
+(* A flip armed at [wal_rewrite] damages the middle line of the
+   retained suffix the checkpoint copies, and reopen reports that line. *)
+let test_bit_flip_wal_rewrite () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  let p, _ = build_foj_store dir in
+  for a = 1 to 3 do
+    rename (Persist.db p) a "renamed"
+  done;
+  Fault.arm ~mode:Fault.Bit_flip "wal_rewrite";
+  ok_p "checkpoint with flip" (Persist.checkpoint p);
+  Fault.reset ();
+  Persist.close p;
+  let wpath = Disk_format.wal_path dir in
+  (* Header, then the retained lines: the flipped one is line 2 + n/2. *)
+  let retained = List.length (String.split_on_char '\n' (read_file wpath)) - 2 in
+  Alcotest.(check bool) "a suffix is retained" true (retained > 1);
+  let c = expect_corrupt "bit-flipped wal copy" (Persist.open_dir ~dir) in
+  Alcotest.(check (option string)) "the wal" (Some wpath) c.Nbsc_error.c_path;
+  Alcotest.(check (option int)) "its middle line" (Some (2 + (retained / 2)))
+    c.Nbsc_error.c_line;
   wipe dir
 
 (* {1 Version header} *)
@@ -332,6 +449,34 @@ let test_enospc_wal_rewrite_keeps_store_writable () =
   Persist.close p2;
   wipe dir
 
+(* The same full disk under the [Job_state] records a checkpoint
+   appends after its snapshot: their flush finds no space, so they stay
+   in the sink's buffer, and the WAL rewrite fails too. The old file
+   never got them; they must stay buffered and reach it with the next
+   flush, or the records after them leave a gap no reopen accepts. *)
+let test_enospc_job_state_and_rewrite_keep_wal_contiguous () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  let p, sc = build_foj_store dir in
+  let db = Persist.db p in
+  let enospc = Fault.Io_error { errno = Fault.ENOSPC; transient = false } in
+  Fault.arm ~mode:enospc "wal_append";
+  Fault.arm ~mode:enospc "wal_rewrite";
+  (match Persist.checkpoint p with
+   | Error (`Disk_full _) -> ()
+   | Ok () -> Alcotest.fail "checkpoint should fail while the disk is full"
+   | Error e -> Alcotest.failf "checkpoint: %a" Persist.pp_error e);
+  Alcotest.(check int) "the rewrite was tried" 1 (Fault.hits "wal_rewrite");
+  Fault.reset ();
+  (* The step's probe flushes the buffer and lifts degraded mode. *)
+  ignore (Db.Schema_change.step sc);
+  Alcotest.(check bool) "degraded mode cleared" false
+    (Manager.disk_full (Db.manager db));
+  rename db 2 "after";
+  rename db 3 "after";
+  let acked = r_names db in
+  reopens_with acked p dir
+
 (* {1 Scrub} *)
 
 let test_scrub_clean_then_corrupt () =
@@ -474,14 +619,24 @@ let () =
           Alcotest.test_case "header versions rejected" `Quick
             test_header_rejection;
           Alcotest.test_case "trailer detects line truncation" `Quick
-            test_trailer_detects_line_truncation ] );
+            test_trailer_detects_line_truncation;
+          Alcotest.test_case "a checkpoint heals a flipped retained record"
+            `Quick test_checkpoint_heals_flipped_record;
+          Alcotest.test_case "a checkpoint heals lines a newline shifted"
+            `Quick test_checkpoint_heals_shifted_lines;
+          Alcotest.test_case "bit flip in a checkpoint's wal copy detected"
+            `Quick test_bit_flip_wal_rewrite ] );
       ( "disk errors",
         [ Alcotest.test_case "transient EIO retried" `Quick
             test_transient_eio_retried;
           Alcotest.test_case "ENOSPC degrades and recovers" `Quick
             test_enospc_degrades_and_recovers;
           Alcotest.test_case "ENOSPC during WAL rewrite keeps the store writable"
-            `Quick test_enospc_wal_rewrite_keeps_store_writable ] );
+            `Quick test_enospc_wal_rewrite_keeps_store_writable;
+          Alcotest.test_case
+            "ENOSPC at the job-state flush and the WAL rewrite keeps the WAL \
+             contiguous"
+            `Quick test_enospc_job_state_and_rewrite_keep_wal_contiguous ] );
       ( "scrub",
         [ Alcotest.test_case "clean then corrupt" `Quick
             test_scrub_clean_then_corrupt;

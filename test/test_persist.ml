@@ -313,6 +313,55 @@ dddc11d0:2:241:52:236:commit
 40d2f357:2:251:01:03:job14:foj#100000000162:2:v14:prop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
 |fmt}
 
+(* The extra checkpoint of the second store in [test_v2_bytes_stable],
+   taken while the FOJ populates: its files as format v2 wrote them
+   before a checkpoint left out the rows a resume rebuilds, and the WAL
+   of the store's last checkpoint. *)
+let snapshot_v2_populating = {fmt|nbsc:snapshot:v2
+c6f60c19:H:15
+3caa2cb4:T:1:R40:1:31:a3:int1:01:b4:text1:11:c3:int1:11:a
+6686ba39:R:1:R1:41:11:C1:016:2:I35:T2:r33:I40
+d4701e22:R:1:R1:31:11:C1:016:2:I25:T2:r23:I20
+a7048aa5:R:1:R1:21:11:C1:016:2:I15:T2:r13:I10
+03315c78:T:1:S29:1:21:c3:int1:01:d4:text1:11:c
+086a2de6:R:1:S1:91:11:C1:013:3:I306:T3:s30
+19aed10e:R:1:S1:81:11:C1:013:3:I206:T3:s20
+545e6f54:R:1:S1:71:11:C1:013:3:I106:T3:s10
+c9577e60:T:1:T55:1:41:c3:int1:11:a3:int1:11:b4:text1:11:d4:text1:11:a1:c
+ccd49717:I:1:T8:by_r_key1:a
+ee70f6a5:I:1:T8:by_s_key1:c
+d75e8004:I:1:T7:by_join1:c
+7668811a:R:1:T1:01:11:C1:324:3:I102:I15:T2:r16:T3:s10
+361ed80d:R:1:T1:01:11:C1:324:3:I202:I25:T2:r26:T3:s20
+329e5a43:T:1:v65:1:51:k3:int1:01:n3:int1:11:f5:float1:11:b4:bool1:11:s4:text1:11:k
+feee8a07:I:1:v6:v_by_s1:s
+6c0a0078:O:1:v6:v_by_n1:n
+da56460e:R:1:v2:121:11:C1:047:2:I14:I-4220:F46128119183342305282:Bt8:T5:a:b|c
+a3bc726a:@end:19
+|fmt}
+
+let wal_v2_populating = {fmt|nbsc:wal:v2
+71b103f8:2:141:01:05:fuzzy0:
+7abba262:2:151:01:03:job14:foj#100000000161:2:v13:pop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
+88e98c49:2:161:01:03:job14:foj#100000000161:2:v13:pop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
+|fmt}
+
+let wal_v2_after_populating = {fmt|nbsc:wal:v2
+71b103f8:2:141:01:05:fuzzy0:
+7abba262:2:151:01:03:job14:foj#100000000161:2:v13:pop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
+88e98c49:2:161:01:03:job14:foj#100000000161:2:v13:pop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
+5879b70a:2:171:01:05:fuzzy0:
+2ae5fbd9:2:181:41:05:begin
+7b2c0f97:2:191:42:182:op3:ins1:v43:2:I21:N21:F-46297004169368698882:Bf6:T3:|:|
+d55d007d:2:201:42:192:op3:upd1:R4:2:I112:1:17:T4:r1:|10:1:15:T2:r1
+439e2986:2:211:42:206:commit
+282194fb:2:221:51:05:begin
+4373246a:2:231:52:222:op3:ins1:S13:3:I406:T3:s40
+fc59f6f1:2:241:52:232:op3:del1:R4:2:I216:2:I25:T2:r23:I20
+17d5ed88:2:251:52:246:commit
+ec9c5839:2:261:01:03:job14:foj#100000000162:2:v14:prop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
+|fmt}
+
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -335,8 +384,10 @@ let v_schema =
       Schema.column "n" Value.TInt; Schema.column "f" Value.TFloat;
       Schema.column "b" Value.TBool; Schema.column "s" Value.TText ]
 
-(* The fixed store up to its last checkpoint, which the caller takes. *)
-let fixed_store dir =
+(* The fixed store up to its last checkpoint, which the caller takes.
+   [populating] runs once while the FOJ populates, as soon as T holds a
+   row. *)
+let fixed_store ?(populating = fun _ -> ()) dir =
   let p = ok_p "create" (Persist.create_dir ~dir) in
   let db = Persist.db p in
   let mgr = Db.manager db in
@@ -360,10 +411,14 @@ let fixed_store dir =
                  drop_sources = false }
       (Nbsc_core.Spec.Foj H.foj_spec)
   in
-  let guard = ref 0 in
+  let guard = ref 0 and populated = ref false in
   while Nbsc_core.Transform.phase tf = Nbsc_core.Transform.Populating do
     incr guard;
     if !guard > 50 then Alcotest.fail "population never finished";
+    if (not !populated) && Db.row_count db "T" > 0 then begin
+      populated := true;
+      populating p
+    end;
     ignore (Nbsc_core.Transform.step tf)
   done;
   Alcotest.(check bool) "propagating" true
@@ -391,6 +446,18 @@ let check_v2_bytes name dir =
   Alcotest.(check string) (name ^ "wal.nbsc") wal_v2
     (read_file (Disk_format.wal_path dir))
 
+(* A file's payload lines: the header, the frames and a snapshot's
+   trailer stripped. *)
+let payloads file =
+  String.split_on_char '\n' file
+  |> List.tl
+  |> List.filter_map (fun framed ->
+         if String.equal framed "" then None
+         else
+           let payload = String.sub framed 9 (String.length framed - 9) in
+           if String.starts_with ~prefix:"@end:" payload then None
+           else Some payload)
+
 let test_v2_bytes_stable () =
   Fault.reset ();
   let dir = fresh_dir () in
@@ -398,6 +465,27 @@ let test_v2_bytes_stable () =
   ok_p "checkpoint while propagating" (Persist.checkpoint p);
   Persist.close p;
   check_v2_bytes "" dir;
+  wipe dir;
+  (* The same store with one more checkpoint, taken while the FOJ
+     populates. A resume would refill T, so that snapshot leaves out
+     T's rows and nothing else; the WAL is what the format always
+     wrote, then and at the last checkpoint. *)
+  let dir = fresh_dir () in
+  let p =
+    fixed_store dir ~populating:(fun p ->
+        ok_p "checkpoint while populating" (Persist.checkpoint p);
+        Alcotest.(check string) "populating: wal.nbsc" wal_v2_populating
+          (read_file (Disk_format.wal_path dir));
+        Alcotest.(check (list string)) "populating: snapshot payloads"
+          (List.filter
+             (fun l -> not (String.starts_with ~prefix:"R:1:T" l))
+             (payloads snapshot_v2_populating))
+          (payloads (read_file (Disk_format.snapshot_path dir))))
+  in
+  ok_p "checkpoint while propagating" (Persist.checkpoint p);
+  Persist.close p;
+  Alcotest.(check string) "propagating: wal.nbsc" wal_v2_after_populating
+    (read_file (Disk_format.wal_path dir));
   wipe dir
 
 (* A WAL of the current format may hold the inert watermark pairs an
@@ -482,6 +570,189 @@ let test_checkpoint_eio_retried () =
        wipe dir)
     [ "snapshot_write"; "wal_rewrite" ]
 
+(* {1 What a checkpoint writes while a change is in flight}
+
+   A resume drops and refills the targets of a change saved while it
+   populates, so a checkpoint taken then writes their definitions but
+   none of their rows. Once population is over it writes every target
+   row, and the resumed change scans nothing. Either way the sources
+   are written whole, and the resumed change converges to its
+   relational oracle. *)
+
+module Spec = Nbsc_core.Spec
+module Transform = Nbsc_core.Transform
+module Relalg = Nbsc_relalg.Relalg
+
+type op = {
+  op_spec : Spec.any;
+  op_targets : string list;
+  op_load : Db.t -> unit;  (* create and fill the sources *)
+  op_row : int -> string * Row.t;  (* a fresh source row for key [k] *)
+  op_oracle : Db.t -> (string * Relalg.t) list;
+}
+
+let load_table db name schema rows =
+  ignore (Db.create_table db ~name schema);
+  ok ("load " ^ name) (Db.load db ~table:name rows)
+
+let load_t db = load_table db "T" H.t_flat_schema (H.seed_t_rows ~n:30)
+
+let t_row k = ("T", H.ti k "w" (k mod 13) (H.city_of (k mod 13)))
+
+let hpred = Pred.Cmp ("c", Pred.Gt, Value.Int 6)
+
+let ops =
+  [ ( "foj",
+      { op_spec = Spec.Foj H.foj_spec;
+        op_targets = [ "T" ];
+        op_load =
+          (fun db ->
+             let r, s = H.seed_rows ~r:30 ~s:12 in
+             load_table db "R" H.r_schema r;
+             load_table db "S" H.s_schema s);
+        op_row = (fun k -> ("R", H.ri k "w" (k mod 17)));
+        op_oracle = (fun db -> [ ("T", H.foj_oracle db) ]) } );
+    ( "split",
+      { op_spec = Spec.Split (H.split_spec ~assume_consistent:true);
+        op_targets = [ "R"; "S" ];
+        op_load = load_t;
+        op_row = t_row;
+        op_oracle =
+          (fun db ->
+             let r, s =
+               Relalg.split
+                 { Relalg.r_cols' = [ "a"; "b"; "c" ];
+                   s_cols' = [ "c"; "d" ];
+                   r_key = [ "a" ];
+                   s_key = [ "c" ] }
+                 (Db.snapshot db "T")
+             in
+             [ ("R", r); ("S", s) ]) } );
+    ( "hsplit",
+      { op_spec =
+          Spec.Hsplit
+            { Spec.h_source = "T";
+              h_true_table = "archive";
+              h_false_table = "live";
+              h_pred = hpred };
+        op_targets = [ "archive"; "live" ];
+        op_load = load_t;
+        op_row = t_row;
+        op_oracle =
+          (fun db ->
+             let t = Db.snapshot db "T" in
+             let p = Pred.compile H.t_flat_schema hpred in
+             [ ("archive", Relalg.select t p);
+               ("live", Relalg.select t (fun row -> not (p row))) ]) } );
+    ( "merge",
+      { op_spec = Spec.Merge { Spec.m_sources = [ "A"; "B" ]; m_target = "AB" };
+        op_targets = [ "AB" ];
+        op_load =
+          (fun db ->
+             load_table db "A" H.t_flat_schema
+               (List.init 20 (fun i -> H.ti i "a" (i mod 5) "x"));
+             load_table db "B" H.t_flat_schema
+               (List.init 12 (fun i -> H.ti (100 + i) "b" (i mod 5) "y")));
+        op_row = (fun k -> ("A", H.ti k "w" (k mod 5) "x"));
+        op_oracle =
+          (fun db ->
+             let a = Db.snapshot db "A" and b = Db.snapshot db "B" in
+             [ ("AB", Relalg.make H.t_flat_schema (a.Relalg.rows @ b.Relalg.rows))
+             ]) } ) ]
+
+(* Every [(kind, table)] of snapshot.nbsc's payload lines but its head
+   and trailer, in file order. *)
+let snapshot_lines dir =
+  List.filter_map
+    (fun payload ->
+       match payload.[0] with
+       | 'H' -> None
+       | kind ->
+         let fields =
+           Codec.decode_string_list
+             (String.sub payload 2 (String.length payload - 2))
+         in
+         Some (kind, List.hd fields))
+    (payloads (read_file (Disk_format.snapshot_path dir)))
+
+let test_checkpoint_in_flight ~populating () =
+  List.iter
+    (fun (name, op) ->
+       Fault.reset ();
+       let dir = fresh_dir () in
+       let p = ok_p "create" (Persist.create_dir ~dir) in
+       let db = Persist.db p in
+       op.op_load db;
+       ok_p "ddl checkpoint" (Persist.checkpoint p);
+       let options =
+         { Nbsc_core.Options.default with
+           Nbsc_core.Options.scan_batch = 4; propagate_batch = 4;
+           drop_sources = false }
+       in
+       let tf = H.start db ~options op.op_spec in
+       let key = ref 1000 in
+       let commit () =
+         incr key;
+         let table, row = op.op_row !key in
+         ok "commit" (Db.load db ~table [ row ])
+       in
+       let empty () = List.for_all (fun t -> Db.row_count db t = 0) op.op_targets in
+       let step () =
+         ignore (Transform.step tf);
+         commit ()
+       in
+       if populating then while empty () do step () done
+       else while Transform.phase tf = Transform.Populating do step () done;
+       Alcotest.(check (pair bool bool)) (name ^ ": populating, targets empty")
+         (populating, false)
+         (Transform.phase tf = Transform.Populating, empty ());
+       ok_p (name ^ ": checkpoint") (Persist.checkpoint p);
+       let lines = snapshot_lines dir in
+       let count kind table =
+         List.length (List.filter (( = ) (kind, table)) lines)
+       in
+       List.iter
+         (fun table ->
+            let tbl = Db.table db table in
+            let written = if populating then 0 else Table.cardinality tbl in
+            Alcotest.(check (list int)) (name ^ ": lines of " ^ table)
+              [ 1; List.length (Table.index_definitions tbl); written ]
+              [ count 'T' table; count 'I' table; count 'R' table ])
+         op.op_targets;
+       List.iter
+         (fun tbl ->
+            let table = Table.name tbl in
+            if not (List.mem table op.op_targets) then
+              Alcotest.(check int) (name ^ ": rows of source " ^ table)
+                (Table.cardinality tbl) (count 'R' table))
+         (Catalog.tables (Db.catalog db));
+       (* A commit the checkpoint did not see, then the crash. *)
+       commit ();
+       Persist.crash p;
+       let p2 = ok_p (name ^ ": reopen") (Persist.open_dir ~dir) in
+       let db2 = Persist.db p2 in
+       (match Transform.resume ~options p2 with
+        | Ok [ tf2 ] ->
+          Alcotest.(check bool) (name ^ ": resumed populating") populating
+            (Transform.phase tf2 = Transform.Populating);
+          (match Db.run_jobs db2 with
+           | Ok () -> ()
+           | Error m -> Alcotest.failf "%s: %s" name m);
+          if not populating then
+            Alcotest.(check int) (name ^ ": no re-scan") 0
+              (Transform.progress tf2).Transform.scanned
+        | Ok tfs ->
+          Alcotest.failf "%s: expected one job, got %d" name (List.length tfs)
+        | Error e -> Alcotest.failf "%s: %s" name (Nbsc_error.to_string e));
+       List.iter
+         (fun (table, want) ->
+            H.check_relations_equal (name ^ ": " ^ table) want
+              (Db.snapshot db2 table))
+         (op.op_oracle db2);
+       Persist.close p2;
+       wipe dir)
+    ops
+
 (* Property: for a random history of committed transactions plus a
    random in-flight tail at the "crash", reopening yields exactly the
    committed state. *)
@@ -560,6 +831,12 @@ let () =
           Alcotest.test_case "v2 bytes are stable" `Quick test_v2_bytes_stable;
           Alcotest.test_case
             "transient EIO while writing a checkpoint is retried" `Quick
-            test_checkpoint_eio_retried ] );
+            test_checkpoint_eio_retried;
+          Alcotest.test_case
+            "checkpoint while populating leaves out the target rows" `Quick
+            (test_checkpoint_in_flight ~populating:true);
+          Alcotest.test_case
+            "checkpoint after population writes every target row" `Quick
+            (test_checkpoint_in_flight ~populating:false) ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_reopen_equals_committed ] ) ]
