@@ -1,4 +1,4 @@
-.PHONY: all build test check crash contention scrub examples perfbench-selftest bench-engine bench-migrate bench-compare fmt clean
+.PHONY: all build test check crash contention scrub examples perfbench-selftest fmt clean
 
 all: build
 
@@ -23,7 +23,7 @@ crash:
 contention:
 	NBSC_CONTENTION_SEED=42 dune exec test/test_contention.exe
 
-# Storage-integrity drill (bench-free): the integrity suite at a fixed
+# Storage-integrity drill: the integrity suite at a fixed
 # seed, then an end-to-end scrub pass per file of the store — generate a
 # store, verify it clean, damage one byte of wal.nbsc (then, on a fresh
 # store, of snapshot.nbsc), verify the scrub refuses it.
@@ -61,32 +61,6 @@ examples:
 # perfbench/ in its own profile under .perfbench_work/. Part of ci/check.sh.
 perfbench-selftest:
 	python3 perfbench/run.py --selftest
-
-# Full-scale engine bench: mixed transactional workload under a
-# concurrent FOJ schema change; writes BENCH_engine.json and gates
-# against the committed quick-scale baseline.
-bench-engine:
-	dune exec bench/main.exe -- engine --out BENCH_engine.json \
-		--gate ci/bench_engine_baseline.json
-
-# Migration-strategy bench: eager vs lazy vs hybrid initial-image
-# migration for the same FOJ change under a live workload; writes
-# BENCH_migrate.json (the eager-vs-lazy trajectory) and gates the
-# aggregate workload throughput against the committed full-scale
-# baseline.
-bench-migrate:
-	dune exec bench/main.exe -- migrate --out BENCH_migrate.json \
-		--gate ci/bench_migrate_baseline.json
-
-# Competitor-strategy bench: the paper's log-redo method vs the
-# shadow-table baseline, both running the same FOJ change under the
-# same live workload; writes BENCH_compare.json (throughput impact,
-# catch-up lag, WAL high-water, crash-resume cost) and gates the paper
-# run's workload throughput against the committed baseline. Exits
-# non-zero if either strategy diverges from its relational oracle.
-bench-compare:
-	dune exec bench/main.exe -- compare --out BENCH_compare.json \
-		--gate ci/bench_compare_baseline.json
 
 # Reformat in place (requires ocamlformat).
 fmt:

@@ -3,13 +3,19 @@
    Subcommands:
      demo        run a narrated demo transformation (foj | split | m2m)
      concurrent  run two transformations at once via the job registry
-     figure      regenerate one of the paper's figures (4a 4b 4c 4d)
+     figure      regenerate a figure of the paper's Sec. 6 or an ablation
+                 table (4a 4b 4c 4d foj methods ablate; --quick)
      sync        measure the synchronization window per strategy
      matrix      print the Figure 2 lock-compatibility matrix
      log         run a small transformation and dump the resulting log
      contention  high-conflict run; deadlock-detector and governor stats
+     crash-demo  crash a durable change at a fault site and resume it
      stats       run a demo change and dump the metrics registry
-     trace       run a traced fixed-seed simulation; write/validate JSONL *)
+     trace       run a traced fixed-seed simulation; write/validate JSONL
+     micro       Bechamel micro-benchmarks of the substrate
+     scrub       verify a database directory offline
+     mkstore     create a small durable store (scrub drills)
+     flip        flip one bit of a file (scrub drills) *)
 
 open Cmdliner
 open Nbsc_value
@@ -292,49 +298,119 @@ let concurrent_cmd =
 
 (* {1 figure} *)
 
+module E = Nbsc_sim.Experiment
+
+(* EXPERIMENTS.md's sync, methods and ablation tables: the quick setup
+   at 10 000 rows. *)
+let ten_k_setup = { E.quick_setup with E.scale = 10_000 }
+
+let workloads = [ 50.; 60.; 70.; 80.; 90.; 100. ]
+let fig4d_priorities = [ 0.0005; 0.001; 0.002; 0.005; 0.01; 0.02; 0.04; 0.08 ]
+
+let print_points ~x_label points =
+  say "%-10s %14s %14s  %s" x_label "rel.throughput" "rel.resp.time" "status";
+  List.iter (fun p -> say "%a" E.pp_point p) points
+
 let run_figure name quick =
-  let module E = Nbsc_sim.Experiment in
   let setup = if quick then E.quick_setup else E.default_setup in
-  let workloads = [ 50.; 60.; 70.; 80.; 90.; 100. ] in
-  let print points = List.iter (fun p -> say "%a" E.pp_point p) points in
+  let ablation_setup = if quick then E.quick_setup else ten_k_setup in
+  let population ~workloads =
+    print_points ~x_label:"workload%" (E.fig4ab_population ~setup ~workloads ())
+  in
+  let propagation ~source_share =
+    print_points ~x_label:"workload%"
+      (E.fig4c_propagation ~setup ~source_share ~workloads:(40. :: workloads) ())
+  in
   match name with
-  | "4a" | "4b" ->
-    print (E.fig4ab_population ~setup ~workloads ());
+  | "4a" ->
+    say "Figure 4(a): rel. throughput during initial population (split, 20%% \
+         updates on T); paper: ~0.94 at 100%% workload, ~0.99-1.00 at 50%%";
+    population ~workloads;
+    `Ok ()
+  | "4b" ->
+    say "Figure 4(b): rel. response time during initial population (split, 20%% \
+         updates on T); paper: ~1.05 at 40-50%% workload, ~1.25-1.30 at 100%%";
+    population ~workloads:(40. :: workloads);
     `Ok ()
   | "4c" ->
-    say "-- 20%% updates on T --";
-    print (E.fig4c_propagation ~setup ~source_share:0.2 ~workloads ());
-    say "-- 80%% updates on T --";
-    print (E.fig4c_propagation ~setup ~source_share:0.8 ~workloads ());
+    say "Figure 4(c): rel. throughput during log propagation; paper: \
+         ~0.96-0.98 (20%% mix), ~0.88-0.92 (80%% mix)";
+    say "-- 20%% of updates on T --";
+    propagation ~source_share:0.2;
+    say "-- 80%% of updates on T --";
+    propagation ~source_share:0.8;
     `Ok ()
   | "4d" ->
-    print
-      (E.fig4d_priority ~setup ~workload_pct:75.
-         ~priorities:[ 0.0005; 0.001; 0.002; 0.005; 0.01; 0.02; 0.04; 0.08 ]
-         ());
+    say "Figure 4(d): completion time and interference vs priority (75%% \
+         workload); paper: below a threshold the change never finishes";
+    print_points ~x_label:"priority"
+      (E.fig4d_priority ~setup ~workload_pct:75. ~priorities:fig4d_priorities ());
+    say "-- with the anti-starvation governor (every point must complete) --";
+    let governed =
+      E.fig4d_priority_governed ~setup ~workload_pct:75.
+        ~priorities:fig4d_priorities ()
+    in
+    print_points ~x_label:"priority" governed;
+    if List.for_all (fun p -> p.E.tf_completed) governed then `Ok ()
+    else `Error (false, "the governed sweep left a point unconverged")
+  | "foj" ->
+    say "FOJ: Figure 4(a)/(c) for the full outer join (paper: very similar \
+         results)";
+    say "-- initial population (FOJ of R:scale x S:0.4*scale rows) --";
+    print_points ~x_label:"workload%"
+      (E.fig4ab_population_foj ~setup ~workloads ());
+    say "-- log propagation, 20%% updates on sources --";
+    print_points ~x_label:"workload%"
+      (E.fig4c_propagation_foj ~setup ~source_share:0.2 ~workloads ());
     `Ok ()
+  | "methods" ->
+    say "Methods: log-based vs blocking INSERT-SELECT vs triggers (75%% \
+         workload)";
+    List.iter
+      (fun r -> say "%a" E.pp_method_row r)
+      (E.method_comparison ~setup:ablation_setup ~workload_pct:75. ());
+    `Ok ()
+  | "ablate" ->
+    let setup = ablation_setup in
+    say "-- sync_lag_threshold sweep (latch window vs eagerness) --";
+    List.iter
+      (fun r -> say "%a" E.pp_threshold_row r)
+      (E.threshold_sweep ~setup ~thresholds:[ 0; 2; 8; 64; 512; 4096 ] ());
+    say "-- batch-size sweep --";
+    List.iter
+      (fun r -> say "%a" E.pp_batch_row r)
+      (E.batch_sweep ~setup ~batches:[ 4; 16; 64; 256; 1024 ] ());
+    say "-- iteration-analysis policies (paper Sec. 3.3's three bases) --";
+    (match E.policy_comparison ~setup () with
+     | Ok rows ->
+       List.iter (fun r -> say "%a" E.pp_policy_row r) rows;
+       `Ok ()
+     | Error e -> `Error (false, Nbsc_error.to_string e))
   | other ->
-    `Error (false, Printf.sprintf "unknown figure %S (4a|4b|4c|4d)" other)
+    `Error
+      (false,
+       Printf.sprintf "unknown figure %S (4a|4b|4c|4d|foj|methods|ablate)" other)
 
 let figure_cmd =
   let fig_name =
     Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FIGURE" ~doc:"4a, 4b, 4c or 4d")
+         & info [] ~docv:"FIGURE"
+             ~doc:"4a, 4b, 4c, 4d, foj, methods or ablate")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"reduced scale, fast")
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"regenerate one of the paper's figures")
+    (Cmd.info "figure"
+       ~doc:"regenerate one of the paper's figures or an ablation table")
     Term.(ret (const run_figure $ fig_name $ quick))
 
 (* {1 sync} *)
 
 let run_sync () =
-  let module E = Nbsc_sim.Experiment in
   List.iter
     (fun strategy ->
-       match E.sync_window ~strategy () with
+       match E.sync_window ~setup:ten_k_setup ~strategy () with
        | Error e -> say "sync window failed: %s" (Nbsc_error.to_string e)
        | Ok r ->
          say "%-22s final-iteration records=%d wall=%s forced aborts=%d"
@@ -349,7 +425,10 @@ let run_sync () =
 
 let sync_cmd =
   Cmd.v
-    (Cmd.info "sync" ~doc:"measure the synchronization window per strategy")
+    (Cmd.info "sync"
+       ~doc:
+         "measure the synchronization window per strategy (10 000-row \
+          split under 75% workload)")
     Term.(ret (const run_sync $ const ()))
 
 (* {1 matrix} *)
@@ -706,10 +785,30 @@ let stats_cmd =
 
 (* {1 trace} *)
 
+(* One JSON object per line with [ev], [name] and [at]. Span events
+   also carry an integer [span]; a [parent], when present, names a span
+   opened on an earlier line, and a [span_close] closes a span that is
+   open. *)
 let validate_jsonl path =
   let ic = open_in path in
   let lines = ref 0 and errors = ref 0 in
+  (* Every span opened so far, mapped to whether it is still open. *)
+  let spans = Hashtbl.create 64 in
   let complain fmt = incr errors; say fmt in
+  let check_span fields ev =
+    match List.assoc_opt "span" fields with
+    | Some (Json.Int id) ->
+      (match List.assoc_opt "parent" fields with
+       | None -> ()
+       | Some (Json.Int p) when Hashtbl.mem spans p -> ()
+       | Some _ ->
+         complain "line %d: parent does not name a span opened earlier" !lines);
+      if ev = "span_open" then Hashtbl.replace spans id true
+      else if Hashtbl.find_opt spans id = Some true then
+        Hashtbl.replace spans id false
+      else complain "line %d: span_close of span %d, which is not open" !lines id
+    | _ -> complain "line %d: %s without an integer span" !lines ev
+  in
   (try
      while true do
        let line = input_line ic in
@@ -720,7 +819,11 @@ let validate_jsonl path =
            (fun k ->
               if not (List.mem_assoc k fields) then
                 complain "line %d: missing required field %S" !lines k)
-           [ "ev"; "name"; "at" ]
+           [ "ev"; "name"; "at" ];
+         (match List.assoc_opt "ev" fields with
+          | Some (Json.String (("span_open" | "span_close") as ev)) ->
+            check_span fields ev
+          | _ -> ())
        | Ok _ -> complain "line %d: not a JSON object" !lines
        | Error m -> complain "line %d: %s" !lines m
      done
@@ -729,7 +832,6 @@ let validate_jsonl path =
   (!lines, !errors)
 
 let run_trace seed out validate =
-  let module E = Nbsc_sim.Experiment in
   let setup = { E.quick_setup with E.seed } in
   let oc = open_out out in
   let tr =
@@ -744,8 +846,8 @@ let run_trace seed out validate =
   else begin
     let lines, errors = validate_jsonl out in
     if errors = 0 then begin
-      say "validated %d lines: every line is one JSON object with ev/name/at"
-        lines;
+      say "validated %d lines: every line is one JSON object with ev/name/at, \
+           and every span event a well-nested span" lines;
       `Ok ()
     end
     else `Error (false, Printf.sprintf "%d of %d lines malformed" errors lines)
@@ -763,7 +865,8 @@ let trace_cmd =
     Arg.(value & flag
          & info [ "validate" ]
              ~doc:"re-read the file and check one well-formed JSON object \
-                   per line with the required fields")
+                   per line with the required fields, and that span events \
+                   open and close known spans")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -794,6 +897,116 @@ let crash_demo_cmd =
        ~doc:
          "crash a durable schema change at an injected fault and resume it")
     Term.(ret (const run_crash_demo $ site $ after $ rows $ keep))
+
+(* {1 micro}
+
+   Bechamel micro-benchmarks of the substrate's hot calls, in wall-clock
+   nanoseconds per operation (OLS over the monotonic clock). *)
+
+let run_micro () =
+  let open Bechamel in
+  let open Toolkit in
+  let log = Nbsc_wal.Log.create () in
+  let table =
+    Nbsc_storage.Table.create ~name:"bench"
+      ~indexes:[ ("by_c", [ "c" ]) ]
+      (Schema.make ~key:[ "a" ]
+         [ Schema.column ~nullable:false "a" Value.TInt;
+           Schema.column "b" Value.TText; Schema.column "c" Value.TInt ])
+  in
+  let n = ref 0 in
+  let locks = Nbsc_lock.Lock_table.create () in
+  let key_of i = Row.make [ Value.Int i ] in
+  let sample_row =
+    Row.make [ Value.Int 1; Value.Text "hello world"; Value.Int 42 ]
+  in
+  for i = 0 to 9_999 do
+    ignore
+      (Nbsc_storage.Table.insert table
+         ~lsn:(Nbsc_wal.Lsn.of_int (i + 1))
+         (Row.make
+            [ Value.Int i; Value.Text ("b" ^ string_of_int i);
+              Value.Int (i mod 97) ]))
+  done;
+  let tests =
+    [ Test.make ~name:"log append+get"
+        (Staged.stage (fun () ->
+             incr n;
+             let lsn =
+               Nbsc_wal.Log.append log ~txn:1 ~prev_lsn:Nbsc_wal.Lsn.zero
+                 (Nbsc_wal.Log_record.Op
+                    (Nbsc_wal.Log_record.Insert
+                       { table = "t"; row = sample_row }))
+             in
+             ignore (Nbsc_wal.Log.get log lsn)));
+      Test.make ~name:"log record encode/decode"
+        (Staged.stage (fun () ->
+             let r =
+               { Nbsc_wal.Log_record.lsn = Nbsc_wal.Lsn.of_int 7;
+                 txn = 3;
+                 prev_lsn = Nbsc_wal.Lsn.of_int 6;
+                 body =
+                   Nbsc_wal.Log_record.Op
+                     (Nbsc_wal.Log_record.Insert
+                        { table = "t"; row = sample_row })
+               }
+             in
+             ignore (Nbsc_wal.Log_record.decode (Nbsc_wal.Log_record.encode r))));
+      Test.make ~name:"lock acquire+release"
+        (Staged.stage (fun () ->
+             incr n;
+             let key = key_of (!n mod 1024) in
+             ignore
+               (Nbsc_lock.Lock_table.acquire locks ~owner:1 ~table:"t" ~key
+                  { Nbsc_lock.Compat.mode = Nbsc_lock.Compat.X;
+                    provenance = Nbsc_lock.Compat.Native });
+             Nbsc_lock.Lock_table.release locks ~owner:1 ~table:"t" ~key));
+      Test.make ~name:"table point lookup"
+        (Staged.stage (fun () ->
+             incr n;
+             ignore (Nbsc_storage.Table.find table (key_of (!n mod 10_000)))));
+      Test.make ~name:"secondary index lookup"
+        (Staged.stage (fun () ->
+             incr n;
+             ignore
+               (Nbsc_storage.Table.index_lookup table ~index:"by_c"
+                  (Row.make [ Value.Int (!n mod 97) ]))));
+      Test.make ~name:"table update"
+        (Staged.stage (fun () ->
+             incr n;
+             ignore
+               (Nbsc_storage.Table.update table
+                  ~lsn:(Nbsc_wal.Lsn.of_int (100_000 + !n))
+                  ~key:(key_of (!n mod 10_000))
+                  [ (1, Value.Text "updated") ])))
+    ]
+  in
+  let instances = Instance.[ monotonic_clock ] in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
+  in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"nbsc" tests) in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
+  in
+  let results = Analyze.all ols Instance.monotonic_clock raw in
+  let rows = ref [] in
+  Hashtbl.iter
+    (fun name est ->
+       match Analyze.OLS.estimates est with
+       | Some [ e ] -> rows := (name, e) :: !rows
+       | _ -> rows := (name, nan) :: !rows)
+    results;
+  List.iter
+    (fun (name, e) -> say "%-32s %10.1f ns/op" name e)
+    (List.sort compare !rows);
+  `Ok ()
+
+let micro_cmd =
+  Cmd.v
+    (Cmd.info "micro"
+       ~doc:"Bechamel micro-benchmarks of the substrate (ns per operation)")
+    Term.(ret (const run_micro $ const ()))
 
 (* {1 scrub and its drill helpers} *)
 
@@ -917,4 +1130,4 @@ let () =
              ~doc:"online, non-blocking relational schema changes")
           [ demo_cmd; concurrent_cmd; figure_cmd; sync_cmd; matrix_cmd;
             log_cmd; contention_cmd; crash_demo_cmd; stats_cmd; trace_cmd;
-            scrub_cmd; mkstore_cmd; flip_cmd ]))
+            micro_cmd; scrub_cmd; mkstore_cmd; flip_cmd ]))

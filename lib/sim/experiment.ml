@@ -11,11 +11,11 @@ type point = {
 }
 
 let pp_point ppf p =
-  Format.fprintf ppf "x=%6.2f  rel_tput=%.4f  rel_rt=%.4f  %s" p.x
-    p.rel_throughput p.rel_response
+  Format.fprintf ppf "%-10.4f %14.4f %14.4f  %s" p.x p.rel_throughput
+    p.rel_response
     (match p.tf_done_at with
      | Some t -> Printf.sprintf "done@%d" t
-     | None -> if p.tf_completed then "done" else "NOT-CONVERGED")
+     | None -> if p.tf_completed then "done" else "still running")
 
 type setup = {
   scale : int;
@@ -502,7 +502,6 @@ let phases_to_json phases =
        phases)
 
 type traced = {
-  tr_result : Sim.result;
   tr_events : Obs.event list;
   tr_phases : phase_timing list;
 }
@@ -522,9 +521,8 @@ let traced_run ?(setup = quick_setup) ?sink () =
     | Some s -> Obs.Registry.attach (Db.obs db) s
     | None -> ()
   in
-  let r =
-    Sim.run ~kind ~workload ~on_db ~background:(Sim.Transformation tf)
-      ~duration:(setup.duration * 10) ~warmup:setup.warmup ()
-  in
+  ignore
+    (Sim.run ~kind ~workload ~on_db ~background:(Sim.Transformation tf)
+       ~duration:(setup.duration * 10) ~warmup:setup.warmup ());
   let events = Obs.memory_events mem in
-  { tr_result = r; tr_events = events; tr_phases = phase_timings events }
+  { tr_events = events; tr_phases = phase_timings events }

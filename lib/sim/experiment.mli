@@ -1,7 +1,7 @@
 (** The paper's experiments (Sec. 6, Figure 4), as parameter sweeps
     over paired simulation runs.
 
-    Each function returns the series a figure plots; the bench harness
+    Each function returns the series a figure plots; [nbsc figure]
     prints them. Absolute numbers depend on the cost model (see
     DESIGN.md); the claims under reproduction are the {e shapes}:
     interference grows with workload, response time suffers more than
@@ -18,6 +18,8 @@ type point = {
 }
 
 val pp_point : Format.formatter -> point -> unit
+(** One table row: x, relative throughput, relative response time and
+    the completion status ([done@T] or [still running]). *)
 
 type setup = {
   scale : int;
@@ -160,11 +162,10 @@ val pp_policy_row : Format.formatter -> policy_row -> unit
 
 (** {1 A traced fixed-seed run}
 
-    The shared harness behind [nbsc trace], [bench --trace] and the
-    span-nesting tests: a split transformation under 75% workload with
-    every trace event captured. Because the registry clock is the
-    simulator's virtual time, the same [setup.seed] always produces the
-    same trace. *)
+    The shared harness behind [nbsc trace] and the span-nesting tests:
+    a split transformation under 75% workload with every trace event
+    captured. Because the registry clock is the simulator's virtual
+    time, the same [setup.seed] always produces the same trace. *)
 
 (** One span's lifetime, extracted from the event stream. *)
 type phase_timing = {
@@ -175,17 +176,13 @@ type phase_timing = {
   ph_end : float option;       (** [None] if still open at the horizon *)
 }
 
-val phase_timings : Nbsc_obs.Obs.event list -> phase_timing list
-(** Spans in open order, paired with their close events. *)
-
 val phases_to_json : phase_timing list -> Nbsc_obs.Json.t
-(** The per-phase timing report the bench prints:
+(** The per-phase timing report [nbsc trace] prints:
     [[{"name":..,"span":..,"parent":..?,"start":..,"end":..?}, ...]]. *)
 
 type traced = {
-  tr_result : Sim.result;
   tr_events : Nbsc_obs.Obs.event list;  (** everything, oldest first *)
-  tr_phases : phase_timing list;
+  tr_phases : phase_timing list;  (** spans in open order *)
 }
 
 val traced_run : ?setup:setup -> ?sink:Nbsc_obs.Obs.sink -> unit -> traced

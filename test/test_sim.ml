@@ -139,6 +139,17 @@ let test_method_comparison_rows () =
   Alcotest.(check bool) "blocking stalled someone" true
     (blocking.Experiment.m_retries > 0)
 
+(* Fig. 4(d) sweeps priorities from 0.0005: the printed row must tell
+   them apart. *)
+let test_point_prints_small_x () =
+  let row =
+    Format.asprintf "%a" Experiment.pp_point
+      { Experiment.x = 0.0005; rel_throughput = 0.98; rel_response = 1.1;
+        tf_completed = false; tf_done_at = None }
+  in
+  Alcotest.(check string) (Printf.sprintf "x column of %S" row) "0.0005"
+    (String.sub row 0 6)
+
 (* {1 WAL soak}
 
    The bounded-memory claim (ISSUE: tentpole acceptance): under a
@@ -213,4 +224,6 @@ let () =
           Alcotest.test_case "metrics math" `Quick test_metrics_relative;
           Alcotest.test_case "sync window report" `Quick test_sync_window_report;
           Alcotest.test_case "method comparison" `Quick
-            test_method_comparison_rows ] ) ]
+            test_method_comparison_rows;
+          Alcotest.test_case "point prints a small x" `Quick
+            test_point_prints_small_x ] ) ]
