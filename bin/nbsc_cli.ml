@@ -380,12 +380,7 @@ let run_figure name quick =
     List.iter
       (fun r -> say "%a" E.pp_batch_row r)
       (E.batch_sweep ~setup ~batches:[ 4; 16; 64; 256; 1024 ] ());
-    say "-- iteration-analysis policies (paper Sec. 3.3's three bases) --";
-    (match E.policy_comparison ~setup () with
-     | Ok rows ->
-       List.iter (fun r -> say "%a" E.pp_policy_row r) rows;
-       `Ok ()
-     | Error e -> `Error (false, Nbsc_error.to_string e))
+    `Ok ()
   | other ->
     `Error
       (false,
@@ -508,7 +503,7 @@ let run_contention governed duration =
     { Sc.Options.default with
       Sc.Options.scan_batch = 8;
       propagate_batch = 16;
-      analysis = Analysis.Remaining_records 8;
+      sync_lag = 8;
       sync = Sc.Options.Nonblocking_commit;
       drop_sources = false;
       (* Governed runs let the change finish, so the governor's

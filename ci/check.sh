@@ -32,6 +32,12 @@ NBSC_CONTENTION_SEED=42 dune exec test/test_contention.exe
 echo "== lock suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_lock.exe
 
+# The deadlock suite at a pinned seed, for the same reason: its
+# property (acyclic after resolution; victims disarmed) draws random
+# lock schedules against youngest-in-cycle detection.
+echo "== deadlock suite (fixed seed) =="
+QCHECK_SEED=42 dune exec test/test_deadlock.exe
+
 # Storage-integrity matrix at a pinned seed: checksummed-format
 # verification, disk-error model (EIO retry, ENOSPC degraded mode),
 # and the flip/truncate fuzz property.

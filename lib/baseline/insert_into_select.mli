@@ -4,9 +4,9 @@
     involved tables, evaluate the transformation query, insert the
     result, switch. Correct and simple — and the tables are unavailable
     for the whole duration, which for large tables "could easily take
-    tens of minutes". The benches run this against the same workloads
-    as the non-blocking framework to regenerate the paper's motivating
-    comparison.
+    tens of minutes". [nbsc figure methods] runs this against the same
+    workload as the non-blocking framework to regenerate the paper's
+    motivating comparison.
 
     Implemented as an incremental background job like {!Transform} so
     the simulator can drive it — but it holds table latches from the

@@ -12,7 +12,7 @@
     rules the framework uses, but immediately and inside the user
     operation. The simulator charges the triggered rule
     applications to the user operation's cost, which is exactly the
-    comparison the ablation bench makes. *)
+    comparison [nbsc figure methods] makes. *)
 
 open Nbsc_core
 

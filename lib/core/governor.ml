@@ -17,29 +17,20 @@
    observations in and multiplies its own notion of priority by
    [gain]. *)
 
-type config = {
-  window : int;
-      (* lag observations per escalation decision; small windows react
-         fast, large ones tolerate noise *)
-  escalate : float;   (* gain multiplier when a window shows no progress *)
-  relax : float;      (* gain multiplier (< 1) when caught up *)
-  max_gain : float;   (* escalation ceiling *)
-  lag_slack : int;    (* lag at or below this counts as caught up *)
-  rt_tolerance : float;
-      (* relax only once response time is within this factor of the
-         baseline established before we escalated *)
-}
+(* Lag observations per escalation decision: small windows react fast,
+   large ones tolerate noise. *)
+let window = 6
 
-let default_config =
-  { window = 6;
-    escalate = 2.0;
-    relax = 0.5;
-    max_gain = 4096.0;
-    lag_slack = 4;
-    rt_tolerance = 1.5 }
+let escalate = 2.0  (* gain multiplier when a window shows no progress *)
+let relax = 0.5  (* gain multiplier (< 1) when caught up *)
+let max_gain = 4096.0  (* escalation ceiling *)
+let lag_slack = 4  (* lag at or below this counts as caught up *)
+
+(* Relax only once response time is within this factor of the baseline
+   established before we escalated. *)
+let rt_tolerance = 1.5
 
 type t = {
-  config : config;
   mutable gain : float;
   mutable obs : int;          (* observations in the current window *)
   mutable window_min : int;   (* best (lowest) lag seen this window *)
@@ -56,10 +47,9 @@ type stats = {
   relaxes : int;
 }
 
-let create ?(config = default_config) ?obs:registry () =
+let create ?obs:registry () =
   let t =
-    { config;
-      gain = 1.0;
+    { gain = 1.0;
       obs = 0;
       window_min = max_int;
       prev_min = max_int;
@@ -90,16 +80,16 @@ let observe_response t ~rt =
 
 let rt_recovered t =
   t.rt_baseline = 0.0 || t.rt_ema = 0.0
-  || t.rt_ema <= t.rt_baseline *. t.config.rt_tolerance
+  || t.rt_ema <= t.rt_baseline *. rt_tolerance
 
 let relax_step t =
   if t.gain > 1.0 then begin
-    t.gain <- Float.max 1.0 (t.gain *. t.config.relax);
+    t.gain <- Float.max 1.0 (t.gain *. relax);
     t.n_relaxes <- t.n_relaxes + 1
   end
 
 let observe_lag t ~lag =
-  if lag <= t.config.lag_slack then begin
+  if lag <= lag_slack then begin
     (* Caught up: yield the boost back, but only once the users have
        actually recovered — dropping the gain while response time is
        still inflated would oscillate. *)
@@ -111,12 +101,12 @@ let observe_lag t ~lag =
   else begin
     if lag < t.window_min then t.window_min <- lag;
     t.obs <- t.obs + 1;
-    if t.obs >= t.config.window then begin
+    if t.obs >= window then begin
       (* A full window without the best lag improving on the previous
          window's best means we are losing (or merely holding) ground:
          escalate. *)
-      if t.window_min >= t.prev_min && t.gain < t.config.max_gain then begin
-        t.gain <- Float.min t.config.max_gain (t.gain *. t.config.escalate);
+      if t.window_min >= t.prev_min && t.gain < max_gain then begin
+        t.gain <- Float.min max_gain (t.gain *. escalate);
         t.n_escalations <- t.n_escalations + 1
       end;
       t.prev_min <- t.window_min;

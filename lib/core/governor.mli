@@ -16,22 +16,13 @@
     The governor holds no clock and drives nothing. Schedulers feed
     {!observe_lag} / {!observe_response} and read {!gain}; one instance
     must not be shared between concurrent runs (it is mutable). Wire it
-    into a transformation via [Options.pace]. *)
+    into a transformation via [Options.pace].
 
-type config = {
-  window : int;         (** lag observations per escalation decision *)
-  escalate : float;     (** gain multiplier on a no-progress window *)
-  relax : float;        (** gain multiplier ([< 1]) when caught up *)
-  max_gain : float;     (** escalation ceiling *)
-  lag_slack : int;      (** lag at or below this counts as caught up *)
-  rt_tolerance : float;
-      (** relax only once response time is within this factor of the
-          pre-escalation baseline *)
-}
-
-val default_config : config
-(** window 6, escalate 2.0, relax 0.5, max_gain 4096, lag_slack 4,
-    rt_tolerance 1.5. *)
+    The loop's constants: a decision every 6 lag observations; a
+    no-progress window doubles the gain, up to 4096; a lag of at most 4
+    counts as caught up, and then each observation halves the gain
+    toward 1 once response time is within 1.5× its pre-escalation
+    baseline. *)
 
 type t
 
@@ -41,7 +32,7 @@ type stats = {
   relaxes : int;
 }
 
-val create : ?config:config -> ?obs:Nbsc_obs.Obs.Registry.t -> unit -> t
+val create : ?obs:Nbsc_obs.Obs.Registry.t -> unit -> t
 (** [obs], when given, registers the probes [governor.gain],
     [governor.escalations] and [governor.relaxes] — read-on-demand
     views of this instance's state, so snapshots see the governor

@@ -5,7 +5,7 @@ type migration = Eager | Lazy | Hybrid of { sweep_quantum : int }
 type t = {
   scan_batch : int;
   propagate_batch : int;
-  analysis : Analysis.policy;
+  sync_lag : int;
   sync : sync;
   strategy : migration;
   drop_sources : bool;
@@ -16,7 +16,7 @@ type t = {
 let default =
   { scan_batch = 256;
     propagate_batch = 256;
-    analysis = Analysis.default;
+    sync_lag = 8;
     sync = Nonblocking_abort;
     strategy = Eager;
     drop_sources = true;
@@ -37,28 +37,18 @@ let validate t =
       (`Invalid
         (Printf.sprintf "propagate_batch must be >= 1 (got %d)"
            t.propagate_batch))
+  else if t.sync_lag < 0 then
+    (* Lag is never negative, so synchronization would never start. *)
+    Error
+      (`Invalid (Printf.sprintf "sync_lag must be >= 0 (got %d)" t.sync_lag))
   else
-    (* Lag is never negative, so a negative record threshold or shrink
-       floor could never be met: synchronization would never start. *)
-    match t.analysis with
-    | Analysis.Remaining_records n when n < 0 ->
+    match t.strategy with
+    | Hybrid { sweep_quantum } when sweep_quantum < 1 ->
       Error
         (`Invalid
-          (Printf.sprintf "remaining-records threshold must be >= 0 (got %d)"
-             n))
-    | Analysis.Iteration_shrink { floor; _ } when floor < 0 ->
-      Error
-        (`Invalid
-          (Printf.sprintf "iteration-shrink floor must be >= 0 (got %d)"
-             floor))
-    | Analysis.(Remaining_records _ | Iteration_shrink _ | Estimated_time _) ->
-      (match t.strategy with
-       | Hybrid { sweep_quantum } when sweep_quantum < 1 ->
-         Error
-           (`Invalid
-             (Printf.sprintf "hybrid sweep_quantum must be >= 1 (got %d)"
-                sweep_quantum))
-       | Eager | Lazy | Hybrid _ -> Ok t)
+          (Printf.sprintf "hybrid sweep_quantum must be >= 1 (got %d)"
+             sweep_quantum))
+    | Eager | Lazy | Hybrid _ -> Ok t
 
 let check t =
   match validate t with Ok t -> t | Error e -> Nbsc_error.fail e

@@ -13,7 +13,8 @@
     - drives the {e consistency checker} callbacks when it encounters
       CC-begin / CC-ok records (split of inconsistent data, Sec. 5.3);
     - exposes its {e lag} (remaining log records), the quantity the
-      iteration analysis uses to decide when to synchronize. *)
+      iteration analysis compares with [Options.sync_lag] to decide
+      when to synchronize. *)
 
 open Nbsc_value
 open Nbsc_wal
@@ -72,7 +73,7 @@ val step : t -> limit:int -> int
 val run_to_head : t -> int
 (** The final, latched propagation: consume everything. Returns the
     number of records consumed — the paper's claim is that this is tiny
-    (sub-millisecond) when the iteration analysis chose well. *)
+    (sub-millisecond) when synchronization started at a small lag. *)
 
 val lag : t -> int
 val position : t -> Lsn.t

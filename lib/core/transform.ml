@@ -42,7 +42,6 @@ type t = {
   unknown : unit -> int;
   holder : int;  (* latch holder id, also the interceptor id *)
   job_name : string;
-  analysis : Analysis.t;
   mutable tphase : phase;
   mutable route : [ `Sources | `Targets ];
   mutable iterations : int;
@@ -387,7 +386,7 @@ let cc_ready t = match t.consistency with None -> true | Some _ -> t.unknown () 
 let try_sync t =
   if
     t.options.Options.sync_gate ()
-    && Analysis.ready t.analysis ~lag:(Propagator.lag t.prop)
+    && Propagator.lag t.prop <= t.options.Options.sync_lag
   then
     if cc_ready t then begin_sync t
     else begin
@@ -420,15 +419,12 @@ let step_quantum t =
        t.tphase <- Propagating
      end
    | Propagating ->
-     let consumed =
-       Propagator.step t.prop
-         ~limit:(paced_batch t.options t.options.Options.propagate_batch)
-     in
-     Analysis.observe t.analysis ~lag:(Propagator.lag t.prop) ~consumed;
+     ignore
+       (Propagator.step t.prop
+          ~limit:(paced_batch t.options t.options.Options.propagate_batch));
      if Propagator.lag t.prop = 0 && not t.caught_up_once then begin
        t.caught_up_once <- true;
-       t.iterations <- t.iterations + 1;
-       Analysis.end_iteration t.analysis
+       t.iterations <- t.iterations + 1
      end;
      if Propagator.lag t.prop > 0 then t.caught_up_once <- false;
      ignore (try_sync t)
@@ -436,10 +432,7 @@ let step_quantum t =
      (match t.consistency with
       | Some cc -> ignore (Consistency.step cc)
       | None -> ());
-     let consumed =
-       Propagator.step t.prop ~limit:t.options.Options.propagate_batch
-     in
-     Analysis.observe t.analysis ~lag:(Propagator.lag t.prop) ~consumed;
+     ignore (Propagator.step t.prop ~limit:t.options.Options.propagate_batch);
      if cc_ready t then begin
        t.tphase <- Propagating;
        ignore (try_sync t)
@@ -580,7 +573,6 @@ let register db ~options ?resume ?job_name packed =
       unknown = T.unknown_flags;
       holder;
       job_name;
-      analysis = Analysis.create options.Options.analysis;
       tphase;
       route;
       iterations = 0;

@@ -18,7 +18,7 @@
       atomic-rename protocol and WAL-tail truncation must absorb;
     - [Io_error {errno; transient}] — a failing syscall at a physical
       write boundary. [EIO] with [transient = true] models a blip the
-      persist layer retries with bounded jittered backoff;
+      persist layer retries at once, a bounded number of times;
       [transient = false] models a condition (dead or full disk): the
       arming {e stays armed}, firing on every consultation until
       {!disarm} — [ENOSPC] puts the transaction manager into degraded

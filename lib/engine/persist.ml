@@ -26,13 +26,23 @@ let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
 let io f = try Ok (f ()) with Sys_error m -> Error (`Io m)
 
-(* Deterministic jitter source for transient-EIO retries: the engine
-   has no ambient randomness (fixed-seed runs must stay byte-identical)
-   and the jitter only needs to decorrelate, not be unpredictable. *)
-let retry_rng = Random.State.make [| 0xC5C32; 0x10 |]
+(* A transient EIO is a blip: rerun the write at once, up to this many
+   times, counting each retry in [storage.io_retries]. The engine is
+   cooperative and single-threaded, so there is nothing to wait for.
+   Anything else (persistent EIO, ENOSPC, a real [Sys_error]) goes to
+   the caller's handling; so does the blip that outlasts the budget. *)
+let io_retry_budget = 4
 
-let on_io_retry ~attempt:_ ~delay:_ =
-  Obs.Counter.incr (Disk_format.io_retries ())
+let with_transient_retries f =
+  let rec go attempt =
+    match f () with
+    | v -> v
+    | exception Fault.Io_injected { errno = Fault.EIO; transient = true; _ }
+      when attempt < io_retry_budget ->
+      Obs.Counter.incr (Disk_format.io_retries ());
+      go (attempt + 1)
+  in
+  go 0
 
 (* Flip one byte in the middle of a framed line — the [Bit_flip] fault
    effect. Applied {e after} the CRC was computed, exactly like media
@@ -93,7 +103,7 @@ let write_atomic ?fault_write ?fault_rename ~magic ~count path body =
         (match fault_rename with Some site -> Fault.hit site | None -> ());
         Sys.rename tmp path)
   in
-  match Io_retry.with_transient_retries ~rng:retry_rng ~on_retry:on_io_retry run with
+  match with_transient_retries run with
   | r -> r
   | exception Fault.Io_injected { errno = Fault.ENOSPC; site; _ } ->
     Obs.Counter.incr (Disk_format.disk_full_stalls ());
@@ -159,7 +169,7 @@ let read_wal_lines path =
 
 (* Physical write of the buffered sink lines — the durability barrier's
    bottom half, and the one place the engine meets a failing disk.
-   Transient EIO retries with jittered backoff ([storage.io_retries]);
+   A transient EIO is retried at once ([storage.io_retries]);
    ENOSPC keeps the bytes buffered and puts the manager into degraded
    mode ([storage.disk_full_stalls]) instead of failing the caller —
    the buffered suffix only ever holds records not yet promised
@@ -177,10 +187,7 @@ let flush_buf t =
         flush t.out
       end
     in
-    match
-      Io_retry.with_transient_retries ~rng:retry_rng ~on_retry:on_io_retry
-        attempt
-    with
+    match with_transient_retries attempt with
     | () ->
       if Nbsc_txn.Manager.disk_full mgr then
         Nbsc_txn.Manager.clear_disk_full mgr

@@ -29,8 +29,9 @@
     into every durability step: sites [wal_append], [snapshot_write],
     [snapshot_rename] and [wal_rewrite] fire on the write paths, and
     [snapshot_load], [recovery_truncate] and [recovery_replay] inside
-    {!open_dir} itself (crash-during-recovery). Transient [EIO] is
-    retried with bounded jittered backoff ({!Io_retry}); [ENOSPC]
+    {!open_dir} itself (crash-during-recovery). A transient [EIO] is
+    retried at once, up to four times, each retry counted in
+    [storage.io_retries]; a persistent one surfaces as [`Io]. [ENOSPC]
     puts the transaction manager into degraded mode
     ({!Nbsc_txn.Manager.disk_full}) instead of failing the engine. *)
 

@@ -3,11 +3,6 @@ module Obs = Nbsc_obs.Obs
 
 type owner = int
 
-type policy =
-  | Wait_die
-  | Wound_wait
-  | Youngest_in_cycle
-
 type verdict =
   | Wait
   | Die of owner list
@@ -32,7 +27,6 @@ module Rtbl = Hashtbl.Make (Res)
 type entry = { w_owner : owner; mutable w_lock : Compat.lock }
 
 type t = {
-  mutable policy : policy;
   queues : entry list ref Rtbl.t;  (* head = front of the FIFO *)
   queued_on : (owner, Res.t list ref) Hashtbl.t;
   waits_for : (owner, owner list) Hashtbl.t;
@@ -42,12 +36,11 @@ type t = {
   max_queue : Obs.Gauge.t;
 }
 
-let create ?(policy = Youngest_in_cycle) ?obs () =
+let create ?obs () =
   (* Counters live in the observability registry — the caller's, so
      they show up in Db snapshots, or a private one otherwise. *)
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
   {
-    policy;
     queues = Rtbl.create 64;
     queued_on = Hashtbl.create 64;
     waits_for = Hashtbl.create 64;
@@ -56,9 +49,6 @@ let create ?(policy = Youngest_in_cycle) ?obs () =
     n_victims = Obs.Registry.counter obs "lock.victims";
     max_queue = Obs.Registry.gauge obs "lock.max_queue";
   }
-
-let policy t = t.policy
-let set_policy t p = t.policy <- p
 
 (* ---- queue maintenance ------------------------------------------- *)
 
@@ -170,47 +160,23 @@ let remove_txn t ~owner =
 
 (* ---- the verdict ------------------------------------------------- *)
 
+(* Block freely; a wait that closes a cycle kills the cycle's youngest
+   member. Waits that form no cycle never abort anyone. *)
 let block t ~waiter ~requests ~blockers =
   Obs.Counter.incr t.n_waits;
   requeue t waiter requests;
-  match t.policy with
-  | Wait_die ->
-    (* Older blockers win: a waiter younger than any holder restarts.
-       No cycle can ever form (waits only point at younger ids). *)
-    if List.exists (fun b -> b < waiter) blockers then begin
-      Obs.Counter.incr t.n_victims;
+  set_edges t waiter blockers;
+  match find_cycle t ~start:waiter with
+  | None -> Wait
+  | Some cycle ->
+    Obs.Counter.incr t.n_cycles;
+    Obs.Counter.incr t.n_victims;
+    let victim = List.fold_left max min_int cycle in
+    if victim = waiter then begin
       remove_txn t ~owner:waiter;
-      Die blockers
+      Die cycle
     end
-    else begin
-      set_edges t waiter blockers;
-      Wait
-    end
-  | Wound_wait ->
-    (* Older waiters kill younger holders in their way, one per verdict
-       (the caller retries and comes back for the next). *)
-    let prey = List.filter (fun b -> b > waiter) blockers in
-    (match prey with
-     | [] ->
-       set_edges t waiter blockers;
-       Wait
-     | _ ->
-       Obs.Counter.incr t.n_victims;
-       set_edges t waiter blockers;
-       Wound (List.fold_left max min_int prey))
-  | Youngest_in_cycle ->
-    set_edges t waiter blockers;
-    (match find_cycle t ~start:waiter with
-     | None -> Wait
-     | Some cycle ->
-       Obs.Counter.incr t.n_cycles;
-       Obs.Counter.incr t.n_victims;
-       let victim = List.fold_left max min_int cycle in
-       if victim = waiter then begin
-         remove_txn t ~owner:waiter;
-         Die cycle
-       end
-       else Wound victim)
+    else Wound victim
 
 (* ---- fairness ---------------------------------------------------- *)
 

@@ -16,37 +16,24 @@
       with an earlier waiter's is told to wait behind it, so writers
       starve neither under reader streams nor under retry races.
 
-    Victim selection is pluggable ({!policy}): the classic
-    prevention schemes (wait-die, wound-wait, which never need the
-    graph) and detection proper (cycle search on block, youngest
-    transaction in the cycle dies). The verdicts only {e name} the
-    victim; rollback belongs to the transaction manager, which owns the
-    undo machinery. *)
+    Deadlocks are detected, not prevented: every block searches for a
+    cycle through the new edge, and the youngest transaction on a cycle
+    is the victim. The verdicts only {e name} the victim; rollback
+    belongs to the transaction manager, which owns the undo
+    machinery. *)
 
 type owner = int
 (** Transaction id; ids increase with age ({!Nbsc_txn} hands them out),
     so [a < b] means [a] is older. *)
 
-type policy =
-  | Wait_die
-      (** an older waiter waits; a younger waiter dies (no graph needed,
-          no wounds — restarts are the waiter's own) *)
-  | Wound_wait
-      (** an older waiter wounds (kills) younger lock holders in its
-          way; a younger waiter waits *)
-  | Youngest_in_cycle
-      (** detection proper: block freely, search for a cycle through
-          the new edge, kill the youngest transaction on it — waits
-          that form no cycle never abort anyone *)
-
 type verdict =
   | Wait  (** no deadlock (yet): stay blocked and retry *)
   | Die of owner list
-      (** the waiter itself is the victim; the payload is the cycle
-          (detection) or the conflicting owners (wait-die) *)
+      (** the waiter itself is the youngest on the cycle, and the
+          victim; the payload is the cycle *)
   | Wound of owner
-      (** this {e other} transaction is the victim; the caller rolls it
-          back and retries the request *)
+      (** this {e other} transaction, the youngest on the cycle, is the
+          victim; the caller rolls it back and retries the request *)
 
 type stats = {
   waits : int;      (** block events registered *)
@@ -57,30 +44,23 @@ type stats = {
 
 type t
 
-val create : ?policy:policy -> ?obs:Nbsc_obs.Obs.Registry.t -> unit -> t
-(** Default policy: {!Youngest_in_cycle} — pure detection preserves the
-    engine's historical behaviour (a block with no cycle is still just
-    [`Blocked]).
-
-    The graph's counters ([lock.waits], [lock.cycles], [lock.victims],
+val create : ?obs:Nbsc_obs.Obs.Registry.t -> unit -> t
+(** The graph's counters ([lock.waits], [lock.cycles], [lock.victims],
     [lock.max_queue]) register in [obs] when given (so they appear in
     the database's observability snapshot), or in a private registry
     otherwise; {!stats} reads them back either way. *)
-
-val policy : t -> policy
-val set_policy : t -> policy -> unit
 
 val block :
   t -> waiter:owner -> requests:Lock_table_many.request list ->
   blockers:owner list -> verdict
 (** Register that [waiter] is blocked on [requests] (the full atomic
     multi-resource set — base lock plus every interceptor's extra
-    requests)
-    by [blockers], replacing any previous registration, and judge the
-    wait under the current policy. The waiter keeps its FIFO position
-    in queues it was already in; queues for resources it no longer
-    requests are left. A [Die] verdict unregisters the waiter (it is
-    about to abort, not wait). *)
+    requests) by [blockers], replacing any previous registration, and
+    judge the wait: [Wait] unless the new edges close a cycle, then
+    [Die] or [Wound] for the cycle's youngest member. The waiter keeps
+    its FIFO position in queues it was already in; queues for
+    resources it no longer requests are left. A [Die] verdict
+    unregisters the waiter (it is about to abort, not wait). *)
 
 val queued_ahead :
   t -> owner:owner -> live:(owner -> bool) ->

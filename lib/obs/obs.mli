@@ -13,8 +13,8 @@
     - none (the default) — tracing is off and {!emit} is one physical
       equality check, so instrumented hot paths cost nothing;
     - {!memory_sink} — a bounded in-memory ring, for tests;
-    - {!jsonl_sink} — one compact JSON object per line, for the CLI
-      and the bench harness;
+    - {!jsonl_sink} — one compact JSON object per line, for
+      [nbsc trace];
     - {!callback_sink} — live subscription ([Db.Observe.subscribe]).
 
     The registry holds no wall clock: {!Registry.set_clock} injects the
@@ -120,7 +120,7 @@ module Registry : sig
   val set_clock : t -> (unit -> float) -> unit
   (** Time source stamping trace events. Default: [Sys.time] (seconds
       of CPU time — monotonic and dependency-free). The simulator
-      injects virtual time; the bench injects a wall clock. *)
+      injects virtual time; tests inject fixed stamps. *)
 
   val now : t -> float
 

@@ -1,5 +1,7 @@
 type cause = [ `Blocked | `Latched | `Frozen | `Deadlock ]
 
+(* One cause's schedule: the first delay, its growth per attempt, its
+   ceiling (virtual time units) and the attempts before giving up. *)
 type policy = {
   base : int;
   factor : int;
@@ -7,10 +9,7 @@ type policy = {
   budget : int;
 }
 
-let policy ?(factor = 2) ?(budget = max_int) ~base ~cap () =
-  { base; factor; cap; budget }
-
-let default_policies ~op_cost =
+let policies ~op_cost =
   let o = max 1 op_cost in
   (* Blocked: someone holds the record; delays double so a crowd of
      losers spreads out, and a bounded budget turns a hopeless wait
@@ -35,11 +34,8 @@ type t = {
   mutable deadlock_attempts : int;
 }
 
-let create ?policies ~op_cost () =
-  let policies =
-    match policies with Some p -> p | None -> default_policies ~op_cost
-  in
-  { policies;
+let create ~op_cost () =
+  { policies = policies ~op_cost;
     blocked_attempts = 0;
     latched_attempts = 0;
     frozen_attempts = 0;

@@ -5,32 +5,25 @@
     blocked on the same hot record retry at the same instant — a retry
     convoy that re-collides forever. Here each retry waits an
     exponentially growing, per-client-randomized delay, with a
-    separate policy per failure cause — [`Blocked] (bounded budget,
-    after which the client aborts cleanly), [`Latched] (short, patient
-    — transformation latches last one quantum), [`Frozen] (long,
-    unbounded — a freeze only lifts at the schema switch) and
-    [`Deadlock] (the restart pause after the engine kills a victim).
+    separate schedule per failure cause, in units of the operation cost
+    [o] and doubling per attempt:
+    - [`Blocked]: from [o] up to [32 o], 10 attempts, after which the
+      client aborts cleanly;
+    - [`Latched]: from [o / 2] up to [8 o], unbounded — transformation
+      latches last one quantum;
+    - [`Frozen]: from [4 o] up to [64 o], unbounded — a freeze only
+      lifts at the schema switch;
+    - [`Deadlock]: from [2 o] up to [16 o], unbounded — the restart
+      pause after the engine kills a victim.
 
     One instance per client; attempts reset when an operation
     succeeds or the transaction restarts. *)
 
 type cause = [ `Blocked | `Latched | `Frozen | `Deadlock ]
 
-type policy = {
-  base : int;    (** first delay, virtual time units *)
-  factor : int;  (** delay multiplier per attempt *)
-  cap : int;     (** delay ceiling *)
-  budget : int;  (** attempts before [`Give_up] *)
-}
-
-val policy : ?factor:int -> ?budget:int -> base:int -> cap:int -> unit -> policy
-(** [factor] defaults to 2, [budget] to unbounded. *)
-
-val default_policies : op_cost:int -> cause -> policy
-
 type t
 
-val create : ?policies:(cause -> policy) -> op_cost:int -> unit -> t
+val create : op_cost:int -> unit -> t
 
 val next : t -> Random.State.t -> cause -> [ `Retry of int | `Give_up ]
 (** Charge one attempt of [cause]: the jittered delay to wait before

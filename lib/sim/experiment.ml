@@ -38,7 +38,7 @@ let tf_options ?pace ~sync_gate () =
   { Options.default with
     Options.scan_batch = 16;
     propagate_batch = 32;
-    analysis = Analysis.Remaining_records 8;
+    sync_lag = 8;
     drop_sources = false;
     sync_gate;
     pace }
@@ -329,7 +329,7 @@ let threshold_sweep ?(setup = quick_setup) ~thresholds () =
     (fun threshold ->
        let options =
          { (tf_options ~sync_gate:(fun () -> true) ()) with
-           Options.analysis = Analysis.Remaining_records threshold }
+           Options.sync_lag = threshold }
        in
        let r =
          Sim.run ~kind ~workload
@@ -387,69 +387,6 @@ let batch_sweep ?(setup = quick_setup) ~batches () =
          b_rel_response = rel.Metrics.rel_response;
          b_rel_throughput = rel.Metrics.rel_throughput })
     batches
-
-(* {1 Iteration-analysis policy comparison} *)
-
-type policy_row = {
-  p_name : string;
-  p_final_records : int;
-  p_done_at : int option;
-  p_iterations : int;
-}
-
-let pp_policy_row ppf r =
-  Format.fprintf ppf "%-32s final-iteration=%5d iterations=%3d %s" r.p_name
-    r.p_final_records r.p_iterations
-    (match r.p_done_at with
-     | Some t -> Printf.sprintf "done@%d" t
-     | None -> "NOT DONE")
-
-let policy_comparison ?(setup = quick_setup) () =
-  let kind =
-    Sim.Split_scenario { t_rows = setup.scale; assume_consistent = true }
-  in
-  let workload = workload_of setup ~pct:75. ~source_share:0.2 in
-  let duration = setup.duration * 4 and warmup = setup.warmup in
-  let row (name, policy) =
-    let options =
-      { (tf_options ~sync_gate:(fun () -> true) ()) with
-        Options.analysis = policy }
-    in
-    let r =
-      Sim.run ~kind ~workload
-        ~background:(Sim.Transformation { Sim.priority = 0.05; options })
-        ~duration ~warmup ()
-    in
-    match r.Sim.tf_progress with
-    | None ->
-      (* Same contract as [sync_window]: a silent no-progress run would
-         poison the comparison, so report it instead of crashing. *)
-      Error
-        (Nbsc_error.invalidf
-           "policy_comparison (%s): the transformation never reported \
-            progress within the horizon"
-           name)
-    | Some p ->
-      Ok
-        { p_name = name;
-          p_final_records = p.Transform.final_records;
-          p_done_at = r.Sim.tf_done_at;
-          p_iterations = p.Transform.iterations }
-  in
-  List.fold_left
-    (fun acc point ->
-       match acc with
-       | Error _ as e -> e
-       | Ok rows ->
-         (match row point with
-          | Ok r -> Ok (r :: rows)
-          | Error _ as e -> e))
-    (Ok [])
-    [ ("remaining-records <= 8", Analysis.Remaining_records 8);
-      ("remaining-records <= 512", Analysis.Remaining_records 512);
-      ("iteration-shrink x0.5", Analysis.Iteration_shrink { factor = 0.5; floor = 4 });
-      ("estimated-time <= 2 steps", Analysis.Estimated_time { max_steps = 2. }) ]
-  |> Result.map List.rev
 
 (* {1 A traced fixed-seed run} *)
 

@@ -114,11 +114,12 @@ val method_comparison : ?setup:setup -> workload_pct:float -> unit ->
 
 val pp_method_row : Format.formatter -> method_row -> unit
 
-(** Ablation: the iteration-analysis threshold (paper Sec. 3.3 — "the
-    synchronization step should not be started if a significant portion
-    of the log remains to be propagated"). Sweeping the lag threshold
-    trades the size of the final latched iteration (the blocking
-    window) against how eagerly the transformation can finish. *)
+(** Ablation: the iteration analysis's lag threshold, [Options.sync_lag]
+    (paper Sec. 3.3 — "the synchronization step should not be started
+    if a significant portion of the log remains to be propagated").
+    Sweeping it trades the size of the final latched iteration (the
+    blocking window) against how eagerly the transformation can
+    finish. *)
 type threshold_row = {
   t_threshold : int;
   t_final_records : int;    (** size of the latched final iteration *)
@@ -143,22 +144,6 @@ type batch_row = {
 
 val batch_sweep : ?setup:setup -> batches:int list -> unit -> batch_row list
 val pp_batch_row : Format.formatter -> batch_row -> unit
-
-(** Ablation: the three iteration-analysis bases of paper Sec. 3.3
-    compared head-to-head. *)
-type policy_row = {
-  p_name : string;
-  p_final_records : int;
-  p_done_at : int option;
-  p_iterations : int;
-}
-
-val policy_comparison :
-  ?setup:setup -> unit -> (policy_row list, Nbsc_error.t) result
-(** Errors with [`Invalid] when any point's run never surfaced
-    transformation progress (see {!sync_window}). *)
-
-val pp_policy_row : Format.formatter -> policy_row -> unit
 
 (** {1 A traced fixed-seed run}
 

@@ -72,7 +72,6 @@ type t = {
   mutable disk_full : bool;  (* degraded: a durable append hit ENOSPC *)
   wait_graph : Wait_graph.t;
   victims : (txn_id, unit) Hashtbl.t;  (* sentenced by deadlock handling *)
-  mutable fairness : bool;
   mutable next_id : txn_id;
   mutable interceptors : installed list;  (* newest first, none empty *)
   (* Active `Snapshot transactions. Feeds the tables' version-retention
@@ -109,7 +108,6 @@ let create ?log ?obs catalog =
       disk_full = false;
       wait_graph = Wait_graph.create ~obs ();
       victims = Hashtbl.create 16;
-      fairness = true;
       next_id = 1;
       interceptors = [];
       snapshot_txns = 0;
@@ -146,7 +144,7 @@ let create ?log ?obs catalog =
            0 (Catalog.tables t.catalog)));
   (* Allocation pressure per committed transaction: GC words allocated
      since this manager was created, averaged over its commits. A cheap
-     engine-wide probe — the bench gates on it staying flat. *)
+     engine-wide probe for [nbsc stats]; nothing gates on it. *)
   let alloc_base =
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
@@ -178,12 +176,6 @@ let locks t = t.locks
 let latches t = t.latches
 let catalog t = t.catalog
 let wait_graph t = t.wait_graph
-
-let set_contention ?policy ?fairness t =
-  (match policy with
-   | Some p -> Wait_graph.set_policy t.wait_graph p
-   | None -> ());
-  match fairness with Some f -> t.fairness <- f | None -> ()
 
 let is_victim t id = Hashtbl.mem t.victims id
 
@@ -574,14 +566,12 @@ let rec take_lock t txn_id ~table ~key mode =
      already hold a lock on is exempt — an upgrade must not queue
      behind its own grant. *)
   let fairness_blockers =
-    if not t.fairness then []
-    else
-      Wait_graph.queued_ahead t.wait_graph ~owner:txn_id
-        ~live:(fun o -> is_active t o)
-        ~holds:(fun (r : Lock_table_many.request) ->
-            Lock_table.holds_any t.locks ~owner:txn_id ~table:r.table
-              ~key:r.key)
-        requests
+    Wait_graph.queued_ahead t.wait_graph ~owner:txn_id
+      ~live:(fun o -> is_active t o)
+      ~holds:(fun (r : Lock_table_many.request) ->
+          Lock_table.holds_any t.locks ~owner:txn_id ~table:r.table
+            ~key:r.key)
+      requests
   in
   let outcome =
     if fairness_blockers <> [] then Lock_table.Blocked fairness_blockers

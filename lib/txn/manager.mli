@@ -10,14 +10,14 @@
     registered in a waits-for graph ({!Nbsc_lock.Wait_graph}) covering
     the {e whole} atomic multi-resource request (base lock plus every
     interceptor's extra requests — so Fig. 2 two-schema cycles are
-    seen), and the configured victim policy ({!set_contention}) either
-    lets the wait stand ([`Blocked]), sentences the requester ([`Deadlock],
-    the transaction turns abort-only), or wounds another transaction —
-    which the manager rolls back on the spot via the CLR machinery
-    before retrying the request. Per-resource FIFO wait queues
-    additionally refuse barging (a request conflicting with an earlier
-    live waiter's pending lock blocks behind it), which keeps hot-spot
-    retries from starving the longest waiter.
+    seen). A wait that closes no cycle stands ([`Blocked]). One that
+    closes a cycle kills the cycle's youngest member: the requester
+    itself ([`Deadlock], the transaction turns abort-only), or another
+    transaction, which the manager wounds — rolls back on the spot via
+    the CLR machinery — before retrying the request. Per-resource FIFO
+    wait queues always refuse barging (a request conflicting with an
+    earlier live waiter's pending lock blocks behind it), which keeps
+    hot-spot retries from starving the longest waiter.
 
     Changes reach into user operations only through {e interceptors}
     ({!intercept}): one record per in-flight change, registered under
@@ -87,13 +87,6 @@ val catalog : t -> Catalog.t
 
 val wait_graph : t -> Wait_graph.t
 (** The engine's waits-for graph and wait queues (stats, tests). *)
-
-val set_contention :
-  ?policy:Wait_graph.policy -> ?fairness:bool -> t -> unit
-(** Tune deadlock handling: victim [policy] (default
-    {!Wait_graph.Youngest_in_cycle} — pure detection, no aborts unless
-    an actual cycle forms) and queue [fairness] (default [true]; set
-    [false] to restore first-come-retry barging). *)
 
 val is_victim : t -> txn_id -> bool
 (** Whether this transaction was ever sentenced by deadlock handling —

@@ -1,80 +1,72 @@
-(* Tests for the iteration-analysis policies (paper Sec. 3.3): the
-   three decision bases the paper lists, unit-level and end-to-end,
-   and the options validation that refuses policies which could never
-   start synchronization. *)
+(* Tests for the iteration analysis (paper Sec. 3.3): the executor
+   starts synchronization once the propagation lag is at most
+   [Options.sync_lag], a transformation driven that way converges, and
+   options validation refuses a threshold that could never be met. *)
 
 open Nbsc_core
 module H = Helpers
 
-(* {1 Unit behaviour} *)
+(* {1 The threshold, in the executor} *)
 
+let split = Spec.Split (H.split_spec ~assume_consistent:true)
+
+(* User transactions between the first steps keep the lag above
+   [sync_lag]; every propagation step that ends still propagating must
+   have seen it there. When synchronization starts, the final latched
+   iteration (non-blocking abort) holds at most [sync_lag] records. *)
 let test_remaining_records () =
-  let a = Analysis.create (Analysis.Remaining_records 5) in
-  Alcotest.(check bool) "lag 6 not ready" false (Analysis.ready a ~lag:6);
-  Alcotest.(check bool) "lag 5 ready" true (Analysis.ready a ~lag:5);
-  Alcotest.(check bool) "lag 0 ready" true (Analysis.ready a ~lag:0)
-
-let test_iteration_shrink () =
-  let a =
-    Analysis.create (Analysis.Iteration_shrink { factor = 0.5; floor = 2 })
+  let sync_lag = 5 in
+  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:60) in
+  let d = H.driver ~seed:8 db in
+  let options =
+    { Options.default with
+      Options.scan_batch = 7;
+      propagate_batch = 3;
+      sync_lag;
+      sync = Options.Nonblocking_abort;
+      drop_sources = false }
   in
-  (* First cycle: 100 records. Never ready before any cycle verdict. *)
-  Analysis.observe a ~lag:50 ~consumed:100;
-  Alcotest.(check bool) "mid-cycle not ready" false (Analysis.ready a ~lag:50);
-  Analysis.end_iteration a;
-  Alcotest.(check bool) "first cycle has no baseline" false
-    (Analysis.ready a ~lag:10);
-  (* Second cycle consumes 30 <= 0.5 * 100: shrinking. *)
-  Analysis.observe a ~lag:0 ~consumed:30;
-  Analysis.end_iteration a;
-  Alcotest.(check bool) "shrinking cycle ready" true (Analysis.ready a ~lag:10);
-  (* A growing cycle revokes readiness. *)
-  Analysis.observe a ~lag:0 ~consumed:400;
-  Analysis.end_iteration a;
-  Alcotest.(check bool) "growing cycle not ready" false
-    (Analysis.ready a ~lag:10);
-  (* Unless the cycle is below the floor outright. *)
-  Analysis.observe a ~lag:0 ~consumed:1;
-  Analysis.end_iteration a;
-  Alcotest.(check bool) "floor cycle ready" true (Analysis.ready a ~lag:10)
+  let tf = H.start db ~options split in
+  let held_back = ref 0 and synced = ref false and steps = ref 0 in
+  while Transform.phase tf <> Transform.Done && !steps < 1_000 do
+    incr steps;
+    if !steps <= 60 then
+      for _ = 1 to 3 do
+        H.random_t_op ~consistent:true d
+      done;
+    let before = Transform.phase tf in
+    ignore (Transform.step tf);
+    let p = Transform.progress tf in
+    match (before, Transform.phase tf) with
+    | Transform.Propagating, Transform.Propagating ->
+      Alcotest.(check bool) "held back only above sync_lag" true
+        (p.Transform.lag > sync_lag);
+      incr held_back
+    | Transform.Propagating, _ ->
+      synced := true;
+      Alcotest.(check bool) "final iteration within sync_lag" true
+        (p.Transform.final_records <= sync_lag)
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "completed" true (Transform.phase tf = Transform.Done);
+  Alcotest.(check bool) "synchronized from Propagating" true !synced;
+  Alcotest.(check bool) "the lag held synchronization back" true
+    (!held_back > 0)
 
-let test_estimated_time () =
-  let a = Analysis.create (Analysis.Estimated_time { max_steps = 3. }) in
-  (* Draining 10 records of lag per step. *)
-  Analysis.observe a ~lag:100 ~consumed:12;
-  Analysis.observe a ~lag:90 ~consumed:12;
-  Analysis.observe a ~lag:80 ~consumed:12;
-  Analysis.observe a ~lag:70 ~consumed:12;
-  Alcotest.(check bool) "70 lag at ~10/step not ready" false
-    (Analysis.ready a ~lag:70);
-  Alcotest.(check bool) "15 lag at ~10/step ready" true
-    (Analysis.ready a ~lag:15);
-  (* A propagator that is losing ground is never ready (except lag 0). *)
-  let b = Analysis.create (Analysis.Estimated_time { max_steps = 3. }) in
-  Analysis.observe b ~lag:100 ~consumed:5;
-  Analysis.observe b ~lag:120 ~consumed:5;
-  Analysis.observe b ~lag:140 ~consumed:5;
-  Alcotest.(check bool) "negative rate not ready" false
-    (Analysis.ready b ~lag:10);
-  Alcotest.(check bool) "lag 0 always ready" true (Analysis.ready b ~lag:0)
+(* {1 End-to-end: the threshold drives a transformation to completion
+   and it converges} *)
 
-(* {1 End-to-end: every policy drives a transformation to completion
-   and converges} *)
-
-let converges policy () =
+let converges () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:60) in
   let d = H.driver ~seed:8 db in
   let options =
     { Nbsc_core.Options.default with
       Nbsc_core.Options.scan_batch = 7;
       propagate_batch = 5;
-      analysis = policy;
+      sync_lag = 8;
       drop_sources = false }
   in
-  let tf =
-    H.start db ~options
-      (Nbsc_core.Spec.Split (H.split_spec ~assume_consistent:true))
-  in
+  let tf = H.start db ~options split in
   let budget = ref 150 in
   (match
      Nbsc_core.Transform.run tf ~between:(fun () ->
@@ -101,16 +93,9 @@ let is_invalid = function
   | Error (`Invalid _) -> true
   | _ -> false
 
-(* Lag is never negative, so these policies could never be ready:
+(* Lag is never negative, so these thresholds could never be met:
    accepted, they would keep [Transform.run] propagating forever. *)
-let never_ready =
-  [ ("remaining-records -1", Analysis.Remaining_records (-1));
-    ( "iteration-shrink floor -1",
-      Analysis.Iteration_shrink { factor = 0.5; floor = -1 } );
-    ( "iteration-shrink floor -1, factor 0",
-      Analysis.Iteration_shrink { factor = 0.; floor = -1 } );
-    ( "iteration-shrink floor -1, factor nan",
-      Analysis.Iteration_shrink { factor = Float.nan; floor = -1 } ) ]
+let never_ready = [ ("sync_lag -1", -1); ("sync_lag min_int", min_int) ]
 
 let test_validate_rejects () =
   Alcotest.(check bool) "scan_batch 0" true
@@ -125,22 +110,17 @@ let test_validate_rejects () =
           { Options.default with
             Options.strategy = Options.Hybrid { sweep_quantum = 0 } }));
   List.iter
-    (fun (name, analysis) ->
+    (fun (name, sync_lag) ->
        Alcotest.(check bool) name true
          (is_invalid
-            (Options.validate { Options.default with Options.analysis })))
+            (Options.validate { Options.default with Options.sync_lag })))
     never_ready;
   List.iter
-    (fun (name, analysis) ->
-       match Options.validate { Options.default with Options.analysis } with
+    (fun (name, sync_lag) ->
+       match Options.validate { Options.default with Options.sync_lag } with
        | Ok _ -> ()
        | Error _ -> Alcotest.failf "%s must validate" name)
-    [ ("default", Options.default.Options.analysis);
-      ("remaining-records 0", Analysis.Remaining_records 0);
-      ( "iteration-shrink floor 0",
-        Analysis.Iteration_shrink { factor = 0.5; floor = 0 } );
-      ( "estimated-time -1 steps",
-        Analysis.Estimated_time { max_steps = -1. } ) ]
+    [ ("default", Options.default.Options.sync_lag); ("sync_lag 0", 0) ]
 
 (* The record-update path bypasses every string parser; the funnel in
    [Transform.create] must still reject it with a clear error. *)
@@ -160,8 +140,8 @@ let test_create_rejects_programmatic () =
     { Options.default with
       Options.strategy = Options.Hybrid { sweep_quantum = 0 } };
   List.iter
-    (fun (name, analysis) ->
-       expect_invalid name { Options.default with Options.analysis })
+    (fun (name, sync_lag) ->
+       expect_invalid name { Options.default with Options.sync_lag })
     never_ready
 
 let test_parse_rejects () =
@@ -173,16 +153,9 @@ let test_parse_rejects () =
 let () =
   Alcotest.run "analysis"
     [ ( "policies",
-        [ Alcotest.test_case "remaining records" `Quick test_remaining_records;
-          Alcotest.test_case "iteration shrink" `Quick test_iteration_shrink;
-          Alcotest.test_case "estimated time" `Quick test_estimated_time ] );
+        [ Alcotest.test_case "remaining records" `Quick test_remaining_records ] );
       ( "end-to-end",
-        [ Alcotest.test_case "remaining-records converges" `Quick
-            (converges (Analysis.Remaining_records 8));
-          Alcotest.test_case "iteration-shrink converges" `Quick
-            (converges (Analysis.Iteration_shrink { factor = 0.7; floor = 4 }));
-          Alcotest.test_case "estimated-time converges" `Quick
-            (converges (Analysis.Estimated_time { max_steps = 2. })) ] );
+        [ Alcotest.test_case "remaining-records converges" `Quick converges ] );
       ( "options",
         [ Alcotest.test_case "validate rejects bad knobs" `Quick
             test_validate_rejects;

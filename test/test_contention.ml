@@ -61,7 +61,7 @@ let soak ~strategy ~fault () =
     { Options.default with
       Options.scan_batch = 8;
       propagate_batch = 8;
-      analysis = Analysis.Remaining_records 4;
+      sync_lag = 4;
       sync = strategy;
       drop_sources = false;
       sync_gate = (fun () -> true);

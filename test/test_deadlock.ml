@@ -1,7 +1,7 @@
 (* Tests for engine-level contention handling: the waits-for graph and
-   its victim policies, wait-queue fairness, deadlock cycles threading
-   through the extra-lock hook and through transferred locks, and the
-   anti-starvation governor. *)
+   its youngest-in-cycle detection, wait-queue fairness, deadlock cycles
+   threading through the extra-lock hook and through transferred locks,
+   and the anti-starvation governor. *)
 
 open Nbsc_value
 open Nbsc_storage
@@ -14,14 +14,12 @@ module H = Helpers
 (* Three tables with the same shape: "t" and "u" for ordinary records,
    "tgt" standing in for a transformed table that receives transferred
    locks. *)
-let fresh ?policy ?fairness () =
+let fresh () =
   let cat = Catalog.create () in
   List.iter
     (fun name -> ignore (Catalog.create_table cat ~name H.r_schema))
     [ "t"; "u"; "tgt" ];
-  let mgr = Manager.create cat in
-  Manager.set_contention ?policy ?fairness mgr;
-  mgr
+  Manager.create cat
 
 let row a = Row.make [ Value.Int a; Value.Text "x"; Value.Int 0 ]
 let key a = Row.make [ Value.Int a ]
@@ -42,7 +40,7 @@ let no_locks mgr owner =
   Alcotest.(check int) "victim holds nothing" 0
     (List.length (Lock_table.locks_of_owner (Manager.locks mgr) ~owner))
 
-(* {1 Detection (youngest-in-cycle, the default)} *)
+(* {1 Detection: the youngest on a cycle dies} *)
 
 let test_two_txn_cycle () =
   let mgr = fresh () in
@@ -104,57 +102,30 @@ let test_three_txn_cycle () =
   Alcotest.(check bool) "acyclic at rest" true
     (Wait_graph.acyclic (Manager.wait_graph mgr))
 
-(* {1 Prevention policies} *)
-
-let test_wound_wait () =
-  let mgr = fresh ~policy:Wait_graph.Wound_wait () in
+(* The cycle's youngest member is a holder, not the requester: the
+   manager wounds it (rolls it back on the spot) and the requester's
+   call goes through. *)
+let test_youngest_holder_wounded () =
+  let mgr = fresh () in
   seed mgr "t" [ 1; 2 ];
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
+  ok "t1 k1" (upd mgr t1 "t" 1);
   ok "t2 k2" (upd mgr t2 "t" 2);
-  (* The older requester wounds the younger holder and proceeds within
-     the same call — the manager rolls t2 back via the CLR machinery. *)
+  (match upd mgr t2 "t" 1 with
+   | Error (`Blocked [ o ]) -> Alcotest.(check int) "t2 waits on t1" t1 o
+   | _ -> Alcotest.fail "expected Blocked");
   ok "t1 wounds t2 and takes k2" (upd mgr t1 "t" 2);
   Alcotest.(check bool) "t2 rolled back" true
     (Manager.status mgr t2 = Manager.Aborted);
   Alcotest.(check bool) "t2 flagged victim" true (Manager.is_victim mgr t2);
   no_locks mgr t2;
-  let s = Manager.Stats.get mgr in
-  Alcotest.(check int) "one wound" 1 s.Manager.Stats.victims;
-  (* A younger requester against an older holder just waits. *)
-  let t3 = Manager.begin_txn mgr in
-  (match upd mgr t3 "t" 2 with
-   | Error (`Blocked owners) ->
-     Alcotest.(check (list int)) "younger waits" [ t1 ] owners
-   | _ -> Alcotest.fail "younger must wait");
+  Alcotest.(check bool) "graph acyclic" true
+    (Wait_graph.acyclic (Manager.wait_graph mgr));
   ok "t1 commit" (Manager.commit mgr t1);
-  ok "t3 retry" (upd mgr t3 "t" 2);
-  ok "t3 commit" (Manager.commit mgr t3)
-
-let test_wait_die () =
-  let mgr = fresh ~policy:Wait_graph.Wait_die () in
-  seed mgr "t" [ 1; 2 ];
-  let t1 = Manager.begin_txn mgr in
-  let t2 = Manager.begin_txn mgr in
-  ok "t1 k1" (upd mgr t1 "t" 1);
-  (* Younger requester vs older holder: dies on the spot. *)
-  (match upd mgr t2 "t" 1 with
-   | Error (`Deadlock blockers) ->
-     Alcotest.(check (list int)) "sentenced by t1" [ t1 ] blockers
-   | _ -> Alcotest.fail "younger must die");
-  Alcotest.(check bool) "abort-only" true (Manager.is_abort_only mgr t2);
-  ok "t2 aborts" (Manager.abort mgr t2);
-  no_locks mgr t2;
-  (* Older requester vs younger holder: waits. *)
-  let t3 = Manager.begin_txn mgr in
-  ok "t3 k2" (upd mgr t3 "t" 2);
-  (match upd mgr t1 "t" 2 with
-   | Error (`Blocked owners) ->
-     Alcotest.(check (list int)) "older waits" [ t3 ] owners
-   | _ -> Alcotest.fail "older must wait");
-  ok "t3 commit" (Manager.commit mgr t3);
-  ok "t1 retry" (upd mgr t1 "t" 2);
-  ok "t1 commit" (Manager.commit mgr t1)
+  let s = Manager.Stats.get mgr in
+  Alcotest.(check int) "no Die verdict" 0 s.Manager.Stats.deadlocks;
+  Alcotest.(check int) "one wound" 1 s.Manager.Stats.victims
 
 (* {1 Cycles through the synchronization machinery} *)
 
@@ -259,44 +230,19 @@ let test_no_barging_past_the_queue () =
   ok "t3 last" (upd mgr t3 "t" 1);
   ok "t3 commit" (Manager.commit mgr t3)
 
-let test_barging_when_fairness_off () =
-  let mgr = fresh ~fairness:false () in
-  seed mgr "t" [ 1 ];
-  let t1 = Manager.begin_txn mgr in
-  let t2 = Manager.begin_txn mgr in
-  let t3 = Manager.begin_txn mgr in
-  ok "t1 k1" (upd mgr t1 "t" 1);
-  (match upd mgr t2 "t" 1 with
-   | Error (`Blocked _) -> ()
-   | _ -> Alcotest.fail "t2 blocked");
-  ok "t1 commit" (Manager.commit mgr t1);
-  (* First retry wins, queue position or not. *)
-  ok "t3 barges" (upd mgr t3 "t" 1);
-  ok "t3 commit" (Manager.commit mgr t3);
-  ok "t2 eventually" (upd mgr t2 "t" 1);
-  ok "t2 commit" (Manager.commit mgr t2)
-
 (* {1 Properties} *)
 
-(* Whatever the schedule and policy: the waits-for graph is acyclic
-   after every resolution, a sentenced transaction releases every lock
-   on abort, and nothing is left waiting once all transactions end. *)
+(* Whatever the schedule: the waits-for graph is acyclic after every
+   resolution, a sentenced transaction releases every lock on abort,
+   and nothing is left waiting once all transactions end. *)
 let arb_schedule =
-  QCheck.(pair (int_bound 2)
-            (list_of_size Gen.(int_bound 120)
-               (pair (int_bound 3) (int_bound 5))))
+  QCheck.(list_of_size Gen.(int_bound 120) (pair (int_bound 3) (int_bound 5)))
 
 let prop_resolution_invariants =
   QCheck.Test.make ~name:"acyclic after resolution; victims disarmed"
     ~count:100 arb_schedule
-    (fun (p, schedule) ->
-       let policy =
-         match p with
-         | 0 -> Wait_graph.Youngest_in_cycle
-         | 1 -> Wait_graph.Wait_die
-         | _ -> Wait_graph.Wound_wait
-       in
-       let mgr = fresh ~policy () in
+    (fun schedule ->
+       let mgr = fresh () in
        seed mgr "t" [ 0; 1; 2; 3; 4; 5 ];
        let g = Manager.wait_graph mgr in
        let locks = Manager.locks mgr in
@@ -350,7 +296,7 @@ let test_governor_rescues_starvation () =
     { Options.default with
       Options.scan_batch = 16;
       propagate_batch = 32;
-      analysis = Analysis.Remaining_records 8;
+      sync_lag = 8;
       sync = Options.Nonblocking_abort;
       drop_sources = false;
       sync_gate = (fun () -> true);
@@ -376,10 +322,9 @@ let () =
   Alcotest.run "deadlock"
     [ ( "detection",
         [ Alcotest.test_case "two-txn cycle" `Quick test_two_txn_cycle;
-          Alcotest.test_case "three-txn cycle" `Quick test_three_txn_cycle ] );
-      ( "policies",
-        [ Alcotest.test_case "wound-wait" `Quick test_wound_wait;
-          Alcotest.test_case "wait-die" `Quick test_wait_die ] );
+          Alcotest.test_case "three-txn cycle" `Quick test_three_txn_cycle;
+          Alcotest.test_case "youngest holder wounded" `Quick
+            test_youngest_holder_wounded ] );
       ( "synchronization locks",
         [ Alcotest.test_case "cycle through the lock hook" `Quick
             test_cycle_through_lock_hook;
@@ -387,9 +332,7 @@ let () =
             test_cycle_through_transferred_lock ] );
       ( "fairness",
         [ Alcotest.test_case "no barging past the queue" `Quick
-            test_no_barging_past_the_queue;
-          Alcotest.test_case "barging with fairness off" `Quick
-            test_barging_when_fairness_off ] );
+            test_no_barging_past_the_queue ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_resolution_invariants ] );
       ( "governor",

@@ -321,13 +321,58 @@ let test_transient_eio_retried () =
      never sees it. *)
   insert p 2 "retried" 2;
   Fault.reset ();
-  Alcotest.(check bool) "a retry was counted" true
-    (counter_value (Disk_format.io_retries ()) > before);
+  Alcotest.(check int) "one retry for one blip" (before + 1)
+    (counter_value (Disk_format.io_retries ()));
   Persist.close p;
   let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
   Alcotest.(check int) "row durable despite the blip" 2
     (List.length (rows p2));
   Persist.close p2;
+  wipe dir
+
+(* {1 Persistent EIO: no retry, a typed error} *)
+
+let persistent_eio = Fault.Io_error { errno = Fault.EIO; transient = false }
+
+(* A dead disk is not retried. At the WAL flush the commit that needed
+   it raises [`Io] instead of being acknowledged; a checkpoint returns
+   [`Io] and leaves the published snapshot and WAL as they were. Either
+   way the store reopens after a crash with every acknowledged row. *)
+let test_persistent_eio () =
+  Fault.reset ();
+  let retries () = counter_value (Disk_format.io_retries ()) in
+  let dir = fresh_dir () in
+  let p = build_store ~n:2 dir in
+  let acked = rows p in
+  let before = retries () in
+  Fault.arm ~mode:persistent_eio "wal_append";
+  let mgr = Db.manager (Persist.db p) in
+  let txn = Manager.begin_txn mgr in
+  ok "insert" (Manager.insert mgr ~txn ~table:"t" (H.ri 3 "unacked" 3));
+  (match Manager.commit mgr txn with
+   | exception Nbsc_error.Error (`Io _) -> ()
+   | Ok () -> Alcotest.fail "commit acknowledged on a dead disk"
+   | Error e -> Alcotest.failf "commit: %a" Manager.pp_error e);
+  Fault.reset ();
+  Alcotest.(check int) "wal_append: no retry" before (retries ());
+  Persist.crash p;
+  let p = ok_p "reopen after the wal_append failure" (Persist.open_dir ~dir) in
+  Alcotest.(check bool) "every acknowledged row after wal_append" true
+    (List.for_all (fun r -> List.mem r (rows p)) acked);
+  insert p 4 "after" 4;
+  let acked = rows p in
+  Fault.arm ~mode:persistent_eio "snapshot_write";
+  (match Persist.checkpoint p with
+   | Error (`Io _) -> ()
+   | Ok () -> Alcotest.fail "checkpoint published on a dead disk"
+   | Error e -> Alcotest.failf "checkpoint: %a" Persist.pp_error e);
+  Fault.reset ();
+  Alcotest.(check int) "snapshot_write: no retry" before (retries ());
+  Persist.crash p;
+  let p = ok_p "reopen after the snapshot_write failure" (Persist.open_dir ~dir) in
+  Alcotest.(check bool) "every acknowledged row after snapshot_write" true
+    (List.for_all (fun r -> List.mem r (rows p)) acked);
+  Persist.close p;
   wipe dir
 
 (* {1 ENOSPC: degraded mode, reads stay up, change resumes} *)
@@ -627,7 +672,9 @@ let () =
           Alcotest.test_case "bit flip in a checkpoint's wal copy detected"
             `Quick test_bit_flip_wal_rewrite ] );
       ( "disk errors",
-        [ Alcotest.test_case "transient EIO retried" `Quick
+        [ Alcotest.test_case "persistent EIO not retried" `Quick
+            test_persistent_eio;
+          Alcotest.test_case "transient EIO retried" `Quick
             test_transient_eio_retried;
           Alcotest.test_case "ENOSPC degrades and recovers" `Quick
             test_enospc_degrades_and_recovers;

@@ -112,7 +112,7 @@ let test_engine_mix () =
     { Options.default with
       Options.scan_batch = 512;
       propagate_batch = 512;
-      analysis = Analysis.Remaining_records 64;
+      sync_lag = 64;
       drop_sources = false;
       sync_gate = (fun () -> !gate_open) }
   in
