@@ -538,9 +538,19 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
     credit := !credit +. (priority () *. float_of_int dt);
     now := !now + dt
   in
+  (* Charges are whole time units, so each one carries its fractional
+     part to the next: over a run they average [op_cost / (1 -
+     priority)]. Rounding every charge up would cost 101 units at any
+     priority below 1 % (op_cost 100), and Fig. 4(d)'s low end would
+     lose its slope. *)
+  let op_cost_carry = ref 0. in
   let inflated_op_cost () =
-    int_of_float
-      (ceil (float_of_int costs.op_cost /. (1. -. priority ())))
+    let exact =
+      (float_of_int costs.op_cost /. (1. -. priority ())) +. !op_cost_carry
+    in
+    let charge = int_of_float exact in
+    op_cost_carry := exact -. float_of_int charge;
+    charge
   in
   (* The governor cannot rely on the executor's own lag reports alone:
      a starved transformation barely steps, so its reports are as rare
