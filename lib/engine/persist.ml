@@ -112,60 +112,28 @@ let write_atomic ?fault_write ?fault_rename ~magic ~count path body =
   | exception Fault.Io_injected { errno = Fault.EIO; site; _ } ->
     Error (`Io (Printf.sprintf "persistent I/O error writing %s (site %s)" path site))
 
-(* Rewrite a file keeping already-framed lines verbatim (the torn-tail
-   trim): no re-framing, no fault sites beyond the caller's. *)
-let write_raw_atomic path raw_lines =
+(* Drop the last [n] bytes of [path], the torn tail of the WAL, through
+   a temp file and a rename like every rewrite: the complete lines are
+   copied as they are. The caller must trim before the append channel
+   reopens, or the next append would fuse with the torn prefix into a
+   newline-terminated garbage line. *)
+let trim_tail path n =
   io (fun () ->
       let tmp = path ^ ".tmp" in
-      let oc = open_out tmp in
-      List.iter
-        (fun l ->
-           output_string oc l;
-           output_char oc '\n')
-        raw_lines;
+      let ic = open_in_bin path and oc = open_out_bin tmp in
+      let blk = Bytes.create 65536 in
+      let rec copy left =
+        if left > 0 then begin
+          let k = min left (Bytes.length blk) in
+          really_input ic blk 0 k;
+          output oc blk 0 k;
+          copy (left - k)
+        end
+      in
+      copy (in_channel_length ic - n);
+      close_in ic;
       close_out oc;
       Sys.rename tmp path)
-
-let read_lines path =
-  io (fun () ->
-      let ic = open_in path in
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      in
-      go [])
-
-(* The WAL is appended in place (not rename-swapped), so a crash can
-   tear its final line. Only an {e unterminated} final line is the
-   signature of a torn append — drop it; newline-terminated garbage is
-   real corruption and must still be reported as such (the per-line
-   checksum downstream makes that detection total). Returns the
-   surviving raw lines (header included) and whether a torn tail was
-   dropped (the caller must then trim the file, or the next append
-   would fuse with the torn prefix into a newline-terminated garbage
-   line). *)
-let read_wal_lines path =
-  io (fun () ->
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      if String.equal s "" then ([], false)
-      else begin
-        let terminated = s.[String.length s - 1] = '\n' in
-        let body =
-          if terminated then String.sub s 0 (String.length s - 1) else s
-        in
-        let lines = String.split_on_char '\n' body in
-        if terminated then (lines, false)
-        else
-          match List.rev lines with
-          | _torn :: rest -> (List.rev rest, true)
-          | [] -> ([], true)
-      end)
 
 (* Physical write of the buffered sink lines — the durability barrier's
    bottom half, and the one place the engine meets a failing disk.
@@ -223,8 +191,8 @@ let attach_sink t =
           Disk_format.frame_into t.fbuf t.rbuf;
           (* A torn append first makes the buffered complete lines
              durable, then leaves a prefix of this framed line,
-             unterminated — exactly what [read_wal_lines] tolerates on
-             reopen. A bit flip damages the framed bytes after their
+             unterminated — exactly what [Disk_format.read] tolerates in
+             a WAL. A bit flip damages the framed bytes after their
              CRC was computed and continues silently. *)
           Fault.write_record "wal_append"
             ~partial:(fun () ->
@@ -238,18 +206,11 @@ let attach_sink t =
           if record.Log_record.txn = Log_record.system_txn then flush_buf t));
   Log.set_syncer log (Some (fun () -> flush_buf t))
 
-(* Open the WAL append channel; a fresh (empty) file gets its version
-   header immediately, flushed, so even a crash right after creation
-   leaves a well-formed file. *)
+(* Open the WAL append channel. The file always exists by now, header
+   included: [create_dir] writes it first, [open_dir] refuses a WAL
+   without one, and a checkpoint's rewrite publishes a whole file. *)
 let open_wal_channel path =
-  io (fun () ->
-      let out = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      if out_channel_length out = 0 then begin
-        output_string out Disk_format.wal_magic;
-        output_char out '\n';
-        flush out
-      end;
-      out)
+  io (fun () -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
 
 (* The snapshot's payload lines are streamed: [produce emit] hands each
    one to [emit] in a buffer, framed onto the temp file at once, so no
@@ -445,6 +406,15 @@ let create_dir ~dir =
   if Sys.file_exists (snapshot_path dir) then
     Error (`Io (dir ^ " already holds a database"))
   else
+    (* The WAL first, so the snapshot's rename publishes a store that
+       has both files. A WAL found here was left by a [create_dir] that
+       crashed before that rename; it holds no record and is replaced. *)
+    let* () =
+      write_atomic ~magic:Disk_format.wal_magic
+        ~count:(fun () -> 0)
+        (wal_path dir)
+        (fun _ ~flip_at:_ -> ())
+    in
     let pdb = Db.create () in
     let* produce = Snapshot.write pdb in
     let* () = write_snapshot ~dir produce in
@@ -454,71 +424,21 @@ let create_dir ~dir =
     Nbsc_txn.Manager.set_durable_floor (Db.manager pdb) (Log.base (Db.log pdb));
     Ok t
 
-(* Verify and strip the framing of a file's payload lines, numbering
-   from 2 (line 1 is the header). *)
-let unframe_lines ~path raw_lines =
-  let rec go acc line = function
-    | [] -> Ok (List.rev acc)
-    | raw :: rest ->
-      let* payload = Disk_format.unframe ~path ~line raw in
-      go ((line, payload) :: acc) (line + 1) rest
-  in
-  go [] 2 raw_lines
-
-(* Snapshot files are rename-swapped, i.e. written in one piece — a
-   complete one always ends with its trailer. A snapshot cut at an
-   exact line boundary (every surviving line still checksums) is the
-   one corruption per-line CRCs cannot see; the trailer's line count
-   closes that hole. *)
-let check_snapshot_trailer ~path payloads =
-  match List.rev payloads with
-  | (line, last) :: rest_rev ->
-    (match Disk_format.trailer_count last with
-     | Some n ->
-       if n = List.length rest_rev then
-         Ok (List.map snd (List.rev rest_rev))
-       else
-         Error
-           (Nbsc_error.corrupt ~path ~line
-              (Printf.sprintf
-                 "snapshot trailer records %d payload lines but %d are \
-                  present — file truncated or spliced"
-                 n (List.length rest_rev)))
-     | None ->
-       Error
-         (Nbsc_error.corrupt ~path ~line
-            "snapshot trailer missing — file truncated at a line boundary?"))
-  | [] ->
-    Error (Nbsc_error.corrupt ~path "snapshot holds no lines beyond its header")
+(* Read a store file through the one reader [Scrub] uses too, refusing
+   on the first problem it found. *)
+let read_checked kind path =
+  let* contents = Disk_format.read kind path in
+  match contents.Disk_format.problems with
+  | [] -> Ok contents
+  | c :: _ -> Error (`Corrupt c)
 
 let load_snapshot ~dir =
-  let path = snapshot_path dir in
-  let* raw = read_lines path in
-  let* () =
-    Disk_format.check_header ~magic:Disk_format.snapshot_magic ~path
-      (match raw with [] -> None | l :: _ -> Some l)
-  in
-  let* framed = match raw with [] -> Ok [] | _ :: rest -> Ok rest in
-  let* payloads = unframe_lines ~path framed in
-  let* lines = check_snapshot_trailer ~path payloads in
+  let* snapshot = read_checked Disk_format.Snapshot (snapshot_path dir) in
   (* Crash-during-recovery site: before the decoded snapshot state is
      built. Nothing was written yet, so a crash here is trivially
      idempotent — the matrix proves it. *)
   Fault.hit "snapshot_load";
-  Snapshot.load lines
-
-(* Decode the framed WAL lines into records, with file/line context on
-   every failure. *)
-let decode_wal_lines ~path framed =
-  let* numbered = unframe_lines ~path framed in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (line, payload) :: rest ->
-      (match Log_record.decode payload with
-       | r -> go (r :: acc) rest
-       | exception Failure m -> Error (Nbsc_error.corrupt ~path ~line m))
-  in
-  go [] numbered
+  Snapshot.load snapshot.Disk_format.payloads
 
 (* A crash between writing a temp file and renaming it over its
    destination strands a [*.tmp]; it carries no durable state (the
@@ -535,26 +455,17 @@ let open_dir ~dir =
   let* () = remove_orphan_tmps dir in
   let* pdb = load_snapshot ~dir in
   let wpath = wal_path dir in
-  let* raw_wal, torn =
-    if Sys.file_exists wpath then read_wal_lines wpath else Ok ([], false)
-  in
-  let* () =
-    if Sys.file_exists wpath then
-      Disk_format.check_header ~magic:Disk_format.wal_magic ~path:wpath
-        (match raw_wal with [] -> None | l :: _ -> Some l)
-    else Ok ()
-  in
+  let* wal = read_checked Disk_format.Wal wpath in
   (* Physically trim a torn tail before the append channel reopens.
      Crash-during-recovery site: the trim is atomic, so a crash before
      or after it reopens into the same decision. *)
   let* () =
-    if torn then begin
+    if wal.Disk_format.torn > 0 then begin
       Fault.hit "recovery_truncate";
-      write_raw_atomic wpath raw_wal
+      trim_tail wpath wal.Disk_format.torn
     end
     else Ok ()
   in
-  let framed_wal = match raw_wal with [] -> [] | _ :: rest -> rest in
   (* Group-commit recovery invariant: the snapshot must not reflect an
      LSN the durable log does not cover. The only way to violate it is
      a checkpoint that published its snapshot while acked-but-unflushed
@@ -594,18 +505,12 @@ let open_dir ~dir =
      replay. *)
   Fault.hit "recovery_replay";
   let* report, log =
-    match framed_wal with
+    match wal.Disk_format.payloads with
     | [] -> Ok (None, Db.log pdb) (* empty log based at the snapshot head *)
-    | framed ->
-      (* The string codec and checksum verification run here, at the
-         replay boundary; the log itself only ever holds structured
-         records. *)
-      let* records = decode_wal_lines ~path:wpath framed in
-      (match Log.of_records records with
-       | wal ->
-         let* () = check_covered ~durable_head:(Log.head wal) in
-         Ok (Some (Recovery.replay_into (Db.catalog pdb) wal), wal)
-       | exception Failure m -> Error (Nbsc_error.corrupt ~path:wpath m))
+    | records ->
+      let* wal = Disk_format.wal_log ~path:wpath records in
+      let* () = check_covered ~durable_head:(Log.head wal) in
+      Ok (Some (Recovery.replay_into (Db.catalog pdb) wal), wal)
   in
   let pdb = Db.of_parts (Db.catalog pdb) ~log in
   (* Retained records carry transaction ids from the previous life;

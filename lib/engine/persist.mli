@@ -11,10 +11,12 @@
                             and flushed synchronously on every append
     v}
 
-    {!open_dir} sweeps orphaned [*.tmp] files, verifies both files'
-    headers and per-line checksums, restores the snapshot, replays the
-    WAL (redo of completed work, rollback of transactions that were in
-    flight at the crash), and re-attaches the WAL sink so new work
+    {!open_dir} sweeps orphaned [*.tmp] files, reads both files through
+    {!Disk_format.read} — the reader {!Scrub} uses, so the two judge the
+    files alike — and refuses the store as [`Corrupt] on the first
+    problem that reader reports. It then restores the snapshot, replays
+    the WAL (redo of completed work, rollback of transactions that were
+    in flight at the crash), and re-attaches the WAL sink so new work
     keeps being journaled. {!checkpoint} rewrites the snapshot and
     truncates the WAL down to the suffix still needed by in-flight
     schema changes.
@@ -23,9 +25,13 @@
     file + [Sys.rename]); the WAL alone is appended in place, so only
     its final line can be torn by a crash — an unterminated final line
     is dropped and physically trimmed on reopen, while
-    newline-terminated garbage, a checksum failure, or a missing or
-    miscounting snapshot trailer is reported as [`Corrupt] with
-    file/line/checksum context. Fault injection ({!Fault}) is wired
+    newline-terminated garbage, a checksum failure, a missing or
+    miscounting snapshot trailer, a snapshot that ends mid-line, or a
+    missing file is reported as [`Corrupt] with file/line/checksum
+    context. A missing [wal.nbsc] is never replaced by a new one: the
+    commits it held would be lost without a word. {!create_dir} writes
+    the WAL before the snapshot's rename publishes the store, so a
+    published store always has both files. Fault injection ({!Fault}) is wired
     into every durability step: sites [wal_append], [snapshot_write],
     [snapshot_rename] and [wal_rewrite] fire on the write paths, and
     [snapshot_load], [recovery_truncate] and [recovery_replay] inside
@@ -51,11 +57,15 @@ type error = Nbsc_error.t
 
 val create_dir : dir:string -> (t, error) result
 (** Initialize an empty database directory (creates it if missing;
-    refuses a directory that already holds a database). *)
+    refuses a directory that already holds a snapshot). It writes the
+    header-only WAL first and the snapshot second, whose rename
+    publishes the store; a WAL without a snapshot, which a crash
+    before that rename leaves, is replaced. *)
 
 val open_dir : dir:string -> (t, error) result
 (** Open an existing directory, running crash recovery if the WAL holds
-    unfinished transactions. The parsed WAL becomes the live in-memory
+    unfinished transactions. A directory missing either file is
+    [`Corrupt], naming the file. The parsed WAL becomes the live in-memory
     log (fresh appends continue its LSN sequence), so a resumed
     transformation's propagator can re-read the retained records.
     Fresh transaction ids are bumped above every id the retained WAL

@@ -1,8 +1,5 @@
-open Nbsc_wal
-
 type file_report = {
   f_path : string;
-  f_present : bool;
   f_lines : int;
   f_torn_tail : bool;
   f_errors : Nbsc_error.corruption list;
@@ -14,156 +11,45 @@ let ok r = List.for_all (fun f -> f.f_errors = []) r.files
 
 let errors r = List.concat_map (fun f -> f.f_errors) r.files
 
-let io f = try Ok (f ()) with Sys_error m -> Error (`Io m)
-
-let absent path =
-  { f_path = path; f_present = false; f_lines = 0; f_torn_tail = false;
-    f_errors =
-      [ Nbsc_error.corruption ~path "file missing" ] }
-
-let read_raw path =
-  io (fun () ->
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s)
-
-(* Split into lines, separating a final unterminated fragment (the torn
-   tail a crash legitimately leaves on the WAL). *)
-let split_lines s =
-  if String.equal s "" then ([], false)
-  else
-    let terminated = s.[String.length s - 1] = '\n' in
-    let body = if terminated then String.sub s 0 (String.length s - 1) else s in
-    let lines = String.split_on_char '\n' body in
-    if terminated then (lines, false)
-    else
-      match List.rev lines with
-      | _torn :: rest -> (List.rev rest, true)
-      | [] -> ([], true)
-
 let corruption_of_error path = function
   | `Corrupt c -> c
   | e -> Nbsc_error.corruption ~path (Nbsc_error.to_string e)
 
-(* Walk one file: header, then per-line frame verification, handing
-   each good payload (with its line number) to [check_payload] for
-   deeper structural checks, then [finish] over everything that
-   unframed cleanly. *)
-let verify_file ~path ~magic ~tolerate_torn ~check_payload ~finish =
-  match read_raw path with
-  | Error e -> { (absent path) with f_errors = [ corruption_of_error path e ] }
-  | Ok raw ->
-    let lines, torn = split_lines raw in
-    let torn_ok = torn && tolerate_torn in
-    let errors = ref [] in
-    let add e = errors := corruption_of_error path e :: !errors in
-    if torn && not tolerate_torn then
-      add
-        (Nbsc_error.corrupt ~path
-           "unterminated final line in a rename-swapped file");
-    let payloads = ref [] in
-    (match lines with
-     | [] ->
-       (match Disk_format.check_header ~magic ~path None with
-        | Ok () -> ()
-        | Error e -> add e)
-     | header :: framed ->
-       (match Disk_format.check_header ~magic ~path (Some header) with
-        | Ok () -> ()
-        | Error e -> add e);
-       List.iteri
-         (fun i raw_line ->
-            let line = i + 2 in
-            match Disk_format.unframe ~path ~line raw_line with
-            | Ok payload ->
-              payloads := (line, payload) :: !payloads;
-              (match check_payload ~line payload with
-               | Ok () -> ()
-               | Error e -> add e)
-            | Error e -> add e)
-         framed);
-    (match finish (List.rev !payloads) with
-     | Ok () -> ()
-     | Error e -> add e);
-    { f_path = path; f_present = true;
-      f_lines = List.length !payloads; f_torn_tail = torn_ok;
-      f_errors = List.rev !errors }
-
-let verify_snapshot path =
-  verify_file ~path ~magic:Disk_format.snapshot_magic ~tolerate_torn:false
-    ~check_payload:(fun ~line:_ _ -> Ok ())
-    ~finish:(fun payloads ->
-        (* The trailer closes the truncated-at-a-line-boundary hole:
-           every surviving line checksums, only the count gives the cut
-           away. *)
-        match List.rev payloads with
-        | (line, last) :: rest ->
-          (match Disk_format.trailer_count last with
-           | Some n when n = List.length rest -> Ok ()
-           | Some n ->
-             Error
-               (Nbsc_error.corrupt ~path ~line
-                  (Printf.sprintf
-                     "snapshot trailer records %d payload lines but %d are \
-                      present — file truncated or spliced"
-                     n (List.length rest)))
-           | None ->
-             Error
-               (Nbsc_error.corrupt ~path ~line
-                  "snapshot trailer missing — file truncated at a line \
-                   boundary?"))
-        | [] -> Error (Nbsc_error.corrupt ~path "snapshot holds no lines"))
-
-let verify_wal path =
-  if not (Sys.file_exists path) then
-    (* A directory checkpointed with no pending jobs may legitimately
-       hold a WAL with no records, but the file itself (with header) is
-       always present once created. Missing entirely is reported. *)
-    absent path
-  else
-    let records = ref [] in
-    let r =
-      verify_file ~path ~magic:Disk_format.wal_magic ~tolerate_torn:true
-        ~check_payload:(fun ~line payload ->
-            match Log_record.decode payload with
-            | record ->
-              records := record :: !records;
-              Ok ()
-            | exception Failure m -> Error (Nbsc_error.corrupt ~path ~line m))
-        ~finish:(fun _ -> Ok ())
-    in
-    if r.f_errors <> [] then r
-    else
-      (* Structural pass over the decoded records: contiguous LSNs and
-         well-formed prev-LSN chains, the same validation replay runs. *)
-      match Log.of_records (List.rev !records) with
-      | (_ : Log.t) -> r
-      | exception Failure m ->
-        { r with f_errors = [ Nbsc_error.corruption ~path m ] }
+(* Read one file through the reader [Persist.open_dir] uses, keeping
+   every problem it found; [check] runs over the payloads of a file
+   whose lines are all sound. *)
+let verify_file kind path ~check =
+  match Disk_format.read kind path with
+  | Error e ->
+    { f_path = path; f_lines = 0; f_torn_tail = false;
+      f_errors = [ corruption_of_error path e ] }
+  | Ok { Disk_format.payloads; torn; problems } ->
+    { f_path = path; f_lines = List.length payloads; f_torn_tail = torn > 0;
+      f_errors = (if problems = [] then check payloads else problems) }
 
 let verify_dir ~dir =
   if not (Sys.file_exists dir) then Error (`Io (dir ^ ": no such directory"))
   else
+    let wal = Disk_format.wal_path dir in
     Ok
       { dir;
         files =
-          [ verify_snapshot (Disk_format.snapshot_path dir);
-            verify_wal (Disk_format.wal_path dir) ] }
+          [ verify_file Disk_format.Snapshot (Disk_format.snapshot_path dir)
+              ~check:(fun _ -> []);
+            (* The records' LSN chain: the structure replay relies on. *)
+            verify_file Disk_format.Wal wal ~check:(fun records ->
+                match Disk_format.wal_log ~path:wal records with
+                | Ok _ -> []
+                | Error e -> [ corruption_of_error wal e ]) ] }
 
 let pp_file ppf f =
-  if not f.f_present then Format.fprintf ppf "%s: MISSING@," f.f_path
-  else begin
-    Format.fprintf ppf "%s: %d line(s)%s — %s@," f.f_path f.f_lines
-      (if f.f_torn_tail then " (torn tail tolerated)" else "")
-      (if f.f_errors = [] then "clean"
-       else string_of_int (List.length f.f_errors) ^ " error(s)");
-    List.iter
-      (fun c ->
-         Format.fprintf ppf "  %s@," (Nbsc_error.corruption_to_string c))
-      f.f_errors
-  end
+  Format.fprintf ppf "%s: %d line(s)%s — %s@," f.f_path f.f_lines
+    (if f.f_torn_tail then " (torn tail)" else "")
+    (if f.f_errors = [] then "clean"
+     else string_of_int (List.length f.f_errors) ^ " error(s)");
+  List.iter
+    (fun c -> Format.fprintf ppf "  %s@," (Nbsc_error.corruption_to_string c))
+    f.f_errors
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>scrub %s:@," r.dir;

@@ -2,14 +2,17 @@
     [nbsc scrub] and [make scrub].
 
     Walks a database directory {e without opening it}: no replay, no
-    state mutation, no channel kept open. Both files are verified
-    against the v2 on-disk format ({!Disk_format}): version header,
-    per-line CRC-32, snapshot trailer (truncation at a line boundary),
-    WAL record decodability and LSN-chain structure. A torn
-    (unterminated) final WAL line is tolerated and noted — that is the
-    legitimate signature of a crash mid-append, which reopening trims —
-    while every other deviation is reported with file/line/checksum
-    context.
+    state mutation, no channel kept open. Both files go through
+    {!Disk_format.read}, the reader {!Persist.open_dir} uses, so the
+    two judge the files alike: the scrub reports every problem that
+    reader finds, where reopening refuses on the first. That covers the
+    version header, per-line CRC-32, the snapshot trailer (truncation
+    at a line boundary), a missing file, a snapshot cut mid-line, WAL
+    record decodability and, once every WAL line is sound, the records'
+    LSN-chain structure. A torn (unterminated) final WAL line is
+    tolerated and noted — that is the legitimate signature of a crash
+    mid-append, which reopening trims. Every problem carries
+    file/line/checksum context.
 
     Checksum failures found here count into the same
     [storage.crc_failures] instrument ({!Disk_format.obs}) that reopen
@@ -17,9 +20,8 @@
 
 type file_report = {
   f_path : string;
-  f_present : bool;
   f_lines : int;           (** payload lines that verified *)
-  f_torn_tail : bool;      (** a torn final WAL line was tolerated *)
+  f_torn_tail : bool;      (** the file ended in an unterminated line *)
   f_errors : Nbsc_error.corruption list;
 }
 

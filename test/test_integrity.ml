@@ -75,6 +75,11 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
   go 0
 
+let scrub dir =
+  match Db.Scrub.verify_dir ~dir with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "scrub: %s" (Nbsc_error.to_string e)
+
 (* A small valid store: table [t] with [n] committed single-row
    transactions after the DDL checkpoint. *)
 let build_store ?(n = 5) dir =
@@ -162,11 +167,7 @@ let test_bit_flip_wal () =
   Alcotest.(check bool) "crc failure counted" true
     (counter_value (Disk_format.crc_failures ()) > before);
   (* The scrub sees the same damage without opening the store. *)
-  let r = match Db.Scrub.verify_dir ~dir with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "scrub: %s" (Nbsc_error.to_string e)
-  in
-  Alcotest.(check bool) "scrub flags it" false (Db.Scrub.ok r);
+  Alcotest.(check bool) "scrub flags it" false (Db.Scrub.ok (scrub dir));
   wipe dir
 
 let test_bit_flip_snapshot () =
@@ -530,10 +531,7 @@ let test_scrub_clean_then_corrupt () =
   ok_p "checkpoint" (Persist.checkpoint p);
   insert p 9 "after" 9;
   Persist.close p;
-  let r = match Db.Scrub.verify_dir ~dir with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "scrub: %s" (Nbsc_error.to_string e)
-  in
+  let r = scrub dir in
   Alcotest.(check bool) "fresh store is clean" true (Db.Scrub.ok r);
   Alcotest.(check int) "no errors" 0 (List.length (Db.Scrub.errors r));
   (* Flip one payload byte in the WAL: scrub must localise it. *)
@@ -542,10 +540,7 @@ let test_scrub_clean_then_corrupt () =
   let pos = Bytes.length s - 5 in
   Bytes.set s pos (Char.chr (Char.code (Bytes.get s pos) lxor 0x01));
   write_file wpath (Bytes.to_string s);
-  let r = match Db.Scrub.verify_dir ~dir with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "scrub: %s" (Nbsc_error.to_string e)
-  in
+  let r = scrub dir in
   Alcotest.(check bool) "damage found" false (Db.Scrub.ok r);
   let errs = Db.Scrub.errors r in
   Alcotest.(check bool) "error localised to the wal" true
@@ -570,10 +565,7 @@ let test_scrub_tolerates_torn_tail () =
   let oc = open_out_gen [ Open_append ] 0o644 wpath in
   output_string oc "abcd1234:half-a-reco";
   close_out oc;
-  let r = match Db.Scrub.verify_dir ~dir with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "scrub: %s" (Nbsc_error.to_string e)
-  in
+  let r = scrub dir in
   (* The torn tail is the legitimate crash signature: noted, clean. *)
   Alcotest.(check bool) "torn tail tolerated" true (Db.Scrub.ok r);
   Alcotest.(check bool) "and noted" true
@@ -584,6 +576,73 @@ let test_scrub_tolerates_torn_tail () =
        r.Db.Scrub.files);
   wipe dir
 
+(* {1 Store files: missing is damage, and both readers agree} *)
+
+(* A store that lost its WAL lost acknowledged commits; reopening it
+   from the snapshot alone would drop them without a word. *)
+let test_missing_wal_refused () =
+  let dir = fresh_dir () in
+  let p = build_store ~n:5 dir in
+  Persist.close p;
+  Sys.remove (Disk_format.wal_path dir);
+  let c = expect_corrupt "store without its wal" (Persist.open_dir ~dir) in
+  Alcotest.(check (option string)) "names the wal"
+    (Some (Disk_format.wal_path dir)) c.Nbsc_error.c_path;
+  wipe dir
+
+(* [create_dir] writes the WAL before the snapshot's rename publishes
+   the store. A crash before that rename leaves an unpublished
+   directory, which [create_dir] takes again. *)
+let test_create_dir_crash_before_rename () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  Fault.arm "snapshot_rename";
+  (match Persist.create_dir ~dir with
+   | exception Fault.Injected _ -> ()
+   | _ -> Alcotest.fail "create_dir should have crashed at snapshot_rename");
+  Fault.reset ();
+  Alcotest.(check (pair bool bool)) "wal written, snapshot unpublished"
+    (true, false)
+    (Sys.file_exists (Disk_format.wal_path dir),
+     Sys.file_exists (Disk_format.snapshot_path dir));
+  let p = ok_p "create again" (Persist.create_dir ~dir) in
+  setup_orders p;
+  insert p 1 "v" 1;
+  Persist.close p;
+  let r = scrub dir in
+  Alcotest.(check (list string)) "scrubs clean" []
+    (List.map Nbsc_error.corruption_to_string (Db.Scrub.errors r));
+  let p = ok_p "reopen" (Persist.open_dir ~dir) in
+  Alcotest.(check int) "the row" 1 (List.length (rows p));
+  Persist.close p;
+  wipe dir
+
+(* Four damaged stores: each is one fault, so the scrub reports one
+   error, and reopening refuses the store the scrub calls corrupt. *)
+let test_scrub_and_reopen_agree () =
+  let cut_last_byte path =
+    let s = read_file path in
+    write_file path (String.sub s 0 (String.length s - 1))
+  in
+  List.iter
+    (fun (name, damage) ->
+       let dir = fresh_dir () in
+       Persist.close (build_store ~n:5 dir);
+       damage dir;
+       let r = scrub dir in
+       Alcotest.(check int) (name ^ ": one error") 1
+         (List.length (Db.Scrub.errors r));
+       ignore (expect_corrupt name (Persist.open_dir ~dir));
+       wipe dir)
+    [ ("wal deleted", fun dir -> Sys.remove (Disk_format.wal_path dir));
+      ("wal emptied", fun dir -> write_file (Disk_format.wal_path dir) "");
+      ( "snapshot's final newline cut",
+        fun dir -> cut_last_byte (Disk_format.snapshot_path dir) );
+      ( "junk appended to the snapshot",
+        fun dir ->
+          let path = Disk_format.snapshot_path dir in
+          write_file path (read_file path ^ "junk\n") ) ]
+
 (* {1 The fuzz property: corruption detection is total}
 
    Build a valid store recording the state after every commit, then
@@ -591,7 +650,8 @@ let test_scrub_tolerates_torn_tail () =
    random offset. Reopening must either report [`Corrupt] or recover
    to one of the recorded committed states (truncating the WAL loses a
    suffix of commits, which is exactly a crash); anything else is
-   silent divergence. *)
+   silent divergence. The offline scrub, run first, must pass exactly
+   the stores reopening opens. *)
 
 let prop_damage_never_silent =
   QCheck.Test.make ~name:"one-byte flip / truncation never silent" ~count:60
@@ -630,7 +690,9 @@ let prop_damage_never_silent =
           write_file path (Bytes.to_string b)
         end
         else write_file path (String.sub original 0 pos));
+       let scrub_ok = Db.Scrub.ok (scrub dir) in
        let outcome = Persist.open_dir ~dir in
+       let agree = scrub_ok = Result.is_ok outcome in
        let result =
          match outcome with
          | Error (`Corrupt _) -> true
@@ -645,12 +707,18 @@ let prop_damage_never_silent =
              !states
        in
        wipe dir;
-       if not result then
-         QCheck.Test.fail_reportf
-           "silent divergence: %s %s at %d (nrows=%d)"
+       let what =
+         Printf.sprintf "%s %s at %d (nrows=%d)"
            (if damage_wal then "wal" else "snapshot")
            (if flip then "flip" else "truncate")
-           pos nrows;
+           pos nrows
+       in
+       if not result then QCheck.Test.fail_reportf "silent divergence: %s" what;
+       if not agree then
+         QCheck.Test.fail_reportf "scrub %s the store, reopen %s it: %s"
+           (if scrub_ok then "passes" else "fails")
+           (if Result.is_ok outcome then "opens" else "refuses")
+           what;
        true)
 
 let () =
@@ -688,6 +756,13 @@ let () =
         [ Alcotest.test_case "clean then corrupt" `Quick
             test_scrub_clean_then_corrupt;
           Alcotest.test_case "torn tail tolerated" `Quick
-            test_scrub_tolerates_torn_tail ] );
+            test_scrub_tolerates_torn_tail;
+          Alcotest.test_case "scrub and reopen agree on damaged stores"
+            `Quick test_scrub_and_reopen_agree ] );
+      ( "store files",
+        [ Alcotest.test_case "a store without wal.nbsc is refused" `Quick
+            test_missing_wal_refused;
+          Alcotest.test_case "create_dir crashed before its rename runs again"
+            `Quick test_create_dir_crash_before_rename ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_damage_never_silent ] ) ]
