@@ -47,29 +47,15 @@ type stats = {
   relaxes : int;
 }
 
-let create ?obs:registry () =
-  let t =
-    { gain = 1.0;
-      obs = 0;
-      window_min = max_int;
-      prev_min = max_int;
-      rt_ema = 0.0;
-      rt_baseline = 0.0;
-      n_escalations = 0;
-      n_relaxes = 0 }
-  in
-  (* Probes, not write-through counters: the governor stays pure
-     bookkeeping and the registry reads its state on demand. *)
-  (match registry with
-   | None -> ()
-   | Some r ->
-     let module Obs = Nbsc_obs.Obs in
-     Obs.Registry.probe r "governor.gain" (fun () -> t.gain);
-     Obs.Registry.probe r "governor.escalations" (fun () ->
-         float_of_int t.n_escalations);
-     Obs.Registry.probe r "governor.relaxes" (fun () ->
-         float_of_int t.n_relaxes));
-  t
+let create () =
+  { gain = 1.0;
+    obs = 0;
+    window_min = max_int;
+    prev_min = max_int;
+    rt_ema = 0.0;
+    rt_baseline = 0.0;
+    n_escalations = 0;
+    n_relaxes = 0 }
 
 let gain t = t.gain
 

@@ -32,11 +32,10 @@ type stats = {
   relaxes : int;
 }
 
-val create : ?obs:Nbsc_obs.Obs.Registry.t -> unit -> t
-(** [obs], when given, registers the probes [governor.gain],
-    [governor.escalations] and [governor.relaxes] — read-on-demand
-    views of this instance's state, so snapshots see the governor
-    without it writing anywhere. *)
+val create : unit -> t
+(** A governor at gain 1. It registers no instrument: {!stats} reads
+    its state, and the [transform.quantum] trace point of a paced
+    transformation carries the gain. *)
 
 val observe_lag : t -> lag:int -> unit
 (** Feed the current propagation lag. Call on a steady cadence (each

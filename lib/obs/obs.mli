@@ -2,7 +2,7 @@
     stream, pluggable sinks.
 
     Everything measurable in the system — transaction-manager counters,
-    lock-contention statistics, schema-change progress, governor gain,
+    lock-contention statistics, schema-change progress,
     fault-injection trips, simulator client metrics — registers here,
     so there is exactly one way to read a number out of a running
     database: {!Registry.snapshot} (or a {!probe}, for values computed
@@ -141,8 +141,7 @@ module Registry : sig
   val probe : t -> string -> (unit -> float) -> unit
   (** Register (or replace) a callback gauge: {!snapshot} reports the
       callback's current value, so derived quantities (propagation lag,
-      governor gain, active-transaction count) need no write-through
-      bookkeeping. *)
+      active-transaction count) need no write-through bookkeeping. *)
 
   val remove : t -> string -> unit
   (** Drop an instrument or probe (e.g. when its job finishes). *)
