@@ -14,21 +14,23 @@ check:
 	./ci/check.sh
 
 # Crash matrix only: every fault-injection site crossed with every
-# operator, at a fixed seed so failures reproduce.
+# operator, at a fixed seed so failures reproduce. QCHECK_SEED pins its
+# QCheck properties too (replay idempotence, replay = live state).
 crash:
-	NBSC_CRASH_SEED=42 dune exec test/test_crash_matrix.exe
+	NBSC_CRASH_SEED=42 QCHECK_SEED=42 dune exec test/test_crash_matrix.exe
 
 # Contention soak only: high-conflict workload crossed with every sync
 # strategy, fault-free and with a sync-commit fault, at a fixed seed.
 contention:
 	NBSC_CONTENTION_SEED=42 dune exec test/test_contention.exe
 
-# Storage-integrity drill: the integrity suite at a fixed
-# seed, then an end-to-end scrub pass per file of the store — generate a
-# store, verify it clean, damage one byte of wal.nbsc (then, on a fresh
-# store, of snapshot.nbsc), verify the scrub refuses it.
+# Storage-integrity drill: the integrity suite at a fixed seed (its
+# damage fuzz property included), then an end-to-end scrub pass per
+# file of the store — generate a store, verify it clean, damage one
+# byte of wal.nbsc (then, on a fresh store, of snapshot.nbsc), verify
+# the scrub refuses it.
 scrub:
-	NBSC_CRASH_SEED=42 dune exec test/test_integrity.exe
+	NBSC_CRASH_SEED=42 QCHECK_SEED=42 dune exec test/test_integrity.exe
 	@for damaged in wal.nbsc snapshot.nbsc; do \
 	  dir=$$(mktemp -u /tmp/nbsc_scrub.XXXXXX); \
 	  dune exec bin/nbsc_cli.exe -- mkstore "$$dir" --rows 200 && \

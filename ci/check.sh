@@ -16,15 +16,15 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-# dune runtest already runs the crash matrix with a random seed; this
-# second pass pins the seed so a CI failure is reproducible verbatim.
+# dune runtest already runs the crash matrix and the contention soak
+# with random seeds; these passes pin every seed (the suites' own and
+# QCheck's), so a CI failure is reproducible verbatim. The Makefile
+# holds the commands.
 echo "== crash matrix (fixed seed) =="
-NBSC_CRASH_SEED=42 dune exec test/test_crash_matrix.exe
+make crash
 
-# Same idea for the contention soak: a pinned seed makes any livelock
-# or divergence reproducible verbatim.
 echo "== contention soak (fixed seed) =="
-NBSC_CONTENTION_SEED=42 dune exec test/test_contention.exe
+make contention
 
 # The lock suite's properties (the reference-model check among them)
 # at a pinned seed; QCheck_alcotest reads QCHECK_SEED and prints the
@@ -38,28 +38,14 @@ QCHECK_SEED=42 dune exec test/test_lock.exe
 echo "== deadlock suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_deadlock.exe
 
-# Storage-integrity matrix at a pinned seed: checksummed-format
+# Storage-integrity matrix at pinned seeds: checksummed-format
 # verification, disk-error model (EIO retry, ENOSPC degraded mode),
-# and the flip/truncate fuzz property.
-echo "== integrity matrix (fixed seed) =="
-NBSC_CRASH_SEED=42 dune exec test/test_integrity.exe
-
-# End-to-end scrub drill, once per file of the store: a freshly
+# scrub and reopen agreeing, and the flip/truncate fuzz property. Then
+# the end-to-end scrub drill, once per file of the store: a freshly
 # generated store must scrub clean (exit 0); after one flipped byte in
 # wal.nbsc, or in snapshot.nbsc, the scrub must refuse it (non-zero).
-echo "== nbsc scrub drill =="
-for damaged in wal.nbsc snapshot.nbsc; do
-  scrub_dir=$(mktemp -u /tmp/nbsc_scrub.XXXXXX)
-  dune exec bin/nbsc_cli.exe -- mkstore "$scrub_dir" --rows 200 >/dev/null
-  dune exec bin/nbsc_cli.exe -- scrub "$scrub_dir" >/dev/null
-  dune exec bin/nbsc_cli.exe -- flip "$scrub_dir/$damaged" >/dev/null
-  if dune exec bin/nbsc_cli.exe -- scrub "$scrub_dir" >/dev/null 2>&1; then
-    echo "nbsc scrub missed injected corruption in $damaged" >&2
-    rm -rf "$scrub_dir"
-    exit 1
-  fi
-  rm -rf "$scrub_dir"
-done
+echo "== integrity matrix and nbsc scrub drill (fixed seed) =="
+make scrub
 
 # Trace-enabled fixed-seed simulation: write the event stream as JSON
 # lines, then have the CLI re-read it and check one well-formed object
