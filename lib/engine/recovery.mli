@@ -10,9 +10,11 @@
 
     The log carries no DDL, so callers supply the table definitions.
     Operations on tables not (re)defined are skipped — in particular the
-    framework's own writes to a transformed table are not logged, and a
-    transformation interrupted by a crash is simply restarted (see
-    DESIGN.md). *)
+    framework's own writes to a transformed table are not logged. A
+    transformation interrupted by a crash is not rebuilt here: recovery
+    reports its latest [Job_state] in the report's [jobs], and
+    [Nbsc_core.Transform.resume] continues it from that checkpointed
+    position (see DESIGN.md, "Resume"). *)
 
 open Nbsc_value
 open Nbsc_wal
