@@ -26,6 +26,14 @@ type t = {
      state and is not duplicated here. Bounded by [gc_versions]. *)
   versions : version list Row.Key.Tbl.t;
   mutable nversions : int;
+  (* Every hash index name with the index that serves it, in
+     [index_definitions] order. A name given the positions of a filled
+     index shares that index: T's [by_s_key] and [by_join] name the
+     same column whenever S's key is the join column, and one index
+     then serves both. *)
+  mutable index_names : (string * Index.t) list;
+  (* The distinct indexes of [index_names], each once: what writes
+     maintain. *)
   mutable indexes : Index.t list;
   mutable ordered : Ordered_index.t list;
   (* Arrival order of keys; the fuzzy cursor walks this like a page
@@ -73,31 +81,58 @@ and flagged = {
 let default_heap = 1024
 let default_index = 256
 
+let is_partial t name = List.exists (String.equal name) t.partial
+
+(* The filled index over [positions], if the table has one. A partial
+   index belongs to its online build alone and is never shared. *)
+let filled_index t positions =
+  List.find_map
+    (fun (name, ix) ->
+       if List.equal Int.equal (Index.positions ix) positions
+          && not (is_partial t name)
+       then Some ix
+       else None)
+    t.index_names
+
+let add_name t name ix =
+  t.index_names <- (name, ix) :: t.index_names;
+  if not (List.memq ix t.indexes) then t.indexes <- ix :: t.indexes
+
 let create ?(size = 0) ?(indexes = []) ~name schema =
   let heap_size = max default_heap size in
   let index_size = max default_index size in
-  let mk (index_name, cols) =
-    Index.create ~size:index_size ~name:index_name
-      ~positions:(Schema.positions schema cols)
-  in
   let key_positions = Array.of_list (Schema.key_positions schema) in
   let key_member = Array.make (Schema.arity schema) false in
   Array.iter (fun i -> key_member.(i) <- true) key_positions;
-  { name;
-    schema;
-    key_positions;
-    key_member;
-    heap = Row.Key.Tbl.create heap_size;
-    versions = Row.Key.Tbl.create 64;
-    nversions = 0;
-    indexes = List.map mk indexes;
-    ordered = [];
-    arrival = Array.make heap_size [||];
-    arrival_len = 0;
-    live_cursors = 0;
-    retain_versions = (fun () -> true);
-    partial = [];
-    flagged = { keys = [||]; count = 0; slot = Row.Key.Tbl.create 16 } }
+  let t =
+    { name;
+      schema;
+      key_positions;
+      key_member;
+      heap = Row.Key.Tbl.create heap_size;
+      versions = Row.Key.Tbl.create 64;
+      nversions = 0;
+      index_names = [];
+      indexes = [];
+      ordered = [];
+      arrival = Array.make heap_size [||];
+      arrival_len = 0;
+      live_cursors = 0;
+      retain_versions = (fun () -> true);
+      partial = [];
+      flagged = { keys = [||]; count = 0; slot = Row.Key.Tbl.create 16 } }
+  in
+  List.iter
+    (fun (index_name, cols) ->
+       let positions = Schema.positions schema cols in
+       add_name t index_name
+         (match filled_index t positions with
+          | Some ix -> ix
+          | None -> Index.create ~size:index_size ~positions))
+    indexes;
+  (* [add_name] prepends; the declared names keep their order. *)
+  t.index_names <- List.rev t.index_names;
+  t
 
 let name t = t.name
 let schema t = t.schema
@@ -116,7 +151,9 @@ let arrival_length t = t.arrival_len
 
 let buckets t =
   ("heap", (Row.Key.Tbl.stats t.heap).Hashtbl.num_buckets)
-  :: List.map (fun ix -> (Index.name ix, Index.buckets ix)) t.indexes
+  :: List.map (fun (name, ix) -> (name, Index.buckets ix)) t.index_names
+
+let physical_indexes t = List.length t.indexes
 
 (* {2 Unknown-flagged keys} *)
 
@@ -394,10 +431,9 @@ let delete t ~lsn ?(txn = 0) key =
 
 let index_definitions t =
   List.map
-    (fun ix ->
-       ( Index.name ix,
-         List.map (fun i -> Schema.name_at t.schema i) (Index.positions ix) ))
-    t.indexes
+    (fun (name, ix) ->
+       (name, List.map (fun i -> Schema.name_at t.schema i) (Index.positions ix)))
+    t.index_names
 
 let ordered_index_definitions t =
   List.map
@@ -432,22 +468,17 @@ let find_ordered t name =
 let ordered_range t ~index ?lo ?hi () =
   Ordered_index.range (find_ordered t index) ?lo ?hi ()
 
-let find_index_opt t name =
-  List.find_opt (fun ix -> String.equal (Index.name ix) name) t.indexes
-
-let is_partial t name = List.exists (String.equal name) t.partial
+let find_index_opt t name = List.assoc_opt name t.index_names
 
 let mark_filled t name =
   t.partial <- List.filter (fun n -> not (String.equal n name)) t.partial
 
 (* A new index is sized from the rows it is about to hold. *)
-let register_index t ~name ~columns =
+let register_index t ~name ~positions =
   let ix =
-    Index.create
-      ~size:(max default_index (cardinality t))
-      ~name ~positions:(Schema.positions t.schema columns)
+    Index.create ~size:(max default_index (cardinality t)) ~positions
   in
-  t.indexes <- ix :: t.indexes;
+  add_name t name ix;
   ix
 
 let add_index t ~name ~columns =
@@ -455,7 +486,11 @@ let add_index t ~name ~columns =
     Row.Key.Tbl.iter (fun key r -> Index.insert ix ~key r.Record.row) t.heap
   in
   match find_index_opt t name with
-  | None -> fill (register_index t ~name ~columns)
+  | None ->
+    let positions = Schema.positions t.schema columns in
+    (match filled_index t positions with
+     | Some ix -> add_name t name ix
+     | None -> fill (register_index t ~name ~positions))
   | Some ix ->
     (* An online build that was abandoned left it partial: set inserts
        are idempotent, so filling over what it holds completes it. *)
@@ -581,7 +616,8 @@ module Index_build = struct
         | Some ix -> ix
         | None ->
           table.partial <- name :: table.partial;
-          register_index table ~name ~columns
+          register_index table ~name
+            ~positions:(Schema.positions table.schema columns)
       in
       (* Registered, and compaction stopped, in one step: every key
          live now either gets written (and the write maintains the

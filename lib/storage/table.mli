@@ -19,7 +19,11 @@ type t
 val create : ?size:int -> ?indexes:(string * string list) list ->
   name:string -> Schema.t -> t
 (** [create ~name schema ~indexes] where each index is
-    [(index_name, column_names)].
+    [(index_name, column_names)]. A name whose columns resolve to the
+    same positions, in the same order, as an earlier name's shares that
+    name's index: T's [by_s_key] and [by_join] are one index whenever
+    S's key is the join column. Every name answers lookups and stays in
+    {!index_definitions}.
 
     [size] is a capacity hint, like [Hashtbl.create]'s argument: the
     heap, the arrival array and every index start with room for about
@@ -137,10 +141,13 @@ val ordered_range :
 val add_index : t -> name:string -> columns:string list -> unit
 (** Create a secondary index, sized from the table's cardinality, and
     fill it from current contents in this one call: a blocking build,
-    as the blocking baselines use. No-op if a filled index with this
-    name already exists; an index an abandoned {!Index_build} left
-    partial is filled here. Schema changes build theirs online with
-    {!Index_build} instead.
+    as the blocking baselines use. A filled index over the same
+    positions serves the new name instead, as in {!create}; snapshot
+    restore comes through here, so a restored table shares indexes as
+    the saved one did. No-op if a filled index with this name already
+    exists; an index an abandoned {!Index_build} left partial is filled
+    here. Schema changes build theirs online with {!Index_build}
+    instead.
     @raise Not_found on unknown columns. *)
 
 val index_lookup : t -> index:string -> Row.Key.t -> Row.Key.t list
@@ -168,6 +175,10 @@ val buckets : t -> (string * int) list
 (** Current bucket counts: ["heap"] first, then every hash index by
     name. Read-only; tests use it to check that a sized table never
     rehashes. *)
+
+val physical_indexes : t -> int
+(** Number of hash indexes writes maintain: names that share an index
+    count once. Read-only, for tests. *)
 
 (** {2 Unknown-flagged records}
 
@@ -233,9 +244,10 @@ module Index_build : sig
 
   val start : table -> name:string -> columns:string list -> t
   (** Register the index, sized from the table's cardinality, and open
-      the scan. Adopts an existing index of that name: a partial one
-      is filled again by this build; a filled one leaves nothing to
-      do.
+      the scan. The build fills an index of its own, never one that
+      another name's index already serves. Adopts an existing index of
+      that name: a partial one is filled again by this build; a filled
+      one leaves nothing to do.
       @raise Not_found on unknown columns. *)
 
   val step : t -> limit:int -> bool
