@@ -1,5 +1,7 @@
 include Nbsc_engine.Db
 
+module Scrub = Nbsc_engine.Scrub
+
 module Schema_change = struct
   module Options = Options
 

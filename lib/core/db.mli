@@ -13,6 +13,13 @@ include module type of struct
   include Nbsc_engine.Db
 end
 
+module Scrub = Nbsc_engine.Scrub
+(** Offline integrity verification of a database directory — see
+    {!Nbsc_engine.Scrub}. Aliased here so CLI-facing callers have one
+    entry point ([Db.Scrub.verify_dir]); it deliberately takes a
+    directory, not a [t]: scrubbing trusts nothing enough to open
+    it. *)
+
 (** Managed lifecycle of one online schema change. *)
 module Schema_change : sig
   module Options = Options

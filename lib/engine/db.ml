@@ -51,8 +51,6 @@ let manager t = t.mgr
 let obs t = t.obs
 let log t = Manager.log t.mgr
 
-module Scrub = Scrub
-
 module Observe = struct
   let snapshot t = Obs.Registry.snapshot t.obs
 

@@ -49,12 +49,6 @@ module Observe : sig
       (instrumented paths start emitting events). *)
 end
 
-module Scrub = Scrub
-(** Offline integrity verification of a database directory — see
-    {!Scrub}. Aliased here so CLI-facing callers have one entry point
-    ([Db.Scrub.verify_dir]); it deliberately takes a directory, not a
-    [t]: scrubbing trusts nothing enough to open it. *)
-
 val create_table :
   t -> ?size:int -> ?indexes:(string * string list) list -> name:string ->
   Schema.t -> Table.t

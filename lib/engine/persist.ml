@@ -451,6 +451,43 @@ let remove_orphan_tmps dir =
              Sys.remove (Filename.concat dir f))
         (Sys.readdir dir))
 
+(* Group-commit recovery invariant: the snapshot must not reflect an
+   LSN the durable log does not cover. The only way to violate it is a
+   checkpoint that published its snapshot while acked-but-unflushed
+   commit records sat in the sink buffer and were then lost with a
+   crash — the checkpoint-side [flush_commits] exists precisely to rule
+   that out, and recovery asserts it held. Checked against the
+   {e snapshot-loaded} state, before replay: replay only applies record
+   LSNs the log covers, but the loser rollback stamps its inverse
+   operations one past the head, so the post-recovery state may
+   legitimately exceed it. An empty retained WAL is trivially covered:
+   the snapshot's own head anchors the log. *)
+let retained_log ~path db records =
+  match records with
+  | [] -> Ok None
+  | records ->
+    let* wal = Disk_format.wal_log ~path records in
+    let durable_head = Log.head wal in
+    let* () =
+      List.fold_left
+        (fun acc tbl ->
+           let* () = acc in
+           let m = Nbsc_storage.Table.max_lsn tbl in
+           if Lsn.(m > durable_head) then
+             Error
+               (Nbsc_error.corrupt ~path ~lsn:(Lsn.to_int m)
+                  (Printf.sprintf
+                     "table %s reflects lsn %s beyond the durable log head \
+                      %s: a group-commit suffix acked before the snapshot \
+                      was lost"
+                     (Nbsc_storage.Table.name tbl) (Lsn.to_string m)
+                     (Lsn.to_string durable_head)))
+           else Ok ())
+        (Ok ())
+        (Nbsc_storage.Catalog.tables (Db.catalog db))
+    in
+    Ok (Some wal)
+
 let open_dir ~dir =
   let* () = remove_orphan_tmps dir in
   let* pdb = load_snapshot ~dir in
@@ -466,34 +503,6 @@ let open_dir ~dir =
     end
     else Ok ()
   in
-  (* Group-commit recovery invariant: the snapshot must not reflect an
-     LSN the durable log does not cover. The only way to violate it is
-     a checkpoint that published its snapshot while acked-but-unflushed
-     commit records sat in the sink buffer and were then lost with a
-     crash — the checkpoint-side [flush_commits] exists precisely to
-     rule that out, and recovery asserts it held. Checked against the
-     {e snapshot-loaded} state, before replay: replay only applies
-     record LSNs the log covers, but the loser rollback stamps its
-     inverse operations one past the head, so the post-recovery state
-     may legitimately exceed it. (An empty retained WAL is trivially
-     covered — the snapshot's own head anchors the log.) *)
-  let check_covered ~durable_head =
-    List.fold_left
-      (fun acc tbl ->
-         let* () = acc in
-         let m = Nbsc_storage.Table.max_lsn tbl in
-         if Lsn.(m > durable_head) then
-           Error
-             (Nbsc_error.corrupt ~path:wpath ~lsn:(Lsn.to_int m)
-                (Printf.sprintf
-                   "table %s reflects lsn %s beyond the durable log head %s: \
-                    a group-commit suffix acked before the snapshot was lost"
-                   (Nbsc_storage.Table.name tbl) (Lsn.to_string m)
-                   (Lsn.to_string durable_head)))
-         else Ok ())
-      (Ok ())
-      (Nbsc_storage.Catalog.tables (Db.catalog pdb))
-  in
   (* Crash recovery over the retained log suffix. The parsed WAL
      becomes the {e live} in-memory log: a resumed transformation's
      propagator must be able to re-read the retained records, and new
@@ -504,13 +513,11 @@ let open_dir ~dir =
      idempotent, so a second crash mid-recovery reopens into the same
      replay. *)
   Fault.hit "recovery_replay";
-  let* report, log =
-    match wal.Disk_format.payloads with
-    | [] -> Ok (None, Db.log pdb) (* empty log based at the snapshot head *)
-    | records ->
-      let* wal = Disk_format.wal_log ~path:wpath records in
-      let* () = check_covered ~durable_head:(Log.head wal) in
-      Ok (Some (Recovery.replay_into (Db.catalog pdb) wal), wal)
+  let* retained = retained_log ~path:wpath pdb wal.Disk_format.payloads in
+  let report, log =
+    match retained with
+    | None -> (None, Db.log pdb) (* empty log based at the snapshot head *)
+    | Some wal -> (Some (Recovery.replay_into (Db.catalog pdb) wal), wal)
   in
   let pdb = Db.of_parts (Db.catalog pdb) ~log in
   (* Retained records carry transaction ids from the previous life;

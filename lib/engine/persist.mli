@@ -71,6 +71,18 @@ val open_dir : dir:string -> (t, error) result
     Fresh transaction ids are bumped above every id the retained WAL
     mentions. *)
 
+val retained_log :
+  path:string -> Db.t -> Nbsc_wal.Log_record.t list ->
+  (Nbsc_wal.Log.t option, error) result
+(** [retained_log ~path db records] checks the WAL at [path] against
+    the snapshot-loaded [db] as {!open_dir} does before replay, and
+    returns the log the records form ([None] when there are none). The
+    records must form a log ({!Disk_format.wal_log}), and when there
+    are any, no record of [db]'s tables may carry an LSN beyond its
+    head: a snapshot that does reflects commits the WAL lost. The
+    offline {!Scrub} runs the same function, so the two agree on a
+    spliced store. *)
+
 val db : t -> Db.t
 
 val checkpoint : t -> (unit, error) result

@@ -2,14 +2,18 @@
     [nbsc scrub] and [make scrub].
 
     Walks a database directory {e without opening it}: no replay, no
-    state mutation, no channel kept open. Both files go through
+    write, no channel kept open. Both files go through
     {!Disk_format.read}, the reader {!Persist.open_dir} uses, so the
     two judge the files alike: the scrub reports every problem that
     reader finds, where reopening refuses on the first. That covers the
     version header, per-line CRC-32, the snapshot trailer (truncation
-    at a line boundary), a missing file, a snapshot cut mid-line, WAL
-    record decodability and, once every WAL line is sound, the records'
-    LSN-chain structure. A torn (unterminated) final WAL line is
+    at a line boundary), a missing file, a snapshot cut mid-line and
+    WAL record decodability. Once a file's lines are all sound it runs
+    reopening's own checks: the snapshot must load ({!Snapshot.load},
+    in memory), and the WAL goes through {!Persist.retained_log}: its
+    records' LSN chain and, when the snapshot loaded, that no snapshot
+    record's LSN exceeds the WAL's head (a spliced store, an older WAL
+    beside a newer snapshot). A torn (unterminated) final WAL line is
     tolerated and noted — that is the legitimate signature of a crash
     mid-append, which reopening trims. Every problem carries
     file/line/checksum context.

@@ -28,17 +28,23 @@ let base_seed =
 
 let counter = ref 0
 
-(* No unix dependency: uniqueness from a counter + random suffix. *)
-let fresh_dir () =
-  incr counter;
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "nbsc_integrity_%d_%d" !counter (Random.int 1_000_000))
-
 let wipe dir =
   if Sys.file_exists dir then begin
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
     Sys.rmdir dir
   end
+
+(* No unix dependency: uniqueness from a counter + random suffix. The
+   names follow from the seed, so a directory a failed run left behind
+   under the same name is removed first. *)
+let fresh_dir () =
+  incr counter;
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nbsc_integrity_%d_%d" !counter (Random.int 1_000_000))
+  in
+  wipe dir;
+  dir
 
 let setup_orders p =
   let db = Persist.db p in
@@ -641,7 +647,17 @@ let test_scrub_and_reopen_agree () =
       ( "junk appended to the snapshot",
         fun dir ->
           let path = Disk_format.snapshot_path dir in
-          write_file path (read_file path ^ "junk\n") ) ]
+          write_file path (read_file path ^ "junk\n") );
+      ( "an older wal copied back over a newer snapshot",
+        fun dir ->
+          let path = Disk_format.wal_path dir in
+          let old = read_file path in
+          let p = ok_p "reopen" (Persist.open_dir ~dir) in
+          insert p 6 "v" 6;
+          insert p 7 "v" 7;
+          ok_p "checkpoint" (Persist.checkpoint p);
+          Persist.close p;
+          write_file path old ) ]
 
 (* {1 The fuzz property: corruption detection is total}
 
