@@ -38,6 +38,12 @@ QCHECK_SEED=42 dune exec test/test_lock.exe
 echo "== deadlock suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_deadlock.exe
 
+# The storage suite at a pinned seed: its hash-index properties (a
+# heap-scan reference model over shared indexes and key lists that
+# outgrow their bound) draw random insert/update/delete sequences.
+echo "== storage suite (fixed seed) =="
+QCHECK_SEED=42 dune exec test/test_storage.exe
+
 # Storage-integrity matrix at pinned seeds: checksummed-format
 # verification, disk-error model (EIO retry, ENOSPC degraded mode),
 # scrub and reopen agreeing, and the flip/truncate fuzz property. Then

@@ -385,6 +385,92 @@ let prop_index_agrees_with_heap =
             && List.for_all2 Row.Key.equal via_index via_scan)
          [ 0; 1; 2; 3; 4; 5 ])
 
+(* Three names over two column lists: [by_c] and [by_c2] share one
+   index. *)
+let shared_indexes = [ ("by_c", [ "c" ]); ("by_b", [ "b" ]); ("by_c2", [ "c" ]) ]
+
+(* Every name answers like a scan of the heap, for every value. *)
+let lookups_match_scan t =
+  List.for_all
+    (fun (name, col, values) ->
+       List.for_all
+         (fun v ->
+            let via_index =
+              List.sort Row.Key.compare
+                (Table.index_lookup t ~index:name (Row.make [ v ]))
+            in
+            let via_scan =
+              Table.fold t ~init:[] ~f:(fun acc k r ->
+                  if Value.equal (Row.get r.Record.row col) v then k :: acc
+                  else acc)
+              |> List.sort Row.Key.compare
+            in
+            List.equal Row.Key.equal via_index via_scan)
+         values)
+    (let cs = List.init 3 (fun i -> Value.Int i) in
+     let bs = List.init 3 (fun i -> Value.Text (string_of_int i)) in
+     [ ("by_c", 2, cs); ("by_b", 1, bs); ("by_c2", 2, cs) ])
+
+(* Reference model: random inserts, updates of either indexed column
+   and deletes over 3 values per column and 40 keys, so that a value's
+   keys grow past the 8 a list holds and shrink back. After every step
+   each name's lookups equal a heap scan and the declared names are
+   all there, in order. *)
+let prop_shared_index_model =
+  QCheck.Test.make ~name:"shared and short-list indexes = heap scan"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 150)
+              (quad (int_bound 39) (int_bound 2) (int_bound 2) (int_bound 4)))
+    (fun ops ->
+       let t = mk ~indexes:shared_indexes () in
+       let l = ref 0 in
+       List.for_all
+         (fun (a, b, c, action) ->
+            incr l;
+            (match action with
+             | 0 | 1 ->
+               ignore (Table.insert t ~lsn:(lsn !l) (row a (string_of_int b) c))
+             | 2 ->
+               ignore (Table.update t ~lsn:(lsn !l) ~key:(key a) [ (2, Value.Int c) ])
+             | 3 ->
+               ignore
+                 (Table.update t ~lsn:(lsn !l) ~key:(key a)
+                    [ (1, Value.Text (string_of_int b)) ])
+             | _ -> ignore (Table.delete t ~lsn:(lsn !l) (key a)));
+            lookups_match_scan t
+            && Table.index_definitions t = shared_indexes)
+         ops)
+
+(* Names over the same positions share one index, and still do after a
+   snapshot round trip, which restores indexes through [add_index]. An
+   online build keeps an index of its own. *)
+let test_shared_index_survives_snapshot () =
+  let module Db = Nbsc_engine.Db in
+  let module Snapshot = Nbsc_engine.Snapshot in
+  let db = Db.create () in
+  ignore (Db.create_table db ~indexes:shared_indexes ~name:"t" schema);
+  (match
+     Db.load db ~table:"t"
+       (List.init 30 (fun i -> row i (string_of_int (i mod 3)) (i mod 3)))
+   with
+   | Ok () -> ()
+   | Error _ -> Alcotest.fail "load");
+  let t = Db.table db "t" in
+  Alcotest.(check int) "three names, two indexes" 2 (Table.physical_indexes t);
+  let t' =
+    match Result.bind (Snapshot.save db) Snapshot.load with
+    | Ok db' -> Db.table db' "t"
+    | Error e -> Alcotest.fail (Nbsc_error.to_string e)
+  in
+  Alcotest.(check int) "restored: two indexes" 2 (Table.physical_indexes t');
+  Alcotest.(check bool) "restored names" true
+    (List.sort compare (Table.index_definitions t')
+     = List.sort compare shared_indexes);
+  Alcotest.(check bool) "restored lookups" true (lookups_match_scan t');
+  let b = Table.Index_build.start t ~name:"by_c3" ~columns:[ "c" ] in
+  while not (Table.Index_build.step b ~limit:8) do () done;
+  Alcotest.(check int) "a build's own index" 3 (Table.physical_indexes t)
+
 (* Property: a fuzzy scan over a static table returns exactly the
    table's rows. *)
 let prop_fuzzy_scan_complete =
@@ -420,7 +506,9 @@ let () =
           Alcotest.test_case "add_index backfills" `Quick
             test_add_index_backfills;
           Alcotest.test_case "online build = blocking build" `Quick
-            test_online_index_build ] );
+            test_online_index_build;
+          Alcotest.test_case "shared index survives a snapshot" `Quick
+            test_shared_index_survives_snapshot ] );
       ( "fuzzy",
         [ Alcotest.test_case "basics" `Quick test_fuzzy_cursor_basics;
           Alcotest.test_case "concurrent mutations" `Quick
@@ -430,4 +518,5 @@ let () =
       ("catalog", [ Alcotest.test_case "catalog" `Quick test_catalog ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_index_agrees_with_heap; prop_fuzzy_scan_complete ] ) ]
+          [ prop_index_agrees_with_heap; prop_shared_index_model;
+            prop_fuzzy_scan_complete ] ) ]
