@@ -14,8 +14,8 @@ type t = {
   st : stats;
 }
 
-let create ?mode catalog layout =
-  { cctx = C.make_ctx ?mode catalog layout;
+let create catalog layout =
+  { cctx = C.make_ctx catalog layout;
     st = { applied = 0; ignored = 0; foreign = 0 } }
 
 let ctx t = t.cctx

@@ -20,10 +20,8 @@ open Nbsc_storage
 
 type t
 
-val create : ?mode:Plan.mode -> Catalog.t -> Spec.foj_layout -> t
-(** [mode] (default {!Plan.default_mode}) selects the compiled or the
-    retained interpreted rule plan — semantics are identical; the
-    interpreted plan exists as the differential-test reference. *)
+val create : Catalog.t -> Spec.foj_layout -> t
+(** Compile the layout's rule plan (see {!Foj_common.make_ctx}). *)
 
 val ctx : t -> Foj_common.ctx
 

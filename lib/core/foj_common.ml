@@ -6,12 +6,11 @@ let s_bit = 2
 
 (* The rule plan: every positional mapping and projection the FOJ rules
    consult per record, compiled once against the layout at operator
-   construction ([make_ctx]). The rules then work through the closures
-   in [Plan] and never re-walk the layout's lists on the hot path. *)
+   construction ([make_ctx]). The rules then read [Plan]'s arrays and
+   never re-walk the layout's lists on the hot path. *)
 type ctx = {
   layout : Spec.foj_layout;
   t_tbl : Table.t;
-  mode : Plan.mode;
   route_r : Plan.route;       (* r_to_t @ r_join_to_t *)
   route_s : Plan.route;       (* s_to_t @ s_join_to_t *)
   route_r_join : Plan.route;  (* r_join_to_t alone (rule 5 pre-state) *)
@@ -29,33 +28,29 @@ type ctx = {
   t_arity : int;
 }
 
-let make_ctx ?(mode = Plan.default_mode) catalog (l : Spec.foj_layout) =
-  let route = Plan.route mode and proj = Plan.proj mode in
+let make_ctx catalog (l : Spec.foj_layout) =
   { layout = l;
     t_tbl = Catalog.find catalog l.Spec.spec.Spec.t_table;
-    mode;
-    route_r = route (l.Spec.r_to_t @ l.Spec.r_join_to_t);
-    route_s = route (l.Spec.s_to_t @ l.Spec.s_join_to_t);
-    route_r_join = route l.Spec.r_join_to_t;
-    p_r_carry = proj l.Spec.t_r_carry_pos;
-    p_s_carry = proj l.Spec.t_s_carry_pos;
+    route_r = Plan.route (l.Spec.r_to_t @ l.Spec.r_join_to_t);
+    route_s = Plan.route (l.Spec.s_to_t @ l.Spec.s_join_to_t);
+    route_r_join = Plan.route l.Spec.r_join_to_t;
+    p_r_carry = Plan.proj l.Spec.t_r_carry_pos;
+    p_s_carry = Plan.proj l.Spec.t_s_carry_pos;
     p_s_carry_key =
-      proj
+      Plan.proj
         (l.Spec.t_s_carry_pos
          @ List.filter
              (fun p -> not (List.mem p l.Spec.t_s_carry_pos))
              l.Spec.t_s_key_pos);
-    p_t_r_key = proj l.Spec.t_r_key_pos;
-    p_t_s_key = proj l.Spec.t_s_key_pos;
-    p_t_join = proj l.Spec.t_join_pos;
-    p_t_key = proj (Schema.key_positions l.Spec.t_schema);
-    p_r_key_in_r = proj l.Spec.r_key_in_r;
-    p_join_in_r = proj l.Spec.join_in_r;
-    p_s_key_in_s = proj l.Spec.s_key_in_s;
-    p_join_in_s = proj l.Spec.join_in_s;
+    p_t_r_key = Plan.proj l.Spec.t_r_key_pos;
+    p_t_s_key = Plan.proj l.Spec.t_s_key_pos;
+    p_t_join = Plan.proj l.Spec.t_join_pos;
+    p_t_key = Plan.proj (Schema.key_positions l.Spec.t_schema);
+    p_r_key_in_r = Plan.proj l.Spec.r_key_in_r;
+    p_join_in_r = Plan.proj l.Spec.join_in_r;
+    p_s_key_in_s = Plan.proj l.Spec.s_key_in_s;
+    p_join_in_s = Plan.proj l.Spec.join_in_s;
     t_arity = Schema.arity l.Spec.t_schema }
-
-let mode ctx = ctx.mode
 
 let derive_presence ctx row =
   (if Plan.any_non_null ctx.p_t_r_key row then r_bit else 0)

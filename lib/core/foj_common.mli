@@ -24,7 +24,6 @@ val s_bit : int
 type ctx = {
   layout : Spec.foj_layout;
   t_tbl : Table.t;
-  mode : Plan.mode;
   route_r : Plan.route;
   route_s : Plan.route;
   route_r_join : Plan.route;
@@ -42,8 +41,7 @@ type ctx = {
   t_arity : int;
 }
 
-val make_ctx : ?mode:Plan.mode -> Catalog.t -> Spec.foj_layout -> ctx
-val mode : ctx -> Plan.mode
+val make_ctx : Catalog.t -> Spec.foj_layout -> ctx
 
 val presence : ctx -> Record.t -> int
 (** The record's presence bitmap; if [aux] is unset (a row inserted

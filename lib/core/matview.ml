@@ -17,14 +17,14 @@ type t = {
   mutable dropped : bool;
 }
 
-let create db ?(config = default_config) ?plan_mode spec =
+let create db ?(config = default_config) spec =
   (* A materialized view is an FOJ transformation that never
      synchronizes: same preparation, population and redo rules, but no
      lock transfer (the view never takes over from its sources). The
      executor's lifecycle is not used — the view propagates forever and
      is never registered as a completable background job. *)
   let (module T : Transformation.S) =
-    Transformation.foj ~transfer_locks:false ?plan_mode db spec
+    Transformation.foj ~transfer_locks:false db spec
   in
   { db;
     config;

@@ -27,13 +27,10 @@ type config = {
 
 val default_config : config
 
-val create :
-  Nbsc_engine.Db.t -> ?config:config -> ?plan_mode:Plan.mode -> Spec.foj -> t
+val create : Nbsc_engine.Db.t -> ?config:config -> Spec.foj -> t
 (** Creates the view table (named [spec.t_table]) with its indexes and
     starts the background population. [many_to_many] views are
-    supported. [plan_mode] selects compiled or interpreted propagation
-    plans (default {!Plan.default_mode}). @raise Invalid_argument on an
-    invalid spec. *)
+    supported. @raise Invalid_argument on an invalid spec. *)
 
 val step : t -> bool
 (** One bounded unit of background work (population, then propagation);

@@ -1,199 +1,90 @@
 open Nbsc_value
 
-type mode = Compiled | Interpreted
-
-let default_mode = Compiled
-
-let mode_of_string = function
-  | "compiled" -> Some Compiled
-  | "interpreted" -> Some Interpreted
-  | _ -> None
-
-let mode_to_string = function
-  | Compiled -> "compiled"
-  | Interpreted -> "interpreted"
-
-(* Both backends are records of closures so the per-record call sites
-   are mode-blind; the compiled closures share the arrays built here
-   and allocate only their results. *)
+(* A plan is its position lists compiled to int arrays once, at
+   operator construction; the functions below only read them and
+   allocate only their results. *)
 
 type route = {
-  pairs : (int * int) list;
-  dst_of_src : int -> int option;
-  changes_through : (int * Value.t) list -> (int * Value.t) list;
-  graft_changes : Row.t -> (int * Value.t) list;
-  graft : src:Row.t -> onto:Row.t -> Row.t;
-  blit : src:Row.t -> dst:Value.t array -> unit;
+  srcs : int array;
+  dsts : int array;    (* pair i routes srcs.(i) to dsts.(i) *)
+  dst_of : int array;  (* source position -> destination, or -1 *)
 }
 
-let route_pairs r = r.pairs
-let dst_of_src r = r.dst_of_src
-let changes_through r = r.changes_through
-let graft_changes r = r.graft_changes
-let graft r = r.graft
-let blit r = r.blit
-
-let route_interpreted pairs =
-  let graft_changes src =
-    List.map (fun (s, d) -> (d, Row.get src s)) pairs
-  in
-  { pairs;
-    dst_of_src = (fun s -> List.assoc_opt s pairs);
-    changes_through =
-      (fun changes ->
-         List.filter_map
-           (fun (pos, v) ->
-              match List.assoc_opt pos pairs with
-              | Some d -> Some (d, v)
-              | None -> None)
-           changes);
-    graft_changes;
-    graft = (fun ~src ~onto -> Row.update onto (graft_changes src));
-    blit =
-      (fun ~src ~dst ->
-         List.iter (fun (s, d) -> dst.(d) <- Row.get src s) pairs) }
-
-let route_compiled pairs =
-  let n = List.length pairs in
-  let srcs = Array.make n 0 and dsts = Array.make n 0 in
-  List.iteri
-    (fun i (s, d) ->
-       srcs.(i) <- s;
-       dsts.(i) <- d)
-    pairs;
-  let max_src = Array.fold_left max (-1) srcs in
-  let dst_of = Array.make (max_src + 1) (-1) in
+let route pairs =
+  let srcs = Array.of_list (List.map fst pairs)
+  and dsts = Array.of_list (List.map snd pairs) in
+  let dst_of = Array.make (Array.fold_left max (-1) srcs + 1) (-1) in
   (* Reverse fill so the first pair wins, like [List.assoc]. *)
-  for i = n - 1 downto 0 do
+  for i = Array.length srcs - 1 downto 0 do
     dst_of.(srcs.(i)) <- dsts.(i)
   done;
-  let lookup s =
-    if s < 0 || s > max_src then -1 else Array.unsafe_get dst_of s
-  in
-  let blit ~src ~dst =
-    for i = 0 to n - 1 do
-      dst.(dsts.(i)) <- Row.get src srcs.(i)
-    done
-  in
-  { pairs;
-    dst_of_src = (fun s -> match lookup s with -1 -> None | d -> Some d);
-    changes_through =
-      (fun changes ->
-         List.filter_map
-           (fun (pos, v) ->
-              match lookup pos with -1 -> None | d -> Some (d, v))
-           changes);
-    graft_changes =
-      (fun src ->
-         let rec go i =
-           if i >= n then [] else (dsts.(i), Row.get src srcs.(i)) :: go (i + 1)
-         in
-         go 0);
-    graft =
-      (fun ~src ~onto ->
-         let b = Row.Build.of_row onto in
-         for i = 0 to n - 1 do
-           Row.Build.set b dsts.(i) (Row.get src srcs.(i))
-         done;
-         Row.Build.finish b);
-    blit }
+  { srcs; dsts; dst_of }
 
-let route mode pairs =
-  match mode with
-  | Interpreted -> route_interpreted pairs
-  | Compiled -> route_compiled pairs
+let lookup r s =
+  if s < 0 || s >= Array.length r.dst_of then -1
+  else Array.unsafe_get r.dst_of s
+
+let dst_of_src r s = match lookup r s with -1 -> None | d -> Some d
+
+let changes_through r changes =
+  List.filter_map
+    (fun (pos, v) -> match lookup r pos with -1 -> None | d -> Some (d, v))
+    changes
+
+let graft r ~src ~onto =
+  let b = Row.Build.of_row onto in
+  for i = 0 to Array.length r.srcs - 1 do
+    Row.Build.set b r.dsts.(i) (Row.get src r.srcs.(i))
+  done;
+  Row.Build.finish b
+
+let blit r ~src ~dst =
+  for i = 0 to Array.length r.srcs - 1 do
+    dst.(r.dsts.(i)) <- Row.get src r.srcs.(i)
+  done
 
 type proj = {
-  positions : int list;
-  project : Row.t -> Row.Key.t;
-  mem : int -> bool;
-  touches : (int * Value.t) list -> bool;
-  filter_out : (int * Value.t) list -> (int * Value.t) list;
-  covered_by : (int * Value.t) list -> bool;
-  null_out : Row.t -> Row.t;
-  any_non_null : Row.t -> bool;
-  refresh_changes : Row.t -> (int * Value.t) list;
-  graft_self : src:Row.t -> onto:Row.t -> Row.t;
+  positions : int array;
+  mask : bool array;  (* position -> projected *)
 }
 
-let positions p = p.positions
-let project p = p.project
-let mem p = p.mem
-let touches p = p.touches
-let filter_out p = p.filter_out
-let covered_by p = p.covered_by
-let null_out p = p.null_out
-let any_non_null p = p.any_non_null
-let refresh_changes p = p.refresh_changes
-let graft_self p = p.graft_self
+let proj ps =
+  let positions = Array.of_list ps in
+  let mask = Array.make (Array.fold_left max (-1) positions + 1) false in
+  Array.iter (fun p -> mask.(p) <- true) positions;
+  { positions; mask }
 
-let proj_interpreted ps =
-  let mem i = List.mem i ps in
-  { positions = ps;
-    project = (fun row -> Row.Key.of_row row ps);
-    mem;
-    touches = (fun changes -> List.exists (fun (pos, _) -> mem pos) changes);
-    filter_out =
-      (fun changes -> List.filter (fun (pos, _) -> not (mem pos)) changes);
-    covered_by =
-      (fun changes -> List.for_all (fun i -> List.mem_assoc i changes) ps);
-    null_out =
-      (fun row -> Row.update row (List.map (fun i -> (i, Value.Null)) ps));
-    any_non_null =
-      (fun row ->
-         List.exists (fun i -> not (Value.is_null (Row.get row i))) ps);
-    refresh_changes =
-      (fun src -> List.map (fun p -> (p, Row.get src p)) ps);
-    graft_self =
-      (fun ~src ~onto ->
-         Row.update onto (List.map (fun p -> (p, Row.get src p)) ps)) }
+let mem p i = i >= 0 && i < Array.length p.mask && Array.unsafe_get p.mask i
 
-let proj_compiled ps =
-  let arr = Array.of_list ps in
-  let n = Array.length arr in
-  let max_pos = Array.fold_left max (-1) arr in
-  let mask = Array.make (max_pos + 1) false in
-  Array.iter (fun p -> mask.(p) <- true) arr;
-  let mem p = p >= 0 && p <= max_pos && Array.unsafe_get mask p in
-  { positions = ps;
-    project =
-      (fun row ->
-         let out = Array.make n Value.Null in
-         for i = 0 to n - 1 do
-           out.(i) <- Row.get row arr.(i)
-         done;
-         Row.unsafe_of_array out);
-    mem;
-    touches = (fun changes -> List.exists (fun (pos, _) -> mem pos) changes);
-    filter_out =
-      (fun changes -> List.filter (fun (pos, _) -> not (mem pos)) changes);
-    covered_by =
-      (fun changes ->
-         Array.for_all (fun p -> List.mem_assoc p changes) arr);
-    null_out =
-      (fun row ->
-         let b = Row.Build.of_row row in
-         Array.iter (fun p -> Row.Build.set b p Value.Null) arr;
-         Row.Build.finish b);
-    any_non_null =
-      (fun row ->
-         let rec go i =
-           i < n && (not (Value.is_null (Row.get row arr.(i))) || go (i + 1))
-         in
-         go 0);
-    refresh_changes =
-      (fun src ->
-         let rec go i =
-           if i >= n then [] else (arr.(i), Row.get src arr.(i)) :: go (i + 1)
-         in
-         go 0);
-    graft_self =
-      (fun ~src ~onto ->
-         let b = Row.Build.of_row onto in
-         Row.Build.blit_positions ~src ~positions:arr b;
-         Row.Build.finish b) }
+let project p row =
+  let n = Array.length p.positions in
+  let out = Array.make n Value.Null in
+  for i = 0 to n - 1 do
+    out.(i) <- Row.get row p.positions.(i)
+  done;
+  Row.unsafe_of_array out
 
-let proj mode ps =
-  match mode with
-  | Interpreted -> proj_interpreted ps
-  | Compiled -> proj_compiled ps
+let touches p changes = List.exists (fun (pos, _) -> mem p pos) changes
+
+let filter_out p changes =
+  List.filter (fun (pos, _) -> not (mem p pos)) changes
+
+let covered_by p changes =
+  Array.for_all (fun i -> List.mem_assoc i changes) p.positions
+
+let null_out p row =
+  let b = Row.Build.of_row row in
+  Array.iter (fun i -> Row.Build.set b i Value.Null) p.positions;
+  Row.Build.finish b
+
+let any_non_null p row =
+  let rec go i =
+    i < Array.length p.positions
+    && ((not (Value.is_null (Row.get row p.positions.(i)))) || go (i + 1))
+  in
+  go 0
+
+let graft_self p ~src ~onto =
+  let b = Row.Build.of_row onto in
+  Row.Build.blit_positions ~src ~positions:p.positions b;
+  Row.Build.finish b

@@ -7,34 +7,25 @@
     keys, test membership, or NULL out one side's columns). The layouts
     in {!Spec} resolve column {e names} once; this module compiles the
     resulting position lists once more — at operator construction —
-    into closures over int arrays, so the per-record loop does no
-    [List.assoc], no list rebuilding, and no redundant row copies.
+    into int arrays, so the per-record loop does no [List.assoc], no
+    list rebuilding, and no redundant row copies.
 
-    [Interpreted] retains the original list-walking implementations,
-    bit-for-bit: it is the reference the differential tests run the
-    same workload through. Both modes must produce identical output
-    {e order}, not just identical sets. *)
+    Each primitive behaves exactly as its list-walking definition over
+    the position list it was compiled from ([List.assoc_opt] for a
+    route, [List.mem] for a projection, [Row.update] for the fresh
+    rows), results in the same order. Those definitions are written out
+    in [test/test_plan.ml], whose property checks every primitive
+    against them. *)
 
 open Nbsc_value
-
-type mode = Compiled | Interpreted
-
-val default_mode : mode
-(** [Compiled]. *)
-
-val mode_of_string : string -> mode option
-val mode_to_string : mode -> string
 
 (** {1 Routes} *)
 
 type route
 
-val route : mode -> (int * int) list -> route
-(** Compile a [(src_pos, dst_pos)] mapping. Pair order is preserved by
-    {!graft_changes}; on duplicate source positions the first pair wins
-    (matching [List.assoc]). *)
-
-val route_pairs : route -> (int * int) list
+val route : (int * int) list -> route
+(** Compile a [(src_pos, dst_pos)] mapping. On duplicate source
+    positions the first pair wins (matching [List.assoc]). *)
 
 val dst_of_src : route -> int -> int option
 
@@ -42,12 +33,9 @@ val changes_through : route -> (int * Value.t) list -> (int * Value.t) list
 (** Re-express positional changes in destination coordinates, dropping
     changes whose position is not routed. Change order is preserved. *)
 
-val graft_changes : route -> Row.t -> (int * Value.t) list
-(** [(dst, src.(s))] for every pair, in pair order. *)
-
 val graft : route -> src:Row.t -> onto:Row.t -> Row.t
 (** Fresh row: [onto] with every routed position overwritten from
-    [src]. *)
+    [src], in pair order. *)
 
 val blit : route -> src:Row.t -> dst:Value.t array -> unit
 (** In-place variant of {!graft} for rows still under construction. *)
@@ -56,13 +44,11 @@ val blit : route -> src:Row.t -> dst:Value.t array -> unit
 
 type proj
 
-val proj : mode -> int list -> proj
-val positions : proj -> int list
+val proj : int list -> proj
 
 val project : proj -> Row.t -> Row.Key.t
 (** The row's values at the projected positions, in position order. *)
 
-val mem : proj -> int -> bool
 val touches : proj -> (int * Value.t) list -> bool
 (** Whether any change lands on a projected position. *)
 
@@ -76,10 +62,6 @@ val null_out : proj -> Row.t -> Row.t
 (** Fresh row with the projected positions set to NULL. *)
 
 val any_non_null : proj -> Row.t -> bool
-
-val refresh_changes : proj -> Row.t -> (int * Value.t) list
-(** [(p, src.(p))] for every projected position — a same-coordinate
-    change list. *)
 
 val graft_self : proj -> src:Row.t -> onto:Row.t -> Row.t
 (** Fresh row: [onto] with the projected positions copied from [src]

@@ -25,21 +25,20 @@ type t = {
   st : stats;
 }
 
-let create ?(mode = Plan.default_mode) catalog (layout : Spec.split_layout) =
-  let route = Plan.route mode and proj = Plan.proj mode in
+let create catalog (layout : Spec.split_layout) =
   let s_key = Schema.key_positions layout.Spec.s_schema' in
   { layout;
     r_tbl = Catalog.find catalog layout.Spec.sspec.Spec.r_table';
     s_tbl = Catalog.find catalog layout.Spec.sspec.Spec.s_table';
-    route_t_r = route layout.Spec.t_to_r;
-    route_t_s = route layout.Spec.t_to_s;
-    p_r_cols = proj layout.Spec.r_cols_in_t;
-    p_s_cols = proj layout.Spec.s_cols_in_t;
-    p_s_key = proj s_key;
-    p_split_in_r = proj layout.Spec.split_in_r;
-    p_split_in_t = proj layout.Spec.split_in_t;
+    route_t_r = Plan.route layout.Spec.t_to_r;
+    route_t_s = Plan.route layout.Spec.t_to_s;
+    p_r_cols = Plan.proj layout.Spec.r_cols_in_t;
+    p_s_cols = Plan.proj layout.Spec.s_cols_in_t;
+    p_s_key = Plan.proj s_key;
+    p_split_in_r = Plan.proj layout.Spec.split_in_r;
+    p_split_in_t = Plan.proj layout.Spec.split_in_t;
     p_non_key_s =
-      proj
+      Plan.proj
         (List.filter
            (fun i -> not (List.mem i s_key))
            (List.init (Schema.arity layout.Spec.s_schema') Fun.id));

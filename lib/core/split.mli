@@ -14,10 +14,9 @@ open Nbsc_storage
 
 type t
 
-val create : ?mode:Plan.mode -> Catalog.t -> Spec.split_layout -> t
-(** [mode] (default {!Plan.default_mode}) selects the compiled or the
-    retained interpreted rule plan — semantics are identical; the
-    interpreted plan exists as the differential-test reference. *)
+val create : Catalog.t -> Spec.split_layout -> t
+(** Compile the layout's rule plan (see {!Plan}) against the catalog's
+    R and S tables. *)
 
 val layout : t -> Spec.split_layout
 val r_table : t -> Table.t

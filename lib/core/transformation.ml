@@ -117,7 +117,7 @@ let foj_target_to_sources fj ~key =
   (if Row.Key.has_null r_part then [] else [ (spec.Spec.r_table, r_part) ])
   @ if Row.Key.has_null s_part then [] else [ (spec.Spec.s_table, s_part) ]
 
-let foj ?(transfer_locks = true) ?plan_mode ?options db spec =
+let foj ?(transfer_locks = true) ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.foj_layout catalog spec in
   let r_tbl = Catalog.find catalog spec.Spec.r_table in
@@ -128,7 +128,7 @@ let foj ?(transfer_locks = true) ?plan_mode ?options db spec =
     ~size:(Table.cardinality r_tbl + Table.cardinality s_tbl)
     ~indexes:(Spec.foj_t_indexes layout)
     ~name:spec.Spec.t_table (Spec.foj_t_schema layout);
-  let fj = Foj.create ?mode:plan_mode catalog layout in
+  let fj = Foj.create catalog layout in
   let apply =
     if spec.Spec.many_to_many then
       fun ~lsn op ->
@@ -198,7 +198,7 @@ let split_target_to_sources sp db ~table ~key =
         (Table.index_lookup t_tbl ~index:Spec.ix_t_split key)
   else []
 
-let split ?plan_mode ?options db spec =
+let split ?options db spec =
   let catalog = Db.catalog db in
   let layout = Spec.split_layout catalog spec in
   let t_tbl = Catalog.find catalog spec.Spec.t_table' in
@@ -213,7 +213,7 @@ let split ?plan_mode ?options db spec =
     Table.Index_build.start t_tbl ~name:Spec.ix_t_split
       ~columns:spec.Spec.split_key
   in
-  let sp = Split.create ?mode:plan_mode catalog layout in
+  let sp = Split.create catalog layout in
   let cc =
     if spec.Spec.assume_consistent then None
     else Some (Consistency.create catalog sp ~log:(Db.log db))

@@ -102,21 +102,13 @@ val counter : packed -> string -> int
     [strategy = Lazy | Hybrid _] replaces the operator's eager
     population with the uniform demand scan — each source record's
     current state replayed through the propagation rules (LSN-gated, so
-    double migration is a no-op). [plan_mode] selects compiled or
-    interpreted rule plans (default {!Plan.default_mode}); the
-    differential tests run both. *)
+    double migration is a no-op). *)
 
 val foj :
-  ?transfer_locks:bool ->
-  ?plan_mode:Plan.mode ->
-  ?options:Options.t ->
-  Nbsc_engine.Db.t ->
-  Spec.foj ->
-  packed
+  ?transfer_locks:bool -> ?options:Options.t -> Nbsc_engine.Db.t ->
+  Spec.foj -> packed
 
-val split :
-  ?plan_mode:Plan.mode -> ?options:Options.t -> Nbsc_engine.Db.t ->
-  Spec.split -> packed
+val split : ?options:Options.t -> Nbsc_engine.Db.t -> Spec.split -> packed
 
 val hsplit : ?options:Options.t -> Nbsc_engine.Db.t -> Spec.hsplit -> packed
 
