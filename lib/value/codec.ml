@@ -29,16 +29,7 @@ let string_of_chunks chunks =
   List.iter (put_chunk buf) chunks;
   Buffer.contents buf
 
-let encode_row (r : Row.t) =
-  string_of_chunks (List.map Value.encode (Array.to_list r))
-
 let decode_row s = Array.of_list (List.map Value.decode (chunks_of_string s))
-
-let encode_changes changes =
-  string_of_chunks
-    (List.concat_map
-       (fun (i, v) -> [ string_of_int i; Value.encode v ])
-       changes)
 
 let decode_changes s =
   let rec pair = function
@@ -56,10 +47,9 @@ let decode_changes s =
 let encode_string_list = string_of_chunks
 let decode_string_list = chunks_of_string
 
-(* Buffer-direct variants for the WAL persist sink: encoding there runs
+(* Buffer-direct encoders for the WAL persist sink: encoding there runs
    once per log record, and building the nested composite strings only
-   to copy them into an output buffer showed up in the engine bench.
-   Byte-for-byte the same format as the string encoders above. *)
+   to copy them into an output buffer showed up in the engine bench. *)
 
 let add_chunk = put_chunk
 

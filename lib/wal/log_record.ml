@@ -49,14 +49,10 @@ type t = {
   body : body;
 }
 
-(* Encoding: chunk list via Codec.encode_string_list. First chunk is a
-   tag, the rest are fields. *)
-
-let encode_active active =
-  Codec.encode_string_list
-    (List.concat_map
-       (fun (t, l) -> [ string_of_int t; Lsn.to_string l ])
-       active)
+(* Encoding: a chunk list (see {!Codec}). The first three chunks are
+   the LSN, the transaction and the previous LSN; then a tag and the
+   body's fields. A row, a change list or an active-transaction list is
+   one composite chunk holding its own chunks. *)
 
 let decode_active s =
   let rec pair = function
@@ -65,14 +61,6 @@ let decode_active s =
     | t :: l :: rest -> (int_of_string t, Lsn.of_int (int_of_string l)) :: pair rest
   in
   pair (Codec.decode_string_list s)
-
-let encode_op = function
-  | Insert { table; row } -> [ "ins"; table; Codec.encode_row row ]
-  | Delete { table; key; before } ->
-    [ "del"; table; Codec.encode_row key; Codec.encode_row before ]
-  | Update { table; key; changes; before } ->
-    [ "upd"; table; Codec.encode_row key;
-      Codec.encode_changes changes; Codec.encode_changes before ]
 
 let decode_op = function
   | [ "ins"; table; row ] -> Insert { table; row = Codec.decode_row row }
@@ -86,22 +74,6 @@ let decode_op = function
         changes = Codec.decode_changes changes;
         before = Codec.decode_changes before }
   | _ -> failwith "Log_record: bad op encoding"
-
-let encode_body = function
-  | Begin -> [ "begin" ]
-  | Commit -> [ "commit" ]
-  | Abort_begin -> [ "abort_begin" ]
-  | Abort_done -> [ "abort_done" ]
-  | Op op -> "op" :: encode_op op
-  | Clr { undo_next; op } -> "clr" :: Lsn.to_string undo_next :: encode_op op
-  | Fuzzy_mark { active } -> [ "fuzzy"; encode_active active ]
-  | Cc_begin { table; key } -> [ "cc_begin"; table; Codec.encode_row key ]
-  | Cc_ok { table; key; image } ->
-    [ "cc_ok"; table; Codec.encode_row key; Codec.encode_row image ]
-  | Checkpoint { active } -> [ "ckpt"; encode_active active ]
-  | Job_state { job; state } -> [ "job"; job; state ]
-  | Job_done { job } -> [ "job_done"; job ]
-  | Watermark { job; high } -> [ "wmark"; job; (if high then "hi" else "lo") ]
 
 let decode_body = function
   | [ "begin" ] -> Begin
@@ -125,16 +97,11 @@ let decode_body = function
      | _ -> failwith "Log_record: bad watermark bound")
   | _ -> failwith "Log_record: bad body encoding"
 
-let encode t =
-  Codec.encode_string_list
-    (Lsn.to_string t.lsn :: string_of_int t.txn :: Lsn.to_string t.prev_lsn
-     :: encode_body t.body)
-
-(* Buffer-direct encoding for the persist sink: byte-identical to
-   [encode], without materializing the record (or its nested row /
-   change-list composites) as intermediate strings. [scratch] holds one
-   composite at a time; the caller provides it so a long-lived sink can
-   reuse the same two buffers for every record. *)
+(* The persist sink encodes straight into its output buffer, without
+   materializing the record (or its nested row / change-list composites)
+   as intermediate strings. [scratch] holds one composite at a time; the
+   caller provides it so a long-lived sink can reuse the same two
+   buffers for every record. *)
 
 let add_composite ~scratch buf fill =
   Buffer.clear scratch;
@@ -210,6 +177,11 @@ let encode_into ~scratch buf t =
   Codec.add_chunk buf (string_of_int t.txn);
   Codec.add_chunk buf (Lsn.to_string t.prev_lsn);
   encode_body_into ~scratch buf t.body
+
+let encode t =
+  let buf = Buffer.create 64 in
+  encode_into ~scratch:(Buffer.create 64) buf t;
+  Buffer.contents buf
 
 let decode s =
   match Codec.decode_string_list s with

@@ -86,14 +86,16 @@ type t = {
   body : body;
 }
 
-val encode : t -> string
-(** Single-line, self-delimiting encoding; inverse of {!decode}. *)
-
 val encode_into : scratch:Buffer.t -> Buffer.t -> t -> unit
-(** Append the bytes of [encode] to the second buffer without
-    materializing intermediate strings. [scratch] is clobbered (holds
-    one nested composite at a time); a long-lived sink passes the same
-    two buffers for every record. *)
+(** Append the record's single-line, self-delimiting encoding (the
+    inverse of {!decode}) to the second buffer without materializing
+    intermediate strings. [scratch] is clobbered (holds one nested
+    composite at a time); a long-lived sink passes the same two buffers
+    for every record. test_wal pins the exact bytes of every record
+    kind. *)
+
+val encode : t -> string
+(** {!encode_into} into fresh buffers, as a string. *)
 
 val decode : string -> t
 (** @raise Failure on malformed input. *)

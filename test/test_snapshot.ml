@@ -127,11 +127,13 @@ let test_corruption_detected () =
   Alcotest.(check bool) "garbage line" true (corrupt (lines @ [ "Z:???" ]));
   Alcotest.(check bool) "truncated payload" true
     (corrupt [ "R:" ^ Nbsc_value.Codec.encode_string_list [ "T" ] ]);
+  let row = Buffer.create 32 in
+  Nbsc_value.Codec.encode_row_into row (H.ti 1 "a" 1 "x");
   Alcotest.(check bool) "row for unknown table" true
     (corrupt
        [ "R:"
          ^ Nbsc_value.Codec.encode_string_list
-             [ "NOPE"; "1"; "1"; "C"; "0"; Nbsc_value.Codec.encode_row (H.ti 1 "a" 1 "x") ]
+             [ "NOPE"; "1"; "1"; "C"; "0"; Buffer.contents row ]
        ])
 
 let test_snapshot_plus_log_suffix () =

@@ -57,6 +57,17 @@ let test_row_ops () =
   Alcotest.(check bool) "all_null" true (Row.is_all_null (Row.all_null 4));
   Alcotest.(check bool) "not all_null" false (Row.is_all_null r)
 
+(* The codec encodes rows and change lists into a buffer only. *)
+let row_bytes row =
+  let buf = Buffer.create 32 in
+  Codec.encode_row_into buf row;
+  Buffer.contents buf
+
+let changes_bytes changes =
+  let buf = Buffer.create 32 in
+  Codec.encode_changes_into buf changes;
+  Buffer.contents buf
+
 let test_row_codec () =
   let rows =
     [ Row.make [];
@@ -67,10 +78,10 @@ let test_row_codec () =
   List.iter
     (fun row ->
        Alcotest.(check bool) "row roundtrip" true
-         (Row.equal row (Codec.decode_row (Codec.encode_row row))))
+         (Row.equal row (Codec.decode_row (row_bytes row))))
     rows;
   let changes = [ (0, Value.Int 9); (3, Value.Text "t") ] in
-  let decoded = Codec.decode_changes (Codec.encode_changes changes) in
+  let decoded = Codec.decode_changes (changes_bytes changes) in
   Alcotest.(check bool) "changes roundtrip" true (changes = decoded)
 
 let test_schema_validation () =
@@ -154,7 +165,7 @@ let prop_row_codec =
            (function Value.Float f when Float.is_nan f -> Value.Null | x -> x)
            row
        in
-       Row.equal row (Codec.decode_row (Codec.encode_row row)))
+       Row.equal row (Codec.decode_row (row_bytes row)))
 
 (* CRC-32 known answers: "123456789" -> cbf43926 is the standard check
    value of the IEEE 802.3 CRC; zlib's crc32 gives the same three. *)

@@ -18,13 +18,6 @@ let edge_row =
       Value.Bool true; Value.Bool false; Value.Text "";
       Value.Text "a:b\\c|d"; Value.Text "7:seven" ]
 
-(* [encode_into] must agree byte-for-byte with [encode] — the persist
-   sink uses the buffer-direct path, replay decodes its output. *)
-let encode_via_buffer r =
-  let buf = Buffer.create 64 and scratch = Buffer.create 64 in
-  Log_record.encode_into ~scratch buf r;
-  Buffer.contents buf
-
 let bodies =
   [ Log_record.Begin;
     Log_record.Commit;
@@ -53,26 +46,52 @@ let bodies =
          { table = "t";
            key = sample_key;
            changes = [ (0, Value.Text ""); (3, Value.Float Float.nan) ];
-           before = [ (0, Value.Null); (3, Value.Float (-0.)) ] }) ]
+           before = [ (0, Value.Null); (3, Value.Float (-0.)) ] });
+    Log_record.Job_state { job = "foj#7"; state = "3:foj1:P" };
+    Log_record.Job_done { job = "foj#7" } ]
+
+(* The v2 WAL format itself: the exact bytes of the [i]-th entry of
+   [bodies] as record [i + 1] of transaction [i], with [prev_lsn] [i]
+   (the watermarks' bytes are in [test_legacy_watermarks]). A store
+   written by any earlier build holds these bytes, so an encoder change
+   that moves one breaks every WAL on disk even when encode and decode
+   still agree with each other. *)
+let bodies_bytes =
+  [ "1:11:01:05:begin";
+    "1:21:11:16:commit";
+    "1:31:21:211:abort_begin";
+    "1:41:31:310:abort_done";
+    "1:51:41:42:op3:ins1:t13:2:I74:T1:x1:N";
+    "1:61:51:52:op3:del1:t4:2:I713:2:I74:T1:x1:N";
+    "1:71:61:62:op3:upd21:weird|name:with\\chars4:2:I711:1:16:T3:new11:1:16:T3:old";
+    "1:81:71:73:clr1:33:ins1:t13:2:I74:T1:x1:N";
+    "1:91:81:85:fuzzy12:1:31:11:91:5";
+    "2:101:91:95:fuzzy0:";
+    "2:112:102:108:cc_begin1:t4:2:I7";
+    "2:122:112:115:cc_ok1:t4:2:I713:2:I74:T1:x1:N";
+    "2:132:122:124:ckpt6:1:11:1";
+    "2:142:132:132:op3:ins1:t159:1:N20:I461168601842738790321:I-461168601842738790420:F922112023704109056121:F-922337203685477580820:F92188684372274053122:Bt2:Bf3:T0:10:T7:a:b\\c|d10:T7:7:seven";
+    "2:152:142:142:op3:upd1:t4:2:I734:1:03:T0:1:320:F922112023704109056133:1:01:N1:321:F-9223372036854775808";
+    "2:162:152:153:job5:foj#78:3:foj1:P";
+    "2:172:162:168:job_done5:foj#7" ]
 
 let test_record_roundtrip () =
   List.iteri
-    (fun i body ->
+    (fun i (body, bytes) ->
        let r =
          { Log_record.lsn = Lsn.of_int (i + 1);
            txn = i;
            prev_lsn = Lsn.of_int i;
            body }
        in
-       let r' = Log_record.decode (Log_record.encode r) in
+       Alcotest.(check string) (Printf.sprintf "bytes %d" i) bytes
+         (Log_record.encode r);
+       let r' = Log_record.decode bytes in
        Alcotest.(check string)
          (Printf.sprintf "body %d" i)
          (Format.asprintf "%a" Log_record.pp r)
-         (Format.asprintf "%a" Log_record.pp r');
-       Alcotest.(check string)
-         (Printf.sprintf "encode_into agrees %d" i)
-         (Log_record.encode r) (encode_via_buffer r))
-    bodies
+         (Format.asprintf "%a" Log_record.pp r'))
+    (List.combine bodies bodies_bytes)
 
 (* No writer produces [Watermark] records any more, but an earlier
    DBLog-style populator wrote them into WALs of the current format.
@@ -90,9 +109,7 @@ let test_legacy_watermarks () =
               prev_lsn = Lsn.zero;
               body = Log_record.Watermark { job = "foj"; high } });
        Alcotest.(check string) (bytes ^ " re-encodes") bytes
-         (Log_record.encode r);
-       Alcotest.(check string) (bytes ^ " encode_into agrees") bytes
-         (encode_via_buffer r))
+         (Log_record.encode r))
     [ ("2:121:01:05:wmark3:foj2:lo", 12, false);
       ("2:151:01:05:wmark3:foj2:hi", 15, true) ]
 
@@ -371,7 +388,6 @@ let prop_log_serialization =
        Log.length log = Log.length log'
        && Log.fold log ?from:None ?upto:None ~init:true ~f:(fun acc r ->
            acc
-           && Log_record.encode r = encode_via_buffer r
            && Format.asprintf "%a" Log_record.pp r
               = Format.asprintf "%a" Log_record.pp (Log.get log' r.Log_record.lsn)))
 
