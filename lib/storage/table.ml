@@ -615,9 +615,11 @@ module Index_build = struct
         match found with
         | Some ix -> ix
         | None ->
+          (* Resolve first: an unknown column raises before the name
+             is marked partial, so no lookup is refused forever. *)
+          let positions = Schema.positions table.schema columns in
           table.partial <- name :: table.partial;
-          register_index table ~name
-            ~positions:(Schema.positions table.schema columns)
+          register_index table ~name ~positions
       in
       (* Registered, and compaction stopped, in one step: every key
          live now either gets written (and the write maintains the

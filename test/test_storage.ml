@@ -349,6 +349,19 @@ let test_online_index_build () =
   Alcotest.(check bool) "add_index completes it" true
     (Table.index_entries t ~index:"by_d" = blocking ())
 
+(* A build refused for an unknown column leaves nothing behind: the
+   name is free for [add_index], whose index then answers lookups. *)
+let test_failed_build_leaves_no_name () =
+  let t = mk ~indexes:[] () in
+  for i = 1 to 20 do
+    ignore (Table.insert t ~lsn:(lsn i) (row i "x" (i mod 3)))
+  done;
+  Alcotest.check_raises "unknown column" Not_found (fun () ->
+      ignore (Table.Index_build.start t ~name:"x" ~columns:[ "nope" ]));
+  Table.add_index t ~name:"x" ~columns:[ "c" ];
+  Alcotest.(check int) "lookup answers" 7
+    (List.length (Table.index_lookup t ~index:"x" (Row.make [ Value.Int 1 ])))
+
 (* Property: after random inserts/updates/deletes, every index bucket
    agrees with a scan of the heap. *)
 let prop_index_agrees_with_heap =
@@ -507,6 +520,8 @@ let () =
             test_add_index_backfills;
           Alcotest.test_case "online build = blocking build" `Quick
             test_online_index_build;
+          Alcotest.test_case "failed build leaves no name" `Quick
+            test_failed_build_leaves_no_name;
           Alcotest.test_case "shared index survives a snapshot" `Quick
             test_shared_index_survives_snapshot ] );
       ( "fuzzy",
