@@ -35,13 +35,18 @@ let wipe dir =
   end
 
 (* No unix dependency: uniqueness from a counter + random suffix. The
-   names follow from the seed, so a directory a failed run left behind
-   under the same name is removed first. *)
+   suffix comes from a generator of its own: building the QCheck case
+   reseeds the global one from the clock unless QCHECK_SEED is set. So
+   the names follow from NBSC_CRASH_SEED alone, and a directory a
+   failed run left behind under the same name is removed first. *)
+let dir_rng = Random.State.make [| base_seed |]
+
 let fresh_dir () =
   incr counter;
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nbsc_integrity_%d_%d" !counter (Random.int 1_000_000))
+      (Printf.sprintf "nbsc_integrity_%d_%d" !counter
+         (Random.State.int dir_rng 1_000_000))
   in
   wipe dir;
   dir
@@ -738,7 +743,6 @@ let prop_damage_never_silent =
        true)
 
 let () =
-  Random.init base_seed;
   Alcotest.run "integrity"
     [ ( "checksums",
         [ Alcotest.test_case "bit flip in wal detected" `Quick
