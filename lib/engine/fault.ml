@@ -11,8 +11,6 @@ type mode =
 exception Injected of { site : string; mode : mode }
 exception Io_injected of { site : string; errno : errno; transient : bool }
 
-let errno_to_string = function EIO -> "EIO" | ENOSPC -> "ENOSPC"
-
 let all_sites =
   [ "wal_append"; "snapshot_write"; "snapshot_rename"; "wal_rewrite";
     "quantum_end"; "sync_commit"; "snapshot_load"; "recovery_replay";

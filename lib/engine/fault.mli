@@ -50,8 +50,6 @@ exception Io_injected of { site : string; errno : errno; transient : bool }
     retries (transient [EIO]), degrades (["ENOSPC"]), or surfaces a
     typed error (persistent [EIO]). *)
 
-val errno_to_string : errno -> string
-
 val all_sites : string list
 (** The documented injection points, in rough lifecycle order:
 

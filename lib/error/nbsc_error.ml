@@ -28,9 +28,7 @@ let corruption ?path ?line ?lsn ?expected_crc ?actual_crc reason =
 let corrupt ?path ?line ?lsn ?expected_crc ?actual_crc reason =
   `Corrupt (corruption ?path ?line ?lsn ?expected_crc ?actual_crc reason)
 
-let msgf fmt = Format.kasprintf (fun m -> `Msg m) fmt
 let invalidf fmt = Format.kasprintf (fun m -> `Invalid m) fmt
-let corruptf fmt = Format.kasprintf (fun m -> corrupt m) fmt
 
 let of_exn = function
   | Error e -> e

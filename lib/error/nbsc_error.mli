@@ -59,14 +59,8 @@ val corrupt :
   ?actual_crc:string -> string -> [> `Corrupt of corruption ]
 (** [`Corrupt] of {!corruption} — the usual construction. *)
 
-val msgf : ('a, Format.formatter, unit, t) format4 -> 'a
-(** Format a [`Msg]. *)
-
 val invalidf : ('a, Format.formatter, unit, t) format4 -> 'a
 (** Format an [`Invalid]. *)
-
-val corruptf : ('a, Format.formatter, unit, t) format4 -> 'a
-(** Format a context-free [`Corrupt] (reason only). *)
 
 val of_exn : exn -> t
 (** Fold the legacy carriers into a [t]: [Error e] unwraps to [e],

@@ -15,8 +15,6 @@ let compatible a b =
   | Native, Native -> standard a.mode b.mode
   | Native, Source _ | Source _, Native -> a.mode = S && b.mode = S
 
-let pp_mode ppf m = Format.pp_print_string ppf (match m with S -> "S" | X -> "X")
-
 let pp_provenance ppf = function
   | Native -> Format.pp_print_string ppf "T"
   | Source 0 -> Format.pp_print_string ppf "R"

@@ -30,7 +30,6 @@ val compatible : lock -> lock -> bool
     compatible; a native lock and a transferred lock are compatible
     only if both are shared; two native locks follow {!standard}. *)
 
-val pp_mode : Format.formatter -> mode -> unit
 val pp_provenance : Format.formatter -> provenance -> unit
 val pp_lock : Format.formatter -> lock -> unit
 

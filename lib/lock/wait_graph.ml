@@ -216,8 +216,6 @@ let waiters t =
   Hashtbl.fold (fun w _ acc -> w :: acc) t.waits_for []
   |> List.sort Int.compare
 
-let blockers_of t ~owner = edges t owner
-
 let acyclic t =
   not
     (List.exists

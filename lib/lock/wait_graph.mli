@@ -85,9 +85,6 @@ val remove_txn : t -> owner:owner -> unit
 val waiters : t -> owner list
 (** Currently blocked transactions (have outgoing edges). *)
 
-val blockers_of : t -> owner:owner -> owner list
-(** The current wait set of [owner] (empty if not blocked). *)
-
 val acyclic : t -> bool
 (** Whether the waits-for graph is currently free of cycles — after
     every resolution this must hold (property tests). *)

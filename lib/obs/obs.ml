@@ -338,13 +338,3 @@ let span_open (t : Registry.t) ?parent ?(attrs = []) name =
 let span_close t ?(attrs = []) span =
   if Registry.tracing t then
     emit t (Span_close { span; at = Registry.now t; attrs })
-
-let with_span t ?parent name f =
-  let span = span_open t ?parent name in
-  match f span with
-  | v ->
-    span_close t span;
-    v
-  | exception e ->
-    span_close t ~attrs:[ ("error", Json.Bool true) ] span;
-    raise e

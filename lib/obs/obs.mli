@@ -183,7 +183,3 @@ val span_open :
 
 val span_close :
   Registry.t -> ?attrs:(string * Json.t) list -> span -> unit
-
-val with_span :
-  Registry.t -> ?parent:span -> string -> (span -> 'a) -> 'a
-(** Open, run, close (also on exception). *)

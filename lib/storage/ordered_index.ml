@@ -79,6 +79,4 @@ let range t ?lo ?hi () =
   in
   collect [] seq
 
-let min_value t = Option.map fst (Row.Key.Map.min_binding_opt t.map)
-let max_value t = Option.map fst (Row.Key.Map.max_binding_opt t.map)
 let cardinality t = Row.Key.Map.cardinal t.map

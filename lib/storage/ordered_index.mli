@@ -30,6 +30,4 @@ val range :
     ascending projection order. Each bound is [(value, inclusive)];
     omitted bounds are open-ended. *)
 
-val min_value : t -> Row.Key.t option
-val max_value : t -> Row.Key.t option
 val cardinality : t -> int

@@ -20,7 +20,6 @@ let with_lsn t lsn = { t with lsn }
 let with_txn t txn = { t with txn }
 let with_counter t counter = { t with counter }
 let with_flag t flag = { t with flag }
-let with_aux t aux = { t with aux }
 
 let pp ppf t =
   Format.fprintf ppf "%a lsn=%a cnt=%d %s" Row.pp t.row Lsn.pp t.lsn t.counter

@@ -39,5 +39,4 @@ val with_lsn : t -> Lsn.t -> t
 val with_txn : t -> int -> t
 val with_counter : t -> int -> t
 val with_flag : t -> flag -> t
-val with_aux : t -> int -> t
 val pp : Format.formatter -> t -> unit

@@ -378,8 +378,6 @@ let set_group_commit t window =
      acked commits waiting for a barrier that never comes. *)
   if t.pending_syncs >= t.group_window then flush_commits t
 
-let group_commit_window t = t.group_window
-
 (* [commit] increments [pending_syncs] before [n_commits], so outside
    of [commit] the difference is exactly the commits the last barrier
    covered. Commits flush in commit order — one buffered sink, one

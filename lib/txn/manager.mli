@@ -238,8 +238,6 @@ val set_group_commit : t -> int -> unit
 (** Set the batch window (>= 1). Shrinking it below the pending count
     flushes immediately. *)
 
-val group_commit_window : t -> int
-
 val flush_commits : t -> unit
 (** Force the durability barrier now, regardless of the window — the
     explicit drain for quiesce points (shutdown, checkpoint, end of a
