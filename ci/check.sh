@@ -44,6 +44,12 @@ QCHECK_SEED=42 dune exec test/test_deadlock.exe
 echo "== storage suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_storage.exe
 
+# The rule-plan suite at a pinned seed: its property checks every
+# compiled plan primitive against its list-walking definition over
+# random position lists, rows and change lists.
+echo "== plan suite (fixed seed) =="
+QCHECK_SEED=42 dune exec test/test_plan.exe
+
 # Storage-integrity matrix at pinned seeds: checksummed-format
 # verification, disk-error model (EIO retry, ENOSPC degraded mode),
 # scrub and reopen agreeing, and the flip/truncate fuzz property. Then
