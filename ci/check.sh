@@ -50,6 +50,13 @@ QCHECK_SEED=42 dune exec test/test_storage.exe
 echo "== plan suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_plan.exe
 
+# The MVCC suite at a pinned seed: its reference model draws schedules
+# of locked writers and snapshot readers and checks every snapshot read,
+# then that finishing everything leaves no version and no tracked
+# transaction.
+echo "== mvcc suite (fixed seed) =="
+QCHECK_SEED=42 dune exec test/test_mvcc.exe
+
 # Storage-integrity matrix at pinned seeds: checksummed-format
 # verification, disk-error model (EIO retry, ENOSPC degraded mode),
 # scrub and reopen agreeing, and the flip/truncate fuzz property. Then

@@ -625,6 +625,7 @@ let checkpoint t =
       let mgr = Db.manager t.pdb in
       Nbsc_txn.Manager.set_durable_floor mgr snap_head;
       ignore (Nbsc_txn.Manager.truncate_wal mgr);
+      ignore (Nbsc_txn.Manager.gc_versions mgr);
       Ok ()
   end
 

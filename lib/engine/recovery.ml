@@ -42,7 +42,11 @@ let analysis log =
         match r.Log_record.body with
         | Log_record.Begin -> Hashtbl.replace active txn ()
         | Log_record.Commit | Log_record.Abort_done -> Hashtbl.remove active txn
-        | Log_record.Abort_begin | Log_record.Op _ | Log_record.Clr _
+        (* An Abort_begin may follow a Commit: a commit whose durability
+           barrier failed is rolled back after its Commit record. The
+           rollback re-opens the transaction until its Abort_done. *)
+        | Log_record.Abort_begin -> Hashtbl.replace active txn ()
+        | Log_record.Op _ | Log_record.Clr _
         | Log_record.Fuzzy_mark _ | Log_record.Cc_begin _ | Log_record.Cc_ok _
         | Log_record.Checkpoint _ | Log_record.Job_state _
         | Log_record.Job_done _ | Log_record.Watermark _ -> ()

@@ -13,6 +13,15 @@ type version = {
   v_txn : int;
 }
 
+(* A key's superseded states, newest first, and whether the key waits
+   in its manager's reclamation queue. The flag is exact: a queued
+   chain keeps its record, even empty, until its queue entry drains,
+   so a key is never queued twice. *)
+type chain = {
+  mutable entries : version list;
+  mutable queued : bool;
+}
+
 type t = {
   name : string;
   schema : Schema.t;
@@ -22,9 +31,10 @@ type t = {
   key_positions : int array;
   key_member : bool array;  (* indexed by column position *)
   heap : Record.t Row.Key.Tbl.t;
-  (* Version chains, newest first; the heap record is always the newest
-     state and is not duplicated here. Bounded by [gc_versions]. *)
-  versions : version list Row.Key.Tbl.t;
+  (* Version chains; the heap record is always the newest state and is
+     not duplicated here. Pruned one chain at a time by the manager
+     ([drop_versions], [prune_versions]). *)
+  versions : chain Row.Key.Tbl.t;
   mutable nversions : int;
   (* Every hash index name with the index that serves it, in
      [index_definitions] order. A name given the positions of a filled
@@ -54,6 +64,11 @@ type t = {
      they commit. Default: retain everything (bare tables without a
      manager stay fully versioned). *)
   mutable retain_versions : unit -> bool;
+  (* The manager's queue: called when a chain with no queue entry needs
+     one (a system overwrite pushed on it, a writer committed under a
+     snapshot, a prune left entries behind), with the LSN the horizon
+     must pass before the key is worth pruning again. *)
+  mutable defer : Row.Key.t -> Lsn.t -> unit;
   (* Names of hash indexes an online build ([Index_build]) registered
      and no build has finished filling yet: writes maintain them, but
      a lookup would miss rows the build has not reached, so lookups
@@ -119,6 +134,7 @@ let create ?(size = 0) ?(indexes = []) ~name schema =
       arrival_len = 0;
       live_cursors = 0;
       retain_versions = (fun () -> true);
+      defer = (fun _ _ -> ());
       partial = [];
       flagged = { keys = [||]; count = 0; slot = Row.Key.Tbl.create 16 } }
   in
@@ -234,21 +250,25 @@ let push_arrival t key =
 
 (* {2 Version chains} *)
 
-let push_version t key v =
-  let chain =
-    match Row.Key.Tbl.find_opt t.versions key with
-    | Some c -> c
-    | None -> []
-  in
-  Row.Key.Tbl.replace t.versions key (v :: chain);
-  t.nversions <- t.nversions + 1
-
+(* Push the overwritten state and return the key's chain. *)
 let push_old_record t key (old : Record.t) =
-  push_version t key
+  let v =
     { v_row = Some old.Record.row; v_lsn = old.Record.lsn;
       v_txn = old.Record.txn }
+  in
+  t.nversions <- t.nversions + 1;
+  match Row.Key.Tbl.find_opt t.versions key with
+  | Some c ->
+    c.entries <- v :: c.entries;
+    c
+  | None ->
+    let c = { entries = [ v ]; queued = false } in
+    Row.Key.Tbl.replace t.versions key c;
+    c
 
-let set_retain_hint t f = t.retain_versions <- f
+let set_version_policy t ~retain ~defer =
+  t.retain_versions <- retain;
+  t.defer <- defer
 
 (* Whether overwriting a state written by [txn] must keep the old
    version: always for user transactions (their heap record stays
@@ -256,76 +276,104 @@ let set_retain_hint t f = t.retain_versions <- f
    only while the hint says a snapshot might still resolve it. *)
 let must_retain t ~txn = txn <> 0 || t.retain_versions ()
 
+let defer_chain t key c lsn =
+  if not c.queued then begin
+    c.queued <- true;
+    t.defer key lsn
+  end
+
+(* A system write commits at its own LSN and no transaction finish
+   covers its push, so its key is queued here, once while queued. *)
+let defer_system_push t key c ~txn lsn = if txn = 0 then defer_chain t key c lsn
+
+let has_versions t key =
+  match Row.Key.Tbl.find_opt t.versions key with
+  | Some { entries = _ :: _; _ } -> true
+  | Some { entries = []; _ } | None -> false
+
 let versions t key =
   match Row.Key.Tbl.find_opt t.versions key with
-  | Some c -> c
+  | Some c -> c.entries
   | None -> []
 
 let versions_count t = t.nversions
 
-let gc_versions t ~horizon ~classify =
-  let reclaimed = ref 0 in
-  (* Collect updates first: the stdlib hashtable must not be mutated
-     while being iterated. *)
-  let updates = ref [] in
-  Row.Key.Tbl.iter
-    (fun key chain ->
-       (* A version is reachable only while no newer committed state at
-          or below the horizon covers it: every live and future snapshot
-          sits at or above the horizon and resolves to that newer state
-          first. The heap record is the newest state of all. *)
-       let covered =
-         ref
-           (match Row.Key.Tbl.find_opt t.heap key with
-            | Some r ->
-              (match classify ~txn:r.Record.txn ~lsn:r.Record.lsn with
-               | `At c -> Lsn.(c <= horizon)
-               | `Dead | `Live -> false)
-            | None -> false)
-       in
-       let keep =
-         List.filter
-           (fun v ->
-              match classify ~txn:v.v_txn ~lsn:v.v_lsn with
-              | `Live ->
-                (* An uncommitted writer's overwritten state — only that
-                   writer can reach it, but keep it unconditionally:
-                   cheap, and robust against unlocked system writes. *)
-                true
-              | `Dead ->
-                incr reclaimed;
-                false
-              | `At c ->
-                if !covered then begin
-                  incr reclaimed;
-                  false
-                end
-                else if Lsn.(c <= horizon) then begin
-                  covered := true;
-                  (* This is the version every snapshot at or above the
-                     horizon resolves to — keep it, unless it is a
-                     tombstone with no live heap record, where end-of-
-                     chain already means "no row". *)
-                  match v.v_row with
-                  | None ->
-                    incr reclaimed;
-                    false
-                  | Some _ -> true
-                end
-                else true)
-           chain
-       in
-       if List.compare_lengths keep chain <> 0 then
-         updates := (key, keep) :: !updates)
-    t.versions;
-  List.iter
-    (fun (key, keep) ->
-       match keep with
-       | [] -> Row.Key.Tbl.remove t.versions key
-       | keep -> Row.Key.Tbl.replace t.versions key keep)
-    !updates;
-  t.nversions <- t.nversions - !reclaimed;
-  !reclaimed
+let defer_versions t key ~lsn =
+  match Row.Key.Tbl.find_opt t.versions key with
+  | Some ({ entries = _ :: _; _ } as c) -> defer_chain t key c lsn
+  | Some { entries = []; _ } | None -> ()
+
+(* A chain left empty goes, unless a queue entry still names it. *)
+let settle t key c ~reclaimed =
+  t.nversions <- t.nversions - reclaimed;
+  match c.entries with
+  | [] when not c.queued -> Row.Key.Tbl.remove t.versions key
+  | [] | _ :: _ -> ()
+
+let drop_versions t key =
+  match Row.Key.Tbl.find_opt t.versions key with
+  | None -> 0
+  | Some c ->
+    let reclaimed = List.length c.entries in
+    c.entries <- [];
+    settle t key c ~reclaimed;
+    reclaimed
+
+let prune_versions t key ~horizon ~classify ~dequeued ~requeue =
+  match Row.Key.Tbl.find_opt t.versions key with
+  | None -> 0
+  | Some c ->
+    if dequeued then c.queued <- false;
+    (* A version is reachable only while no newer committed state at or
+       below the horizon covers it: every live and future snapshot sits
+       at or above the horizon and resolves to that newer state first.
+       The heap record is the newest state of all. *)
+    let covered =
+      ref
+        (match Row.Key.Tbl.find_opt t.heap key with
+         | Some r ->
+           (match classify ~txn:r.Record.txn ~lsn:r.Record.lsn with
+            | `At c -> Lsn.(c <= horizon)
+            | `Dead | `Live -> false)
+         | None -> false)
+    in
+    let reclaimed = ref 0 in
+    let keep =
+      List.filter
+        (fun v ->
+           match classify ~txn:v.v_txn ~lsn:v.v_lsn with
+           | `Live ->
+             (* An uncommitted writer's overwritten state — only that
+                writer can reach it, but keep it unconditionally:
+                cheap, and robust against unlocked system writes. *)
+             true
+           | `Dead ->
+             incr reclaimed;
+             false
+           | `At c ->
+             if !covered then begin
+               incr reclaimed;
+               false
+             end
+             else if Lsn.(c <= horizon) then begin
+               covered := true;
+               (* This is the version every snapshot at or above the
+                  horizon resolves to — keep it, unless it is a
+                  tombstone with no live heap record, where end-of-
+                  chain already means "no row". *)
+               match v.v_row with
+               | None ->
+                 incr reclaimed;
+                 false
+               | Some _ -> true
+             end
+             else true)
+        c.entries
+    in
+    c.entries <- keep;
+    (match keep with [] -> () | _ :: _ -> defer_chain t key c requeue);
+    settle t key c ~reclaimed:!reclaimed;
+    !reclaimed
 
 let index_insert t key row =
   List.iter (fun ix -> Index.insert ix ~key row) t.indexes;
@@ -364,7 +412,8 @@ let update t ~lsn ?(txn = 0) ~key changes =
   | None -> Error `Not_found
   | Some record ->
     check_not_key t changes;
-    if must_retain t ~txn then push_old_record t key record;
+    if must_retain t ~txn then
+      defer_system_push t key (push_old_record t key record) ~txn lsn;
     let row' = Row.update record.Record.row changes in
     let record' =
       Record.with_txn (Record.with_lsn (Record.with_row record row') lsn) txn
@@ -397,7 +446,9 @@ let set_record t ~key record =
       invalid_arg (Printf.sprintf "Table.set_record(%s): key mismatch" t.name);
     (* [set_record] callers are all system-side (counter bumps, the
        consistency checker): gate like a system write. *)
-    if must_retain t ~txn:0 then push_old_record t key old;
+    if must_retain t ~txn:0 then
+      defer_system_push t key (push_old_record t key old) ~txn:0
+        record.Record.lsn;
     index_remove t key old.Record.row;
     Row.Key.Tbl.replace t.heap key record;
     index_insert t key record.Record.row;
@@ -419,9 +470,11 @@ let delete t ~lsn ?(txn = 0) key =
        the heap record gone, a later snapshot's chain walk would fall
        through to a stale pre-delete version — so retain in that case
        regardless of the hint. *)
-    if must_retain t ~txn || Row.Key.Tbl.mem t.versions key then begin
-      push_old_record t key record;
-      push_version t key { v_row = None; v_lsn = lsn; v_txn = txn }
+    if must_retain t ~txn || has_versions t key then begin
+      let c = push_old_record t key record in
+      c.entries <- { v_row = None; v_lsn = lsn; v_txn = txn } :: c.entries;
+      t.nversions <- t.nversions + 1;
+      defer_system_push t key c ~txn lsn
     end;
     Row.Key.Tbl.remove t.heap key;
     if record.Record.flag = Record.Unknown then unflag t key;

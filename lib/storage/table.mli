@@ -76,22 +76,35 @@ val delete : t -> lsn:Lsn.t -> ?txn:int -> Row.Key.t ->
     readers can resolve the row image as of an older LSN without any
     lock. Storage records stamps verbatim; commit-LSN resolution — which
     transaction stamp means "committed where" — belongs to the caller
-    ({!Nbsc_txn.Manager}), which supplies it to {!gc_versions} as a
-    classifier. *)
+    ({!Nbsc_txn.Manager}), which supplies it to {!prune_versions} as a
+    classifier. Nothing here walks every chain: the manager prunes one
+    key's chain at a time, when the transaction that pushed on it
+    finishes or when the key's queue entry drains. A table's chains are
+    reclaimed from the time a manager sets its policy
+    ({!set_version_policy}); a bare table keeps every version. *)
 
-val set_retain_hint : t -> (unit -> bool) -> unit
-(** Version-retention hint for {e system} (txn = 0) overwrites, which
-    commit at their own LSN: when the hint returns [false] the
-    overwritten state is not pushed — a snapshot beginning later pins
-    at a higher LSN and reads the new heap record directly, so only a
-    snapshot already active at overwrite time could need it. The
-    transaction manager wires this to "is any snapshot transaction
+val set_version_policy :
+  t -> retain:(unit -> bool) -> defer:(Row.Key.t -> Lsn.t -> unit) -> unit
+(** [retain] is the version-retention hint for {e system} (txn = 0)
+    overwrites, which commit at their own LSN: when it returns [false]
+    the overwritten state is not pushed — a snapshot beginning later
+    pins at a higher LSN and reads the new heap record directly, so only
+    a snapshot already active at overwrite time could need it. The
+    transaction manager wires it to "is any snapshot transaction
     active?", which makes bulk population/propagation writes free of
     version churn on a snapshot-less system. User-transaction
     overwrites always push regardless of the hint (their heap record
     stays invisible until commit), as do deletes of keys that already
-    carry a chain (the tombstone must shadow stale entries). Default:
-    always retain. *)
+    carry a chain (the tombstone must shadow stale entries).
+
+    [defer key lsn] asks the caller to queue [key] for pruning once no
+    snapshot below [lsn] is live. The table calls it when a system
+    overwrite pushes onto a chain (with the write's LSN), when
+    {!defer_versions} asks, and when {!prune_versions} leaves entries
+    behind — in each case only while the chain is not queued already,
+    so each key has at most one queue entry. The caller must hand
+    every entry back to {!prune_versions} with [~dequeued:true].
+    Defaults: retain everything, queue nothing. *)
 
 (** One superseded row state. [v_row = None] is a delete tombstone. *)
 type version = {
@@ -109,16 +122,32 @@ val versions_count : t -> int
 (** Total chain entries across all keys (the [storage.versions_live]
     gauge reads this). *)
 
-val gc_versions :
+val drop_versions : t -> Row.Key.t -> int
+(** Reclaim the key's whole chain; returns the number of entries
+    reclaimed. Only for a caller that knows no snapshot is live and no
+    active transaction's stamp is on the chain or its heap record: a
+    finishing writer, which held the key's write lock, with no snapshot
+    open. *)
+
+val defer_versions : t -> Row.Key.t -> lsn:Lsn.t -> unit
+(** Queue the key's chain through the policy's [defer] at [lsn], unless
+    it has no entries or is queued already. *)
+
+val prune_versions :
   t ->
+  Row.Key.t ->
   horizon:Lsn.t ->
   classify:(txn:int -> lsn:Lsn.t -> [ `At of Lsn.t | `Dead | `Live ]) ->
+  dequeued:bool ->
+  requeue:Lsn.t ->
   int
-(** Reclaim chain entries no snapshot at or above [horizon] can reach:
-    entries of dead (aborted or unknown) transactions, and everything
+(** Reclaim the key's chain entries no snapshot at or above [horizon]
+    can reach: entries of dead (aborted) transactions, and everything
     covered by a newer state committed at or below the horizon.
     [classify] resolves a stamp to [`At commit_lsn] (committed), [`Dead]
-    or [`Live] (still active — always retained). Returns the number of
+    or [`Live] (still active — always retained). [dequeued] says the
+    call consumes the key's queue entry. Entries left behind queue the
+    key at [requeue] unless it is queued already. Returns the number of
     entries reclaimed. The caller must pick [horizon] at or below the
     oldest active snapshot LSN. *)
 

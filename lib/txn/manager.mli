@@ -68,9 +68,10 @@ type error =
 
 val create : ?log:Log.t -> ?obs:Nbsc_obs.Obs.Registry.t -> Catalog.t -> t
 (** All manager counters ([txn.ops], [txn.commits], [txn.aborts],
-    [txn.blocked], [txn.deadlocks], [txn.victims], the [txn.active],
-    [wal.records], [wal.segments] and [wal.truncated_total] probes, the
-    [storage.versions_live] probe and [storage.versions_reclaimed]
+    [txn.blocked], [txn.deadlocks], [txn.victims], the [txn.active] and
+    [txn.tracked] probes, the [wal.records], [wal.segments] and
+    [wal.truncated_total] probes, the [storage.versions_live] and
+    [storage.versions_pending] probes and [storage.versions_reclaimed]
     counter, the [wal.low_water] gauge, and the wait graph's [lock.*]
     set) register
     in [obs] when given, or in a private registry otherwise. With a trace sink
@@ -111,6 +112,11 @@ val bump_txn_ids : t -> above:txn_id -> unit
     the resumed propagators group log records by id). *)
 
 val status : t -> txn_id -> status
+(** Exact for every id this manager began, though finished transactions
+    leave its transaction table: an aborted id is remembered as such,
+    and any other finished id committed. An id it never began reads
+    [Aborted]. *)
+
 val is_active : t -> txn_id -> bool
 
 val active_snapshot : t -> (txn_id * Lsn.t) list
@@ -156,16 +162,16 @@ val wal_low_water : t -> Lsn.t
 
 val truncate_wal : t -> Lsn.t
 (** Truncate the log to {!wal_low_water} (freeing whole segments),
-    update the [wal.low_water] gauge, run {!gc_versions}, and return
-    the mark. *)
+    update the [wal.low_water] gauge, and return the mark. It reclaims
+    no version. *)
 
 (** {2 MVCC} *)
 
 val track_table : t -> Table.t -> unit
-(** Wire the table's version-retention hint ({!Table.set_retain_hint})
-    to this manager's "any snapshot transaction active?" state, so
-    system overwrites on it skip version pushes while no snapshot
-    could resolve them. [create] wires every table already in the
+(** Wire the table's version policy ({!Table.set_version_policy}) to
+    this manager: system overwrites on it skip version pushes while no
+    snapshot transaction is active, and its chains queue for
+    reclamation here. [create] wires every table already in the
     catalog; the engine facade calls this for tables created later. *)
 
 val oldest_snapshot : t -> Lsn.t option
@@ -173,21 +179,41 @@ val oldest_snapshot : t -> Lsn.t option
 
 val classify_version : t -> txn:int -> lsn:Lsn.t ->
   [ `At of Lsn.t | `Dead | `Live ]
-(** Resolve a version stamp: [`At commit_lsn] for committed state
-    (stamp 0 — system writes — commits at its own [lsn]), [`Live] for
-    a still-active writer, [`Dead] for aborted or unknown writers. *)
+(** Resolve a version stamp: [`At commit_lsn] for committed state,
+    [`Live] for a still-active writer, [`Dead] for an aborted one.
+    Stamp 0 — system writes — commits at its own [lsn]. So does the
+    stamp of a committed writer the manager no longer tracks: it left
+    the transaction table only once the horizon passed its commit, so
+    it committed below every live snapshot's LSN, and the stamp's own
+    LSN, below its commit, sorts the same way against each of them. *)
+
+val reclaim_budget : int
+(** Queue entries a writer's commit may drain per key it pushed
+    versions on ({!gc_versions}). *)
 
 val gc_versions : t -> int
-(** Reclaim version-chain entries no active snapshot can reach, from
-    every table in the catalog. The horizon is {!oldest_snapshot}, or
-    the LSN past the log head when no snapshot is active.
-    {!wal_low_water} does not enter it: only snapshot reads walk a
-    chain, while rollback and recovery rebuild state from the WAL and
-    checkpoint images. A propagator's pin therefore keeps log records,
-    not versions. Returns the number of entries reclaimed (also
-    accumulated in the [storage.versions_reclaimed] counter; live
-    entries are visible via the [storage.versions_live] probe). Runs
-    automatically with every {!truncate_wal}. *)
+(** Drain every queued chain whose queue LSN the horizon has passed,
+    with no budget. The horizon is {!oldest_snapshot}, or the LSN past
+    the log head when no snapshot is active. {!wal_low_water} does not
+    enter it: only snapshot reads walk a chain, while rollback and
+    recovery rebuild state from the WAL and checkpoint images. A
+    propagator's pin therefore keeps log records, not versions.
+
+    Versions are reclaimed as their writers finish; this call only
+    hurries the queue. A writer's commit or abort prunes the chains of
+    the keys it updated or deleted: with no snapshot active it drops
+    them whole; otherwise an abort prunes its dead entries and a commit
+    queues the keys at its commit LSN. System overwrites queue their
+    keys at their own LSN, once per key while queued. Each later
+    commit that pushed versions prunes up to {!reclaim_budget} queued
+    keys per key it pushed on, in queue order, while the front entry's
+    LSN is below the horizon; a chain a prune leaves non-empty is
+    queued again at the log head. A read-only commit reclaims nothing.
+    Returns the number of entries reclaimed (also accumulated in the
+    [storage.versions_reclaimed] counter; live entries are visible via
+    the [storage.versions_live] probe, queued keys via
+    [storage.versions_pending]). {!Nbsc_engine.Persist} calls it after
+    each checkpoint. *)
 
 val insert : t -> txn:txn_id -> table:string -> Row.t -> (unit, error) result
 val update : t -> txn:txn_id -> table:string -> key:Row.Key.t ->

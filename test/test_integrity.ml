@@ -387,6 +387,37 @@ let test_persistent_eio () =
   Persist.close p;
   wipe dir
 
+(* A commit whose durability barrier raises is rolled back before the
+   exception reaches its caller: its row is gone at once, and the
+   rollback's records follow its Commit record in the buffered suffix,
+   so the next acknowledged commit makes the rollback durable too. *)
+let test_failed_commit_rolled_back () =
+  Fault.reset ();
+  let dir = fresh_dir () in
+  let p = build_store ~n:2 dir in
+  let mgr = Db.manager (Persist.db p) in
+  Fault.arm ~mode:persistent_eio "wal_append";
+  let txn = Manager.begin_txn mgr in
+  ok "insert" (Manager.insert mgr ~txn ~table:"t" (H.ri 3 "unacked" 3));
+  (match Manager.commit mgr txn with
+   | exception Nbsc_error.Error (`Io _) -> ()
+   | Ok () -> Alcotest.fail "commit acknowledged on a dead disk"
+   | Error e -> Alcotest.failf "commit: %a" Manager.pp_error e);
+  Alcotest.(check bool) "the raising commit is aborted" true
+    (Manager.status mgr txn = Manager.Aborted);
+  Alcotest.(check bool) "its row is not readable" true
+    (Manager.read_dirty mgr ~table:"t" ~key:(Row.make [ Value.Int 3 ]) = None);
+  Fault.reset ();
+  insert p 4 "after" 4;
+  let acked = rows p in
+  Alcotest.(check int) "acknowledged rows" 3 (List.length acked);
+  Persist.crash p;
+  let p = ok_p "reopen" (Persist.open_dir ~dir) in
+  Alcotest.(check (list string)) "exactly the acknowledged rows"
+    (List.map Row.to_string acked) (List.map Row.to_string (rows p));
+  Persist.close p;
+  wipe dir
+
 (* {1 ENOSPC: degraded mode, reads stay up, change resumes} *)
 
 let hpred = Pred.Cmp ("c", Pred.Gt, Value.Int 6)
@@ -762,6 +793,8 @@ let () =
       ( "disk errors",
         [ Alcotest.test_case "persistent EIO not retried" `Quick
             test_persistent_eio;
+          Alcotest.test_case "a commit whose flush fails is rolled back"
+            `Quick test_failed_commit_rolled_back;
           Alcotest.test_case "transient EIO retried" `Quick
             test_transient_eio_retried;
           Alcotest.test_case "ENOSPC degrades and recovers" `Quick

@@ -1,8 +1,11 @@
 (* MVCC tests: snapshot-isolation visibility against the version
    chains, snapshot reads staying non-blocking under every
    synchronization mechanism (freeze, latch, record lock), version
-   GC respecting active snapshots, and the lazy / hybrid migration
-   strategies of the strategy-aware schema-change API. *)
+   GC respecting active snapshots, reclamation at writer finish with
+   bounded work per commit and a transaction table that forgets, the
+   lazy / hybrid migration strategies of the strategy-aware
+   schema-change API, and a reference model of snapshot reads under
+   locked writers. *)
 
 open Nbsc_value
 open Nbsc_lock
@@ -256,12 +259,30 @@ let pinned_row () =
   (db, Catalog.find (Db.catalog db) "t", pin, set)
 
 (* A WAL pin keeps log records, not versions: with no snapshot active,
-   GC empties the chain under the pin. *)
+   each commit reclaims the version it pushed, under the pin. *)
 let test_gc_ignores_wal_pin () =
   let db, tbl, pin, set = pinned_row () in
   let mgr = Db.manager db in
+  List.iter
+    (fun b ->
+       set b;
+       Alcotest.(check int) ("chain empty after " ^ b) 0
+         (Table.versions_count tbl))
+    [ "v1"; "v2"; "v3"; "v4"; "v5" ];
+  ignore (Manager.gc_versions mgr);
+  Alcotest.(check int) "chain emptied under the pin" 0
+    (Table.versions_count tbl);
+  Manager.unpin_wal mgr pin
+
+(* The same five commits under a snapshot keep their versions; once the
+   snapshot goes, GC empties the chain under the pin. *)
+let test_gc_ignores_wal_pin_after_snapshot () =
+  let db, tbl, pin, set = pinned_row () in
+  let mgr = Db.manager db in
+  let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
   List.iter set [ "v1"; "v2"; "v3"; "v4"; "v5" ];
   Alcotest.(check int) "chain grew" 5 (Table.versions_count tbl);
+  ok "snap commit" (Manager.commit mgr snap);
   ignore (Manager.gc_versions mgr);
   Alcotest.(check int) "chain emptied under the pin" 0
     (Table.versions_count tbl);
@@ -343,6 +364,125 @@ let test_retention_hint_gates_system_writes () =
    | None -> ()
    | Some _ -> Alcotest.fail "deleted row resurrected from a stale chain");
   ok "snap2 commit" (Manager.commit mgr snap2)
+
+(* {1 Reclamation at finish}
+
+   Versions go when their writer finishes, or from a queue later writer
+   commits drain a few entries at a time: no call walks every chain,
+   and the transaction table keeps only what a live snapshot can still
+   ask about. *)
+
+let probe db name =
+  match Obs.Registry.find (Db.obs db) name with
+  | Some (Obs.Gauge_v v) -> int_of_float v
+  | Some (Obs.Counter_v n) -> n
+  | _ -> Alcotest.failf "no metric %s" name
+
+let update_b db k b =
+  commit_op db (fun m txn ->
+      Manager.update m ~txn ~table:"t" ~key:(key k) [ (1, Value.Text b) ])
+
+(* A snapshot held across 5 000 single-update commits on distinct keys
+   queues each key. After its release, each writer commit reclaims its
+   own version and drains at most [reclaim_budget] queued keys. *)
+let test_reclaim_bounded () =
+  let db = fresh_table () in
+  let mgr = Db.manager db in
+  let tbl = Catalog.find (Db.catalog db) "t" in
+  let n = 5_000 in
+  ok "load" (Db.load db ~table:"t" (List.init (n + 1) (fun k -> H.ri k "v0" 1)));
+  let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
+  for k = 1 to n do
+    update_b db k "v1"
+  done;
+  Alcotest.(check int) "every version kept" n (Table.versions_count tbl);
+  Alcotest.(check int) "every key queued" n
+    (probe db "storage.versions_pending");
+  ok "snap commit" (Manager.commit mgr snap);
+  Alcotest.(check int) "a read-only commit reclaims nothing" n
+    (Table.versions_count tbl);
+  let budget = Manager.reclaim_budget in
+  let commits = ref 0 in
+  while Table.versions_count tbl > 0 && !commits <= n do
+    let before = probe db "storage.versions_reclaimed" in
+    update_b db 0 (string_of_int !commits);
+    let got = probe db "storage.versions_reclaimed" - before in
+    if got > 1 + budget then
+      Alcotest.failf "commit %d reclaimed %d versions, budget %d + its own"
+        !commits got budget;
+    incr commits
+  done;
+  Alcotest.(check int) "chains empty within the budget's commits"
+    ((n + budget - 1) / budget) !commits;
+  Alcotest.(check int) "queue drained" 0 (probe db "storage.versions_pending")
+
+(* System overwrites queue their key once while it is queued. *)
+let test_reclaim_hot_keys () =
+  let db = fresh_table () in
+  let mgr = Db.manager db in
+  let tbl = Catalog.find (Db.catalog db) "t" in
+  ok "load" (Db.load db ~table:"t" (List.init 20 (fun k -> H.ri k "v0" 1)));
+  let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
+  for i = 1 to 10_000 do
+    let k = key (i mod 20) in
+    let lsn =
+      Nbsc_wal.Log.append (Manager.log mgr) ~txn:Nbsc_wal.Log_record.system_txn
+        ~prev_lsn:Nbsc_wal.Lsn.zero (Nbsc_wal.Log_record.Fuzzy_mark { active = [] })
+    in
+    let r = Option.get (Table.find tbl k) in
+    let row = Row.update r.Record.row [ (1, Value.Text (string_of_int i)) ] in
+    match Table.set_record tbl ~key:k (Record.with_lsn (Record.with_row r row) lsn) with
+    | Ok () -> ()
+    | Error `Not_found -> Alcotest.fail "set_record"
+  done;
+  Alcotest.(check bool) "at most one queue entry per key" true
+    (probe db "storage.versions_pending" <= 20);
+  check_b "snapshot reads its begin state" "v0"
+    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 7)));
+  ok "snap commit" (Manager.commit mgr snap);
+  ignore (Manager.gc_versions mgr);
+  Alcotest.(check int) "chains emptied" 0 (Table.versions_count tbl);
+  Alcotest.(check int) "queue drained" 0 (probe db "storage.versions_pending")
+
+(* With no snapshot open, a committed transaction leaves the table at
+   its commit, and [status] stays exact. *)
+let test_txns_forget_history () =
+  let db = fresh_table () in
+  let mgr = Db.manager db in
+  ok "load" (Db.load db ~table:"t" [ H.ri 1 "a" 1; H.ri 2 "b" 2 ]);
+  let first = Manager.begin_txn mgr in
+  ok "first commit" (Manager.commit mgr first);
+  let aborted = Manager.begin_txn mgr in
+  ok "abort" (Manager.abort mgr aborted);
+  (* A deadlock: the younger of two writers dies. *)
+  let w1 = Manager.begin_txn mgr and w2 = Manager.begin_txn mgr in
+  let upd txn k = Manager.update mgr ~txn ~table:"t" ~key:(key k) [ (1, Value.Text "x") ] in
+  ok "w1 1" (upd w1 1);
+  ok "w2 2" (upd w2 2);
+  (match upd w1 2 with
+   | Error (`Blocked _) -> ()
+   | _ -> Alcotest.fail "w1 should block");
+  (match upd w2 1 with
+   | Error (`Deadlock _) -> ()
+   | _ -> Alcotest.fail "w2 should die");
+  ok "victim abort" (Manager.abort mgr w2);
+  ok "w1 retry" (upd w1 2);
+  ok "w1 commit" (Manager.commit mgr w1);
+  for _ = 1 to 100_000 do
+    let txn = Manager.begin_txn mgr in
+    ok "commit" (Manager.commit mgr txn);
+    let tracked = probe db "txn.tracked" in
+    if tracked > 1 then Alcotest.failf "txn.tracked %d after a commit" tracked
+  done;
+  Alcotest.(check bool) "first id committed" true
+    (Manager.status mgr first = Manager.Committed);
+  Alcotest.(check bool) "aborted id aborted" true
+    (Manager.status mgr aborted = Manager.Aborted);
+  Alcotest.(check bool) "victim is a victim" true (Manager.is_victim mgr w2);
+  Alcotest.(check bool) "victim aborted" true
+    (Manager.status mgr w2 = Manager.Aborted);
+  Alcotest.(check bool) "its survivor committed" true
+    (Manager.status mgr w1 = Manager.Committed)
 
 (* {1 Lazy and hybrid migration} *)
 
@@ -471,6 +611,182 @@ let prop_snapshot_visibility =
        Transform.abort tf;
        !exact)
 
+
+(* {2 Reference model}
+
+   Up to three locked writers and two snapshot readers over six keys of
+   one table. The model is the committed value of each key's [b]
+   column, plus each writer's own writes; a reader copies the committed
+   state when it begins, dirty records or not. After every step each
+   live reader must read exactly its copy. At the end every transaction
+   finishes and GC runs: then no version and no tracked transaction
+   may remain. *)
+
+type step =
+  | W_begin of int
+  | W_write of int * int * int * int  (* writer, 0 update / 1 insert / 2 delete, key, value *)
+  | W_finish of int * bool  (* writer, commit *)
+  | R_begin of int
+  | R_end of int
+
+let n_keys = 6
+
+let show_step = function
+  | W_begin w -> Printf.sprintf "W%d begin" w
+  | W_write (w, op, k, v) ->
+    Printf.sprintf "W%d %s %d=%d" w [| "update"; "insert"; "delete" |].(op) k v
+  | W_finish (w, c) -> Printf.sprintf "W%d %s" w (if c then "commit" else "abort")
+  | R_begin r -> Printf.sprintf "R%d begin" r
+  | R_end r -> Printf.sprintf "R%d end" r
+
+let schedule_arb =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [ (2, map (fun w -> W_begin w) (int_bound 2));
+        ( 6,
+          map
+            (fun (w, op, k, v) -> W_write (w, op, k, v))
+            (quad (int_bound 2) (int_bound 2) (int_bound (n_keys - 1))
+               (int_bound 99)) );
+        (2, map2 (fun w c -> W_finish (w, c)) (int_bound 2) bool);
+        (1, map (fun r -> R_begin r) (int_bound 1));
+        (1, map (fun r -> R_end r) (int_bound 1)) ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map show_step l))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_bound 60) step)
+
+let show_value = function Some b -> b | None -> "absent"
+
+let prop_reference_model =
+  QCheck.Test.make ~name:"snapshot reads match the reference model" ~count:300
+    schedule_arb
+    (fun steps ->
+       let db = fresh_table () in
+       let mgr = Db.manager db in
+       let tbl = Catalog.find (Db.catalog db) "t" in
+       let committed = Array.init n_keys (fun k -> if k < 3 then Some "init" else None) in
+       ok "load"
+         (Db.load db ~table:"t"
+            (List.filter_map
+               (fun k -> Option.map (fun b -> H.ri k b k) committed.(k))
+               (List.init n_keys Fun.id)));
+       (* A writer's id and its own writes, [Some v] per key it wrote. *)
+       let writers = Array.make 3 None in
+       (* A reader's id and the committed state at its begin. *)
+       let readers = Array.make 2 None in
+       let finish_writer w commit =
+         match writers.(w) with
+         | None -> ()
+         | Some (id, own) ->
+           writers.(w) <- None;
+           let committed_ok =
+             commit
+             && (match Manager.commit mgr id with
+                 | Ok () -> true
+                 | Error _ -> false)
+           in
+           if committed_ok then
+             Array.iteri
+               (fun k v -> Option.iter (fun v -> committed.(k) <- v) v)
+               own
+           else ok "abort" (Manager.abort mgr id)
+       in
+       let run = function
+         | W_begin w ->
+           if writers.(w) = None then
+             writers.(w) <- Some (Manager.begin_txn mgr, Array.make n_keys None)
+         | W_write (w, op, k, v) ->
+           (match writers.(w) with
+            | None -> ()
+            | Some (id, own) ->
+              let b = Printf.sprintf "w%d.%d" w v in
+              let res =
+                match op with
+                | 0 ->
+                  Manager.update mgr ~txn:id ~table:"t" ~key:(key k)
+                    [ (1, Value.Text b) ]
+                | 1 -> Manager.insert mgr ~txn:id ~table:"t" (H.ri k b k)
+                | _ -> Manager.delete mgr ~txn:id ~table:"t" ~key:(key k)
+              in
+              (match res with
+               | Ok () -> own.(k) <- Some (if op = 2 then None else Some b)
+               | Error (`Deadlock _ | `Abort_only) -> finish_writer w false
+               | Error _ -> ()))
+         | W_finish (w, commit) -> finish_writer w commit
+         | R_begin r ->
+           if readers.(r) = None then
+             readers.(r) <-
+               Some (Manager.begin_txn ~isolation:`Snapshot mgr, Array.copy committed)
+         | R_end r ->
+           Option.iter
+             (fun (id, _) ->
+                readers.(r) <- None;
+                ok "reader commit" (Manager.commit mgr id))
+             readers.(r)
+       in
+       let check i step =
+         Array.iteri
+           (fun r reader ->
+              Option.iter
+                (fun (id, seen) ->
+                   for k = 0 to n_keys - 1 do
+                     let got =
+                       match Manager.read mgr ~txn:id ~table:"t" ~key:(key k) with
+                       | Ok (Some row) ->
+                         (match Row.get row 1 with
+                          | Value.Text b -> Some b
+                          | _ -> Some "?")
+                       | Ok None -> None
+                       | Error e -> Alcotest.failf "snapshot read: %a" Manager.pp_error e
+                     in
+                     if got <> seen.(k) then
+                       QCheck.Test.fail_reportf
+                         "after step %d (%s) R%d read key %d as %s, model %s" i
+                         (show_step step) r k (show_value got)
+                         (show_value seen.(k))
+                   done)
+                reader)
+           readers
+       in
+       List.iteri
+         (fun i step ->
+            run step;
+            (* A writer wounded by another's lock request is rolled back. *)
+            Array.iteri
+              (fun w writer ->
+                 Option.iter
+                   (fun (id, _) ->
+                      if not (Manager.is_active mgr id) then writers.(w) <- None)
+                   writer)
+              writers;
+            check i step)
+         steps;
+       Array.iteri (fun w _ -> finish_writer w true) writers;
+       Array.iteri (fun r _ -> run (R_end r)) readers;
+       ignore (Manager.gc_versions mgr);
+       for k = 0 to n_keys - 1 do
+         let got =
+           Option.map
+             (fun row -> match Row.get row 1 with Value.Text b -> b | _ -> "?")
+             (Manager.read_dirty mgr ~table:"t" ~key:(key k))
+         in
+         if got <> committed.(k) then
+           QCheck.Test.fail_reportf "final key %d is %s, model %s" k
+             (show_value got) (show_value committed.(k))
+       done;
+       let tracked =
+         match Obs.Registry.find (Db.obs db) "txn.tracked" with
+         | Some (Obs.Gauge_v v) -> int_of_float v
+         | _ -> -1
+       in
+       if Table.versions_count tbl <> 0 || tracked <> 0 then
+         QCheck.Test.fail_reportf "after GC: %d versions, txn.tracked %d"
+           (Table.versions_count tbl) tracked;
+       true)
+
 let () =
   Alcotest.run "mvcc"
     [ ( "visibility",
@@ -494,12 +810,21 @@ let () =
             test_retention_hint_gates_system_writes;
           Alcotest.test_case "wal pin does not hold versions" `Quick
             test_gc_ignores_wal_pin;
+          Alcotest.test_case "wal pin does not hold versions past a snapshot"
+            `Quick test_gc_ignores_wal_pin_after_snapshot;
           Alcotest.test_case "horizon is oldest snapshot" `Quick
             test_gc_horizon_is_oldest_snapshot ] );
+      ( "reclamation",
+        [ Alcotest.test_case "bounded work per commit" `Quick
+            test_reclaim_bounded;
+          Alcotest.test_case "hot keys queue once" `Quick test_reclaim_hot_keys;
+          Alcotest.test_case "txns forget history" `Quick
+            test_txns_forget_history ] );
       ( "lazy migration",
         [ Alcotest.test_case "demand migration" `Quick
             test_lazy_demand_migration;
           Alcotest.test_case "hybrid sweep completes" `Quick
             test_hybrid_sweep_completes ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_snapshot_visibility ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_snapshot_visibility; prop_reference_model ] ) ]

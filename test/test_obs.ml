@@ -446,6 +446,53 @@ let test_one_way_to_read () =
   Alcotest.(check int) "lock waits" stats.Nbsc_txn.Manager.Stats.lock_waits
     (counter "lock.waits")
 
+(* The transaction table and the reclamation queue stay bounded: with
+   no snapshot, committed transactions leave [txns] and their versions
+   go at commit; a held snapshot queues keys until its release. *)
+let test_reclaim_probes () =
+  let module M = Nbsc_txn.Manager in
+  let db = Db.create () in
+  ignore (Db.create_table db ~name:"t" H.r_schema);
+  let mgr = Db.manager db in
+  let probe name =
+    match Obs.Registry.find (Db.obs db) name with
+    | Some (Obs.Gauge_v v) -> int_of_float v
+    | _ -> Alcotest.failf "probe %S missing from registry" name
+  in
+  let key k = Nbsc_value.Row.make [ Nbsc_value.Value.Int k ] in
+  let write i =
+    match
+      Db.with_txn db (fun txn ->
+          M.update mgr ~txn ~table:"t" ~key:(key (i mod 10))
+            [ (1, Nbsc_value.Value.Text (string_of_int i)) ])
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "write: %a" M.pp_error e
+  in
+  (match Db.load db ~table:"t" (List.init 10 (fun k -> H.ri k "v" k)) with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "load: %a" M.pp_error e);
+  for i = 1 to 1_000 do
+    write i
+  done;
+  Alcotest.(check int) "txn.tracked = txn.active" (probe "txn.active")
+    (probe "txn.tracked");
+  Alcotest.(check int) "nothing pending without a snapshot" 0
+    (probe "storage.versions_pending");
+  let snap = M.begin_txn ~isolation:`Snapshot mgr in
+  for i = 1 to 20 do
+    write i
+  done;
+  Alcotest.(check bool) "a held snapshot queues keys" true
+    (probe "storage.versions_pending" > 0);
+  (match M.commit mgr snap with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "snapshot commit: %a" M.pp_error e);
+  ignore (M.gc_versions mgr);
+  Alcotest.(check int) "drained after the release" 0
+    (probe "storage.versions_pending");
+  Alcotest.(check int) "txn.tracked after the release" 0 (probe "txn.tracked")
+
 let () =
   Alcotest.run "obs"
     [ ( "registry",
@@ -472,5 +519,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_schema_change_cancel;
           Alcotest.test_case "options reach every operator" `Quick
             test_options_reach_every_operator;
-          Alcotest.test_case "one way to read" `Quick test_one_way_to_read ] )
+          Alcotest.test_case "one way to read" `Quick test_one_way_to_read;
+          Alcotest.test_case "reclamation probes stay bounded" `Quick
+            test_reclaim_probes ] )
     ]

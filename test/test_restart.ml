@@ -1,11 +1,14 @@
 (* The paper's closing remark that repeated splits build many-to-many
-   normalizations. (The crash-and-restart scenario that used to live
-   here moved to test_crash_matrix.ml, where it runs through the
-   durable Persist path.) *)
+   normalizations, and restart over a rollback that follows a Commit
+   record. (The crash-and-restart scenario that used to live here moved
+   to test_crash_matrix.ml, where it runs through the durable Persist
+   path.) *)
 
 open Nbsc_value
+open Nbsc_wal
 open Nbsc_storage
 open Nbsc_txn
+open Nbsc_engine
 open Nbsc_core
 module H = Helpers
 
@@ -175,8 +178,40 @@ let test_repeated_splits_normalize_m2m () =
   in
   H.check_relations_equal "round trip" want got
 
+(* A commit whose durability barrier failed is rolled back after its
+   Commit record. A crash that tears that rollback (Abort_begin and one
+   CLR on disk, no Abort_done) must still finish it at restart: the
+   Abort_begin re-opens the transaction, so recovery undoes the rest. *)
+let test_torn_rollback_after_commit () =
+  let log = Log.create () in
+  let txn = 7 in
+  let append prev body = Log.append log ~txn ~prev_lsn:prev body in
+  let row1 = H.ri 1 "one" 1 and row2 = H.ri 2 "two" 2 in
+  let b = append Lsn.zero Log_record.Begin in
+  let op1 = append b (Log_record.Op (Log_record.Insert { table = "t"; row = row1 })) in
+  let op2 = append op1 (Log_record.Op (Log_record.Insert { table = "t"; row = row2 })) in
+  let c = append op2 Log_record.Commit in
+  let ab = append c Log_record.Abort_begin in
+  ignore
+    (append ab
+       (Log_record.Clr
+          { undo_next = op1;
+            op =
+              Log_record.Delete
+                { table = "t"; key = Row.make [ Value.Int 2 ]; before = row2 } }));
+  let catalog, report =
+    Recovery.recover ~table_defs:[ Recovery.table_def "t" H.r_schema ] log
+  in
+  Alcotest.(check (list int)) "the torn rollback is a loser" [ txn ]
+    report.Recovery.losers;
+  Alcotest.(check int) "recovered without the ops" 0
+    (Table.cardinality (Catalog.find catalog "t"))
+
 let () =
   Alcotest.run "restart"
     [ ( "composition",
         [ Alcotest.test_case "repeated splits build a normalized m2m" `Quick
-            test_repeated_splits_normalize_m2m ] ) ]
+            test_repeated_splits_normalize_m2m ] );
+      ( "recovery",
+        [ Alcotest.test_case "a torn rollback after a Commit record finishes"
+            `Quick test_torn_rollback_after_commit ] ) ]

@@ -208,8 +208,8 @@ let test_engine_mix () =
   Alcotest.(check int) "failed transactions" 0 !failed;
   Alcotest.(check int) "commits in the mix" 1_500 commits;
   Alcotest.(check int) "wal.records" 20_730 wal_records;
-  Alcotest.(check int) "storage.versions_live" 2_438 versions_live;
-  Alcotest.(check int) "storage.versions_reclaimed" 8_282 versions_reclaimed;
+  Alcotest.(check int) "storage.versions_live" 0 versions_live;
+  Alcotest.(check int) "storage.versions_reclaimed" 10_720 versions_reclaimed;
   Alcotest.(check int) "T rows" 5_215 t_rows;
   let per_txn = (words1 -. words0) /. float_of_int commits in
   Printf.printf "%.1f words allocated per transaction\n" per_txn;
