@@ -8,7 +8,7 @@
      sync        measure the synchronization window per strategy
      matrix      print the Figure 2 lock-compatibility matrix
      log         run a small transformation and dump the resulting log
-     contention  high-conflict run; deadlock-detector and governor stats
+     contention  high-conflict run; deadlock-detector stats
      crash-demo  crash a durable change at a fault site and resume it
      stats       run a demo change and dump the metrics registry
      trace       run a traced fixed-seed simulation; write/validate JSONL
@@ -305,7 +305,6 @@ module E = Nbsc_sim.Experiment
 let ten_k_setup = { E.quick_setup with E.scale = 10_000 }
 
 let workloads = [ 50.; 60.; 70.; 80.; 90.; 100. ]
-let fig4d_priorities = [ 0.0005; 0.001; 0.002; 0.005; 0.01; 0.02; 0.04; 0.08 ]
 
 let print_points ~x_label points =
   say "%-10s %14s %14s  %s" x_label "rel.throughput" "rel.resp.time" "status";
@@ -343,16 +342,13 @@ let run_figure name quick =
   | "4d" ->
     say "Figure 4(d): completion time and interference vs priority (75%% \
          workload); paper: below a threshold the change never finishes";
-    print_points ~x_label:"priority"
-      (E.fig4d_priority ~setup ~workload_pct:75. ~priorities:fig4d_priorities ());
-    say "-- with the anti-starvation governor (every point must complete) --";
-    let governed =
-      E.fig4d_priority_governed ~setup ~workload_pct:75.
-        ~priorities:fig4d_priorities ()
+    let points =
+      E.fig4d_priority ~setup ~workload_pct:75. ~priorities:E.fig4d_priorities ()
     in
-    print_points ~x_label:"priority" governed;
-    if List.for_all (fun p -> p.E.tf_completed) governed then `Ok ()
-    else `Error (false, "the governed sweep left a point unconverged")
+    print_points ~x_label:"priority" points;
+    (match E.fig4d_shape points with
+     | Ok () -> `Ok ()
+     | Error m -> `Error (false, "the sweep lacks the paper's shape: " ^ m))
   | "foj" ->
     say "FOJ: Figure 4(a)/(c) for the full outer join (paper: very similar \
          results)";
@@ -490,7 +486,7 @@ let log_cmd =
    it, and a transformation competing for the same rows — then print
    what the engine's contention machinery did about it. *)
 
-let run_contention governed duration =
+let run_contention duration =
   let module Sim = Nbsc_sim.Sim in
   let module Metrics = Nbsc_sim.Metrics in
   let kind = Sim.Split_scenario { t_rows = 40; assume_consistent = true } in
@@ -498,7 +494,6 @@ let run_contention governed duration =
     { Sim.n_clients = 24; think_time = 400; ops_per_txn = 6;
       source_share = 0.9; seed = 42 }
   in
-  let pace = if governed then Some (Governor.create ()) else None in
   let options =
     { Sc.Options.default with
       Sc.Options.scan_batch = 8;
@@ -506,16 +501,12 @@ let run_contention governed duration =
       sync_lag = 8;
       sync = Sc.Options.Nonblocking_commit;
       drop_sources = false;
-      (* Governed runs let the change finish, so the governor's
-         escalate-then-relax cycle is visible end to end; ungoverned
-         runs gate sync off so the hot spot never evaporates. *)
-      sync_gate = (fun () -> governed);
-      pace }
+      (* Sync is gated off so the hot spot never evaporates. *)
+      sync_gate = (fun () -> false) }
   in
-  let priority = if governed then 0.002 else 0.1 in
   let r =
     Sim.run ~kind ~workload
-      ~background:(Sim.Transformation { Sim.priority; options })
+      ~background:(Sim.Transformation { Sim.priority = 0.1; options })
       ~duration ~warmup:(duration / 20) ()
   in
   let s = r.Sim.mgr_stats in
@@ -526,9 +517,6 @@ let run_contention governed duration =
     s.Manager.Stats.lock_waits s.Manager.Stats.deadlocks
     s.Manager.Stats.victims;
   say "clients:  %a" Metrics.pp_summary r.Sim.summary;
-  (match pace with
-   | Some g -> say "governor: %a" Governor.pp_stats (Governor.stats g)
-   | None -> ());
   say "tf:       %s"
     (match r.Sim.tf_done_at with
      | Some t -> Printf.sprintf "completed at t=%d" t
@@ -536,13 +524,6 @@ let run_contention governed duration =
   `Ok ()
 
 let contention_cmd =
-  let governed =
-    Arg.(value & flag
-         & info [ "governed" ]
-             ~doc:
-               "start the transformation at a starvation-level priority \
-                and let the anti-starvation governor drive it home")
-  in
   let duration =
     Arg.(value & opt int 150_000
          & info [ "duration" ] ~doc:"virtual-time horizon")
@@ -550,9 +531,9 @@ let contention_cmd =
   Cmd.v
     (Cmd.info "contention"
        ~doc:
-         "run a high-conflict workload and print deadlock-detector and \
-          governor statistics")
-    Term.(ret (const run_contention $ governed $ duration))
+         "run a high-conflict workload and print deadlock-detector \
+          statistics")
+    Term.(ret (const run_contention $ duration))
 
 (* {1 crash-demo}
 

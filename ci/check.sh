@@ -126,8 +126,10 @@ echo "== perfbench determinism self-test =="
 python3 perfbench/run.py --selftest
 
 # Every figure and ablation table of the simulator, once, at reduced
-# scale (virtual time, fixed seeds). The command exits non-zero when
-# the governed Fig. 4(d) sweep leaves a point unconverged.
+# scale (virtual time, fixed seeds). For 4d the command exits non-zero
+# unless the priority sweep has the paper's shape: the lowest priority
+# never finishes and the highest does, no unfinished point lies above
+# a finished one, and completion time does not rise with priority.
 echo "== nbsc figure --quick (every figure) =="
 for fig in 4a 4b 4c 4d foj methods ablate; do
   dune exec bin/nbsc_cli.exe -- figure --quick "$fig" >/dev/null

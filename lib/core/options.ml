@@ -10,7 +10,6 @@ type t = {
   strategy : migration;
   drop_sources : bool;
   sync_gate : unit -> bool;
-  pace : Governor.t option;
 }
 
 let default =
@@ -20,8 +19,7 @@ let default =
     sync = Nonblocking_abort;
     strategy = Eager;
     drop_sources = true;
-    sync_gate = (fun () -> true);
-    pace = None }
+    sync_gate = (fun () -> true) }
 
 (* Field validation. String parsers reject bad values at the parse
    boundary, but options records are also built programmatically

@@ -1,8 +1,8 @@
 (** Schema-change options — the one knob record.
 
     Every knob of a change lives here: batch sizes, the lag at which
-    synchronization starts, the synchronization strategy, pacing, and
-    how the initial image is built. [Db.Schema_change.start] validates
+    synchronization starts, the synchronization strategy, and how the
+    initial image is built. [Db.Schema_change.start] validates
     one value and hands it to both {!Transformation.of_spec} and
     {!Transform.create}; {!Transform.resume} takes the same record.
     Two orthogonal strategy axes:
@@ -59,19 +59,13 @@ type t = {
       (** consulted before entering synchronization; return [false] to
           keep propagating (e.g. to hold the switch-over for off-hours,
           or to keep an experiment in steady propagation) *)
-  pace : Governor.t option;
-      (** anti-starvation governor ({!Governor}): the executor feeds it
-          the propagation lag each quantum and scales its batch limits
-          with the gain; the simulator also multiplies the change's CPU
-          share by it. One per run — instances are mutable. [None]:
-          static pacing, Fig. 4(d)'s behaviour. *)
 }
 
 val default : t
 (** [{ scan_batch = 256; propagate_batch = 256;
       sync_lag = 8; sync = Nonblocking_abort;
       strategy = Eager; drop_sources = true;
-      sync_gate = (fun () -> true); pace = None }] — the paper's eager
+      sync_gate = (fun () -> true) }] — the paper's eager
     fuzzy population, synchronized by non-blocking abort. *)
 
 val validate : t -> (t, Nbsc_error.t) result

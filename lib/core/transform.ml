@@ -10,15 +10,6 @@ module Db = Nbsc_engine.Db
 module Obs = Nbsc_obs.Obs
 module Json = Nbsc_obs.Json
 
-(* With a governor attached, a starving transformation also works
-   harder per quantum: the batch limit scales with the gain (capped —
-   a quantum must stay a quantum). Schedulers that hand out CPU by
-   priority additionally multiply their share by [Governor.gain]. *)
-let paced_batch options base =
-  match options.Options.pace with
-  | None -> base
-  | Some g -> base * (1 + min 15 (int_of_float (Governor.gain g) - 1))
-
 type phase =
   | Populating
   | Propagating
@@ -403,8 +394,7 @@ let step_quantum t =
      let finished =
        match t.options.Options.strategy with
        | Options.Eager ->
-         Population.step t.pop
-           ~limit:(paced_batch t.options t.options.Options.scan_batch)
+         Population.step t.pop ~limit:t.options.Options.scan_batch
        | Options.Lazy ->
          (* Minimal background sweep: demand migration carries the hot
             set; one cold record per quantum guarantees completion on
@@ -419,9 +409,7 @@ let step_quantum t =
        t.tphase <- Propagating
      end
    | Propagating ->
-     ignore
-       (Propagator.step t.prop
-          ~limit:(paced_batch t.options t.options.Options.propagate_batch));
+     ignore (Propagator.step t.prop ~limit:t.options.Options.propagate_batch);
      if Propagator.lag t.prop = 0 && not t.caught_up_once then begin
        t.caught_up_once <- true;
        t.iterations <- t.iterations + 1
@@ -451,10 +439,6 @@ let step_quantum t =
      in
      if all_done && Propagator.lag t.prop = 0 then finalize t
    | Done | Failed _ -> ());
-  (match t.options.Options.pace with
-   | Some g when t.tphase <> Populating ->
-     Governor.observe_lag g ~lag:(Propagator.lag t.prop)
-   | Some _ | None -> ());
   (* Emit the per-quantum progress point {e before} reconciling spans:
      the work just done belongs to the span that was open while it ran,
      even on the step that closes the phase. *)
@@ -467,12 +451,7 @@ let step_quantum t =
         ("propagated", Json.Int (Propagator.records_processed t.prop));
         ("position", Json.Int (Lsn.to_int (Propagator.position t.prop)));
         ("lag", Json.Int (Propagator.lag t.prop));
-        ("locks_transferred", Json.Int (Propagator.locks_transferred t.prop));
-        ("gain",
-         Json.Float
-           (match t.options.Options.pace with
-            | Some g -> Governor.gain g
-            | None -> 1.0)) ]
+        ("locks_transferred", Json.Int (Propagator.locks_transferred t.prop)) ]
     in
     match t.phase_span with
     | Some (_, span) -> Obs.point t.obs ~in_span:span "transform.quantum" attrs

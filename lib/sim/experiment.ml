@@ -34,14 +34,13 @@ let quick_setup =
   { scale = 2_000; duration = 300_000; warmup = 50_000; seed = 42;
     seeds = 1; priority = 0.02 }
 
-let tf_options ?pace ~sync_gate () =
+let tf_options ~sync_gate =
   { Options.default with
     Options.scan_batch = 16;
     propagate_batch = 32;
     sync_lag = 8;
     drop_sources = false;
-    sync_gate;
-    pace }
+    sync_gate }
 
 let workload_of setup ~pct ~source_share =
   { Sim.n_clients = Sim.clients_for_workload pct;
@@ -110,7 +109,7 @@ let population_sweep ~kind ~setup ~workloads =
           background process, not the switch-over. *)
        let tf =
          { Sim.priority = setup.priority;
-           options = tf_options ~sync_gate:(fun () -> false) () }
+           options = tf_options ~sync_gate:(fun () -> false) }
        in
        paired_point ~kind ~workload ~tf ~duration:setup.duration
          ~warmup:setup.warmup ~seeds:setup.seeds ~x:pct)
@@ -145,7 +144,7 @@ let propagation_sweep ~kind ~setup ~source_share ~workloads =
     (fun pct ->
        let workload = workload_of setup ~pct ~source_share in
        let tf =
-         { Sim.priority; options = tf_options ~sync_gate:(fun () -> false) () }
+         { Sim.priority; options = tf_options ~sync_gate:(fun () -> false) }
        in
        paired_point ~kind ~workload ~tf ~duration:setup.duration
          ~warmup:setup.warmup ~seeds:setup.seeds ~x:pct)
@@ -170,6 +169,8 @@ let fig4c_propagation_foj ?(setup = default_setup) ~source_share ~workloads () =
 
 (* {1 Figure 4(d): priority versus completion time and interference} *)
 
+let fig4d_priorities = [ 0.0005; 0.001; 0.002; 0.005; 0.01; 0.02; 0.04; 0.08 ]
+
 let fig4d_priority ?(setup = default_setup) ~workload_pct ~priorities () =
   let kind =
     Sim.Split_scenario
@@ -183,37 +184,39 @@ let fig4d_priority ?(setup = default_setup) ~workload_pct ~priorities () =
   List.map
     (fun priority ->
        let tf =
-         { Sim.priority; options = tf_options ~sync_gate:(fun () -> true) () }
+         { Sim.priority; options = tf_options ~sync_gate:(fun () -> true) }
        in
        paired_point ~kind ~workload ~tf ~duration:horizon ~warmup:setup.warmup
          ~seeds:1 ~x:priority)
     priorities
 
-(* Same sweep with the anti-starvation governor attached: the
-   configured priority is only a floor — when the lag stops shrinking
-   the governor escalates the effective share until the transformation
-   converges, so every point completes (the acceptance criterion that
-   distinguishes this from the static sweep above). *)
-let fig4d_priority_governed ?(setup = default_setup) ~workload_pct ~priorities
-    () =
-  let kind =
-    Sim.Split_scenario
-      { t_rows = max 100 (setup.scale / 25); assume_consistent = true }
+(* Adjacent pairs suffice: a finished point below an unfinished one,
+   or a rise in completion time, shows up between some two neighbours. *)
+let fig4d_shape points =
+  let points = List.sort (fun a b -> Float.compare a.x b.x) points in
+  let rec walk = function
+    | lo :: (hi :: _ as rest) ->
+      if lo.tf_completed && not hi.tf_completed then
+        Error
+          (Printf.sprintf "priority %g did not finish, though %g below it did"
+             hi.x lo.x)
+      else (
+        match lo.tf_done_at, hi.tf_done_at with
+        | Some a, Some b when b > a ->
+          Error
+            (Printf.sprintf
+               "completion time rose from %d at priority %g to %d at %g" a
+               lo.x b hi.x)
+        | _ -> walk rest)
+    | [] | [ _ ] -> Ok ()
   in
-  let workload = workload_of setup ~pct:workload_pct ~source_share:0.2 in
-  let horizon = setup.duration * 4 in
-  List.map
-    (fun priority ->
-       (* Fresh governor per point — instances are mutable and must not
-          be shared between runs. *)
-       let pace = Governor.create () in
-       let tf =
-         { Sim.priority;
-           options = tf_options ~pace ~sync_gate:(fun () -> true) () }
-       in
-       paired_point ~kind ~workload ~tf ~duration:horizon ~warmup:setup.warmup
-         ~seeds:1 ~x:priority)
-    priorities
+  match points, List.rev points with
+  | lowest :: _, _ when lowest.tf_completed ->
+    Error (Printf.sprintf "the lowest priority, %g, finished" lowest.x)
+  | _, highest :: _ when not highest.tf_completed ->
+    Error (Printf.sprintf "the highest priority, %g, did not finish" highest.x)
+  | [], _ -> Error "the sweep has no point"
+  | _ -> walk points
 
 (* {1 Synchronization window} *)
 
@@ -235,7 +238,7 @@ let sync_window ?(setup = quick_setup) ~strategy () =
   in
   let workload = workload_of setup ~pct:75. ~source_share:0.2 in
   let options =
-    { (tf_options ~sync_gate:(fun () -> true) ()) with Options.sync = strategy }
+    { (tf_options ~sync_gate:(fun () -> true)) with Options.sync = strategy }
   in
   let tf = { Sim.priority = 0.05; options } in
   let r =
@@ -298,7 +301,7 @@ let method_comparison ?(setup = quick_setup) ~workload_pct () =
   [ row "log-based (this paper)"
       (Sim.Transformation
          { Sim.priority = setup.priority;
-           options = tf_options ~sync_gate:(fun () -> true) () });
+           options = tf_options ~sync_gate:(fun () -> true) });
     row "blocking INSERT-SELECT" (Sim.Blocking_dump { dump_priority = 0.9 });
     row "trigger-based" Sim.Trigger_maintenance ]
 
@@ -328,7 +331,7 @@ let threshold_sweep ?(setup = quick_setup) ~thresholds () =
   List.map
     (fun threshold ->
        let options =
-         { (tf_options ~sync_gate:(fun () -> true) ()) with
+         { (tf_options ~sync_gate:(fun () -> true)) with
            Options.sync_lag = threshold }
        in
        let r =
@@ -372,7 +375,7 @@ let batch_sweep ?(setup = quick_setup) ~batches () =
   List.map
     (fun batch ->
        let options =
-         { (tf_options ~sync_gate:(fun () -> true) ()) with
+         { (tf_options ~sync_gate:(fun () -> true)) with
            Options.scan_batch = batch;
            propagate_batch = batch }
        in
@@ -449,7 +452,7 @@ let traced_run ?(setup = quick_setup) ?sink () =
   in
   let workload = workload_of setup ~pct:75. ~source_share:0.2 in
   let tf =
-    { Sim.priority = 0.05; options = tf_options ~sync_gate:(fun () -> true) () }
+    { Sim.priority = 0.05; options = tf_options ~sync_gate:(fun () -> true) }
   in
   let mem = Obs.memory_sink () in
   let on_db db =

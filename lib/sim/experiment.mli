@@ -69,14 +69,15 @@ val fig4c_propagation_foj : ?setup:setup -> source_share:float ->
 val fig4d_priority : ?setup:setup -> workload_pct:float ->
   priorities:float list -> unit -> point list
 
-(** The same sweep with a fresh {!Nbsc_core.Governor} attached to each
-    point: the configured priority becomes a floor that the feedback
-    loop escalates whenever propagation lag stops shrinking, so every
-    point — including those that never converge statically — completes
-    within the horizon, at the price of more interference while the
-    gain is high. *)
-val fig4d_priority_governed : ?setup:setup -> workload_pct:float ->
-  priorities:float list -> unit -> point list
+val fig4d_priorities : float list
+(** The priorities [nbsc figure 4d] sweeps: 0.05 % to 8 %. *)
+
+val fig4d_shape : point list -> (unit, string) result
+(** The paper's Fig. 4(d) claim, checked on a priority sweep in any
+    order: the lowest priority does not finish and the highest does;
+    no unfinished point lies above a finished one; completion time does
+    not rise as priority rises. [Error] names the first violation.
+    [nbsc figure 4d] exits non-zero on one. *)
 
 (** The synchronization-window measurement backing the "< 1 ms" claim:
     runs a split transformation under load with the non-blocking abort

@@ -327,12 +327,6 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
     Manager.update mgr ~txn ~table:"D" ~key [ (1, rand_text rng) ]
   in
 
-  let governor =
-    match background with
-    | Transformation s -> s.options.Options.pace
-    | No_background | Blocking_dump _ | Trigger_maintenance -> None
-  in
-
   let restart ~aborted c delay =
     (match c.txn with
      | Some txn when Manager.is_active mgr txn -> ignore (Manager.abort mgr txn)
@@ -360,10 +354,6 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
        | Ok () ->
          if in_window c.started && in_window !now then
            Metrics.record_txn metrics ~start:c.started ~finish:!now;
-         (match governor with
-          | Some g ->
-            Governor.observe_response g ~rt:(float_of_int (!now - c.started))
-          | None -> ());
          Backoff.reset c.backoff;
          c.txn <- None;
          c.op_idx <- 0;
@@ -519,23 +509,14 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
      Credit accrues at [priority] per unit of virtual time; whenever it
      covers a slice the transformation's real work runs, consuming the
      banked share rather than server time. *)
-  let base_priority =
+  let priority =
     match background with
     | Transformation s -> min 0.9 (max 0. s.priority)
     | Blocking_dump { dump_priority } -> min 0.95 (max 0. dump_priority)
     | No_background | Trigger_maintenance -> 0.
   in
-  (* With a governor attached the effective CPU share breathes: the
-     configured priority times the governor's gain, capped so users
-     always keep some capacity. Without one this is the paper's static
-     share — including Fig. 4(d)'s never-finishes region. *)
-  let priority () =
-    match governor with
-    | None -> base_priority
-    | Some g -> min 0.9 (base_priority *. Governor.gain g)
-  in
   let advance dt =
-    credit := !credit +. (priority () *. float_of_int dt);
+    credit := !credit +. (priority *. float_of_int dt);
     now := !now + dt
   in
   (* Charges are whole time units, so each one carries its fractional
@@ -546,38 +527,11 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
   let op_cost_carry = ref 0. in
   let inflated_op_cost () =
     let exact =
-      (float_of_int costs.op_cost /. (1. -. priority ())) +. !op_cost_carry
+      (float_of_int costs.op_cost /. (1. -. priority)) +. !op_cost_carry
     in
     let charge = int_of_float exact in
     op_cost_carry := exact -. float_of_int charge;
     charge
-  in
-  (* The governor cannot rely on the executor's own lag reports alone:
-     a starved transformation barely steps, so its reports are as rare
-     as the starvation is bad — exactly when escalation is needed. The
-     simulator therefore also samples the lag on a steady virtual-time
-     cadence. *)
-  let gov_obs_period = costs.op_cost * 20 in
-  let next_gov_obs = ref 0 in
-  let gov_lag =
-    match governor with
-    | Some _ -> Some (Obs.Registry.gauge (Db.obs db) "governor.lag")
-    | None -> None
-  in
-  let observe_governor () =
-    match governor, transform with
-    | Some g, Some (_, t) when !now >= !next_gov_obs ->
-      next_gov_obs := !now + gov_obs_period;
-      (match Transform.phase t with
-       | Transform.Populating | Transform.Propagating | Transform.Checking
-       | Transform.Quiescing | Transform.Draining ->
-         let lag = (Transform.progress t).Transform.lag in
-         (match gov_lag with
-          | Some gauge -> Obs.Gauge.set gauge (float_of_int lag)
-          | None -> ());
-         Governor.observe_lag g ~lag
-       | Transform.Done | Transform.Failed _ -> ())
-    | _ -> ()
   in
   let break = ref false in
   while (not !break) && !now <= duration do
@@ -596,7 +550,6 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
       | _ -> ()
     in
     wake ();
-    observe_governor ();
     let user_ready = not (Queue.is_empty queue) in
     if tf_active () && !credit >= 1. then begin
       (* Convert banked share into actual background work; the time was
@@ -617,8 +570,8 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
       (* Idle: jump to the next client wake-up or to the moment the
          background job has earned its next slice. *)
       let to_credit =
-        if tf_active () && priority () > 0. then
-          Some (int_of_float (ceil ((1. -. !credit) /. priority ())))
+        if tf_active () && priority > 0. then
+          Some (int_of_float (ceil ((1. -. !credit) /. priority)))
         else None
       in
       let to_wake =

@@ -27,12 +27,7 @@
     verdicts ([`Blocked] → jittered exponential backoff with a retry
     budget, {!Backoff}; [`Deadlock] → clean restart as the sentenced
     victim; a wounded transaction restarts when it discovers its own
-    death) instead of improvising wait-die. When the transformation's
-    options carry a {!Nbsc_core.Governor}, its gain multiplies the
-    configured priority each time credit accrues, and the simulator
-    feeds the governor lag samples on a steady cadence plus a response
-    time per commit — the anti-starvation loop that turns Fig. 4(d)'s
-    never-finishes region into a converging one. *)
+    death) instead of improvising wait-die. *)
 
 open Nbsc_txn
 open Nbsc_core

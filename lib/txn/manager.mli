@@ -270,11 +270,13 @@ val flush_commits : t -> unit
     bench phase). Observes the [engine.commit_batch_size] histogram. *)
 
 val synced_commits : t -> int
-(** Number of acknowledged commits known to be durable: total commits
-    minus those still waiting for the group barrier. Commits become
-    durable in commit order, so every commit whose ordinal is at or
-    below this count survives a crash; the ones above it are the
-    legal < window loss. *)
+(** Number of acknowledged commits past the group barrier: total
+    commits minus those still waiting for it. The barrier hands a
+    batch to the OS and does not fsync it. Commits pass it in commit
+    order, so every commit whose ordinal is at or below this count
+    survives a process crash; the ones above it are the legal < window
+    loss. An OS crash or a power loss can lose commits below the count
+    too. *)
 
 val mark_abort_only : t -> txn_id -> unit
 val is_abort_only : t -> txn_id -> bool

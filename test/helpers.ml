@@ -7,6 +7,28 @@ open Nbsc_core
 
 let col = Schema.column
 
+let ok name = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
+
+let ok_p name = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %a" name Nbsc_engine.Persist.pp_error e
+
+(* A store directory holds files only, so one level of removal empties
+   it. *)
+let wipe dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
 (* The running example: R(a,b,c) joined with S(c,d) on c — the shape of
    the paper's Figure 1 — and T(a,b,c,d) split back into R(a,b,c) and
    S(c,d) — the shape of Figure 3. *)

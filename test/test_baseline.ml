@@ -9,10 +9,6 @@ open Nbsc_core
 open Nbsc_baseline
 module H = Helpers
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 (* {1 Blocking INSERT INTO ... SELECT} *)
 
 let test_dump_foj_correct () =
@@ -80,7 +76,7 @@ let test_dump_latch_all_or_none () =
   (match Manager.read mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 1 ]) with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "read R: %a" Manager.pp_error e);
-  ok "commit" (Manager.commit mgr txn);
+  H.ok "commit" (Manager.commit mgr txn);
   Latch.unlatch latches ~holder:7 ~table:"S";
   while Insert_into_select.step dump ~limit:7 = `Running do () done;
   H.check_relations_equal "T = oracle" oracle (Db.snapshot db "T")
@@ -96,20 +92,20 @@ let test_trigger_keeps_t_fresh () =
   H.check_relations_equal "initial" (H.foj_oracle db) (Db.snapshot db "T");
   (* Every user op is reflected synchronously. *)
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"R"
+  H.ok "u" (Manager.update mgr ~txn ~table:"R"
             ~key:(Row.make [ Value.Int 3 ]) [ (1, Value.Text "fresh") ]);
-  ok "i" (Manager.insert mgr ~txn ~table:"R" (H.ri 999 "brand-new" 4));
-  ok "d" (Manager.delete mgr ~txn ~table:"S" ~key:(Row.make [ Value.Int 2 ]));
-  ok "c" (Manager.commit mgr txn);
+  H.ok "i" (Manager.insert mgr ~txn ~table:"R" (H.ri 999 "brand-new" 4));
+  H.ok "d" (Manager.delete mgr ~txn ~table:"S" ~key:(Row.make [ Value.Int 2 ]));
+  H.ok "c" (Manager.commit mgr txn);
   H.check_relations_equal "after ops" (H.foj_oracle db) (Db.snapshot db "T");
   Alcotest.(check bool) "trigger work counted" true
     (Trigger_method.triggered_ops tr > 0);
   (* Uninstall stops maintenance. *)
   Trigger_method.uninstall tr;
   let txn = Manager.begin_txn mgr in
-  ok "u2" (Manager.update mgr ~txn ~table:"R"
+  H.ok "u2" (Manager.update mgr ~txn ~table:"R"
              ~key:(Row.make [ Value.Int 5 ]) [ (1, Value.Text "missed") ]);
-  ok "c2" (Manager.commit mgr txn);
+  H.ok "c2" (Manager.commit mgr txn);
   Alcotest.(check bool) "now stale" false
     (Nbsc_relalg.Relalg.equal_as_sets (H.foj_oracle db) (Db.snapshot db "T"))
 
@@ -118,10 +114,10 @@ let test_trigger_split () =
   let mgr = Db.manager db in
   let _tr = Trigger_method.install_split db (H.split_spec ~assume_consistent:true) in
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"T"
+  H.ok "u" (Manager.update mgr ~txn ~table:"T"
             ~key:(Row.make [ Value.Int 7 ])
             [ (2, Value.Int 3); (3, Value.Text (H.city_of 3)) ]);
-  ok "c" (Manager.commit mgr txn);
+  H.ok "c" (Manager.commit mgr txn);
   let t = Db.snapshot db "T" in
   let expected_r, expected_s =
     Nbsc_relalg.Relalg.split
@@ -138,10 +134,10 @@ let test_trigger_work_attribution () =
   let mgr = Db.manager db in
   let tr = Trigger_method.install_foj db H.foj_spec in
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"R"
+  H.ok "u" (Manager.update mgr ~txn ~table:"R"
             ~key:(Row.make [ Value.Int 1 ]) [ (1, Value.Text "w") ]);
   Alcotest.(check bool) "last op did work" true (Trigger_method.last_op_work tr > 0);
-  ok "c" (Manager.commit mgr txn);
+  H.ok "c" (Manager.commit mgr txn);
   Trigger_method.uninstall tr
 
 (* Two concurrent installations must not clobber each other: post-op
@@ -163,9 +159,9 @@ let test_trigger_two_installs () =
   in
   let write_r key text =
     let txn = Manager.begin_txn mgr in
-    ok "u" (Manager.update mgr ~txn ~table:"R"
+    H.ok "u" (Manager.update mgr ~txn ~table:"R"
               ~key:(Row.make [ Value.Int key ]) [ (1, Value.Text text) ]);
-    ok "c" (Manager.commit mgr txn)
+    H.ok "c" (Manager.commit mgr txn)
   in
   (* Both hooks fire for the same write. *)
   write_r 3 "both";
@@ -201,9 +197,9 @@ let test_targets_keep_no_versions () =
   let mgr = Db.manager db in
   let tr = Trigger_method.install_foj db H.foj_spec in
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"R"
+  H.ok "u" (Manager.update mgr ~txn ~table:"R"
             ~key:(Row.make [ Value.Int 3 ]) [ (1, Value.Text "fresh") ]);
-  ok "c" (Manager.commit mgr txn);
+  H.ok "c" (Manager.commit mgr txn);
   H.check_relations_equal "T fresh" (H.foj_oracle db) (Db.snapshot db "T");
   Alcotest.(check int) "T after a triggered update" 0
     (Table.versions_count (Db.table db "T"));
@@ -257,7 +253,7 @@ let test_shadow_aborted_writes () =
   let packed = Transformation.foj db H.foj_spec in
   let sh = Shadow_table.create db ~drop_sources:false ~chunk:8 packed in
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"R" (H.ri 777 "phantom" 3));
+  H.ok "i" (Manager.insert mgr ~txn ~table:"R" (H.ri 777 "phantom" 3));
   ignore (Manager.abort mgr txn);
   ignore (converge_shadow sh);
   H.check_relations_equal "no phantom from aborted txn" (H.foj_oracle db)
@@ -305,9 +301,9 @@ let test_shadow_blocks_during_chunk () =
   (* Step two scans the chunk and releases: writes flow again. *)
   ignore (Shadow_table.step sh ~limit:8);
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"R"
+  H.ok "u" (Manager.update mgr ~txn ~table:"R"
             ~key:(Row.make [ Value.Int 1 ]) [ (1, Value.Text "yes") ]);
-  ok "c" (Manager.commit mgr txn);
+  H.ok "c" (Manager.commit mgr txn);
   ignore (converge_shadow sh);
   H.check_relations_equal "converged" (H.foj_oracle db) (Db.snapshot db "T")
 

@@ -237,22 +237,12 @@ let fresh_dir () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "nbsc_cc_%d" (Random.bits ()))
 
-let wipe dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 let test_tracked_unknowns_restore_and_resume () =
   let module Persist = Nbsc_engine.Persist in
   let module Manager = Nbsc_txn.Manager in
-  let ok_p what = function
-    | Ok v -> v
-    | Error e -> Alcotest.failf "%s: %a" what Persist.pp_error e
-  in
   Nbsc_engine.Fault.reset ();
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   let db = Persist.db p in
   ignore (Db.create_table db ~name:"T" H.t_flat_schema);
   (* Every fifth row breaks its group's FD: population flags those S
@@ -265,7 +255,7 @@ let test_tracked_unknowns_restore_and_resume () =
   (match Db.load db ~table:"T" rows with
    | Ok () -> ()
    | Error e -> Alcotest.failf "load: %a" Manager.pp_error e);
-  ok_p "ddl checkpoint" (Persist.checkpoint p);
+  H.ok_p "ddl checkpoint" (Persist.checkpoint p);
   let options =
     { Options.default with
       Options.scan_batch = 7; propagate_batch = 5; drop_sources = false }
@@ -296,9 +286,9 @@ let test_tracked_unknowns_restore_and_resume () =
     (Transform.phase tf <> Transform.Populating);
   Alcotest.(check bool) "some flagged" true
     (Table.unknown_count (Db.table db "S") > 0);
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let db2 = Persist.db p2 in
   check_tracking "restored" (Db.table db2 "S");
   (match Transform.resume ~options p2 with
@@ -319,7 +309,7 @@ let test_tracked_unknowns_restore_and_resume () =
   check_tracking "done" (Db.table db2 "S");
   Alcotest.(check int) "all cleared" 0 (Table.unknown_count (Db.table db2 "S"));
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 let () =
   Alcotest.run "consistency"

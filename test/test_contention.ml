@@ -64,8 +64,7 @@ let soak ~strategy ~fault () =
       sync_lag = 4;
       sync = strategy;
       drop_sources = false;
-      sync_gate = (fun () -> true);
-      pace = None }
+      sync_gate = (fun () -> true) }
   in
   let tf = H.start db ~options (Spec.Split (H.split_spec ~assume_consistent:true)) in
   let clients =

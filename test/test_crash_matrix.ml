@@ -17,10 +17,6 @@ open Nbsc_engine
 open Nbsc_core
 module H = Helpers
 
-let ok_p name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Persist.pp_error e
-
 let base_seed =
   match Sys.getenv_opt "NBSC_CRASH_SEED" with
   | Some s -> (try int_of_string s with Failure _ -> 42)
@@ -33,12 +29,6 @@ let fresh_dir () =
   incr counter;
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "nbsc_crashmx_%d_%d" !counter (Random.int 1_000_000))
-
-let wipe dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
 
 let cfg =
   { Options.default with
@@ -71,7 +61,7 @@ type op_case = {
 
 (* {1 The four operators} *)
 
-let checkpoint_ddl p = ok_p "setup checkpoint" (Persist.checkpoint p)
+let checkpoint_ddl p = H.ok_p "setup checkpoint" (Persist.checkpoint p)
 
 let foj_case =
   { op_name = "foj";
@@ -242,8 +232,8 @@ let foj_watermarks_case =
 let run_attempt ?options op dir ~window ~attempt ~current_p =
   let p =
     if Sys.file_exists (Filename.concat dir "snapshot.nbsc") then
-      ok_p "open" (Persist.open_dir ~dir)
-    else ok_p "create" (Persist.create_dir ~dir)
+      H.ok_p "open" (Persist.open_dir ~dir)
+    else H.ok_p "create" (Persist.create_dir ~dir)
   in
   current_p := Some p;
   let db = Persist.db p in
@@ -289,9 +279,9 @@ let run_attempt ?options op dir ~window ~attempt ~current_p =
        finalized the transformation the sources are live again, and a
        write there would be app misuse, not a lost update. *)
     if Db.jobs db <> [] && !rounds <= 120 then op.traffic d;
-    if !rounds mod 25 = 0 then ok_p "mid checkpoint" (Persist.checkpoint p)
+    if !rounds mod 25 = 0 then H.ok_p "mid checkpoint" (Persist.checkpoint p)
   done;
-  ok_p "final checkpoint" (Persist.checkpoint p);
+  H.ok_p "final checkpoint" (Persist.checkpoint p);
   p
 
 (* Run a scenario to the end, crashing and reopening on every injected
@@ -338,7 +328,7 @@ let dry_run ?options op ~window =
   Alcotest.(check int) (op.op_name ^ ": dry run crash-free") 0 crashes;
   let counts = List.map (fun s -> (s, Fault.hits s)) runtime_sites in
   Fault.reset ();
-  wipe dir;
+  H.wipe dir;
   counts
 
 let run_armed ?options op ~window ~site ~mode ~after =
@@ -347,7 +337,7 @@ let run_armed ?options op ~window ~site ~mode ~after =
   Fault.arm ~mode ~after site;
   let crashes = run_scenario ?options op ~window dir in
   Fault.reset ();
-  wipe dir;
+  H.wipe dir;
   crashes
 
 let test_matrix ?options op ~window () =
@@ -392,8 +382,8 @@ module Tm = Nbsc_baseline.Trigger_method
 let shadow_attempt dir ~attempt ~current_p =
   let p =
     if Sys.file_exists (Filename.concat dir "snapshot.nbsc") then
-      ok_p "open" (Persist.open_dir ~dir)
-    else ok_p "create" (Persist.create_dir ~dir)
+      H.ok_p "open" (Persist.open_dir ~dir)
+    else H.ok_p "create" (Persist.create_dir ~dir)
   in
   current_p := Some p;
   let db = Persist.db p in
@@ -414,16 +404,16 @@ let shadow_attempt dir ~attempt ~current_p =
     incr rounds;
     if !rounds > 2_000 then Alcotest.fail "shadow did not converge";
     if !rounds <= 120 then H.random_t_op ~consistent:true d;
-    if !rounds mod 25 = 0 then ok_p "mid checkpoint" (Persist.checkpoint p)
+    if !rounds mod 25 = 0 then H.ok_p "mid checkpoint" (Persist.checkpoint p)
   done;
-  ok_p "final checkpoint" (Persist.checkpoint p);
+  H.ok_p "final checkpoint" (Persist.checkpoint p);
   p
 
 let trigger_attempt dir ~attempt ~current_p =
   let p =
     if Sys.file_exists (Filename.concat dir "snapshot.nbsc") then
-      ok_p "open" (Persist.open_dir ~dir)
-    else ok_p "create" (Persist.create_dir ~dir)
+      H.ok_p "open" (Persist.open_dir ~dir)
+    else H.ok_p "create" (Persist.create_dir ~dir)
   in
   current_p := Some p;
   let db = Persist.db p in
@@ -441,10 +431,10 @@ let trigger_attempt dir ~attempt ~current_p =
   for i = 1 to 40 do
     H.random_r_op d;
     H.random_s_op d;
-    if i mod 15 = 0 then ok_p "mid checkpoint" (Persist.checkpoint p)
+    if i mod 15 = 0 then H.ok_p "mid checkpoint" (Persist.checkpoint p)
   done;
   Tm.uninstall tr;
-  ok_p "final checkpoint" (Persist.checkpoint p);
+  H.ok_p "final checkpoint" (Persist.checkpoint p);
   p
 
 let run_baseline_scenario attempt_fn ~oracle_check dir =
@@ -478,7 +468,7 @@ let test_baseline_matrix ~name ~must_hit attempt_fn ~oracle_check () =
       (List.map (fun s -> (s, Fault.hits s)) runtime_sites)
   in
   Fault.reset ();
-  wipe dir;
+  H.wipe dir;
   List.iter
     (fun site ->
        Alcotest.(check bool)
@@ -492,7 +482,7 @@ let test_baseline_matrix ~name ~must_hit attempt_fn ~oracle_check () =
        Fault.arm ~mode:Fault.Crash ~after:(n / 2) site;
        let crashes = run_baseline_scenario attempt_fn ~oracle_check dir in
        Fault.reset ();
-       wipe dir;
+       H.wipe dir;
        Alcotest.(check int)
          (Printf.sprintf "%s: crash at %s survived" name site)
          1 crashes)
@@ -576,7 +566,7 @@ let test_double_crash op ~window () =
        in
        let crashes = run_scenario_rearming op ~window ~rearm dir in
        Fault.reset ();
-       wipe dir;
+       H.wipe dir;
        Alcotest.(check int)
          (Printf.sprintf "%s: double crash at %s survived (window %d)"
             op.op_name rsite window)
@@ -591,7 +581,7 @@ let test_double_crash op ~window () =
 let test_resume_skips_population () =
   Fault.reset ();
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_flat_t p;
   let db = Persist.db p in
   let tf =
@@ -610,10 +600,10 @@ let test_resume_skips_population () =
   Alcotest.(check bool) "mid-flight" true (Transform.phase tf <> Transform.Done);
   let scanned_before = (Transform.progress tf).Transform.scanned in
   Alcotest.(check bool) "population scanned something" true (scanned_before > 0);
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   (* Crash without warning; the in-memory db is gone. *)
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let db2 = Persist.db p2 in
   (match Transform.resume ~options:cfg p2 with
    | Error e -> Alcotest.fail (Nbsc_error.to_string e)
@@ -651,7 +641,7 @@ let test_resume_skips_population () =
    | Ok tfs ->
      Alcotest.failf "expected one pending job, got %d" (List.length tfs));
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* {1 Restart from scratch (folded in from test_restart.ml)}
 
@@ -666,7 +656,7 @@ let test_resume_skips_population () =
 let split_index_crash ~past_population () =
   Fault.reset ();
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   let db = Persist.db p in
   ignore (Db.create_table db ~name:"T" H.t_flat_schema);
   (match Db.load db ~table:"T" (H.seed_t_rows ~n:300) with
@@ -688,9 +678,9 @@ let split_index_crash ~past_population () =
     Alcotest.(check bool) "mid-fill" true
       (Transform.phase tf = Transform.Populating && H.refuses_split_index db)
   end;
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let db2 = Persist.db p2 in
   H.check_split_index "restored" db2;
   (match Transform.resume ~options:cfg p2 with
@@ -715,12 +705,12 @@ let split_index_crash ~past_population () =
    | Error m -> Alcotest.fail m);
   H.check_split_index "after the resumed change" db2;
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 let test_populating_crash_restarts () =
   Fault.reset ();
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_flat_t p;
   let db = Persist.db p in
   let tf =
@@ -734,11 +724,11 @@ let test_populating_crash_restarts () =
   Alcotest.(check bool) "still populating" true
     (Transform.phase tf = Transform.Populating);
   (* Make the populating job state durable, then crash. *)
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   H.random_t_op ~consistent:true d;
   let committed_t = Db.snapshot db "T" in
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let db2 = Persist.db p2 in
   (* User data survived the crash exactly. *)
   H.check_relations_equal "T recovered" committed_t (Db.snapshot db2 "T");
@@ -779,7 +769,7 @@ let test_populating_crash_restarts () =
   H.check_relations_equal "restarted split R" want_r (Db.snapshot db2 "R");
   H.check_relations_equal "restarted split S" want_s (Db.snapshot db2 "S");
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* {1 Directed lazy migration: crash mid-sweep, restart, converge}
 
@@ -791,7 +781,7 @@ let test_populating_crash_restarts () =
 let test_lazy_crash_mid_sweep migration () =
   Fault.reset ();
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_flat_t p;
   let db = Persist.db p in
   let options = opts_of migration in
@@ -810,11 +800,11 @@ let test_lazy_crash_mid_sweep migration () =
     (Transform.phase tf = Transform.Populating);
   Alcotest.(check bool) "demand migrations happened" true
     (Transform.demand_migrations tf > 0);
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   H.random_t_op ~consistent:true d;
   let committed_t = Db.snapshot db "T" in
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let db2 = Persist.db p2 in
   H.check_relations_equal "T recovered" committed_t (Db.snapshot db2 "T");
   (match Transform.resume ~options p2 with
@@ -849,7 +839,7 @@ let test_lazy_crash_mid_sweep migration () =
   H.check_relations_equal "lazy restarted split R" want_r (Db.snapshot db2 "R");
   H.check_relations_equal "lazy restarted split S" want_s (Db.snapshot db2 "S");
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* {1 Directed group commit: acked commits survive a checkpoint crash}
 
@@ -873,7 +863,7 @@ let commit_row db k =
 let test_acked_commits_survive_checkpoint_crash () =
   Fault.reset ();
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_flat_t p;
   let db = Persist.db p in
   let mgr = Db.manager db in
@@ -890,7 +880,7 @@ let test_acked_commits_survive_checkpoint_crash () =
    | Error e -> Alcotest.failf "checkpoint: %a" Persist.pp_error e);
   Fault.reset ();
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let tbl = Db.table (Persist.db p2) "T" in
   List.iter
     (fun k ->
@@ -900,7 +890,7 @@ let test_acked_commits_survive_checkpoint_crash () =
          (Table.mem tbl (Row.make [ Value.Int k ])))
     [ 9001; 9002; 9003 ];
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* The durability floor the ack protocol actually promises: commits up
    to [synced_commits] survive any crash; the tail still inside the
@@ -910,7 +900,7 @@ let test_acked_commits_survive_checkpoint_crash () =
 let test_synced_commits_is_the_durability_floor () =
   Fault.reset ();
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_flat_t p;
   let db = Persist.db p in
   let mgr = Db.manager db in
@@ -920,7 +910,7 @@ let test_synced_commits_is_the_durability_floor () =
   Alcotest.(check int) "floor after two barriers" (synced_before + 6)
     (Manager.synced_commits mgr);
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let tbl = Db.table (Persist.db p2) "T" in
   List.iter
     (fun k ->
@@ -935,7 +925,7 @@ let test_synced_commits_is_the_durability_floor () =
   Alcotest.(check bool) "window tail lost" false
     (Table.mem tbl (Row.make [ Value.Int 9007 ]));
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* {1 Replay properties}
 

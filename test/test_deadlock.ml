@@ -1,14 +1,12 @@
 (* Tests for engine-level contention handling: the waits-for graph and
    its youngest-in-cycle detection, wait-queue fairness, deadlock cycles
    threading through the extra-lock hook and through transferred locks,
-   and the anti-starvation governor. *)
+   and a property that resolution leaves the graph acyclic. *)
 
 open Nbsc_value
 open Nbsc_storage
 open Nbsc_lock
 open Nbsc_txn
-open Nbsc_core
-open Nbsc_sim
 module H = Helpers
 
 (* Three tables with the same shape: "t" and "u" for ordinary records,
@@ -24,14 +22,12 @@ let fresh () =
 let row a = Row.make [ Value.Int a; Value.Text "x"; Value.Int 0 ]
 let key a = Row.make [ Value.Int a ]
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 let seed mgr table keys =
   let txn = Manager.begin_txn mgr in
-  List.iter (fun k -> ok "seed" (Manager.insert mgr ~txn ~table (row k))) keys;
-  ok "seed commit" (Manager.commit mgr txn)
+  List.iter
+    (fun k -> H.ok "seed" (Manager.insert mgr ~txn ~table (row k)))
+    keys;
+  H.ok "seed commit" (Manager.commit mgr txn)
 
 let upd mgr txn table k =
   Manager.update mgr ~txn ~table ~key:(key k) [ (1, Value.Text "y") ]
@@ -47,8 +43,8 @@ let test_two_txn_cycle () =
   seed mgr "t" [ 1; 2 ];
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
-  ok "t1 k1" (upd mgr t1 "t" 1);
-  ok "t2 k2" (upd mgr t2 "t" 2);
+  H.ok "t1 k1" (upd mgr t1 "t" 1);
+  H.ok "t2 k2" (upd mgr t2 "t" 2);
   (match upd mgr t1 "t" 2 with
    | Error (`Blocked [ o ]) -> Alcotest.(check int) "t1 waits on t2" t2 o
    | _ -> Alcotest.fail "expected Blocked");
@@ -60,13 +56,13 @@ let test_two_txn_cycle () =
    | Ok () -> Alcotest.fail "expected Deadlock");
   Alcotest.(check bool) "sentenced" true (Manager.is_victim mgr t2);
   Alcotest.(check bool) "abort-only" true (Manager.is_abort_only mgr t2);
-  ok "victim rolls back" (Manager.abort mgr t2);
+  H.ok "victim rolls back" (Manager.abort mgr t2);
   Alcotest.(check bool) "graph acyclic" true
     (Wait_graph.acyclic (Manager.wait_graph mgr));
   no_locks mgr t2;
   (* Exactly one victim: the survivor's retry goes through. *)
-  ok "t1 retries" (upd mgr t1 "t" 2);
-  ok "t1 commit" (Manager.commit mgr t1);
+  H.ok "t1 retries" (upd mgr t1 "t" 2);
+  H.ok "t1 commit" (Manager.commit mgr t1);
   let s = Manager.Stats.get mgr in
   Alcotest.(check int) "one deadlock" 1 s.Manager.Stats.deadlocks;
   Alcotest.(check int) "no wounds" 0 s.Manager.Stats.victims
@@ -77,9 +73,9 @@ let test_three_txn_cycle () =
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
   let t3 = Manager.begin_txn mgr in
-  ok "t1 k1" (upd mgr t1 "t" 1);
-  ok "t2 k2" (upd mgr t2 "t" 2);
-  ok "t3 k3" (upd mgr t3 "t" 3);
+  H.ok "t1 k1" (upd mgr t1 "t" 1);
+  H.ok "t2 k2" (upd mgr t2 "t" 2);
+  H.ok "t3 k3" (upd mgr t3 "t" 3);
   (match upd mgr t1 "t" 2 with
    | Error (`Blocked _) -> ()
    | _ -> Alcotest.fail "t1 should wait");
@@ -92,13 +88,13 @@ let test_three_txn_cycle () =
      Alcotest.(check (list int)) "cycle names all three" [ t1; t2; t3 ]
        (List.sort compare cycle)
    | _ -> Alcotest.fail "expected Deadlock");
-  ok "t3 aborts" (Manager.abort mgr t3);
+  H.ok "t3 aborts" (Manager.abort mgr t3);
   no_locks mgr t3;
   (* The chain unwinds in order. *)
-  ok "t2 retry" (upd mgr t2 "t" 3);
-  ok "t2 commit" (Manager.commit mgr t2);
-  ok "t1 retry" (upd mgr t1 "t" 2);
-  ok "t1 commit" (Manager.commit mgr t1);
+  H.ok "t2 retry" (upd mgr t2 "t" 3);
+  H.ok "t2 commit" (Manager.commit mgr t2);
+  H.ok "t1 retry" (upd mgr t1 "t" 2);
+  H.ok "t1 commit" (Manager.commit mgr t1);
   Alcotest.(check bool) "acyclic at rest" true
     (Wait_graph.acyclic (Manager.wait_graph mgr))
 
@@ -110,19 +106,19 @@ let test_youngest_holder_wounded () =
   seed mgr "t" [ 1; 2 ];
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
-  ok "t1 k1" (upd mgr t1 "t" 1);
-  ok "t2 k2" (upd mgr t2 "t" 2);
+  H.ok "t1 k1" (upd mgr t1 "t" 1);
+  H.ok "t2 k2" (upd mgr t2 "t" 2);
   (match upd mgr t2 "t" 1 with
    | Error (`Blocked [ o ]) -> Alcotest.(check int) "t2 waits on t1" t1 o
    | _ -> Alcotest.fail "expected Blocked");
-  ok "t1 wounds t2 and takes k2" (upd mgr t1 "t" 2);
+  H.ok "t1 wounds t2 and takes k2" (upd mgr t1 "t" 2);
   Alcotest.(check bool) "t2 rolled back" true
     (Manager.status mgr t2 = Manager.Aborted);
   Alcotest.(check bool) "t2 flagged victim" true (Manager.is_victim mgr t2);
   no_locks mgr t2;
   Alcotest.(check bool) "graph acyclic" true
     (Wait_graph.acyclic (Manager.wait_graph mgr));
-  ok "t1 commit" (Manager.commit mgr t1);
+  H.ok "t1 commit" (Manager.commit mgr t1);
   let s = Manager.Stats.get mgr in
   Alcotest.(check int) "no Die verdict" 0 s.Manager.Stats.deadlocks;
   Alcotest.(check int) "one wound" 1 s.Manager.Stats.victims
@@ -148,11 +144,11 @@ let test_cycle_through_lock_hook () =
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
   (* t1's update of t.1 atomically also locks u.1 through the hook. *)
-  ok "t1 t.1 (+u.1)" (upd mgr t1 "t" 1);
+  H.ok "t1 t.1 (+u.1)" (upd mgr t1 "t" 1);
   Alcotest.(check bool) "hook lock granted" true
     (Lock_table.holds_any (Manager.locks mgr) ~owner:t1 ~table:"u"
        ~key:(key 1));
-  ok "t2 u.2" (upd mgr t2 "u" 2);
+  H.ok "t2 u.2" (upd mgr t2 "u" 2);
   (match upd mgr t1 "u" 2 with
    | Error (`Blocked _) -> ()
    | _ -> Alcotest.fail "t1 waits on t2");
@@ -162,9 +158,9 @@ let test_cycle_through_lock_hook () =
      Alcotest.(check (list int)) "cycle through the hook lock" [ t1; t2 ]
        (List.sort compare cycle)
    | _ -> Alcotest.fail "expected Deadlock");
-  ok "t2 aborts" (Manager.abort mgr t2);
-  ok "t1 retry" (upd mgr t1 "u" 2);
-  ok "t1 commit" (Manager.commit mgr t1)
+  H.ok "t2 aborts" (Manager.abort mgr t2);
+  H.ok "t1 retry" (upd mgr t1 "u" 2);
+  H.ok "t1 commit" (Manager.commit mgr t1)
 
 (* During non-blocking commit, locks on a source record extend to the
    transformed table with [Source] provenance (Fig. 2). A native
@@ -186,8 +182,8 @@ let test_cycle_through_transferred_lock () =
              else []) };
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
-  ok "t1 t.1 (+transferred tgt.1)" (upd mgr t1 "t" 1);
-  ok "t2 u.5" (upd mgr t2 "u" 5);
+  H.ok "t1 t.1 (+transferred tgt.1)" (upd mgr t1 "t" 1);
+  H.ok "t2 u.5" (upd mgr t2 "u" 5);
   (match upd mgr t1 "u" 5 with
    | Error (`Blocked _) -> ()
    | _ -> Alcotest.fail "t1 waits on t2");
@@ -198,9 +194,9 @@ let test_cycle_through_transferred_lock () =
      Alcotest.(check (list int)) "cycle closed by the transferred lock"
        [ t1; t2 ] (List.sort compare cycle)
    | _ -> Alcotest.fail "expected Deadlock");
-  ok "t2 aborts" (Manager.abort mgr t2);
-  ok "t1 retry" (upd mgr t1 "u" 5);
-  ok "t1 commit" (Manager.commit mgr t1)
+  H.ok "t2 aborts" (Manager.abort mgr t2);
+  H.ok "t1 retry" (upd mgr t1 "u" 5);
+  H.ok "t1 commit" (Manager.commit mgr t1)
 
 (* {1 Wait-queue fairness} *)
 
@@ -210,7 +206,7 @@ let test_no_barging_past_the_queue () =
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
   let t3 = Manager.begin_txn mgr in
-  ok "t1 k1" (upd mgr t1 "t" 1);
+  H.ok "t1 k1" (upd mgr t1 "t" 1);
   (match upd mgr t2 "t" 1 with
    | Error (`Blocked _) -> ()
    | _ -> Alcotest.fail "t2 queues");
@@ -219,16 +215,16 @@ let test_no_barging_past_the_queue () =
      Alcotest.(check bool) "t3 told to wait behind t2" true
        (List.mem t2 owners)
    | _ -> Alcotest.fail "t3 queues");
-  ok "t1 commit" (Manager.commit mgr t1);
+  H.ok "t1 commit" (Manager.commit mgr t1);
   (* The lock is free, but t2 queued first: t3 must still wait. *)
   (match upd mgr t3 "t" 1 with
    | Error (`Blocked owners) ->
      Alcotest.(check (list int)) "held back for t2" [ t2 ] owners
    | _ -> Alcotest.fail "no barging past t2");
-  ok "t2 takes its turn" (upd mgr t2 "t" 1);
-  ok "t2 commit" (Manager.commit mgr t2);
-  ok "t3 last" (upd mgr t3 "t" 1);
-  ok "t3 commit" (Manager.commit mgr t3)
+  H.ok "t2 takes its turn" (upd mgr t2 "t" 1);
+  H.ok "t2 commit" (Manager.commit mgr t2);
+  H.ok "t3 last" (upd mgr t3 "t" 1);
+  H.ok "t3 commit" (Manager.commit mgr t3)
 
 (* {1 Properties} *)
 
@@ -280,44 +276,6 @@ let prop_resolution_invariants =
        check_acyclic ();
        !holds && Wait_graph.waiters g = [])
 
-(* {1 The anti-starvation governor} *)
-
-(* Fig. 4(d)'s pathology: a static priority below the log-generation
-   rate never converges. With a governor attached the same point
-   completes — the feedback loop escalates the effective share while
-   propagation lag stalls. *)
-let test_governor_rescues_starvation () =
-  let kind = Sim.Split_scenario { t_rows = 500; assume_consistent = true } in
-  let workload =
-    { Sim.n_clients = 4; think_time = 5_000; ops_per_txn = 10;
-      source_share = 0.2; seed = 5 }
-  in
-  let options pace =
-    { Options.default with
-      Options.scan_batch = 16;
-      propagate_batch = 32;
-      sync_lag = 8;
-      sync = Options.Nonblocking_abort;
-      drop_sources = false;
-      sync_gate = (fun () -> true);
-      pace }
-  in
-  let run pace =
-    Sim.run ~kind ~workload
-      ~background:
-        (Sim.Transformation { Sim.priority = 0.0005; options = options pace })
-      ~duration:400_000 ~warmup:10_000 ()
-  in
-  let starved = run None in
-  Alcotest.(check bool) "a 0.05% static share starves" true
-    (starved.Sim.tf_done_at = None);
-  let g = Governor.create () in
-  let rescued = run (Some g) in
-  Alcotest.(check bool) "the governed run completes" true
-    (rescued.Sim.tf_done_at <> None);
-  Alcotest.(check bool) "the governor escalated" true
-    ((Governor.stats g).Governor.escalations > 0)
-
 let () =
   Alcotest.run "deadlock"
     [ ( "detection",
@@ -334,7 +292,4 @@ let () =
         [ Alcotest.test_case "no barging past the queue" `Quick
             test_no_barging_past_the_queue ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_resolution_invariants ] );
-      ( "governor",
-        [ Alcotest.test_case "starvation point completes" `Slow
-            test_governor_rescues_starvation ] ) ]
+        List.map QCheck_alcotest.to_alcotest [ prop_resolution_invariants ] ) ]

@@ -10,10 +10,6 @@ module H = Helpers
 let row a b c = Row.make [ Value.Int a; Value.Text b; Value.Int c ]
 let key a = Row.make [ Value.Int a ]
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 let defs = [ Recovery.table_def "t" H.r_schema ]
 
 let fresh () =
@@ -37,17 +33,17 @@ let check_recovered db =
 
 let test_committed_survive () =
   let db = fresh () in
-  ok "load" (Db.load db ~table:"t" [ row 1 "a" 1; row 2 "b" 2 ]);
+  H.ok "load" (Db.load db ~table:"t" [ row 1 "a" 1; row 2 "b" 2 ]);
   check_recovered db
 
 let test_losers_rolled_back () =
   let db = fresh () in
   let mgr = Db.manager db in
-  ok "load" (Db.load db ~table:"t" [ row 1 "a" 1 ]);
+  H.ok "load" (Db.load db ~table:"t" [ row 1 "a" 1 ]);
   (* A transaction that never finishes — the crash victim. *)
   let loser = Manager.begin_txn mgr in
-  ok "loser insert" (Manager.insert mgr ~txn:loser ~table:"t" (row 2 "ghost" 2));
-  ok "loser update"
+  H.ok "loser insert" (Manager.insert mgr ~txn:loser ~table:"t" (row 2 "ghost" 2));
+  H.ok "loser update"
     (Manager.update mgr ~txn:loser ~table:"t" ~key:(key 1)
        [ (1, Value.Text "ghost") ]);
   let recovered, report = Recovery.recover ~table_defs:defs (Db.log db) in
@@ -61,11 +57,11 @@ let test_losers_rolled_back () =
 let test_aborted_txn_replays_clean () =
   let db = fresh () in
   let mgr = Db.manager db in
-  ok "load" (Db.load db ~table:"t" [ row 1 "a" 1 ]);
+  H.ok "load" (Db.load db ~table:"t" [ row 1 "a" 1 ]);
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 2 "x" 2));
-  ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
-  ok "a" (Manager.abort mgr txn);
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 2 "x" 2));
+  H.ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
+  H.ok "a" (Manager.abort mgr txn);
   (* The abort is complete in the log (CLRs + Abort_done): recovery
      replays history and must reach the same state with no losers. *)
   let _, report = Recovery.recover ~table_defs:defs (Db.log db) in
@@ -77,11 +73,11 @@ let test_mid_abort_crash () =
      truncated log: Begin, 2 ops, Abort_begin, 1 CLR — no Abort_done. *)
   let db = fresh () in
   let mgr = Db.manager db in
-  ok "load" (Db.load db ~table:"t" [ row 1 "a" 1 ]);
+  H.ok "load" (Db.load db ~table:"t" [ row 1 "a" 1 ]);
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 2 "x" 2));
-  ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
-  ok "a" (Manager.abort mgr txn);
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 2 "x" 2));
+  H.ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
+  H.ok "a" (Manager.abort mgr txn);
   let records = Nbsc_wal.Log.to_records (Db.log db) in
   (* Drop the last two records (the second CLR and Abort_done). *)
   let truncated =
@@ -100,8 +96,8 @@ let test_mid_abort_crash () =
 let test_unknown_tables_skipped () =
   let db = fresh () in
   ignore (Db.create_table db ~name:"other" H.s_schema);
-  ok "load t" (Db.load db ~table:"t" [ row 1 "a" 1 ]);
-  ok "load other" (Db.load db ~table:"other" [ Row.make [ Value.Int 5; Value.Text "d" ] ]);
+  H.ok "load t" (Db.load db ~table:"t" [ row 1 "a" 1 ]);
+  H.ok "load other" (Db.load db ~table:"other" [ Row.make [ Value.Int 5; Value.Text "d" ] ]);
   let recovered, report = Recovery.recover ~table_defs:defs (Db.log db) in
   Alcotest.(check bool) "skipped some" true (report.Recovery.redo_skipped > 0);
   Alcotest.(check int) "t recovered" 1 (Table.cardinality (Catalog.find recovered "t"));
@@ -109,7 +105,7 @@ let test_unknown_tables_skipped () =
 
 let test_recovery_idempotent () =
   let db = fresh () in
-  ok "load" (Db.load db ~table:"t" [ row 1 "a" 1; row 2 "b" 2 ]);
+  H.ok "load" (Db.load db ~table:"t" [ row 1 "a" 1; row 2 "b" 2 ]);
   let r1, _ = Recovery.recover ~table_defs:defs (Db.log db) in
   let r2, _ = Recovery.recover ~table_defs:defs (Db.log db) in
   Alcotest.(check bool) "identical" true
@@ -128,7 +124,8 @@ let test_with_txn_helper () =
   (* Failure path rolls back. *)
   (match
      Db.with_txn db (fun txn ->
-         ok "i" (Manager.insert (Db.manager db) ~txn ~table:"t" (row 2 "b" 2));
+         H.ok "i"
+           (Manager.insert (Db.manager db) ~txn ~table:"t" (row 2 "b" 2));
          Error `Not_found)
    with
    | Error `Not_found -> ()

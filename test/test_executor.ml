@@ -11,10 +11,6 @@ open Nbsc_txn
 open Nbsc_core
 module H = Helpers
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 (* propagate_batch must outpace the per-round log growth of the user
    traffic below, or neither transformation ever catches up. *)
 let cfg =
@@ -38,7 +34,7 @@ let fresh_two_tf_db () =
   let r_rows, s_rows = H.seed_rows ~r:60 ~s:12 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   ignore (Db.create_table db ~name:"U" H.t_flat_schema);
-  ok "load U"
+  H.ok "load U"
     (Db.load db ~table:"U"
        (List.init 70 (fun i ->
             H.ti (i + 1) ("u" ^ string_of_int i) (i mod 60) "x")));
@@ -148,12 +144,12 @@ let test_shared_source_keeps_freezes () =
   in
   (* An open transaction on the source keeps both changes quiescing. *)
   let holder = Manager.begin_txn mgr in
-  ok "holder locks T.1" (update holder 1);
+  H.ok "holder locks T.1" (update holder 1);
   Alcotest.(check bool) "first quiescing" true
     (step_until first Transform.Quiescing ~limit:1000);
   Alcotest.(check bool) "second quiescing" true
     (step_until second Transform.Quiescing ~limit:1000);
-  ok "holder commits" (Manager.commit mgr holder);
+  H.ok "holder commits" (Manager.commit mgr holder);
   Alcotest.(check bool) "first done" true
     (step_until first Transform.Done ~limit:1000);
   let newcomer = Manager.begin_txn mgr in
@@ -163,7 +159,7 @@ let test_shared_source_keeps_freezes () =
    | Error e -> Alcotest.failf "newcomer: %a" Manager.pp_error e);
   Alcotest.(check bool) "second done while the newcomer is open" true
     (step_until second Transform.Done ~limit:50);
-  ok "newcomer aborts" (Manager.abort mgr newcomer)
+  H.ok "newcomer aborts" (Manager.abort mgr newcomer)
 
 (* {1 A custom operator through the pluggable interface}
 

@@ -8,10 +8,6 @@ open Nbsc_txn
 open Nbsc_core
 module H = Helpers
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 let cfg =
   { Options.default with
     Options.scan_batch = 7;
@@ -96,9 +92,9 @@ let fresh_merge_db () =
   let db = Db.create () in
   ignore (Db.create_table db ~name:"A" H.t_flat_schema);
   ignore (Db.create_table db ~name:"B" H.t_flat_schema);
-  ok "load A"
+  H.ok "load A"
     (Db.load db ~table:"A" (List.init 30 (fun i -> H.ti i "a" (i mod 5) "x")));
-  ok "load B"
+  H.ok "load B"
     (Db.load db ~table:"B"
        (List.init 20 (fun i -> H.ti (100 + i) "b" (i mod 5) "y")));
   db
@@ -162,8 +158,8 @@ let test_merge_collision_lww () =
   let db = Db.create () in
   ignore (Db.create_table db ~name:"A" H.t_flat_schema);
   ignore (Db.create_table db ~name:"B" H.t_flat_schema);
-  ok "a" (Db.load db ~table:"A" [ H.ti 1 "old" 1 "x" ]);
-  ok "b" (Db.load db ~table:"B" [ H.ti 1 "newer" 2 "y" ]);
+  H.ok "a" (Db.load db ~table:"A" [ H.ti 1 "old" 1 "x" ]);
+  H.ok "b" (Db.load db ~table:"B" [ H.ti 1 "newer" 2 "y" ]);
   let tf = H.start db ~options:cfg (Spec.Merge mspec) in
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
   Alcotest.(check int) "one row" 1 (Db.row_count db "AB");

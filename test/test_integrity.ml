@@ -13,26 +13,12 @@ open Nbsc_core
 module H = Helpers
 module Obs = Nbsc_obs.Obs
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
-let ok_p name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Persist.pp_error e
-
 let base_seed =
   match Sys.getenv_opt "NBSC_CRASH_SEED" with
   | Some s -> (try int_of_string s with Failure _ -> 42)
   | None -> 42
 
 let counter = ref 0
-
-let wipe dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
 
 (* No unix dependency: uniqueness from a counter + random suffix. The
    suffix comes from a generator of its own: building the QCheck case
@@ -48,31 +34,24 @@ let fresh_dir () =
       (Printf.sprintf "nbsc_integrity_%d_%d" !counter
          (Random.State.int dir_rng 1_000_000))
   in
-  wipe dir;
+  H.wipe dir;
   dir
 
 let setup_orders p =
   let db = Persist.db p in
   ignore (Db.create_table db ~name:"t" H.r_schema);
-  ok_p "checkpoint" (Persist.checkpoint p)
+  H.ok_p "checkpoint" (Persist.checkpoint p)
 
 let insert p a b c =
   let db = Persist.db p in
   let txn = Manager.begin_txn (Db.manager db) in
-  ok "insert" (Manager.insert (Db.manager db) ~txn ~table:"t" (H.ri a b c));
-  ok "commit" (Manager.commit (Db.manager db) txn)
+  H.ok "insert" (Manager.insert (Db.manager db) ~txn ~table:"t" (H.ri a b c));
+  H.ok "commit" (Manager.commit (Db.manager db) txn)
 
 let rows p =
   Table.fold (Db.table (Persist.db p) "t") ~init:[] ~f:(fun acc _ r ->
       r.Record.row :: acc)
   |> List.sort Row.compare
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -94,7 +73,7 @@ let scrub dir =
 (* A small valid store: table [t] with [n] committed single-row
    transactions after the DDL checkpoint. *)
 let build_store ?(n = 5) dir =
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_orders p;
   for i = 1 to n do
     insert p i "v" i
@@ -104,14 +83,14 @@ let build_store ?(n = 5) dir =
 (* A store whose FOJ change is populating, so a checkpoint retains the
    WAL from the change's start. *)
 let build_foj_store dir =
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   let db = Persist.db p in
   ignore (Db.create_table db ~name:"R" H.r_schema);
   ignore (Db.create_table db ~name:"S" H.s_schema);
   let r_rows, s_rows = H.seed_rows ~r:12 ~s:6 in
-  ok "load R" (Db.load db ~table:"R" r_rows);
-  ok "load S" (Db.load db ~table:"S" s_rows);
-  ok_p "ddl checkpoint" (Persist.checkpoint p);
+  H.ok "load R" (Db.load db ~table:"R" r_rows);
+  H.ok "load S" (Db.load db ~table:"S" s_rows);
+  H.ok_p "ddl checkpoint" (Persist.checkpoint p);
   let sc =
     match
       Db.Schema_change.start db
@@ -135,7 +114,7 @@ let r_names db =
   |> List.sort compare
 
 let rename db a b =
-  ok "rename"
+  H.ok "rename"
     (Db.with_txn db (fun txn ->
          Manager.update (Db.manager db) ~txn ~table:"R"
            ~key:(Row.make [ Value.Int a ]) [ (1, Value.Text b) ]))
@@ -143,11 +122,11 @@ let rename db a b =
 (* Close [p]; [dir] must reopen with R's names as [acked]. *)
 let reopens_with acked p dir =
   Persist.close p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   Alcotest.(check (list (pair int string))) "every acknowledged row" acked
     (r_names (Persist.db p2));
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* {1 Bit flips: silent at write time, detected at read time} *)
 
@@ -179,14 +158,14 @@ let test_bit_flip_wal () =
     (counter_value (Disk_format.crc_failures ()) > before);
   (* The scrub sees the same damage without opening the store. *)
   Alcotest.(check bool) "scrub flags it" false (Db.Scrub.ok (scrub dir));
-  wipe dir
+  H.wipe dir
 
 let test_bit_flip_snapshot () =
   Fault.reset ();
   let dir = fresh_dir () in
   let p = build_store ~n:3 dir in
   Fault.arm ~mode:Fault.Bit_flip "snapshot_write";
-  ok_p "checkpoint with flip" (Persist.checkpoint p);
+  H.ok_p "checkpoint with flip" (Persist.checkpoint p);
   Fault.reset ();
   Persist.close p;
   let c = expect_corrupt "bit-flipped snapshot" (Persist.open_dir ~dir) in
@@ -198,7 +177,7 @@ let test_bit_flip_snapshot () =
   let s = Nbsc_error.corruption_to_string c in
   Alcotest.(check bool) "message carries the file" true
     (contains_sub s "snapshot.nbsc");
-  wipe dir
+  H.wipe dir
 
 (* A checkpoint copies the retained WAL from the file, checking each
    line: a record damaged on its way to disk is written again from
@@ -212,7 +191,7 @@ let test_checkpoint_heals_flipped_record () =
   rename db 1 "flipped";
   Fault.reset ();
   let acked = r_names db in
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   reopens_with acked p dir
 
 (* Damage that gains or loses a newline shifts every later line of the
@@ -229,7 +208,7 @@ let test_checkpoint_heals_shifted_lines () =
   done;
   let acked = r_names db in
   let wpath = Disk_format.wal_path dir in
-  let lines = String.split_on_char '\n' (read_file wpath) in
+  let lines = String.split_on_char '\n' (H.read_file wpath) in
   let n = List.length lines in
   (* Split the fourth line from the end in two; join the last two. *)
   write_file wpath
@@ -243,7 +222,7 @@ let test_checkpoint_heals_shifted_lines () =
              else if i = n - 1 then l
              else l ^ "\n")
           lines));
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   reopens_with acked p dir
 
 (* A flip armed at [wal_rewrite] damages the middle line of the
@@ -256,18 +235,18 @@ let test_bit_flip_wal_rewrite () =
     rename (Persist.db p) a "renamed"
   done;
   Fault.arm ~mode:Fault.Bit_flip "wal_rewrite";
-  ok_p "checkpoint with flip" (Persist.checkpoint p);
+  H.ok_p "checkpoint with flip" (Persist.checkpoint p);
   Fault.reset ();
   Persist.close p;
   let wpath = Disk_format.wal_path dir in
   (* Header, then the retained lines: the flipped one is line 2 + n/2. *)
-  let retained = List.length (String.split_on_char '\n' (read_file wpath)) - 2 in
+  let retained = List.length (String.split_on_char '\n' (H.read_file wpath)) - 2 in
   Alcotest.(check bool) "a suffix is retained" true (retained > 1);
   let c = expect_corrupt "bit-flipped wal copy" (Persist.open_dir ~dir) in
   Alcotest.(check (option string)) "the wal" (Some wpath) c.Nbsc_error.c_path;
   Alcotest.(check (option int)) "its middle line" (Some (2 + (retained / 2)))
     c.Nbsc_error.c_line;
-  wipe dir
+  H.wipe dir
 
 (* {1 Version header} *)
 
@@ -276,7 +255,7 @@ let test_header_rejection () =
   let p = build_store ~n:1 dir in
   Persist.close p;
   let spath = Disk_format.snapshot_path dir in
-  let original = read_file spath in
+  let original = H.read_file spath in
   (* Headerless (pre-v2) file: strip line 1. *)
   (match String.index_opt original '\n' with
    | Some i ->
@@ -296,17 +275,17 @@ let test_header_rejection () =
   let c = expect_corrupt "future version" (Persist.open_dir ~dir) in
   Alcotest.(check bool) "version message is specific" true
     (contains_sub c.Nbsc_error.c_reason "not supported");
-  wipe dir
+  H.wipe dir
 
 (* {1 Snapshot trailer: truncation at a line boundary} *)
 
 let test_trailer_detects_line_truncation () =
   let dir = fresh_dir () in
   let p = build_store ~n:4 dir in
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   Persist.close p;
   let spath = Disk_format.snapshot_path dir in
-  let original = read_file spath in
+  let original = H.read_file spath in
   let lines = String.split_on_char '\n' original in
   (* Drop the second-to-last line (the last is "" from the trailing
      newline; before it sits the trailer): a payload line vanishes but
@@ -317,7 +296,7 @@ let test_trailer_detects_line_truncation () =
   let c = expect_corrupt "spliced snapshot" (Persist.open_dir ~dir) in
   Alcotest.(check bool) "trailer count mismatch reported" true
     (contains_sub c.Nbsc_error.c_reason "trailer");
-  wipe dir
+  H.wipe dir
 
 (* {1 Transient EIO: bounded retry} *)
 
@@ -336,11 +315,11 @@ let test_transient_eio_retried () =
   Alcotest.(check int) "one retry for one blip" (before + 1)
     (counter_value (Disk_format.io_retries ()));
   Persist.close p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   Alcotest.(check int) "row durable despite the blip" 2
     (List.length (rows p2));
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* {1 Persistent EIO: no retry, a typed error} *)
 
@@ -360,7 +339,7 @@ let test_persistent_eio () =
   Fault.arm ~mode:persistent_eio "wal_append";
   let mgr = Db.manager (Persist.db p) in
   let txn = Manager.begin_txn mgr in
-  ok "insert" (Manager.insert mgr ~txn ~table:"t" (H.ri 3 "unacked" 3));
+  H.ok "insert" (Manager.insert mgr ~txn ~table:"t" (H.ri 3 "unacked" 3));
   (match Manager.commit mgr txn with
    | exception Nbsc_error.Error (`Io _) -> ()
    | Ok () -> Alcotest.fail "commit acknowledged on a dead disk"
@@ -368,7 +347,9 @@ let test_persistent_eio () =
   Fault.reset ();
   Alcotest.(check int) "wal_append: no retry" before (retries ());
   Persist.crash p;
-  let p = ok_p "reopen after the wal_append failure" (Persist.open_dir ~dir) in
+  let p =
+    H.ok_p "reopen after the wal_append failure" (Persist.open_dir ~dir)
+  in
   Alcotest.(check bool) "every acknowledged row after wal_append" true
     (List.for_all (fun r -> List.mem r (rows p)) acked);
   insert p 4 "after" 4;
@@ -381,11 +362,11 @@ let test_persistent_eio () =
   Fault.reset ();
   Alcotest.(check int) "snapshot_write: no retry" before (retries ());
   Persist.crash p;
-  let p = ok_p "reopen after the snapshot_write failure" (Persist.open_dir ~dir) in
+  let p = H.ok_p "reopen after the snapshot_write failure" (Persist.open_dir ~dir) in
   Alcotest.(check bool) "every acknowledged row after snapshot_write" true
     (List.for_all (fun r -> List.mem r (rows p)) acked);
   Persist.close p;
-  wipe dir
+  H.wipe dir
 
 (* A commit whose durability barrier raises is rolled back before the
    exception reaches its caller: its row is gone at once, and the
@@ -398,7 +379,7 @@ let test_failed_commit_rolled_back () =
   let mgr = Db.manager (Persist.db p) in
   Fault.arm ~mode:persistent_eio "wal_append";
   let txn = Manager.begin_txn mgr in
-  ok "insert" (Manager.insert mgr ~txn ~table:"t" (H.ri 3 "unacked" 3));
+  H.ok "insert" (Manager.insert mgr ~txn ~table:"t" (H.ri 3 "unacked" 3));
   (match Manager.commit mgr txn with
    | exception Nbsc_error.Error (`Io _) -> ()
    | Ok () -> Alcotest.fail "commit acknowledged on a dead disk"
@@ -412,11 +393,11 @@ let test_failed_commit_rolled_back () =
   let acked = rows p in
   Alcotest.(check int) "acknowledged rows" 3 (List.length acked);
   Persist.crash p;
-  let p = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p = H.ok_p "reopen" (Persist.open_dir ~dir) in
   Alcotest.(check (list string)) "exactly the acknowledged rows"
     (List.map Row.to_string acked) (List.map Row.to_string (rows p));
   Persist.close p;
-  wipe dir
+  H.wipe dir
 
 (* {1 ENOSPC: degraded mode, reads stay up, change resumes} *)
 
@@ -437,14 +418,14 @@ let cfg =
 let test_enospc_degrades_and_recovers () =
   Fault.reset ();
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   let db = Persist.db p in
   let mgr = Db.manager db in
   ignore (Db.create_table db ~name:"T" H.t_flat_schema);
   (match Db.load db ~table:"T" (H.seed_t_rows ~n:40) with
    | Ok () -> ()
    | Error e -> Alcotest.failf "load T: %a" Manager.pp_error e);
-  ok_p "setup checkpoint" (Persist.checkpoint p);
+  H.ok_p "setup checkpoint" (Persist.checkpoint p);
   let tf = H.start db ~options:cfg (Spec.Hsplit hspec) in
   (* A few quanta in, the disk fills. *)
   for _ = 1 to 3 do
@@ -469,7 +450,7 @@ let test_enospc_degrades_and_recovers () =
    | Error `Disk_full -> ()
    | Ok () -> Alcotest.fail "insert should be refused while disk is full"
    | Error e -> Alcotest.failf "insert: %a" Manager.pp_error e);
-  ok "abort proceeds while degraded" (Manager.abort mgr txn);
+  H.ok "abort proceeds while degraded" (Manager.abort mgr txn);
   (* ...checkpoints refuse rather than publish an uncovered snapshot... *)
   (match Persist.checkpoint p with
    | Error (`Disk_full _) -> ()
@@ -500,15 +481,15 @@ let test_enospc_degrades_and_recovers () =
   H.check_relations_equal "live"
     (Nbsc_relalg.Relalg.select t (fun row -> not (pc row)))
     (Db.snapshot db "live");
-  ok_p "checkpoint after recovery" (Persist.checkpoint p);
+  H.ok_p "checkpoint after recovery" (Persist.checkpoint p);
   Persist.close p;
   (* The acked-while-degraded commit was buffered, then flushed: it
      must be durable now. *)
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   Alcotest.(check int) "buffered commit durable" 41
     (Db.row_count (Persist.db p2) "T");
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* A checkpoint closes the WAL's append channel before it rewrites
    wal.nbsc. When the rewrite fails with a typed error, the old file is
@@ -527,15 +508,15 @@ let test_enospc_wal_rewrite_keeps_store_writable () =
    | Error e -> Alcotest.failf "checkpoint: %a" Persist.pp_error e);
   Fault.disarm "wal_rewrite";
   insert p 3 "after" 3;
-  ok_p "checkpoint once space returns" (Persist.checkpoint p);
+  H.ok_p "checkpoint once space returns" (Persist.checkpoint p);
   Persist.close p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   Alcotest.(check (list int)) "every row durable" [ 1; 2; 3 ]
     (List.map
        (fun r -> match r.(0) with Value.Int a -> a | _ -> -1)
        (rows p2));
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* The same full disk under the [Job_state] records a checkpoint
    appends after its snapshot: their flush finds no space, so they stay
@@ -570,7 +551,7 @@ let test_enospc_job_state_and_rewrite_keep_wal_contiguous () =
 let test_scrub_clean_then_corrupt () =
   let dir = fresh_dir () in
   let p = build_store ~n:3 dir in
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   insert p 9 "after" 9;
   Persist.close p;
   let r = scrub dir in
@@ -578,7 +559,7 @@ let test_scrub_clean_then_corrupt () =
   Alcotest.(check int) "no errors" 0 (List.length (Db.Scrub.errors r));
   (* Flip one payload byte in the WAL: scrub must localise it. *)
   let wpath = Disk_format.wal_path dir in
-  let s = Bytes.of_string (read_file wpath) in
+  let s = Bytes.of_string (H.read_file wpath) in
   let pos = Bytes.length s - 5 in
   Bytes.set s pos (Char.chr (Char.code (Bytes.get s pos) lxor 0x01));
   write_file wpath (Bytes.to_string s);
@@ -597,7 +578,7 @@ let test_scrub_clean_then_corrupt () =
    | Error (`Io _) -> ()
    | Ok _ -> Alcotest.fail "scrub of a missing dir should error"
    | Error e -> Alcotest.failf "scrub: %s" (Nbsc_error.to_string e));
-  wipe dir
+  H.wipe dir
 
 let test_scrub_tolerates_torn_tail () =
   let dir = fresh_dir () in
@@ -616,7 +597,7 @@ let test_scrub_tolerates_torn_tail () =
           Filename.basename f.Db.Scrub.f_path = "wal.nbsc"
           && f.Db.Scrub.f_torn_tail)
        r.Db.Scrub.files);
-  wipe dir
+  H.wipe dir
 
 (* {1 Store files: missing is damage, and both readers agree} *)
 
@@ -630,7 +611,7 @@ let test_missing_wal_refused () =
   let c = expect_corrupt "store without its wal" (Persist.open_dir ~dir) in
   Alcotest.(check (option string)) "names the wal"
     (Some (Disk_format.wal_path dir)) c.Nbsc_error.c_path;
-  wipe dir
+  H.wipe dir
 
 (* [create_dir] writes the WAL before the snapshot's rename publishes
    the store. A crash before that rename leaves an unpublished
@@ -647,23 +628,23 @@ let test_create_dir_crash_before_rename () =
     (true, false)
     (Sys.file_exists (Disk_format.wal_path dir),
      Sys.file_exists (Disk_format.snapshot_path dir));
-  let p = ok_p "create again" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create again" (Persist.create_dir ~dir) in
   setup_orders p;
   insert p 1 "v" 1;
   Persist.close p;
   let r = scrub dir in
   Alcotest.(check (list string)) "scrubs clean" []
     (List.map Nbsc_error.corruption_to_string (Db.Scrub.errors r));
-  let p = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p = H.ok_p "reopen" (Persist.open_dir ~dir) in
   Alcotest.(check int) "the row" 1 (List.length (rows p));
   Persist.close p;
-  wipe dir
+  H.wipe dir
 
 (* Four damaged stores: each is one fault, so the scrub reports one
    error, and reopening refuses the store the scrub calls corrupt. *)
 let test_scrub_and_reopen_agree () =
   let cut_last_byte path =
-    let s = read_file path in
+    let s = H.read_file path in
     write_file path (String.sub s 0 (String.length s - 1))
   in
   List.iter
@@ -675,7 +656,7 @@ let test_scrub_and_reopen_agree () =
        Alcotest.(check int) (name ^ ": one error") 1
          (List.length (Db.Scrub.errors r));
        ignore (expect_corrupt name (Persist.open_dir ~dir));
-       wipe dir)
+       H.wipe dir)
     [ ("wal deleted", fun dir -> Sys.remove (Disk_format.wal_path dir));
       ("wal emptied", fun dir -> write_file (Disk_format.wal_path dir) "");
       ( "snapshot's final newline cut",
@@ -683,15 +664,15 @@ let test_scrub_and_reopen_agree () =
       ( "junk appended to the snapshot",
         fun dir ->
           let path = Disk_format.snapshot_path dir in
-          write_file path (read_file path ^ "junk\n") );
+          write_file path (H.read_file path ^ "junk\n") );
       ( "an older wal copied back over a newer snapshot",
         fun dir ->
           let path = Disk_format.wal_path dir in
-          let old = read_file path in
-          let p = ok_p "reopen" (Persist.open_dir ~dir) in
+          let old = H.read_file path in
+          let p = H.ok_p "reopen" (Persist.open_dir ~dir) in
           insert p 6 "v" 6;
           insert p 7 "v" 7;
-          ok_p "checkpoint" (Persist.checkpoint p);
+          H.ok_p "checkpoint" (Persist.checkpoint p);
           Persist.close p;
           write_file path old ) ]
 
@@ -732,7 +713,7 @@ let prop_damage_never_silent =
          if damage_wal then Disk_format.wal_path dir
          else Disk_format.snapshot_path dir
        in
-       let original = read_file path in
+       let original = H.read_file path in
        let len = String.length original in
        if len = 0 then QCheck.Test.fail_report "empty file";
        let pos = raw_pos mod len in
@@ -758,7 +739,7 @@ let prop_damage_never_silent =
                 && List.for_all2 Row.equal want got)
              !states
        in
-       wipe dir;
+       H.wipe dir;
        let what =
          Printf.sprintf "%s %s at %d (nrows=%d)"
            (if damage_wal then "wal" else "snapshot")

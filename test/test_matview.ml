@@ -6,10 +6,6 @@ open Nbsc_txn
 open Nbsc_core
 module H = Helpers
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 let view_spec = { H.foj_spec with Spec.t_table = "V" }
 
 let foj_oracle db =
@@ -37,10 +33,10 @@ let test_staleness_and_catchup () =
   (* Source writes make the view stale; it does NOT see them yet. *)
   let mgr = Db.manager db in
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 1 ])
+  H.ok "u" (Manager.update mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 1 ])
             [ (1, Value.Text "changed") ]);
-  ok "i" (Manager.insert mgr ~txn ~table:"R" (H.ri 777 "new" 3));
-  ok "c" (Manager.commit mgr txn);
+  H.ok "i" (Manager.insert mgr ~txn ~table:"R" (H.ri 777 "new" 3));
+  H.ok "c" (Manager.commit mgr txn);
   Alcotest.(check bool) "stale" true (Matview.lag mv > 0);
   H.check_relations_equal "deferred: old image" stale_oracle (Db.snapshot db "V");
   (* Refresh catches up. *)
@@ -71,13 +67,13 @@ let test_no_lock_transfer () =
   let mv = Matview.create db view_spec in
   let mgr = Db.manager db in
   let txn = Manager.begin_txn mgr in
-  ok "source write" (Manager.update mgr ~txn ~table:"R"
+  H.ok "source write" (Manager.update mgr ~txn ~table:"R"
                        ~key:(Row.make [ Value.Int 2 ]) [ (1, Value.Text "x") ]);
   Matview.refresh mv;  (* propagates the (uncommitted) write *)
   Alcotest.(check int) "no locks on V" 0
     (List.length
        (Nbsc_lock.Lock_table.locked_resources (Manager.locks mgr) ~table:"V"));
-  ok "commit" (Manager.commit mgr txn)
+  H.ok "commit" (Manager.commit mgr txn)
 
 let test_drop () =
   let r_rows, s_rows = H.seed_rows ~r:10 ~s:5 in

@@ -17,10 +17,6 @@ module Obs = Nbsc_obs.Obs
 
 let key a = Row.make [ Value.Int a ]
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 (* Single-table fixture over the running example's R(a,b,c). *)
 let fresh_table () =
   let db = Db.create () in
@@ -32,7 +28,7 @@ let commit_op db f =
   let mgr = Db.manager db in
   let txn = Manager.begin_txn mgr in
   match f mgr txn with
-  | Ok () -> ok "commit" (Manager.commit mgr txn)
+  | Ok () -> H.ok "commit" (Manager.commit mgr txn)
   | Error e ->
     ignore (Manager.abort mgr txn);
     Alcotest.failf "op: %a" Manager.pp_error e
@@ -55,16 +51,16 @@ let test_snapshot_sees_begin_state () =
       Manager.update m ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "v1") ]);
   commit_op db (fun m txn -> Manager.insert m ~txn ~table:"t" (H.ri 2 "new" 8));
   check_b "pre-begin value" "v0"
-    (ok "snap read 1" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
-  (match ok "snap read 2" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 2)) with
+    (H.ok "snap read 1" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  (match H.ok "snap read 2" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 2)) with
    | None -> ()
    | Some _ -> Alcotest.fail "row inserted after begin is visible");
-  ok "snap commit" (Manager.commit mgr snap);
+  H.ok "snap commit" (Manager.commit mgr snap);
   (* A fresh locked reader sees the current state. *)
   let txn = Manager.begin_txn mgr in
   check_b "current value" "v1"
-    (ok "read" (Manager.read mgr ~txn ~table:"t" ~key:(key 1)));
-  ok "commit" (Manager.commit mgr txn)
+    (H.ok "read" (Manager.read mgr ~txn ~table:"t" ~key:(key 1)));
+  H.ok "commit" (Manager.commit mgr txn)
 
 let test_snapshot_sees_deleted_row () =
   let db = fresh_table () in
@@ -74,28 +70,28 @@ let test_snapshot_sees_deleted_row () =
   commit_op db (fun m txn -> Manager.delete m ~txn ~table:"t" ~key:(key 1));
   (* Gone from the heap, still reachable through the version chain. *)
   check_b "deleted row still visible" "keep"
-    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
-  ok "snap commit" (Manager.commit mgr snap);
+    (H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  H.ok "snap commit" (Manager.commit mgr snap);
   let txn = Manager.begin_txn mgr in
-  (match ok "read" (Manager.read mgr ~txn ~table:"t" ~key:(key 1)) with
+  (match H.ok "read" (Manager.read mgr ~txn ~table:"t" ~key:(key 1)) with
    | None -> ()
    | Some _ -> Alcotest.fail "delete not visible to a fresh reader");
-  ok "commit" (Manager.commit mgr txn)
+  H.ok "commit" (Manager.commit mgr txn)
 
 let test_snapshot_sees_own_writes () =
   let db = fresh_table () in
   let mgr = Db.manager db in
   commit_op db (fun m txn -> Manager.insert m ~txn ~table:"t" (H.ri 1 "v0" 7));
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
-  ok "own update"
+  H.ok "own update"
     (Manager.update mgr ~txn:snap ~table:"t" ~key:(key 1)
        [ (1, Value.Text "mine") ]);
-  ok "own insert" (Manager.insert mgr ~txn:snap ~table:"t" (H.ri 2 "also" 8));
+  H.ok "own insert" (Manager.insert mgr ~txn:snap ~table:"t" (H.ri 2 "also" 8));
   check_b "own update visible" "mine"
-    (ok "read 1" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+    (H.ok "read 1" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
   check_b "own insert visible" "also"
-    (ok "read 2" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 2)));
-  ok "commit" (Manager.commit mgr snap)
+    (H.ok "read 2" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 2)));
+  H.ok "commit" (Manager.commit mgr snap)
 
 (* {1 Non-blocking reads}
 
@@ -119,8 +115,8 @@ let test_snapshot_read_ignores_freeze () =
   ignore (Manager.abort mgr eager);
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
   check_b "snapshot read under freeze" "v0"
-    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
-  ok "snap commit" (Manager.commit mgr snap);
+    (H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  H.ok "snap commit" (Manager.commit mgr snap);
   Manager.release mgr ~id:1
 
 let test_snapshot_read_ignores_latch () =
@@ -138,8 +134,8 @@ let test_snapshot_read_ignores_latch () =
   ignore (Manager.abort mgr eager);
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
   check_b "snapshot read under latch" "v0"
-    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
-  ok "snap commit" (Manager.commit mgr snap);
+    (H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  H.ok "snap commit" (Manager.commit mgr snap);
   Latch.unlatch (Manager.latches mgr) ~holder ~table:"t"
 
 let test_snapshot_read_ignores_write_lock () =
@@ -148,7 +144,7 @@ let test_snapshot_read_ignores_write_lock () =
   commit_op db (fun m txn -> Manager.insert m ~txn ~table:"t" (H.ri 1 "v0" 7));
   (* A writer holds the X lock, uncommitted. *)
   let writer = Manager.begin_txn mgr in
-  ok "write"
+  H.ok "write"
     (Manager.update mgr ~txn:writer ~table:"t" ~key:(key 1)
        [ (1, Value.Text "dirty") ]);
   let eager = Manager.begin_txn mgr in
@@ -159,12 +155,12 @@ let test_snapshot_read_ignores_write_lock () =
   ignore (Manager.abort mgr eager);
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
   check_b "reads around the lock" "v0"
-    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
-  ok "writer commit" (Manager.commit mgr writer);
+    (H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  H.ok "writer commit" (Manager.commit mgr writer);
   (* The writer committed after the snapshot began: still invisible. *)
   check_b "commit after begin invisible" "v0"
-    (ok "snap reread" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
-  ok "snap commit" (Manager.commit mgr snap)
+    (H.ok "snap reread" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  H.ok "snap commit" (Manager.commit mgr snap)
 
 (* End to end: drive a blocking-commit change into its quiesce window
    (the harshest synchronization — newcomers are refused outright) and
@@ -176,7 +172,7 @@ let test_sync_phase_nonblocking_for_snapshots () =
   let mgr = Db.manager db in
   (* A pre-sync transaction active on R keeps the change quiescing. *)
   let old_txn = Manager.begin_txn mgr in
-  ok "old insert" (Manager.insert mgr ~txn:old_txn ~table:"R" (H.ri 999 "old" 3));
+  H.ok "old insert" (Manager.insert mgr ~txn:old_txn ~table:"R" (H.ri 999 "old" 3));
   let options =
     Options.{ default with sync = Blocking_commit; scan_batch = 7;
               propagate_batch = 5; drop_sources = false }
@@ -199,11 +195,11 @@ let test_sync_phase_nonblocking_for_snapshots () =
    | Error e -> Alcotest.failf "unexpected error: %a" Manager.pp_error e);
   ignore (Manager.abort mgr eager);
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
-  (match ok "snap read" (Manager.read mgr ~txn:snap ~table:"R" ~key:(key 1)) with
+  (match H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"R" ~key:(key 1)) with
    | Some _ -> ()
    | None -> Alcotest.fail "snapshot read lost the row during sync");
-  ok "snap commit" (Manager.commit mgr snap);
-  ok "old commit" (Manager.commit mgr old_txn);
+  H.ok "snap commit" (Manager.commit mgr snap);
+  H.ok "old commit" (Manager.commit mgr old_txn);
   (match Transform.run ~between:(fun () -> ()) tf with
    | Ok () -> ()
    | Error m -> Alcotest.failf "change failed: %s" m);
@@ -226,13 +222,13 @@ let test_gc_respects_snapshots () =
   ignore (Manager.gc_versions mgr);
   (* Nothing the snapshot needs may go: its read is still exact. *)
   check_b "snapshot survives GC" "v0"
-    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+    (H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
   (match Obs.Registry.find (Db.obs db) "storage.versions_live" with
    | Some (Obs.Gauge_v v) ->
      Alcotest.(check int) "versions_live probe" (Table.versions_count tbl)
        (int_of_float v)
    | _ -> Alcotest.fail "storage.versions_live probe missing");
-  ok "snap commit" (Manager.commit mgr snap);
+  H.ok "snap commit" (Manager.commit mgr snap);
   Alcotest.(check bool) "no active snapshot" true
     (Manager.oldest_snapshot mgr = None);
   let reclaimed = Manager.gc_versions mgr in
@@ -282,7 +278,7 @@ let test_gc_ignores_wal_pin_after_snapshot () =
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
   List.iter set [ "v1"; "v2"; "v3"; "v4"; "v5" ];
   Alcotest.(check int) "chain grew" 5 (Table.versions_count tbl);
-  ok "snap commit" (Manager.commit mgr snap);
+  H.ok "snap commit" (Manager.commit mgr snap);
   ignore (Manager.gc_versions mgr);
   Alcotest.(check int) "chain emptied under the pin" 0
     (Table.versions_count tbl);
@@ -303,8 +299,8 @@ let test_gc_horizon_is_oldest_snapshot () =
   Alcotest.(check int) "snapshot's version and newer" 2
     (Table.versions_count tbl);
   check_b "snapshot survives GC" "v2"
-    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
-  ok "snap commit" (Manager.commit mgr snap);
+    (H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  H.ok "snap commit" (Manager.commit mgr snap);
   Manager.unpin_wal mgr pin
 
 (* System (txn = 0) overwrites materialize version entries only while
@@ -340,14 +336,14 @@ let test_retention_hint_gates_system_writes () =
      new state committed below its LSN, straight off the heap. *)
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
   check_b "heap state visible" "s0"
-    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+    (H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
   (* Snapshot live: the overwritten state is retained and resolved. *)
   sys_update "s1";
   Alcotest.(check int) "snapshot live, version kept" 1
     (Table.versions_count tbl);
   check_b "overwritten state resolved" "s0"
-    (ok "snap reread" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
-  ok "snap commit" (Manager.commit mgr snap);
+    (H.ok "snap reread" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 1)));
+  H.ok "snap commit" (Manager.commit mgr snap);
   (* Snapshot gone: system overwrites stop pushing again... *)
   sys_update "s2";
   Alcotest.(check int) "hint off again" 1 (Table.versions_count tbl);
@@ -359,11 +355,11 @@ let test_retention_hint_gates_system_writes () =
   Alcotest.(check int) "delete over a chain pushes" 3
     (Table.versions_count tbl);
   let snap2 = Manager.begin_txn ~isolation:`Snapshot mgr in
-  (match ok "snap2 read" (Manager.read mgr ~txn:snap2 ~table:"t" ~key:(key 1))
+  (match H.ok "snap2 read" (Manager.read mgr ~txn:snap2 ~table:"t" ~key:(key 1))
    with
    | None -> ()
    | Some _ -> Alcotest.fail "deleted row resurrected from a stale chain");
-  ok "snap2 commit" (Manager.commit mgr snap2)
+  H.ok "snap2 commit" (Manager.commit mgr snap2)
 
 (* {1 Reclamation at finish}
 
@@ -390,7 +386,7 @@ let test_reclaim_bounded () =
   let mgr = Db.manager db in
   let tbl = Catalog.find (Db.catalog db) "t" in
   let n = 5_000 in
-  ok "load" (Db.load db ~table:"t" (List.init (n + 1) (fun k -> H.ri k "v0" 1)));
+  H.ok "load" (Db.load db ~table:"t" (List.init (n + 1) (fun k -> H.ri k "v0" 1)));
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
   for k = 1 to n do
     update_b db k "v1"
@@ -398,7 +394,7 @@ let test_reclaim_bounded () =
   Alcotest.(check int) "every version kept" n (Table.versions_count tbl);
   Alcotest.(check int) "every key queued" n
     (probe db "storage.versions_pending");
-  ok "snap commit" (Manager.commit mgr snap);
+  H.ok "snap commit" (Manager.commit mgr snap);
   Alcotest.(check int) "a read-only commit reclaims nothing" n
     (Table.versions_count tbl);
   let budget = Manager.reclaim_budget in
@@ -421,7 +417,7 @@ let test_reclaim_hot_keys () =
   let db = fresh_table () in
   let mgr = Db.manager db in
   let tbl = Catalog.find (Db.catalog db) "t" in
-  ok "load" (Db.load db ~table:"t" (List.init 20 (fun k -> H.ri k "v0" 1)));
+  H.ok "load" (Db.load db ~table:"t" (List.init 20 (fun k -> H.ri k "v0" 1)));
   let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
   for i = 1 to 10_000 do
     let k = key (i mod 20) in
@@ -438,8 +434,8 @@ let test_reclaim_hot_keys () =
   Alcotest.(check bool) "at most one queue entry per key" true
     (probe db "storage.versions_pending" <= 20);
   check_b "snapshot reads its begin state" "v0"
-    (ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 7)));
-  ok "snap commit" (Manager.commit mgr snap);
+    (H.ok "snap read" (Manager.read mgr ~txn:snap ~table:"t" ~key:(key 7)));
+  H.ok "snap commit" (Manager.commit mgr snap);
   ignore (Manager.gc_versions mgr);
   Alcotest.(check int) "chains emptied" 0 (Table.versions_count tbl);
   Alcotest.(check int) "queue drained" 0 (probe db "storage.versions_pending")
@@ -449,28 +445,28 @@ let test_reclaim_hot_keys () =
 let test_txns_forget_history () =
   let db = fresh_table () in
   let mgr = Db.manager db in
-  ok "load" (Db.load db ~table:"t" [ H.ri 1 "a" 1; H.ri 2 "b" 2 ]);
+  H.ok "load" (Db.load db ~table:"t" [ H.ri 1 "a" 1; H.ri 2 "b" 2 ]);
   let first = Manager.begin_txn mgr in
-  ok "first commit" (Manager.commit mgr first);
+  H.ok "first commit" (Manager.commit mgr first);
   let aborted = Manager.begin_txn mgr in
-  ok "abort" (Manager.abort mgr aborted);
+  H.ok "abort" (Manager.abort mgr aborted);
   (* A deadlock: the younger of two writers dies. *)
   let w1 = Manager.begin_txn mgr and w2 = Manager.begin_txn mgr in
   let upd txn k = Manager.update mgr ~txn ~table:"t" ~key:(key k) [ (1, Value.Text "x") ] in
-  ok "w1 1" (upd w1 1);
-  ok "w2 2" (upd w2 2);
+  H.ok "w1 1" (upd w1 1);
+  H.ok "w2 2" (upd w2 2);
   (match upd w1 2 with
    | Error (`Blocked _) -> ()
    | _ -> Alcotest.fail "w1 should block");
   (match upd w2 1 with
    | Error (`Deadlock _) -> ()
    | _ -> Alcotest.fail "w2 should die");
-  ok "victim abort" (Manager.abort mgr w2);
-  ok "w1 retry" (upd w1 2);
-  ok "w1 commit" (Manager.commit mgr w1);
+  H.ok "victim abort" (Manager.abort mgr w2);
+  H.ok "w1 retry" (upd w1 2);
+  H.ok "w1 commit" (Manager.commit mgr w1);
   for _ = 1 to 100_000 do
     let txn = Manager.begin_txn mgr in
-    ok "commit" (Manager.commit mgr txn);
+    H.ok "commit" (Manager.commit mgr txn);
     let tracked = probe db "txn.tracked" in
     if tracked > 1 then Alcotest.failf "txn.tracked %d after a commit" tracked
   done;
@@ -505,8 +501,8 @@ let test_lazy_demand_migration () =
   (* Touch one source record before any background work: it must be in
      the target immediately, paid for by the touching transaction. *)
   let txn = Manager.begin_txn mgr in
-  ignore (ok "read" (Manager.read mgr ~txn ~table:"R" ~key:(key 5)));
-  ok "commit" (Manager.commit mgr txn);
+  ignore (H.ok "read" (Manager.read mgr ~txn ~table:"R" ~key:(key 5)));
+  H.ok "commit" (Manager.commit mgr txn);
   let t_tbl = Catalog.find (Db.catalog db) "T" in
   let a_pos = Schema.position (Table.schema t_tbl) "a" in
   let in_target a =
@@ -668,7 +664,7 @@ let prop_reference_model =
        let mgr = Db.manager db in
        let tbl = Catalog.find (Db.catalog db) "t" in
        let committed = Array.init n_keys (fun k -> if k < 3 then Some "init" else None) in
-       ok "load"
+       H.ok "load"
          (Db.load db ~table:"t"
             (List.filter_map
                (fun k -> Option.map (fun b -> H.ri k b k) committed.(k))
@@ -692,7 +688,7 @@ let prop_reference_model =
              Array.iteri
                (fun k v -> Option.iter (fun v -> committed.(k) <- v) v)
                own
-           else ok "abort" (Manager.abort mgr id)
+           else H.ok "abort" (Manager.abort mgr id)
        in
        let run = function
          | W_begin w ->
@@ -724,7 +720,7 @@ let prop_reference_model =
            Option.iter
              (fun (id, _) ->
                 readers.(r) <- None;
-                ok "reader commit" (Manager.commit mgr id))
+                H.ok "reader commit" (Manager.commit mgr id))
              readers.(r)
        in
        let check i step =

@@ -7,14 +7,6 @@ open Nbsc_txn
 open Nbsc_engine
 module H = Helpers
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
-let ok_p name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Persist.pp_error e
-
 let counter = ref 0
 
 (* No unix dependency: uniqueness from a counter + random suffix. *)
@@ -23,23 +15,17 @@ let fresh_dir () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "nbsc_test_%d_%d" !counter (Random.int 1_000_000))
 
-let wipe dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 let setup_orders p =
   let db = Persist.db p in
   ignore (Db.create_table db ~name:"t" H.r_schema);
   (* Persist the DDL. *)
-  ok_p "checkpoint" (Persist.checkpoint p)
+  H.ok_p "checkpoint" (Persist.checkpoint p)
 
 let insert p a b c =
   let db = Persist.db p in
   let txn = Manager.begin_txn (Db.manager db) in
-  ok "insert" (Manager.insert (Db.manager db) ~txn ~table:"t" (H.ri a b c));
-  ok "commit" (Manager.commit (Db.manager db) txn)
+  H.ok "insert" (Manager.insert (Db.manager db) ~txn ~table:"t" (H.ri a b c));
+  H.ok "commit" (Manager.commit (Db.manager db) txn)
 
 let rows p =
   Table.fold (Db.table (Persist.db p) "t") ~init:[] ~f:(fun acc _ r ->
@@ -48,7 +34,7 @@ let rows p =
 
 let test_journal_and_reopen () =
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_orders p;
   insert p 1 "a" 10;
   insert p 2 "b" 20;
@@ -56,27 +42,27 @@ let test_journal_and_reopen () =
   Persist.close p;
   (* Reopen: committed work survives via the WAL (no checkpoint since
      the inserts). *)
-  let p2 = ok_p "open" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "open" (Persist.open_dir ~dir) in
   Alcotest.(check bool) "rows survived" true (rows p2 = before);
   (* And new work keeps journaling. *)
   insert p2 3 "c" 30;
   Persist.close p2;
-  let p3 = ok_p "open again" (Persist.open_dir ~dir) in
+  let p3 = H.ok_p "open again" (Persist.open_dir ~dir) in
   Alcotest.(check int) "three rows" 3 (List.length (rows p3));
   Persist.close p3;
-  wipe dir
+  H.wipe dir
 
 let test_crash_rolls_back_losers () =
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_orders p;
   insert p 1 "a" 10;
   (* A transaction left in flight: simulate a crash by NOT committing
      and not closing cleanly (the WAL has its ops, no Commit). *)
   let db = Persist.db p in
   let txn = Manager.begin_txn (Db.manager db) in
-  ok "ghost insert" (Manager.insert (Db.manager db) ~txn ~table:"t" (H.ri 99 "ghost" 1));
-  ok "ghost update"
+  H.ok "ghost insert" (Manager.insert (Db.manager db) ~txn ~table:"t" (H.ri 99 "ghost" 1));
+  H.ok "ghost update"
     (Manager.update (Db.manager db) ~txn ~table:"t"
        ~key:(Row.make [ Value.Int 1 ]) [ (1, Value.Text "ghost") ]);
   (* The buffered sink only writes at the group-commit barrier; raise
@@ -84,7 +70,7 @@ let test_crash_rolls_back_losers () =
      the torn durability state this test is about. *)
   Nbsc_wal.Log.sync (Db.log db);
   (* crash: abandon p without close/commit *)
-  let p2 = ok_p "open after crash" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "open after crash" (Persist.open_dir ~dir) in
   (match Persist.last_recovery p2 with
    | Some report ->
      Alcotest.(check int) "one loser" 1 (List.length report.Recovery.losers)
@@ -94,11 +80,11 @@ let test_crash_rolls_back_losers () =
   Alcotest.(check bool) "ghost update undone" true
     (Row.equal (List.hd got) (H.ri 1 "a" 10));
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 let test_checkpoint_truncates () =
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_orders p;
   for i = 1 to 50 do
     insert p i "x" i
@@ -106,7 +92,7 @@ let test_checkpoint_truncates () =
   let wal = Filename.concat dir "wal.nbsc" in
   let size_before = (Stdlib.open_in wal |> fun ic -> let n = in_channel_length ic in close_in ic; n) in
   Alcotest.(check bool) "wal grew" true (size_before > 0);
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   let size_after = (Stdlib.open_in wal |> fun ic -> let n = in_channel_length ic in close_in ic; n) in
   (* Truncated down to the format header alone. *)
   Alcotest.(check int) "wal truncated"
@@ -114,28 +100,28 @@ let test_checkpoint_truncates () =
     size_after;
   (* State survives reopen through the snapshot alone. *)
   Persist.close p;
-  let p2 = ok_p "open" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "open" (Persist.open_dir ~dir) in
   Alcotest.(check int) "all rows" 50 (List.length (rows p2));
   (* LSN continuity: an update after reopen is strictly newer. *)
   insert p2 77 "post" 7;
   Persist.close p2;
-  let p3 = ok_p "open again" (Persist.open_dir ~dir) in
+  let p3 = H.ok_p "open again" (Persist.open_dir ~dir) in
   Alcotest.(check int) "51 rows" 51 (List.length (rows p3));
   Persist.close p3;
-  wipe dir
+  H.wipe dir
 
 let test_create_refuses_existing () =
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   Persist.close p;
   (match Persist.create_dir ~dir with
    | Error (`Io _) -> ()
    | _ -> Alcotest.fail "expected refusal");
-  wipe dir
+  H.wipe dir
 
 let test_corrupt_wal_detected () =
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_orders p;
   insert p 1 "a" 1;
   Persist.close p;
@@ -145,11 +131,11 @@ let test_corrupt_wal_detected () =
   (match Persist.open_dir ~dir with
    | Error (`Corrupt _) -> ()
    | _ -> Alcotest.fail "expected Corrupt");
-  wipe dir
+  H.wipe dir
 
 let test_torn_tail_tolerated () =
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_orders p;
   insert p 1 "a" 1;
   insert p 2 "b" 2;
@@ -159,15 +145,15 @@ let test_torn_tail_tolerated () =
   let oc = open_out_gen [ Open_append ] 0o644 (Filename.concat dir "wal.nbsc") in
   output_string oc "Op|9|half-a-reco";
   close_out oc;
-  let p2 = ok_p "open tolerates torn tail" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "open tolerates torn tail" (Persist.open_dir ~dir) in
   Alcotest.(check int) "committed rows intact" 2 (List.length (rows p2));
   (* The journal keeps working after the truncated tail. *)
   insert p2 3 "c" 3;
   Persist.close p2;
-  let p3 = ok_p "open again" (Persist.open_dir ~dir) in
+  let p3 = H.ok_p "open again" (Persist.open_dir ~dir) in
   Alcotest.(check int) "three rows" 3 (List.length (rows p3));
   Persist.close p3;
-  wipe dir
+  H.wipe dir
 
 (* The snapshot is replaced atomically (temp file + rename): a crash
    while streaming the new snapshot, or just before the rename, leaves
@@ -177,10 +163,10 @@ let test_snapshot_replace_is_atomic () =
     (fun site ->
        Fault.reset ();
        let dir = fresh_dir () in
-       let p = ok_p "create" (Persist.create_dir ~dir) in
+       let p = H.ok_p "create" (Persist.create_dir ~dir) in
        setup_orders p;
        insert p 1 "a" 1;
-       ok_p "first checkpoint" (Persist.checkpoint p);
+       H.ok_p "first checkpoint" (Persist.checkpoint p);
        insert p 2 "b" 2;
        Fault.arm site;
        (match Persist.checkpoint p with
@@ -189,14 +175,14 @@ let test_snapshot_replace_is_atomic () =
         | Error e -> Alcotest.failf "%s: %a" site Persist.pp_error e);
        Fault.reset ();
        Persist.crash p;
-       let p2 = ok_p (site ^ ": reopen") (Persist.open_dir ~dir) in
+       let p2 = H.ok_p (site ^ ": reopen") (Persist.open_dir ~dir) in
        Alcotest.(check int) (site ^ ": rows survive") 2
          (List.length (rows p2));
        (* The leftover temp file must not confuse a later checkpoint. *)
        insert p2 3 "c" 3;
-       ok_p (site ^ ": checkpoint after recovery") (Persist.checkpoint p2);
+       H.ok_p (site ^ ": checkpoint after recovery") (Persist.checkpoint p2);
        Persist.close p2;
-       wipe dir)
+       H.wipe dir)
     [ "snapshot_write"; "snapshot_rename"; "wal_rewrite" ]
 
 (* A newline-terminated record whose prev_lsn chain is inconsistent is
@@ -219,7 +205,7 @@ let test_bad_prev_lsn_is_corrupt () =
   List.iter
     (fun (name, records) ->
        let dir = fresh_dir () in
-       let p = ok_p "create" (Persist.create_dir ~dir) in
+       let p = H.ok_p "create" (Persist.create_dir ~dir) in
        Persist.close p;
        let oc = open_out (Filename.concat dir "wal.nbsc") in
        (* Correctly framed v2 lines — the chain check must trip, not the
@@ -235,7 +221,7 @@ let test_bad_prev_lsn_is_corrupt () =
         | Error (`Corrupt _) -> ()
         | Ok _ -> Alcotest.failf "%s: expected Corrupt, opened fine" name
         | Error e -> Alcotest.failf "%s: %a" name Persist.pp_error e);
-       wipe dir)
+       H.wipe dir)
     bad_wals
 
 (* A crash between writing a temp file and renaming it strands a *.tmp
@@ -243,7 +229,7 @@ let test_bad_prev_lsn_is_corrupt () =
    for live state. *)
 let test_orphan_tmp_removed () =
   let dir = fresh_dir () in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   setup_orders p;
   insert p 1 "a" 1;
   Fault.arm "snapshot_rename";
@@ -263,11 +249,11 @@ let test_orphan_tmp_removed () =
     |> List.filter (fun f -> Filename.check_suffix f ".tmp")
   in
   Alcotest.(check bool) "orphans present before reopen" true (orphans () <> []);
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   Alcotest.(check (list string)) "orphans swept" [] (orphans ());
   Alcotest.(check int) "rows intact" 1 (List.length (rows p2));
   Persist.close p2;
-  wipe dir
+  H.wipe dir
 
 (* Both files of the store [fixed_store] below builds, once its last
    checkpoint is taken and it is closed, as format v2 has always written
@@ -362,12 +348,6 @@ fc59f6f1:2:241:52:232:op3:del1:R4:2:I216:2:I25:T2:r23:I20
 ec9c5839:2:261:01:03:job14:foj#100000000162:2:v14:prop2:1445:3:foj1:R1:S1:T3:1:c3:1:c3:1:c6:1:a1:b3:1:d1:0
 |fmt}
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* {1 The on-disk bytes}
 
    A small fixed store exercising every line kind of format v2: a table
@@ -388,7 +368,7 @@ let v_schema =
    [populating] runs once while the FOJ populates, as soon as T holds a
    row. *)
 let fixed_store ?(populating = fun _ -> ()) dir =
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   let db = Persist.db p in
   let mgr = Db.manager db in
   let v = Db.create_table db ~name:"v" v_schema in
@@ -396,14 +376,14 @@ let fixed_store ?(populating = fun _ -> ()) dir =
   Table.add_ordered_index v ~name:"v_by_n" ~columns:[ "n" ];
   ignore (Db.create_table db ~name:"R" H.r_schema);
   ignore (Db.create_table db ~name:"S" H.s_schema);
-  ok "load R" (Db.load db ~table:"R" [ H.ri 1 "r1" 10; H.ri 2 "r2" 20; H.ri 3 "r3" 40 ]);
-  ok "load S" (Db.load db ~table:"S" [ H.si 10 "s10"; H.si 20 "s20"; H.si 30 "s30" ]);
-  ok "load v"
+  H.ok "load R" (Db.load db ~table:"R" [ H.ri 1 "r1" 10; H.ri 2 "r2" 20; H.ri 3 "r3" 40 ]);
+  H.ok "load S" (Db.load db ~table:"S" [ H.si 10 "s10"; H.si 20 "s20"; H.si 30 "s30" ]);
+  H.ok "load v"
     (Db.load db ~table:"v"
        [ Row.make
            [ Value.Int 1; Value.Int (-42); Value.Float 2.5; Value.Bool true;
              Value.Text "a:b|c" ] ]);
-  ok_p "ddl checkpoint" (Persist.checkpoint p);
+  H.ok_p "ddl checkpoint" (Persist.checkpoint p);
   let tf =
     H.start db
       ~options:{ Nbsc_core.Options.default with
@@ -425,26 +405,26 @@ let fixed_store ?(populating = fun _ -> ()) dir =
     (Nbsc_core.Transform.phase tf = Nbsc_core.Transform.Propagating);
   (* Two transactions the propagator has not read yet. *)
   let txn = Manager.begin_txn mgr in
-  ok "insert v"
+  H.ok "insert v"
     (Manager.insert mgr ~txn ~table:"v"
        (Row.make
           [ Value.Int 2; Value.Null; Value.Float (-0.125); Value.Bool false;
             Value.Text "|:|" ]));
-  ok "update R"
+  H.ok "update R"
     (Manager.update mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 1 ])
        [ (1, Value.Text "r1:|") ]);
-  ok "commit 1" (Manager.commit mgr txn);
+  H.ok "commit 1" (Manager.commit mgr txn);
   let txn = Manager.begin_txn mgr in
-  ok "insert S" (Manager.insert mgr ~txn ~table:"S" (H.si 40 "s40"));
-  ok "delete R" (Manager.delete mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 2 ]));
-  ok "commit 2" (Manager.commit mgr txn);
+  H.ok "insert S" (Manager.insert mgr ~txn ~table:"S" (H.si 40 "s40"));
+  H.ok "delete R" (Manager.delete mgr ~txn ~table:"R" ~key:(Row.make [ Value.Int 2 ]));
+  H.ok "commit 2" (Manager.commit mgr txn);
   p
 
 let check_v2_bytes name dir =
   Alcotest.(check string) (name ^ "snapshot.nbsc") snapshot_v2
-    (read_file (Disk_format.snapshot_path dir));
+    (H.read_file (Disk_format.snapshot_path dir));
   Alcotest.(check string) (name ^ "wal.nbsc") wal_v2
-    (read_file (Disk_format.wal_path dir))
+    (H.read_file (Disk_format.wal_path dir))
 
 (* A file's payload lines: the header, the frames and a snapshot's
    trailer stripped. *)
@@ -462,10 +442,10 @@ let test_v2_bytes_stable () =
   Fault.reset ();
   let dir = fresh_dir () in
   let p = fixed_store dir in
-  ok_p "checkpoint while propagating" (Persist.checkpoint p);
+  H.ok_p "checkpoint while propagating" (Persist.checkpoint p);
   Persist.close p;
   check_v2_bytes "" dir;
-  wipe dir;
+  H.wipe dir;
   (* The same store with one more checkpoint, taken while the FOJ
      populates. A resume would refill T, so that snapshot leaves out
      T's rows and nothing else; the WAL is what the format always
@@ -473,20 +453,20 @@ let test_v2_bytes_stable () =
   let dir = fresh_dir () in
   let p =
     fixed_store dir ~populating:(fun p ->
-        ok_p "checkpoint while populating" (Persist.checkpoint p);
+        H.ok_p "checkpoint while populating" (Persist.checkpoint p);
         Alcotest.(check string) "populating: wal.nbsc" wal_v2_populating
-          (read_file (Disk_format.wal_path dir));
+          (H.read_file (Disk_format.wal_path dir));
         Alcotest.(check (list string)) "populating: snapshot payloads"
           (List.filter
              (fun l -> not (String.starts_with ~prefix:"R:1:T" l))
              (payloads snapshot_v2_populating))
-          (payloads (read_file (Disk_format.snapshot_path dir))))
+          (payloads (H.read_file (Disk_format.snapshot_path dir))))
   in
-  ok_p "checkpoint while propagating" (Persist.checkpoint p);
+  H.ok_p "checkpoint while propagating" (Persist.checkpoint p);
   Persist.close p;
   Alcotest.(check string) "propagating: wal.nbsc" wal_v2_after_populating
-    (read_file (Disk_format.wal_path dir));
-  wipe dir
+    (H.read_file (Disk_format.wal_path dir));
+  H.wipe dir
 
 (* A WAL of the current format may hold the inert watermark pairs an
    earlier populator wrote between committed transactions. Recovery
@@ -496,7 +476,7 @@ let test_watermarks_recover () =
   let module W = Nbsc_wal in
   let recovered ~watermarks =
     let dir = fresh_dir () in
-    let p = ok_p "create" (Persist.create_dir ~dir) in
+    let p = H.ok_p "create" (Persist.create_dir ~dir) in
     setup_orders p;
     insert p 1 "a" 10;
     let log = Db.log (Persist.db p) in
@@ -511,7 +491,7 @@ let test_watermarks_recover () =
     insert p 3 "c" 30;
     W.Log.sync log;
     let on_disk =
-      read_file (Filename.concat dir "wal.nbsc")
+      H.read_file (Filename.concat dir "wal.nbsc")
       |> String.split_on_char '\n'
       |> List.filter (fun line ->
              String.ends_with ~suffix:":wmark3:foj2:lo" line
@@ -521,12 +501,12 @@ let test_watermarks_recover () =
       (if watermarks then 2 else 0)
       (List.length on_disk);
     (* crash: abandon p without close *)
-    let p2 = ok_p "open after crash" (Persist.open_dir ~dir) in
+    let p2 = H.ok_p "open after crash" (Persist.open_dir ~dir) in
     Alcotest.(check bool) "recovery ran" true
       (Option.is_some (Persist.last_recovery p2));
     let got = rows p2 in
     Persist.close p2;
-    wipe dir;
+    H.wipe dir;
     got
   in
   let plain = recovered ~watermarks:false in
@@ -549,7 +529,7 @@ let test_checkpoint_eio_retried () =
        Fault.arm
          ~mode:(Fault.Io_error { errno = Fault.EIO; transient = true })
          site;
-       ok_p (site ^ ": checkpoint") (Persist.checkpoint p);
+       H.ok_p (site ^ ": checkpoint") (Persist.checkpoint p);
        Fault.reset ();
        Alcotest.(check bool) (site ^ ": retry counted") true
          (retries () > before);
@@ -560,14 +540,14 @@ let test_checkpoint_eio_retried () =
        (match Scrub.verify_dir ~dir with
         | Ok r -> Alcotest.(check bool) (site ^ ": scrubs clean") true (Scrub.ok r)
         | Error e -> Alcotest.failf "%s: scrub: %a" site Persist.pp_error e);
-       let p2 = ok_p (site ^ ": reopen") (Persist.open_dir ~dir) in
+       let p2 = H.ok_p (site ^ ": reopen") (Persist.open_dir ~dir) in
        List.iter2
          (fun table want ->
             H.check_relations_equal (site ^ ": " ^ table) want
               (Db.snapshot (Persist.db p2) table))
          tables images;
        Persist.close p2;
-       wipe dir)
+       H.wipe dir)
     [ "snapshot_write"; "wal_rewrite" ]
 
 (* {1 What a checkpoint writes while a change is in flight}
@@ -593,7 +573,7 @@ type op = {
 
 let load_table db name schema rows =
   ignore (Db.create_table db ~name schema);
-  ok ("load " ^ name) (Db.load db ~table:name rows)
+  H.ok ("load " ^ name) (Db.load db ~table:name rows)
 
 let load_t db = load_table db "T" H.t_flat_schema (H.seed_t_rows ~n:30)
 
@@ -673,17 +653,17 @@ let snapshot_lines dir =
              (String.sub payload 2 (String.length payload - 2))
          in
          Some (kind, List.hd fields))
-    (payloads (read_file (Disk_format.snapshot_path dir)))
+    (payloads (H.read_file (Disk_format.snapshot_path dir)))
 
 let test_checkpoint_in_flight ~populating () =
   List.iter
     (fun (name, op) ->
        Fault.reset ();
        let dir = fresh_dir () in
-       let p = ok_p "create" (Persist.create_dir ~dir) in
+       let p = H.ok_p "create" (Persist.create_dir ~dir) in
        let db = Persist.db p in
        op.op_load db;
-       ok_p "ddl checkpoint" (Persist.checkpoint p);
+       H.ok_p "ddl checkpoint" (Persist.checkpoint p);
        let options =
          { Nbsc_core.Options.default with
            Nbsc_core.Options.scan_batch = 4; propagate_batch = 4;
@@ -694,7 +674,7 @@ let test_checkpoint_in_flight ~populating () =
        let commit () =
          incr key;
          let table, row = op.op_row !key in
-         ok "commit" (Db.load db ~table [ row ])
+         H.ok "commit" (Db.load db ~table [ row ])
        in
        let empty () = List.for_all (fun t -> Db.row_count db t = 0) op.op_targets in
        let step () =
@@ -706,7 +686,7 @@ let test_checkpoint_in_flight ~populating () =
        Alcotest.(check (pair bool bool)) (name ^ ": populating, targets empty")
          (populating, false)
          (Transform.phase tf = Transform.Populating, empty ());
-       ok_p (name ^ ": checkpoint") (Persist.checkpoint p);
+       H.ok_p (name ^ ": checkpoint") (Persist.checkpoint p);
        let lines = snapshot_lines dir in
        let count kind table =
          List.length (List.filter (( = ) (kind, table)) lines)
@@ -729,7 +709,7 @@ let test_checkpoint_in_flight ~populating () =
        (* A commit the checkpoint did not see, then the crash. *)
        commit ();
        Persist.crash p;
-       let p2 = ok_p (name ^ ": reopen") (Persist.open_dir ~dir) in
+       let p2 = H.ok_p (name ^ ": reopen") (Persist.open_dir ~dir) in
        let db2 = Persist.db p2 in
        (match Transform.resume ~options p2 with
         | Ok [ tf2 ] ->
@@ -750,7 +730,7 @@ let test_checkpoint_in_flight ~populating () =
               (Db.snapshot db2 table))
          (op.op_oracle db2);
        Persist.close p2;
-       wipe dir)
+       H.wipe dir)
     ops
 
 (* Property: for a random history of committed transactions plus a
@@ -801,7 +781,7 @@ let prop_reopen_equals_committed =
        in
        let got = rows p2 in
        Persist.close p2;
-       wipe dir;
+       H.wipe dir;
        List.length got = List.length committed_image
        && List.for_all2 Row.equal got committed_image)
 

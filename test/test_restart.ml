@@ -12,10 +12,6 @@ open Nbsc_engine
 open Nbsc_core
 module H = Helpers
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 let cfg =
   { Options.default with
     Options.scan_batch = 7;
@@ -54,7 +50,7 @@ let test_repeated_splits_normalize_m2m () =
            [ 0; 1; 2; 3; 4 ])
       (List.init 20 Fun.id)
   in
-  ok "load" (Db.load db ~table:"enrollment" rows);
+  H.ok "load" (Db.load db ~table:"enrollment" rows);
   let d_rng = Random.State.make [| 3 |] in
   let mutate () =
     (* FD-preserving rename: every enrollment row of the student gets

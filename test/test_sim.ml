@@ -20,8 +20,7 @@ let tf_options ~gate =
     sync_lag = 8;
     sync = Options.Nonblocking_abort;
     drop_sources = false;
-    sync_gate = (fun () -> gate);
-    pace = None }
+    sync_gate = (fun () -> gate) }
 
 let run ?(background = Sim.No_background) ?(duration = 120_000) ?(warmup = 10_000)
     ?(wl = workload ()) () =
@@ -223,6 +222,48 @@ let test_small_priorities_differ () =
       (printed a <> printed b)
   | _ -> Alcotest.fail "expected two points"
 
+(* {1 Fig. 4(d)'s shape}
+
+   [nbsc figure 4d] exits non-zero when its sweep lacks the paper's
+   shape. Each broken list below breaks one clause of the claim. *)
+
+let pt x done_at =
+  { Experiment.x; rel_throughput = 1.; rel_response = 1.;
+    tf_completed = done_at <> None; tf_done_at = done_at }
+
+let shape_ok points = Result.is_ok (Experiment.fig4d_shape points)
+
+let test_shape_accepts_the_paper () =
+  Alcotest.(check bool) "running, running, then faster and faster" true
+    (shape_ok [ pt 0.001 None; pt 0.002 None; pt 0.01 (Some 900);
+                pt 0.02 (Some 400); pt 0.04 (Some 400) ]);
+  Alcotest.(check bool) "the same points out of order" true
+    (shape_ok [ pt 0.02 (Some 400); pt 0.001 None; pt 0.01 (Some 900) ])
+
+let test_shape_rejects_broken_sweeps () =
+  List.iter
+    (fun (points, why) ->
+       Alcotest.(check (result unit string)) why (Error why)
+         (Experiment.fig4d_shape points))
+    [ ([ pt 0.001 (Some 900); pt 0.01 (Some 100) ],
+       "the lowest priority, 0.001, finished");
+      ([ pt 0.001 None; pt 0.01 None ],
+       "the highest priority, 0.01, did not finish");
+      ([ pt 0.001 None; pt 0.005 (Some 500); pt 0.01 None; pt 0.02 (Some 100) ],
+       "priority 0.01 did not finish, though 0.005 below it did");
+      ([ pt 0.001 None; pt 0.005 (Some 500); pt 0.01 (Some 600) ],
+       "completion time rose from 500 at priority 0.005 to 600 at 0.01");
+      ([], "the sweep has no point") ]
+
+let test_quick_sweep_has_the_shape () =
+  let points =
+    Experiment.fig4d_priority ~setup:Experiment.quick_setup ~workload_pct:75.
+      ~priorities:Experiment.fig4d_priorities ()
+  in
+  match Experiment.fig4d_shape points with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m
+
 let () =
   Alcotest.run "sim"
     [ ( "engine",
@@ -250,4 +291,11 @@ let () =
           Alcotest.test_case "method comparison" `Quick
             test_method_comparison_rows;
           Alcotest.test_case "point prints a small x" `Quick
-            test_point_prints_small_x ] ) ]
+            test_point_prints_small_x ] );
+      ( "fig4d shape",
+        [ Alcotest.test_case "accepts the paper's shape" `Quick
+            test_shape_accepts_the_paper;
+          Alcotest.test_case "rejects each broken shape" `Quick
+            test_shape_rejects_broken_sweeps;
+          Alcotest.test_case "quick sweep has the shape" `Quick
+            test_quick_sweep_has_the_shape ] ) ]

@@ -11,10 +11,6 @@ open Nbsc_engine
 open Nbsc_core
 module H = Helpers
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 let ok_snap name = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %a" name Snapshot.pp_error e
@@ -62,9 +58,9 @@ let test_lsn_continuity () =
   (* New writes get strictly larger LSNs than any restored record. *)
   let mgr = Db.manager db' in
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int 1 ])
+  H.ok "u" (Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int 1 ])
             [ (1, Value.Text "post-restart") ]);
-  ok "c" (Manager.commit mgr txn);
+  H.ok "c" (Manager.commit mgr txn);
   let r = Option.get (Table.find (Db.table db' "T") (Row.make [ Value.Int 1 ])) in
   Alcotest.(check bool) "record lsn beyond snapshot" true
     Lsn.(r.Record.lsn > head_before)
@@ -106,13 +102,13 @@ let test_refuses_active_transactions () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:5) in
   let mgr = Db.manager db in
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int 1 ])
+  H.ok "u" (Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int 1 ])
             [ (1, Value.Text "dirty") ]);
   (match Snapshot.save db with
    | Error (`Active_transactions [ t ]) ->
      Alcotest.(check int) "names the offender" txn t
    | _ -> Alcotest.fail "expected Active_transactions");
-  ok "c" (Manager.commit mgr txn);
+  H.ok "c" (Manager.commit mgr txn);
   (match Snapshot.save db with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "after commit: %a" Snapshot.pp_error e)
@@ -145,13 +141,14 @@ let test_snapshot_plus_log_suffix () =
   (* More committed work after the snapshot... *)
   let mgr = Db.manager db in
   let txn = Manager.begin_txn mgr in
-  ok "u" (Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int 2 ])
+  H.ok "u" (Manager.update mgr ~txn ~table:"T" ~key:(Row.make [ Value.Int 2 ])
             [ (1, Value.Text "after-ckpt") ]);
-  ok "i" (Manager.insert mgr ~txn ~table:"T" (H.ti 900 "late" 1 (H.city_of 1)));
-  ok "c" (Manager.commit mgr txn);
+  H.ok "i"
+    (Manager.insert mgr ~txn ~table:"T" (H.ti 900 "late" 1 (H.city_of 1)));
+  H.ok "c" (Manager.commit mgr txn);
   (* ...and a loser in flight at the crash. *)
   let loser = Manager.begin_txn mgr in
-  ok "lu" (Manager.update mgr ~txn:loser ~table:"T"
+  H.ok "lu" (Manager.update mgr ~txn:loser ~table:"T"
              ~key:(Row.make [ Value.Int 3 ]) [ (1, Value.Text "ghost") ]);
   (* Recover: load snapshot, then redo/undo the suffix. *)
   let db' = ok_snap "load" (Snapshot.load snap) in

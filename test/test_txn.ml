@@ -15,15 +15,11 @@ let fresh () =
 let row a b c = Row.make [ Value.Int a; Value.Text b; Value.Int c ]
 let key a = Row.make [ Value.Int a ]
 
-let ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" name Manager.pp_error e
-
 let test_commit_visible () =
   let cat, mgr = fresh () in
   let txn = Manager.begin_txn mgr in
-  ok "insert" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
-  ok "commit" (Manager.commit mgr txn);
+  H.ok "insert" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
+  H.ok "commit" (Manager.commit mgr txn);
   Alcotest.(check bool) "committed" true (Manager.status mgr txn = Manager.Committed);
   Alcotest.(check int) "row there" 1 (Table.cardinality (Catalog.find cat "t"))
 
@@ -31,15 +27,15 @@ let test_abort_rolls_back () =
   let cat, mgr = fresh () in
   (* Pre-existing committed row. *)
   let setup = Manager.begin_txn mgr in
-  ok "insert" (Manager.insert mgr ~txn:setup ~table:"t" (row 1 "orig" 7));
-  ok "commit" (Manager.commit mgr setup);
+  H.ok "insert" (Manager.insert mgr ~txn:setup ~table:"t" (row 1 "orig" 7));
+  H.ok "commit" (Manager.commit mgr setup);
   (* A transaction that does one of each, then aborts. *)
   let txn = Manager.begin_txn mgr in
-  ok "insert2" (Manager.insert mgr ~txn ~table:"t" (row 2 "temp" 8));
-  ok "update" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "mod") ]);
-  ok "delete" (Manager.delete mgr ~txn ~table:"t" ~key:(key 2));
-  ok "reinsert" (Manager.insert mgr ~txn ~table:"t" (row 3 "temp2" 9));
-  ok "abort" (Manager.abort mgr txn);
+  H.ok "insert2" (Manager.insert mgr ~txn ~table:"t" (row 2 "temp" 8));
+  H.ok "update" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "mod") ]);
+  H.ok "delete" (Manager.delete mgr ~txn ~table:"t" ~key:(key 2));
+  H.ok "reinsert" (Manager.insert mgr ~txn ~table:"t" (row 3 "temp2" 9));
+  H.ok "abort" (Manager.abort mgr txn);
   let t = Catalog.find cat "t" in
   Alcotest.(check int) "only original row" 1 (Table.cardinality t);
   let r = Option.get (Table.find t (key 1)) in
@@ -50,9 +46,9 @@ let test_abort_rolls_back () =
 let test_clr_chain () =
   let _, mgr = fresh () in
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
-  ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
-  ok "a" (Manager.abort mgr txn);
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
+  H.ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
+  H.ok "a" (Manager.abort mgr txn);
   (* Log shape: Begin, Op, Op, Abort_begin, CLR(update), CLR(insert),
      Abort_done.  CLR undo_next pointers walk backwards. *)
   let log = Manager.log mgr in
@@ -80,7 +76,7 @@ let test_2pl_conflict_and_block_info () =
   let _, mgr = fresh () in
   let t1 = Manager.begin_txn mgr in
   let t2 = Manager.begin_txn mgr in
-  ok "t1 insert" (Manager.insert mgr ~txn:t1 ~table:"t" (row 1 "x" 7));
+  H.ok "t1 insert" (Manager.insert mgr ~txn:t1 ~table:"t" (row 1 "x" 7));
   (match Manager.update mgr ~txn:t2 ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ] with
    | Error (`Blocked owners) -> Alcotest.(check (list int)) "blocked by t1" [ t1 ] owners
    | _ -> Alcotest.fail "expected Blocked");
@@ -88,18 +84,18 @@ let test_2pl_conflict_and_block_info () =
   (match Manager.read mgr ~txn:t2 ~table:"t" ~key:(key 1) with
    | Error (`Blocked _) -> ()
    | _ -> Alcotest.fail "read should block");
-  ok "t1 commit" (Manager.commit mgr t1);
+  H.ok "t1 commit" (Manager.commit mgr t1);
   (match Manager.read mgr ~txn:t2 ~table:"t" ~key:(key 1) with
    | Ok (Some r) ->
      Alcotest.(check bool) "sees committed" true (Row.equal r (row 1 "x" 7))
    | _ -> Alcotest.fail "read after commit");
-  ok "t2 commit" (Manager.commit mgr t2)
+  H.ok "t2 commit" (Manager.commit mgr t2)
 
 let test_shared_reads () =
   let _, mgr = fresh () in
   let setup = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn:setup ~table:"t" (row 1 "x" 7));
-  ok "c" (Manager.commit mgr setup);
+  H.ok "i" (Manager.insert mgr ~txn:setup ~table:"t" (row 1 "x" 7));
+  H.ok "c" (Manager.commit mgr setup);
   let t1 = Manager.begin_txn mgr and t2 = Manager.begin_txn mgr in
   (match Manager.read mgr ~txn:t1 ~table:"t" ~key:(key 1) with
    | Ok (Some _) -> ()
@@ -113,9 +109,9 @@ let test_shared_reads () =
    | Error (`Blocked owners) ->
      Alcotest.(check (list int)) "both readers" [ t1; t2 ] (List.sort compare owners)
    | _ -> Alcotest.fail "expected blocked");
-  ok "c1" (Manager.commit mgr t1);
-  ok "c2" (Manager.commit mgr t2);
-  ok "c3" (Manager.abort mgr t3)
+  H.ok "c1" (Manager.commit mgr t1);
+  H.ok "c2" (Manager.commit mgr t2);
+  H.ok "c3" (Manager.abort mgr t3)
 
 let test_latch_pauses () =
   let _, mgr = fresh () in
@@ -126,8 +122,8 @@ let test_latch_pauses () =
    | Error (`Latched "t") -> ()
    | _ -> Alcotest.fail "expected Latched");
   Nbsc_lock.Latch.unlatch (Manager.latches mgr) ~holder:999 ~table:"t";
-  ok "after unlatch" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
-  ok "c" (Manager.commit mgr txn)
+  H.ok "after unlatch" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
+  H.ok "c" (Manager.commit mgr txn)
 
 let test_freeze_spares_old_txns () =
   let _, mgr = fresh () in
@@ -135,19 +131,20 @@ let test_freeze_spares_old_txns () =
   Manager.intercept mgr ~id:1
     { Manager.empty_interceptor with frozen = [ "t" ] };
   let new_txn = Manager.begin_txn mgr in
-  ok "old proceeds" (Manager.insert mgr ~txn:old_txn ~table:"t" (row 1 "x" 7));
+  H.ok "old proceeds"
+    (Manager.insert mgr ~txn:old_txn ~table:"t" (row 1 "x" 7));
   (match Manager.insert mgr ~txn:new_txn ~table:"t" (row 2 "y" 8) with
    | Error (`Frozen "t") -> ()
    | _ -> Alcotest.fail "expected Frozen");
   Manager.release mgr ~id:1;
-  ok "after unfreeze" (Manager.insert mgr ~txn:new_txn ~table:"t" (row 2 "y" 8));
-  ok "c1" (Manager.commit mgr old_txn);
-  ok "c2" (Manager.commit mgr new_txn)
+  H.ok "after unfreeze" (Manager.insert mgr ~txn:new_txn ~table:"t" (row 2 "y" 8));
+  H.ok "c1" (Manager.commit mgr old_txn);
+  H.ok "c2" (Manager.commit mgr new_txn)
 
 let test_abort_only () =
   let _, mgr = fresh () in
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
   Manager.mark_abort_only mgr txn;
   (match Manager.insert mgr ~txn ~table:"t" (row 2 "y" 8) with
    | Error `Abort_only -> ()
@@ -155,16 +152,16 @@ let test_abort_only () =
   (match Manager.commit mgr txn with
    | Error `Abort_only -> ()
    | _ -> Alcotest.fail "commit must be refused");
-  ok "abort works" (Manager.abort mgr txn)
+  H.ok "abort works" (Manager.abort mgr txn)
 
 let test_key_update_refused () =
   let _, mgr = fresh () in
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
   (match Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (0, Value.Int 2) ] with
    | Error `Key_update -> ()
    | _ -> Alcotest.fail "expected Key_update");
-  ok "c" (Manager.commit mgr txn)
+  H.ok "c" (Manager.commit mgr txn)
 
 let test_errors () =
   let _, mgr = fresh () in
@@ -175,11 +172,11 @@ let test_errors () =
   (match Manager.update mgr ~txn ~table:"t" ~key:(key 42) [ (1, Value.Text "y") ] with
    | Error `Not_found -> ()
    | _ -> Alcotest.fail "expected Not_found");
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
   (match Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7) with
    | Error `Duplicate_key -> ()
    | _ -> Alcotest.fail "expected Duplicate_key");
-  ok "c" (Manager.commit mgr txn);
+  H.ok "c" (Manager.commit mgr txn);
   (match Manager.commit mgr txn with
    | Error `Txn_not_active -> ()
    | _ -> Alcotest.fail "double commit refused");
@@ -196,9 +193,9 @@ let test_active_snapshot () =
   (* first_lsn values are their Begin records, in order. *)
   let lsns = List.map (fun (_, l) -> Lsn.to_int l) snap in
   Alcotest.(check bool) "ordered first lsns" true (lsns = List.sort compare lsns);
-  ok "c" (Manager.commit mgr t1);
+  H.ok "c" (Manager.commit mgr t1);
   Alcotest.(check (list int)) "one active" [ t2 ] (List.map fst (Manager.active_snapshot mgr));
-  ok "c" (Manager.abort mgr t2);
+  H.ok "c" (Manager.abort mgr t2);
   Alcotest.(check int) "none active" 0 (Manager.active_count mgr)
 
 let test_post_op_hook () =
@@ -210,25 +207,25 @@ let test_post_op_hook () =
         Some (fun ~txn:_ ~lsn:_ op -> fired := Log_record.op_table op :: !fired)
     };
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
-  ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
-  ok "d" (Manager.delete mgr ~txn ~table:"t" ~key:(key 1));
-  ok "c" (Manager.commit mgr txn);
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
+  H.ok "u" (Manager.update mgr ~txn ~table:"t" ~key:(key 1) [ (1, Value.Text "y") ]);
+  H.ok "d" (Manager.delete mgr ~txn ~table:"t" ~key:(key 1));
+  H.ok "c" (Manager.commit mgr txn);
   Alcotest.(check int) "three ops" 3 (List.length !fired);
   Manager.release mgr ~id:1;
   let txn = Manager.begin_txn mgr in
-  ok "i2" (Manager.insert mgr ~txn ~table:"t" (row 9 "z" 1));
-  ok "c2" (Manager.commit mgr txn);
+  H.ok "i2" (Manager.insert mgr ~txn ~table:"t" (row 9 "z" 1));
+  H.ok "c2" (Manager.commit mgr txn);
   Alcotest.(check int) "hook removed" 3 (List.length !fired)
 
 let test_stats () =
   let _, mgr = fresh () in
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
-  ok "c" (Manager.commit mgr txn);
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 1 "x" 7));
+  H.ok "c" (Manager.commit mgr txn);
   let txn = Manager.begin_txn mgr in
-  ok "i" (Manager.insert mgr ~txn ~table:"t" (row 2 "y" 8));
-  ok "a" (Manager.abort mgr txn);
+  H.ok "i" (Manager.insert mgr ~txn ~table:"t" (row 2 "y" 8));
+  H.ok "a" (Manager.abort mgr txn);
   let s = Manager.Stats.get mgr in
   Alcotest.(check int) "ops" 2 s.Manager.Stats.ops;
   Alcotest.(check int) "commits" 1 s.Manager.Stats.commits;

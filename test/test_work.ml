@@ -15,21 +15,11 @@ module Manager = Nbsc_txn.Manager
 module Persist = Nbsc_engine.Persist
 module Obs = Nbsc_obs.Obs
 
-let ok_p what = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" what Persist.pp_error e
-
 let step_ok what tf =
   match Transform.step tf with
   | `Running -> false
   | `Done -> true
   | `Failed m -> Alcotest.failf "%s: %s" what m
-
-let wipe dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
 
 (* R(a, b, c) with [n] rows, c cycling over S's [n * 2 / 5] keys, and
    S(c, d), loaded in chunks of 2 048 rows. *)
@@ -103,7 +93,7 @@ let test_engine_mix () =
   let scale = 3_000 in
   let s_count = scale * 2 / 5 in
   let dir = Filename.temp_dir "nbsc_work" "" in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   let db = Persist.db p in
   let mgr = Db.manager db in
   seed_sources db scale;
@@ -200,9 +190,9 @@ let test_engine_mix () =
   Alcotest.(check bool) "change done" true (Transform.phase tf = Transform.Done);
   let t_rows = Db.row_count db "T" in
   check_oracle "T = foj(R, S)" db;
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   Persist.close p;
-  wipe dir;
+  H.wipe dir;
   Alcotest.(check int) "populated rows" 3_000 populated;
   Alcotest.(check int) "backlog lag" 2_749 lag;
   Alcotest.(check int) "failed transactions" 0 !failed;
@@ -307,11 +297,11 @@ let mini_traffic db rng =
    crashes it and returns the quanta its reopened copy took. *)
 let on_mini_store f =
   let dir = Filename.temp_dir "nbsc_work" "" in
-  let p = ok_p "create" (Persist.create_dir ~dir) in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
   seed_sources (Persist.db p) mini;
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   let quanta = f dir p in
-  wipe dir;
+  H.wipe dir;
   quanta
 
 let resume_quanta_paper dir p =
@@ -322,13 +312,13 @@ let resume_quanta_paper dir p =
     ignore (step_ok "populate" tf);
     mini_traffic db rng
   done;
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   for _ = 1 to 8 do
     ignore (Transform.step tf);
     mini_traffic db rng
   done;
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let tf2 =
     match Transform.resume ~options:mini_options p2 with
     | Ok [ tf2 ] -> tf2
@@ -355,9 +345,9 @@ let resume_quanta_shadow dir p =
     ignore (Shadow.step sh ~limit:32);
     mini_traffic db rng
   done;
-  ok_p "checkpoint" (Persist.checkpoint p);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
   Persist.crash p;
-  let p2 = ok_p "reopen" (Persist.open_dir ~dir) in
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
   let db2 = Persist.db p2 in
   (* No durable job state: drop the half-built target and start over. *)
   Nbsc_storage.Catalog.drop (Db.catalog db2) "T";
