@@ -27,6 +27,34 @@ module Sc = Db.Schema_change
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
+(* A failed check is the command's verdict, not a command-line error:
+   print it the way Cmdliner prints errors and exit 1, leaving
+   Cmdliner's 124 to bad arguments. *)
+let fail_check fmt =
+  Format.kasprintf
+    (fun m ->
+       Format.eprintf "nbsc: %s@." m;
+       exit 1)
+    fmt
+
+(* Persistence errors surface as diagnosable messages, never an
+   assertion failure. *)
+let surface what = function
+  | Ok v -> v
+  | Error e ->
+    failwith (Format.asprintf "%s: %a" what Nbsc_engine.Persist.pp_error e)
+
+(* One user transaction: set column 1 of [table]'s row [key] to [v] and
+   commit, or abort when the update is refused. *)
+let write_one mgr ~table key v =
+  let txn = Manager.begin_txn mgr in
+  match
+    Manager.update mgr ~txn ~table ~key:(Row.make [ Value.Int key ])
+      [ (1, Value.Text v) ]
+  with
+  | Ok () -> ignore (Manager.commit mgr txn)
+  | Error _ -> ignore (Manager.abort mgr txn)
+
 let start_sc db ~options spec =
   match Sc.start db ~options spec with
   | Ok sc -> sc
@@ -77,24 +105,29 @@ let foj_spec ~m2m =
     join_r = [ "c" ]; join_s = [ "c" ]; t_join = [ "c" ];
     r_carry = [ "a"; "b" ]; s_carry = [ "d" ]; many_to_many = m2m }
 
-let build_split_db ~rows =
-  let db = Db.create () in
+(* The split's source T(a, b, c, d) in [db]: [rows] rows, c = a mod 53
+   and d the city c determines. *)
+let load_split_source db ~rows =
   let col = Schema.column in
   ignore
     (Db.create_table db ~name:"T"
        (Schema.make ~key:[ "a" ]
           [ col ~nullable:false "a" Value.TInt; col "b" Value.TText;
             col "c" Value.TInt; col "d" Value.TText ]));
-  (match
-     Db.load db ~table:"T"
-       (List.init rows (fun i ->
-            let c = i mod 53 in
-            Row.make
-              [ Value.Int i; Value.Text (Printf.sprintf "t%d" i); Value.Int c;
-                Value.Text (Printf.sprintf "city%d" c) ]))
-   with
-   | Ok () -> ()
-   | Error _ -> failwith "load");
+  match
+    Db.load db ~table:"T"
+      (List.init rows (fun i ->
+           let c = i mod 53 in
+           Row.make
+             [ Value.Int i; Value.Text (Printf.sprintf "t%d" i); Value.Int c;
+               Value.Text (Printf.sprintf "city%d" c) ]))
+  with
+  | Ok () -> ()
+  | Error _ -> failwith "load"
+
+let build_split_db ~rows =
+  let db = Db.create () in
+  load_split_source db ~rows;
   db
 
 let split_spec =
@@ -123,14 +156,8 @@ let run_demo which rows migration =
   let between () =
     if (Sc.status sc).Sc.sc_routing = `Sources then begin
       incr writes;
-      let txn = Manager.begin_txn mgr in
-      (match
-         Manager.update mgr ~txn ~table:source
-           ~key:(Row.make [ Value.Int (Random.State.int rng rows) ])
-           [ (1, Value.Text (Printf.sprintf "w%d" !writes)) ]
-       with
-       | Ok () -> ignore (Manager.commit mgr txn)
-       | Error _ -> ignore (Manager.abort mgr txn))
+      write_one mgr ~table:source (Random.State.int rng rows)
+        (Printf.sprintf "w%d" !writes)
     end
   in
   (match Sc.run ~between sc with
@@ -253,17 +280,10 @@ let run_concurrent rows =
   let rng = Random.State.make [| 7 |] in
   let writes = ref 0 and rounds = ref 0 in
   let touch table =
-    if rows <= 0 then ()
-    else begin
+    if rows > 0 then begin
       incr writes;
-    let txn = Manager.begin_txn mgr in
-    match
-      Manager.update mgr ~txn ~table
-        ~key:(Row.make [ Value.Int (Random.State.int rng rows) ])
-        [ (1, Value.Text (Printf.sprintf "w%d" !writes)) ]
-    with
-    | Ok () -> ignore (Manager.commit mgr txn)
-    | Error _ -> ignore (Manager.abort mgr txn)
+      write_one mgr ~table (Random.State.int rng rows)
+        (Printf.sprintf "w%d" !writes)
     end
   in
   let between () =
@@ -284,7 +304,7 @@ let run_concurrent rows =
     (Transform.targets foj_tf @ Transform.targets hs_tf);
   let t_ok, u_ok = concurrent_oracles db in
   say "oracle: T = foj(R, S) %b; U_old/U_live = partition of U %b" t_ok u_ok;
-  if not (t_ok && u_ok) then exit 1;
+  if not (t_ok && u_ok) then fail_check "a target differs from its oracle";
   `Ok ()
 
 let concurrent_cmd =
@@ -348,7 +368,7 @@ let run_figure name quick =
     print_points ~x_label:"priority" points;
     (match E.fig4d_shape points with
      | Ok () -> `Ok ()
-     | Error m -> `Error (false, "the sweep lacks the paper's shape: " ^ m))
+     | Error m -> fail_check "the sweep lacks the paper's shape: %s" m)
   | "foj" ->
     say "FOJ: Figure 4(a)/(c) for the full outer join (paper: very similar \
          results)";
@@ -448,16 +468,7 @@ let run_log rows =
   (match
      Sc.run sc ~between:(fun () ->
          incr n;
-         if !n <= 3 then begin
-           let txn = Manager.begin_txn mgr in
-           (match
-              Manager.update mgr ~txn ~table:"R"
-                ~key:(Row.make [ Value.Int (!n - 1) ])
-                [ (1, Value.Text "touched") ]
-            with
-            | Ok () -> ignore (Manager.commit mgr txn)
-            | Error _ -> ignore (Manager.abort mgr txn))
-         end)
+         if !n <= 3 then write_one mgr ~table:"R" (!n - 1) "touched")
    with
    | Ok () -> ()
    | Error e -> failwith (Nbsc_error.to_string e));
@@ -592,33 +603,11 @@ let run_crash_demo site after rows keep =
         Sys.rmdir dir
       end
     in
-    (* Satellite of the durability work: persistence errors surface as
-       diagnosable messages, never an assertion failure. *)
-    let surface what = function
-      | Ok v -> v
-      | Error e ->
-        failwith (Format.asprintf "%s: %a" what Persist.pp_error e)
-    in
     let run () =
       Fault.reset ();
       let p = surface "create" (Persist.create_dir ~dir) in
       let db = Persist.db p in
-      let col = Schema.column in
-      ignore
-        (Db.create_table db ~name:"T"
-           (Schema.make ~key:[ "a" ]
-              [ col ~nullable:false "a" Value.TInt; col "b" Value.TText;
-                col "c" Value.TInt; col "d" Value.TText ]));
-      (match
-         Db.load db ~table:"T"
-           (List.init rows (fun i ->
-                let c = i mod 53 in
-                Row.make
-                  [ Value.Int i; Value.Text (Printf.sprintf "t%d" i);
-                    Value.Int c; Value.Text (Printf.sprintf "city%d" c) ]))
-       with
-       | Ok () -> ()
-       | Error _ -> failwith "load failed");
+      load_split_source db ~rows;
       surface "checkpoint" (Persist.checkpoint p);
       say "created %s: table T, %d rows (checkpointed)" dir rows;
       let options = demo_options ~batch:32 in
@@ -634,14 +623,8 @@ let run_crash_demo site after rows keep =
            source — afterwards T is either dropped or demoted. *)
         if Db.jobs d <> [] && Transform.routing tf = `Sources then begin
           incr writes;
-          let txn = Manager.begin_txn mgr in
-          match
-            Manager.update mgr ~txn ~table:"T"
-              ~key:(Row.make [ Value.Int (Random.State.int rng rows) ])
-              [ (1, Value.Text (Printf.sprintf "w%d" !writes)) ]
-          with
-          | Ok () -> ignore (Manager.commit mgr txn)
-          | Error _ -> ignore (Manager.abort mgr txn)
+          write_one mgr ~table:"T" (Random.State.int rng rows)
+            (Printf.sprintf "w%d" !writes)
         end
       in
       let rounds = ref 0 in
@@ -704,14 +687,14 @@ let run_crash_demo site after rows keep =
         Spec.ix_t_split ix_ok;
       Persist.close p2;
       if keep then say "store kept at %s" dir else wipe ();
-      if not (rs_ok && ix_ok) then exit 1;
+      if not (rs_ok && ix_ok) then fail_check "a target differs from its oracle";
       `Ok ()
     in
     match run () with
     | r -> r
     | exception Failure m ->
       if not keep then wipe ();
-      `Error (false, m)
+      fail_check "%s" m
   end
 
 (* {1 stats}
@@ -732,14 +715,8 @@ let run_stats rows =
   let between () =
     if (Sc.status sc).Sc.sc_routing = `Sources then begin
       incr writes;
-      let txn = Manager.begin_txn mgr in
-      match
-        Manager.update mgr ~txn ~table:"R"
-          ~key:(Row.make [ Value.Int (Random.State.int rng rows) ])
-          [ (1, Value.Text (Printf.sprintf "w%d" !writes)) ]
-      with
-      | Ok () -> ignore (Manager.commit mgr txn)
-      | Error _ -> ignore (Manager.abort mgr txn)
+      write_one mgr ~table:"R" (Random.State.int rng rows)
+        (Printf.sprintf "w%d" !writes)
     end
   in
   (match Sc.run ~between sc with
@@ -826,7 +803,7 @@ let run_trace seed out validate =
            and every span event a well-nested span" lines;
       `Ok ()
     end
-    else `Error (false, Printf.sprintf "%d of %d lines malformed" errors lines)
+    else fail_check "%d of %d lines malformed" errors lines
   end
 
 let trace_cmd =
@@ -988,10 +965,10 @@ let micro_cmd =
 
 let run_scrub dir =
   match Db.Scrub.verify_dir ~dir with
-  | Error e -> `Error (false, Nbsc_error.to_string e)
+  | Error e -> fail_check "%s" (Nbsc_error.to_string e)
   | Ok r ->
     Format.printf "%a@." Db.Scrub.pp_report r;
-    if Db.Scrub.ok r then `Ok () else `Error (false, "store is corrupt")
+    if Db.Scrub.ok r then `Ok () else fail_check "store is corrupt"
 
 let scrub_cmd =
   let dir =
@@ -1002,18 +979,13 @@ let scrub_cmd =
     (Cmd.info "scrub"
        ~doc:
          "verify a database directory offline: format headers, per-line \
-          CRC-32, snapshot trailer, WAL record structure; exits non-zero \
-          on any damage")
+          CRC-32, snapshot trailer, WAL record structure; exits 1 on any \
+          damage")
     Term.(ret (const run_scrub $ dir))
 
 let run_mkstore dir rows =
   if Sys.file_exists dir then `Error (false, dir ^ ": already exists")
   else begin
-    let surface what = function
-      | Ok v -> v
-      | Error e ->
-        failwith (Format.asprintf "%s: %a" what Persist.pp_error e)
-    in
     let p = surface "create" (Persist.create_dir ~dir) in
     let db = Persist.db p in
     let col = Schema.column in

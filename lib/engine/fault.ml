@@ -59,8 +59,6 @@ let count site = Obs.Counter.incr (counter site)
 
 let io_counter site = Obs.Registry.counter registry ("fault.io_hits." ^ site)
 
-let io_hits site = Obs.Counter.value (io_counter site)
-
 let hits site = Obs.Counter.value (counter site)
 
 (* The mode to fire with, if the site is armed with a mode this

@@ -115,7 +115,7 @@ val file_write : string -> flip:(unit -> unit) -> unit
 val io : string -> unit
 (** The physical write boundary consultation: fires [Io_error] armings
     only — other modes neither fire nor advance their countdown here.
-    Counted separately ([fault.io_hits.<site>], {!io_hits}) so dry-run
+    Counted separately ([fault.io_hits.<site>]) so dry-run
     planning of record-level armings stays unskewed. *)
 
 val hits : string -> int
@@ -123,9 +123,6 @@ val hits : string -> int
     last {!reset} — the crash matrix dry-runs a scenario (with
     {!set_tracking}) to learn each site's hit count, then arms
     mid-range offsets. *)
-
-val io_hits : string -> int
-(** How many times [site]'s physical write boundary was consulted. *)
 
 val set_tracking : bool -> unit
 (** Count hits even with nothing armed (dry runs). Off after {!reset}. *)

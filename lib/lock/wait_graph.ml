@@ -230,10 +230,6 @@ let stats t =
     max_queue = int_of_float (Obs.Gauge.value t.max_queue);
   }
 
-let pp_stats ppf s =
-  Format.fprintf ppf "waits=%d cycles=%d victims=%d max_queue=%d" s.waits
-    s.cycles s.victims s.max_queue
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>waits-for:";
   List.iter

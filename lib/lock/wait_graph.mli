@@ -91,7 +91,5 @@ val acyclic : t -> bool
 
 val stats : t -> stats
 
-val pp_stats : Format.formatter -> stats -> unit
-
 val pp : Format.formatter -> t -> unit
 (** Dump edges and queues (debugging). *)

@@ -53,8 +53,6 @@ let columns t =
   in
   List.sort_uniq String.compare (go [] t)
 
-let negate t = Not t
-
 let op_tag = function
   | Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Le -> "le" | Gt -> "gt" | Ge -> "ge"
 

@@ -31,13 +31,6 @@ val eval : Schema.t -> t -> Row.t -> bool
 val columns : t -> string list
 (** Column names mentioned, without duplicates. *)
 
-val negate : t -> t
-(** Logical complement under the collapsed semantics above —
-    {b note}: because NULL comparisons are false on both sides,
-    [negate (Cmp ...)] is [Not (Cmp ...)], which is true for NULLs.
-    The horizontal split relies on [p] and [negate p] partitioning
-    every row exactly one way, which [Not] guarantees. *)
-
 val encode : t -> string
 (** Compact tagged encoding, exact inverse of {!decode}. Lets a
     predicate ride inside a durable resume payload (the horizontal

@@ -110,6 +110,17 @@ let foj_oracle db =
       out_key = [ "a" ] }
     r s
 
+(* The relational split of T(a,b,c,d) into R(a,b,c) keyed by a and
+   S(c,d) keyed by c. *)
+let split_relalg =
+  { Nbsc_relalg.Relalg.r_cols' = [ "a"; "b"; "c" ];
+    s_cols' = [ "c"; "d" ];
+    r_key = [ "a" ];
+    s_key = [ "c" ] }
+
+(* Oracle: R and S must converge to the split of the final T. *)
+let split_oracle db = Nbsc_relalg.Relalg.split split_relalg (Db.snapshot db "T")
+
 let check_relations_equal msg expected actual =
   if not (Nbsc_relalg.Relalg.equal_as_sets expected actual) then begin
     let only_e, only_a = Nbsc_relalg.Relalg.diff_as_sets expected actual in

@@ -77,13 +77,7 @@ let converges () =
    with
    | Ok () -> ()
    | Error m -> Alcotest.fail m);
-  let t = Nbsc_engine.Db.snapshot db "T" in
-  let want_r, want_s =
-    Nbsc_relalg.Relalg.split
-      { Nbsc_relalg.Relalg.r_cols' = [ "a"; "b"; "c" ]; s_cols' = [ "c"; "d" ];
-        r_key = [ "a" ]; s_key = [ "c" ] }
-      t
-  in
+  let want_r, want_s = H.split_oracle db in
   H.check_relations_equal "R" want_r (Nbsc_engine.Db.snapshot db "R");
   H.check_relations_equal "S" want_s (Nbsc_engine.Db.snapshot db "S")
 

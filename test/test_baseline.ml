@@ -24,13 +24,7 @@ let test_dump_foj_correct () =
 
 let test_dump_split_correct () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:50) in
-  let t = Db.snapshot db "T" in
-  let expected_r, expected_s =
-    Nbsc_relalg.Relalg.split
-      { Nbsc_relalg.Relalg.r_cols' = [ "a"; "b"; "c" ]; s_cols' = [ "c"; "d" ];
-        r_key = [ "a" ]; s_key = [ "c" ] }
-      t
-  in
+  let expected_r, expected_s = H.split_oracle db in
   let dump = Insert_into_select.split db (H.split_spec ~assume_consistent:true) in
   while Insert_into_select.step dump ~limit:16 = `Running do () done;
   H.check_relations_equal "R" expected_r (Db.snapshot db "R");
@@ -118,13 +112,7 @@ let test_trigger_split () =
             ~key:(Row.make [ Value.Int 7 ])
             [ (2, Value.Int 3); (3, Value.Text (H.city_of 3)) ]);
   H.ok "c" (Manager.commit mgr txn);
-  let t = Db.snapshot db "T" in
-  let expected_r, expected_s =
-    Nbsc_relalg.Relalg.split
-      { Nbsc_relalg.Relalg.r_cols' = [ "a"; "b"; "c" ]; s_cols' = [ "c"; "d" ];
-        r_key = [ "a" ]; s_key = [ "c" ] }
-      t
-  in
+  let expected_r, expected_s = H.split_oracle db in
   H.check_relations_equal "R fresh" expected_r (Db.snapshot db "R");
   H.check_relations_equal "S fresh" expected_s (Db.snapshot db "S")
 
@@ -271,13 +259,7 @@ let test_shadow_split () =
     (converge_shadow sh ~between:(fun () ->
          incr tick;
          if !tick mod 2 = 0 then H.random_t_op ~consistent:true d));
-  let t = Db.snapshot db "T" in
-  let expected_r, expected_s =
-    Nbsc_relalg.Relalg.split
-      { Nbsc_relalg.Relalg.r_cols' = [ "a"; "b"; "c" ]; s_cols' = [ "c"; "d" ];
-        r_key = [ "a" ]; s_key = [ "c" ] }
-      t
-  in
+  let expected_r, expected_s = H.split_oracle db in
   H.check_relations_equal "R = oracle" expected_r (Db.snapshot db "R");
   H.check_relations_equal "S = oracle" expected_s (Db.snapshot db "S")
 

@@ -599,14 +599,7 @@ let ops =
         op_row = t_row;
         op_oracle =
           (fun db ->
-             let r, s =
-               Relalg.split
-                 { Relalg.r_cols' = [ "a"; "b"; "c" ];
-                   s_cols' = [ "c"; "d" ];
-                   r_key = [ "a" ];
-                   s_key = [ "c" ] }
-                 (Db.snapshot db "T")
-             in
+             let r, s = H.split_oracle db in
              [ ("R", r); ("S", s) ]) } );
     ( "hsplit",
       { op_spec =

@@ -88,13 +88,7 @@ let test_transformation_after_restart () =
    with
    | Ok () -> ()
    | Error m -> Alcotest.fail m);
-  let t = Db.snapshot db' "T" in
-  let want_r, want_s =
-    Nbsc_relalg.Relalg.split
-      { Nbsc_relalg.Relalg.r_cols' = [ "a"; "b"; "c" ]; s_cols' = [ "c"; "d" ];
-        r_key = [ "a" ]; s_key = [ "c" ] }
-      t
-  in
+  let want_r, want_s = H.split_oracle db' in
   H.check_relations_equal "R after restart" want_r (Db.snapshot db' "R");
   H.check_relations_equal "S after restart" want_s (Db.snapshot db' "S")
 

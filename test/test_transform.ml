@@ -208,29 +208,14 @@ let test_foj_blocking_commit () =
 
 (* {1 Split} *)
 
-let split_oracle db =
-  let t = Db.snapshot db "T" in
-  Nbsc_relalg.Relalg.split
-    { Nbsc_relalg.Relalg.r_cols' = [ "a"; "b"; "c" ];
-      s_cols' = [ "c"; "d" ];
-      r_key = [ "a" ];
-      s_key = [ "c" ] }
-    t
-
 let check_split_converged db =
-  let expected_r, expected_s = split_oracle db in
+  let expected_r, expected_s = H.split_oracle db in
   H.check_relations_equal "R = pi_R(T)" expected_r (Db.snapshot db "R");
   H.check_relations_equal "S = pi_S(T)" expected_s (Db.snapshot db "S")
 
 let check_split_counters db =
-  let t = Db.snapshot db "T" in
   let expected =
-    Nbsc_relalg.Relalg.split_multiplicity
-      { Nbsc_relalg.Relalg.r_cols' = [ "a"; "b"; "c" ];
-        s_cols' = [ "c"; "d" ];
-        r_key = [ "a" ];
-        s_key = [ "c" ] }
-      t
+    Nbsc_relalg.Relalg.split_multiplicity H.split_relalg (Db.snapshot db "T")
   in
   let s_tbl = Db.table db "S" in
   List.iter
@@ -480,7 +465,7 @@ let prop_split_converges =
         with
         | Ok () -> ()
         | Error m -> QCheck.Test.fail_reportf "failed: %s" m);
-       let expected_r, expected_s = split_oracle db in
+       let expected_r, expected_s = H.split_oracle db in
        Nbsc_relalg.Relalg.equal_as_sets expected_r (Db.snapshot db "R")
        && Nbsc_relalg.Relalg.equal_as_sets expected_s (Db.snapshot db "S"))
 
