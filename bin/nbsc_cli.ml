@@ -382,10 +382,11 @@ let run_figure name quick =
   | "methods" ->
     say "Methods: log-based vs blocking INSERT-SELECT vs triggers (75%% \
          workload)";
-    List.iter
-      (fun r -> say "%a" E.pp_method_row r)
-      (E.method_comparison ~setup:ablation_setup ~workload_pct:75. ());
-    `Ok ()
+    let rows = E.method_comparison ~setup:ablation_setup ~workload_pct:75. () in
+    List.iter (fun r -> say "%a" E.pp_method_row r) rows;
+    (match E.methods_shape rows with
+     | Ok () -> `Ok ()
+     | Error m -> fail_check "the comparison lacks the paper's shape: %s" m)
   | "ablate" ->
     let setup = ablation_setup in
     say "-- sync_lag_threshold sweep (latch window vs eagerness) --";
@@ -615,15 +616,17 @@ let run_crash_demo site after rows keep =
       say "started %s as job %s; arming fault site %S (trigger on hit %d)"
         (Transform.name tf) (Transform.job_name tf) site (after + 1);
       Fault.arm ~after site;
-      let mgr = Db.manager db in
       let rng = Random.State.make [| 13 |] in
       let writes = ref 0 in
-      let traffic d =
-        (* Only while the change is in flight and still routed at the
-           source — afterwards T is either dropped or demoted. *)
-        if Db.jobs d <> [] && Transform.routing tf = `Sources then begin
+      let traffic d tfs =
+        (* Only while [d]'s changes are in flight and still routed at
+           the source — afterwards T is either dropped or demoted. *)
+        if
+          Db.jobs d <> []
+          && List.for_all (fun tf -> Transform.routing tf = `Sources) tfs
+        then begin
           incr writes;
-          write_one mgr ~table:"T" (Random.State.int rng rows)
+          write_one (Db.manager d) ~table:"T" (Random.State.int rng rows)
             (Printf.sprintf "w%d" !writes)
         end
       in
@@ -633,7 +636,7 @@ let run_crash_demo site after rows keep =
           while Db.jobs db <> [] do
             incr rounds;
             ignore (Db.step_jobs db);
-            traffic db;
+            traffic db [ tf ];
             if !rounds mod 3 = 0 then
               surface "checkpoint" (Persist.checkpoint p)
           done;
@@ -669,7 +672,8 @@ let run_crash_demo site after rows keep =
                 (Transform.progress tf).Transform.scanned)
            tfs);
       (match
-         Db.run_jobs db2 ~max_rounds:100_000 ~between:(fun () -> traffic db2)
+         Db.run_jobs db2 ~max_rounds:100_000 ~between:(fun () ->
+             traffic db2 resumed)
        with
        | Ok () -> ()
        | Error m -> failwith ("drive to completion: " ^ m));

@@ -127,7 +127,11 @@ python3 perfbench/run.py --selftest
 # scale (virtual time, fixed seeds). For 4d the command exits non-zero
 # unless the priority sweep has the paper's shape: the lowest priority
 # never finishes and the highest does, no unfinished point lies above
-# a finished one, and completion time does not rise with priority.
+# a finished one, and completion time does not rise with priority. For
+# methods it exits non-zero unless the comparison has the paper's
+# shape: the log-based method has the highest relative throughput and
+# the lowest relative response time of the three, and the blocking
+# dump finishes.
 echo "== nbsc figure --quick (every figure) =="
 for fig in 4a 4b 4c 4d foj methods ablate; do
   dune exec bin/nbsc_cli.exe -- figure --quick "$fig" >/dev/null

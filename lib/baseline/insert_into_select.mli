@@ -17,10 +17,9 @@ open Nbsc_core
 
 type t
 
-val foj : Db.t -> Spec.foj -> t
-(** Creates T (same derived schema and indexes as the framework). *)
-
-val split : Db.t -> Spec.split -> t
+val create : Db.t -> Transformation.packed -> t
+(** Dump into the prepared operator's targets: its population scan
+    fills them while its sources stay latched. *)
 
 val step : t -> limit:int -> [ `Running | `Done ]
 (** Process up to [limit] source rows. The first call latches the

@@ -20,9 +20,7 @@ type t = {
   db : Db.t;
   mgr : Manager.t;
   holder : int;  (* latch holder and interceptor id *)
-  job : string;
   sources : string list;
-  targets : string list;
   rules : Propagator.rules;
   pop : Population.t;
   chunk : int;
@@ -30,7 +28,6 @@ type t = {
   audit : (Lsn.t * Log_record.op) Queue.t;
   mutable phase : phase;
   mutable captured : int;
-  mutable replayed : int;
   mutable backfilled : int;
   mutable latched_windows : int;
 }
@@ -43,9 +40,7 @@ let create db ?(drop_sources = true) ?(chunk = 256) packed =
     { db;
       mgr;
       holder;
-      job = Printf.sprintf "shadow-%s#%d" T.name holder;
       sources = T.sources;
-      targets = T.targets;
       rules = T.rules;
       pop = T.population;
       chunk = max 1 chunk;
@@ -53,7 +48,6 @@ let create db ?(drop_sources = true) ?(chunk = 256) packed =
       audit = Queue.create ();
       phase = Backfill `Unlatched;
       captured = 0;
-      replayed = 0;
       backfilled = 0;
       latched_windows = 0 }
   in
@@ -74,11 +68,8 @@ let create db ?(drop_sources = true) ?(chunk = 256) packed =
 
 let audit_pending t = Queue.length t.audit
 let captured t = t.captured
-let replayed t = t.replayed
 let backfilled t = t.backfilled
 let latched_windows t = t.latched_windows
-let job_name t = t.job
-let finished t = t.phase = Done
 
 (* All or nothing: when some other reorganizer holds a latch we need,
    retry next quantum. *)
@@ -86,17 +77,13 @@ let latch_sources t =
   Latch.try_latch_all (Manager.latches t.mgr) ~holder:t.holder t.sources
 
 let unlatch_sources t =
-  let latches = Manager.latches t.mgr in
-  List.iter
-    (fun table -> Latch.unlatch latches ~holder:t.holder ~table)
-    t.sources
+  Latch.unlatch_all (Manager.latches t.mgr) ~holder:t.holder t.sources
 
 let drain_audit t ~limit =
   let n = ref 0 in
   while !n < limit && not (Queue.is_empty t.audit) do
     let lsn, op = Queue.pop t.audit in
     ignore (t.rules.Propagator.apply ~lsn op);
-    t.replayed <- t.replayed + 1;
     incr n
   done
 
@@ -146,21 +133,3 @@ let step t ~limit =
      else drain_audit t ~limit;
      Fault.hit "quantum_end");
   t.phase = Done
-
-(* Tear down a shadow run without cutting over (crash-matrix restarts,
-   aborted comparisons): remove the trigger, release any latches, and
-   close the backfill scan. The targets keep whatever state they have —
-   the caller drops them before rebuilding. *)
-let abandon t =
-  if t.phase <> Done then begin
-    Manager.release t.mgr ~id:t.holder;
-    (match t.phase with Backfill `Latched -> unlatch_sources t | _ -> ());
-    Population.close t.pop;
-    Queue.clear t.audit;
-    t.phase <- Done
-  end
-
-let register t =
-  Db.register_job t.db ~name:t.job
-    ~step:(fun () -> if step t ~limit:t.chunk then `Done else `Running)
-    ()

@@ -25,7 +25,7 @@ type t
 val create : Db.t -> ?drop_sources:bool -> ?chunk:int -> Transformation.packed -> t
 (** Install the audit trigger and prepare the backfill.
     [chunk] (default 256) bounds both the rows scanned per latched
-    window and the audit entries replayed per step; [drop_sources]
+    window and the audit entries applied per step; [drop_sources]
     (default true) drops the source tables at cutover. *)
 
 val step : t -> limit:int -> bool
@@ -34,31 +34,16 @@ val step : t -> limit:int -> bool
     latch-and-cutover. Returns true when done. Consults the standard
     [quantum_end] / [sync_commit] fault-injection sites. *)
 
-val finished : t -> bool
-
-val register : t -> unit
-(** Register as a background job on the db's scheduler ({!job_name}),
-    stepping [chunk] units per round. *)
-
-val job_name : t -> string
-
-val abandon : t -> unit
-(** Tear down without cutting over: remove the trigger, release
-    latches, close the scan. Target tables keep their partial state. *)
-
 (** {1 Counters} *)
 
 val captured : t -> int
 (** Source writes the audit trigger captured. *)
 
-val replayed : t -> int
-(** Audit entries replayed into the targets. *)
-
 val backfilled : t -> int
 (** Source rows copied by the latched backfill. *)
 
 val audit_pending : t -> int
-(** Captured writes not yet replayed (the catch-up lag). *)
+(** Captured writes still waiting for replay (the catch-up lag). *)
 
 val latched_windows : t -> int
 (** Latched windows taken so far (incl. the final cutover latch). *)

@@ -18,11 +18,11 @@ open Nbsc_core
 
 type t
 
-val install_foj : Db.t -> Spec.foj -> t
-(** Creates T, populates it from a (latched, instantaneous) scan, and
-    installs the maintenance trigger. *)
-
-val install_split : Db.t -> Spec.split -> t
+val install : Db.t -> Transformation.packed -> t
+(** Populate the prepared operator's targets with its population scan
+    (latched and instantaneous, in the paper's telling), then install
+    the trigger, which hands every write to the operator's propagation
+    rules inside the writing user operation. *)
 
 val uninstall : t -> unit
 (** Release this installation's interceptor — and only this one:

@@ -278,11 +278,7 @@ let latch_sources t =
   Latch.try_latch_all (Manager.latches t.mgr) ~holder:t.holder t.src
 
 let unlatch_sources t =
-  List.iter
-    (fun table ->
-       if Latch.latched_by (Manager.latches t.mgr) ~table = Some t.holder then
-         Latch.unlatch (Manager.latches t.mgr) ~holder:t.holder ~table)
-    t.src
+  Latch.unlatch_all (Manager.latches t.mgr) ~holder:t.holder t.src
 
 let persistable t =
   let (module T : Transformation.S) = t.tf in

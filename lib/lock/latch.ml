@@ -33,6 +33,14 @@ let unlatch t ~holder ~table =
   | Some _ | None ->
     invalid_arg (Printf.sprintf "Latch.unlatch: %d does not hold %s" holder table)
 
+let unlatch_all t ~holder tables =
+  List.iter
+    (fun table ->
+       match Hashtbl.find_opt t table with
+       | Some h when h = holder -> Hashtbl.remove t table
+       | Some _ | None -> ())
+    tables
+
 let is_latched t ~table = Hashtbl.mem t table
 let latched_by t ~table = Hashtbl.find_opt t table
 

@@ -25,6 +25,10 @@ val try_latch_all : t -> holder:holder -> string list -> bool
 val unlatch : t -> holder:holder -> table:string -> unit
 (** @raise Invalid_argument if [holder] does not hold the latch. *)
 
+val unlatch_all : t -> holder:holder -> string list -> unit
+(** Release the latches [holder] holds among the listed tables; the
+    others, unlatched or held by another holder, stay as they are. *)
+
 val is_latched : t -> table:string -> bool
 
 val latched_by : t -> table:string -> holder option

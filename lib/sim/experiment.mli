@@ -112,6 +112,15 @@ type method_row = {
 
 val method_comparison : ?setup:setup -> workload_pct:float -> unit ->
   method_row list
+(** Three rows, labelled ["log-based (this paper)"], ["blocking
+    INSERT-SELECT"] and ["trigger-based"]. *)
+
+val methods_shape : method_row list -> (unit, string) result
+(** The paper's motivating comparison (Sec. 1, 2.1): the log-based row
+    has the highest relative throughput and the lowest relative
+    response time of all rows, and the blocking dump finished. [Error]
+    names the first violation. [nbsc figure methods] exits non-zero on
+    one. *)
 
 val pp_method_row : Format.formatter -> method_row -> unit
 

@@ -219,15 +219,15 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
      byte-identical trace run after run. *)
   Obs.Registry.set_clock (Db.obs db) (fun () -> float_of_int !now);
   (match on_db with Some f -> f db | None -> ());
+  let spec =
+    match kind with
+    | Foj_scenario _ -> Spec.Foj foj_spec
+    | Split_scenario { assume_consistent; _ } ->
+      Spec.Split (split_spec ~assume_consistent)
+  in
   let transform =
     match background with
     | Transformation setup ->
-      let spec =
-        match kind with
-        | Foj_scenario _ -> Spec.Foj foj_spec
-        | Split_scenario { assume_consistent; _ } ->
-          Spec.Split (split_spec ~assume_consistent)
-      in
       (match Db.Schema_change.start db ~options:setup.options spec with
        | Ok h -> Some (setup, Db.Schema_change.transform h)
        | Error e -> failwith ("Sim.run: " ^ Nbsc_error.to_string e))
@@ -237,22 +237,16 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
     match background with
     | Blocking_dump _ ->
       Some
-        (match kind with
-         | Foj_scenario _ -> Nbsc_baseline.Insert_into_select.foj db foj_spec
-         | Split_scenario { assume_consistent; _ } ->
-           Nbsc_baseline.Insert_into_select.split db
-             (split_spec ~assume_consistent))
+        (Nbsc_baseline.Insert_into_select.create db
+           (Transformation.of_spec db spec))
     | No_background | Transformation _ | Trigger_maintenance -> None
   in
   let trigger =
     match background with
     | Trigger_maintenance ->
       Some
-        (match kind with
-         | Foj_scenario _ -> Nbsc_baseline.Trigger_method.install_foj db foj_spec
-         | Split_scenario { assume_consistent; _ } ->
-           Nbsc_baseline.Trigger_method.install_split db
-             (split_spec ~assume_consistent))
+        (Nbsc_baseline.Trigger_method.install db
+           (Transformation.of_spec db spec))
     | No_background | Transformation _ | Blocking_dump _ -> None
   in
   let metrics = Metrics.create ~obs:(Db.obs db) () in

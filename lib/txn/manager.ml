@@ -178,21 +178,6 @@ let create ?log ?obs catalog =
            0 (Catalog.tables t.catalog)));
   Obs.Registry.probe obs "storage.versions_pending" (fun () ->
       float_of_int (Queue.length t.pending));
-  (* Allocation pressure per committed transaction: GC words allocated
-     since this manager was created, averaged over its commits. A cheap
-     engine-wide probe for [nbsc stats]; nothing gates on it. *)
-  let alloc_base =
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-  in
-  Obs.Registry.probe obs "engine.alloc_words_per_txn" (fun () ->
-      let commits = Obs.Counter.value t.n_commits in
-      if commits = 0 then 0.
-      else begin
-        let s = Gc.quick_stat () in
-        let words = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
-        (words -. alloc_base) /. float_of_int commits
-      end);
   (* Tables created later are wired by [track_table] (the engine facade
      calls it). *)
   List.iter (track_table t) (Catalog.tables catalog);

@@ -121,6 +121,83 @@ let split_relalg =
 (* Oracle: R and S must converge to the split of the final T. *)
 let split_oracle db = Nbsc_relalg.Relalg.split split_relalg (Db.snapshot db "T")
 
+(* Oracle: T's rows that satisfy [pred], then the rest — the two
+   targets of a horizontal split of T by [pred]. *)
+let hsplit_oracle db pred =
+  let t = Db.snapshot db "T" in
+  let p = Pred.compile t_flat_schema pred in
+  ( Nbsc_relalg.Relalg.select t p,
+    Nbsc_relalg.Relalg.select t (fun row -> not (p row)) )
+
+(* Merge: A (keys 0-29) and B (keys 100-119), both of T's shape,
+   into AB. *)
+let merge_spec = { Spec.m_sources = [ "A"; "B" ]; m_target = "AB" }
+let merge_a_rows = List.init 30 (fun i -> ti i "a" (i mod 5) "x")
+let merge_b_rows = List.init 20 (fun i -> ti (100 + i) "b" (i mod 5) "y")
+
+let fresh_merge_db () =
+  let db = Db.create () in
+  ignore (Db.create_table db ~name:"A" t_flat_schema);
+  ignore (Db.create_table db ~name:"B" t_flat_schema);
+  ok "load A" (Db.load db ~table:"A" merge_a_rows);
+  ok "load B" (Db.load db ~table:"B" merge_b_rows);
+  db
+
+(* Oracle: AB must converge to the union of the final A and B, whose
+   keys stay disjoint. *)
+let merge_oracle db =
+  let a = Db.snapshot db "A" and b = Db.snapshot db "B" in
+  Nbsc_relalg.Relalg.make t_flat_schema
+    (a.Nbsc_relalg.Relalg.rows @ b.Nbsc_relalg.Relalg.rows)
+
+(* Many-to-many FOJ: person P(pid, city) and store Q(sid, city, chain)
+   joined on city into T, where both sides repeat join values. *)
+let p_schema =
+  Schema.make ~key:[ "pid" ]
+    [ col ~nullable:false "pid" Value.TInt; col "city" Value.TInt ]
+
+let q_schema =
+  Schema.make ~key:[ "sid" ]
+    [ col ~nullable:false "sid" Value.TInt; col "city" Value.TInt;
+      col "chain" Value.TText ]
+
+let m2m_spec =
+  { Spec.r_table = "P";
+    s_table = "Q";
+    t_table = "T";
+    join_r = [ "city" ];
+    join_s = [ "city" ];
+    t_join = [ "city" ];
+    r_carry = [ "pid" ];
+    s_carry = [ "sid"; "chain" ];
+    many_to_many = true }
+
+let pi pid city = Row.make [ Value.Int pid; Value.Int city ]
+let qi sid city chain = Row.make [ Value.Int sid; Value.Int city; Value.Text chain ]
+
+(* 60 persons and 25 stores over 7 cities. *)
+let fresh_m2m_db () =
+  let db = Db.create () in
+  ignore (Db.create_table db ~name:"P" p_schema);
+  ignore (Db.create_table db ~name:"Q" q_schema);
+  ok "load P" (Db.load db ~table:"P" (List.init 60 (fun i -> pi i (i mod 7))));
+  ok "load Q"
+    (Db.load db ~table:"Q"
+       (List.init 25 (fun i -> qi i (i mod 7) ("c" ^ string_of_int i))));
+  db
+
+(* Oracle: T must converge to the many-to-many full outer join of the
+   final P and Q. *)
+let m2m_oracle db =
+  Nbsc_relalg.Relalg.full_outer_join
+    { Nbsc_relalg.Relalg.r_join = [ "city" ];
+      s_join = [ "city" ];
+      out_join = [ "city" ];
+      r_cols = [ "pid" ];
+      s_cols = [ "sid"; "chain" ];
+      out_key = [ "pid"; "sid" ] }
+    (Db.snapshot db "P") (Db.snapshot db "Q")
+
 let check_relations_equal msg expected actual =
   if not (Nbsc_relalg.Relalg.equal_as_sets expected actual) then begin
     let only_e, only_a = Nbsc_relalg.Relalg.diff_as_sets expected actual in
@@ -272,6 +349,54 @@ let random_t_op ?(consistent = true) d =
             | Some key ->
               Manager.update mgr ~txn ~table:"T" ~key
                 [ (1, Value.Text ("w" ^ string_of_int (Random.State.int d.rng 1000))) ]
+            | None -> Ok ())))
+
+(* One random mutation against A or B of the merge fixture. The shared
+   fresh-key counter keeps A and B keys disjoint. *)
+let random_merge_op d =
+  let mgr = Db.manager d.db in
+  ignore
+    (run_txn d (fun txn ->
+         let table = if Random.State.bool d.rng then "A" else "B" in
+         match Random.State.int d.rng 3 with
+         | 0 ->
+           d.next_r_key <- d.next_r_key + 1;
+           Manager.insert mgr ~txn ~table
+             (ti d.next_r_key "new" (Random.State.int d.rng 10) "z")
+         | 1 ->
+           (match existing_key d table with
+            | Some key ->
+              Manager.update mgr ~txn ~table ~key
+                [ (1, Value.Text ("w" ^ string_of_int (Random.State.int d.rng 100))) ]
+            | None -> Ok ())
+         | _ ->
+           (match existing_key d table with
+            | Some key -> Manager.delete mgr ~txn ~table ~key
+            | None -> Ok ())))
+
+(* One random mutation against P or Q of the many-to-many fixture:
+   inserts, deletes and moves between cities. *)
+let random_m2m_op d =
+  let mgr = Db.manager d.db in
+  ignore
+    (run_txn d (fun txn ->
+         let table = if Random.State.bool d.rng then "P" else "Q" in
+         let city = Random.State.int d.rng 9 in
+         match Random.State.int d.rng 3 with
+         | 0 when table = "P" ->
+           d.next_r_key <- d.next_r_key + 1;
+           Manager.insert mgr ~txn ~table (pi d.next_r_key city)
+         | 0 ->
+           d.next_s_key <- d.next_s_key + 1;
+           Manager.insert mgr ~txn ~table
+             (qi d.next_s_key city ("v" ^ string_of_int d.next_s_key))
+         | 1 ->
+           (match existing_key d table with
+            | Some key -> Manager.update mgr ~txn ~table ~key [ (1, Value.Int city) ]
+            | None -> Ok ())
+         | _ ->
+           (match existing_key d table with
+            | Some key -> Manager.delete mgr ~txn ~table ~key
             | None -> Ok ())))
 
 let seed_rows ~r ~s =

@@ -1,5 +1,5 @@
-(* Tests for the comparators: blocking INSERT INTO ... SELECT and
-   trigger-based (Ronstrom-style) maintenance. *)
+(* Tests for the comparators: blocking INSERT INTO ... SELECT,
+   trigger-based (Ronstrom-style) maintenance and the shadow table. *)
 
 open Nbsc_value
 open Nbsc_lock
@@ -9,32 +9,100 @@ open Nbsc_core
 open Nbsc_baseline
 module H = Helpers
 
+(* {1 The operators every competitor runs}
+
+   Each competitor takes the operator {!Transformation.of_spec}
+   prepares, so one correctness case per competitor runs on every
+   operator: a fresh database holding its sources, its spec, one round
+   of single-op traffic on its sources, and each target's expected
+   relation, read from the current sources. *)
+
+type op = {
+  fresh : unit -> Db.t;
+  spec : Spec.any;
+  traffic : H.driver -> unit;
+  oracle : Db.t -> (string * Nbsc_relalg.Relalg.t) list;
+}
+
+let foj_op =
+  { fresh =
+      (fun () ->
+         let r_rows, s_rows = H.seed_rows ~r:60 ~s:20 in
+         H.fresh_foj_db ~r_rows ~s_rows);
+    spec = Spec.Foj H.foj_spec;
+    traffic =
+      (fun d ->
+         H.random_r_op d;
+         H.random_s_op d);
+    oracle = (fun db -> [ ("T", H.foj_oracle db) ]) }
+
+let m2m_op =
+  { fresh = H.fresh_m2m_db;
+    spec = Spec.Foj H.m2m_spec;
+    traffic = H.random_m2m_op;
+    oracle = (fun db -> [ ("T", H.m2m_oracle db) ]) }
+
+let split_op =
+  { fresh = (fun () -> H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:50));
+    spec = Spec.Split (H.split_spec ~assume_consistent:true);
+    traffic = H.random_t_op ~consistent:true;
+    oracle =
+      (fun db ->
+         let r, s = H.split_oracle db in
+         [ ("R", r); ("S", s) ]) }
+
+let hpred = Pred.Cmp ("c", Pred.Gt, Value.Int 6)
+
+let hsplit_op =
+  { split_op with
+    spec =
+      Spec.Hsplit
+        { Spec.h_source = "T";
+          h_true_table = "archive";
+          h_false_table = "live";
+          h_pred = hpred };
+    oracle =
+      (fun db ->
+         let archive, live = H.hsplit_oracle db hpred in
+         [ ("archive", archive); ("live", live) ]) }
+
+let merge_op =
+  { fresh = H.fresh_merge_db;
+    spec = Spec.Merge H.merge_spec;
+    traffic = H.random_merge_op;
+    oracle = (fun db -> [ ("AB", H.merge_oracle db) ]) }
+
+let check_targets what expected db =
+  List.iter
+    (fun (table, want) ->
+       H.check_relations_equal
+         (Printf.sprintf "%s: %s = oracle" what table)
+         want (Db.snapshot db table))
+    expected
+
 (* {1 Blocking INSERT INTO ... SELECT} *)
 
-let test_dump_foj_correct () =
-  let r_rows, s_rows = H.seed_rows ~r:40 ~s:15 in
-  let db = H.fresh_foj_db ~r_rows ~s_rows in
-  let oracle = H.foj_oracle db in
-  let dump = Insert_into_select.foj db H.foj_spec in
+let test_dump_correct op () =
+  let db = op.fresh () in
+  let oracle = op.oracle db in
+  let packed = Transformation.of_spec db op.spec in
+  let (module T : Transformation.S) = packed in
+  let dump = Insert_into_select.create db packed in
   let steps = ref 0 in
   while Insert_into_select.step dump ~limit:7 = `Running do incr steps done;
   Alcotest.(check bool) "multiple steps" true (!steps > 3);
-  Alcotest.(check bool) "sources dropped" false (Catalog.mem (Db.catalog db) "R");
-  H.check_relations_equal "T = oracle" oracle (Db.snapshot db "T")
-
-let test_dump_split_correct () =
-  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:50) in
-  let expected_r, expected_s = H.split_oracle db in
-  let dump = Insert_into_select.split db (H.split_spec ~assume_consistent:true) in
-  while Insert_into_select.step dump ~limit:16 = `Running do () done;
-  H.check_relations_equal "R" expected_r (Db.snapshot db "R");
-  H.check_relations_equal "S" expected_s (Db.snapshot db "S")
+  List.iter
+    (fun src ->
+       Alcotest.(check bool) (src ^ " dropped") false
+         (Catalog.mem (Db.catalog db) src))
+    T.sources;
+  check_targets "dumped" oracle db
 
 let test_dump_blocks_writers () =
   let r_rows, s_rows = H.seed_rows ~r:30 ~s:10 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let mgr = Db.manager db in
-  let dump = Insert_into_select.foj db H.foj_spec in
+  let dump = Insert_into_select.create db (Transformation.foj db H.foj_spec) in
   ignore (Insert_into_select.step dump ~limit:5);
   (* Mid-dump, the sources are latched: every write stalls. *)
   let txn = Manager.begin_txn mgr in
@@ -58,7 +126,7 @@ let test_dump_latch_all_or_none () =
   let mgr = Db.manager db in
   let latches = Manager.latches mgr in
   let oracle = H.foj_oracle db in
-  let dump = Insert_into_select.foj db H.foj_spec in
+  let dump = Insert_into_select.create db (Transformation.foj db H.foj_spec) in
   Alcotest.(check bool) "S latched elsewhere" true
     (Latch.try_latch latches ~holder:7 ~table:"S");
   (match Insert_into_select.step dump ~limit:5 with
@@ -81,7 +149,7 @@ let test_trigger_keeps_t_fresh () =
   let r_rows, s_rows = H.seed_rows ~r:30 ~s:10 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let mgr = Db.manager db in
-  let tr = Trigger_method.install_foj db H.foj_spec in
+  let tr = Trigger_method.install db (Transformation.foj db H.foj_spec) in
   (* Initial population is already there. *)
   H.check_relations_equal "initial" (H.foj_oracle db) (Db.snapshot db "T");
   (* Every user op is reflected synchronously. *)
@@ -103,24 +171,26 @@ let test_trigger_keeps_t_fresh () =
   Alcotest.(check bool) "now stale" false
     (Nbsc_relalg.Relalg.equal_as_sets (H.foj_oracle db) (Db.snapshot db "T"))
 
-let test_trigger_split () =
-  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:40) in
-  let mgr = Db.manager db in
-  let _tr = Trigger_method.install_split db (H.split_spec ~assume_consistent:true) in
-  let txn = Manager.begin_txn mgr in
-  H.ok "u" (Manager.update mgr ~txn ~table:"T"
-            ~key:(Row.make [ Value.Int 7 ])
-            [ (2, Value.Int 3); (3, Value.Text (H.city_of 3)) ]);
-  H.ok "c" (Manager.commit mgr txn);
-  let expected_r, expected_s = H.split_oracle db in
-  H.check_relations_equal "R fresh" expected_r (Db.snapshot db "R");
-  H.check_relations_equal "S fresh" expected_s (Db.snapshot db "S")
+(* While installed, the targets follow every committed write: they
+   equal the oracle after each round of traffic. *)
+let test_trigger_follows op () =
+  let db = op.fresh () in
+  let tr = Trigger_method.install db (Transformation.of_spec db op.spec) in
+  check_targets "populated" (op.oracle db) db;
+  let d = H.driver db in
+  for round = 1 to 30 do
+    op.traffic d;
+    check_targets (Printf.sprintf "after round %d" round) (op.oracle db) db
+  done;
+  Alcotest.(check bool) "trigger work counted" true
+    (Trigger_method.triggered_ops tr > 0);
+  Trigger_method.uninstall tr
 
 let test_trigger_work_attribution () =
   let r_rows, s_rows = H.seed_rows ~r:10 ~s:5 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let mgr = Db.manager db in
-  let tr = Trigger_method.install_foj db H.foj_spec in
+  let tr = Trigger_method.install db (Transformation.foj db H.foj_spec) in
   let txn = Manager.begin_txn mgr in
   H.ok "u" (Manager.update mgr ~txn ~table:"R"
             ~key:(Row.make [ Value.Int 1 ]) [ (1, Value.Text "w") ]);
@@ -141,9 +211,10 @@ let test_trigger_two_installs () =
        agnostic. *)
     H.foj_oracle db
   in
-  let tr1 = Trigger_method.install_foj db H.foj_spec in
+  let tr1 = Trigger_method.install db (Transformation.foj db H.foj_spec) in
   let tr2 =
-    Trigger_method.install_foj db { H.foj_spec with Spec.t_table = "T2" }
+    Trigger_method.install db
+      (Transformation.foj db { H.foj_spec with Spec.t_table = "T2" })
   in
   let write_r key text =
     let txn = Manager.begin_txn mgr in
@@ -176,14 +247,17 @@ let test_trigger_two_installs () =
    rewrites T rows under a user's update of R. *)
 let test_targets_keep_no_versions () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:40) in
-  let dump = Insert_into_select.split db (H.split_spec ~assume_consistent:true) in
+  let dump =
+    Insert_into_select.create db
+      (Transformation.split db (H.split_spec ~assume_consistent:true))
+  in
   while Insert_into_select.step dump ~limit:16 = `Running do () done;
   Alcotest.(check int) "S after a split dump" 0
     (Table.versions_count (Db.table db "S"));
   let r_rows, s_rows = H.seed_rows ~r:20 ~s:8 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let mgr = Db.manager db in
-  let tr = Trigger_method.install_foj db H.foj_spec in
+  let tr = Trigger_method.install db (Transformation.foj db H.foj_spec) in
   let txn = Manager.begin_txn mgr in
   H.ok "u" (Manager.update mgr ~txn ~table:"R"
             ~key:(Row.make [ Value.Int 3 ]) [ (1, Value.Text "fresh") ]);
@@ -204,31 +278,29 @@ let converge_shadow ?(between = fun () -> ()) sh =
   done;
   !steps
 
-let test_shadow_foj () =
-  let r_rows, s_rows = H.seed_rows ~r:60 ~s:20 in
-  let db = H.fresh_foj_db ~r_rows ~s_rows in
-  let packed = Transformation.foj db H.foj_spec in
+let test_shadow_converges op () =
+  let db = op.fresh () in
+  let packed = Transformation.of_spec db op.spec in
+  let (module T : Transformation.S) = packed in
   let sh = Shadow_table.create db ~drop_sources:false ~chunk:8 packed in
   let d = H.driver db in
   (* Writes before the backfill starts are pure audit captures. *)
-  for _ = 1 to 5 do H.random_r_op d; H.random_s_op d done;
+  for _ = 1 to 5 do op.traffic d done;
   let tick = ref 0 in
   let steps =
     converge_shadow sh ~between:(fun () ->
         incr tick;
-        if !tick mod 2 = 0 then begin
-          H.random_r_op d;
-          H.random_s_op d
-        end)
+        if !tick mod 2 = 0 then op.traffic d)
   in
   Alcotest.(check bool) "many quanta" true (steps > 10);
-  H.check_relations_equal "T = oracle" (H.foj_oracle db) (Db.snapshot db "T");
+  check_targets "converged" (op.oracle db) db;
   Alcotest.(check bool) "audit captured writes" true
     (Shadow_table.captured sh > 0);
   Alcotest.(check bool) "several latched windows" true
     (Shadow_table.latched_windows sh > 2);
   Alcotest.(check int) "audit drained" 0 (Shadow_table.audit_pending sh);
-  Alcotest.(check bool) "sources kept" true (Catalog.mem (Db.catalog db) "R")
+  Alcotest.(check bool) "sources kept" true
+    (List.for_all (Catalog.mem (Db.catalog db)) T.sources)
 
 (* An aborted transaction's writes are captured {e and} compensated:
    rollback fires the post-op hooks with the CLR inverses, so the
@@ -246,22 +318,6 @@ let test_shadow_aborted_writes () =
   ignore (converge_shadow sh);
   H.check_relations_equal "no phantom from aborted txn" (H.foj_oracle db)
     (Db.snapshot db "T")
-
-let test_shadow_split () =
-  let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:50) in
-  let packed =
-    Transformation.split db (H.split_spec ~assume_consistent:true)
-  in
-  let sh = Shadow_table.create db ~drop_sources:false ~chunk:8 packed in
-  let d = H.driver db in
-  let tick = ref 0 in
-  ignore
-    (converge_shadow sh ~between:(fun () ->
-         incr tick;
-         if !tick mod 2 = 0 then H.random_t_op ~consistent:true d));
-  let expected_r, expected_s = H.split_oracle db in
-  H.check_relations_equal "R = oracle" expected_r (Db.snapshot db "R");
-  H.check_relations_equal "S = oracle" expected_s (Db.snapshot db "S")
 
 let test_shadow_blocks_during_chunk () =
   let r_rows, s_rows = H.seed_rows ~r:30 ~s:10 in
@@ -292,26 +348,48 @@ let test_shadow_blocks_during_chunk () =
 let () =
   Alcotest.run "baseline"
     [ ( "insert-into-select",
-        [ Alcotest.test_case "FOJ correct" `Quick test_dump_foj_correct;
-          Alcotest.test_case "split correct" `Quick test_dump_split_correct;
+        [ Alcotest.test_case "FOJ correct" `Quick (test_dump_correct foj_op);
+          Alcotest.test_case "split correct" `Quick
+            (test_dump_correct split_op);
           Alcotest.test_case "blocks writers" `Quick test_dump_blocks_writers;
           Alcotest.test_case "latches all sources or none" `Quick
-            test_dump_latch_all_or_none ] );
+            test_dump_latch_all_or_none;
+          Alcotest.test_case "m2m FOJ correct" `Quick
+            (test_dump_correct m2m_op);
+          Alcotest.test_case "hsplit correct" `Quick
+            (test_dump_correct hsplit_op);
+          Alcotest.test_case "merge correct" `Quick
+            (test_dump_correct merge_op) ] );
       ( "triggers",
         [ Alcotest.test_case "keeps T fresh" `Quick test_trigger_keeps_t_fresh;
-          Alcotest.test_case "split variant" `Quick test_trigger_split;
+          Alcotest.test_case "split variant" `Quick
+            (test_trigger_follows split_op);
           Alcotest.test_case "work attribution" `Quick
             test_trigger_work_attribution;
           Alcotest.test_case "two installs coexist" `Quick
             test_trigger_two_installs;
           Alcotest.test_case "targets keep no versions" `Quick
-            test_targets_keep_no_versions ] );
+            test_targets_keep_no_versions;
+          Alcotest.test_case "FOJ variant" `Quick
+            (test_trigger_follows foj_op);
+          Alcotest.test_case "m2m FOJ variant" `Quick
+            (test_trigger_follows m2m_op);
+          Alcotest.test_case "hsplit variant" `Quick
+            (test_trigger_follows hsplit_op);
+          Alcotest.test_case "merge variant" `Quick
+            (test_trigger_follows merge_op) ] );
       ( "shadow-table",
         [ Alcotest.test_case "FOJ converges under traffic" `Quick
-            test_shadow_foj;
+            (test_shadow_converges foj_op);
           Alcotest.test_case "aborted writes compensated" `Quick
             test_shadow_aborted_writes;
           Alcotest.test_case "split converges under traffic" `Quick
-            test_shadow_split;
+            (test_shadow_converges split_op);
           Alcotest.test_case "chunk latches block writers" `Quick
-            test_shadow_blocks_during_chunk ] ) ]
+            test_shadow_blocks_during_chunk;
+          Alcotest.test_case "m2m FOJ converges under traffic" `Quick
+            (test_shadow_converges m2m_op);
+          Alcotest.test_case "hsplit converges under traffic" `Quick
+            (test_shadow_converges hsplit_op);
+          Alcotest.test_case "merge converges under traffic" `Quick
+            (test_shadow_converges merge_op) ] ) ]

@@ -243,51 +243,22 @@ let hsplit_case =
     ~traffic:(fun d -> H.random_t_op ~consistent:true d)
     ~hot:(keys "T" ~from:1 12)
     ~oracle:(fun db ->
-        let t = Db.snapshot db "T" in
-        let p = Pred.compile H.t_flat_schema hpred in
-        [ ("archive", Nbsc_relalg.Relalg.select t p);
-          ("live", Nbsc_relalg.Relalg.select t (fun row -> not (p row))) ])
-
-(* Merge traffic: the shared fresh-key counter keeps A and B keys
-   disjoint, so the oracle stays a plain union. *)
-let merge_traffic d =
-  let mgr = Db.manager d.H.db in
-  ignore
-    (H.run_txn d (fun txn ->
-         let table = if Random.State.bool d.H.rng then "A" else "B" in
-         match Random.State.int d.H.rng 3 with
-         | 0 ->
-           d.H.next_r_key <- d.H.next_r_key + 1;
-           Manager.insert mgr ~txn ~table
-             (H.ti d.H.next_r_key "new" (Random.State.int d.H.rng 10) "z")
-         | 1 ->
-           (match H.existing_key d table with
-            | Some key ->
-              Manager.update mgr ~txn ~table ~key
-                [ (1, Value.Text ("w" ^ string_of_int (Random.State.int d.H.rng 100))) ]
-            | None -> Ok ())
-         | _ ->
-           (match H.existing_key d table with
-            | Some key -> Manager.delete mgr ~txn ~table ~key
-            | None -> Ok ())))
+        let archive, live = H.hsplit_oracle db hpred in
+        [ ("archive", archive); ("live", live) ])
 
 let merge_case =
   operator "merge" ~sources:[ "A"; "B" ]
-    (Spec.Merge { Spec.m_sources = [ "A"; "B" ]; m_target = "AB" })
+    (Spec.Merge H.merge_spec)
     ~setup:(fun p ->
         let db = Persist.db p in
         ignore (Db.create_table db ~name:"A" H.t_flat_schema);
         ignore (Db.create_table db ~name:"B" H.t_flat_schema);
-        load p "A" (List.init 30 (fun i -> H.ti i "a" (i mod 5) "x"));
-        load p "B" (List.init 20 (fun i -> H.ti (100 + i) "b" (i mod 5) "y"));
+        load p "A" H.merge_a_rows;
+        load p "B" H.merge_b_rows;
         checkpoint_ddl p)
-    ~traffic:merge_traffic
+    ~traffic:H.random_merge_op
     ~hot:(keys "A" ~from:0 6 @ keys "B" ~from:100 6)
-    ~oracle:(fun db ->
-        let a = Db.snapshot db "A" and b = Db.snapshot db "B" in
-        [ ( "AB",
-            Nbsc_relalg.Relalg.make H.t_flat_schema
-              (a.Nbsc_relalg.Relalg.rows @ b.Nbsc_relalg.Relalg.rows) ) ])
+    ~oracle:(fun db -> [ ("AB", H.merge_oracle db) ])
 
 let all_cases = [ foj_case; split_case; hsplit_case; merge_case ]
 
@@ -354,9 +325,9 @@ let trigger_case =
       (fun _ p ->
          let db = Persist.db p in
          if Catalog.mem (Db.catalog db) "T" then Catalog.drop (Db.catalog db) "T";
-         (* install_foj's populate loop consults quantum_end between
+         (* install's populate loop consults quantum_end between
             chunks — the armed crash fires inside it. *)
-         let tr = Tm.install_foj db H.foj_spec in
+         let tr = Tm.install db (Transformation.foj db H.foj_spec) in
          let rounds = ref 0 in
          { step =
              (fun () ->

@@ -11,42 +11,21 @@ module LR = Log_record
 module H = Helpers
 
 (* person(pid, city) x store(sid, city, chain): join on city, where
-   both sides repeat join values. *)
-let r_schema =
-  Schema.make ~key:[ "pid" ]
-    [ Schema.column ~nullable:false "pid" Value.TInt;
-      Schema.column "city" Value.TInt ]
-
-let s_schema =
-  Schema.make ~key:[ "sid" ]
-    [ Schema.column ~nullable:false "sid" Value.TInt;
-      Schema.column "city" Value.TInt; Schema.column "chain" Value.TText ]
-
-let spec =
-  { Spec.r_table = "P";
-    s_table = "Q";
-    t_table = "T";
-    join_r = [ "city" ];
-    join_s = [ "city" ];
-    t_join = [ "city" ];
-    r_carry = [ "pid" ];
-    s_carry = [ "sid"; "chain" ];
-    many_to_many = true }
-
-let p pid city = Row.make [ Value.Int pid; Value.Int city ]
-let q sid city chain = Row.make [ Value.Int sid; Value.Int city; Value.Text chain ]
+   both sides repeat join values (H.m2m_spec). *)
+let p = H.pi
+let q = H.qi
 
 let setup ~p_rows ~q_rows =
   let catalog = Catalog.create () in
-  let r_tbl = Catalog.create_table catalog ~name:"P" r_schema in
-  let s_tbl = Catalog.create_table catalog ~name:"Q" s_schema in
+  let r_tbl = Catalog.create_table catalog ~name:"P" H.p_schema in
+  let s_tbl = Catalog.create_table catalog ~name:"Q" H.q_schema in
   List.iteri
     (fun i row -> ignore (Table.insert r_tbl ~lsn:(Lsn.of_int (i + 1)) row))
     p_rows;
   List.iteri
     (fun i row -> ignore (Table.insert s_tbl ~lsn:(Lsn.of_int (100 + i)) row))
     q_rows;
-  let layout = Spec.foj_layout catalog spec in
+  let layout = Spec.foj_layout catalog H.m2m_spec in
   ignore
     (Catalog.create_table catalog
        ~indexes:(Spec.foj_t_indexes layout)
@@ -171,23 +150,14 @@ let test_update_other_attr_all_carriers () =
 (* End-to-end convergence through the full framework with concurrent
    random mutations. *)
 let test_end_to_end_concurrent () =
-  let db = Db.create () in
-  ignore (Db.create_table db ~name:"P" r_schema);
-  ignore (Db.create_table db ~name:"Q" s_schema);
-  (match
-     Db.load db ~table:"P" (List.init 60 (fun i -> p i (i mod 7)))
-   with Ok () -> () | Error _ -> Alcotest.fail "load P");
-  (match
-     Db.load db ~table:"Q"
-       (List.init 25 (fun i -> q i (i mod 7) ("c" ^ string_of_int i)))
-   with Ok () -> () | Error _ -> Alcotest.fail "load Q");
+  let db = H.fresh_m2m_db () in
   let options =
     { Options.default with
       Options.drop_sources = false;
       scan_batch = 5;
       propagate_batch = 5 }
   in
-  let tf = H.start db ~options (Spec.Foj spec) in
+  let tf = H.start db ~options (Spec.Foj H.m2m_spec) in
   let mgr = Db.manager db in
   let rng = Random.State.make [| 31 |] in
   let budget = ref 200 in
@@ -220,21 +190,7 @@ let test_end_to_end_concurrent () =
    with
    | Ok () -> ()
    | Error m -> Alcotest.fail m);
-  let oracle =
-    Nbsc_relalg.Relalg.full_outer_join
-      { Nbsc_relalg.Relalg.r_join = [ "city" ]; s_join = [ "city" ];
-        out_join = [ "city" ]; r_cols = [ "pid" ];
-        s_cols = [ "sid"; "chain" ]; out_key = [ "pid"; "sid" ] }
-      (Db.snapshot db "P") (Db.snapshot db "Q")
-  in
-  if not (Nbsc_relalg.Relalg.equal_as_sets oracle (Db.snapshot db "T")) then begin
-    let only_e, only_a =
-      Nbsc_relalg.Relalg.diff_as_sets oracle (Db.snapshot db "T")
-    in
-    Alcotest.failf "m2m divergence:@.only oracle: %s@.only T: %s"
-      (String.concat "; " (List.map Row.to_string only_e))
-      (String.concat "; " (List.map Row.to_string only_a))
-  end
+  H.check_relations_equal "m2m divergence" (H.m2m_oracle db) (Db.snapshot db "T")
 
 let () =
   Alcotest.run "foj_mm"

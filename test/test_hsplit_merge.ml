@@ -21,11 +21,7 @@ let hspec =
     h_false_table = "live";
     h_pred = Pred.Cmp ("c", Pred.Gt, Value.Int 30) }
 
-let oracle_split db =
-  let t = Db.snapshot db "T" in
-  let p = Pred.compile H.t_flat_schema (Pred.Cmp ("c", Pred.Gt, Value.Int 30)) in
-  ( Nbsc_relalg.Relalg.select t p,
-    Nbsc_relalg.Relalg.select t (fun row -> not (p row)) )
+let oracle_split db = H.hsplit_oracle db hspec.Spec.h_pred
 
 let test_hsplit_quiet () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:60) in
@@ -88,36 +84,19 @@ let test_hsplit_null_predicate_routing () =
 
 (* {1 Merge} *)
 
-let fresh_merge_db () =
-  let db = Db.create () in
-  ignore (Db.create_table db ~name:"A" H.t_flat_schema);
-  ignore (Db.create_table db ~name:"B" H.t_flat_schema);
-  H.ok "load A"
-    (Db.load db ~table:"A" (List.init 30 (fun i -> H.ti i "a" (i mod 5) "x")));
-  H.ok "load B"
-    (Db.load db ~table:"B"
-       (List.init 20 (fun i -> H.ti (100 + i) "b" (i mod 5) "y")));
-  db
-
-let mspec = { Spec.m_sources = [ "A"; "B" ]; m_target = "AB" }
-
 let test_merge_quiet () =
-  let db = fresh_merge_db () in
-  let tf = H.start db ~options:cfg (Spec.Merge mspec) in
+  let db = H.fresh_merge_db () in
+  let tf = H.start db ~options:cfg (Spec.Merge H.merge_spec) in
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
   Alcotest.(check int) "union size" 50 (Db.row_count db "AB");
-  let a = Db.snapshot db "A" and b = Db.snapshot db "B" in
-  let want =
-    Nbsc_relalg.Relalg.make H.t_flat_schema
-      (a.Nbsc_relalg.Relalg.rows @ b.Nbsc_relalg.Relalg.rows)
-  in
-  H.check_relations_equal "AB = A union B" want (Db.snapshot db "AB")
+  H.check_relations_equal "AB = A union B" (H.merge_oracle db)
+    (Db.snapshot db "AB")
 
 let test_merge_concurrent () =
-  let db = fresh_merge_db () in
+  let db = H.fresh_merge_db () in
   let mgr = Db.manager db in
   let rng = Random.State.make [| 9 |] in
-  let tf = H.start db ~options:cfg (Spec.Merge mspec) in
+  let tf = H.start db ~options:cfg (Spec.Merge H.merge_spec) in
   let budget = ref 200 in
   (match
      Transform.run tf ~between:(fun () ->
@@ -146,12 +125,7 @@ let test_merge_concurrent () =
    with
    | Ok () -> ()
    | Error m -> Alcotest.fail m);
-  let a = Db.snapshot db "A" and b = Db.snapshot db "B" in
-  let want =
-    Nbsc_relalg.Relalg.make H.t_flat_schema
-      (a.Nbsc_relalg.Relalg.rows @ b.Nbsc_relalg.Relalg.rows)
-  in
-  H.check_relations_equal "AB converges" want (Db.snapshot db "AB")
+  H.check_relations_equal "AB converges" (H.merge_oracle db) (Db.snapshot db "AB")
 
 let test_merge_collision_lww () =
   (* Overlapping keys: the higher-LSN source row wins. *)
@@ -160,7 +134,7 @@ let test_merge_collision_lww () =
   ignore (Db.create_table db ~name:"B" H.t_flat_schema);
   H.ok "a" (Db.load db ~table:"A" [ H.ti 1 "old" 1 "x" ]);
   H.ok "b" (Db.load db ~table:"B" [ H.ti 1 "newer" 2 "y" ]);
-  let tf = H.start db ~options:cfg (Spec.Merge mspec) in
+  let tf = H.start db ~options:cfg (Spec.Merge H.merge_spec) in
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
   Alcotest.(check int) "one row" 1 (Db.row_count db "AB");
   let ab = Db.table db "AB" in

@@ -264,6 +264,51 @@ let test_quick_sweep_has_the_shape () =
   | Ok () -> ()
   | Error m -> Alcotest.fail m
 
+(* {1 The methods comparison's shape}
+
+   [nbsc figure methods] exits non-zero when the comparison lacks the
+   paper's shape. Each broken list below breaks one clause. *)
+
+let mrow label tput rt done_at =
+  { Experiment.label; m_rel_throughput = tput; m_rel_response = rt;
+    m_done_at = done_at; m_retries = 0 }
+
+let log_row = mrow "log-based (this paper)" 0.99 1.13 None
+let dump_row = mrow "blocking INSERT-SELECT" 0.975 1.21 (Some 4801)
+let trigger_row = mrow "trigger-based" 0.97 1.22 None
+
+let test_methods_accepts_the_paper () =
+  Alcotest.(check (result unit string)) "log-based least intrusive" (Ok ())
+    (Experiment.methods_shape [ trigger_row; log_row; dump_row ])
+
+let test_methods_rejects_broken_comparisons () =
+  List.iter
+    (fun (rows, why) ->
+       Alcotest.(check (result unit string)) why (Error why)
+         (Experiment.methods_shape rows))
+    [ ( [ log_row; { dump_row with m_rel_throughput = 0.995 }; trigger_row ],
+        "blocking INSERT-SELECT has relative throughput 0.9950, not below \
+         the log-based 0.9900" );
+      ( [ log_row; dump_row; { trigger_row with m_rel_throughput = 0.99 } ],
+        "trigger-based has relative throughput 0.9900, not below the \
+         log-based 0.9900" );
+      ( [ log_row; dump_row; { trigger_row with m_rel_response = 1.1 } ],
+        "trigger-based has relative response time 1.1000, not above the \
+         log-based 1.1300" );
+      ( [ log_row; { dump_row with m_done_at = None }; trigger_row ],
+        "the blocking dump did not finish" );
+      ([ dump_row; trigger_row ], "no log-based row");
+      ([ log_row; trigger_row ], "no blocking dump row") ]
+
+let test_quick_comparison_has_the_shape () =
+  match
+    Experiment.methods_shape
+      (Experiment.method_comparison ~setup:Experiment.quick_setup
+         ~workload_pct:75. ())
+  with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m
+
 let () =
   Alcotest.run "sim"
     [ ( "engine",
@@ -298,4 +343,11 @@ let () =
           Alcotest.test_case "rejects each broken shape" `Quick
             test_shape_rejects_broken_sweeps;
           Alcotest.test_case "quick sweep has the shape" `Quick
-            test_quick_sweep_has_the_shape ] ) ]
+            test_quick_sweep_has_the_shape ] );
+      ( "methods shape",
+        [ Alcotest.test_case "accepts the paper's comparison" `Quick
+            test_methods_accepts_the_paper;
+          Alcotest.test_case "rejects each broken comparison" `Quick
+            test_methods_rejects_broken_comparisons;
+          Alcotest.test_case "quick comparison has the shape" `Quick
+            test_quick_comparison_has_the_shape ] ) ]

@@ -728,8 +728,8 @@ let test_online_index_exact () =
   (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m)
 
 (* Cancel mid-fill: the half-filled index answers nobody; a second
-   split of the same T fills it, and a blocking baseline completes it
-   before it reads. *)
+   split of the same T fills it, and so does the trigger method's
+   population, which adopts the partial index. *)
 let test_cancel_mid_fill () =
   let start db =
     Db.Schema_change.start db ~options:(split_options Options.Nonblocking_abort)
@@ -767,10 +767,10 @@ let test_cancel_mid_fill () =
   cancel_mid_fill db d;
   for _ = 1 to 10 do H.random_t_op ~consistent:true d done;
   let trigger =
-    Nbsc_baseline.Trigger_method.install_split db
-      (H.split_spec ~assume_consistent:true)
+    Nbsc_baseline.Trigger_method.install db
+      (Transformation.split db (H.split_spec ~assume_consistent:true))
   in
-  H.check_split_index "blocking baseline completes it" db;
+  H.check_split_index "the trigger method's population completes it" db;
   Nbsc_baseline.Trigger_method.uninstall trigger
 
 (* {1 Wiring} *)
