@@ -425,12 +425,8 @@ let run_sync () =
        match E.sync_window ~setup:ten_k_setup ~strategy () with
        | Error e -> say "sync window failed: %s" (Nbsc_error.to_string e)
        | Ok r ->
-         say "%-22s final-iteration records=%d wall=%s forced aborts=%d"
-           r.E.strategy_name r.E.final_records
-           (match r.E.wall_ns with
-            | Some ns -> Printf.sprintf "%.4f ms" (float_of_int ns /. 1e6)
-            | None -> "n/a")
-           r.E.forced_aborts)
+         say "%-22s final-iteration records=%d forced aborts=%d"
+           r.E.strategy_name r.E.final_records r.E.forced_aborts)
     [ Sc.Options.Nonblocking_abort; Sc.Options.Nonblocking_commit;
       Sc.Options.Blocking_commit ];
   `Ok ()
@@ -439,8 +435,9 @@ let sync_cmd =
   Cmd.v
     (Cmd.info "sync"
        ~doc:
-         "measure the synchronization window per strategy (10 000-row \
-          split under 75% workload)")
+         "size the synchronization window per strategy: records in the \
+          final latched iteration and forced aborts (10 000-row split \
+          under 75% workload)")
     Term.(ret (const run_sync $ const ()))
 
 (* {1 matrix} *)

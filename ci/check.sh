@@ -49,9 +49,10 @@ echo "== plan suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_plan.exe
 
 # The MVCC suite at a pinned seed: its reference model draws schedules
-# of locked writers and snapshot readers and checks every snapshot read,
-# then that finishing everything leaves no version and no tracked
-# transaction.
+# of locked writers, snapshot readers and one schema change (a split
+# under a drawn sync strategy) and checks every snapshot read, targets
+# included, then that finishing everything leaves no version and no
+# tracked transaction.
 echo "== mvcc suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_mvcc.exe
 
@@ -136,6 +137,19 @@ echo "== nbsc figure --quick (every figure) =="
 for fig in 4a 4b 4c 4d foj methods ablate; do
   dune exec bin/nbsc_cli.exe -- figure --quick "$fig" >/dev/null
 done
+
+# The synchronization window's size per strategy, in the simulator's
+# virtual time: twice, and the two outputs must be byte-identical, so
+# nothing in it may depend on a clock or on the run.
+echo "== nbsc sync (reproducible) =="
+sync_a=$(dune exec bin/nbsc_cli.exe -- sync)
+sync_b=$(dune exec bin/nbsc_cli.exe -- sync)
+echo "$sync_a"
+if [ "$sync_a" != "$sync_b" ]; then
+  echo "nbsc sync printed different outputs on two runs:" >&2
+  echo "$sync_b" >&2
+  exit 1
+fi
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== ocamlformat check =="

@@ -280,6 +280,17 @@ let latch_sources t =
 let unlatch_sources t =
   Latch.unlatch_all (Manager.latches t.mgr) ~holder:t.holder t.src
 
+(* The change's targets, those the catalog holds. *)
+let target_tables t =
+  List.filter_map (Catalog.find_opt (Db.catalog t.db)) t.tgt
+
+(* The flip: routing switches to the targets, and a snapshot begun
+   after the log head as it stands now sees them. *)
+let flip t =
+  t.route <- `Targets;
+  let from = Lsn.next (Log.head (Manager.log t.mgr)) in
+  List.iter (fun tbl -> Table.reveal tbl ~from) (target_tables t)
+
 let persistable t =
   let (module T : Transformation.S) = t.tf in
   Option.is_some T.spec_payload
@@ -334,7 +345,7 @@ let begin_sync t =
       t.final_records <- Propagator.run_to_head t.prop;
       let old = active_txns_on_sources t in
       t.old_txns <- old;
-      t.route <- `Targets;
+      flip t;
       intercept t { t.icpt with Manager.frozen = t.src };
       unlatch_sources t;
       (* Force the transactions that were active on the sources to roll
@@ -358,7 +369,7 @@ let begin_sync t =
       Propagator.transfer_current_source_locks t.prop
         t.lock_map.Transformation.source_to_targets;
       t.old_txns <- active_txns_on_sources t;
-      t.route <- `Targets;
+      flip t;
       intercept t
         { t.icpt with
           Manager.frozen = t.src;
@@ -425,7 +436,7 @@ let step_quantum t =
      ignore (Propagator.step t.prop ~limit:t.options.Options.propagate_batch);
      if active_txns_on_sources t = [] then begin
        t.final_records <- Propagator.run_to_head t.prop;
-       t.route <- `Targets;
+       flip t;
        finalize t
      end
    | Draining ->
@@ -562,6 +573,13 @@ let register db ~options ?resume ?job_name packed =
       phase_span = None }
   in
   sync_spans t;
+  (* The targets stay hidden from snapshots, and take no system
+     version, until the flip. A change resumed in Draining flipped
+     before the crash, and no snapshot survives a restart: its targets
+     stay visible. *)
+  (match route with
+   | `Sources -> List.iter Table.hide (target_tables t)
+   | `Targets -> ());
   (match (t.tphase, options.Options.strategy) with
    | Populating, (Options.Lazy | Options.Hybrid _) ->
      (* Demand migration covers the hot set while the population's

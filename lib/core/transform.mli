@@ -101,7 +101,9 @@ val progress : t -> progress
 
 val routing : t -> [ `Sources | `Targets ]
 (** Which schema version new transactions should use — flips exactly at
-    the synchronization point. *)
+    the synchronization point. Until then the targets are hidden from
+    snapshots ({!Nbsc_storage.Table.hide}); the flip makes them visible
+    to snapshots that begin after it. *)
 
 val sources : t -> string list
 val targets : t -> string list
@@ -137,6 +139,10 @@ val resume :
     targets and restarts from scratch. Errors on a payload that cannot
     be decoded, and with [`Invalid] on an invalid [options] record,
     before any job is touched.
+
+    A job resumed before its flip hides its targets from snapshots
+    again; one resumed after it leaves them visible, as no snapshot
+    survives the restart.
 
     Pass the same [options] the crashed job ran under: the migration
     strategy is an execution policy, not part of the durable state, so

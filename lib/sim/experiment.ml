@@ -222,7 +222,6 @@ let fig4d_shape points =
 
 type sync_report = {
   final_records : int;
-  wall_ns : int option;
   forced_aborts : int;
   strategy_name : string;
 }
@@ -259,7 +258,6 @@ let sync_window ?(setup = quick_setup) ~strategy () =
   | Some p ->
     Ok
       { final_records = p.Transform.final_records;
-        wall_ns = r.Sim.wall_clock_final_ns;
         forced_aborts = p.Transform.forced_aborts;
         strategy_name = strategy_name strategy }
 

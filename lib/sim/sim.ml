@@ -46,7 +46,6 @@ type result = {
   tf_busy : int;
   retries : int;
   mgr_stats : Manager.Stats.counters;
-  wall_clock_final_ns : int option;
   wal_high_water : int;
   wal_truncated : int;
 }
@@ -254,7 +253,6 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
   let tf_busy = ref 0 in
   let retries = ref 0 in
   let tf_done_at = ref None in
-  let wall_final = ref None in
   let heap = Heap.create () in
   let queue = Queue.create () in
   let clients =
@@ -450,18 +448,9 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
          let before = Transform.progress t in
          let before_applied = applied_ops t in
          let before_phase = Transform.phase t in
-         let t0 = Sys.time () in
          let status = Transform.step t in
-         let t1 = Sys.time () in
          let after = Transform.progress t in
          let after_applied = applied_ops t in
-         (* Detect the final latched propagation for the wall-clock
-            measurement of the synchronization window. *)
-         (match before_phase, Transform.phase t with
-          | (Transform.Propagating | Transform.Checking | Transform.Quiescing),
-            (Transform.Draining | Transform.Done) ->
-            wall_final := Some (int_of_float ((t1 -. t0) *. 1e9))
-          | _ -> ());
          let cost =
            ((after.Transform.scanned - before.Transform.scanned)
             * costs.scan_cost)
@@ -600,6 +589,5 @@ let run ~kind ~workload ?(costs = default_costs) ?on_db ~background ~duration
     tf_busy = !tf_busy;
     retries = !retries;
     mgr_stats = Manager.Stats.get mgr;
-    wall_clock_final_ns = !wall_final;
     wal_high_water = Nbsc_wal.Log.live_high_water (Db.log db);
     wal_truncated = Nbsc_wal.Log.truncated_total (Db.log db) }

@@ -87,9 +87,6 @@ type result = {
   mgr_stats : Manager.Stats.counters;
       (** the engine's own counters for the run — deadlocks detected,
           transactions wounded, block events registered *)
-  wall_clock_final_ns : int option;
-      (** wall-clock nanoseconds spent inside the final latched
-          propagation, when one happened — the paper's "< 1 ms" claim *)
   wal_high_water : int;
       (** maximum live (untruncated) in-memory WAL records at any point
           of the run — the bounded-memory claim is that this stays flat

@@ -69,6 +69,14 @@ type t = {
      snapshot, a prune left entries behind), with the LSN the horizon
      must pass before the key is worth pruning again. *)
   mutable defer : Row.Key.t -> Lsn.t -> unit;
+  (* The LSN from which snapshot readers see the table: [Some Lsn.zero]
+     for every table but a change's targets, which are [None] (hidden)
+     from their creation until routing flips to them. No snapshot reads
+     a hidden table, and one that begins after the reveal finds every
+     earlier write stamped below its begin and never needs a state one
+     of them overwrote, so a hidden table's system overwrites push
+     nothing whatever [retain_versions] says. *)
+  mutable visible_from : Lsn.t option;
   (* Names of hash indexes an online build ([Index_build]) registered
      and no build has finished filling yet: writes maintain them, but
      a lookup would miss rows the build has not reached, so lookups
@@ -135,6 +143,7 @@ let create ?(size = 0) ?(indexes = []) ~name schema =
       live_cursors = 0;
       retain_versions = (fun () -> true);
       defer = (fun _ _ -> ());
+      visible_from = Some Lsn.zero;
       partial = [];
       flagged = { keys = [||]; count = 0; slot = Row.Key.Tbl.create 16 } }
   in
@@ -270,11 +279,24 @@ let set_version_policy t ~retain ~defer =
   t.retain_versions <- retain;
   t.defer <- defer
 
+let hide t = t.visible_from <- None
+let reveal t ~from = t.visible_from <- Some from
+
+let visible_at t lsn =
+  match t.visible_from with
+  | Some from -> Lsn.(from <= lsn)
+  | None -> false
+
 (* Whether overwriting a state written by [txn] must keep the old
    version: always for user transactions (their heap record stays
    invisible to snapshots until they commit), and for system writes
-   only while the hint says a snapshot might still resolve it. *)
-let must_retain t ~txn = txn <> 0 || t.retain_versions ()
+   only on a visible table while the hint says a snapshot might still
+   resolve it. *)
+let must_retain t ~txn =
+  txn <> 0
+  || (match t.visible_from with
+      | Some _ -> t.retain_versions ()
+      | None -> false)
 
 let defer_chain t key c lsn =
   if not c.queued then begin

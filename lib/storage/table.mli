@@ -95,7 +95,9 @@ val set_version_policy :
     version churn on a snapshot-less system. User-transaction
     overwrites always push regardless of the hint (their heap record
     stays invisible until commit), as do deletes of keys that already
-    carry a chain (the tombstone must shadow stale entries).
+    carry a chain (the tombstone must shadow stale entries). A hidden
+    table ({!hide}) ignores the hint: its system overwrites never
+    push.
 
     [defer key lsn] asks the caller to queue [key] for pruning once no
     snapshot below [lsn] is live. The table calls it when a system
@@ -105,6 +107,24 @@ val set_version_policy :
     so each key has at most one queue entry. The caller must hand
     every entry back to {!prune_versions} with [~dequeued:true].
     Defaults: retain everything, queue nothing. *)
+
+val hide : t -> unit
+(** Hide the table from snapshot readers until {!reveal}. A change's
+    targets are hidden from the start of the change until routing
+    flips to them. While hidden, system (txn = 0) overwrites push no
+    version, whatever [retain] says: no snapshot can read the table
+    before the reveal, and a snapshot that begins after it finds every
+    earlier write stamped below its begin, so it never needs a state
+    one of them overwrote. User writes and deletes over an existing
+    chain push as on any table. *)
+
+val reveal : t -> from:Lsn.t -> unit
+(** Make the table visible to snapshots whose begin LSN is [from] or
+    higher, and lift {!hide}'s version gate. *)
+
+val visible_at : t -> Lsn.t -> bool
+(** Whether a snapshot that began at this LSN sees the table: always
+    for a table never hidden, never while it is hidden. *)
 
 (** One superseded row state. [v_row = None] is a delete tombstone. *)
 type version = {

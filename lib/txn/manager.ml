@@ -811,9 +811,14 @@ let read t ~txn:txn_id ~table:table_name ~key =
     if txn.abort_only then Error `Abort_only
     else
       let* table = resolve_table t table_name in
-      let row = resolve_visible t ~self:txn_id ~at table key in
-      fire_access t.interceptors ~table:table_name ~key;
-      Ok row
+      (* A change's target is hidden from snapshots begun before its
+         flip: they resolve names as they stood at their begin. *)
+      if not (Table.visible_at table at) then Error (`No_table table_name)
+      else begin
+        let row = resolve_visible t ~self:txn_id ~at table key in
+        fire_access t.interceptors ~table:table_name ~key;
+        Ok row
+      end
   | Some _ | None ->
     let* _txn = check_access t txn_id ~table:table_name in
     let* table = resolve_table t table_name in

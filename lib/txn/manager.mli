@@ -224,7 +224,10 @@ val read : t -> txn:txn_id -> table:string -> key:Row.Key.t ->
   (Row.t option, error) result
 (** Takes an S lock; [Ok None] if no record has this key. For a
     [`Snapshot] transaction: lock-free, resolves the committed version
-    visible at the transaction's snapshot LSN (own writes included). *)
+    visible at the transaction's snapshot LSN (own writes included),
+    and [`No_table] for a table not visible at that LSN
+    ({!Table.visible_at}: a change's target, to a snapshot begun before
+    routing flipped to it). *)
 
 val read_dirty : t -> table:string -> key:Row.Key.t -> Row.t option
 (** Lock-free read, for fuzzy scans and the consistency checker. *)

@@ -4,8 +4,9 @@
    GC respecting active snapshots, reclamation at writer finish with
    bounded work per commit and a transaction table that forgets, the
    lazy / hybrid migration strategies of the strategy-aware
-   schema-change API, and a reference model of snapshot reads under
-   locked writers. *)
+   schema-change API, a change's targets hidden from snapshots until
+   its flip, and a reference model of snapshot reads under locked
+   writers and a schema change. *)
 
 open Nbsc_value
 open Nbsc_lock
@@ -535,6 +536,97 @@ let test_hybrid_sweep_completes () =
   Alcotest.(check int) "no demand migrations" 0 (Transform.demand_migrations tf);
   H.check_relations_equal "T = FOJ(R, S)" (H.foj_oracle db) (Db.snapshot db "T")
 
+(* {1 Targets hidden until the flip}
+
+   No snapshot reads a change's target before routing flips to it, so
+   the target's system writes (population, propagation, split's counter
+   bumps) push no version before the flip, even under a snapshot open
+   the whole time. After the flip it is an ordinary table again. *)
+
+let sync_name = function
+  | Options.Blocking_commit -> "blocking commit"
+  | Options.Nonblocking_abort -> "non-blocking abort"
+  | Options.Nonblocking_commit -> "non-blocking commit"
+
+let syncs =
+  [ Options.Blocking_commit; Options.Nonblocking_abort;
+    Options.Nonblocking_commit ]
+
+(* A system overwrite of one of [tbl]'s rows at a fresh LSN, as split's
+   counter bump makes one. *)
+let system_overwrite mgr tbl =
+  let lsn =
+    Nbsc_wal.Log.append (Manager.log mgr) ~txn:Nbsc_wal.Log_record.system_txn
+      ~prev_lsn:Nbsc_wal.Lsn.zero (Nbsc_wal.Log_record.Fuzzy_mark { active = [] })
+  in
+  let first acc k r = match acc with Some _ -> acc | None -> Some (k, r) in
+  match Table.fold tbl ~init:None ~f:first with
+  | None -> Alcotest.failf "%s is empty" (Table.name tbl)
+  | Some (k, r) ->
+    (match Table.set_record tbl ~key:k (Record.with_lsn r lsn) with
+     | Ok () -> ()
+     | Error `Not_found -> Alcotest.fail "set_record")
+
+let test_hidden_until_flip ~db ~spec ~traffic sync () =
+  let mgr = Db.manager db in
+  let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
+  let options =
+    Options.{ default with sync; scan_batch = 16; propagate_batch = 8 }
+  in
+  let tf = H.start db ~options spec in
+  let targets = List.map (Db.table db) (Transform.targets tf) in
+  let flipped = ref false in
+  while not !flipped do
+    traffic ();
+    (match Transform.step tf with
+     | `Running | `Done -> ()
+     | `Failed m -> Alcotest.failf "change failed: %s" m);
+    List.iter
+      (fun tbl ->
+         let n = Table.versions_count tbl in
+         if n <> 0 then
+           Alcotest.failf "%s holds %d versions before the flip"
+             (Table.name tbl) n)
+      targets;
+    flipped := Transform.routing tf = `Targets
+  done;
+  run_tf tf ~between:traffic;
+  List.iter
+    (fun tbl ->
+       (match Manager.read mgr ~txn:snap ~table:(Table.name tbl) ~key:(key 1) with
+        | Error (`No_table _) -> ()
+        | Ok _ | Error _ ->
+          Alcotest.failf "a snapshot older than the flip read %s"
+            (Table.name tbl));
+       let before = Table.versions_count tbl in
+       system_overwrite mgr tbl;
+       Alcotest.(check int)
+         (Table.name tbl ^ ": a system overwrite after the flip pushes")
+         (before + 1) (Table.versions_count tbl))
+    targets;
+  H.ok "snap commit" (Manager.commit mgr snap)
+
+let hidden_cases =
+  List.concat_map
+    (fun sync ->
+       [ Alcotest.test_case ("200-row split, " ^ sync_name sync) `Quick
+           (fun () ->
+              let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:200) in
+              let d = H.driver db in
+              test_hidden_until_flip ~db
+                ~spec:(Spec.Split (H.split_spec ~assume_consistent:true))
+                ~traffic:(fun () -> H.random_t_op d)
+                sync ());
+         Alcotest.test_case ("200-row foj, " ^ sync_name sync) `Quick
+           (fun () ->
+              let r_rows, s_rows = H.seed_rows ~r:200 ~s:17 in
+              let db = H.fresh_foj_db ~r_rows ~s_rows in
+              let d = H.driver db in
+              test_hidden_until_flip ~db ~spec:(Spec.Foj H.foj_spec)
+                ~traffic:(fun () -> H.random_r_op d; H.random_s_op d)
+                sync ()) ])
+    syncs
+
 (* {1 Properties} *)
 
 (* Committed single-operation transactions against R of the FOJ
@@ -611,12 +703,22 @@ let prop_snapshot_visibility =
 (* {2 Reference model}
 
    Up to three locked writers and two snapshot readers over six keys of
-   one table. The model is the committed value of each key's [b]
-   column, plus each writer's own writes; a reader copies the committed
-   state when it begins, dirty records or not. After every step each
-   live reader must read exactly its copy. At the end every transaction
-   finishes and GC runs: then no version and no tracked transaction
-   may remain. *)
+   a flat table T(a, b, c, d), and one schema change: the split of T
+   into R(a, b, c) and S(c, d), started at a drawn step under a drawn
+   sync strategy, with T kept. The model is the committed value of
+   each key's [b] column, plus each writer's own writes; a reader
+   copies the committed state when it begins, dirty records or not.
+   Writers stop writing at the flip; those still open finish as drawn.
+   After every step each live reader must read T exactly as its copy,
+   and one begun before the flip must find neither target. Once the
+   schedule ends, every writer commits, the change runs to Done and one
+   more reader begins: it must read the targets as the split of its
+   copy. A reader begun between the flip and the change's end is
+   checked on T alone: propagation stamps a target row as committed at
+   its source record's LSN, so such a reader can see the target state
+   of a writer that had not committed at its begin. Then every
+   transaction finishes and GC runs: no version and no tracked
+   transaction may remain. *)
 
 type step =
   | W_begin of int
@@ -624,8 +726,15 @@ type step =
   | W_finish of int * bool  (* writer, commit *)
   | R_begin of int
   | R_end of int
+  | C_start  (* start the change, once *)
+  | C_step  (* one quantum of the change *)
 
 let n_keys = 6
+
+(* Key k's split column, with d derived from it: T keeps the
+   dependency c -> d, as the split requires. *)
+let c_of k = k mod 3
+let t_row k b = H.ti k b (c_of k) (H.city_of (c_of k))
 
 let show_step = function
   | W_begin w -> Printf.sprintf "W%d begin" w
@@ -634,6 +743,8 @@ let show_step = function
   | W_finish (w, c) -> Printf.sprintf "W%d %s" w (if c then "commit" else "abort")
   | R_begin r -> Printf.sprintf "R%d begin" r
   | R_end r -> Printf.sprintf "R%d end" r
+  | C_start -> "change start"
+  | C_step -> "change step"
 
 let schedule_arb =
   let open QCheck.Gen in
@@ -647,32 +758,49 @@ let schedule_arb =
                (int_bound 99)) );
         (2, map2 (fun w c -> W_finish (w, c)) (int_bound 2) bool);
         (1, map (fun r -> R_begin r) (int_bound 1));
-        (1, map (fun r -> R_end r) (int_bound 1)) ]
+        (1, map (fun r -> R_end r) (int_bound 1));
+        (1, return C_start);
+        (3, return C_step) ]
   in
   QCheck.make
-    ~print:(fun l -> String.concat "; " (List.map show_step l))
-    ~shrink:QCheck.Shrink.list
-    (list_size (int_bound 60) step)
+    ~print:(fun (sync, l) ->
+        sync_name sync ^ ": " ^ String.concat "; " (List.map show_step l))
+    ~shrink:(QCheck.Shrink.pair QCheck.Shrink.nil QCheck.Shrink.list)
+    (pair (oneofl syncs) (list_size (int_bound 60) step))
 
 let show_value = function Some b -> b | None -> "absent"
+let show_row = function Some row -> Row.to_string row | None -> "absent"
+
+(* When a reader began: before the flip, between the flip and the
+   change's end, or after it. *)
+type era = Before_flip | Draining | After_done
 
 let prop_reference_model =
   QCheck.Test.make ~name:"snapshot reads match the reference model" ~count:300
     schedule_arb
-    (fun steps ->
-       let db = fresh_table () in
+    (fun (sync, steps) ->
+       let db = H.fresh_split_db ~t_rows:[] in
        let mgr = Db.manager db in
-       let tbl = Catalog.find (Db.catalog db) "t" in
        let committed = Array.init n_keys (fun k -> if k < 3 then Some "init" else None) in
        H.ok "load"
-         (Db.load db ~table:"t"
+         (Db.load db ~table:"T"
             (List.filter_map
-               (fun k -> Option.map (fun b -> H.ri k b k) committed.(k))
+               (fun k -> Option.map (t_row k) committed.(k))
                (List.init n_keys Fun.id)));
+       let change = ref None in
+       let era () =
+         match !change with
+         | None -> Before_flip
+         | Some tf ->
+           if Transform.phase tf = Transform.Done then After_done
+           else if Transform.routing tf = `Targets then Draining
+           else Before_flip
+       in
        (* A writer's id and its own writes, [Some v] per key it wrote. *)
        let writers = Array.make 3 None in
-       (* A reader's id and the committed state at its begin. *)
-       let readers = Array.make 2 None in
+       (* A reader's id, the committed state at its begin and its era;
+          the last slot is the reader begun once the change is done. *)
+       let readers = Array.make 3 None in
        let finish_writer w commit =
          match writers.(w) with
          | None -> ()
@@ -690,67 +818,126 @@ let prop_reference_model =
                own
            else H.ok "abort" (Manager.abort mgr id)
        in
+       let begin_reader r =
+         readers.(r) <-
+           Some
+             (Manager.begin_txn ~isolation:`Snapshot mgr, Array.copy committed,
+              era ())
+       in
        let run = function
          | W_begin w ->
-           if writers.(w) = None then
+           if writers.(w) = None && era () = Before_flip then
              writers.(w) <- Some (Manager.begin_txn mgr, Array.make n_keys None)
          | W_write (w, op, k, v) ->
            (match writers.(w) with
-            | None -> ()
-            | Some (id, own) ->
+            | Some (id, own) when era () = Before_flip ->
               let b = Printf.sprintf "w%d.%d" w v in
               let res =
                 match op with
                 | 0 ->
-                  Manager.update mgr ~txn:id ~table:"t" ~key:(key k)
+                  Manager.update mgr ~txn:id ~table:"T" ~key:(key k)
                     [ (1, Value.Text b) ]
-                | 1 -> Manager.insert mgr ~txn:id ~table:"t" (H.ri k b k)
-                | _ -> Manager.delete mgr ~txn:id ~table:"t" ~key:(key k)
+                | 1 -> Manager.insert mgr ~txn:id ~table:"T" (t_row k b)
+                | _ -> Manager.delete mgr ~txn:id ~table:"T" ~key:(key k)
               in
               (match res with
                | Ok () -> own.(k) <- Some (if op = 2 then None else Some b)
                | Error (`Deadlock _ | `Abort_only) -> finish_writer w false
-               | Error _ -> ()))
+               | Error _ -> ())
+            | Some _ | None -> ())
          | W_finish (w, commit) -> finish_writer w commit
-         | R_begin r ->
-           if readers.(r) = None then
-             readers.(r) <-
-               Some (Manager.begin_txn ~isolation:`Snapshot mgr, Array.copy committed)
+         | R_begin r -> if readers.(r) = None then begin_reader r
          | R_end r ->
            Option.iter
-             (fun (id, _) ->
+             (fun (id, _, _) ->
                 readers.(r) <- None;
                 H.ok "reader commit" (Manager.commit mgr id))
              readers.(r)
+         | C_start ->
+           if Option.is_none !change then
+             change :=
+               Some
+                 (H.start db
+                    ~options:
+                      Options.{ default with sync; scan_batch = 2;
+                                propagate_batch = 2; drop_sources = false }
+                    (Spec.Split (H.split_spec ~assume_consistent:true)))
+         | C_step ->
+           Option.iter
+             (fun tf ->
+                if Transform.phase tf <> Transform.Done then
+                  match Transform.step tf with
+                  | `Running | `Done -> ()
+                  | `Failed m -> QCheck.Test.fail_reportf "change failed: %s" m)
+             !change
        in
-       let check i step =
+       let snap_read id table k =
+         match Manager.read mgr ~txn:id ~table ~key:(key k) with
+         | Ok row -> row
+         | Error e -> Alcotest.failf "snapshot read of %s: %a" table Manager.pp_error e
+       in
+       let check what =
          Array.iteri
            (fun r reader ->
               Option.iter
-                (fun (id, seen) ->
+                (fun (id, seen, began) ->
                    for k = 0 to n_keys - 1 do
                      let got =
-                       match Manager.read mgr ~txn:id ~table:"t" ~key:(key k) with
-                       | Ok (Some row) ->
-                         (match Row.get row 1 with
-                          | Value.Text b -> Some b
-                          | _ -> Some "?")
-                       | Ok None -> None
-                       | Error e -> Alcotest.failf "snapshot read: %a" Manager.pp_error e
+                       Option.map
+                         (fun row ->
+                            match Row.get row 1 with
+                            | Value.Text b -> b
+                            | _ -> "?")
+                         (snap_read id "T" k)
                      in
                      if got <> seen.(k) then
-                       QCheck.Test.fail_reportf
-                         "after step %d (%s) R%d read key %d as %s, model %s" i
-                         (show_step step) r k (show_value got)
-                         (show_value seen.(k))
-                   done)
+                       QCheck.Test.fail_reportf "%s R%d read T key %d as %s, model %s"
+                         what r k (show_value got) (show_value seen.(k))
+                   done;
+                   match began with
+                   | Before_flip ->
+                     List.iter
+                       (fun table ->
+                          match Manager.read mgr ~txn:id ~table ~key:(key 0) with
+                          | Error (`No_table _) -> ()
+                          | Ok _ | Error _ ->
+                            QCheck.Test.fail_reportf
+                              "%s R%d, begun before the flip, found target %s"
+                              what r table)
+                       [ "R"; "S" ]
+                   | Draining -> ()
+                   | After_done ->
+                     let r_rel, s_rel =
+                       Nbsc_relalg.Relalg.split H.split_relalg
+                         (Nbsc_relalg.Relalg.make H.t_flat_schema
+                            (List.filter_map
+                               (fun k -> Option.map (t_row k) seen.(k))
+                               (List.init n_keys Fun.id)))
+                     in
+                     let expect (rel : Nbsc_relalg.Relalg.t) k =
+                       List.find_opt
+                         (fun row -> Value.equal (Row.get row 0) (Value.Int k))
+                         rel.rows
+                     in
+                     List.iter
+                       (fun (table, rel) ->
+                          for k = 0 to n_keys - 1 do
+                            let got = snap_read id table k in
+                            let want = expect rel k in
+                            if not (Option.equal Row.equal got want) then
+                              QCheck.Test.fail_reportf
+                                "%s R%d read %s key %d as %s, oracle %s" what r
+                                table k (show_row got) (show_row want)
+                          done)
+                       [ ("R", r_rel); ("S", s_rel) ])
                 reader)
            readers
        in
        List.iteri
          (fun i step ->
             run step;
-            (* A writer wounded by another's lock request is rolled back. *)
+            (* A writer wounded by another's lock request, or aborted by
+               the change at its flip, is rolled back. *)
             Array.iteri
               (fun w writer ->
                  Option.iter
@@ -758,16 +945,22 @@ let prop_reference_model =
                       if not (Manager.is_active mgr id) then writers.(w) <- None)
                    writer)
               writers;
-            check i step)
+            check (Printf.sprintf "after step %d (%s)" i (show_step step)))
          steps;
        Array.iteri (fun w _ -> finish_writer w true) writers;
+       run C_start;
+       (match Transform.run (Option.get !change) with
+        | Ok () -> ()
+        | Error m -> QCheck.Test.fail_reportf "change failed: %s" m);
+       begin_reader 2;
+       check "once the change is done";
        Array.iteri (fun r _ -> run (R_end r)) readers;
        ignore (Manager.gc_versions mgr);
        for k = 0 to n_keys - 1 do
          let got =
            Option.map
              (fun row -> match Row.get row 1 with Value.Text b -> b | _ -> "?")
-             (Manager.read_dirty mgr ~table:"t" ~key:(key k))
+             (Manager.read_dirty mgr ~table:"T" ~key:(key k))
          in
          if got <> committed.(k) then
            QCheck.Test.fail_reportf "final key %d is %s, model %s" k
@@ -778,9 +971,14 @@ let prop_reference_model =
          | Some (Obs.Gauge_v v) -> int_of_float v
          | _ -> -1
        in
-       if Table.versions_count tbl <> 0 || tracked <> 0 then
+       let versions =
+         List.fold_left
+           (fun n t -> n + Table.versions_count (Db.table db t))
+           0 [ "T"; "R"; "S" ]
+       in
+       if versions <> 0 || tracked <> 0 then
          QCheck.Test.fail_reportf "after GC: %d versions, txn.tracked %d"
-           (Table.versions_count tbl) tracked;
+           versions tracked;
        true)
 
 let () =
@@ -821,6 +1019,7 @@ let () =
             test_lazy_demand_migration;
           Alcotest.test_case "hybrid sweep completes" `Quick
             test_hybrid_sweep_completes ] );
+      ("hidden targets", hidden_cases);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_snapshot_visibility; prop_reference_model ] ) ]

@@ -1,6 +1,7 @@
 (* The paper's closing remark that repeated splits build many-to-many
-   normalizations, and restart over a rollback that follows a Commit
-   record. (The crash-and-restart scenario that used to live here moved
+   normalizations, restart over a rollback that follows a Commit
+   record, and a resumed change's targets hidden from snapshots until
+   its flip. (The crash-and-restart scenario that used to live here moved
    to test_crash_matrix.ml, where it runs through the durable Persist
    path.) *)
 
@@ -203,6 +204,132 @@ let test_torn_rollback_after_commit () =
   Alcotest.(check int) "recovered without the ops" 0
     (Table.cardinality (Catalog.find catalog "t"))
 
+(* {1 Targets across a restart}
+
+   A change's targets stay hidden from snapshots until routing flips
+   to them. A change resumed while it still routes to its sources hides
+   them again; one resumed after the flip leaves them visible, as no
+   snapshot survives the restart. *)
+
+(* A durable split of 60 rows of T under [sync], with its sync held
+   shut by [gate]: [before_crash] drives it, then a checkpoint records
+   the job's phase and the process crashes. Returns the reopened store
+   and the resumed change. *)
+let crash_and_resume ~sync ~gate ~before_crash =
+  let dir = Filename.temp_dir "nbsc_restart" "" in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
+  let db = Persist.db p in
+  ignore (Db.create_table db ~name:"T" H.t_flat_schema);
+  H.ok "load" (Db.load db ~table:"T" (H.seed_t_rows ~n:60));
+  let options =
+    { cfg with Options.sync; sync_gate = (fun () -> !gate) }
+  in
+  let tf = H.start db ~options (Spec.Split (H.split_spec ~assume_consistent:true)) in
+  before_crash db tf;
+  H.ok_p "checkpoint" (Persist.checkpoint p);
+  Persist.crash p;
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
+  match Transform.resume ~options p2 with
+  | Ok [ tf2 ] -> (dir, p2, tf2)
+  | Ok tfs -> Alcotest.failf "expected one job, got %d" (List.length tfs)
+  | Error e -> Alcotest.failf "resume: %s" (Nbsc_error.to_string e)
+
+let step_ok tf =
+  match Transform.step tf with
+  | `Running | `Done -> ()
+  | `Failed m -> Alcotest.failf "change failed: %s" m
+
+let step_until tf what cond =
+  let n = ref 0 in
+  while not (cond ()) do
+    if !n > 10_000 then Alcotest.failf "never reached %s" what;
+    step_ok tf;
+    incr n
+  done
+
+(* Finish the change and check the targets against the split of T. *)
+let finish_and_check ~dir p tf =
+  let db = Persist.db p in
+  (match Transform.run tf with Ok () -> () | Error m -> Alcotest.fail m);
+  let want_r, want_s = H.split_oracle db in
+  H.check_relations_equal "R = split(T)" want_r (Db.snapshot db "R");
+  H.check_relations_equal "S = split(T)" want_s (Db.snapshot db "S");
+  Persist.close p;
+  H.wipe dir
+
+let test_resume_propagating_hides_targets () =
+  let gate = ref false in
+  let dir, p, tf =
+    crash_and_resume ~sync:Options.Nonblocking_abort ~gate
+      ~before_crash:(fun db tf ->
+          let d = H.driver db in
+          step_until tf "propagating" (fun () ->
+              H.random_t_op d;
+              Transform.phase tf = Transform.Propagating))
+  in
+  Alcotest.(check bool) "resumed propagating" true
+    (Transform.phase tf = Transform.Propagating);
+  let db = Persist.db p in
+  let mgr = Db.manager db in
+  let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
+  List.iter
+    (fun table ->
+       match Manager.read mgr ~txn:snap ~table ~key:(Row.make [ Value.Int 1 ]) with
+       | Error (`No_table _) -> ()
+       | Ok _ | Error _ ->
+         Alcotest.failf "a snapshot found target %s before the flip" table)
+    [ "R"; "S" ];
+  let d = H.driver ~seed:7 db in
+  for _ = 1 to 40 do
+    H.random_t_op d;
+    step_ok tf
+  done;
+  Alcotest.(check bool) "propagated under the snapshot" true
+    ((Transform.progress tf).Transform.propagated > 0);
+  List.iter
+    (fun table ->
+       Alcotest.(check int) (table ^ " takes no version") 0
+         (Table.versions_count (Db.table db table)))
+    [ "R"; "S" ];
+  H.ok "snap commit" (Manager.commit mgr snap);
+  gate := true;
+  finish_and_check ~dir p tf
+
+let test_resume_draining_shows_targets () =
+  let gate = ref false in
+  let dir, p, tf =
+    crash_and_resume ~sync:Options.Nonblocking_commit ~gate
+      ~before_crash:(fun db tf ->
+          let mgr = Db.manager db in
+          step_until tf "propagating" (fun () ->
+              Transform.phase tf = Transform.Propagating);
+          (* A transaction on T across the flip holds the change in
+             Draining; it commits before the checkpoint, which needs
+             none active. *)
+          let old = Manager.begin_txn mgr in
+          H.ok "old update"
+            (Manager.update mgr ~txn:old ~table:"T"
+               ~key:(Row.make [ Value.Int 1 ]) [ (1, Value.Text "old") ]);
+          gate := true;
+          step_until tf "draining" (fun () ->
+              Transform.phase tf = Transform.Draining);
+          H.ok "old commit" (Manager.commit mgr old))
+  in
+  Alcotest.(check bool) "resumed draining" true
+    (Transform.phase tf = Transform.Draining);
+  let mgr = Db.manager (Persist.db p) in
+  let snap = Manager.begin_txn ~isolation:`Snapshot mgr in
+  List.iter
+    (fun (table, k) ->
+       match Manager.read mgr ~txn:snap ~table ~key:(Row.make [ Value.Int k ]) with
+       | Ok (Some _) -> ()
+       | Ok None -> Alcotest.failf "%s key %d missing" table k
+       | Error e ->
+         Alcotest.failf "snapshot read of %s: %a" table Manager.pp_error e)
+    [ ("R", 1); ("S", 1) ];
+  H.ok "snap commit" (Manager.commit mgr snap);
+  finish_and_check ~dir p tf
+
 let () =
   Alcotest.run "restart"
     [ ( "composition",
@@ -210,4 +337,9 @@ let () =
             test_repeated_splits_normalize_m2m ] );
       ( "recovery",
         [ Alcotest.test_case "a torn rollback after a Commit record finishes"
-            `Quick test_torn_rollback_after_commit ] ) ]
+            `Quick test_torn_rollback_after_commit ] );
+      ( "snapshots",
+        [ Alcotest.test_case "resumed in propagating, targets hidden" `Quick
+            test_resume_propagating_hides_targets;
+          Alcotest.test_case "resumed in draining, targets visible" `Quick
+            test_resume_draining_shows_targets ] ) ]
