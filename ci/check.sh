@@ -36,6 +36,14 @@ QCHECK_SEED=42 dune exec test/test_lock.exe
 echo "== deadlock suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_deadlock.exe
 
+# The value suite at a pinned seed: its properties draw values of every
+# kind, rows and change lists over them, and integers of every decimal
+# width with both signs, min_int and max_int among them; they hold the
+# codec to its inverse and the snapshot's digit writer (Codec.add_int)
+# to string_of_int, alone and inside every chunk encoder.
+echo "== value suite (fixed seed) =="
+QCHECK_SEED=42 dune exec test/test_value.exe
+
 # The storage suite at a pinned seed: its hash-index properties (a
 # heap-scan reference model over shared indexes and key lists that
 # outgrow their bound) draw random insert/update/delete sequences.

@@ -486,6 +486,14 @@ let retained_log ~path db records =
         (Ok ())
         (Nbsc_storage.Catalog.tables (Db.catalog db))
     in
+    let* () =
+      match Recovery.check_fits (Db.catalog db) wal with
+      | Ok () -> Ok ()
+      | Error (lsn, why) ->
+        Error
+          (Nbsc_error.corrupt ~path ~lsn:(Lsn.to_int lsn)
+             ("record does not fit its table: " ^ why))
+    in
     Ok (Some wal)
 
 let open_dir ~dir =

@@ -79,9 +79,11 @@ val retained_log :
     returns the log the records form ([None] when there are none). The
     records must form a log ({!Disk_format.wal_log}), and when there
     are any, no record of [db]'s tables may carry an LSN beyond its
-    head: a snapshot that does reflects commits the WAL lost. The
-    offline {!Scrub} runs the same function, so the two agree on a
-    spliced store. *)
+    head: a snapshot that does reflects commits the WAL lost. Every
+    operation on one of [db]'s tables must fit its schema
+    ({!Recovery.check_fits}), or replay would raise on it. The offline
+    {!Scrub} runs the same function, so the two agree on a spliced
+    store and on a record that does not fit. *)
 
 val db : t -> Db.t
 

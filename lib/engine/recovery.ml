@@ -66,6 +66,65 @@ let analysis log =
     (fun txn -> try Hashtbl.find last_lsn txn with Not_found -> Lsn.zero),
     jobs )
 
+(* Why [op] cannot apply to [table], or [None]: its rows must have the
+   table's arity, its keys the key's, and its changes must name non-key
+   columns of the table. Replay applies (and undo inverts) only ops that
+   fit; one that does not is damage the checksum did not catch. *)
+let misfit table op =
+  let schema = Table.schema table and name = Table.name table in
+  let arity = Schema.arity schema and key_cols = Schema.key_positions schema in
+  let row what r =
+    if Row.arity r = arity then None
+    else
+      Some
+        (Printf.sprintf "%s has %d values, table %s %d columns" what
+           (Row.arity r) name arity)
+  in
+  let key k =
+    if Row.arity k = List.length key_cols then None
+    else
+      Some
+        (Printf.sprintf "a key of %d values, table %s's key %d columns"
+           (Row.arity k) name (List.length key_cols))
+  in
+  let changes what cs =
+    List.find_map
+      (fun (i, _) ->
+         if i < 0 || i >= arity then
+           Some
+             (Printf.sprintf "%s sets column %d, table %s has %d columns" what i
+                name arity)
+         else if List.mem i key_cols then
+           Some
+             (Printf.sprintf "%s sets key column %d of table %s" what i name)
+         else None)
+      cs
+  in
+  let first = List.find_map Fun.id in
+  match (op : Log_record.op) with
+  | Log_record.Insert { row = r; _ } -> row "an insert's row" r
+  | Log_record.Delete { key = k; before; _ } ->
+    first [ key k; row "a delete's before-image" before ]
+  | Log_record.Update { key = k; changes = cs; before; _ } ->
+    first
+      [ key k; changes "an update" cs;
+        changes "an update's before-image" before ]
+
+let check_fits catalog log =
+  let bad = ref None in
+  Log.iter log (fun r ->
+      if Option.is_none !bad then
+        match r.Log_record.body with
+        | Log_record.Op op | Log_record.Clr { op; _ } ->
+          (match Catalog.find_opt catalog (Log_record.op_table op) with
+           | None -> ()
+           | Some table ->
+             Option.iter
+               (fun why -> bad := Some (r.Log_record.lsn, why))
+               (misfit table op))
+        | _ -> ());
+  match !bad with None -> Ok () | Some e -> Error e
+
 let replay_into catalog log =
   let losers, last_lsn_of, jobs = analysis log in
   (* Redo: history repeats, including CLRs (repeating history, ARIES). *)

@@ -51,4 +51,11 @@ val replay_into : Catalog.t -> Log.t -> report
     the standard record-LSN idempotence check, so replaying overlapping
     history is safe. *)
 
+val check_fits : Catalog.t -> Log.t -> (unit, Lsn.t * string) result
+(** Whether every operation ([Op] or [Clr]) on a table of the catalog
+    fits that table's schema: rows of its arity, keys of its key's
+    arity, changes to non-key columns it has. [Error] carries the first
+    record that does not, and what did not fit. Run before
+    {!replay_into}, which would raise on it. *)
+
 val pp_report : Format.formatter -> report -> unit

@@ -640,32 +640,90 @@ let test_create_dir_crash_before_rename () =
   Persist.close p;
   H.wipe dir
 
-(* Four damaged stores: each is one fault, so the scrub reports one
-   error, and reopening refuses the store the scrub calls corrupt. *)
+(* Rewrite a store file's payload lines with [f] and frame them again
+   with sound checksums (and, for a snapshot, a trailer counting them):
+   damage that every checksum passes. *)
+let rewrite_payloads kind dir f =
+  let path, magic, payloads, trailer =
+    match kind with
+    | `Snapshot ->
+      let path = Disk_format.snapshot_path dir in
+      ( path, Disk_format.snapshot_magic,
+        (H.ok_p "read" (Disk_format.read Disk_format.Snapshot path))
+          .Disk_format.payloads,
+        fun n -> [ Disk_format.trailer n ] )
+    | `Wal ->
+      let path = Disk_format.wal_path dir in
+      ( path, Disk_format.wal_magic,
+        List.map Nbsc_wal.Log_record.encode
+          (H.ok_p "read" (Disk_format.read Disk_format.Wal path))
+            .Disk_format.payloads,
+        fun _ -> [] )
+  in
+  let payloads = f payloads in
+  write_file path
+    (String.concat "\n"
+       (magic
+        :: List.map Disk_format.frame
+             (payloads @ trailer (List.length payloads)))
+     ^ "\n")
+
+let snapshot_line tag fields = tag ^ Codec.encode_string_list fields
+
+let add_snapshot_line line dir =
+  rewrite_payloads `Snapshot dir (fun ls -> ls @ [ line ])
+
+(* Append one operation record to the WAL, next in its LSN chain,
+   under a transaction id of its own with no [Begin], so recovery
+   redoes it and never rolls it back. *)
+let append_wal_op op dir =
+  rewrite_payloads `Wal dir (fun ls ->
+      let last = Nbsc_wal.Log_record.decode (List.nth ls (List.length ls - 1)) in
+      ls
+      @ [ Nbsc_wal.(
+            Log_record.encode
+              { Log_record.lsn = Lsn.next last.Log_record.lsn;
+                txn = last.Log_record.txn + 1;
+                prev_lsn = Lsn.zero;
+                body = Log_record.Op op }) ])
+
+(* Damaged stores, one fault each, so the scrub reports one error and
+   reopening refuses the store the scrub calls corrupt. Where the
+   damage passes every checksum, both name the table and what did not
+   fit it. *)
 let test_scrub_and_reopen_agree () =
   let cut_last_byte path =
     let s = H.read_file path in
     write_file path (String.sub s 0 (String.length s - 1))
   in
   List.iter
-    (fun (name, damage) ->
+    (fun (name, expect, damage) ->
        let dir = fresh_dir () in
        Persist.close (build_store ~n:5 dir);
        damage dir;
        let r = scrub dir in
-       Alcotest.(check int) (name ^ ": one error") 1
-         (List.length (Db.Scrub.errors r));
-       ignore (expect_corrupt name (Persist.open_dir ~dir));
+       let errors = Db.Scrub.errors r in
+       Alcotest.(check int) (name ^ ": one error") 1 (List.length errors);
+       let c = expect_corrupt name (Persist.open_dir ~dir) in
+       List.iter
+         (fun c ->
+            let m = Nbsc_error.corruption_to_string c in
+            List.iter
+              (fun sub ->
+                 if not (contains_sub m sub) then
+                   Alcotest.failf "%s: %S does not say %S" name m sub)
+              expect)
+         (c :: errors);
        H.wipe dir)
-    [ ("wal deleted", fun dir -> Sys.remove (Disk_format.wal_path dir));
-      ("wal emptied", fun dir -> write_file (Disk_format.wal_path dir) "");
-      ( "snapshot's final newline cut",
+    [ ("wal deleted", [], fun dir -> Sys.remove (Disk_format.wal_path dir));
+      ("wal emptied", [], fun dir -> write_file (Disk_format.wal_path dir) "");
+      ( "snapshot's final newline cut", [],
         fun dir -> cut_last_byte (Disk_format.snapshot_path dir) );
-      ( "junk appended to the snapshot",
+      ( "junk appended to the snapshot", [],
         fun dir ->
           let path = Disk_format.snapshot_path dir in
           write_file path (H.read_file path ^ "junk\n") );
-      ( "an older wal copied back over a newer snapshot",
+      ( "an older wal copied back over a newer snapshot", [],
         fun dir ->
           let path = Disk_format.wal_path dir in
           let old = H.read_file path in
@@ -674,7 +732,49 @@ let test_scrub_and_reopen_agree () =
           insert p 7 "v" 7;
           H.ok_p "checkpoint" (Persist.checkpoint p);
           Persist.close p;
-          write_file path old ) ]
+          write_file path old );
+      ( "a row with one value for a three-column table",
+        [ "table t"; "1 values" ],
+        add_snapshot_line
+          (snapshot_line "R:"
+             [ "t"; "1"; "0"; "C"; "0";
+               Codec.encode_string_list [ Value.encode (Value.Int 99) ] ]) );
+      ( "a second T: line for a table", [ "table t defined twice" ],
+        fun dir ->
+          rewrite_payloads `Snapshot dir (fun ls ->
+              ls @ List.filter (fun l -> String.sub l 0 2 = "T:") ls) );
+      (* A [T:] line's schema field: the arity, then each column's
+         name, type and nullability, then the key's column names. *)
+      ( "a T: line whose key names no column", [ "table u"; "\"zz\"" ],
+        add_snapshot_line
+          (snapshot_line "T:"
+             [ "u"; Codec.encode_string_list [ "1"; "a"; "int"; "0"; "zz" ] ])
+      );
+      ( "a T: line with a duplicate column",
+        [ "table u"; "duplicate column \"a\"" ],
+        add_snapshot_line
+          (snapshot_line "T:"
+             [ "u";
+               Codec.encode_string_list
+                 [ "2"; "a"; "int"; "0"; "a"; "text"; "1"; "a" ] ])
+      );
+      ( "an I: line naming an unknown column",
+        [ "index ix of table t"; "unknown column zz" ],
+        add_snapshot_line (snapshot_line "I:" [ "t"; "ix"; "zz" ]) );
+      ( "an O: line naming an unknown column",
+        [ "ordered index ix of table t"; "unknown column zz" ],
+        add_snapshot_line (snapshot_line "O:" [ "t"; "ix"; "zz" ]) );
+      ( "a wal insert with one value for a three-column table",
+        [ "table t"; "1 values" ],
+        append_wal_op
+          (Nbsc_wal.Log_record.Insert { table = "t"; row = [| Value.Int 99 |] })
+      );
+      ( "a wal update that sets the key column", [ "key column 0 of table t" ],
+        append_wal_op
+          (Nbsc_wal.Log_record.Update
+             { table = "t"; key = [| Value.Int 1 |];
+               changes = [ (0, Value.Int 99) ]; before = [ (0, Value.Int 1) ] })
+      ) ]
 
 (* {1 The fuzz property: corruption detection is total}
 

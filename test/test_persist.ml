@@ -778,6 +778,51 @@ let prop_reopen_equals_committed =
        List.length got = List.length committed_image
        && List.for_all2 Row.equal got committed_image)
 
+(* The snapshot writes every integer as digits of its own. Rows holding
+   both extremes and integers of every digit count, with counters and
+   aux values drawn from the same list, must come back from a
+   checkpoint and a reopen record for record. *)
+let test_extreme_integers_survive () =
+  let dir = fresh_dir () in
+  let p = H.ok_p "create" (Persist.create_dir ~dir) in
+  let db = Persist.db p in
+  let table = Db.create_table db ~name:"t" H.r_schema in
+  let lsn = Nbsc_wal.Log.head (Db.log db) in
+  let ints =
+    [ min_int; max_int; 0; -1; 9; -10; 4_220; -4_220; 99_999; -100_000;
+      123_456_789; -9_876_543_210; 1_000_000_000_000_000; max_int / 7;
+      min_int / 3; min_int + 1 ]
+  in
+  let n = List.length ints in
+  List.iteri
+    (fun i x ->
+       match
+         Table.insert table ~lsn
+           ~counter:(List.nth ints ((i + 1) mod n))
+           ~flag:(if i mod 2 = 0 then Record.Consistent else Record.Unknown)
+           ~aux:(List.nth ints ((i + 2) mod n))
+           (H.ri x (string_of_int x) (lnot x))
+       with
+       | Ok () -> ()
+       | Error `Duplicate_key -> Alcotest.failf "duplicate key %d" x)
+    ints;
+  let records p =
+    Table.fold (Db.table (Persist.db p) "t") ~init:[] ~f:(fun acc _ r ->
+        ( Row.to_string r.Record.row,
+          (r.Record.counter, r.Record.aux, r.Record.flag = Record.Consistent) )
+        :: acc)
+    |> List.sort compare
+  in
+  let before = records p in
+  Alcotest.(check int) "every row" n (List.length before);
+  H.ok_p "checkpoint" (Persist.checkpoint p);
+  Persist.close p;
+  let p2 = H.ok_p "reopen" (Persist.open_dir ~dir) in
+  Alcotest.(check (list (pair string (triple int int bool))))
+    "rows, counters, aux values and flags" before (records p2);
+  Persist.close p2;
+  H.wipe dir
+
 let () =
   Random.self_init ();
   Alcotest.run "persist"
@@ -802,6 +847,8 @@ let () =
           Alcotest.test_case "legacy watermarks recover" `Quick
             test_watermarks_recover;
           Alcotest.test_case "v2 bytes are stable" `Quick test_v2_bytes_stable;
+          Alcotest.test_case "extreme integers survive a checkpoint" `Quick
+            test_extreme_integers_survive;
           Alcotest.test_case
             "transient EIO while writing a checkpoint is retried" `Quick
             test_checkpoint_eio_retried;

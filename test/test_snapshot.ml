@@ -118,7 +118,7 @@ let test_corruption_detected () =
   Alcotest.(check bool) "truncated payload" true
     (corrupt [ "R:" ^ Nbsc_value.Codec.encode_string_list [ "T" ] ]);
   let row = Buffer.create 32 in
-  Nbsc_value.Codec.encode_row_into row (H.ti 1 "a" 1 "x");
+  Nbsc_value.Codec.(encode_row_into add_int) row (H.ti 1 "a" 1 "x");
   Alcotest.(check bool) "row for unknown table" true
     (corrupt
        [ "R:"

@@ -57,16 +57,15 @@ let test_row_ops () =
   Alcotest.(check bool) "all_null" true (Row.is_all_null (Row.all_null 4));
   Alcotest.(check bool) "not all_null" false (Row.is_all_null r)
 
-(* The codec encodes rows and change lists into a buffer only. *)
-let row_bytes row =
+(* The codec encodes rows and change lists into a buffer only, with
+   either integer writer. *)
+let encoded encode w x =
   let buf = Buffer.create 32 in
-  Codec.encode_row_into buf row;
+  encode w buf x;
   Buffer.contents buf
 
-let changes_bytes changes =
-  let buf = Buffer.create 32 in
-  Codec.encode_changes_into buf changes;
-  Buffer.contents buf
+let row_bytes = encoded Codec.encode_row_into Codec.add_int
+let changes_bytes = encoded Codec.encode_changes_into Codec.add_int
 
 let test_row_codec () =
   let rows =
@@ -167,6 +166,79 @@ let prop_row_codec =
        in
        Row.equal row (Codec.decode_row (row_bytes row)))
 
+(* Integers of every decimal width, 1 to 19 digits, either sign, and
+   the edges: the digit writer must agree with [string_of_int] on all
+   of them. *)
+let int_gen =
+  let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ 0; 1; -1; 9; -9; 10; -10; min_int; max_int; min_int + 1 ];
+        (let* digits = int_range 1 19 in
+         let lo = if digits = 1 then 0 else pow10 (digits - 1) in
+         let hi = if digits = 19 then max_int else pow10 digits - 1 in
+         let* n = int_range lo hi in
+         let* negative = bool in
+         return (if negative then -n else n)) ])
+
+let prop_add_int =
+  QCheck.Test.make ~name:"add_int writes string_of_int's bytes" ~count:2000
+    (QCheck.make ~print:string_of_int int_gen)
+    (fun n ->
+       let buf = Buffer.create 4 in
+       Buffer.add_string buf "x";
+       Codec.add_int buf n;
+       String.equal (Buffer.contents buf) ("x" ^ string_of_int n))
+
+(* Rows of every value kind, [Int]s of every width among them, and
+   change lists at positions of every width. *)
+let any_value_gen =
+  QCheck.Gen.(
+    oneof
+      [ return Value.Null;
+        map (fun i -> Value.Int i) int_gen;
+        map (fun f -> Value.Float f) float;
+        map (fun b -> Value.Bool b) bool;
+        map (fun s -> Value.Text s) (string_size (int_bound 120)) ])
+
+let arb_row_and_changes =
+  QCheck.make
+    ~print:(fun (row, changes) ->
+        Row.to_string row ^ " / "
+        ^ String.concat ", "
+            (List.map
+               (fun (i, v) -> string_of_int i ^ "=" ^ Value.to_string v)
+               changes))
+    QCheck.Gen.(
+      pair
+        (map Row.make (list_size (int_bound 10) any_value_gen))
+        (list_size (int_bound 10) (pair int_gen any_value_gen)))
+
+(* Every chunk encoder writes the same bytes given the digit writer as
+   given the [string_of_int] one; and a row's bytes are the chunks of
+   its values' string encodings. *)
+let prop_writers_agree =
+  QCheck.Test.make ~name:"every encoder writes the same bytes with both writers"
+    ~count:500 arb_row_and_changes
+    (fun (row, changes) ->
+       let same encode x =
+         String.equal
+           (encoded encode Codec.add_int x)
+           (encoded encode Codec.add_string_of_int x)
+       in
+       let values = Array.to_list row @ List.map snd changes in
+       let inner = Buffer.create 16 in
+       Buffer.add_string inner (row_bytes row);
+       same Codec.encode_row_into row
+       && same Codec.encode_changes_into changes
+       && same Codec.add_chunk_of_buffer inner
+       && List.for_all (same Codec.add_value_chunk) values
+       && List.for_all (fun (i, _) -> same Codec.add_int_chunk i) changes
+       && List.for_all (fun v -> same Codec.add_chunk (Value.encode v)) values
+       && String.equal (row_bytes row)
+            (Codec.encode_string_list
+               (List.map Value.encode (Array.to_list row))))
+
 (* CRC-32 known answers: "123456789" -> cbf43926 is the standard check
    value of the IEEE 802.3 CRC; zlib's crc32 gives the same three. *)
 let test_crc32_known_answers () =
@@ -225,4 +297,4 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_codec_roundtrip; prop_compare_total; prop_hash_consistent;
-            prop_row_codec ] ) ]
+            prop_row_codec; prop_add_int; prop_writers_agree ] ) ]
