@@ -64,6 +64,16 @@ QCHECK_SEED=42 dune exec test/test_plan.exe
 echo "== mvcc suite (fixed seed) =="
 QCHECK_SEED=42 dune exec test/test_mvcc.exe
 
+# Every other suite with QCheck properties, each at a pinned seed, so
+# a failure reproduces verbatim: the engine, rule, relational-algebra,
+# index, persistence, transaction and WAL properties, and test_transform's
+# FOJ and split convergence properties, which run the executor.
+echo "== property suites (fixed seed) =="
+for suite in engine foj_rules hsplit_merge ordered_index persist relalg \
+  split_rules transform txn wal wal_pins; do
+  QCHECK_SEED=42 dune exec "test/test_$suite.exe"
+done
+
 # Storage-integrity matrix at pinned seeds: checksummed-format
 # verification, disk-error model (EIO retry, ENOSPC degraded mode),
 # scrub and reopen agreeing, and the flip/truncate fuzz property. Then

@@ -15,13 +15,12 @@ type t = {
   mutable rows : int;
 }
 
-let create db packed =
-  let (module T : Transformation.S) = packed in
+let create db (op : Transformation.t) =
   { db;
     mgr = Db.manager db;
-    sources = T.sources;
+    sources = op.rules.sources;
     holder = Db.fresh_holder db;
-    pop = T.population;
+    pop = op.population;
     state = Not_started;
     rows = 0 }
 

@@ -17,7 +17,7 @@ open Nbsc_core
 
 type t
 
-val create : Db.t -> Transformation.packed -> t
+val create : Db.t -> Transformation.t -> t
 (** Dump into the prepared operator's targets: its population scan
     fills them while its sources stay latched. *)
 

@@ -32,17 +32,16 @@ type t = {
   mutable latched_windows : int;
 }
 
-let create db ?(drop_sources = true) ?(chunk = 256) packed =
-  let (module T : Transformation.S) = packed in
+let create db ?(drop_sources = true) ?(chunk = 256) (op : Transformation.t) =
   let mgr = Db.manager db in
   let holder = Db.fresh_holder db in
   let t =
     { db;
       mgr;
       holder;
-      sources = T.sources;
-      rules = T.rules;
-      pop = T.population;
+      sources = op.rules.sources;
+      rules = op.rules;
+      pop = op.population;
       chunk = max 1 chunk;
       drop_sources;
       audit = Queue.create ();

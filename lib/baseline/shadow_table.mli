@@ -12,8 +12,8 @@
     backfill needs; compared with {!Insert_into_select}, it never holds
     a latch for more than one chunk.
 
-    Built generically over {!Nbsc_core.Transformation.packed}: the
-    packed operator supplies target tables, the population scan (used
+    Built generically over {!Nbsc_core.Transformation.t}: the
+    operator supplies target tables, the population scan (used
     as the backfill, one latched chunk at a time) and the propagation
     rules (used to replay the audit log, LSN-gated so replay converges
     regardless of interleaving). *)
@@ -22,7 +22,7 @@ open Nbsc_core
 
 type t
 
-val create : Db.t -> ?drop_sources:bool -> ?chunk:int -> Transformation.packed -> t
+val create : Db.t -> ?drop_sources:bool -> ?chunk:int -> Transformation.t -> t
 (** Install the audit trigger and prepare the backfill.
     [chunk] (default 256) bounds both the rows scanned per latched
     window and the audit entries applied per step; [drop_sources]

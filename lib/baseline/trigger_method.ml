@@ -10,9 +10,8 @@ type t = {
 }
 
 (* Rule applications so far, effective or LSN-gated away alike. *)
-let work packed =
-  Transformation.counter packed "applied"
-  + Transformation.counter packed "ignored"
+let work op =
+  Transformation.counter op "applied" + Transformation.counter op "ignored"
 
 (* Populate the target in bounded chunks, consulting the standard
    quantum fault-injection site between chunks — Ronström's scan is
@@ -26,16 +25,15 @@ let populate pop =
   in
   go ()
 
-let install db packed =
-  let (module T : Transformation.S) = packed in
-  populate T.population;
+let install db (op : Transformation.t) =
+  populate op.population;
   let t =
     { mgr = Db.manager db; id = Db.fresh_holder db; triggered = 0; last = 0 }
   in
-  let trigger ~txn:_ ~lsn op =
-    let before = work packed in
-    ignore (T.rules.Propagator.apply ~lsn op);
-    t.last <- work packed - before;
+  let trigger ~txn:_ ~lsn write =
+    let before = work op in
+    ignore (op.rules.apply ~lsn write);
+    t.last <- work op - before;
     t.triggered <- t.triggered + t.last
   in
   Manager.intercept t.mgr ~id:t.id

@@ -18,7 +18,7 @@ open Nbsc_core
 
 type t
 
-val install : Db.t -> Transformation.packed -> t
+val install : Db.t -> Transformation.t -> t
 (** Populate the prepared operator's targets with its population scan
     (latched and instantaneous, in the paper's telling), then install
     the trigger, which hands every write to the operator's propagation

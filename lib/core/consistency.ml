@@ -19,6 +19,7 @@ type in_flight = {
 type t = {
   split : Split.t;
   t_tbl : Table.t;
+  s_name : string;
   log : Log.t;
   (* Checks whose CC-begin the propagator has seen but whose CC-ok it
      has not; the bool becomes true when the key is touched. *)
@@ -31,6 +32,7 @@ let create catalog split ~log =
   let layout = Split.layout split in
   { split;
     t_tbl = Catalog.find catalog layout.Spec.sspec.Spec.t_table';
+    s_name = layout.Spec.sspec.Spec.s_table';
     log;
     pending = Row.Key.Tbl.create 16;
     current = None;
@@ -83,10 +85,16 @@ let step t =
           t.st.disagreed <- t.st.disagreed + 1);
        true)
 
-let note_touched t key =
-  match Row.Key.Tbl.find_opt t.pending key with
-  | Some dirty -> dirty := true
-  | None -> ()
+let note_touched t touched =
+  List.iter
+    (fun (table, key) ->
+       if String.equal table t.s_name then
+         match Row.Key.Tbl.find_opt t.pending key with
+         | Some dirty -> dirty := true
+         | None -> ())
+    touched
+
+let unknown_flags t = Split.unknown_count t.split
 
 let on_cc_begin t key = Row.Key.Tbl.replace t.pending key (ref false)
 

@@ -23,6 +23,10 @@ type t
 
 val create : Catalog.t -> Split.t -> log:Log.t -> t
 
+val unknown_flags : t -> int
+(** Records still flagged Unknown; the change may not synchronize until
+    this reaches 0. *)
+
 val step : t -> bool
 (** Run one unit of checker work: either begin a check on some
     U-flagged record (logging CC-begin and performing the dirty read)
@@ -32,9 +36,9 @@ val step : t -> bool
 
 (** {1 Propagator callbacks} *)
 
-val note_touched : t -> Row.Key.t -> unit
-(** The propagator reports every S key its rules touched; a pending
-    check on that key is invalidated. *)
+val note_touched : t -> (string * Row.Key.t) list -> unit
+(** The propagator reports every target key its rules touched; a
+    pending check on a touched key of the S table is invalidated. *)
 
 val on_cc_begin : t -> Row.Key.t -> unit
 val on_cc_ok : t -> lsn:Lsn.t -> Row.Key.t -> Row.t -> unit

@@ -24,9 +24,6 @@ val ingest_initial : t -> Record.t -> unit
 
 val apply : t -> lsn:Lsn.t -> Log_record.op -> (string * Row.Key.t) list
 
-val locate : t -> Row.Key.t -> (Table.t * Record.t) option
-(** Which target currently holds this key, if any. *)
-
 type stats = {
   mutable applied : int;
   mutable ignored : int;

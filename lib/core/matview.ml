@@ -23,14 +23,12 @@ let create db ?(config = default_config) spec =
      lock transfer (the view never takes over from its sources). The
      executor's lifecycle is not used — the view propagates forever and
      is never registered as a completable background job. *)
-  let (module T : Transformation.S) =
-    Transformation.foj ~transfer_locks:false db spec
-  in
+  let op = Transformation.foj ~transfer_locks:false db spec in
   { db;
     config;
     name = spec.Spec.t_table;
-    pop = T.population;
-    prop = Transformation.start_propagator (Db.manager db) T.rules;
+    pop = op.population;
+    prop = Transformation.start_propagator (Db.manager db) op.rules;
     dropped = false }
 
 let populated t = Population.finished t.pop

@@ -25,8 +25,6 @@ type config = {
   propagate_batch : int;
 }
 
-val default_config : config
-
 val create : Nbsc_engine.Db.t -> ?config:config -> Spec.foj -> t
 (** Creates the view table (named [spec.t_table]) with its indexes and
     starts the background population. [many_to_many] views are

@@ -160,35 +160,7 @@ let foj f ~r_tbl ~s_tbl =
         Table.Fuzzy_cursor.close r_cursor)
     ()
 
-(* {2 Split: stream T into R parts and reference-counted S parts} *)
-
-let split sp ~t_tbl =
-  let t_cursor = Table.Fuzzy_cursor.make t_tbl in
-  let s_done = ref false in
-  let step c ~limit =
-    if !s_done then true
-    else begin
-      let batch = Table.Fuzzy_cursor.next_batch t_cursor ~limit in
-      c.scanned <- c.scanned + List.length batch;
-      List.iter
-        (fun record ->
-           Split.ingest_initial sp record;
-           c.produced <- c.produced + 1)
-        batch;
-      if Table.Fuzzy_cursor.finished t_cursor then begin
-        Table.Fuzzy_cursor.close t_cursor;
-        s_done := true;
-        true
-      end
-      else false
-    end
-  in
-  make ~step
-    ~finished:(fun () -> !s_done)
-    ~close:(fun () -> Table.Fuzzy_cursor.close t_cursor)
-    ()
-
-(* {2 Generic sequential scans (hsplit, merge, materialized views)} *)
+(* {2 Generic sequential scans (split, hsplit, merge, materialized views)} *)
 
 let scan_tagged tables ~ingest =
   let cursors =

@@ -31,15 +31,14 @@ val make :
     resources the stepper holds — the built-in constructors use it to
     close their fuzzy cursors, which unblocks arrival-array compaction
     on the source tables. This is the extension point a custom
-    {!Transformation.S} implementation uses; the constructors below are
+    {!Transformation.t} uses; the constructors below are
     the paper's operators expressed through it. *)
 
 val foj : Foj.t -> r_tbl:Table.t -> s_tbl:Table.t -> t
-val split : Split.t -> t_tbl:Table.t -> t
 
 val scan_one : Table.t -> ingest:(Record.t -> unit) -> t
 (** Generic single-source population: fuzzy-scan the table and feed
-    each record to [ingest] (horizontal split, materialized views). *)
+    each record to [ingest] (split, horizontal split). *)
 
 val scan_many : Table.t list -> ingest:(Record.t -> unit) -> t
 (** Several sources scanned in sequence (merge). *)

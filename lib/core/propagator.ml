@@ -8,12 +8,11 @@ type rules = {
   targets : string list;
   apply : lsn:Lsn.t -> Log_record.op -> (string * Row.Key.t) list;
   cc : Consistency.t option;
-  cc_s_table : string option;
   transfer_locks : bool;
 }
 
-let rules ?cc ?cc_s_table ?(transfer_locks = true) ~sources ~targets ~apply () =
-  { sources; targets; apply; cc; cc_s_table; transfer_locks }
+let rules ?cc ?(transfer_locks = true) ~sources ~targets ~apply () =
+  { sources; targets; apply; cc; transfer_locks }
 
 type t = {
   mgr : Manager.t;
@@ -61,15 +60,6 @@ let close t = Manager.unpin_wal t.mgr t.pin
 
 let provenance_of t table = Hashtbl.find_opt t.source_index table
 
-let note_cc_touches t touched =
-  match t.rules.cc, t.rules.cc_s_table with
-  | Some cc, Some s_table ->
-    List.iter
-      (fun (table, key) ->
-         if String.equal table s_table then Consistency.note_touched cc key)
-      touched
-  | _ -> ()
-
 let transfer_locks t ~owner ~source touched =
   if not t.rules.transfer_locks then ()
   else
@@ -101,7 +91,9 @@ let handle_op t ~txn ~lsn op =
   let source = Log_record.op_table op in
   if Hashtbl.mem t.source_index source then begin
     let touched = t.rules.apply ~lsn op in
-    note_cc_touches t touched;
+    (match t.rules.cc with
+     | Some cc -> Consistency.note_touched cc touched
+     | None -> ());
     (* Transferred locks extend a {e live} transaction's source locks to
        the target records it implicates. A transaction that already
        committed or rolled back holds no source locks — its Commit /

@@ -28,8 +28,8 @@ type rules = {
   apply : lsn:Lsn.t -> Log_record.op -> (string * Row.Key.t) list;
       (** apply one operation; returns touched (target table, key) *)
   cc : Consistency.t option;
-  cc_s_table : string option;
-      (** the split S table, whose touches invalidate pending checks *)
+      (** the operator's consistency checker, if it needs one before
+          it may synchronize *)
   transfer_locks : bool;
       (** schema transformations transfer source-transaction locks to
           the targets (paper, Sec. 3.3); materialized-view maintenance
@@ -37,7 +37,7 @@ type rules = {
 }
 
 val rules :
-  ?cc:Consistency.t -> ?cc_s_table:string -> ?transfer_locks:bool ->
+  ?cc:Consistency.t -> ?transfer_locks:bool ->
   sources:string list -> targets:string list ->
   apply:(lsn:Lsn.t -> Log_record.op -> (string * Row.Key.t) list) -> unit ->
   rules

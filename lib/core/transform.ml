@@ -23,14 +23,8 @@ type t = {
   db : Db.t;
   mgr : Manager.t;
   options : Options.t;
-  tf : Transformation.packed;
-  pop : Population.t;
+  op : Transformation.t;
   prop : Propagator.t;
-  src : string list;
-  tgt : string list;
-  lock_map : Transformation.lock_map;
-  consistency : Consistency.t option;
-  unknown : unit -> int;
   holder : int;  (* latch holder id, also the interceptor id *)
   job_name : string;
   mutable tphase : phase;
@@ -106,34 +100,31 @@ let write_fuzzy_mark mgr =
 
 let phase t = t.tphase
 let routing t = t.route
-let sources t = t.src
-let targets t = t.tgt
+let sources t = t.op.Transformation.rules.Propagator.sources
+let targets t = t.op.Transformation.rules.Propagator.targets
 let manager t = t.mgr
 let job_name t = t.job_name
-let checker t = t.consistency
-
-let name t =
-  let (module T : Transformation.S) = t.tf in
-  T.name
-
+let checker t = t.op.Transformation.rules.Propagator.cc
+let name t = t.op.Transformation.name
 let migration t = t.options.Options.strategy
 let demand_migrations t = t.demand_migrations
+let counters t = t.op.Transformation.counters ()
+let population t = t.op.Transformation.population
 
-let counters t =
-  let (module T : Transformation.S) = t.tf in
-  T.counters ()
+let unknown_flags t =
+  match checker t with Some cc -> Consistency.unknown_flags cc | None -> 0
 
 let progress t =
   { p_phase = t.tphase;
     iterations = t.iterations;
-    scanned = Population.scanned t.pop;
-    produced = Population.produced t.pop;
-    applied = Transformation.counter t.tf "applied";
+    scanned = Population.scanned (population t);
+    produced = Population.produced (population t);
+    applied = Transformation.counter t.op "applied";
     propagated = Propagator.records_processed t.prop;
     lag = Propagator.lag t.prop;
     locks_transferred = Propagator.locks_transferred t.prop;
     final_records = t.final_records;
-    unknown_flags = t.unknown ();
+    unknown_flags = unknown_flags t;
     forced_aborts = t.forced_aborts }
 
 (* {2 Trace spans}
@@ -191,7 +182,7 @@ let remove_probes t =
    interceptor record under [holder]: the access callback while
    populating under [Lazy]/[Hybrid], the freeze from synchronization
    on, and the two-schema lock extension under [Nonblocking_commit].
-   [finalize] and [abort] release it in one call. *)
+   [teardown] releases it in one call. *)
 
 let intercept t icpt =
   t.icpt <- icpt;
@@ -214,16 +205,15 @@ let release t =
    has nothing left to do. *)
 
 let demand_migrate t ~table ~key =
-  if List.exists (String.equal table) t.src then
+  if List.exists (String.equal table) (sources t) then
     match Catalog.find_opt (Db.catalog t.db) table with
     | None -> ()
     | Some tbl ->
       (match Table.find tbl key with
        | None -> ()
        | Some record ->
-         let (module T : Transformation.S) = t.tf in
          ignore
-           (T.rules.Propagator.apply ~lsn:record.Record.lsn
+           (t.op.Transformation.rules.Propagator.apply ~lsn:record.Record.lsn
               (Log_record.Insert { table; row = record.Record.row }));
          t.demand_migrations <- t.demand_migrations + 1)
 
@@ -240,10 +230,11 @@ let source_index t table =
     | [] -> 0
     | s :: rest -> if String.equal s table then i else go (i + 1) rest
   in
-  go 0 t.src
+  go 0 (sources t)
 
 let dual_locks t ~txn:_ ~table ~key ~mode =
-  if List.exists (String.equal table) t.src then
+  let lock_map = t.op.Transformation.lock_map in
+  if List.exists (String.equal table) (sources t) then
     List.map
       (fun (tbl, k) ->
          { Lock_table_many.table = tbl;
@@ -251,14 +242,14 @@ let dual_locks t ~txn:_ ~table ~key ~mode =
            lock =
              { Compat.mode; provenance = Compat.Source (source_index t table) }
          })
-      (t.lock_map.Transformation.source_to_targets ~table ~key)
-  else if List.exists (String.equal table) t.tgt then
+      (lock_map.source_to_targets ~table ~key)
+  else if List.exists (String.equal table) (targets t) then
     List.map
       (fun (tbl, k) ->
          { Lock_table_many.table = tbl;
            key = k;
            lock = { Compat.mode; provenance = Compat.Native } })
-      (t.lock_map.Transformation.target_to_sources ~table ~key)
+      (lock_map.target_to_sources ~table ~key)
   else []
 
 (* {2 Synchronization (paper, Sec. 3.4)} *)
@@ -268,38 +259,50 @@ let active_txns_on_sources t =
   List.filter_map
     (fun (_, _, owner, _) ->
        if Manager.is_active t.mgr owner then Some owner else None)
-    (Lock_table.locked_resources_in locks ~tables:t.src)
+    (Lock_table.locked_resources_in locks ~tables:(sources t))
   |> List.sort_uniq Int.compare
 
 (* All or nothing: when another transformation holds one of our
    latches right now, back out and retry at a later step rather than
    deadlocking. *)
 let latch_sources t =
-  Latch.try_latch_all (Manager.latches t.mgr) ~holder:t.holder t.src
+  Latch.try_latch_all (Manager.latches t.mgr) ~holder:t.holder (sources t)
 
 let unlatch_sources t =
-  Latch.unlatch_all (Manager.latches t.mgr) ~holder:t.holder t.src
+  Latch.unlatch_all (Manager.latches t.mgr) ~holder:t.holder (sources t)
 
 (* The change's targets, those the catalog holds. *)
 let target_tables t =
-  List.filter_map (Catalog.find_opt (Db.catalog t.db)) t.tgt
+  List.filter_map (Catalog.find_opt (Db.catalog t.db)) (targets t)
 
-(* The flip: routing switches to the targets, and a snapshot begun
-   after the log head as it stands now sees them. *)
-let flip t =
+(* The switch-over every strategy ends in: drain the log to its head,
+   note the transactions still active on the sources, flip routing to
+   the targets and freeze the sources. The targets stay hidden from
+   snapshots until [finalize]. *)
+let switch (t : t) =
+  t.final_records <- Propagator.run_to_head t.prop;
+  t.old_txns <- active_txns_on_sources t;
   t.route <- `Targets;
-  let from = Lsn.next (Log.head (Manager.log t.mgr)) in
-  List.iter (fun tbl -> Table.reveal tbl ~from) (target_tables t)
-
-let persistable t =
-  let (module T : Transformation.S) = t.tf in
-  Option.is_some T.spec_payload
+  intercept t { t.icpt with Manager.frozen = sources t }
 
 let write_job_done t =
-  if persistable t then
+  if Option.is_some t.op.Transformation.spec_payload then
     ignore
       (Log.append (Manager.log t.mgr) ~txn:Log_record.system_txn
          ~prev_lsn:Lsn.zero (Log_record.Job_done { job = t.job_name }))
+
+(* What [finalize] and [abort] both end with: the interceptor goes, the
+   population's fuzzy cursors close (with [drop_sources = false] they
+   would otherwise refuse the sources' arrival compaction forever;
+   close is idempotent), the propagator unpins the log and the job
+   leaves the registry. *)
+let teardown t phase =
+  release t;
+  Population.close (population t);
+  Propagator.close t.prop;
+  remove_probes t;
+  Db.unregister_job t.db ~name:t.job_name;
+  t.tphase <- phase
 
 let finalize t =
   (* The schema-change commit point doubles as a durability barrier:
@@ -308,26 +311,25 @@ let finalize t =
      fault site below can crash us). *)
   Manager.flush_commits t.mgr;
   Fault.hit "sync_commit";
-  release t;
   if t.options.Options.drop_sources then
     List.iter
       (fun src ->
          if Catalog.mem (Db.catalog t.db) src then
            Catalog.drop (Db.catalog t.db) src)
-      t.src;
-  (* Population finished long ago, but with [drop_sources = false] its
-     fuzzy cursors were never closed — the source tables would refuse
-     arrival compaction forever. Close is idempotent. *)
-  Population.close t.pop;
-  Propagator.close t.prop;
-  remove_probes t;
+      (sources t);
+  (* Propagation stamps a target row as a system write at its source
+     record's LSN, committed there even while its writer was still
+     open. Every such writer has finished by now and the log is
+     drained, so the targets become visible to snapshots that begin
+     past the log head as it stands now. *)
+  let from = Lsn.next (Log.head (Manager.log t.mgr)) in
+  List.iter (fun tbl -> Table.reveal tbl ~from) (target_tables t);
   (* No [Job_done] here: the targets' final writes are unlogged, so
      completion only becomes durable at the next checkpoint (which
      finds no job registered and drops the stale [Job_state] from the
      WAL). A crash before that checkpoint resumes the job in its last
      persisted phase and re-converges — finalization is idempotent. *)
-  Db.unregister_job t.db ~name:t.job_name;
-  t.tphase <- Done
+  teardown t Done
 
 (* Returns false when the sources could not be latched (another
    transformation is synchronizing on an overlapping table); the caller
@@ -335,18 +337,15 @@ let finalize t =
 let begin_sync t =
   match t.options.Options.sync with
   | Options.Blocking_commit ->
-    (* Block newcomers; current transactions run to completion. *)
-    intercept t { t.icpt with Manager.frozen = t.src };
+    (* Block newcomers; current transactions run to completion, and
+       [Quiescing] switches once none is left. *)
+    intercept t { t.icpt with Manager.frozen = sources t };
     t.tphase <- Quiescing;
     true
   | Options.Nonblocking_abort ->
-    if not (latch_sources t) then false
-    else begin
-      t.final_records <- Propagator.run_to_head t.prop;
-      let old = active_txns_on_sources t in
-      t.old_txns <- old;
-      flip t;
-      intercept t { t.icpt with Manager.frozen = t.src };
+    latch_sources t
+    && begin
+      switch t;
       unlatch_sources t;
       (* Force the transactions that were active on the sources to roll
          back; their CLRs keep flowing through the propagator, which
@@ -358,28 +357,25 @@ let begin_sync t =
            match Manager.abort t.mgr txn with
            | Ok () -> t.forced_aborts <- t.forced_aborts + 1
            | Error _ -> ())
-        old;
+        t.old_txns;
       t.tphase <- Draining;
       true
     end
   | Options.Nonblocking_commit ->
-    if not (latch_sources t) then false
-    else begin
-      t.final_records <- Propagator.run_to_head t.prop;
+    latch_sources t
+    && begin
+      switch t;
+      (* Two-schema locking: the sources' current locks move onto the
+         targets, and every later lock projects across. *)
       Propagator.transfer_current_source_locks t.prop
-        t.lock_map.Transformation.source_to_targets;
-      t.old_txns <- active_txns_on_sources t;
-      flip t;
-      intercept t
-        { t.icpt with
-          Manager.frozen = t.src;
-          extra_locks = Some (dual_locks t) };
+        t.op.Transformation.lock_map.source_to_targets;
+      intercept t { t.icpt with Manager.extra_locks = Some (dual_locks t) };
       unlatch_sources t;
       t.tphase <- Draining;
       true
     end
 
-let cc_ready t = match t.consistency with None -> true | Some _ -> t.unknown () = 0
+let cc_ready t = unknown_flags t = 0
 
 let try_sync t =
   if
@@ -398,17 +394,18 @@ let try_sync t =
 let step_quantum t =
   (match t.tphase with
    | Populating ->
+     let pop = population t in
      let finished =
        match t.options.Options.strategy with
        | Options.Eager ->
-         Population.step t.pop ~limit:t.options.Options.scan_batch
+         Population.step pop ~limit:t.options.Options.scan_batch
        | Options.Lazy ->
          (* Minimal background sweep: demand migration carries the hot
             set; one cold record per quantum guarantees completion on
             an idle system. *)
-         Population.step t.pop ~limit:1
+         Population.step pop ~limit:1
        | Options.Hybrid { sweep_quantum } ->
-         Population.step t.pop ~limit:(max 1 sweep_quantum)
+         Population.step pop ~limit:(max 1 sweep_quantum)
      in
      if finished then begin
        intercept t { t.icpt with Manager.on_access = None };
@@ -424,9 +421,7 @@ let step_quantum t =
      if Propagator.lag t.prop > 0 then t.caught_up_once <- false;
      ignore (try_sync t)
    | Checking ->
-     (match t.consistency with
-      | Some cc -> ignore (Consistency.step cc)
-      | None -> ());
+     Option.iter (fun cc -> ignore (Consistency.step cc)) (checker t);
      ignore (Propagator.step t.prop ~limit:t.options.Options.propagate_batch);
      if cc_ready t then begin
        t.tphase <- Propagating;
@@ -435,8 +430,7 @@ let step_quantum t =
    | Quiescing ->
      ignore (Propagator.step t.prop ~limit:t.options.Options.propagate_batch);
      if active_txns_on_sources t = [] then begin
-       t.final_records <- Propagator.run_to_head t.prop;
-       flip t;
+       switch t;
        finalize t
      end
    | Draining ->
@@ -453,8 +447,8 @@ let step_quantum t =
     let attrs =
       [ ("job", Json.String t.job_name);
         ("phase", Json.String (phase_str t.tphase));
-        ("scanned", Json.Int (Population.scanned t.pop));
-        ("produced", Json.Int (Population.produced t.pop));
+        ("scanned", Json.Int (Population.scanned (population t)));
+        ("produced", Json.Int (Population.produced (population t)));
         ("propagated", Json.Int (Propagator.records_processed t.prop));
         ("position", Json.Int (Lsn.to_int (Propagator.position t.prop)));
         ("lag", Json.Int (Propagator.lag t.prop));
@@ -507,20 +501,19 @@ type resume_info = {
    options, [resume_one] after [resume] validated them once for all
    jobs. [resume] starts mid-lifecycle; [job_name] keeps a crashed
    job's registry name so its durable [Job_state] chain stays coherent. *)
-let register db ~options ?resume ?job_name packed =
-  let (module T : Transformation.S) = packed in
+let register db ~options ?resume ?job_name (op : Transformation.t) =
   let mgr = Db.manager db in
   let prop, tphase, route =
     match resume with
     | None ->
-      (Transformation.start_propagator mgr T.rules, Populating, `Sources)
+      (Transformation.start_propagator mgr op.rules, Populating, `Sources)
     | Some r ->
       (* The initial image is already in the targets (restored from the
          snapshot); re-read the retained log suffix from where the
          crashed propagator stood. Loser transactions were rolled back
          by recovery without logging, so their records are skipped. *)
       let prop =
-        Propagator.create ~skip:r.r_skip mgr T.rules ~from:r.r_position
+        Propagator.create ~skip:r.r_skip mgr op.rules ~from:r.r_position
       in
       (match r.r_phase with
        | `Propagating -> (prop, Propagating, `Sources)
@@ -535,28 +528,23 @@ let register db ~options ?resume ?job_name packed =
   let job_name =
     match job_name with
     | Some n -> n
-    | None -> T.name ^ "#" ^ string_of_int holder
+    | None -> op.name ^ "#" ^ string_of_int holder
   in
+  let names l = Json.List (List.map (fun s -> Json.String s) l) in
   let root_span =
     Obs.span_open obs "schema_change"
       ~attrs:
         [ ("job", Json.String job_name);
-          ("operator", Json.String T.name);
-          ("sources", Json.List (List.map (fun s -> Json.String s) T.sources));
-          ("targets", Json.List (List.map (fun s -> Json.String s) T.targets)) ]
+          ("operator", Json.String op.name);
+          ("sources", names op.rules.sources);
+          ("targets", names op.rules.targets) ]
   in
   let t =
     { db;
       mgr;
       options;
-      tf = packed;
-      pop = T.population;
+      op;
       prop;
-      src = T.sources;
-      tgt = T.targets;
-      lock_map = T.lock_map;
-      consistency = T.consistency;
-      unknown = T.unknown_flags;
       holder;
       job_name;
       tphase;
@@ -574,12 +562,9 @@ let register db ~options ?resume ?job_name packed =
   in
   sync_spans t;
   (* The targets stay hidden from snapshots, and take no system
-     version, until the flip. A change resumed in Draining flipped
-     before the crash, and no snapshot survives a restart: its targets
-     stay visible. *)
-  (match route with
-   | `Sources -> List.iter Table.hide (target_tables t)
-   | `Targets -> ());
+     version, until the change is done; so do those of a change resumed
+     in Draining. *)
+  List.iter Table.hide (target_tables t);
   (match (t.tphase, options.Options.strategy) with
    | Populating, (Options.Lazy | Options.Hybrid _) ->
      (* Demand migration covers the hot set while the population's
@@ -589,7 +574,7 @@ let register db ~options ?resume ?job_name packed =
        { Manager.empty_interceptor with
          on_access = Some (demand_migrate t) }
    | Draining, _ ->
-     intercept t { Manager.empty_interceptor with frozen = t.src }
+     intercept t { Manager.empty_interceptor with frozen = sources t }
    | (Populating | Propagating | Checking | Quiescing | Done | Failed _), _ ->
      ());
   Obs.Registry.probe obs ("transform." ^ t.job_name ^ ".lag") (fun () ->
@@ -597,7 +582,7 @@ let register db ~options ?resume ?job_name packed =
   Obs.Registry.probe obs ("transform." ^ t.job_name ^ ".propagated") (fun () ->
       float_of_int (Propagator.records_processed t.prop));
   let persist =
-    match T.spec_payload with
+    match op.spec_payload with
     | None -> None
     | Some spec_payload ->
       Some
@@ -609,7 +594,7 @@ let register db ~options ?resume ?job_name packed =
              low_water = Propagator.position t.prop;
              (* [resume_one] restarts a job saved while populating: it
                 drops these targets and fills them again. *)
-             rebuilt = (if String.equal tag "pop" then t.tgt else []) })
+             rebuilt = (if String.equal tag "pop" then targets t else []) })
   in
   Db.register_job db ?persist ~name:t.job_name ~step:(fun () -> step t) ();
   (* Journal the job's existence right away: a crash from here on finds
@@ -627,8 +612,8 @@ let register db ~options ?resume ?job_name packed =
 (* [check] raises a clear [Nbsc_error] on rejection: no
    programmatically-built record with a zero batch or sweep quantum can
    wedge the quantum loop. *)
-let create db ?(options = Options.default) packed =
-  register db ~options:(Options.check options) packed
+let create db ?(options = Options.default) op =
+  register db ~options:(Options.check options) op
 
 (* {2 Crash resume} *)
 
@@ -671,7 +656,7 @@ let resume_one db ~options ~losers (name, state) =
        in
        (match Transformation.of_payload ~options db spec_payload with
         | Error m -> Error (Nbsc_error.corrupt m)
-        | Ok packed -> Ok (register db ~options ?resume ~job_name:name packed)))
+        | Ok op -> Ok (register db ~options ?resume ~job_name:name op)))
 
 let resume ?(options = Options.default) persist =
   (* Validate before touching any job: a rejection after [resume_one]
@@ -699,7 +684,6 @@ let abort t =
   match t.tphase with
   | Done -> ()
   | _ ->
-    release t;
     unlatch_sources t;
     (* Drop transferred locks on the targets, then the targets. *)
     let locks = Manager.locks t.mgr in
@@ -710,13 +694,9 @@ let abort t =
            (Lock_table.locked_resources locks ~table:tgt);
          if Catalog.mem (Db.catalog t.db) tgt then
            Catalog.drop (Db.catalog t.db) tgt)
-      t.tgt;
+      (targets t);
     write_job_done t;
-    Population.close t.pop;
-    Propagator.close t.prop;
-    Db.unregister_job t.db ~name:t.job_name;
-    remove_probes t;
-    t.tphase <- Failed "aborted by request";
+    teardown t (Failed "aborted by request");
     sync_spans t
 
 let pp_phase ppf p = Format.pp_print_string ppf (phase_str p)

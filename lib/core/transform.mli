@@ -21,7 +21,7 @@
 
     The executor owns only this lifecycle state machine; everything
     operator-specific (population, redo rules, lock projection,
-    consistency) comes through the {!Transformation.S} contract. Each
+    consistency) comes through the {!Transformation.t} contract. Each
     executor also registers itself as a background job on its {!Db}, so
     several in-flight transformations interleave fairly under
     [Db.step_jobs] / [Db.run_jobs]; overlapping synchronizations
@@ -63,10 +63,10 @@ type progress = {
 
 type t
 
-val create : Nbsc_engine.Db.t -> ?options:Options.t -> Transformation.packed -> t
-(** Wrap any {!Transformation.S} operator in an executor and register
+val create : Nbsc_engine.Db.t -> ?options:Options.t -> Transformation.t -> t
+(** Wrap any {!Transformation.t} operator in an executor and register
     it as a background job on the database. When the operator is
-    persistable ({!Transformation.S.spec_payload}), the executor also
+    persistable (its [spec_payload]), the executor also
     journals a [Job_state] record and registers a persist thunk so
     checkpoints keep the durable state current.
 
@@ -101,9 +101,9 @@ val progress : t -> progress
 
 val routing : t -> [ `Sources | `Targets ]
 (** Which schema version new transactions should use — flips exactly at
-    the synchronization point. Until then the targets are hidden from
-    snapshots ({!Nbsc_storage.Table.hide}); the flip makes them visible
-    to snapshots that begin after it. *)
+    the synchronization point. The targets stay hidden from snapshots
+    ({!Nbsc_storage.Table.hide}) until the change is [Done], which makes
+    them visible to snapshots that begin after it. *)
 
 val sources : t -> string list
 val targets : t -> string list
@@ -116,7 +116,7 @@ val job_name : t -> string
     registry, e.g. ["foj#1000000001"]. *)
 
 val counters : t -> (string * int) list
-(** The operator's labelled counters (see {!Transformation.S.counters}). *)
+(** The operator's labelled counters (see {!Transformation.t}). *)
 
 val migration : t -> Options.migration
 (** The migration strategy this executor runs under. *)
@@ -140,9 +140,8 @@ val resume :
     be decoded, and with [`Invalid] on an invalid [options] record,
     before any job is touched.
 
-    A job resumed before its flip hides its targets from snapshots
-    again; one resumed after it leaves them visible, as no snapshot
-    survives the restart.
+    A resumed job hides its targets from snapshots again, until it is
+    [Done].
 
     Pass the same [options] the crashed job ran under: the migration
     strategy is an execution policy, not part of the durable state, so

@@ -11,20 +11,14 @@ type lock_map = {
     table:string -> key:Row.Key.t -> (string * Row.Key.t) list;
 }
 
-module type S = sig
-  val name : string
-  val sources : string list
-  val targets : string list
-  val spec_payload : string option
-  val population : Population.t
-  val rules : Propagator.rules
-  val lock_map : lock_map
-  val consistency : Consistency.t option
-  val unknown_flags : unit -> int
-  val counters : unit -> (string * int) list
-end
-
-type packed = (module S)
+type t = {
+  name : string;
+  spec_payload : string option;
+  population : Population.t;
+  rules : Propagator.rules;
+  lock_map : lock_map;
+  counters : unit -> (string * int) list;
+}
 
 (* Preparation must tolerate targets that already exist: after a crash
    the targets were restored from the snapshot and the builder re-runs
@@ -75,20 +69,24 @@ let start_propagator mgr rules =
    This gives every operator lazy migration for free: no second
    population path per operator. *)
 
-let demand_population catalog ~sources ~(rules : Propagator.rules) =
-  let tables = List.map (fun n -> (n, Catalog.find catalog n)) sources in
+let demand_population catalog (rules : Propagator.rules) =
+  let tables = List.map (fun n -> (n, Catalog.find catalog n)) rules.sources in
   Population.scan_tagged tables ~ingest:(fun ~table record ->
       ignore
-        (rules.Propagator.apply ~lsn:record.Record.lsn
+        (rules.apply ~lsn:record.Record.lsn
            (Log_record.Insert { table; row = record.Record.row })))
 
-let lazy_migration options =
+(* The population [options] select: the demand scan under [Lazy] or
+   [Hybrid], else the operator's own, built only then (building it
+   opens its fuzzy cursors). *)
+let population options catalog rules eager =
   match options with
-  | Some o -> o.Options.strategy <> Options.Eager
-  | None -> false
+  | Some { Options.strategy = Options.Lazy | Options.Hybrid _; _ } ->
+    demand_population catalog rules
+  | Some _ | None -> eager ()
 
-let counter (module T : S) name =
-  match List.assoc_opt name (T.counters ()) with
+let counter op name =
+  match List.assoc_opt name (op.counters ()) with
   | Some n -> n
   | None -> 0
 
@@ -105,7 +103,7 @@ let foj_source_to_targets fj ~table ~key =
     List.map (fun (k, _) -> (t_name, k)) (Foj_common.by_s_key cctx key)
   else []
 
-let foj_target_to_sources fj ~key =
+let foj_target_to_sources fj ~table:_ ~key =
   let cctx = Foj.ctx fj in
   let l = cctx.Foj_common.layout in
   let spec = l.Spec.spec in
@@ -142,35 +140,24 @@ let foj ?(transfer_locks = true) ?options db spec =
       ~sources:[ spec.Spec.r_table; spec.Spec.s_table ]
       ~targets:[ spec.Spec.t_table ] ~apply ()
   in
-  let pop =
-    if lazy_migration options then
-      demand_population catalog
-        ~sources:[ spec.Spec.r_table; spec.Spec.s_table ] ~rules
-    else Population.foj fj ~r_tbl ~s_tbl
-  in
-  (module struct
-    let name = "foj"
-    let sources = [ spec.Spec.r_table; spec.Spec.s_table ]
-    let targets = [ spec.Spec.t_table ]
-    let spec_payload = Some (Spec.encode (Spec.Foj spec))
-    let population = pop
-    let rules = rules
-    let lock_map =
-      { source_to_targets =
-          (fun ~table ~key -> foj_source_to_targets fj ~table ~key);
-        target_to_sources = (fun ~table:_ ~key -> foj_target_to_sources fj ~key)
-      }
-    let consistency = None
-    let unknown_flags () = 0
-    let counters () =
-      let st = Foj.stats fj in
-      [ ("applied", st.Foj.applied); ("ignored", st.Foj.ignored);
-        ("foreign", st.Foj.foreign) ]
-  end : S)
+  { name = "foj";
+    spec_payload = Some (Spec.encode (Spec.Foj spec));
+    population =
+      population options catalog rules (fun () ->
+          Population.foj fj ~r_tbl ~s_tbl);
+    rules;
+    lock_map =
+      { source_to_targets = foj_source_to_targets fj;
+        target_to_sources = foj_target_to_sources fj };
+    counters =
+      (fun () ->
+         let st = Foj.stats fj in
+         [ ("applied", st.Foj.applied); ("ignored", st.Foj.ignored);
+           ("foreign", st.Foj.foreign) ]) }
 
 (* {1 Vertical split} *)
 
-let split_source_to_targets sp db ~key =
+let split_source_to_targets sp db ~table:_ ~key =
   let layout = Split.layout sp in
   let spec = layout.Spec.sspec in
   let r_name = spec.Spec.r_table' and s_name = spec.Spec.s_table' in
@@ -219,43 +206,31 @@ let split ?options db spec =
     else Some (Consistency.create catalog sp ~log:(Db.log db))
   in
   let rules =
-    { Propagator.sources = [ spec.Spec.t_table' ];
-      targets = [ spec.Spec.r_table'; spec.Spec.s_table' ];
-      apply = (fun ~lsn op -> Split.apply sp ~lsn op);
-      cc;
-      cc_s_table = Some spec.Spec.s_table';
-      transfer_locks = true }
+    Propagator.rules ?cc ~sources:[ spec.Spec.t_table' ]
+      ~targets:[ spec.Spec.r_table'; spec.Spec.s_table' ]
+      ~apply:(fun ~lsn op -> Split.apply sp ~lsn op)
+      ()
   in
   let pop =
-    if lazy_migration options then
-      demand_population catalog ~sources:[ spec.Spec.t_table' ] ~rules
-    else Population.split sp ~t_tbl
+    population options catalog rules (fun () ->
+        Population.scan_one t_tbl ~ingest:(Split.ingest_initial sp))
   in
-  let pop =
-    Population.with_fill pop
-      ~fill:(fun ~limit -> Table.Index_build.step ix_build ~limit)
-      ~close:(fun () -> Table.Index_build.close ix_build)
-  in
-  (module struct
-    let name = "split"
-    let sources = [ spec.Spec.t_table' ]
-    let targets = [ spec.Spec.r_table'; spec.Spec.s_table' ]
-    let spec_payload = Some (Spec.encode (Spec.Split spec))
-    let population = pop
-    let rules = rules
-    let lock_map =
-      { source_to_targets =
-          (fun ~table:_ ~key -> split_source_to_targets sp db ~key);
-        target_to_sources =
-          (fun ~table ~key -> split_target_to_sources sp db ~table ~key) }
-    let consistency = cc
-    let unknown_flags () =
-      match cc with None -> 0 | Some _ -> Split.unknown_count sp
-    let counters () =
-      let st = Split.stats sp in
-      [ ("applied", st.Split.applied); ("ignored", st.Split.ignored);
-        ("foreign", st.Split.foreign); ("unknown", Split.unknown_count sp) ]
-  end : S)
+  { name = "split";
+    spec_payload = Some (Spec.encode (Spec.Split spec));
+    population =
+      Population.with_fill pop
+        ~fill:(fun ~limit -> Table.Index_build.step ix_build ~limit)
+        ~close:(fun () -> Table.Index_build.close ix_build);
+    rules;
+    lock_map =
+      { source_to_targets = split_source_to_targets sp db;
+        target_to_sources = split_target_to_sources sp db };
+    counters =
+      (fun () ->
+         let st = Split.stats sp in
+         [ ("applied", st.Split.applied); ("ignored", st.Split.ignored);
+           ("foreign", st.Split.foreign); ("unknown", Split.unknown_count sp) ])
+  }
 
 (* {1 Horizontal (selection) split} *)
 
@@ -274,19 +249,13 @@ let hsplit ?options db spec =
       ~apply:(fun ~lsn op -> Hsplit.apply hs ~lsn op)
       ()
   in
-  let pop =
-    if lazy_migration options then
-      demand_population catalog ~sources:[ spec.Spec.h_source ] ~rules
-    else Population.scan_one source ~ingest:(Hsplit.ingest_initial hs)
-  in
-  (module struct
-    let name = "hsplit"
-    let sources = [ spec.Spec.h_source ]
-    let targets = [ spec.Spec.h_true_table; spec.Spec.h_false_table ]
-    let spec_payload = Some (Spec.encode (Spec.Hsplit spec))
-    let population = pop
-    let rules = rules
-    let lock_map =
+  { name = "hsplit";
+    spec_payload = Some (Spec.encode (Spec.Hsplit spec));
+    population =
+      population options catalog rules (fun () ->
+          Population.scan_one source ~ingest:(Hsplit.ingest_initial hs));
+    rules;
+    lock_map =
       { source_to_targets =
           (fun ~table:_ ~key ->
              (* The key lives in exactly one target, but lock both
@@ -294,14 +263,13 @@ let hsplit ?options db spec =
              [ (Table.name (Hsplit.true_table hs), key);
                (Table.name (Hsplit.false_table hs), key) ]);
         target_to_sources =
-          (fun ~table:_ ~key -> [ (spec.Spec.h_source, key) ]) }
-    let consistency = None
-    let unknown_flags () = 0
-    let counters () =
-      let st = Hsplit.stats hs in
-      [ ("applied", st.Hsplit.applied); ("ignored", st.Hsplit.ignored);
-        ("foreign", st.Hsplit.foreign); ("migrations", st.Hsplit.migrations) ]
-  end : S)
+          (fun ~table:_ ~key -> [ (spec.Spec.h_source, key) ]) };
+    counters =
+      (fun () ->
+         let st = Hsplit.stats hs in
+         [ ("applied", st.Hsplit.applied); ("ignored", st.Hsplit.ignored);
+           ("foreign", st.Hsplit.foreign); ("migrations", st.Hsplit.migrations)
+         ]) }
 
 (* {1 Merge (union)} *)
 
@@ -319,32 +287,25 @@ let merge ?options db spec =
       ~apply:(fun ~lsn op -> Merge.apply mg ~lsn op)
       ()
   in
-  let pop =
-    if lazy_migration options then
-      demand_population catalog ~sources:spec.Spec.m_sources ~rules
-    else Population.scan_many sources ~ingest:(Merge.ingest_initial mg)
-  in
-  (module struct
-    let name = "merge"
-    let sources = spec.Spec.m_sources
-    let targets = [ spec.Spec.m_target ]
-    let spec_payload = Some (Spec.encode (Spec.Merge spec))
-    let population = pop
-    let rules = rules
-    let lock_map =
+  { name = "merge";
+    spec_payload = Some (Spec.encode (Spec.Merge spec));
+    population =
+      population options catalog rules (fun () ->
+          Population.scan_many sources ~ingest:(Merge.ingest_initial mg));
+    rules;
+    lock_map =
       { source_to_targets =
           (fun ~table:_ ~key -> [ (Table.name (Merge.target mg), key) ]);
         target_to_sources =
           (fun ~table:_ ~key ->
              (* The target key could stem from any source; lock all. *)
-             List.map (fun src -> (src, key)) spec.Spec.m_sources) }
-    let consistency = None
-    let unknown_flags () = 0
-    let counters () =
-      let st = Merge.stats mg in
-      [ ("applied", st.Merge.applied); ("ignored", st.Merge.ignored);
-        ("foreign", st.Merge.foreign); ("collisions", st.Merge.collisions) ]
-  end : S)
+             List.map (fun src -> (src, key)) spec.Spec.m_sources) };
+    counters =
+      (fun () ->
+         let st = Merge.stats mg in
+         [ ("applied", st.Merge.applied); ("ignored", st.Merge.ignored);
+           ("foreign", st.Merge.foreign); ("collisions", st.Merge.collisions)
+         ]) }
 
 (* {1 Building from a specification} *)
 

@@ -126,7 +126,3 @@ val hits : string -> int
 
 val set_tracking : bool -> unit
 (** Count hits even with nothing armed (dry runs). Off after {!reset}. *)
-
-val enabled : unit -> bool
-(** True when any site is armed or tracking is on (production guard:
-    with nothing armed and tracking off, {!hit} is one flag check). *)

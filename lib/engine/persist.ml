@@ -433,12 +433,14 @@ let read_checked kind path =
   | c :: _ -> Error (`Corrupt c)
 
 let load_snapshot ~dir =
-  let* snapshot = read_checked Disk_format.Snapshot (snapshot_path dir) in
+  let path = snapshot_path dir in
+  let* snapshot = read_checked Disk_format.Snapshot path in
   (* Crash-during-recovery site: before the decoded snapshot state is
      built. Nothing was written yet, so a crash here is trivially
      idempotent — the matrix proves it. *)
   Fault.hit "snapshot_load";
-  Snapshot.load snapshot.Disk_format.payloads
+  Result.map_error (Nbsc_error.in_file path)
+    (Snapshot.load snapshot.Disk_format.payloads)
 
 (* A crash between writing a temp file and renaming it over its
    destination strands a [*.tmp]; it carries no durable state (the

@@ -37,11 +37,14 @@ let verify_dir ~dir =
   if not (Sys.file_exists dir) then Error (`Io (dir ^ ": no such directory"))
   else
     let wal = Disk_format.wal_path dir in
+    let snapshot_path = Disk_format.snapshot_path dir in
     (* The snapshot loads as reopening loads it; the WAL's check needs
        the loaded state. *)
     let snapshot, loaded =
-      verify_file Disk_format.Snapshot (Disk_format.snapshot_path dir)
-        ~check:Snapshot.load
+      verify_file Disk_format.Snapshot snapshot_path ~check:(fun payloads ->
+          Result.map_error
+            (Nbsc_error.in_file snapshot_path)
+            (Snapshot.load payloads))
     in
     (* The records' LSN chain, the structure replay relies on, and,
        with a loaded snapshot, that the WAL covers it. *)

@@ -131,7 +131,8 @@ let save db =
 (* Every line must fit the catalog the lines before it built: a line
    that passed its checksum but names an unknown table or column, or
    carries a row of the wrong arity, is [`Corrupt] here, where
-   [Persist.open_dir] and the scrub both load it. *)
+   [Persist.open_dir] and the scrub both load it. The error names the
+   line as the file numbers it: the header is line 1. *)
 let load lines =
   let fail fmt = Printf.ksprintf failwith ("Snapshot: " ^^ fmt) in
   let catalog = Catalog.create () in
@@ -153,10 +154,12 @@ let load lines =
       add tbl ~name:ix_name ~columns
     | _ -> fail "bad %s line" tag
   in
+  let at = ref 1 in
   try
     let head = ref Lsn.zero in
     List.iter
       (fun line ->
+         incr at;
          if String.length line < 2 || line.[1] <> ':' then
            fail "malformed line";
          let payload = String.sub line 2 (String.length line - 2) in
@@ -196,6 +199,6 @@ let load lines =
          | _ -> fail "unknown line kind")
       lines;
     Ok (Db.of_parts catalog ~log:(Log.create ~base:!head ()))
-  with Failure m -> Error (Nbsc_error.corrupt m)
+  with Failure m -> Error (Nbsc_error.corrupt ~line:!at m)
 
 let pp_error = Nbsc_error.pp

@@ -45,6 +45,8 @@ val save : Db.t -> (string list, error) result
     with {!write}. *)
 
 val load : string list -> (Db.t, error) result
-(** The returned database has an empty log based at the snapshot LSN. *)
+(** The returned database has an empty log based at the snapshot LSN.
+    A [`Corrupt] names the offending line as the file numbers it, after
+    its header line; the caller knows the file ({!Nbsc_error.in_file}). *)
 
 val pp_error : Format.formatter -> error -> unit

@@ -28,20 +28,12 @@ let corruption ?path ?line ?lsn ?expected_crc ?actual_crc reason =
 let corrupt ?path ?line ?lsn ?expected_crc ?actual_crc reason =
   `Corrupt (corruption ?path ?line ?lsn ?expected_crc ?actual_crc reason)
 
+let in_file path = function
+  | `Corrupt ({ c_path = None; _ } as c) ->
+    `Corrupt { c with c_path = Some path }
+  | e -> e
+
 let invalidf fmt = Format.kasprintf (fun m -> `Invalid m) fmt
-
-let of_exn = function
-  | Error e -> e
-  | Failure m -> `Msg m
-  | Invalid_argument m -> `Invalid m
-  | Sys_error m -> `Io m
-  | e -> raise e
-
-let protect f =
-  match f () with
-  | v -> Ok v
-  | exception ((Error _ | Failure _ | Invalid_argument _ | Sys_error _) as e) ->
-    Result.Error (of_exn e)
 
 let corruption_to_string c =
   let ctx =

@@ -8,10 +8,9 @@
     keep working as modules narrow the set they can actually produce —
     every per-module error type is a subset of this variant.
 
-    Exceptions still exist at the edges ([Invalid_argument] for
-    programming-contract violations, {!Error} to tunnel a [t] through
-    code that cannot return a [result]); {!of_exn} folds all of them
-    back into a [t]. *)
+    Exceptions still exist at the edges: [Invalid_argument] for
+    programming-contract violations, and {!Error} to tunnel a [t]
+    through code that cannot return a [result]. *)
 
 type corruption = {
   c_path : string option;      (** which on-disk file *)
@@ -43,7 +42,7 @@ type t =
 
 exception Error of t
 (** Carrier for contexts that cannot return a [result]. Raise with
-    {!fail}; catch with {!protect} or {!of_exn}. *)
+    {!fail}. *)
 
 val fail : t -> 'a
 (** [fail e] raises [Error e]. *)
@@ -59,17 +58,12 @@ val corrupt :
   ?actual_crc:string -> string -> [> `Corrupt of corruption ]
 (** [`Corrupt] of {!corruption} — the usual construction. *)
 
+val in_file : string -> ([> `Corrupt of corruption ] as 'e) -> 'e
+(** [in_file path e] names [path] as the file of a [`Corrupt] that
+    names none; any other [e] is returned as it is. *)
+
 val invalidf : ('a, Format.formatter, unit, t) format4 -> 'a
 (** Format an [`Invalid]. *)
-
-val of_exn : exn -> t
-(** Fold the legacy carriers into a [t]: [Error e] unwraps to [e],
-    [Failure m] and [Invalid_argument m] map to [`Msg]/[`Invalid],
-    [Sys_error m] to [`Io]. Anything else re-raises (asserts and
-    injected faults must not be swallowed). *)
-
-val protect : (unit -> 'a) -> ('a, t) result
-(** Run a thunk, catching the carriers {!of_exn} understands. *)
 
 val corruption_to_string : corruption -> string
 (** Render the reason followed by every context field present, e.g.

@@ -30,16 +30,12 @@ val compatible : lock -> lock -> bool
     compatible; a native lock and a transferred lock are compatible
     only if both are shared; two native locks follow {!standard}. *)
 
-val pp_provenance : Format.formatter -> provenance -> unit
 val pp_lock : Format.formatter -> lock -> unit
 
-val figure2_order : lock list
-(** The six lock classes in the paper's row/column order:
-    R.r, S.r, T.r, R.w, S.w, T.w. *)
-
 val figure2_cells : unit -> bool list list
-(** The 6x6 matrix of {!compatible} over {!figure2_order} — tests check
-    this equals the 36 cells printed in the paper. *)
+(** The 6x6 matrix of {!compatible} over the six lock classes in the
+    paper's row/column order, R.r, S.r, T.r, R.w, S.w, T.w — tests
+    check this equals the 36 cells printed in the paper. *)
 
 val pp_figure2 : Format.formatter -> unit -> unit
 (** Render the matrix like the paper's Figure 2. *)

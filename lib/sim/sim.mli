@@ -59,8 +59,6 @@ type costs = {
           critique of Ronstrom's method *)
 }
 
-val default_costs : costs
-
 type tf_setup = {
   priority : float;           (** capacity share, e.g. 0.02 = 2% *)
   options : Options.t;

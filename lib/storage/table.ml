@@ -71,7 +71,7 @@ type t = {
   mutable defer : Row.Key.t -> Lsn.t -> unit;
   (* The LSN from which snapshot readers see the table: [Some Lsn.zero]
      for every table but a change's targets, which are [None] (hidden)
-     from their creation until routing flips to them. No snapshot reads
+     from their creation until the change is done. No snapshot reads
      a hidden table, and one that begins after the reveal finds every
      earlier write stamped below its begin and never needs a state one
      of them overwrote, so a hidden table's system overwrites push

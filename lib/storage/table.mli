@@ -110,8 +110,8 @@ val set_version_policy :
 
 val hide : t -> unit
 (** Hide the table from snapshot readers until {!reveal}. A change's
-    targets are hidden from the start of the change until routing
-    flips to them. While hidden, system (txn = 0) overwrites push no
+    targets are hidden from the start of the change until it is
+    done. While hidden, system (txn = 0) overwrites push no
     version, whatever [retain] says: no snapshot can read the table
     before the reveal, and a snapshot that begins after it finds every
     earlier write stamped below its begin, so it never needs a state

@@ -259,6 +259,13 @@ let active_count t = Hashtbl.length t.actives
    before its begin: its stamps read as committed at their own LSN,
    like stamp 0, which sorts the same way against every snapshot. *)
 
+(* Resolve a version stamp: [`At commit_lsn] for committed state,
+   [`Live] for a still-active writer, [`Dead] for an aborted one.
+   Stamp 0 — system writes — commits at its own [lsn]. So does the
+   stamp of a committed writer the manager no longer tracks: it left
+   the transaction table only once the horizon passed its commit, so
+   it committed below every live snapshot's LSN, and the stamp's own
+   LSN, below its commit, sorts the same way against each of them. *)
 let classify_version t ~txn ~lsn =
   if txn = 0 then `At lsn
   else
@@ -811,8 +818,9 @@ let read t ~txn:txn_id ~table:table_name ~key =
     if txn.abort_only then Error `Abort_only
     else
       let* table = resolve_table t table_name in
-      (* A change's target is hidden from snapshots begun before its
-         flip: they resolve names as they stood at their begin. *)
+      (* A change's target is hidden from snapshots begun before the
+         change was done: they resolve names as they stood at their
+         begin. *)
       if not (Table.visible_at table at) then Error (`No_table table_name)
       else begin
         let row = resolve_visible t ~self:txn_id ~at table key in

@@ -177,16 +177,6 @@ val track_table : t -> Table.t -> unit
 val oldest_snapshot : t -> Lsn.t option
 (** The lowest snapshot LSN among active [`Snapshot] transactions. *)
 
-val classify_version : t -> txn:int -> lsn:Lsn.t ->
-  [ `At of Lsn.t | `Dead | `Live ]
-(** Resolve a version stamp: [`At commit_lsn] for committed state,
-    [`Live] for a still-active writer, [`Dead] for an aborted one.
-    Stamp 0 — system writes — commits at its own [lsn]. So does the
-    stamp of a committed writer the manager no longer tracks: it left
-    the transaction table only once the horizon passed its commit, so
-    it committed below every live snapshot's LSN, and the stamp's own
-    LSN, below its commit, sorts the same way against each of them. *)
-
 val reclaim_budget : int
 (** Queue entries a writer's commit may drain per key it pushed
     versions on ({!gc_versions}). *)
@@ -227,7 +217,7 @@ val read : t -> txn:txn_id -> table:string -> key:Row.Key.t ->
     visible at the transaction's snapshot LSN (own writes included),
     and [`No_table] for a table not visible at that LSN
     ({!Table.visible_at}: a change's target, to a snapshot begun before
-    routing flipped to it). *)
+    the change was done). *)
 
 val read_dirty : t -> table:string -> key:Row.Key.t -> Row.t option
 (** Lock-free read, for fuzzy scans and the consistency checker. *)

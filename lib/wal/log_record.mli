@@ -101,4 +101,3 @@ val decode : string -> t
 (** @raise Failure on malformed input. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_body : Format.formatter -> body -> unit

@@ -23,6 +23,31 @@ let wipe dir =
     Sys.rmdir dir
   end
 
+(* The seed of the crash and integrity suites. *)
+let crash_seed =
+  match Sys.getenv_opt "NBSC_CRASH_SEED" with
+  | Some s -> (try int_of_string s with Failure _ -> 42)
+  | None -> 42
+
+(* A store directory of its own for one test: [fresh_dir suite] names
+   it [nbsc_<suite>_<n>_<suffix>] under the temp directory. No unix
+   dependency: uniqueness from a counter and a random suffix. The
+   suffix comes from a generator of its own: building a QCheck case
+   reseeds the global one from the clock unless QCHECK_SEED is set. So
+   the names follow from NBSC_CRASH_SEED alone, and a directory a
+   failed run left behind under the same name is removed first. *)
+let fresh_dir =
+  let rng = Random.State.make [| crash_seed |] and n = ref 0 in
+  fun suite ->
+    incr n;
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "nbsc_%s_%d_%d" suite !n
+           (Random.State.int rng 1_000_000))
+    in
+    wipe dir;
+    dir
+
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in

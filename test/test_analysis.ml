@@ -120,11 +120,9 @@ let test_validate_rejects () =
    [Transform.create] must still reject it with a clear error. *)
 let test_create_rejects_programmatic () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:5) in
-  let packed =
-    Transformation.split db (H.split_spec ~assume_consistent:true)
-  in
+  let tf = Transformation.split db (H.split_spec ~assume_consistent:true) in
   let expect_invalid name options =
-    match Transform.create db ~options packed with
+    match Transform.create db ~options tf with
     | exception Nbsc_error.Error (`Invalid _) -> ()
     | _ -> Alcotest.failf "%s: expected Invalid" name
   in

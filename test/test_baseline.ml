@@ -85,9 +85,8 @@ let check_targets what expected db =
 let test_dump_correct op () =
   let db = op.fresh () in
   let oracle = op.oracle db in
-  let packed = Transformation.of_spec db op.spec in
-  let (module T : Transformation.S) = packed in
-  let dump = Insert_into_select.create db packed in
+  let tf = Transformation.of_spec db op.spec in
+  let dump = Insert_into_select.create db tf in
   let steps = ref 0 in
   while Insert_into_select.step dump ~limit:7 = `Running do incr steps done;
   Alcotest.(check bool) "multiple steps" true (!steps > 3);
@@ -95,7 +94,7 @@ let test_dump_correct op () =
     (fun src ->
        Alcotest.(check bool) (src ^ " dropped") false
          (Catalog.mem (Db.catalog db) src))
-    T.sources;
+    tf.rules.sources;
   check_targets "dumped" oracle db
 
 let test_dump_blocks_writers () =
@@ -280,9 +279,8 @@ let converge_shadow ?(between = fun () -> ()) sh =
 
 let test_shadow_converges op () =
   let db = op.fresh () in
-  let packed = Transformation.of_spec db op.spec in
-  let (module T : Transformation.S) = packed in
-  let sh = Shadow_table.create db ~drop_sources:false ~chunk:8 packed in
+  let tf = Transformation.of_spec db op.spec in
+  let sh = Shadow_table.create db ~drop_sources:false ~chunk:8 tf in
   let d = H.driver db in
   (* Writes before the backfill starts are pure audit captures. *)
   for _ = 1 to 5 do op.traffic d done;
@@ -300,7 +298,7 @@ let test_shadow_converges op () =
     (Shadow_table.latched_windows sh > 2);
   Alcotest.(check int) "audit drained" 0 (Shadow_table.audit_pending sh);
   Alcotest.(check bool) "sources kept" true
-    (List.for_all (Catalog.mem (Db.catalog db)) T.sources)
+    (List.for_all (Catalog.mem (Db.catalog db)) tf.rules.sources)
 
 (* An aborted transaction's writes are captured {e and} compensated:
    rollback fires the post-op hooks with the CLR inverses, so the
@@ -310,8 +308,10 @@ let test_shadow_aborted_writes () =
   let r_rows, s_rows = H.seed_rows ~r:25 ~s:10 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let mgr = Db.manager db in
-  let packed = Transformation.foj db H.foj_spec in
-  let sh = Shadow_table.create db ~drop_sources:false ~chunk:8 packed in
+  let sh =
+    Shadow_table.create db ~drop_sources:false ~chunk:8
+      (Transformation.foj db H.foj_spec)
+  in
   let txn = Manager.begin_txn mgr in
   H.ok "i" (Manager.insert mgr ~txn ~table:"R" (H.ri 777 "phantom" 3));
   ignore (Manager.abort mgr txn);
@@ -323,8 +323,10 @@ let test_shadow_blocks_during_chunk () =
   let r_rows, s_rows = H.seed_rows ~r:30 ~s:10 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let mgr = Db.manager db in
-  let packed = Transformation.foj db H.foj_spec in
-  let sh = Shadow_table.create db ~drop_sources:false ~chunk:8 packed in
+  let sh =
+    Shadow_table.create db ~drop_sources:false ~chunk:8
+      (Transformation.foj db H.foj_spec)
+  in
   (* Step one: the latch for the first chunk is taken. *)
   ignore (Shadow_table.step sh ~limit:8);
   let txn = Manager.begin_txn mgr in

@@ -32,7 +32,7 @@ let setup ~t_rows =
   ignore (Catalog.create_table catalog ~name:"S" (Spec.split_s_schema layout));
   Table.add_index t_tbl ~name:Spec.ix_t_split ~columns:[ "c" ];
   let sp = Split.create catalog layout in
-  let pop = Population.split sp ~t_tbl in
+  let pop = Population.scan_one t_tbl ~ingest:(Split.ingest_initial sp) in
   while not (Population.step pop ~limit:max_int) do () done;
   let log = Log.create () in
   let cc = Consistency.create catalog sp ~log in
@@ -64,11 +64,8 @@ let drain h =
     | Some r ->
       (match r.Log_record.body with
        | Log_record.Op op ->
-         let touched = Split.apply h.sp ~lsn:r.Log_record.lsn op in
-         List.iter
-           (fun (table, key) ->
-              if String.equal table "S" then Consistency.note_touched h.cc key)
-           touched
+         Consistency.note_touched h.cc
+           (Split.apply h.sp ~lsn:r.Log_record.lsn op)
        | Log_record.Cc_begin { key; _ } -> Consistency.on_cc_begin h.cc key
        | Log_record.Cc_ok { key; image; _ } ->
          Consistency.on_cc_ok h.cc ~lsn:r.Log_record.lsn key image
@@ -233,15 +230,11 @@ let test_tracked_unknowns_random_history () =
     true
     (!rose > 5 && !fell > 5 && !flagged_deleted > 0)
 
-let fresh_dir () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "nbsc_cc_%d" (Random.bits ()))
-
 let test_tracked_unknowns_restore_and_resume () =
   let module Persist = Nbsc_engine.Persist in
   let module Manager = Nbsc_txn.Manager in
   Nbsc_engine.Fault.reset ();
-  let dir = fresh_dir () in
+  let dir = H.fresh_dir "cc" in
   let p = H.ok_p "create" (Persist.create_dir ~dir) in
   let db = Persist.db p in
   ignore (Db.create_table db ~name:"T" H.t_flat_schema);

@@ -36,18 +36,8 @@ module Wait_graph = Nbsc_lock.Wait_graph
 module Sh = Nbsc_baseline.Shadow_table
 module Tm = Nbsc_baseline.Trigger_method
 
-let base_seed =
-  match Sys.getenv_opt "NBSC_CRASH_SEED" with
-  | Some s -> (try int_of_string s with Failure _ -> 42)
-  | None -> 42
-
-let counter = ref 0
-
-(* No unix dependency: uniqueness from a counter + random suffix. *)
-let fresh_dir () =
-  incr counter;
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "nbsc_crashmx_%d_%d" !counter (Random.int 1_000_000))
+let base_seed = H.crash_seed
+let fresh_dir () = H.fresh_dir "crashmx"
 
 let cfg =
   { Options.default with
@@ -975,7 +965,6 @@ let grouped cells =
     cells []
 
 let () =
-  Random.self_init ();
   (* The longest group name is "matrix foj wal watermarks" (25
      characters). Alcotest sizes its name column by it and truncates
      every case's printed name to fit, so another width would rename

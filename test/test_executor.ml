@@ -1,6 +1,6 @@
 (* The generic quantum executor: several transformations in flight at
    once, driven round-robin through the Db job registry while user
-   transactions commit throughout; and the pluggable Transformation.S
+   transactions commit throughout; and the pluggable Transformation.t
    contract exercised with an operator the executor has never heard
    of. *)
 
@@ -164,7 +164,7 @@ let test_shared_source_keeps_freezes () =
 (* {1 A custom operator through the pluggable interface}
 
    A table copy: not one of the four built-in operators, implemented
-   directly against Transformation.S (Population.make for the scan,
+   directly as a Transformation.t (Population.scan_one for the scan,
    LSN-disciplined redo rules) and run by the unmodified executor. *)
 
 let copy_operator db ~source ~target =
@@ -217,27 +217,20 @@ let copy_operator db ~source ~target =
            incr ignored;
            [])
   in
-  (module struct
-    let name = "copy"
-    let sources = [ source ]
-    let targets = [ target ]
-    let spec_payload = None
-    let population = Population.scan_one src_tbl ~ingest
-    let rules =
-      Propagator.rules ~sources:[ source ] ~targets:[ target ] ~apply ()
-    let lock_map =
-      { Transformation.source_to_targets =
-          (fun ~table:_ ~key -> [ (target, key) ]);
-        target_to_sources = (fun ~table:_ ~key -> [ (source, key) ]) }
-    let consistency = None
-    let unknown_flags () = 0
-    let counters () = [ ("applied", !applied); ("ignored", !ignored) ]
-  end : Transformation.S)
+  { Transformation.name = "copy";
+    spec_payload = None;
+    population = Population.scan_one src_tbl ~ingest;
+    rules = Propagator.rules ~sources:[ source ] ~targets:[ target ] ~apply ();
+    lock_map =
+      { source_to_targets = (fun ~table:_ ~key -> [ (target, key) ]);
+        target_to_sources = (fun ~table:_ ~key -> [ (source, key) ]) };
+    counters = (fun () -> [ ("applied", !applied); ("ignored", !ignored) ]) }
 
 let test_custom_operator () =
   let db = H.fresh_split_db ~t_rows:(H.seed_t_rows ~n:50) in
-  let packed = copy_operator db ~source:"T" ~target:"T2" in
-  let tf = Transform.create db ~options:cfg packed in
+  let tf =
+    Transform.create db ~options:cfg (copy_operator db ~source:"T" ~target:"T2")
+  in
   Alcotest.(check string) "operator name" "copy" (Transform.name tf);
   let d = H.driver db in
   (match

@@ -13,29 +13,7 @@ open Nbsc_core
 module H = Helpers
 module Obs = Nbsc_obs.Obs
 
-let base_seed =
-  match Sys.getenv_opt "NBSC_CRASH_SEED" with
-  | Some s -> (try int_of_string s with Failure _ -> 42)
-  | None -> 42
-
-let counter = ref 0
-
-(* No unix dependency: uniqueness from a counter + random suffix. The
-   suffix comes from a generator of its own: building the QCheck case
-   reseeds the global one from the clock unless QCHECK_SEED is set. So
-   the names follow from NBSC_CRASH_SEED alone, and a directory a
-   failed run left behind under the same name is removed first. *)
-let dir_rng = Random.State.make [| base_seed |]
-
-let fresh_dir () =
-  incr counter;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nbsc_integrity_%d_%d" !counter
-         (Random.State.int dir_rng 1_000_000))
-  in
-  H.wipe dir;
-  dir
+let fresh_dir () = H.fresh_dir "integrity"
 
 let setup_orders p =
   let db = Persist.db p in
@@ -734,24 +712,26 @@ let test_scrub_and_reopen_agree () =
           Persist.close p;
           write_file path old );
       ( "a row with one value for a three-column table",
-        [ "table t"; "1 values" ],
+        [ "table t"; "1 values"; "snapshot.nbsc"; "line 4)" ],
         add_snapshot_line
           (snapshot_line "R:"
              [ "t"; "1"; "0"; "C"; "0";
                Codec.encode_string_list [ Value.encode (Value.Int 99) ] ]) );
-      ( "a second T: line for a table", [ "table t defined twice" ],
+      ( "a second T: line for a table",
+        [ "table t defined twice"; "snapshot.nbsc"; "line 4)" ],
         fun dir ->
           rewrite_payloads `Snapshot dir (fun ls ->
               ls @ List.filter (fun l -> String.sub l 0 2 = "T:") ls) );
       (* A [T:] line's schema field: the arity, then each column's
          name, type and nullability, then the key's column names. *)
-      ( "a T: line whose key names no column", [ "table u"; "\"zz\"" ],
+      ( "a T: line whose key names no column",
+        [ "table u"; "\"zz\""; "snapshot.nbsc"; "line 4)" ],
         add_snapshot_line
           (snapshot_line "T:"
              [ "u"; Codec.encode_string_list [ "1"; "a"; "int"; "0"; "zz" ] ])
       );
       ( "a T: line with a duplicate column",
-        [ "table u"; "duplicate column \"a\"" ],
+        [ "table u"; "duplicate column \"a\""; "snapshot.nbsc"; "line 4)" ],
         add_snapshot_line
           (snapshot_line "T:"
              [ "u";
@@ -759,10 +739,12 @@ let test_scrub_and_reopen_agree () =
                  [ "2"; "a"; "int"; "0"; "a"; "text"; "1"; "a" ] ])
       );
       ( "an I: line naming an unknown column",
-        [ "index ix of table t"; "unknown column zz" ],
+        [ "index ix of table t"; "unknown column zz"; "snapshot.nbsc";
+          "line 4)" ],
         add_snapshot_line (snapshot_line "I:" [ "t"; "ix"; "zz" ]) );
       ( "an O: line naming an unknown column",
-        [ "ordered index ix of table t"; "unknown column zz" ],
+        [ "ordered index ix of table t"; "unknown column zz";
+          "snapshot.nbsc"; "line 4)" ],
         add_snapshot_line (snapshot_line "O:" [ "t"; "ix"; "zz" ]) );
       ( "a wal insert with one value for a three-column table",
         [ "table t"; "1 values" ],

@@ -5,7 +5,7 @@
    bounded work per commit and a transaction table that forgets, the
    lazy / hybrid migration strategies of the strategy-aware
    schema-change API, a change's targets hidden from snapshots until
-   its flip, and a reference model of snapshot reads under locked
+   it is done, and a reference model of snapshot reads under locked
    writers and a schema change. *)
 
 open Nbsc_value
@@ -538,10 +538,11 @@ let test_hybrid_sweep_completes () =
 
 (* {1 Targets hidden until the flip}
 
-   No snapshot reads a change's target before routing flips to it, so
+   No snapshot reads a change's target before the change is done, so
    the target's system writes (population, propagation, split's counter
    bumps) push no version before the flip, even under a snapshot open
-   the whole time. After the flip it is an ordinary table again. *)
+   the whole time. Once the change is done it is an ordinary table
+   again. *)
 
 let sync_name = function
   | Options.Blocking_commit -> "blocking commit"
@@ -601,7 +602,7 @@ let test_hidden_until_flip ~db ~spec ~traffic sync () =
        let before = Table.versions_count tbl in
        system_overwrite mgr tbl;
        Alcotest.(check int)
-         (Table.name tbl ^ ": a system overwrite after the flip pushes")
+         (Table.name tbl ^ ": a system overwrite once done pushes")
          (before + 1) (Table.versions_count tbl))
     targets;
   H.ok "snap commit" (Manager.commit mgr snap)
@@ -710,15 +711,14 @@ let prop_snapshot_visibility =
    copies the committed state when it begins, dirty records or not.
    Writers stop writing at the flip; those still open finish as drawn.
    After every step each live reader must read T exactly as its copy,
-   and one begun before the flip must find neither target. Once the
-   schedule ends, every writer commits, the change runs to Done and one
-   more reader begins: it must read the targets as the split of its
-   copy. A reader begun between the flip and the change's end is
-   checked on T alone: propagation stamps a target row as committed at
-   its source record's LSN, so such a reader can see the target state
-   of a writer that had not committed at its begin. Then every
-   transaction finishes and GC runs: no version and no tracked
-   transaction may remain. *)
+   and one begun before the change is done, while it drains included,
+   must find neither target: propagation stamps a target row as
+   committed at its source record's LSN, so a draining change's
+   targets can hold the state of a writer still open at such a
+   reader's begin. Once the schedule ends, every writer commits, the
+   change runs to Done and one more reader begins: it must read the
+   targets as the split of its copy. Then every transaction finishes
+   and GC runs: no version and no tracked transaction may remain. *)
 
 type step =
   | W_begin of int
@@ -895,17 +895,17 @@ let prop_reference_model =
                          what r k (show_value got) (show_value seen.(k))
                    done;
                    match began with
-                   | Before_flip ->
+                   | Before_flip | Draining ->
                      List.iter
                        (fun table ->
                           match Manager.read mgr ~txn:id ~table ~key:(key 0) with
                           | Error (`No_table _) -> ()
                           | Ok _ | Error _ ->
                             QCheck.Test.fail_reportf
-                              "%s R%d, begun before the flip, found target %s"
+                              "%s R%d, begun before the change was done, \
+                               found target %s"
                               what r table)
                        [ "R"; "S" ]
-                   | Draining -> ()
                    | After_done ->
                      let r_rel, s_rel =
                        Nbsc_relalg.Relalg.split H.split_relalg

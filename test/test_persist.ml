@@ -7,13 +7,7 @@ open Nbsc_txn
 open Nbsc_engine
 module H = Helpers
 
-let counter = ref 0
-
-(* No unix dependency: uniqueness from a counter + random suffix. *)
-let fresh_dir () =
-  incr counter;
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "nbsc_test_%d_%d" !counter (Random.int 1_000_000))
+let fresh_dir () = H.fresh_dir "persist"
 
 let setup_orders p =
   let db = Persist.db p in
@@ -824,7 +818,6 @@ let test_extreme_integers_survive () =
   H.wipe dir
 
 let () =
-  Random.self_init ();
   Alcotest.run "persist"
     [ ( "persist",
         [ Alcotest.test_case "journal and reopen" `Quick test_journal_and_reopen;

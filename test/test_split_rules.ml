@@ -22,7 +22,7 @@ let setup ?(assume_consistent = true) ~t_rows () =
   ignore (Catalog.create_table catalog ~name:"S" (Spec.split_s_schema layout));
   Table.add_index t_tbl ~name:Spec.ix_t_split ~columns:[ "c" ];
   let sp = Split.create catalog layout in
-  let pop = Population.split sp ~t_tbl in
+  let pop = Population.scan_one t_tbl ~ingest:(Split.ingest_initial sp) in
   while not (Population.step pop ~limit:max_int) do () done;
   (catalog, sp)
 

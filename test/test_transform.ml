@@ -479,12 +479,12 @@ let test_transfer_idempotent () =
   let r_rows, s_rows = H.seed_rows ~r:20 ~s:8 in
   let db = H.fresh_foj_db ~r_rows ~s_rows in
   let mgr = Db.manager db in
-  let (module T : Transformation.S) = Transformation.foj db H.foj_spec in
-  while not (Population.finished T.population) do
-    ignore (Population.step T.population ~limit:max_int)
+  let tf = Transformation.foj db H.foj_spec in
+  while not (Population.finished tf.population) do
+    ignore (Population.step tf.population ~limit:max_int)
   done;
-  let prop = Transformation.start_propagator mgr T.rules in
-  let to_targets = T.lock_map.Transformation.source_to_targets in
+  let prop = Transformation.start_propagator mgr tf.rules in
+  let to_targets = tf.lock_map.source_to_targets in
   (* Two transactions left open, holding write locks on the sources. *)
   let t1 = Manager.begin_txn mgr in
   (match
